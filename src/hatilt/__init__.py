@@ -61,6 +61,5 @@ from .complexes import (  # noqa: F401
     hom_complex_dim,
     minimal_proj_resolution,
     preprojective_graded_check,
-    thick_generation_search,
     two_subhomogeneous_check,
 )

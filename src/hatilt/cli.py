@@ -177,8 +177,9 @@ def _paths_dot(groups, d, n) -> str:
 
 
 def _build_named_algebra(name, d, n):
-    from .fdalg import presentation_data, replicate, trivial_ext_r, endo_algebra
-    from .quiveralg import build_auslander_algebra, vertex_of_entries
+    from .fdalg import presentation_data, replicate, trivial_ext_r
+    from .quiveralg import build_auslander_algebra
+    from .verify import ModelData, VerifyConfig
 
     _check_grid(d, n)
     if name != "A" and math.gcd(n, d) != 1:
@@ -187,23 +188,18 @@ def _build_named_algebra(name, d, n):
     if name == "A":
         alg = build_auslander_algebra(n + 1, d)
         return alg.quiver, alg.relations
-    alg = build_auslander_algebra(n + 1, d)
-    projs = [
-        alg.projective(vertex_of_entries(alg, coords(p).entries))
-        for p in enumerate_dyck(d, n)
-    ]
-    b0 = endo_algebra(projs)
+    model = ModelData(d, n, VerifyConfig())
     if name == "B0":
-        fd = b0
+        fd = model.b0()
     elif name == "B":
-        fd = replicate(b0, n + d)
+        fd = model.b_replicated()
     elif name == "Lambda":
-        fd = replicate(b0, n + d + 1)
+        fd = replicate(model.b0(), n + d + 1)
     else:
         # Pi and Tr are the two sides of the preprojective comparison: the
         # (nd+1)-preprojective algebra of B equals the (n+d)-fold trivial
         # extension of B0, so both export the same presentation
-        fd = trivial_ext_r(b0, n + d)
+        fd = trivial_ext_r(model.b0(), n + d)
     data = presentation_data(fd)
     return data.quiver, data.relations
 
@@ -239,14 +235,14 @@ def _parse_budget(overrides_arg):
             raise UsageError(f"bad budget override {chunk!r}")
         key, value = chunk.split("=", 1)
         key = key.strip()
-        if key not in (
-            "max_resolution_length",
-            "max_complex_width",
-            "max_algebra_dim",
-            "iso_budget",
-        ):
+        if key not in ("max_resolution_length", "max_algebra_dim", "iso_budget"):
             raise UsageError(f"unknown budget key {key!r}")
-        overrides[key] = int(value)
+        try:
+            overrides[key] = int(value)
+        except ValueError:
+            raise UsageError(f"budget {key} must be an integer, got {value!r}") from None
+        if overrides[key] < 1:
+            raise UsageError(f"budget {key} must be at least 1, got {value!r}")
     return VerifyConfig(**overrides)
 
 

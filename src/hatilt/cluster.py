@@ -19,7 +19,6 @@ thick-subcategory generation by a double induction on (n - h, mu).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -268,7 +267,3 @@ def _validate_certificate(cert: GenerationCertificate):
     for p in cert.injective_labels:
         if p not in order:
             raise RuntimeError(f"injective label {p} has h = 0")
-
-
-def object_multiset(objects) -> Counter:
-    return Counter(objects)

@@ -16,9 +16,8 @@ inverted through the radical filtration.
 
 On top of this live the verification routines: minimal resolutions, Ext
 dimensions, global and dominant dimension, object-level fractional
-Calabi-Yau checks, the two-step homogeneity criterion, the graded
-preprojective comparison, and a bounded thick-subcategory saturation
-search.
+Calabi-Yau checks, the two-step homogeneity criterion and the graded
+preprojective comparison.
 """
 
 from __future__ import annotations
@@ -95,18 +94,8 @@ class ProjComplex:
         }
         return ProjComplex(self.algebra, terms, diffs, self.kind, check=False)
 
-    def summand_count(self):
-        return Counter((m, v) for m, vs in self.terms.items() for v in vs)
-
     def label_signature(self):
         return {m: tuple(sorted(v)) for m, v in self.terms.items()}
-
-    def normalized_shift(self):
-        """Shift so the lowest nonzero degree is zero; returns (complex, k)."""
-        if self.is_zero():
-            return self, 0
-        low = min(self.terms)
-        return self.shift(low), low
 
     def is_minimal(self):
         alg = self.algebra
@@ -337,44 +326,58 @@ def _invert_local(alg, elem, u):
     return inv
 
 
-def minimize_complex(X):
-    """Strip contractible two-term identity blocks until minimal."""
+def _find_pivot(alg, terms, diffs):
+    """First entry between equal vertices with a nonzero scalar part."""
+    for m in sorted(diffs):
+        for t, row in enumerate(diffs[m]):
+            for s, elem in enumerate(row):
+                u = terms[m][s]
+                if u == terms[m + 1][t] and _scalar_part(alg, elem, u) != 0:
+                    return m, t, s
+    return None
+
+
+def _strip_contractible(X, C=None, wit=None):
+    """Eliminate contractible two-term blocks of X until it is minimal.
+
+    Each step removes a pivot a between two copies of P_u and replaces every
+    other entry d of that differential by its Schur complement
+    d - c a^{-1} b.  When ``wit`` holds a quasi-isomorphism witness from X
+    into the module complex C (one fiber vector per degree and summand), it
+    is transported along the eliminations in place.
+    """
     alg = X.algebra
     terms = {m: list(v) for m, v in X.terms.items()}
     diffs = {m: [[dict(e) for e in row] for row in rows] for m, rows in X.diffs.items()}
-
-    def find_pivot():
-        for m in sorted(diffs):
-            rows = diffs[m]
-            for t, row in enumerate(rows):
-                for s, elem in enumerate(row):
-                    if terms[m][s] == terms[m + 1][t]:
-                        if _scalar_part(alg, elem, terms[m][s]) != 0:
-                            return m, t, s
-        return None
-
     while True:
-        pivot = find_pivot()
+        pivot = _find_pivot(alg, terms, diffs)
         if pivot is None:
             break
         m, t, s = pivot
         u = terms[m][s]
         rows = diffs[m]
         ainv = _invert_local(alg, rows[t][s], u)
-        n_src, n_tgt = len(terms[m]), len(terms[m + 1])
-        b_row = [rows[t][s2] for s2 in range(n_src)]
-        c_col = [rows[t2][s] for t2 in range(n_tgt)]
-        new_rows = []
-        for t2 in range(n_tgt):
-            if t2 == t:
-                continue
-            new_row = []
-            for s2 in range(n_src):
-                if s2 == s:
-                    continue
-                corr = alg.elem_mul(c_col[t2], alg.elem_mul(ainv, b_row[s2]))
-                new_row.append(alg.elem_sub(rows[t2][s2], corr))
-            new_rows.append(new_row)
+        ainv_b = [alg.elem_mul(ainv, b) for b in rows[t]]
+        if wit is not None and m in wit:
+            base = wit[m][s]
+            if m in C.terms and any(x != 0 for x in base):
+                # summand s2 of degree m picks up -psi[s] . (a^{-1} b_{s2})
+                for s2, corr_elem in enumerate(ainv_b):
+                    if s2 != s and corr_elem:
+                        corr = _fiber_action(alg, C.terms[m], corr_elem, terms[m][s2], u, base)
+                        wit[m][s2] = [x - y for x, y in zip(wit[m][s2], corr)]
+            wit[m] = [v for idx, v in enumerate(wit[m]) if idx != s]
+        if wit is not None and (m + 1) in wit:
+            wit[m + 1] = [v for idx, v in enumerate(wit[m + 1]) if idx != t]
+        diffs[m] = [
+            [
+                alg.elem_sub(e, alg.elem_mul(row[s], ainv_b[s2]))
+                for s2, e in enumerate(row)
+                if s2 != s
+            ]
+            for t2, row in enumerate(rows)
+            if t2 != t
+        ]
         # entries into degree m lose the s-row; entries out of m+1 lose t
         if (m - 1) in diffs:
             diffs[m - 1] = [row for r_idx, row in enumerate(diffs[m - 1]) if r_idx != s]
@@ -384,18 +387,24 @@ def minimize_complex(X):
             ]
         terms[m].pop(s)
         terms[m + 1].pop(t)
-        diffs[m] = new_rows
         for key in (m - 1, m, m + 1):
             if key in diffs and (not terms.get(key) or not terms.get(key + 1)):
                 diffs.pop(key)
         for key in (m, m + 1):
             if key in terms and not terms[key]:
                 terms.pop(key)
+                if wit is not None:
+                    wit.pop(key, None)
 
     out = ProjComplex(alg, {m: tuple(v) for m, v in terms.items()}, diffs, X.kind, check=True)
     if not out.is_minimal():
         raise AssertionError("minimisation left a non-radical entry")
     return out
+
+
+def minimize_complex(X):
+    """Strip contractible two-term identity blocks until minimal."""
+    return _strip_contractible(X)
 
 
 def complexes_isomorphic(X, Y, tries=60):
@@ -476,10 +485,6 @@ class ModuleComplex:
                 for v in self.algebra.vertex_ids():
                     if not self.maps[m + 1][v].matmul(self.maps[m][v]).is_zero():
                         raise ValueError("module complex differential does not square to zero")
-
-
-def zero_morphism(alg, M, N):
-    return {v: ExactMatrix(N.dims[v], M.dims[v]) for v in alg.vertex_ids()}
 
 
 def realize_term(alg, vertex, kind):
@@ -686,8 +691,36 @@ def _summand_gen_column(alg, labels, s):
     raise AssertionError
 
 
-def module_stalk(alg, M, degree=0):
-    return ModuleComplex(alg, {degree: M}, {})
+def _cone_of_chain_map(alg, X, Y, f):
+    """cone(f: X -> Y): degree m holds X^{m+1} + Y^m."""
+    terms = {}
+    degrees = sorted(set([m - 1 for m in X.terms] + list(Y.terms)))
+    for m in degrees:
+        part = tuple(X.terms.get(m + 1, ())) + tuple(Y.terms.get(m, ()))
+        if part:
+            terms[m] = part
+    diffs = {}
+    for m in degrees:
+        if (m + 1) not in terms:
+            continue
+        nx_s, ny_s = len(X.terms.get(m + 1, ())), len(Y.terms.get(m, ()))
+        nx_t, ny_t = len(X.terms.get(m + 2, ())), len(Y.terms.get(m + 1, ()))
+        rows = [[{} for _ in range(nx_s + ny_s)] for _ in range(nx_t + ny_t)]
+        dX = X.diffs.get(m + 1)
+        if dX is not None:
+            for t in range(nx_t):
+                for s in range(nx_s):
+                    rows[t][s] = alg.elem_scale(-1, dX[t][s])
+        fm = f.get(m + 1, {})
+        for (t, s), elem in fm.items():
+            rows[nx_t + t][s] = elem
+        dY = Y.diffs.get(m)
+        if dY is not None:
+            for t in range(ny_t):
+                for s in range(ny_s):
+                    rows[nx_t + t][nx_s + s] = dY[t][s]
+        diffs[m] = rows
+    return ProjComplex(alg, terms, diffs, "proj", check=True)
 
 
 def proj_replace(C: ModuleComplex, max_len=64):
@@ -729,35 +762,7 @@ def _proj_replace_with_qis(C: ModuleComplex, max_len=64):
         ]
     g, H = _lift_through_qis(alg, Rp, Qprime, psi_prime, Cprime, target)
 
-    terms = {}
-    diffs = {}
-    degrees = sorted(set(list(Rp.terms) + [m - 1 for m in Rp.terms] + list(Qprime.terms)))
-    for m in degrees:
-        part_r = Rp.terms.get(m + 1, ())
-        part_q = Qprime.terms.get(m, ())
-        if part_r or part_q:
-            terms[m] = tuple(part_r) + tuple(part_q)
-    for m in sorted(terms):
-        if (m + 1) not in terms:
-            continue
-        nr_s, nq_s = len(Rp.terms.get(m + 1, ())), len(Qprime.terms.get(m, ()))
-        nr_t, nq_t = len(Rp.terms.get(m + 2, ())), len(Qprime.terms.get(m + 1, ()))
-        rows = [[{} for _ in range(nr_s + nq_s)] for _ in range(nr_t + nq_t)]
-        dR = Rp.diffs.get(m + 1)
-        if dR is not None:
-            for t in range(nr_t):
-                for s in range(nr_s):
-                    rows[t][s] = alg.elem_scale(-1, dR[t][s])
-        gm = g.get(m + 1, {})
-        for (t, s), elem in gm.items():
-            rows[nr_t + t][s] = elem
-        dQ = Qprime.diffs.get(m)
-        if dQ is not None:
-            for t in range(nq_t):
-                for s in range(nq_s):
-                    rows[nr_t + t][nr_s + s] = dQ[t][s]
-        diffs[m] = rows
-    cone = ProjComplex(alg, terms, diffs, "proj", check=True)
+    cone = _cone_of_chain_map(alg, Rp, Qprime, g)
 
     # quasi-isomorphism to C: alpha on the M-slot, psi' + H elsewhere
     psi = {}
@@ -783,7 +788,9 @@ def _proj_replace_with_qis(C: ModuleComplex, max_len=64):
                 vecs.append(list(psi_prime.get(m, [])[q_idx]))
         psi[m] = vecs
     _assert_qis_chain_map(alg, cone, C, psi)
-    reduced, psi = _minimize_with_qis(alg, cone, C, psi)
+    reduced = _strip_contractible(cone, C, psi)
+    psi = {m: psi.get(m, []) for m in reduced.terms}
+    _assert_qis_chain_map(alg, reduced, C, psi)
     return reduced, psi
 
 
@@ -996,90 +1003,6 @@ def _lift_through_qis(alg, Rp, Q, psi, C, target):
     return g, H
 
 
-def _minimize_with_qis(alg, X: ProjComplex, C: ModuleComplex, psi):
-    """Minimise X while transporting the quasi-isomorphism witness psi."""
-    terms = {m: list(v) for m, v in X.terms.items()}
-    diffs = {m: [[dict(e) for e in row] for row in rows] for m, rows in X.diffs.items()}
-    wit = {m: [list(v) for v in vecs] for m, vecs in psi.items()}
-
-    def find_pivot():
-        for m in sorted(diffs):
-            rows = diffs[m]
-            for t, row in enumerate(rows):
-                for s, elem in enumerate(row):
-                    if terms[m][s] == terms[m + 1][t] and _scalar_part(
-                        alg, elem, terms[m][s]
-                    ) != 0:
-                        return m, t, s
-        return None
-
-    while True:
-        pivot = find_pivot()
-        if pivot is None:
-            break
-        m, t, s = pivot
-        u = terms[m][s]
-        rows = diffs[m]
-        a = rows[t][s]
-        ainv = _invert_local(alg, a, u)
-        n_src, n_tgt = len(terms[m]), len(terms[m + 1])
-        b_row = [rows[t][s2] for s2 in range(n_src)]
-        c_col = [rows[t2][s] for t2 in range(n_tgt)]
-
-        # witness transport at degree m: s2 picks up -psi[s] . (ainv b_{s2})
-        if m in wit:
-            if m in C.terms:
-                base = wit[m][s]
-                for s2 in range(n_src):
-                    if s2 == s:
-                        continue
-                    corr_elem = alg.elem_mul(ainv, b_row[s2])
-                    if corr_elem and any(x != 0 for x in base):
-                        u2 = terms[m][s2]
-                        corr = _fiber_action(alg, C.terms[m], corr_elem, u2, u, base)
-                        wit[m][s2] = [x - y for x, y in zip(wit[m][s2], corr)]
-            wit[m] = [v for idx, v in enumerate(wit[m]) if idx != s]
-        if (m + 1) in wit:
-            wit[m + 1] = [v for idx, v in enumerate(wit[m + 1]) if idx != t]
-
-        new_rows = []
-        for t2 in range(n_tgt):
-            if t2 == t:
-                continue
-            new_row = []
-            for s2 in range(n_src):
-                if s2 == s:
-                    continue
-                corr = alg.elem_mul(c_col[t2], alg.elem_mul(ainv, b_row[s2]))
-                new_row.append(alg.elem_sub(rows[t2][s2], corr))
-            new_rows.append(new_row)
-        if (m - 1) in diffs:
-            diffs[m - 1] = [row for r, row in enumerate(diffs[m - 1]) if r != s]
-        if (m + 1) in diffs:
-            diffs[m + 1] = [
-                [e for c, e in enumerate(row) if c != t] for row in diffs[m + 1]
-            ]
-        terms[m].pop(s)
-        terms[m + 1].pop(t)
-        diffs[m] = new_rows
-        for key in (m - 1, m, m + 1):
-            if key in diffs and (not terms.get(key) or not terms.get(key + 1)):
-                diffs.pop(key)
-        for key in (m, m + 1):
-            if key in terms and not terms[key]:
-                terms.pop(key)
-                wit.pop(key, None)
-
-    out = ProjComplex(
-        alg, {m: tuple(v) for m, v in terms.items()}, diffs, X.kind, check=True
-    )
-    if not out.is_minimal():
-        raise AssertionError("minimisation left a non-radical entry")
-    psi_out = {m: wit.get(m, []) for m in out.terms}
-    _assert_qis_chain_map(alg, out, C, psi_out)
-    return out, psi_out
-
-
 # -- the derived Nakayama functor -------------------------------------------
 
 
@@ -1102,7 +1025,7 @@ def derived_nakayama(X: ProjComplex, max_len=64) -> ProjComplex:
         return X
     J = as_injective_complex(minimize_complex(X))
     C = realize_complex(J)
-    return minimize_complex(proj_replace(C, max_len))
+    return proj_replace(C, max_len)
 
 
 def derived_nakayama_inverse(X: ProjComplex, max_len=64) -> ProjComplex:
@@ -1119,7 +1042,7 @@ def derived_nakayama_inverse(X: ProjComplex, max_len=64) -> ProjComplex:
         maps[-m - 1] = {v: phi[v].transpose() for v in alg.vertex_ids()}
     Cd = ModuleComplex(op, terms, maps)
     Cd.check()
-    Qop = minimize_complex(proj_replace(Cd, max_len))
+    Qop = proj_replace(Cd, max_len)
     # dualise back: P^op_w in degree j becomes I_w in degree -j
     terms_back = {-m: tuple(v) for m, v in Qop.terms.items()}
     diffs_back = {}
@@ -1415,33 +1338,23 @@ class PreprojectiveReport:
     passed: bool
 
 
-def preprojective_graded_check(d, n, B=None, max_len=64) -> PreprojectiveReport:
+def preprojective_graded_check(d, n, A, projs, B0, B=None) -> PreprojectiveReport:
     """Graded comparison of the extension algebra with the twisted End data.
 
-    Verifies dim Hom(P, nu P) = dim End(P) (the Serre-duality count), that
-    the (n+d)-fold trivial extension of End(P) is self-injective with an
-    honest projective-injective matching, and that its degree-zero part is
+    ``A`` is the Auslander algebra of the model, ``projs`` its projectives
+    at the rational Dyck paths and ``B0 = End(projs)``.  Verifies
+    dim Hom(P, nu P) = dim End(P) (the Serre-duality count), that the
+    (n+d)-fold trivial extension of End(P) is self-injective with an honest
+    projective-injective matching, and that its degree-zero part is
     isomorphic to B (by default the replicated model; pass a computed B to
     compare against the complex-level endomorphism algebra).
     """
     from .pathcomb import coords, enumerate_dyck
-    from .quiveralg import build_auslander_algebra, hom_space, vertex_of_entries
-    from .fdalg import (
-        degree_zero_part,
-        endo_algebra,
-        iso_test,
-        presentation,
-        replicate,
-        trivial_ext_r,
-    )
+    from .quiveralg import hom_space, vertex_of_entries
+    from .fdalg import degree_zero_part, iso_test, presentation, replicate, trivial_ext_r
 
-    A = build_auslander_algebra(n + 1, d)
-    dyck = enumerate_dyck(d, n)
-    vertices = [vertex_of_entries(A, coords(p).entries) for p in dyck]
-    projs = [A.projective(v) for v in vertices]
-    injs = [A.injective(v) for v in vertices]
+    injs = [A.injective(vertex_of_entries(A, coords(p).entries)) for p in enumerate_dyck(d, n)]
     hom_pnup = sum(hom_space(p, i)[0] for p in projs for i in injs)
-    B0 = endo_algebra(projs)
     hom_matches = hom_pnup == B0.dim
 
     Pi = trivial_ext_r(B0, n + d)
@@ -1476,261 +1389,3 @@ def preprojective_graded_check(d, n, B=None, max_len=64) -> PreprojectiveReport:
         iso,
         hom_matches and self_inj and perm_ok and iso,
     )
-
-
-@dataclass
-class GenerationSearchResult:
-    reached: dict  # target index -> cone recipe that produced the match
-    inconclusive: list
-
-
-def complex_end_is_local(X: ProjComplex) -> bool:
-    """Whether End(X) modulo homotopy is local, i.e. X is indecomposable.
-
-    Chain maps with all-radical entries form a nilpotent ideal on a minimal
-    complex, so locality is decided on the algebra of scalar parts; its
-    radical is the radical of the regular trace form (characteristic zero).
-    """
-    reps, _, _, _, _ = chain_maps_mod_homotopy(X, X, 0)
-    dims = []
-    layout = []
-    for m, vs in sorted(X.terms.items()):
-        by_v: dict = {}
-        for i, u in enumerate(vs):
-            by_v.setdefault(u, []).append(i)
-        for u, idxs in sorted(by_v.items()):
-            layout.append((m, u, idxs))
-            dims.append(len(idxs))
-
-    def scalar_blocks(f):
-        out = []
-        for m, u, idxs in layout:
-            out.append(
-                [
-                    [
-                        _scalar_part(X.algebra, f.get(m, {}).get((t, s), {}), u)
-                        for s in idxs
-                    ]
-                    for t in idxs
-                ]
-            )
-        return out
-
-    def mul(a, b):
-        out = []
-        for ma, mb, k in zip(a, b, dims):
-            out.append(
-                [
-                    [sum(ma[i][t] * mb[t][j] for t in range(k)) for j in range(k)]
-                    for i in range(k)
-                ]
-            )
-        return out
-
-    def flat(mats):
-        return [x for mat in mats for row in mat for x in row]
-
-    from .exactmat import span_basis
-
-    def unflat(v):
-        out = []
-        pos = 0
-        for k in dims:
-            out.append([[v[pos + i * k + j] for j in range(k)] for i in range(k)])
-            pos += k * k
-        return out
-
-    span = span_basis([flat(scalar_blocks(f)) for f in reps])
-    # close the scalar image under multiplication
-    while True:
-        mats = [unflat(v) for v in span]
-        extra = []
-        for a in mats:
-            for b in mats:
-                fv = flat(mul(a, b))
-                if not in_span(span + extra, fv):
-                    extra.append(fv)
-        if not extra:
-            break
-        span = span_basis(span + extra)
-    mats = [unflat(v) for v in span]
-
-    def trace(a):
-        return sum(a[bi][i][i] for bi in range(len(dims)) for i in range(dims[bi]))
-
-    nalg = len(mats)
-    gram = ExactMatrix(nalg, nalg, [[trace(mul(x, y)) for y in mats] for x in mats])
-    # the semisimple quotient has dimension rank(gram); local means it is k
-    return gram.rank() == 1
-
-
-def component_summands(X: ProjComplex):
-    """Split a complex along its connected block structure (no base change)."""
-    nodes = [(m, i) for m, vs in X.terms.items() for i in range(len(vs))]
-    parent = {nd: nd for nd in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for m, rows in X.diffs.items():
-        for t, row in enumerate(rows):
-            for s, elem in enumerate(row):
-                if elem:
-                    union((m, s), (m + 1, t))
-    groups: dict = {}
-    for nd in nodes:
-        groups.setdefault(find(nd), []).append(nd)
-    if len(groups) == 1:
-        return [X]
-    out = []
-    for members in groups.values():
-        member_set = set(members)
-        terms = {}
-        index_map = {}
-        for m, vs in X.terms.items():
-            kept = [i for i in range(len(vs)) if (m, i) in member_set]
-            if kept:
-                terms[m] = tuple(vs[i] for i in kept)
-                index_map[m] = kept
-        diffs = {}
-        for m, rows in X.diffs.items():
-            if m in index_map and (m + 1) in index_map:
-                diffs[m] = [
-                    [rows[t][s] for s in index_map[m]] for t in index_map[m + 1]
-                ]
-        out.append(ProjComplex(X.algebra, terms, diffs, X.kind, check=False))
-    return out
-
-
-def thick_generation_search(
-    alg, summands, targets, depth=4, max_objects=400, max_width=16, max_len=64
-):
-    """Bounded saturation under shifts and cones of basis morphisms.
-
-    ``summands`` may be a single complex or a list of summand complexes.
-    Minimised cones are split along their block structure so the pool
-    carries summands rather than ever-growing direct sums; cones wider than
-    ``max_width`` summands are discarded.  Never claims non-generation:
-    unreached targets are reported as inconclusive.
-    """
-    if isinstance(summands, ProjComplex):
-        summands = [summands]
-    pool = []
-
-    def normalize(c):
-        return c.normalized_shift()[0]
-
-    def known(c):
-        for other, _ in pool:
-            if other.label_signature() == c.label_signature() and complexes_isomorphic(
-                other, c
-            ):
-                return True
-        return False
-
-    def add(c, recipe, new):
-        for piece in component_summands(c):
-            if piece.size() > max_width:
-                continue
-            piece = normalize(piece)
-            if piece.is_zero() or known(piece):
-                continue
-            if any(
-                piece.label_signature() == other.label_signature()
-                and complexes_isomorphic(piece, other)
-                for other, _ in new
-            ):
-                continue
-            if piece.size() > 1 and not complex_end_is_local(piece):
-                # decomposable but not block-split: drop it (sound, since
-                # the search never claims non-generation)
-                continue
-            new.append((piece, recipe))
-            if len(pool) + len(new) > max_objects:
-                raise BudgetError("thick search object budget exceeded")
-
-    initial = []
-    for idx, s in enumerate(summands):
-        add(normalize(minimize_complex(s)), ("summand", idx), initial)
-    pool.extend(initial)
-
-    frontier = range(0, len(pool))
-    for round_no in range(depth):
-        new = []
-        size = len(pool)
-        frontier_set = set(frontier)
-        for a in range(size):
-            for b in range(size):
-                # only pairs touching the frontier can produce new cones
-                if a not in frontier_set and b not in frontier_set:
-                    continue
-                X, Y = pool[a][0], pool[b][0]
-                lo = min(Y.terms) - max(X.terms)
-                hi = max(Y.terms) - min(X.terms)
-                for k in range(lo, hi + 1):
-                    reps, _, _, _, _ = chain_maps_mod_homotopy(X, Y, k)
-                    Yk = Y.shift(k)
-                    for f in reps:
-                        cone = minimize_complex(_cone_of_chain_map(alg, X, Yk, f))
-                        add(cone, ("cone", a, b, k), new)
-        if not new:
-            break
-        frontier = range(size, size + len(new))
-        pool.extend(new)
-
-    reached = {}
-    inconclusive = []
-    for t_idx, target in enumerate(targets):
-        tgt = normalize(minimize_complex(target))
-        hit = None
-        for c, recipe in pool:
-            if c.label_signature() == tgt.label_signature() and complexes_isomorphic(
-                c, tgt
-            ):
-                hit = recipe
-                break
-        if hit is None:
-            inconclusive.append(t_idx)
-        else:
-            reached[t_idx] = hit
-    return GenerationSearchResult(reached, inconclusive)
-
-
-def _cone_of_chain_map(alg, X, Y, f):
-    """cone(f: X -> Y): degree m holds X^{m+1} + Y^m."""
-    terms = {}
-    degrees = sorted(set([m - 1 for m in X.terms] + list(Y.terms)))
-    for m in degrees:
-        part = tuple(X.terms.get(m + 1, ())) + tuple(Y.terms.get(m, ()))
-        if part:
-            terms[m] = part
-    diffs = {}
-    for m in degrees:
-        if (m + 1) not in terms:
-            continue
-        nx_s, ny_s = len(X.terms.get(m + 1, ())), len(Y.terms.get(m, ()))
-        nx_t, ny_t = len(X.terms.get(m + 2, ())), len(Y.terms.get(m + 1, ()))
-        rows = [[{} for _ in range(nx_s + ny_s)] for _ in range(nx_t + ny_t)]
-        dX = X.diffs.get(m + 1)
-        if dX is not None:
-            for t in range(nx_t):
-                for s in range(nx_s):
-                    rows[t][s] = alg.elem_scale(-1, dX[t][s])
-        fm = f.get(m + 1, {})
-        for (t, s), elem in fm.items():
-            rows[nx_t + t][s] = elem
-        dY = Y.diffs.get(m)
-        if dY is not None:
-            for t in range(ny_t):
-                for s in range(ny_s):
-                    rows[nx_t + t][nx_s + s] = dY[t][s]
-        diffs[m] = rows
-    return ProjComplex(alg, terms, diffs, "proj", check=True)

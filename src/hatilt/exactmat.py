@@ -159,32 +159,6 @@ class ExactMatrix:
             x[pc] = red.data[r][self.cols]
         return x
 
-    def column_space_coords(self, basis_cols: list[int]):
-        """Solver expressing vectors in the span of the given columns.
-
-        Returns a function vec -> coordinates (or None if outside the span).
-        """
-        sub = ExactMatrix(
-            self.rows, len(basis_cols), [[row[c] for c in basis_cols] for row in self.data]
-        )
-
-        def express(vec):
-            return sub.solve(vec)
-
-        return express
-
-
-def stack_rows(mats: list[ExactMatrix]) -> ExactMatrix:
-    if not mats:
-        raise ValueError("nothing to stack")
-    cols = mats[0].cols
-    rows = []
-    for m in mats:
-        if m.cols != cols:
-            raise ValueError("column mismatch")
-        rows.extend(m.data)
-    return ExactMatrix(len(rows), cols, rows)
-
 
 def span_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
     """A subset-echelon basis of the span of the given vectors."""

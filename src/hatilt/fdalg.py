@@ -31,6 +31,7 @@ from .quiveralg import (
     Arrow,
     BoundQuiverAlgebra,
     BudgetError,
+    ElementArithmetic,
     Quiver,
     QuiverRep,
     Relation,
@@ -41,7 +42,7 @@ from .quiveralg import (
 )
 
 
-class FDAlgebra:
+class FDAlgebra(ElementArithmetic):
     """Structure-constant algebra with block-homogeneous basis.
 
     ``blocks[b] = (i, j)`` means e_i * b * e_j = b for the distinguished
@@ -71,35 +72,6 @@ class FDAlgebra:
     @property
     def dim(self):
         return len(self.blocks)
-
-    def elem_mul(self, x: dict, y: dict) -> dict:
-        out: dict[int, Fraction] = {}
-        for i, ci in x.items():
-            if ci == 0:
-                continue
-            for j, cj in y.items():
-                if cj == 0:
-                    continue
-                table = self.mult.get((i, j))
-                if not table:
-                    continue
-                c = ci * cj
-                for k, ck in table.items():
-                    out[k] = out.get(k, ZERO) + c * ck
-        return {k: v for k, v in out.items() if v != 0}
-
-    def elem_add(self, x: dict, y: dict) -> dict:
-        out = dict(x)
-        for k, v in y.items():
-            out[k] = out.get(k, ZERO) + v
-        return {k: v for k, v in out.items() if v != 0}
-
-    def elem_scale(self, c, x: dict) -> dict:
-        c = Fraction(c)
-        return {} if c == 0 else {k: c * v for k, v in x.items()}
-
-    def basis_elem(self, bid: int) -> dict:
-        return {bid: ONE}
 
     def unit(self) -> dict:
         return {bid: ONE for bid in self.idem_ids}

@@ -123,7 +123,46 @@ class BasisElement:
     path: tuple[int, ...]
 
 
-class BoundQuiverAlgebra:
+class ElementArithmetic:
+    """Arithmetic of elements (dicts basis id -> Fraction) over ``self.mult``,
+    the sparse structure constants: ``mult[(i, j)]`` is "i after j"."""
+
+    def elem_mul(self, x: dict, y: dict) -> dict:
+        out: dict[int, Fraction] = {}
+        for i, ci in x.items():
+            if ci == 0:
+                continue
+            for j, cj in y.items():
+                if cj == 0:
+                    continue
+                table = self.mult.get((i, j))
+                if not table:
+                    continue
+                c = ci * cj
+                for k, ck in table.items():
+                    out[k] = out.get(k, ZERO) + c * ck
+        return {k: v for k, v in out.items() if v != 0}
+
+    def elem_add(self, x: dict, y: dict) -> dict:
+        out = dict(x)
+        for k, v in y.items():
+            out[k] = out.get(k, ZERO) + v
+        return {k: v for k, v in out.items() if v != 0}
+
+    def elem_scale(self, c, x: dict) -> dict:
+        c = Fraction(c)
+        if c == 0:
+            return {}
+        return {k: c * v for k, v in x.items()}
+
+    def elem_sub(self, x: dict, y: dict) -> dict:
+        return self.elem_add(x, self.elem_scale(-1, y))
+
+    def basis_elem(self, bid: int) -> dict:
+        return {bid: ONE}
+
+
+class BoundQuiverAlgebra(ElementArithmetic):
     """kQ/I with a path basis, exact multiplication table and nilpotency bound."""
 
     def __init__(self, quiver, relations, basis, mult, nilpotency, vertex_data=None):
@@ -213,48 +252,12 @@ class BoundQuiverAlgebra:
             self._op = op
         return self._op
 
-    # -- element arithmetic (elements are dicts basis_id -> Fraction) ------
-
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def vertex_ids(self) -> list[int]:
         return [v.id for v in self.quiver.vertices]
-
-    def elem_mul(self, x: dict, y: dict) -> dict:
-        out: dict[int, Fraction] = {}
-        for i, ci in x.items():
-            if ci == 0:
-                continue
-            for j, cj in y.items():
-                if cj == 0:
-                    continue
-                table = self.mult.get((i, j))
-                if not table:
-                    continue
-                c = ci * cj
-                for k, ck in table.items():
-                    out[k] = out.get(k, ZERO) + c * ck
-        return {k: v for k, v in out.items() if v != 0}
-
-    def elem_add(self, x: dict, y: dict) -> dict:
-        out = dict(x)
-        for k, v in y.items():
-            out[k] = out.get(k, ZERO) + v
-        return {k: v for k, v in out.items() if v != 0}
-
-    def elem_scale(self, c, x: dict) -> dict:
-        c = Fraction(c)
-        if c == 0:
-            return {}
-        return {k: c * v for k, v in x.items()}
-
-    def elem_sub(self, x: dict, y: dict) -> dict:
-        return self.elem_add(x, self.elem_scale(-1, y))
-
-    def basis_elem(self, bid: int) -> dict:
-        return {bid: ONE}
 
     def block_coords(self, elem: dict, src: int, tgt: int) -> list[Fraction]:
         ids = self.blocks.get((src, tgt), [])
@@ -274,11 +277,6 @@ class BoundQuiverAlgebra:
 
     def is_radical(self, elem: dict) -> bool:
         return all(self.basis[k].degree >= 1 for k, v in elem.items() if v != 0)
-
-    def cartan_matrix(self) -> list[list[int]]:
-        """dim e_i A e_j, rows indexed by target vertex, columns by source."""
-        vids = self.vertex_ids()
-        return [[len(self.blocks.get((j, i), [])) for j in vids] for i in vids]
 
     # -- distinguished modules ---------------------------------------------
 
@@ -494,26 +492,11 @@ class _Tower:
         vec = {(start_vertex, rec.local_index): ONE}
         degree = start_degree
         for aid in path:
-            nxt: dict[tuple[int, int], Fraction] = {}
-            arrow = self.quiver.arrow_by_id[aid]
-            mat = self.apply_maps.get((degree + 1, aid))
-            for (u, idx), c in vec.items():
-                if c == 0 or u != arrow.src or mat is None:
-                    continue
-                for i in range(mat.rows):
-                    x = mat.data[i][idx]
-                    if x != 0:
-                        key = (arrow.tgt, i)
-                        nxt[key] = nxt.get(key, ZERO) + c * x
-            vec = nxt
+            vec = self._apply_arrow_coords(vec, aid, degree)
             degree += 1
             if not vec:
                 return []
-        out = []
-        for (u, idx), c in vec.items():
-            if c != 0:
-                out.append((self.layers[degree][u][idx], c))
-        return out
+        return [(self.layers[degree][u][idx], c) for (u, idx), c in vec.items()]
 
 
 class QuiverRep:
@@ -734,10 +717,6 @@ def identity_morphism(M: QuiverRep) -> dict[int, ExactMatrix]:
 def compose_morphisms(g, f, alg) -> dict[int, ExactMatrix]:
     """g after f, per vertex."""
     return {v: g[v].matmul(f[v]) for v in alg.vertex_ids()}
-
-
-def morphism_is_zero(phi) -> bool:
-    return all(m.is_zero() for m in phi.values())
 
 
 def direct_sum(reps: list[QuiverRep]) -> tuple[QuiverRep, list[dict]]:

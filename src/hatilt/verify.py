@@ -63,20 +63,17 @@ from .quiveralg import (
 @dataclass(frozen=True)
 class VerifyConfig:
     max_resolution_length: int | None = None  # defaults to n d + 2 per model
-    max_complex_width: int | None = None  # defaults to 4 (d + 1)
     max_algebra_dim: int = 40_000
     iso_budget: int = 2_000_000
 
     def resolution_length(self, d, n):
-        return self.max_resolution_length or (n * d + 2)
-
-    def complex_width(self, d, n):
-        return self.max_complex_width or (4 * (d + 1))
+        if self.max_resolution_length is None:
+            return n * d + 2
+        return self.max_resolution_length
 
     def echo(self, d, n):
         return {
             "max_resolution_length": self.resolution_length(d, n),
-            "max_complex_width": self.complex_width(d, n),
             "max_algebra_dim": self.max_algebra_dim,
             "iso_budget": self.iso_budget,
         }
@@ -117,12 +114,13 @@ class ModelData:
         self.d = d
         self.n = n
         self.config = config
-        self._cache = {}
+        self.cache = _Cache()
+        self._built = {}
 
     def _memo(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+        if key not in self._built:
+            self._built[key] = builder()
+        return self._built[key]
 
     def algebra(self):
         return self._memo(
@@ -310,46 +308,33 @@ def claim_idempotent_corner(model: ModelData):
     return corner_ok and iso, {"corner_vanishes": corner_ok, "iso": iso, "s": s}
 
 
-def claim_gldim_a(model: ModelData, cache: _Cache):
-    d, n = model.d, model.n
-    key = _cache_key("gldim-A", n, d)
-    cached = cache.get(key)
+def _gldim_cached(model: ModelData, name, algebra):
+    """gldim of ``algebra()``, read from or written to the on-disk cache."""
+    key = _cache_key(name, model.n, model.d)
+    cached = model.cache.get(key)
     if cached is not None:
-        value = cached["gldim"]
-    else:
-        value = gldim(model.algebra(), max_len=model.config.resolution_length(d, n))
-        cache.put(key, {"gldim": value})
+        return cached["gldim"]
+    value = gldim(algebra(), max_len=model.config.resolution_length(model.d, model.n))
+    model.cache.put(key, {"gldim": value})
+    return value
+
+
+def claim_gldim_a(model: ModelData):
+    d = model.d
+    value = _gldim_cached(model, "gldim-A", model.algebra)
     return value == d, {"gldim": value, "expected": d}
 
 
-def claim_gldim_b(model: ModelData, cache: _Cache):
-    d, n = model.d, model.n
-    key = _cache_key("gldim-B", n, d)
-    cached = cache.get(key)
-    if cached is not None:
-        value = cached["gldim"]
-    else:
-        value = gldim(
-            presentation(model.b_replicated()),
-            max_len=model.config.resolution_length(d, n),
-        )
-        cache.put(key, {"gldim": value})
-    return value == n * d, {"gldim": value, "expected": n * d}
+def claim_gldim_b(model: ModelData):
+    nd = model.n * model.d
+    value = _gldim_cached(model, "gldim-B", lambda: presentation(model.b_replicated()))
+    return value == nd, {"gldim": value, "expected": nd}
 
 
-def claim_gldim_b0(model: ModelData, cache: _Cache):
-    d, n = model.d, model.n
-    s = math.ceil(d / n)
-    key = _cache_key("gldim-B0", n, d)
-    cached = cache.get(key)
-    if cached is not None:
-        value = cached["gldim"]
-    else:
-        value = gldim(
-            presentation(model.b0()), max_len=model.config.resolution_length(d, n)
-        )
-        cache.put(key, {"gldim": value})
-    return value == d - s, {"gldim": value, "expected": d - s}
+def claim_gldim_b0(model: ModelData):
+    expected = model.d - math.ceil(model.d / model.n)
+    value = _gldim_cached(model, "gldim-B0", lambda: presentation(model.b0()))
+    return value == expected, {"gldim": value, "expected": expected}
 
 
 def claim_higher_auslander(model: ModelData):
@@ -378,7 +363,7 @@ def claim_two_subhomogeneous(model: ModelData):
 def claim_preprojective(model: ModelData):
     d, n = model.d, model.n
     report = preprojective_graded_check(
-        d, n, B=model.end_t(), max_len=model.config.resolution_length(d, n)
+        d, n, model.algebra(), model.projectives(), model.b0(), B=model.end_t()
     )
     return report.passed, {
         "hom_dim": report.hom_dim_value,
@@ -437,7 +422,6 @@ def run_claims(d, n, names, config: VerifyConfig | None = None):
     any_skipped)."""
     config = config or VerifyConfig()
     model = ModelData(d, n, config)
-    cache = _Cache()
     results = []
     failed = skipped = False
     selected = set(names)
@@ -446,10 +430,7 @@ def run_claims(d, n, names, config: VerifyConfig | None = None):
             continue
         start = time.monotonic()
         try:
-            if fn in (claim_gldim_a, claim_gldim_b, claim_gldim_b0):
-                ok, value = fn(model, cache)
-            else:
-                ok, value = fn(model)
+            ok, value = fn(model)
             status = "pass" if ok else "fail"
         except BudgetError as exc:
             status = "skipped"

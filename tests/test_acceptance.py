@@ -19,16 +19,19 @@ from hatilt.cluster import (
     tilting_summands,
 )
 from hatilt.complexes import (
+    _cone_of_chain_map,
+    chain_maps_mod_homotopy,
+    complexes_isomorphic,
     domdim,
     endo_algebra_of_complexes,
     fcy_object_check,
     gldim,
     hom_complex_dim,
+    minimize_complex,
     nu_orbit_complexes,
     preprojective_graded_check,
     shifted_module_complex,
     stalk_complex,
-    thick_generation_search,
     two_subhomogeneous_check,
 )
 from hatilt.fdalg import (
@@ -295,9 +298,13 @@ def test_criterion_11_two_subhomogeneity(model_3_2):
 
 def test_criterion_12_preprojective(model_3_2):
     started = time.monotonic()
-    _, _, complexes, _ = model_3_2
+    alg, _, complexes, b0 = model_3_2
     B = endo_algebra_of_complexes(complexes)
-    result = preprojective_graded_check(3, 2, B=B, max_len=8)
+    projs = [
+        alg.projective(vertex_of_entries(alg, coords(p).entries))
+        for p in enumerate_dyck(3, 2)
+    ]
+    result = preprojective_graded_check(3, 2, alg, projs, b0, B=B)
     assert result.hom_dim_value == 3 and result.base_end_dim == 3
     assert result.self_injective
     assert result.degree_zero_iso
@@ -349,9 +356,16 @@ def test_criterion_15_linear_a4_end_to_end(ka4):
     for k in range(-4, 5):
         total = sum(hom_complex_dim(a, b, k) for a in T for b in T)
         assert total == (7 if k == 0 else 0)
-    targets = [stalk_complex(alg, v, 0) for v in alg.vertex_ids()]
-    search = thick_generation_search(alg, T, targets, depth=2)
-    assert not search.inconclusive
+    # T generates: every indecomposable projective is reached by triangles
+    P = [stalk_complex(alg, v, 0) for v in alg.vertex_ids()]
+    assert complexes_isomorphic(P[0], T[0]) and complexes_isomorphic(P[3], T[1])
+
+    def cone_of_single_map(X, Y, k):
+        (f,) = chain_maps_mod_homotopy(X, Y, k)[0]
+        return minimize_complex(_cone_of_chain_map(alg, X, Y.shift(k), f))
+
+    assert complexes_isomorphic(cone_of_single_map(T[1], T[2], 0).shift(-1), P[2])
+    assert complexes_isomorphic(cone_of_single_map(P[2], T[3], -1).shift(-1), P[1])
     endo = endo_algebra_of_complexes(T)
     q = Quiver(
         [Vertex(i, str(i + 1)) for i in range(4)],

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hatilt.cli import main
 
 
@@ -145,6 +147,18 @@ class TestVerify:
         assert code == 3
         doc = json.loads(out)
         assert doc["claims"][0]["status"] == "skipped"
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_bad_budget_value_is_usage_error(self, capsys, value):
+        code, out, err = run(
+            capsys,
+            "verify", "--n", "2", "--d", "3",
+            "--claims", "gldim_A",
+            "--budget", f"max_resolution_length={value}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "max_resolution_length" in err
 
     def test_deterministic_modulo_ms(self, capsys):
         argv = ["verify", "--n", "2", "--d", "3", "--claims", "dyck_count,rigidity"]

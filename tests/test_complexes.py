@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from hatilt.cluster import (
+    generation_certificate,
     hom_dim,
     nakayama_pow,
     projective_summands,
@@ -27,7 +28,6 @@ from hatilt.complexes import (
     preprojective_graded_check,
     shifted_module_complex,
     stalk_complex,
-    thick_generation_search,
     two_subhomogeneous_check,
     ProjComplex,
 )
@@ -39,10 +39,13 @@ from hatilt.quiveralg import (
     Quiver,
     Vertex,
     build_auslander_algebra,
+    compose_morphisms,
+    hom_space,
     module_M,
     relation,
     vertex_of_entries,
 )
+from hatilt.verify import ModelData, VerifyConfig
 
 
 def linear_bqa(k, rad_power=None):
@@ -372,32 +375,40 @@ class TestTiltingFromOrbit:
             assert complexes_isomorphic(twisted, Y)
 
 
-class TestThickSearch:
-    def test_targets_in_summands(self):
-        alg = linear_bqa(4)
-        X = stalk_complex(alg, 0, 0)
-        res = thick_generation_search(alg, [X], [X], depth=1)
-        assert res.reached == {0: ("summand", 0)}
+class TestGenerationStrips:
+    """Each resolved certificate entry comes with an exact strip of modules."""
 
-    def test_linear_A4_cones(self):
-        alg = linear_bqa(4)
-        T = nu_orbit_complexes(alg, stalk_complex(alg, 0, 0), 4)
-        targets = [stalk_complex(alg, v, 0) for v in alg.vertex_ids()]
-        res = thick_generation_search(alg, T, targets, depth=2)
-        assert not res.inconclusive
-
-    @pytest.mark.slow
-    def test_main_case_3_2(self):
-        d, n = 3, 2
-        alg, T = tilting_complexes(d, n)
-        targets = [stalk_complex(alg, v, 0) for v in alg.vertex_ids()]
-        res = thick_generation_search(alg, T, targets, depth=3, max_objects=600)
-        assert not res.inconclusive
+    @pytest.mark.parametrize("d,n", [(3, 2), (2, 3), (4, 3), (3, 4), (5, 2)])
+    def test_resolved_strips_are_exact(self, d, n):
+        alg = build_auslander_algebra(n + 1, d)
+        resolved = [
+            e for e in generation_certificate(d, n).entries if e.status == "resolved"
+        ]
+        assert resolved
+        for entry in resolved:
+            mods = [module_M(alg, coords(p)) for p in strip_sequence(entry.window, d, n)]
+            assert len(mods) == d + 2
+            maps = []
+            for M, N in zip(mods, mods[1:]):
+                dim, basis = hom_space(M, N)
+                assert dim == 1
+                maps.append(basis[0])
+            for f, g in zip(maps, maps[1:]):
+                assert all(m.is_zero() for m in compose_morphisms(g, f, alg).values())
+            ranks = [sum(m.rank() for m in f.values()) for f in maps]
+            assert ranks[0] == mods[0].total_dim  # injective
+            assert ranks[-1] == mods[-1].total_dim  # surjective
+            for j in range(1, d + 1):
+                # dim ker of the outgoing map = rank of the incoming map
+                assert mods[j].total_dim - ranks[j] == ranks[j - 1]
 
 
 class TestPreprojective:
     def test_3_2_report(self):
-        report = preprojective_graded_check(3, 2, max_len=10)
+        model = ModelData(3, 2, VerifyConfig())
+        report = preprojective_graded_check(
+            3, 2, model.algebra(), model.projectives(), model.b0()
+        )
         assert report.hom_dim_value == 3
         assert report.base_end_dim == 3
         assert report.passed

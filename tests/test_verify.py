@@ -15,7 +15,6 @@ class TestConfig:
     def test_defaults_scale_with_model(self):
         config = VerifyConfig()
         assert config.resolution_length(3, 2) == 8
-        assert config.complex_width(3, 2) == 16
         echo = config.echo(3, 2)
         assert echo["max_resolution_length"] == 8
 
