@@ -177,7 +177,7 @@ def _paths_dot(groups, d, n) -> str:
 
 
 def _build_named_algebra(name, d, n):
-    from .fdalg import presentation_data, replicate, trivial_ext_r
+    from .fdalg import presentation_data
     from .quiveralg import build_auslander_algebra
     from .verify import ModelData, VerifyConfig
 
@@ -194,12 +194,12 @@ def _build_named_algebra(name, d, n):
     elif name == "B":
         fd = model.b_replicated()
     elif name == "Lambda":
-        fd = replicate(model.b0(), n + d + 1)
+        fd = model.lam()
     else:
         # Pi and Tr are the two sides of the preprojective comparison: the
         # (nd+1)-preprojective algebra of B equals the (n+d)-fold trivial
         # extension of B0, so both export the same presentation
-        fd = trivial_ext_r(model.b0(), n + d)
+        fd = model.pi()
     data = presentation_data(fd)
     return data.quiver, data.relations
 

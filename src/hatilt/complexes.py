@@ -567,77 +567,102 @@ def minimal_proj_resolution(alg, M: QuiverRep, max_len=64, label="M"):
 
     Returns (report, complex, augmentation) where the augmentation lists,
     per degree-zero summand, the image of its generator in M.
+
+    Only degree zero touches M.  Each syzygy is the per-vertex nullspace of
+    the cover map inside the fibers e_y A e_w of the projective term it maps
+    into.  A kernel vector's coordinates in the nullspace basis are its
+    entries at the free columns, and the top generators of a syzygy are
+    directly the columns of the next differential.
     """
-    report_terms = {}
-    layers = []  # (labels, generators as fiber vectors of the covered module)
-    current = M
-    inclusions = []  # inclusion of current into the previous projective term
-    degree = 0
-    while current.total_dim > 0:
+    vertices = alg.vertex_ids()
+    top = _top(vertices, M.dims, M.radical_fibers())
+    augmentation = [[ONE if i == c else ZERO for i in range(M.dims[v])] for v, c in top]
+    labels = [v for v, _ in top]
+    # cover[y]: the cover map at y, one column per summand s and basis
+    # element of e_y A e_{labels[s]}
+    cover = {
+        y: _from_columns(
+            M.dims[y],
+            [
+                _module_action(alg, M, bid, y, v).apply(gen)
+                for v, gen in zip(labels, augmentation)
+                for bid in alg.blocks.get((y, v), [])
+            ],
+        )
+        for y in vertices
+    }
+    terms, diffs = {}, {}
+    while labels:
+        degree = len(terms)
         if degree > max_len:
             raise BudgetError(f"resolution of {label} exceeds max length {max_len}")
-        rad = current.radical_fibers()
-        labels = []
-        gens = []
-        for v in alg.vertex_ids():
-            if current.dims[v] == 0:
-                continue
-            rad_rows = rad[v]
-            pivots = set(ExactMatrix.from_rows(rad_rows).rref()[1]) if rad_rows else set()
-            for c in range(current.dims[v]):
-                if c not in pivots:
-                    vec = [ZERO] * current.dims[v]
-                    vec[c] = ONE
-                    labels.append(v)
-                    gens.append((v, vec))
-        layers.append((labels, gens, current))
-        report_terms[-degree] = Counter(labels)
-        cover, phi = _projective_cover_map(alg, labels, gens, current)
-        kernel, incl = _kernel_with_inclusion(alg, phi, cover, current)
-        inclusions.append(incl)
-        current = kernel
-        degree += 1
+        terms[-degree] = tuple(labels)
+        kernel = {y: cover[y].nullspace() if cover[y].cols else [] for y in vertices}
+        free = {y: [max(i for i, x in enumerate(k) if x) for k in kernel[y]] for y in vertices}
+        # the same kernel vectors, as one element of e_y A e_w per summand P_w
+        elems = {y: [_split(alg, k, y, labels) for k in kernel[y]] for y in vertices}
+        rad = {y: [] for y in vertices}
+        for a in alg.quiver.arrows:
+            arrow = alg.basis_elem(alg.arrow_elem[a.id])
+            for g in elems[a.tgt]:
+                image = _act(alg, g, arrow, a.src, labels)
+                coords = [image[i] for i in free[a.src]]
+                if any(x != 0 for x in coords):
+                    rad[a.src].append(coords)
+        top = _top(vertices, {y: len(kernel[y]) for y in vertices}, rad)
+        gens = [elems[v][c] for v, c in top]
+        if gens:
+            diffs[-degree - 1] = [[g[t] for g in gens] for t in range(len(labels))]
+        prev, labels = labels, [v for v, _ in top]
+        for y in vertices:
+            cols = [
+                _act(alg, g, alg.basis_elem(bid), y, prev)
+                for v, g in zip(labels, gens)
+                for bid in alg.blocks.get((y, v), [])
+            ]
+            cover[y] = _from_columns(len(free[y]), [[c[i] for i in free[y]] for c in cols])
 
-    diffs = {}
-    for j in range(1, len(layers)):
-        labels_j, gens_j, module_j = layers[j]
-        labels_prev, gens_prev, module_prev = layers[j - 1]
-        cover_j, phi_j = _projective_cover_map(alg, labels_j, gens_j, module_j)
-        # composite P_j -> K_{j-1} -> P_{j-1}
-        comp = {
-            v: inclusions[j - 1][v].matmul(phi_j[v]) for v in alg.vertex_ids()
-        }
-        diffs[-j] = _extract_entries(alg, comp, labels_j, labels_prev)
-
-    labels0, gens0, _ = layers[0]
-    cplx = ProjComplex(
-        alg, {-j: tuple(layers[j][0]) for j in range(len(layers))}, diffs, "proj"
-    )
+    cplx = ProjComplex(alg, terms, diffs, "proj")
     if not cplx.is_minimal():
         raise AssertionError("resolution differential has a non-radical entry")
-    report = ResolutionReport(label, len(layers) - 1, report_terms)
-    augmentation = [vec for _, vec in gens0]
+    report = ResolutionReport(label, len(terms) - 1, {m: Counter(v) for m, v in terms.items()})
     return report, cplx, augmentation
 
 
-def _projective_cover_map(alg, labels, gens, M):
-    from .quiveralg import direct_sum
+def _top(vertices, dims, rad):
+    """(vertex, coordinate) of each top generator: per vertex, the coordinates
+    off the rref pivots of the spanning rows ``rad[v]`` of the radical."""
+    out = []
+    for v in vertices:
+        rows = rad[v]
+        pivots = set(ExactMatrix.from_rows(rows).rref()[1]) if rows else set()
+        out.extend((v, c) for c in range(dims[v]) if c not in pivots)
+    return out
 
-    reps = [alg.projective(v) for v in labels]
-    cover, _ = direct_sum(reps) if reps else (None, None)
-    phi = {}
-    for y in alg.vertex_ids():
-        cols = []
-        for (v, gen) in gens:
-            for bid in alg.blocks.get((y, v), []):
-                mat = _module_action(alg, M, bid, y, v)
-                cols.append(mat.apply(gen))
-        m = ExactMatrix(M.dims[y], len(cols))
-        for j, col in enumerate(cols):
-            for i in range(M.dims[y]):
-                m.data[i][j] = col[i]
-        phi[y] = m
-    return cover, phi
+
+def _from_columns(rows, cols):
+    m = ExactMatrix(rows, len(cols))
+    m.data = [[col[i] for col in cols] for i in range(rows)]
+    return m
+
+
+def _split(alg, vec, y, labels):
+    """A fiber vector at y of the sum of the P_w, w in labels, as elements."""
+    out = []
+    offset = 0
+    for w in labels:
+        size = len(alg.blocks.get((y, w), []))
+        out.append(alg.elem_from_block_coords(vec[offset : offset + size], y, w))
+        offset += size
+    return out
+
+
+def _act(alg, elems, b, y, labels):
+    """Fiber coordinates at y of the summandwise products elems[t] . b."""
+    out = []
+    for e, w in zip(elems, labels):
+        out.extend(alg.block_coords(alg.elem_mul(e, b), y, w))
+    return out
 
 
 def _module_action(alg, M, bid, y, v):
@@ -646,49 +671,6 @@ def _module_action(alg, M, bid, y, v):
     if b.degree == 0:
         return ExactMatrix.identity(M.dims[v])
     return M.path_action(b.path)
-
-
-def _kernel_with_inclusion(alg, phi, cover, M):
-    from .quiveralg import kernel_of_morphism
-
-    return kernel_of_morphism(phi, cover, M)
-
-
-def _extract_entries(alg, comp, labels_src, labels_tgt):
-    """Differential entries of a map between sums of projectives."""
-    rows = []
-    for t, vt in enumerate(labels_tgt):
-        row = []
-        for s, us in enumerate(labels_src):
-            # image of the generator of the s-th summand, read in the block
-            # coordinates of the t-th summand
-            gen_col = _summand_gen_column(alg, labels_src, s)
-            y = us
-            col = [comp[y].data[i][gen_col] for i in range(comp[y].rows)]
-            offset = 0
-            elem = {}
-            for t2, vt2 in enumerate(labels_tgt):
-                ids = alg.blocks.get((y, vt2), [])
-                if t2 == t:
-                    elem = alg.elem_from_block_coords(
-                        col[offset : offset + len(ids)], y, vt2
-                    )
-                offset += len(ids)
-            row.append(elem)
-        rows.append(row)
-    return rows
-
-
-def _summand_gen_column(alg, labels, s):
-    """Column of the generator of summand s inside the cover fiber at its vertex."""
-    y = labels[s]
-    offset = 0
-    for s2, v in enumerate(labels):
-        ids = alg.blocks.get((y, v), [])
-        if s2 == s:
-            return offset + ids.index(alg.idempotent_of[y])
-        offset += len(ids)
-    raise AssertionError
 
 
 def _cone_of_chain_map(alg, X, Y, f):
@@ -1132,12 +1114,8 @@ def projective_injective_vertices(alg) -> set:
 
 def _is_projective_module(alg, M: QuiverRep) -> bool:
     # the projective cover surjects; it is an isomorphism iff dims agree
-    rad = M.radical_fibers()
-    cover_dim = 0
-    for v in alg.vertex_ids():
-        top = M.dims[v] - len(rad[v])
-        cover_dim += top * alg.projective(v).total_dim
-    return cover_dim == M.total_dim
+    top = _top(alg.vertex_ids(), M.dims, M.radical_fibers())
+    return sum(alg.projective(v).total_dim for v, _ in top) == M.total_dim
 
 
 def domdim(alg, max_len=64):
@@ -1182,41 +1160,33 @@ class TwoStepReport:
 def two_subhomogeneous_check(alg, d_check: int, max_len=64) -> TwoStepReport:
     """Every twisted injective lands in add(A), plus the rigidity window.
 
-    For each indecomposable injective non-projective I, the shifted twist
-    nu(I)[-d] must minimise to a stalk of projectives in degree zero, and
-    Ext^i between the projective-injective generators must vanish for
-    0 < i < d_check.
+    The global dimension must be at most d_check.  For each indecomposable
+    injective non-projective I, the shifted twist nu(I)[-d] must minimise to
+    a stalk of projectives in degree zero, and Ext^i(I, N) must vanish for
+    0 < i < d_check and every indecomposable projective or injective N.  One
+    resolution of I feeds both checks.
     """
     g = gldim(alg, max_len)
-    if g > d_check:
-        raise ValueError(f"gldim {g} exceeds d = {d_check}")
     nu_images = {}
-    passed = True
+    twists_ok = rigidity_ok = True
     proj_inj = projective_injective_vertices(alg)
-    for z in alg.vertex_ids():
-        if z in proj_inj:
-            continue
-        I = alg.injective(z)
-        R = shifted_module_complex(alg, I, 0, max_len, label=f"I{z}")
-        twisted = derived_nakayama(R, max_len).shift(-d_check)
-        ok = list(twisted.terms) == [0]
-        nu_images[z] = (ok, dict(twisted.terms))
-        passed = passed and ok
-
-    rigidity_ok = True
-    injectives = {z: alg.injective(z) for z in alg.vertex_ids() if z not in proj_inj}
     targets = [alg.projective(z) for z in alg.vertex_ids()] + [
         alg.injective(z) for z in alg.vertex_ids()
     ]
-    for z, I in injectives.items():
-        _, R, _ = minimal_proj_resolution(alg, I, max_len, label=f"I{z}")
+    for z in alg.vertex_ids():
+        if z in proj_inj:
+            continue
+        _, R, _ = minimal_proj_resolution(alg, alg.injective(z), max_len, label=f"I{z}")
+        twisted = derived_nakayama(R, max_len).shift(-d_check)
+        ok = list(twisted.terms) == [0]
+        nu_images[z] = (ok, dict(twisted.terms))
+        twists_ok = twists_ok and ok
         for N in targets:
             for i in range(1, d_check):
                 if _ext_from_resolution(alg, R, N, i) != 0:
                     rigidity_ok = False
-    return TwoStepReport(
-        d_check, g, g == d_check, passed and rigidity_ok, nu_images, rigidity_ok
-    )
+    passed = g <= d_check and twists_ok and rigidity_ok
+    return TwoStepReport(d_check, g, g == d_check, passed, nu_images, rigidity_ok)
 
 
 @dataclass
@@ -1364,14 +1334,9 @@ def preprojective_graded_check(d, n, A, projs, B0, B=None) -> PreprojectiveRepor
     perm_ok = self_inj
     for z in piq.vertex_ids():
         I = piq.injective(z)
-        rad = I.radical_fibers()
-        tops = [
-            (v, I.dims[v] - len(rad[v]))
-            for v in piq.vertex_ids()
-            if I.dims[v] - len(rad[v]) > 0
-        ]
-        if len(tops) == 1 and tops[0][1] == 1 and _is_projective_module(piq, I):
-            perm[z] = tops[0][0]
+        top = _top(piq.vertex_ids(), I.dims, I.radical_fibers())
+        if len(top) == 1 and _is_projective_module(piq, I):
+            perm[z] = top[0][0]
         else:
             perm_ok = False
     perm_ok = perm_ok and sorted(perm.values()) == sorted(piq.vertex_ids())

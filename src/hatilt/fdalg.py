@@ -91,12 +91,11 @@ class FDAlgebra(ElementArithmetic):
             len(self.block_basis.get((i, i), [])) == 1 for i in range(self.nidem)
         )
 
-    def radical_powers(self, max_power=None) -> list[list[dict]]:
+    def radical_powers(self) -> list[list[dict]]:
         """Spanning sets of rad^1, rad^2, ... down to the vanishing power."""
         rad = _reduce_elems(self, [self.basis_elem(b) for b in self.radical_ids()])
         powers = [rad]
-        limit = max_power or (self.dim + 1)
-        for _ in range(limit):
+        for _ in range(self.dim + 1):
             prev = powers[-1]
             nxt = []
             for x in prev:

@@ -753,42 +753,6 @@ def direct_sum(reps: list[QuiverRep]) -> tuple[QuiverRep, list[dict]]:
     return total, inclusions
 
 
-def kernel_of_morphism(phi, M: QuiverRep, N: QuiverRep) -> tuple[QuiverRep, dict]:
-    """Kernel submodule with its inclusion into M."""
-    alg = M.algebra
-    kb = {}
-    for v in alg.vertex_ids():
-        if M.dims[v] == 0:
-            kb[v] = []
-            continue
-        kb[v] = phi[v].nullspace() if phi[v].rows else ExactMatrix.identity(M.dims[v]).data
-    dims = {v: len(kb[v]) for v in alg.vertex_ids()}
-    incl = {
-        v: ExactMatrix(
-            M.dims[v], dims[v], [[kb[v][j][i] for j in range(dims[v])] for i in range(M.dims[v])]
-        )
-        for v in alg.vertex_ids()
-    }
-    maps = {}
-    for a in alg.quiver.arrows:
-        u, w = a.src, a.tgt
-        if dims[w] == 0 or M.dims[u] == 0:
-            maps[a.id] = ExactMatrix(dims[u], dims[w])
-            continue
-        image = M.maps[a.id].matmul(incl[w])  # fibers: K_w -> M_u
-        cols = []
-        for j in range(dims[w]):
-            target = [image.data[i][j] for i in range(M.dims[u])]
-            sol = incl[u].solve(target)
-            if sol is None:
-                raise AssertionError("kernel not arrow-stable; morphism was not a morphism")
-            cols.append(sol)
-        maps[a.id] = ExactMatrix(
-            dims[u], dims[w], [[cols[j][i] for j in range(dims[w])] for i in range(dims[u])]
-        )
-    return QuiverRep(alg, dims, maps, check=False), incl
-
-
 def dual_module(M: QuiverRep) -> QuiverRep:
     """The linear dual as a module over the opposite algebra."""
     op = M.algebra.opposite()

@@ -4,22 +4,16 @@ Each claim is a pure function of (d, n) and a budget configuration; it
 returns a measured value and a pass verdict.  The pipeline runs claims in
 declared order, times them, and assembles a deterministic report (apart
 from the wall-clock ``ms`` fields).  Budget exhaustion marks a claim as
-skipped rather than failed.
-
-Resolutions and presentations are cached under ``HA_CACHE_DIR`` when that
-variable is set, keyed by (n, d, algebra, version); the cache is a pure
-optimisation and never changes results.
+skipped rather than failed, and so does an isomorphism search that can
+neither find nor rule out an isomorphism.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import time
 from dataclasses import dataclass
 
-from . import __version__
 from .cluster import (
     ShiftedModule,
     generation_certificate,
@@ -42,6 +36,7 @@ from .complexes import (
     endo_algebra_of_complexes,
 )
 from .fdalg import (
+    IsoInconclusive,
     corner_vanishes,
     endo_algebra,
     fd_from_bqa,
@@ -50,6 +45,7 @@ from .fdalg import (
     presentation,
     presentation_data,
     replicate,
+    trivial_ext_r,
 )
 from .pathcomb import coords, enumerate_all, enumerate_dyck, preceq, relation_R
 from .quiveralg import (
@@ -79,32 +75,6 @@ class VerifyConfig:
         }
 
 
-class _Cache:
-    def __init__(self):
-        self.root = os.environ.get("HA_CACHE_DIR")
-
-    def get(self, key):
-        if not self.root:
-            return None
-        path = os.path.join(self.root, key + ".json")
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        return None
-
-    def put(self, key, value):
-        if not self.root:
-            return
-        os.makedirs(self.root, exist_ok=True)
-        path = os.path.join(self.root, key + ".json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(value, fh, sort_keys=True)
-
-
-def _cache_key(name, n, d):
-    return f"{name}-n{n}-d{d}-v{__version__}"
-
-
 class ModelData:
     """Shared constructions for one coprime (d, n), built lazily."""
 
@@ -114,7 +84,6 @@ class ModelData:
         self.d = d
         self.n = n
         self.config = config
-        self.cache = _Cache()
         self._built = {}
 
     def _memo(self, key, builder):
@@ -148,6 +117,14 @@ class ModelData:
 
     def b_replicated(self):
         return self._memo("b", lambda: replicate(self.b0(), self.n + self.d))
+
+    # Lambda and Pi are built afresh on each call: each has one consumer
+    # per run, and keeping them would only raise the peak memory.
+    def lam(self):
+        return replicate(self.b0(), self.n + self.d + 1)
+
+    def pi(self):
+        return trivial_ext_r(self.b0(), self.n + self.d)
 
     def tilting_complexes(self):
         def build():
@@ -308,38 +285,29 @@ def claim_idempotent_corner(model: ModelData):
     return corner_ok and iso, {"corner_vanishes": corner_ok, "iso": iso, "s": s}
 
 
-def _gldim_cached(model: ModelData, name, algebra):
-    """gldim of ``algebra()``, read from or written to the on-disk cache."""
-    key = _cache_key(name, model.n, model.d)
-    cached = model.cache.get(key)
-    if cached is not None:
-        return cached["gldim"]
-    value = gldim(algebra(), max_len=model.config.resolution_length(model.d, model.n))
-    model.cache.put(key, {"gldim": value})
-    return value
-
-
 def claim_gldim_a(model: ModelData):
     d = model.d
-    value = _gldim_cached(model, "gldim-A", model.algebra)
+    value = gldim(model.algebra(), max_len=model.config.resolution_length(d, model.n))
     return value == d, {"gldim": value, "expected": d}
 
 
 def claim_gldim_b(model: ModelData):
     nd = model.n * model.d
-    value = _gldim_cached(model, "gldim-B", lambda: presentation(model.b_replicated()))
+    B = presentation(model.b_replicated())
+    value = gldim(B, max_len=model.config.resolution_length(model.d, model.n))
     return value == nd, {"gldim": value, "expected": nd}
 
 
 def claim_gldim_b0(model: ModelData):
     expected = model.d - math.ceil(model.d / model.n)
-    value = _gldim_cached(model, "gldim-B0", lambda: presentation(model.b0()))
+    B0 = presentation(model.b0())
+    value = gldim(B0, max_len=model.config.resolution_length(model.d, model.n))
     return value == expected, {"gldim": value, "expected": expected}
 
 
 def claim_higher_auslander(model: ModelData):
     d, n = model.d, model.n
-    lam = presentation(replicate(model.b0(), n + d + 1))
+    lam = presentation(model.lam())
     max_len = model.config.resolution_length(d, n)
     g = gldim(lam, max_len=max_len)
     dd = domdim(lam, max_len=max_len)
@@ -432,7 +400,7 @@ def run_claims(d, n, names, config: VerifyConfig | None = None):
         try:
             ok, value = fn(model)
             status = "pass" if ok else "fail"
-        except BudgetError as exc:
+        except (BudgetError, IsoInconclusive) as exc:
             status = "skipped"
             value = {"reason": str(exc)}
         ms = int((time.monotonic() - start) * 1000)

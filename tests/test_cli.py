@@ -169,18 +169,21 @@ class TestVerify:
             c["ms"] = 0
         assert doc1 == doc2
 
-    def test_cache_round_trip(self, capsys, tmp_path, monkeypatch):
-        argv = ["verify", "--n", "2", "--d", "3", "--claims", "gldim_B0"]
-        _, plain, _ = run(capsys, *argv)
-        monkeypatch.setenv("HA_CACHE_DIR", str(tmp_path))
-        _, first, _ = run(capsys, *argv)
-        assert (tmp_path / f"gldim-B0-n2-d3-v0.1.0.json").exists()
-        _, second, _ = run(capsys, *argv)
-        docs = [json.loads(x) for x in (plain, first, second)]
-        for doc in docs:
-            for c in doc["claims"]:
-                c["ms"] = 0
-        assert docs[0] == docs[1] == docs[2]
+    def test_inconclusive_iso_search_is_skipped(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys,
+            "verify", "--d", "3", "--n", "2",
+            "--claims", "endo_replicate",
+            "--budget", "iso_budget=1",
+            "--report", str(report),
+        )
+        assert code == 3
+        doc = json.loads(out)
+        claim = doc["claims"][0]
+        assert claim["status"] == "skipped"
+        assert "budget" in claim["value"]["reason"]
+        assert json.loads(report.read_text()) == doc
 
 
 class TestHomdim:

@@ -26,11 +26,13 @@ from hatilt.complexes import (
     minimize_complex,
     nu_orbit_complexes,
     preprojective_graded_check,
+    realize_complex,
     shifted_module_complex,
     stalk_complex,
     two_subhomogeneous_check,
     ProjComplex,
 )
+from hatilt.exactmat import ExactMatrix
 from hatilt.fdalg import endo_algebra, fd_from_bqa, presentation, replicate
 from hatilt.pathcomb import OrderedSeq, coords, enumerate_dyck, enumerate_os, preceq, strip_sequence
 from hatilt.quiveralg import (
@@ -40,6 +42,7 @@ from hatilt.quiveralg import (
     Vertex,
     build_auslander_algebra,
     compose_morphisms,
+    dual_module,
     hom_space,
     module_M,
     relation,
@@ -71,7 +74,46 @@ def tilting_complexes(d, n):
     return alg, out
 
 
+def resolution_test_modules(kind):
+    """(algebra, module) pairs over A at (d, n) = (3, 4) for one family."""
+    alg = build_auslander_algebra(5, 3)
+    if kind == "simple":
+        return [(alg, alg.simple(v)) for v in alg.vertex_ids()]
+    if kind == "injective":
+        return [(alg, alg.injective(v)) for v in alg.vertex_ids()]
+    if kind == "interval":
+        return [(alg, module_M(alg, x)) for x in enumerate_os(5, 4)]
+    op = alg.opposite()
+    return [(op, dual_module(alg.projective(z))) for z in alg.vertex_ids()]
+
+
+def assert_resolution_exact(alg, M):
+    """Realise the minimal resolution of M and check exactness at every vertex,
+    using only realize_complex and the action of A on M."""
+    _, R, aug = minimal_proj_resolution(alg, M)
+    C = realize_complex(R)
+    for y in alg.vertex_ids():
+        cols = [
+            M.element_action(alg.basis_elem(bid), y, v).apply(gen)
+            for v, gen in zip(R.terms.get(0, ()), aug)
+            for bid in alg.blocks.get((y, v), [])
+        ]
+        eps = ExactMatrix(M.dims[y], len(cols), [list(r) for r in zip(*cols)] if cols else None)
+        assert eps.rank() == M.dims[y]
+        if -1 in C.maps:
+            assert eps.matmul(C.maps[-1][y]).is_zero()
+        for m in R.degrees():
+            out_rank = eps.rank() if m == 0 else C.maps[m][y].rank()
+            in_rank = C.maps[m - 1][y].rank() if (m - 1) in C.maps else 0
+            assert out_rank + in_rank == C.terms[m].dims[y]
+
+
 class TestResolutions:
+    @pytest.mark.parametrize("kind", ["simple", "injective", "interval", "dual_projective"])
+    def test_resolutions_are_exact(self, kind):
+        for alg, M in resolution_test_modules(kind):
+            assert_resolution_exact(alg, M)
+
     def test_projective_has_length_zero(self):
         alg = build_auslander_algebra(4, 2)
         for v in alg.vertex_ids():
@@ -296,8 +338,13 @@ class TestTwoSubhomogeneous:
         assert report.gldim == 6
 
     def test_rejects_gldim_overflow(self):
-        with pytest.raises(ValueError):
-            two_subhomogeneous_check(linear_bqa(3), 0)
+        # gldim above d fails the check; it does not raise
+        B = presentation(ModelData(3, 2, VerifyConfig()).b_replicated())
+        for alg, d_check, g in [(linear_bqa(3), 0, 1), (B, 2, 6)]:
+            report = two_subhomogeneous_check(alg, d_check, max_len=10)
+            assert report.gldim == g
+            assert not report.gldim_equals_d
+            assert not report.passed
 
 
 class TestFCY:

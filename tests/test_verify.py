@@ -69,15 +69,15 @@ class TestRunClaims:
         # s = ceil(5/2) = 3, so the base algebra has global dimension 2
         assert by_name["gldim_B0"]["value"]["gldim"] == 2
 
-    def test_cache_is_pure_optimisation(self, tmp_path, monkeypatch):
-        plain, _, _ = run_claims(3, 2, ["gldim_B0"])
+    def test_cache_dir_is_ignored(self, tmp_path, monkeypatch):
+        # a planted value must not change a verdict, and nothing is written
+        poisoned = tmp_path / "gldim-A-n2-d3-v0.1.0.json"
+        poisoned.write_text('{"gldim": 99}')
         monkeypatch.setenv("HA_CACHE_DIR", str(tmp_path))
-        warm, _, _ = run_claims(3, 2, ["gldim_B0"])
-        hot, _, _ = run_claims(3, 2, ["gldim_B0"])
-        for collection in (plain, warm, hot):
-            for claim in collection:
-                claim["ms"] = 0
-        assert plain == warm == hot
+        claims, failed, skipped = run_claims(3, 2, ["gldim_A", "gldim_B0"])
+        assert not failed and not skipped
+        assert claims[0]["value"]["gldim"] == 3
+        assert [p.name for p in tmp_path.iterdir()] == [poisoned.name]
 
 
 class TestOtherModels:
