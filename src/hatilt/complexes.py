@@ -8,11 +8,13 @@ algebra-block coordinates rather than on realized fibers.
 
 The Serre twist is implemented structurally: a complex of projectives is
 reinterpreted termwise as a complex of injectives carrying the same entry
-data, then traded back for a quasi-isomorphic complex of projectives by an
-exact cone-by-cone replacement (resolve the lowest term, lift the attaching
-map through the already-replaced truncation, take the cone).  Minimisation
-strips contractible two-term blocks by Gaussian elimination with entries
-inverted through the radical filtration.
+data, realised as a complex of modules, and traded back for a
+quasi-isomorphic complex of projectives.  One engine does that replacement
+and also computes minimal projective resolutions (the one-term case): going
+down from the top degree, each term is the projective cover of the cycles
+of the cone of the map built so far, read off per vertex as a nullspace in
+block coordinates.  Minimisation strips contractible two-term blocks by
+Gaussian elimination with entries inverted through the radical filtration.
 
 On top of this live the verification routines: minimal resolutions, Ext
 dimensions, global and dominant dimension, object-level fractional
@@ -25,9 +27,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactmat import ExactMatrix, ONE, ZERO, in_span
+from .exactmat import ExactMatrix, ZERO, in_span
 from .quiveralg import BoundQuiverAlgebra, BudgetError, QuiverRep, dual_module
 from .fdalg import FDAlgebra
 
@@ -337,14 +338,12 @@ def _find_pivot(alg, terms, diffs):
     return None
 
 
-def _strip_contractible(X, C=None, wit=None):
-    """Eliminate contractible two-term blocks of X until it is minimal.
+def minimize_complex(X):
+    """Strip contractible two-term blocks of X until it is minimal.
 
     Each step removes a pivot a between two copies of P_u and replaces every
     other entry d of that differential by its Schur complement
-    d - c a^{-1} b.  When ``wit`` holds a quasi-isomorphism witness from X
-    into the module complex C (one fiber vector per degree and summand), it
-    is transported along the eliminations in place.
+    d - c a^{-1} b.
     """
     alg = X.algebra
     terms = {m: list(v) for m, v in X.terms.items()}
@@ -358,17 +357,6 @@ def _strip_contractible(X, C=None, wit=None):
         rows = diffs[m]
         ainv = _invert_local(alg, rows[t][s], u)
         ainv_b = [alg.elem_mul(ainv, b) for b in rows[t]]
-        if wit is not None and m in wit:
-            base = wit[m][s]
-            if m in C.terms and any(x != 0 for x in base):
-                # summand s2 of degree m picks up -psi[s] . (a^{-1} b_{s2})
-                for s2, corr_elem in enumerate(ainv_b):
-                    if s2 != s and corr_elem:
-                        corr = _fiber_action(alg, C.terms[m], corr_elem, terms[m][s2], u, base)
-                        wit[m][s2] = [x - y for x, y in zip(wit[m][s2], corr)]
-            wit[m] = [v for idx, v in enumerate(wit[m]) if idx != s]
-        if wit is not None and (m + 1) in wit:
-            wit[m + 1] = [v for idx, v in enumerate(wit[m + 1]) if idx != t]
         diffs[m] = [
             [
                 alg.elem_sub(e, alg.elem_mul(row[s], ainv_b[s2]))
@@ -393,18 +381,11 @@ def _strip_contractible(X, C=None, wit=None):
         for key in (m, m + 1):
             if key in terms and not terms[key]:
                 terms.pop(key)
-                if wit is not None:
-                    wit.pop(key, None)
 
     out = ProjComplex(alg, {m: tuple(v) for m, v in terms.items()}, diffs, X.kind, check=True)
     if not out.is_minimal():
         raise AssertionError("minimisation left a non-radical entry")
     return out
-
-
-def minimize_complex(X):
-    """Strip contractible two-term identity blocks until minimal."""
-    return _strip_contractible(X)
 
 
 def complexes_isomorphic(X, Y, tries=60):
@@ -521,16 +502,14 @@ def realize_complex(X: ProjComplex) -> ModuleComplex:
     maps = {}
     for m, rows in X.diffs.items():
         src_vs, tgt_vs = X.terms[m], X.terms[m + 1]
-        phi = {}
-        for y in alg.vertex_ids():
-            blocks = []
-            for t, vt in enumerate(tgt_vs):
-                row_blocks = []
-                for s, us in enumerate(src_vs):
-                    row_blocks.append(_realize_entry(alg, rows[t][s], us, vt, X.kind)[y])
-                blocks.append(row_blocks)
-            phi[y] = _assemble_blocks(blocks)
-        maps[m] = phi
+        entries = [
+            [_realize_entry(alg, rows[t][s], us, vt, X.kind) for s, us in enumerate(src_vs)]
+            for t, vt in enumerate(tgt_vs)
+        ]
+        maps[m] = {
+            y: _assemble_blocks([[e[y] for e in row] for row in entries])
+            for y in alg.vertex_ids()
+        }
     mc = ModuleComplex(alg, terms, maps)
     mc.check()
     return mc
@@ -555,6 +534,88 @@ def _assemble_blocks(blocks):
     return out
 
 
+def _replace(C: ModuleComplex, max_len, label):
+    """A complex Q of projectives and a chain map psi: Q -> C with acyclic cone.
+
+    Returns (terms, diffs, psi) with psi[m] listing, per degree-m summand,
+    the image of its generator in C^m.  Works down from the top degree of C.
+    In degree m the cone cycles
+
+        Z^m = {(q, c) in Q^{m+1} + C^m : d_Q q = 0, psi q = d_C c}
+
+    are, per vertex, the nullspace of [cover | -d_C], where cover is the map
+    Q^{m+1} -> Z^{m+1} and (0, d_C c), which lies in Z^{m+1}, is written
+    there too.  A vector of Z^{m+1} is its entries at the free columns of
+    that nullspace.  The top generators of Z^m span Q^m, and their two
+    components are the columns of d_Q^m and of psi^m.  Below the lowest
+    degree of C each Z^m is a syzygy; the loop stops when it vanishes and
+    raises BudgetError if Q has a term more than max_len degrees below C.
+    """
+    alg = C.algebra
+    vertices = alg.vertex_ids()
+    degs = [m for m in C.degrees() if C.terms[m].total_dim > 0]
+    terms, diffs, psi = {}, {}, {}
+    if not degs:
+        return terms, diffs, psi
+    low, m = degs[0], degs[-1]
+    # labels: the summands of Q^{m+1}; free[y] and nq[y]: the free columns of
+    # Z^{m+1} at y and the length of its Q^{m+2} part; cover[y]: the columns
+    # of Q^{m+1} -> Z^{m+1} at y
+    labels, free, nq = [], {y: [] for y in vertices}, {y: 0 for y in vertices}
+    cover = {y: [] for y in vertices}
+    while m >= low or labels:
+        Cm, dC = C.terms.get(m), C.maps.get(m)
+        acts = {}
+
+        def image(g, bid, y):
+            """Ambient coordinates at y of g . b for the basis element b = bid."""
+            out = _act(alg, g[0], alg.basis_elem(bid), y, labels)
+            if Cm is not None:
+                if bid not in acts:
+                    acts[bid] = _module_action(alg, Cm, bid)
+                out += acts[bid].apply(g[1])
+            return out
+
+        kernel, elems, rad = {}, {}, {y: [] for y in vertices}
+        for y in vertices:
+            dims = Cm.dims[y] if Cm is not None else 0
+            cols = cover[y] + [
+                [
+                    -dC[y].data[f - nq[y]][j] if dC is not None and f >= nq[y] else ZERO
+                    for f in free[y]
+                ]
+                for j in range(dims)
+            ]
+            kernel[y] = _from_columns(len(free[y]), cols).nullspace() if cols else []
+            nq[y] = sum(len(alg.blocks.get((y, w), [])) for w in labels)
+            elems[y] = [(_split(alg, k, y, labels), k[nq[y] :]) for k in kernel[y]]
+        free = {y: [max(i for i, x in enumerate(k) if x) for k in kernel[y]] for y in vertices}
+        for a in alg.quiver.arrows:
+            for g in elems[a.tgt]:
+                img = image(g, alg.arrow_elem[a.id], a.src)
+                coords = [img[i] for i in free[a.src]]
+                if any(x != 0 for x in coords):
+                    rad[a.src].append(coords)
+        top = _top(vertices, {y: len(kernel[y]) for y in vertices}, rad)
+        if top and m < low - max_len:
+            raise BudgetError(f"resolution of {label} exceeds max length {max_len}")
+        gens = [elems[v][c] for v, c in top]
+        if gens:
+            terms[m] = tuple(v for v, _ in top)
+            psi[m] = [g[1] for g in gens]
+            if labels:
+                diffs[m] = [[g[0][t] for g in gens] for t in range(len(labels))]
+        cover = {y: [] for y in vertices}
+        for (v, _), g in zip(top, gens):
+            for y in vertices:
+                for bid in alg.blocks.get((y, v), []):
+                    img = image(g, bid, y)
+                    cover[y].append([img[i] for i in free[y]])
+        labels = [v for v, _ in top]
+        m -= 1
+    return terms, diffs, psi
+
+
 @dataclass
 class ResolutionReport:
     label: str
@@ -566,67 +627,16 @@ def minimal_proj_resolution(alg, M: QuiverRep, max_len=64, label="M"):
     """Minimal projective resolution as a complex ending in degree zero.
 
     Returns (report, complex, augmentation) where the augmentation lists,
-    per degree-zero summand, the image of its generator in M.
-
-    Only degree zero touches M.  Each syzygy is the per-vertex nullspace of
-    the cover map inside the fibers e_y A e_w of the projective term it maps
-    into.  A kernel vector's coordinates in the nullspace basis are its
-    entries at the free columns, and the top generators of a syzygy are
-    directly the columns of the next differential.
+    per degree-zero summand, the image of its generator in M.  This is the
+    replacement engine run on M alone in degree zero: every Z^m below is a
+    syzygy, the kernel of a projective cover, so the result is minimal.
     """
-    vertices = alg.vertex_ids()
-    top = _top(vertices, M.dims, M.radical_fibers())
-    augmentation = [[ONE if i == c else ZERO for i in range(M.dims[v])] for v, c in top]
-    labels = [v for v, _ in top]
-    # cover[y]: the cover map at y, one column per summand s and basis
-    # element of e_y A e_{labels[s]}
-    cover = {
-        y: _from_columns(
-            M.dims[y],
-            [
-                _module_action(alg, M, bid, y, v).apply(gen)
-                for v, gen in zip(labels, augmentation)
-                for bid in alg.blocks.get((y, v), [])
-            ],
-        )
-        for y in vertices
-    }
-    terms, diffs = {}, {}
-    while labels:
-        degree = len(terms)
-        if degree > max_len:
-            raise BudgetError(f"resolution of {label} exceeds max length {max_len}")
-        terms[-degree] = tuple(labels)
-        kernel = {y: cover[y].nullspace() if cover[y].cols else [] for y in vertices}
-        free = {y: [max(i for i, x in enumerate(k) if x) for k in kernel[y]] for y in vertices}
-        # the same kernel vectors, as one element of e_y A e_w per summand P_w
-        elems = {y: [_split(alg, k, y, labels) for k in kernel[y]] for y in vertices}
-        rad = {y: [] for y in vertices}
-        for a in alg.quiver.arrows:
-            arrow = alg.basis_elem(alg.arrow_elem[a.id])
-            for g in elems[a.tgt]:
-                image = _act(alg, g, arrow, a.src, labels)
-                coords = [image[i] for i in free[a.src]]
-                if any(x != 0 for x in coords):
-                    rad[a.src].append(coords)
-        top = _top(vertices, {y: len(kernel[y]) for y in vertices}, rad)
-        gens = [elems[v][c] for v, c in top]
-        if gens:
-            diffs[-degree - 1] = [[g[t] for g in gens] for t in range(len(labels))]
-        prev, labels = labels, [v for v, _ in top]
-        for y in vertices:
-            cols = [
-                _act(alg, g, alg.basis_elem(bid), y, prev)
-                for v, g in zip(labels, gens)
-                for bid in alg.blocks.get((y, v), [])
-            ]
-            cover[y] = _from_columns(len(free[y]), [[c[i] for i in free[y]] for c in cols])
-
+    terms, diffs, psi = _replace(ModuleComplex(alg, {0: M}, {}), max_len, label)
     cplx = ProjComplex(alg, terms, diffs, "proj")
     if not cplx.is_minimal():
         raise AssertionError("resolution differential has a non-radical entry")
     report = ResolutionReport(label, len(terms) - 1, {m: Counter(v) for m, v in terms.items()})
-    return report, cplx, augmentation
+    return report, cplx, psi.get(0, [])
 
 
 def _top(vertices, dims, rad):
@@ -665,138 +675,23 @@ def _act(alg, elems, b, y, labels):
     return out
 
 
-def _module_action(alg, M, bid, y, v):
+def _module_action(alg, M, bid):
     """Right action of a basis element of e_v A e_y on M: fiber v -> fiber y."""
     b = alg.basis[bid]
     if b.degree == 0:
-        return ExactMatrix.identity(M.dims[v])
+        return ExactMatrix.identity(M.dims[b.src])
     return M.path_action(b.path)
-
-
-def _cone_of_chain_map(alg, X, Y, f):
-    """cone(f: X -> Y): degree m holds X^{m+1} + Y^m."""
-    terms = {}
-    degrees = sorted(set([m - 1 for m in X.terms] + list(Y.terms)))
-    for m in degrees:
-        part = tuple(X.terms.get(m + 1, ())) + tuple(Y.terms.get(m, ()))
-        if part:
-            terms[m] = part
-    diffs = {}
-    for m in degrees:
-        if (m + 1) not in terms:
-            continue
-        nx_s, ny_s = len(X.terms.get(m + 1, ())), len(Y.terms.get(m, ()))
-        nx_t, ny_t = len(X.terms.get(m + 2, ())), len(Y.terms.get(m + 1, ()))
-        rows = [[{} for _ in range(nx_s + ny_s)] for _ in range(nx_t + ny_t)]
-        dX = X.diffs.get(m + 1)
-        if dX is not None:
-            for t in range(nx_t):
-                for s in range(nx_s):
-                    rows[t][s] = alg.elem_scale(-1, dX[t][s])
-        fm = f.get(m + 1, {})
-        for (t, s), elem in fm.items():
-            rows[nx_t + t][s] = elem
-        dY = Y.diffs.get(m)
-        if dY is not None:
-            for t in range(ny_t):
-                for s in range(ny_s):
-                    rows[nx_t + t][nx_s + s] = dY[t][s]
-        diffs[m] = rows
-    return ProjComplex(alg, terms, diffs, "proj", check=True)
 
 
 def proj_replace(C: ModuleComplex, max_len=64):
     """A minimal complex of projectives quasi-isomorphic to C."""
-    Q, _ = _proj_replace_with_qis(C, max_len)
-    return Q
+    terms, diffs, psi = _replace(C, max_len, "complex")
+    Q = ProjComplex(C.algebra, terms, diffs, "proj", check=True)
+    _assert_qis_chain_map(Q, C, psi)
+    return minimize_complex(Q)
 
 
-def _proj_replace_with_qis(C: ModuleComplex, max_len=64):
-    alg = C.algebra
-    degs = [m for m in C.degrees() if C.terms[m].total_dim > 0]
-    if not degs:
-        return ProjComplex(alg, {}, {}, "proj", check=False), {}
-    m0 = degs[0]
-    M = C.terms[m0]
-    report, R, aug = minimal_proj_resolution(alg, M, max_len, label=f"deg{m0}")
-    if len(degs) == 1:
-        R0 = R.shift(-m0)
-        psi = _pad_qis(alg, R0, C, {m0: aug})
-        _assert_qis_chain_map(alg, R0, C, psi)
-        return R0, psi
-
-    Cprime = ModuleComplex(
-        alg,
-        {m: C.terms[m] for m in degs[1:]},
-        {m: C.maps[m] for m in C.maps if m >= degs[1]},
-    )
-    Qprime, psi_prime = _proj_replace_with_qis(Cprime, max_len)
-
-    # resolution of M placed so its degree-zero term sits at m0 + 1
-    Rp = R.shift(-(m0 + 1))
-    # attaching map into C': the augmentation composed with d_C at m0,
-    # one fiber vector per degree-(m0+1) summand of the resolution
-    dC = C.maps.get(m0)
-    target = {}
-    if dC is not None:
-        target[m0 + 1] = [
-            dC[v].apply(vec) for v, vec in zip(Rp.terms.get(m0 + 1, ()), aug)
-        ]
-    g, H = _lift_through_qis(alg, Rp, Qprime, psi_prime, Cprime, target)
-
-    cone = _cone_of_chain_map(alg, Rp, Qprime, g)
-
-    # quasi-isomorphism to C: alpha on the M-slot, psi' + H elsewhere
-    psi = {}
-    for m in cone.degrees():
-        vecs = []
-        nr = len(Rp.terms.get(m + 1, ()))
-        for idx in range(nr):
-            if m == m0:
-                vec = list(aug[idx])
-            elif m in C.terms:
-                vec = [ZERO] * C.terms[m].dims[cone.terms[m][idx]]
-            else:
-                vec = []
-            hvec = H.get(m + 1, {}).get(idx)
-            if hvec is not None:
-                vec = [a + b for a, b in zip(vec, hvec)] if vec else list(hvec)
-            vecs.append(vec)
-        for q_idx, u in enumerate(Qprime.terms.get(m, ())):
-            if m == m0:
-                # C^{m0} is the resolved module; the truncated part maps to 0
-                vecs.append([ZERO] * M.dims[u])
-            else:
-                vecs.append(list(psi_prime.get(m, [])[q_idx]))
-        psi[m] = vecs
-    _assert_qis_chain_map(alg, cone, C, psi)
-    reduced = _strip_contractible(cone, C, psi)
-    psi = {m: psi.get(m, []) for m in reduced.terms}
-    _assert_qis_chain_map(alg, reduced, C, psi)
-    return reduced, psi
-
-
-def _pad_qis(alg, Q, C, partial):
-    psi = {}
-    for m in Q.degrees():
-        fibers = []
-        for idx, u in enumerate(Q.terms[m]):
-            if m in partial and idx < len(partial[m]):
-                fibers.append(list(partial[m][idx]))
-            else:
-                dim = C.terms[m].dims[u] if m in C.terms else 0
-                fibers.append([ZERO] * dim)
-        psi[m] = fibers
-    return psi
-
-
-def _fiber_action(alg, N: QuiverRep, elem, u_from, v_to, vec):
-    """Act with elem in e_{v_to} A e_{u_from} on vec in the fiber at v_to."""
-    mat = N.element_action(elem, u_from, v_to)
-    return mat.apply(vec)
-
-
-def _assert_qis_chain_map(alg, Q: ProjComplex, C: ModuleComplex, psi):
+def _assert_qis_chain_map(Q: ProjComplex, C: ModuleComplex, psi):
     for m in Q.degrees():
         dQ = Q.diffs.get(m)
         psi_m = psi.get(m, [])
@@ -811,8 +706,8 @@ def _assert_qis_chain_map(alg, Q: ProjComplex, C: ModuleComplex, psi):
                 for t, v in enumerate(Q.terms[m + 1]):
                     elem = dQ[t][s]
                     if elem and any(x != 0 for x in psi[m + 1][t]):
-                        contrib = _fiber_action(alg, C.terms[m + 1], elem, u, v, psi[m + 1][t])
-                        acc = [a + b for a, b in zip(acc, contrib)]
+                        act = C.terms[m + 1].element_action(elem, u, v)
+                        acc = [a + b for a, b in zip(acc, act.apply(psi[m + 1][t]))]
                 rhs = acc
             lhs = lhs or []
             rhs = rhs or []
@@ -821,168 +716,6 @@ def _assert_qis_chain_map(alg, Q: ProjComplex, C: ModuleComplex, psi):
             rhs = rhs + [ZERO] * (width - len(rhs))
             if lhs != rhs:
                 raise AssertionError("quasi-isomorphism witness is not a chain map")
-
-
-def _lift_through_qis(alg, Rp, Q, psi, C, target):
-    """Solve for g: Rp -> Q (chain map) and homotopy H with
-    psi g - target = d_C H + H d_Rp, in block coordinates."""
-    slots_g = []
-    offset = 0
-    for m in Rp.degrees():
-        if m not in Q.terms:
-            continue
-        for t, v in enumerate(Q.terms[m]):
-            for s, u in enumerate(Rp.terms[m]):
-                ids = alg.blocks.get((u, v), [])
-                if ids:
-                    slots_g.append((m, t, s, ids, offset))
-                    offset += len(ids)
-    g_dim = offset
-    slots_h = []
-    for m in Rp.degrees():
-        if (m - 1) not in C.terms:
-            continue
-        for s, u in enumerate(Rp.terms[m]):
-            dim = C.terms[m - 1].dims[u]
-            if dim:
-                slots_h.append((m, s, u, dim, offset))
-                offset += dim
-    total = offset
-
-    rows = []
-    rhs = []
-
-    # chain-map condition: d_Q g - g d_Rp = 0, in block coordinates
-    slots_g_by_key = {}
-    for m, t, s, ids, off in slots_g:
-        slots_g_by_key[(m, t, s)] = (ids, off)
-    for m in Rp.degrees():
-        if (m + 1) not in Q.terms:
-            continue
-        dR = Rp.diffs.get(m)
-        dQ = Q.diffs.get(m)
-        for t in range(len(Q.terms[m + 1])):
-            for s in range(len(Rp.terms[m])):
-                row_blocks: dict[int, dict[int, Fraction]] = {}
-                if dQ is not None and m in Q.terms:
-                    for t1 in range(len(Q.terms[m])):
-                        entry = dQ[t][t1]
-                        slot = slots_g_by_key.get((m, t1, s))
-                        if not entry or slot is None:
-                            continue
-                        ids, off = slot
-                        for k, bid in enumerate(ids):
-                            prod = alg.elem_mul(entry, alg.basis_elem(bid))
-                            for bid2, c in prod.items():
-                                block = row_blocks.setdefault(bid2, {})
-                                block[off + k] = block.get(off + k, ZERO) + c
-                if dR is not None and (m + 1) in Rp.terms:
-                    for s1 in range(len(Rp.terms[m + 1])):
-                        entry = dR[s1][s]
-                        slot = slots_g_by_key.get((m + 1, t, s1))
-                        if not entry or slot is None:
-                            continue
-                        ids, off = slot
-                        for k, bid in enumerate(ids):
-                            prod = alg.elem_mul(alg.basis_elem(bid), entry)
-                            for bid2, c in prod.items():
-                                block = row_blocks.setdefault(bid2, {})
-                                block[off + k] = block.get(off + k, ZERO) - c
-                for bid2, cols in row_blocks.items():
-                    row = [ZERO] * total
-                    for col, c in cols.items():
-                        row[col] = c
-                    rows.append(row)
-                    rhs.append(ZERO)
-
-    # lifting condition per degree, summand and fiber coordinate
-    for m in Rp.degrees():
-        if m not in C.terms:
-            continue
-        for s, u in enumerate(Rp.terms[m]):
-            fdim = C.terms[m].dims[u]
-            if fdim == 0:
-                continue
-            # assemble linear expressions: psi g - dC H - H dR = target
-            exprs = [
-                {"const": ZERO, "cols": {}} for _ in range(fdim)
-            ]
-            # psi g part
-            if m in Q.terms:
-                for t, v in enumerate(Q.terms[m]):
-                    psi_vec = psi.get(m, [])[t] if psi.get(m) else None
-                    if psi_vec is None or all(x == 0 for x in psi_vec):
-                        continue
-                    for (m2, t2, s2, ids, off) in slots_g:
-                        if m2 != m or t2 != t or s2 != s:
-                            continue
-                        for k, bid in enumerate(ids):
-                            contrib = _fiber_action(
-                                alg, C.terms[m], alg.basis_elem(bid), u, v, psi_vec
-                            )
-                            for i, val in enumerate(contrib):
-                                if val != 0:
-                                    exprs[i]["cols"][off + k] = (
-                                        exprs[i]["cols"].get(off + k, ZERO) + val
-                                    )
-            # - d_C H part (H at degree m maps into C^{m-1})
-            for (m2, s2, u2, dim, off) in slots_h:
-                if m2 != m or s2 != s:
-                    continue
-                dC = C.maps.get(m - 1)
-                if dC is None:
-                    continue
-                mat = dC[u2]
-                for i in range(mat.rows):
-                    for j in range(dim):
-                        if mat.data[i][j] != 0:
-                            exprs[i]["cols"][off + j] = (
-                                exprs[i]["cols"].get(off + j, ZERO) - mat.data[i][j]
-                            )
-            # - H d_R part (d_R out of degree m-1 ... into m) acts on H at m+1
-            dR = Rp.diffs.get(m)
-            if dR is not None and (m + 1) in Rp.terms:
-                for s1, u1 in enumerate(Rp.terms[m + 1]):
-                    entry = dR[s1][s]
-                    if not entry:
-                        continue
-                    for (m2, s2, u2, dim, off) in slots_h:
-                        if m2 != m + 1 or s2 != s1:
-                            continue
-                        act = C.terms[m].element_action(entry, u, u1)
-                        for i in range(act.rows):
-                            for j in range(dim):
-                                if act.data[i][j] != 0:
-                                    exprs[i]["cols"][off + j] = (
-                                        exprs[i]["cols"].get(off + j, ZERO)
-                                        - act.data[i][j]
-                                    )
-            tvec = target.get(m, None)
-            for i in range(fdim):
-                row = [ZERO] * total
-                for col, c in exprs[i]["cols"].items():
-                    row[col] = c
-                rows.append(row)
-                val = ZERO
-                if tvec is not None and tvec[s] is not None:
-                    val = tvec[s][i]
-                rhs.append(val)
-
-    matrix = ExactMatrix(len(rows), total, rows) if rows else ExactMatrix(0, total)
-    sol = matrix.solve(rhs) if rows else [ZERO] * total
-    if sol is None:
-        raise AssertionError("lifting system inconsistent; qis witness broken")
-    g = {}
-    for m, t, s, ids, off in slots_g:
-        elem = {bid: sol[off + k] for k, bid in enumerate(ids) if sol[off + k] != 0}
-        if elem:
-            g.setdefault(m, {})[(t, s)] = elem
-    H = {}
-    for m, s, u, dim, off in slots_h:
-        vec = [sol[off + j] for j in range(dim)]
-        if any(x != 0 for x in vec):
-            H.setdefault(m, {})[s] = vec
-    return g, H
 
 
 # -- the derived Nakayama functor -------------------------------------------

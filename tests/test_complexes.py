@@ -11,6 +11,7 @@ from hatilt.cluster import (
     tilting_summands,
 )
 from hatilt.complexes import (
+    as_injective_complex,
     build_tilting_complex_from_nu_orbit,
     complexes_isomorphic,
     derived_nakayama,
@@ -26,6 +27,7 @@ from hatilt.complexes import (
     minimize_complex,
     nu_orbit_complexes,
     preprojective_graded_check,
+    proj_replace,
     realize_complex,
     shifted_module_complex,
     stalk_complex,
@@ -38,6 +40,7 @@ from hatilt.pathcomb import OrderedSeq, coords, enumerate_dyck, enumerate_os, pr
 from hatilt.quiveralg import (
     Arrow,
     BoundQuiverAlgebra,
+    BudgetError,
     Quiver,
     Vertex,
     build_auslander_algebra,
@@ -106,6 +109,19 @@ def assert_resolution_exact(alg, M):
             out_rank = eps.rank() if m == 0 else C.maps[m][y].rank()
             in_rank = C.maps[m - 1][y].rank() if (m - 1) in C.maps else 0
             assert out_rank + in_rank == C.terms[m].dims[y]
+
+
+def cohomology_dims(C):
+    """{(degree, vertex): dim H^m(C)_y} over the nonzero cohomology of C."""
+    out = {}
+    for m in C.degrees():
+        for y in C.algebra.vertex_ids():
+            dim = C.terms[m].dims[y]
+            dim -= C.maps[m][y].rank() if m in C.maps else 0
+            dim -= C.maps[m - 1][y].rank() if (m - 1) in C.maps else 0
+            if dim:
+                out[(m, y)] = dim
+    return out
 
 
 class TestResolutions:
@@ -274,6 +290,40 @@ class TestDerivedNakayama:
         nX, nY = derived_nakayama(X), derived_nakayama(Y)
         for k in range(-2, 3):
             assert hom_complex_dim(X, Y, k) == hom_complex_dim(nX, nY, k)
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3)])
+    def test_proj_replace_preserves_cohomology(self, d, n):
+        alg, summands = tilting_complexes(d, n)
+        for X in summands + [direct_sum_complexes(summands)]:
+            C = realize_complex(as_injective_complex(X))
+            Q = proj_replace(C)
+            assert Q.is_minimal()
+            assert cohomology_dims(realize_complex(Q)) == cohomology_dims(C)
+
+
+class TestBudgets:
+    def test_max_len_table(self):
+        """Per vertex of A at (3, 2), the least max_len at which each call
+        succeeds; every smaller budget raises BudgetError."""
+        alg = build_auslander_algebra(3, 3)
+        calls = {
+            "nu": lambda v, k: derived_nakayama(stalk_complex(alg, v), k),
+            "nu_inverse": lambda v, k: derived_nakayama_inverse(stalk_complex(alg, v), k),
+            "resolution": lambda v, k: minimal_proj_resolution(alg, alg.simple(v), k),
+        }
+        least = {
+            "nu": [0, 0, 0, 0, 0, 0, 3, 3, 3, 3],
+            "nu_inverse": [3, 3, 0, 3, 0, 0, 3, 0, 0, 0],
+            "resolution": [0, 1, 1, 2, 2, 2, 3, 3, 3, 3],
+        }
+        for name, call in calls.items():
+            for v in alg.vertex_ids():
+                for k in range(4):
+                    if k < least[name][v]:
+                        with pytest.raises(BudgetError):
+                            call(v, k)
+                    else:
+                        call(v, k)
 
 
 class TestGlobalDimensions:
