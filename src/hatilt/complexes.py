@@ -28,7 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .exactmat import ExactMatrix, ZERO, in_span
+from .exactmat import ExactMatrix, ZERO, extend_basis
 from .quiveralg import BoundQuiverAlgebra, BudgetError, QuiverRep, dual_module
 from .fdalg import FDAlgebra
 
@@ -242,13 +242,7 @@ def chain_maps_mod_homotopy(X, Y, k=0):
         vec = [delta_km1.data[i][j] for i in range(delta_km1.rows)]
         if any(x != 0 for x in vec):
             boundaries.append(vec)
-    chosen = []
-    span = [list(b) for b in boundaries]
-    for vec in cycles:
-        if in_span(span, vec):
-            continue
-        span.append(list(vec))
-        chosen.append(vec)
+    chosen = [cycles[k] for k in extend_basis(boundaries, cycles)]
     reps = [_vector_to_chain_map(X, Y, k, vec, slots) for vec in chosen]
     return reps, chosen, boundaries, slots, dim_k
 
@@ -968,18 +962,12 @@ def endo_algebra_of_complexes(complexes) -> FDAlgebra:
         for j, Xj in enumerate(complexes):
             reps, vectors, boundaries, slots, dim = chain_maps_mod_homotopy(Xj, Xi, 0)
             if i == j:
+                # rebuild the basis so the identity comes first
                 ident = identity_chain_map(Xi)
-                ident_vec = _chain_map_to_vector(Xj, Xi, 0, ident, slots, dim)
-                pool = [ident_vec] + vectors
-                chosen_vecs, chosen_reps = [], []
-                span = [list(b) for b in boundaries]
-                for vec, rep in zip(pool, [ident] + reps):
-                    if in_span(span, vec):
-                        continue
-                    span.append(list(vec))
-                    chosen_vecs.append(vec)
-                    chosen_reps.append(rep)
-                reps, vectors = chosen_reps, chosen_vecs
+                vectors = [_chain_map_to_vector(Xj, Xi, 0, ident, slots, dim)] + vectors
+                reps = [ident] + reps
+                picked = extend_basis(boundaries, vectors)
+                reps, vectors = [reps[k] for k in picked], [vectors[k] for k in picked]
             data[(i, j)] = (reps, vectors, boundaries, slots, dim)
 
     blocks = []

@@ -169,8 +169,15 @@ def span_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
     return [red.data[i] for i in range(len(pivots))]
 
 
-def in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> bool:
+def extend_basis(base: list[list[Fraction]], candidates: list[list[Fraction]]) -> list[int]:
+    """Indices of the candidates a greedy pass would add to span(base).
+
+    Candidate k is chosen iff it lies outside the span of ``base`` and
+    ``candidates[:k]``: the candidate pivot columns of one elimination of
+    the columns ``base + candidates``.
+    """
+    vectors = base + candidates
     if not vectors:
-        return all(x == 0 for x in target)
-    m = ExactMatrix.from_rows(vectors).transpose()
-    return m.solve(list(target)) is not None
+        return []
+    pivots = ExactMatrix.from_rows(vectors).transpose().rref()[1]
+    return [c - len(base) for c in pivots if c >= len(base)]

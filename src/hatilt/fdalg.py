@@ -6,6 +6,10 @@ pair of them, so Cartan data, radical filtration and idempotent surgery
 (corner subalgebras, quotients by complements, replicated and r-fold
 trivial extension algebras) are all blockwise linear algebra.
 
+``endo_algebra`` builds End of a sum of modules of finite projective
+dimension as End of their minimal projective resolutions modulo homotopy,
+so modules and complexes share one endomorphism-algebra builder.
+
 ``presentation`` recovers a bound quiver presentation from structure
 constants: arrows lift a basis of rad/rad^2, the kernel of the induced
 path-algebra surjection is computed degree by degree, and minimal
@@ -26,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import ExactMatrix, ONE, ZERO, span_basis
+from .exactmat import ExactMatrix, ONE, ZERO, extend_basis, span_basis
 from .quiveralg import (
     Arrow,
     BoundQuiverAlgebra,
@@ -36,9 +40,6 @@ from .quiveralg import (
     QuiverRep,
     Relation,
     Vertex,
-    compose_morphisms,
-    hom_space,
-    identity_morphism,
 )
 
 
@@ -50,12 +51,11 @@ class FDAlgebra(ElementArithmetic):
     "a after b".
     """
 
-    def __init__(self, nidem, blocks, mult, idem_ids, labels=None, grading=None):
+    def __init__(self, nidem, blocks, mult, idem_ids, grading=None):
         self.nidem = nidem
         self.blocks = list(blocks)
         self.mult = mult
         self.idem_ids = list(idem_ids)
-        self.labels = labels or [f"b{k}" for k in range(len(self.blocks))]
         self.grading = list(grading) if grading is not None else None
         if len(self.idem_ids) != nidem:
             raise ValueError("need one distinguished idempotent per index")
@@ -107,7 +107,8 @@ class FDAlgebra(ElementArithmetic):
             if not nxt:
                 powers.append([])
                 break
-            if _same_span(self, nxt, prev):
+            # rad^{k+1} lies in rad^k, so equal dimensions mean equal spans
+            if len(nxt) == len(prev):
                 raise ValueError("radical not nilpotent")
             powers.append(nxt)
         else:
@@ -150,31 +151,16 @@ def _reduce_elems(fd, elems):
     return [{k: v for k, v in enumerate(vec) if v != 0} for vec in vecs]
 
 
-def _same_span(fd, xs, ys):
-    from .exactmat import in_span
-
-    xv = [_elem_vector(fd, e) for e in xs]
-    yv = [_elem_vector(fd, e) for e in ys]
-    return all(in_span(xv, v) for v in yv) and all(in_span(yv, v) for v in xv)
-
-
 def fd_from_bqa(alg: BoundQuiverAlgebra) -> FDAlgebra:
     """Forget the path structure, keeping blocks, table and degree grading."""
     vpos = {v.id: k for k, v in enumerate(alg.quiver.vertices)}
     blocks = [(vpos[b.tgt], vpos[b.src]) for b in alg.basis]
     idem_ids = [alg.idempotent_of[v.id] for v in alg.quiver.vertices]
-    labels = [
-        alg.quiver.vertex_by_id[b.src].label
-        if b.degree == 0
-        else "*".join(alg.quiver.arrow_by_id[a].label for a in reversed(b.path))
-        for b in alg.basis
-    ]
     return FDAlgebra(
         len(alg.quiver.vertices),
         blocks,
         {k: dict(v) for k, v in alg.mult.items()},
         idem_ids,
-        labels,
         grading=[b.degree for b in alg.basis],
     )
 
@@ -182,83 +168,21 @@ def fd_from_bqa(alg: BoundQuiverAlgebra) -> FDAlgebra:
 # -- endomorphism algebras --------------------------------------------------
 
 
-def _flatten_morphism(alg, phi):
-    out = []
-    for v in alg.vertex_ids():
-        for row in phi[v].data:
-            out.extend(row)
-    return out
-
-
 def endo_algebra(reps: list[QuiverRep]) -> FDAlgebra:
-    """End(M_1 + ... + M_k) with the identity maps as idempotents."""
+    """End(M_1 + ... + M_k) with the identity maps as idempotents.
+
+    Hom between modules of finite projective dimension is Hom between their
+    minimal projective resolutions modulo homotopy, so this is the
+    endomorphism algebra of those resolutions.  The modules must have finite
+    projective dimension; resolving any other module raises ``BudgetError``.
+    """
+    from .complexes import endo_algebra_of_complexes, minimal_proj_resolution
+
     if not reps:
         raise ValueError("need at least one module")
-    alg = reps[0].algebra
-    hom_bases: dict[tuple[int, int], list] = {}
-    for i, Mi in enumerate(reps):
-        for j, Mj in enumerate(reps):
-            _, basis = hom_space(Mj, Mi)
-            if i == j:
-                # rebuild the basis greedily so the identity comes first
-                chosen = [identity_morphism(Mi)]
-                chosen_vecs = [_flatten_morphism(alg, chosen[0])]
-                for f in basis:
-                    vec = _flatten_morphism(alg, f)
-                    if _independent(chosen_vecs, vec):
-                        chosen.append(f)
-                        chosen_vecs.append(vec)
-                if len(chosen) != len(basis):
-                    raise AssertionError("identity missing from End basis")
-                basis = chosen
-            hom_bases[(i, j)] = basis
-
-    index = {}
-    blocks = []
-    idem_ids = []
-    labels = []
-    for (i, j), basis in sorted(hom_bases.items()):
-        for k, f in enumerate(basis):
-            bid = len(blocks)
-            index[(i, j, k)] = bid
-            blocks.append((i, j))
-            labels.append(f"f{i}<{j}[{k}]")
-        if i == j:
-            idem_ids.append(index[(i, i, 0)])
-
-    solvers = {}
-    for (i, j), basis in hom_bases.items():
-        vecs = [_flatten_morphism(alg, f) for f in basis]
-        solvers[(i, j)] = ExactMatrix.from_rows(vecs).transpose() if vecs else None
-
-    mult = {}
-    for (i, j), left in hom_bases.items():
-        for (j2, k), right in hom_bases.items():
-            if j2 != j:
-                continue
-            for a, f in enumerate(left):
-                for b, g in enumerate(right):
-                    comp = compose_morphisms(f, g, alg)
-                    solver = solvers[(i, k)]
-                    if solver is None:
-                        if any(not m.is_zero() for m in comp.values()):
-                            raise AssertionError("nonzero composite into an empty Hom space")
-                        continue
-                    coords = solver.solve(_flatten_morphism(alg, comp))
-                    if coords is None:
-                        raise AssertionError("composition left the Hom space")
-                    entry = {
-                        index[(i, k, t)]: c for t, c in enumerate(coords) if c != 0
-                    }
-                    if entry:
-                        mult[(index[(i, j, a)], index[(j, k, b)])] = entry
-    return FDAlgebra(len(reps), blocks, mult, idem_ids, labels)
-
-
-def _independent(vecs, vec):
-    from .exactmat import in_span
-
-    return not in_span(vecs, vec)
+    return endo_algebra_of_complexes(
+        [minimal_proj_resolution(M.algebra, M)[1] for M in reps]
+    )
 
 
 # -- Gabriel quiver and presentation ----------------------------------------
@@ -278,30 +202,25 @@ def gabriel_quiver(fd: FDAlgebra) -> tuple[Quiver, list[dict]]:
         raise ValueError("not basic-split: some e_i A e_i has dimension > 1")
     powers = fd.radical_powers()
     rad2 = powers[1] if len(powers) > 1 else []
-    rad2_vecs = [_elem_vector(fd, e) for e in rad2]
+    # rad^2 is the sum of its blocks, so each reduced basis vector lies in
+    # the block of its first nonzero coordinate
+    rad2_by_block: dict[tuple[int, int], list[dict]] = {}
+    for e in rad2:
+        rad2_by_block.setdefault(fd.blocks[min(e)], []).append(e)
     vertices = [Vertex(i, f"v{i}") for i in range(fd.nidem)]
     arrows = []
     arrow_elems = []
-    from .exactmat import in_span
-
     for (i, j), ids in sorted(fd.block_basis.items()):
         if i == j:
             continue
-        kept_vecs = [v for v in rad2_vecs if _supported_on_block(fd, v, (i, j))]
-        for bid in ids:
-            vec = _elem_vector(fd, fd.basis_elem(bid))
-            if in_span(kept_vecs, vec):
-                continue
-            kept_vecs.append(vec)
+        # in block coordinates the basis elements are the unit vectors
+        base = [[e.get(bid, ZERO) for bid in ids] for e in rad2_by_block.get((i, j), [])]
+        for k in extend_basis(base, ExactMatrix.identity(len(ids)).data):
             aid = len(arrows)
             # the element lives in e_i A e_j, so the arrow runs j -> i
             arrows.append(Arrow(aid, j, i, f"x{aid}"))
-            arrow_elems.append(fd.basis_elem(bid))
+            arrow_elems.append(fd.basis_elem(ids[k]))
     return Quiver(vertices, arrows), arrow_elems
-
-
-def _supported_on_block(fd, vec, blk):
-    return all(c == 0 or fd.blocks[k] == blk for k, c in enumerate(vec))
 
 
 def _paths_of_length(quiver: Quiver, m: int):
@@ -361,7 +280,7 @@ def presentation_data(fd: FDAlgebra, max_degree: int = DEFAULT_PRESENTATION_DEGR
                             for p, c in vec.items():
                                 row[pos[(a.id,) + p]] += c
                             grown.append(row)
-            grown = [r for r in span_basis(grown)] if grown else []
+            grown = span_basis(grown)
 
             # kernel of evaluation on degree-m paths
             eval_cols = [_elem_vector(fd, eval_path(p)) for p in paths]
@@ -372,24 +291,13 @@ def presentation_data(fd: FDAlgebra, max_degree: int = DEFAULT_PRESENTATION_DEGR
             if len(kernel) < len(paths):
                 all_killed = False
 
-            span = [list(r) for r in grown]
-            new_vectors = list(grown)
-            from .exactmat import in_span
-
-            for vec in kernel:
-                if in_span(span, vec):
-                    continue
-                span.append(vec)
-                new_vectors.append(vec)
-                relations.append(
-                    Relation(
-                        tuple(
-                            (c, paths[k]) for k, c in enumerate(vec) if c != 0
-                        )
-                    )
-                )
+            new = [kernel[k] for k in extend_basis(grown, kernel)]
+            relations.extend(
+                Relation(tuple((c, paths[k]) for k, c in enumerate(vec) if c != 0))
+                for vec in new
+            )
             ideal_now[blk] = [
-                {paths[k]: c for k, c in enumerate(vec) if c != 0} for vec in span
+                {paths[k]: c for k, c in enumerate(vec) if c != 0} for vec in grown + new
             ]
         ideal_prev = ideal_now
         if all_killed:
@@ -420,7 +328,6 @@ def trivial_ext_r(fd: FDAlgebra, r: int, wrap: bool = True) -> FDAlgebra:
         raise ValueError("need r >= 1")
     k = fd.nidem
     blocks = []
-    labels = []
     grading = []
     layer_base = {}
     bond_base = {}
@@ -429,7 +336,6 @@ def trivial_ext_r(fd: FDAlgebra, r: int, wrap: bool = True) -> FDAlgebra:
         for bid in range(fd.dim):
             (i, j) = fd.blocks[bid]
             blocks.append((t * k + i, t * k + j))
-            labels.append(f"L{t}:{fd.labels[bid]}")
             grading.append(0)
     bonds = list(range(r - 1)) + ([r - 1] if wrap else [])
     for t in bonds:
@@ -439,7 +345,6 @@ def trivial_ext_r(fd: FDAlgebra, r: int, wrap: bool = True) -> FDAlgebra:
             (p, q) = fd.blocks[bid]
             # the dual of e_p A e_q sits in e_q (DA) e_p, between layers t, t+1
             blocks.append((t * k + q, t1 * k + p))
-            labels.append(f"D{t}:{fd.labels[bid]}*")
             grading.append(1 if (wrap and t == r - 1) else 0)
 
     mult: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -480,7 +385,7 @@ def trivial_ext_r(fd: FDAlgebra, r: int, wrap: bool = True) -> FDAlgebra:
                     add_entry(bbase + bs, rbase + a, out)
 
     idem_ids = [layer_base[t] + fd.idem_ids[i] for t in range(r) for i in range(k)]
-    return FDAlgebra(r * k, blocks, mult, idem_ids, labels, grading)
+    return FDAlgebra(r * k, blocks, mult, idem_ids, grading)
 
 
 def replicate(fd: FDAlgebra, r: int) -> FDAlgebra:
@@ -516,9 +421,8 @@ def _sub_on_basis(fd, keep, nidem, idem_order, idem_remap=None):
                 raise ValueError("basis subset not multiplicatively closed")
             mult[(remap[a], remap[b])] = {remap[c]: v for c, v in table.items()}
     idem_ids = [remap[fd.idem_ids[i]] for i in idem_order]
-    labels = [fd.labels[bid] for bid in keep]
     grading = [fd.grading[bid] for bid in keep] if fd.grading is not None else None
-    return FDAlgebra(nidem, blocks, mult, idem_ids, labels, grading)
+    return FDAlgebra(nidem, blocks, mult, idem_ids, grading)
 
 
 def idempotent_subalgebra(fd: FDAlgebra, idem_indices) -> FDAlgebra:
@@ -548,7 +452,6 @@ def quotient_by_complement(fd: FDAlgebra, idem_indices) -> FDAlgebra:
     """A / <1 - e>, with basis the surviving block representatives."""
     chosen = sorted(set(idem_indices))
     inside = set(chosen)
-    from .exactmat import in_span
 
     # the ideal meets block (i, j) in the span of products through outside
     # idempotents; basis elements with an outside endpoint die entirely
@@ -571,13 +474,8 @@ def quotient_by_complement(fd: FDAlgebra, idem_indices) -> FDAlgebra:
     for (i, j), ids in sorted(fd.block_basis.items()):
         if i not in inside or j not in inside:
             continue
-        span = [list(v) for v in ideal_vectors[(i, j)]]
-        for bid in ids:
-            vec = _elem_vector(fd, fd.basis_elem(bid))
-            if in_span(span, vec):
-                continue
-            span.append(vec)
-            keep.append(bid)
+        units = [_elem_vector(fd, fd.basis_elem(bid)) for bid in ids]
+        keep.extend(ids[k] for k in extend_basis(ideal_vectors[(i, j)], units))
 
     remap_idem = {old: new for new, old in enumerate(chosen)}
     remap = {bid: t for t, bid in enumerate(keep)}
@@ -620,8 +518,7 @@ def quotient_by_complement(fd: FDAlgebra, idem_indices) -> FDAlgebra:
             if entry:
                 mult[(remap[a], remap[b])] = entry
     idem_ids = [remap[fd.idem_ids[i]] for i in chosen]
-    labels = [fd.labels[bid] for bid in keep]
-    return FDAlgebra(len(chosen), blocks, mult, idem_ids, labels)
+    return FDAlgebra(len(chosen), blocks, mult, idem_ids)
 
 
 # -- isomorphism testing -----------------------------------------------------

@@ -710,15 +710,6 @@ def hom_space(M: QuiverRep, N: QuiverRep) -> tuple[int, list[dict[int, ExactMatr
     return len(basis), basis
 
 
-def identity_morphism(M: QuiverRep) -> dict[int, ExactMatrix]:
-    return {v: ExactMatrix.identity(M.dims[v]) for v in M.algebra.vertex_ids()}
-
-
-def compose_morphisms(g, f, alg) -> dict[int, ExactMatrix]:
-    """g after f, per vertex."""
-    return {v: g[v].matmul(f[v]) for v in alg.vertex_ids()}
-
-
 def direct_sum(reps: list[QuiverRep]) -> tuple[QuiverRep, list[dict]]:
     """Direct sum and the per-summand inclusion maps."""
     if not reps:

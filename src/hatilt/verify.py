@@ -260,13 +260,20 @@ def claim_endo_replicate(model: ModelData):
 
 
 def claim_b0_presentation(model: ModelData):
-    data = presentation_data(model.b0())
-    return True, {
+    b0 = model.b0()
+    try:
+        data = presentation_data(b0)
+    except ValueError as exc:  # e.g. the rebuilt algebra has the wrong dimension
+        return False, {"reason": str(exc)}
+    value = {
         "vertices": len(data.quiver.vertices),
         "arrows": len(data.quiver.arrows),
         "relations": len(data.relations),
-        "dimension": model.b0().dim,
+        "dimension": b0.dim,
     }
+    if iso_test(data.algebra, b0, budget=model.config.iso_budget) is None:
+        return False, {**value, "reason": "the presented algebra is not isomorphic to B0"}
+    return True, value
 
 
 def claim_idempotent_corner(model: ModelData):

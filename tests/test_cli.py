@@ -186,6 +186,26 @@ class TestVerify:
         assert json.loads(report.read_text()) == doc
 
 
+    @pytest.mark.parametrize("fault", ["dimension_mismatch", "not_isomorphic"])
+    def test_b0_presentation_fault_fails_the_claim(self, capsys, monkeypatch, fault):
+        import hatilt.verify
+
+        if fault == "dimension_mismatch":
+            def present(fd):
+                raise ValueError("presentation mismatch: rebuilt dimension 4 != 3")
+
+            monkeypatch.setattr(hatilt.verify, "presentation_data", present)
+        else:
+            monkeypatch.setattr(hatilt.verify, "iso_test", lambda *args, **kwargs: None)
+        code, out, _ = run(
+            capsys, "verify", "--d", "3", "--n", "2", "--claims", "b0_presentation"
+        )
+        assert code == 1
+        claim = json.loads(out)["claims"][0]
+        assert claim["status"] == "fail"
+        assert claim["value"]["reason"]
+
+
 class TestHomdim:
     def test_interleaving_pair(self, capsys):
         code, out, _ = run(

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from hatilt.exactmat import ExactMatrix, in_span, span_basis
+from hypothesis import example, given, settings, strategies as st
+
+from hatilt.exactmat import ExactMatrix, extend_basis, span_basis
 
 
 def F(x):
@@ -49,9 +51,35 @@ class TestSpans:
         basis = span_basis([[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]])
         assert len(basis) == 2
 
-    def test_in_span(self):
-        vs = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
-        assert in_span(vs, [F(1), F(1), F(2)])
-        assert not in_span(vs, [F(0), F(0), F(1)])
-        assert in_span([], [F(0), F(0)])
-        assert not in_span([], [F(1), F(0)])
+
+
+def rank(vectors):
+    return ExactMatrix.from_rows(vectors).rank() if vectors else 0
+
+
+@st.composite
+def bases_and_candidates(draw):
+    """Small rational vectors of one length; tiny entries make dependencies
+    common."""
+    dim = draw(st.integers(0, 4))
+    entry = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+    vectors = st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=5)
+    return draw(vectors), draw(vectors)
+
+
+class TestExtendBasis:
+    @settings(derandomize=True, deadline=None)
+    @given(bases_and_candidates())
+    # a dependent and an independent candidate over a rank-two base
+    @example(([[F(1), F(0), F(1)], [F(0), F(1), F(1)]], [[F(1), F(1), F(2)], [F(0), F(0), F(1)]]))
+    @example(([], [[F(0), F(0)], [F(1), F(0)], [F(2), F(0)]]))  # empty base
+    @example(([], []))  # nothing at all
+    @example(([[], []], [[], []]))  # zero-length vectors
+    def test_chooses_the_candidates_that_raise_the_rank(self, data):
+        base, candidates = data
+        expected = [
+            k
+            for k in range(len(candidates))
+            if rank(base + candidates[: k + 1]) > rank(base + candidates[:k])
+        ]
+        assert extend_basis(base, candidates) == expected

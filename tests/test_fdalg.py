@@ -20,6 +20,7 @@ from hatilt.pathcomb import OrderedSeq, coords, enumerate_dyck
 from hatilt.quiveralg import (
     Arrow,
     BoundQuiverAlgebra,
+    BudgetError,
     Quiver,
     Vertex,
     build_auslander_algebra,
@@ -122,6 +123,15 @@ class TestEndoAlgebra:
         assert fd.nidem == 5
         assert fd.dim == 12
         fd.check_associative()
+
+    def test_infinite_projective_dimension_exhausts_the_budget(self):
+        # Pi is self-injective, so its non-projective simples never stop
+        # resolving
+        from hatilt.verify import ModelData, VerifyConfig
+
+        pi = presentation(ModelData(3, 2, VerifyConfig()).pi())
+        with pytest.raises(BudgetError):
+            endo_algebra([pi.simple(pi.vertex_ids()[0])])
 
 
 class TestPresentation:
