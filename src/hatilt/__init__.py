@@ -46,16 +46,13 @@ from .fdalg import (  # noqa: F401
     idempotent_subalgebra,
     iso_test,
     presentation,
-    quotient_by_complement,
     replicate,
     trivial_ext_r,
 )
 from .complexes import (  # noqa: F401
     ProjComplex,
-    build_tilting_complex_from_nu_orbit,
     derived_nakayama,
     domdim,
-    ext_dim,
     fcy_object_check,
     gldim,
     hom_complex_dim,

@@ -16,10 +16,11 @@ of the cone of the map built so far, read off per vertex as a nullspace in
 block coordinates.  Minimisation strips contractible two-term blocks by
 Gaussian elimination with entries inverted through the radical filtration.
 
-On top of this live the verification routines: minimal resolutions, Ext
-dimensions, global and dominant dimension, object-level fractional
-Calabi-Yau checks, the two-step homogeneity criterion and the graded
-preprojective comparison.
+On top of this live the verification routines: global and dominant
+dimension, the two-step homogeneity criterion (Ext vanishing read off one
+resolution per injective), object-level fractional Calabi-Yau checks, the
+Serre-twist orbit of a complex, endomorphism algebras of complexes modulo
+homotopy and the graded preprojective comparison.
 """
 
 from __future__ import annotations
@@ -29,8 +30,15 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .exactmat import ExactMatrix, ZERO, extend_basis
-from .quiveralg import BoundQuiverAlgebra, BudgetError, QuiverRep, dual_module
-from .fdalg import FDAlgebra
+from .quiveralg import (
+    BoundQuiverAlgebra,
+    BudgetError,
+    QuiverRep,
+    direct_sum,
+    dual_module,
+    hom_space,
+)
+from .fdalg import FDAlgebra, degree_zero_part, iso_test, presentation
 
 
 # -- complexes ---------------------------------------------------------------
@@ -128,43 +136,6 @@ def _entry_matmul(alg, rows_a, rows_b):
 
 def stalk_complex(alg, vertex, degree=0, kind="proj"):
     return ProjComplex(alg, {degree: (vertex,)}, {}, kind, check=False)
-
-
-def direct_sum_complexes(complexes):
-    complexes = [c for c in complexes if not c.is_zero()]
-    if not complexes:
-        raise ValueError("empty direct sum of complexes")
-    alg = complexes[0].algebra
-    degrees = sorted({m for c in complexes for m in c.terms})
-    terms = {}
-    for m in degrees:
-        terms[m] = tuple(v for c in complexes for v in c.terms.get(m, ()))
-    diffs = {}
-    for m in degrees:
-        if (m + 1) not in terms:
-            continue
-        rows = []
-        for c in complexes:
-            nt = len(c.terms.get(m + 1, ()))
-            ns_all = sum(len(cc.terms.get(m, ())) for cc in complexes)
-            for t in range(nt):
-                rows.append([{} for _ in range(ns_all)])
-        if not rows:
-            continue
-        row_off = 0
-        col_off = 0
-        for c in complexes:
-            nt = len(c.terms.get(m + 1, ()))
-            ns = len(c.terms.get(m, ()))
-            block = c.diffs.get(m)
-            if block is not None:
-                for t in range(nt):
-                    for s in range(ns):
-                        rows[row_off + t][col_off + s] = block[t][s]
-            row_off += nt
-            col_off += ns
-        diffs[m] = rows
-    return ProjComplex(alg, terms, diffs, complexes[0].kind, check=False)
 
 
 # -- chain maps up to homotopy ----------------------------------------------
@@ -487,12 +458,10 @@ def _realize_entry(alg, elem, u, v, kind):
 
 def realize_complex(X: ProjComplex) -> ModuleComplex:
     alg = X.algebra
-    from .quiveralg import direct_sum
-
-    terms = {}
-    for m, vs in X.terms.items():
-        reps = [realize_term(alg, v, X.kind) for v in vs]
-        terms[m] = direct_sum(reps)[0] if reps else None
+    # ProjComplex keeps no empty terms, so every sum has a summand
+    terms = {
+        m: direct_sum([realize_term(alg, v, X.kind) for v in vs]) for m, vs in X.terms.items()
+    }
     maps = {}
     for m, rows in X.diffs.items():
         src_vs, tgt_vs = X.terms[m], X.terms[m + 1]
@@ -722,12 +691,6 @@ def as_injective_complex(X: ProjComplex) -> ProjComplex:
     return ProjComplex(X.algebra, X.terms, X.diffs, "inj", check=False)
 
 
-def as_projective_complex(X: ProjComplex) -> ProjComplex:
-    if X.kind != "inj":
-        raise ValueError("expected a complex of injectives")
-    return ProjComplex(X.algebra, X.terms, X.diffs, "proj", check=False)
-
-
 def derived_nakayama(X: ProjComplex, max_len=64) -> ProjComplex:
     """nu(X): twist termwise, then re-express by projectives and minimise."""
     if X.is_zero():
@@ -737,34 +700,6 @@ def derived_nakayama(X: ProjComplex, max_len=64) -> ProjComplex:
     return proj_replace(C, max_len)
 
 
-def derived_nakayama_inverse(X: ProjComplex, max_len=64) -> ProjComplex:
-    """nu^{-1}(X): dualise, resolve over the opposite algebra, dualise back."""
-    if X.is_zero():
-        return X
-    alg = X.algebra
-    op = alg.opposite()
-    C = realize_complex(minimize_complex(X))
-    # dual complex over the opposite algebra, with degrees negated
-    terms = {-m: dual_module(C.terms[m]) for m in C.degrees()}
-    maps = {}
-    for m, phi in C.maps.items():
-        maps[-m - 1] = {v: phi[v].transpose() for v in alg.vertex_ids()}
-    Cd = ModuleComplex(op, terms, maps)
-    Cd.check()
-    Qop = proj_replace(Cd, max_len)
-    # dualise back: P^op_w in degree j becomes I_w in degree -j
-    terms_back = {-m: tuple(v) for m, v in Qop.terms.items()}
-    diffs_back = {}
-    for m, rows in Qop.diffs.items():
-        # the dual of d: Qop^m -> Qop^{m+1} runs from degree -m-1 to -m
-        n_src, n_tgt = len(Qop.terms[m]), len(Qop.terms[m + 1])
-        diffs_back[-m - 1] = [
-            [rows[t][s] for t in range(n_tgt)] for s in range(n_src)
-        ]
-    J = ProjComplex(alg, terms_back, diffs_back, "inj", check=True)
-    return minimize_complex(as_projective_complex(J))
-
-
 def shifted_module_complex(alg, module: QuiverRep, shift_by=0, max_len=64, label="M"):
     """Minimal projective complex of a module placed in degree -shift_by."""
     _, cplx, _ = minimal_proj_resolution(alg, module, max_len, label=label)
@@ -772,14 +707,6 @@ def shifted_module_complex(alg, module: QuiverRep, shift_by=0, max_len=64, label
 
 
 # -- homological dimensions ---------------------------------------------------
-
-
-def ext_dim(alg, M: QuiverRep, N: QuiverRep, i: int, max_len=64) -> int:
-    """dim Ext^i(M, N) from a minimal resolution of M."""
-    if i < 0:
-        raise ValueError("negative Ext degree")
-    _, R, _ = minimal_proj_resolution(alg, M, max_len=max(max_len, i + 1))
-    return _ext_from_resolution(alg, R, N, i)
 
 
 def _ext_from_resolution(alg, R: ProjComplex, N: QuiverRep, i: int) -> int:
@@ -947,11 +874,6 @@ def nu_orbit_complexes(alg, X: ProjComplex, a: int, max_len=64):
     return out
 
 
-def build_tilting_complex_from_nu_orbit(alg, X: ProjComplex, a: int, max_len=64):
-    """The direct sum of the first a Serre-twist iterates of X."""
-    return direct_sum_complexes(nu_orbit_complexes(alg, X, a, max_len))
-
-
 def endo_algebra_of_complexes(complexes) -> FDAlgebra:
     """End of a list of complexes, composed modulo homotopy."""
     if not complexes:
@@ -1029,26 +951,23 @@ class PreprojectiveReport:
     passed: bool
 
 
-def preprojective_graded_check(d, n, A, projs, B0, B=None) -> PreprojectiveReport:
+def preprojective_graded_check(A, vertices, B0, Pi, B, budget) -> PreprojectiveReport:
     """Graded comparison of the extension algebra with the twisted End data.
 
-    ``A`` is the Auslander algebra of the model, ``projs`` its projectives
-    at the rational Dyck paths and ``B0 = End(projs)``.  Verifies
-    dim Hom(P, nu P) = dim End(P) (the Serre-duality count), that the
-    (n+d)-fold trivial extension of End(P) is self-injective with an honest
-    projective-injective matching, and that its degree-zero part is
-    isomorphic to B (by default the replicated model; pass a computed B to
-    compare against the complex-level endomorphism algebra).
+    ``A`` is the Auslander algebra of the model, ``vertices`` its vertices
+    at the rational Dyck paths, ``B0 = End(P)`` for P the sum of the
+    projectives there, ``Pi`` the graded (n+d)-fold trivial extension of B0
+    and ``B`` the algebra to compare its degree-zero part with.  Verifies
+    dim Hom(P, nu P) = dim End(P) (the Serre-duality count), that Pi is
+    self-injective with an honest projective-injective matching, and that
+    its degree-zero part is isomorphic to B, searching at most ``budget``
+    vertex assignments.
     """
-    from .pathcomb import coords, enumerate_dyck
-    from .quiveralg import hom_space, vertex_of_entries
-    from .fdalg import degree_zero_part, iso_test, presentation, replicate, trivial_ext_r
-
-    injs = [A.injective(vertex_of_entries(A, coords(p).entries)) for p in enumerate_dyck(d, n)]
-    hom_pnup = sum(hom_space(p, i)[0] for p in projs for i in injs)
+    hom_pnup = sum(
+        hom_space(A.projective(p), A.injective(i))[0] for p in vertices for i in vertices
+    )
     hom_matches = hom_pnup == B0.dim
 
-    Pi = trivial_ext_r(B0, n + d)
     piq = presentation(Pi)
     self_inj = projective_injective_vertices(piq) == set(piq.vertex_ids())
     perm = {}
@@ -1062,10 +981,7 @@ def preprojective_graded_check(d, n, A, projs, B0, B=None) -> PreprojectiveRepor
             perm_ok = False
     perm_ok = perm_ok and sorted(perm.values()) == sorted(piq.vertex_ids())
 
-    if B is None:
-        B = replicate(B0, n + d)
-    deg0 = degree_zero_part(Pi)
-    iso = iso_test(deg0, B) is not None
+    iso = iso_test(degree_zero_part(Pi), B, budget=budget) is not None
     return PreprojectiveReport(
         hom_pnup,
         B0.dim,

@@ -3,8 +3,8 @@
 An ``FDAlgebra`` is a rational algebra with a distinguished complete set of
 orthogonal idempotents; every basis element is sandwiched between a single
 pair of them, so Cartan data, radical filtration and idempotent surgery
-(corner subalgebras, quotients by complements, replicated and r-fold
-trivial extension algebras) are all blockwise linear algebra.
+(corner subalgebras, degree-zero parts, replicated and r-fold trivial
+extension algebras) are all blockwise linear algebra.
 
 ``endo_algebra`` builds End of a sum of modules of finite projective
 dimension as End of their minimal projective resolutions modulo homotopy,
@@ -65,16 +65,10 @@ class FDAlgebra(ElementArithmetic):
         self.block_basis: dict[tuple[int, int], list[int]] = {}
         for bid, blk in enumerate(self.blocks):
             self.block_basis.setdefault(blk, []).append(bid)
-        self._block_pos = {
-            blk: {bid: k for k, bid in enumerate(ids)} for blk, ids in self.block_basis.items()
-        }
 
     @property
     def dim(self):
         return len(self.blocks)
-
-    def unit(self) -> dict:
-        return {bid: ONE for bid in self.idem_ids}
 
     def cartan(self) -> list[list[int]]:
         return [
@@ -114,29 +108,6 @@ class FDAlgebra(ElementArithmetic):
         else:
             raise ValueError("radical not nilpotent")
         return powers
-
-    def check_associative(self):
-        """Exhaustive check over composable basis triples."""
-        for (i, j), left_ids in self.block_basis.items():
-            for (j2, k), mid_ids in self.block_basis.items():
-                if j2 != j:
-                    continue
-                for (k2, l), right_ids in self.block_basis.items():
-                    if k2 != k:
-                        continue
-                    for a in left_ids:
-                        for b in mid_ids:
-                            for c in right_ids:
-                                ab_c = self.elem_mul(
-                                    self.mult.get((a, b), {}), self.basis_elem(c)
-                                )
-                                a_bc = self.elem_mul(
-                                    self.basis_elem(a), self.mult.get((b, c), {})
-                                )
-                                if ab_c != a_bc:
-                                    raise AssertionError(
-                                        f"associativity fails on ({a}, {b}, {c})"
-                                    )
 
 
 def _elem_vector(fd, elem):
@@ -446,79 +417,6 @@ def corner_vanishes(fd: FDAlgebra, idem_indices) -> bool:
     return not any(
         blk[0] in inside and blk[1] not in inside for blk in fd.block_basis
     )
-
-
-def quotient_by_complement(fd: FDAlgebra, idem_indices) -> FDAlgebra:
-    """A / <1 - e>, with basis the surviving block representatives."""
-    chosen = sorted(set(idem_indices))
-    inside = set(chosen)
-
-    # the ideal meets block (i, j) in the span of products through outside
-    # idempotents; basis elements with an outside endpoint die entirely
-    ideal_vectors: dict[tuple[int, int], list] = {}
-    for (i, j), ids in fd.block_basis.items():
-        if i not in inside or j not in inside:
-            continue
-        vecs = []
-        for f in range(fd.nidem):
-            if f in inside:
-                continue
-            for b1 in fd.block_basis.get((i, f), []):
-                for b2 in fd.block_basis.get((f, j), []):
-                    prod = fd.mult.get((b1, b2))
-                    if prod:
-                        vecs.append(_elem_vector(fd, prod))
-        ideal_vectors[(i, j)] = span_basis(vecs)
-
-    keep = []
-    for (i, j), ids in sorted(fd.block_basis.items()):
-        if i not in inside or j not in inside:
-            continue
-        units = [_elem_vector(fd, fd.basis_elem(bid)) for bid in ids]
-        keep.extend(ids[k] for k in extend_basis(ideal_vectors[(i, j)], units))
-
-    remap_idem = {old: new for new, old in enumerate(chosen)}
-    remap = {bid: t for t, bid in enumerate(keep)}
-
-    def project(elem):
-        """Rewrite an element modulo the ideal in terms of kept basis ids."""
-        out = {}
-        by_block: dict[tuple[int, int], dict] = {}
-        for k, v in elem.items():
-            by_block.setdefault(fd.blocks[k], {})[k] = v
-        for blk, part in by_block.items():
-            if blk[0] not in inside or blk[1] not in inside:
-                continue
-            ideal = ideal_vectors.get(blk, [])
-            kept = [bid for bid in keep if fd.blocks[bid] == blk]
-            cols = [list(v) for v in ideal] + [
-                _elem_vector(fd, fd.basis_elem(bid)) for bid in kept
-            ]
-            m = ExactMatrix.from_rows(cols).transpose() if cols else None
-            target = _elem_vector(fd, part)
-            sol = m.solve(target) if m else None
-            if sol is None:
-                raise AssertionError("projection failed; ideal span incomplete")
-            for t, bid in enumerate(kept):
-                c = sol[len(ideal) + t]
-                if c != 0:
-                    out[remap[bid]] = out.get(remap[bid], ZERO) + c
-        return out
-
-    blocks = [
-        (remap_idem[fd.blocks[bid][0]], remap_idem[fd.blocks[bid][1]]) for bid in keep
-    ]
-    mult = {}
-    for a in keep:
-        for b in keep:
-            prod = fd.mult.get((a, b))
-            if prod is None:
-                continue
-            entry = project(prod)
-            if entry:
-                mult[(remap[a], remap[b])] = entry
-    idem_ids = [remap[fd.idem_ids[i]] for i in chosen]
-    return FDAlgebra(len(chosen), blocks, mult, idem_ids)
 
 
 # -- isomorphism testing -----------------------------------------------------

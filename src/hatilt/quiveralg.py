@@ -330,15 +330,6 @@ class BoundQuiverAlgebra(ElementArithmetic):
         }
         return QuiverRep(self, dims, maps, check=False)
 
-    def proj_map_element(self, phi: dict[int, ExactMatrix], u: int, v: int) -> dict:
-        """Element of e_v A e_u representing a module map P_u -> P_v.
-
-        The map is determined by the image of the degree-zero generator.
-        """
-        gen_index = self.blocks[(u, u)].index(self.idempotent_of[u])
-        col = [phi[u].data[i][gen_index] for i in range(phi[u].rows)]
-        return self.elem_from_block_coords(col, u, v)
-
     def proj_map_from_element(self, elem: dict, u: int, v: int) -> dict[int, ExactMatrix]:
         """Per-vertex matrices of left multiplication e_u A -> e_v A."""
         maps = {}
@@ -519,9 +510,6 @@ class QuiverRep:
     @property
     def total_dim(self) -> int:
         return sum(self.dims.values())
-
-    def dim_vector(self) -> dict:
-        return dict(self.dims)
 
     def path_action(self, path: tuple[int, ...]) -> ExactMatrix:
         """Matrix of the right action of a path, target fiber to source fiber."""
@@ -710,8 +698,8 @@ def hom_space(M: QuiverRep, N: QuiverRep) -> tuple[int, list[dict[int, ExactMatr
     return len(basis), basis
 
 
-def direct_sum(reps: list[QuiverRep]) -> tuple[QuiverRep, list[dict]]:
-    """Direct sum and the per-summand inclusion maps."""
+def direct_sum(reps: list[QuiverRep]) -> QuiverRep:
+    """Direct sum, the summands stacked in the given order at every vertex."""
     if not reps:
         raise ValueError("empty direct sum")
     alg = reps[0].algebra
@@ -728,20 +716,7 @@ def direct_sum(reps: list[QuiverRep]) -> tuple[QuiverRep, list[dict]]:
             ro += r.dims[a.src]
             co += r.dims[a.tgt]
         maps[a.id] = m
-    total = QuiverRep(alg, dims, maps, check=False)
-    inclusions = []
-    offset = {v: 0 for v in alg.vertex_ids()}
-    for r in reps:
-        inc = {}
-        for v in alg.vertex_ids():
-            m = ExactMatrix(dims[v], r.dims[v])
-            for j in range(r.dims[v]):
-                m.data[offset[v] + j][j] = ONE
-            inc[v] = m
-        inclusions.append(inc)
-        for v in alg.vertex_ids():
-            offset[v] += r.dims[v]
-    return total, inclusions
+    return QuiverRep(alg, dims, maps, check=False)
 
 
 def dual_module(M: QuiverRep) -> QuiverRep:

@@ -1,4 +1,4 @@
-"""Stable (de)serialization: JSON schema 1, DOT and TeX renderings.
+"""Stable exports: JSON schema 1, DOT and TeX renderings.
 
 All JSON documents carry ``"schema": 1`` and are emitted with sorted keys
 and fixed separators, so identical inputs produce byte-identical output.
@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .cluster import GenerationCertificate
 from .pathcomb import LatticePath
-from .quiveralg import Arrow, BoundQuiverAlgebra, Quiver, QuiverRep, Relation, Vertex
+from .quiveralg import Quiver
 
 SCHEMA = 1
 
@@ -29,10 +28,6 @@ def frac_str(x: Fraction) -> str:
 
 def path_to_doc(path: LatticePath) -> dict:
     return {"schema": SCHEMA, "d": path.d, "n": path.n, "steps": path.steps}
-
-
-def path_from_doc(doc: dict) -> LatticePath:
-    return LatticePath(doc["d"], doc["n"], doc["steps"])
 
 
 def quiver_to_doc(quiver: Quiver, relations=()) -> dict:
@@ -53,106 +48,6 @@ def quiver_to_doc(quiver: Quiver, relations=()) -> dict:
     }
 
 
-def quiver_from_doc(doc: dict) -> tuple[Quiver, list[Relation]]:
-    quiver = Quiver(
-        [Vertex(v["id"], v["label"]) for v in doc["vertices"]],
-        [Arrow(a["id"], a["src"], a["tgt"], a["label"]) for a in doc["arrows"]],
-    )
-    relations = [
-        Relation(tuple((Fraction(t["coeff"]), tuple(t["path"])) for t in rel))
-        for rel in doc["relations"]
-    ]
-    return quiver, relations
-
-
-def algebra_to_doc(alg: BoundQuiverAlgebra) -> dict:
-    doc = quiver_to_doc(alg.quiver, alg.relations)
-    doc["dimension"] = alg.dim
-    doc["nilpotency"] = alg.nilpotency
-    return doc
-
-
-def algebra_from_doc(doc: dict) -> BoundQuiverAlgebra:
-    quiver, relations = quiver_from_doc(doc)
-    alg = BoundQuiverAlgebra.from_quiver_data(quiver, relations)
-    if "dimension" in doc and alg.dim != doc["dimension"]:
-        raise ValueError(
-            f"deserialized algebra dimension {alg.dim} != recorded {doc['dimension']}"
-        )
-    return alg
-
-
-def rep_to_doc(rep: QuiverRep) -> dict:
-    maps = {}
-    for aid, mat in rep.maps.items():
-        if not mat.is_zero():
-            maps[str(aid)] = [[frac_str(x) for x in row] for row in mat.data]
-    return {
-        "schema": SCHEMA,
-        "dims": {str(v): d for v, d in rep.dims.items() if d},
-        "maps": maps,
-    }
-
-
-def rep_from_doc(alg: BoundQuiverAlgebra, doc: dict) -> QuiverRep:
-    from .exactmat import ExactMatrix
-
-    dims = {int(v): d for v, d in doc["dims"].items()}
-    maps = {}
-    for aid, rows in doc["maps"].items():
-        maps[int(aid)] = ExactMatrix(
-            len(rows), len(rows[0]) if rows else 0, [[Fraction(x) for x in row] for row in rows]
-        )
-    return QuiverRep(alg, dims, maps)
-
-
-def complex_to_doc(cplx) -> dict:
-    degrees = cplx.degrees()
-    diffs = {}
-    for m, rows in cplx.diffs.items():
-        alg = cplx.algebra
-        diffs[str(m)] = [
-            [
-                [
-                    {"coeff": frac_str(c), "path": list(alg.basis[bid].path)}
-                    for bid, c in sorted(elem.items())
-                ]
-                for elem in row
-            ]
-            for row in rows
-        ]
-    return {
-        "schema": SCHEMA,
-        "kind": cplx.kind,
-        "window": [degrees[0], degrees[-1]] if degrees else [0, 0],
-        "terms": {str(m): list(v) for m, v in cplx.terms.items()},
-        "differentials": diffs,
-    }
-
-
-def certificate_to_doc(cert: GenerationCertificate) -> dict:
-    entries = []
-    for e in cert.entries:
-        entry = {
-            "path": e.path.steps,
-            "h": e.h,
-            "mu": frac_str(e.mu),
-            "status": e.status,
-        }
-        if e.status == "resolved":
-            entry["window"] = list(e.window)
-            entry["position"] = e.position
-            entry["dependencies"] = [p.steps for p in e.dependencies]
-        entries.append(entry)
-    return {
-        "schema": SCHEMA,
-        "d": cert.d,
-        "n": cert.n,
-        "entries": entries,
-        "injective_labels": [p.steps for p in cert.injective_labels],
-    }
-
-
 def report_to_doc(params: dict, claims: list, version: str, config: dict) -> dict:
     return {
         "schema": SCHEMA,
@@ -161,39 +56,6 @@ def report_to_doc(params: dict, claims: list, version: str, config: dict) -> dic
         "version": version,
         "config": config,
     }
-
-
-def resolution_report_to_doc(report) -> dict:
-    return {
-        "schema": SCHEMA,
-        "label": report.label,
-        "length": report.length,
-        "terms": {str(m): dict(counts) for m, counts in report.terms.items()},
-    }
-
-
-def check_report_to_doc(report) -> dict:
-    """Generic JSON view of the dataclass-style verification reports."""
-    import dataclasses
-    import math as _math
-
-    def convert(value):
-        if isinstance(value, Fraction):
-            return frac_str(value)
-        if isinstance(value, float) and _math.isinf(value):
-            return "inf"
-        if isinstance(value, dict):
-            return {str(k): convert(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [convert(v) for v in value]
-        if isinstance(value, LatticePath):
-            return value.steps
-        return value
-
-    doc = {"schema": SCHEMA, "kind": type(report).__name__}
-    for f in dataclasses.fields(report):
-        doc[f.name] = convert(getattr(report, f.name))
-    return doc
 
 
 # -- DOT and TeX --------------------------------------------------------------

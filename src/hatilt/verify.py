@@ -102,18 +102,18 @@ class ModelData:
     def dyck(self):
         return self._memo("dyck", lambda: enumerate_dyck(self.d, self.n))
 
-    def projectives(self):
+    def dyck_vertices(self):
         alg = self.algebra()
         return self._memo(
-            "projectives",
-            lambda: [
-                alg.projective(vertex_of_entries(alg, coords(p).entries))
-                for p in self.dyck()
-            ],
+            "dyck_vertices",
+            lambda: [vertex_of_entries(alg, coords(p).entries) for p in self.dyck()],
         )
 
     def b0(self):
-        return self._memo("b0", lambda: endo_algebra(self.projectives()))
+        alg = self.algebra()
+        return self._memo(
+            "b0", lambda: endo_algebra([alg.projective(v) for v in self.dyck_vertices()])
+        )
 
     def b_replicated(self):
         return self._memo("b", lambda: replicate(self.b0(), self.n + self.d))
@@ -192,7 +192,10 @@ def claim_rigidity(model: ModelData):
 
 
 def claim_generation(model: ModelData):
-    cert = generation_certificate(model.d, model.n)
+    try:
+        cert = generation_certificate(model.d, model.n)
+    except RuntimeError as exc:  # the certificate failed its validation
+        return False, {"reason": str(exc)}
     resolved = sum(1 for e in cert.entries if e.status == "resolved")
     return True, {
         "entries": len(cert.entries),
@@ -336,9 +339,13 @@ def claim_two_subhomogeneous(model: ModelData):
 
 
 def claim_preprojective(model: ModelData):
-    d, n = model.d, model.n
     report = preprojective_graded_check(
-        d, n, model.algebra(), model.projectives(), model.b0(), B=model.end_t()
+        model.algebra(),
+        model.dyck_vertices(),
+        model.b0(),
+        model.pi(),
+        model.end_t(),
+        model.config.iso_budget,
     )
     return report.passed, {
         "hom_dim": report.hom_dim_value,

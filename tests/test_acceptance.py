@@ -9,6 +9,7 @@ import math
 import time
 
 import pytest
+from oracles import cone_of_chain_map
 
 from hatilt.cluster import (
     ShiftedModule,
@@ -32,7 +33,6 @@ from hatilt.complexes import (
     shifted_module_complex,
     stalk_complex,
     two_subhomogeneous_check,
-    ProjComplex,
 )
 from hatilt.fdalg import (
     corner_vanishes,
@@ -43,6 +43,7 @@ from hatilt.fdalg import (
     presentation,
     presentation_data,
     replicate,
+    trivial_ext_r,
 )
 from hatilt.pathcomb import (
     anchor_data,
@@ -64,6 +65,7 @@ from hatilt.quiveralg import (
     relation,
     vertex_of_entries,
 )
+from hatilt.verify import VerifyConfig
 
 MAIN_MODELS = [(3, 2), (2, 3), (3, 4), (4, 3), (5, 2)]
 
@@ -300,11 +302,11 @@ def test_criterion_12_preprojective(model_3_2):
     started = time.monotonic()
     alg, _, complexes, b0 = model_3_2
     B = endo_algebra_of_complexes(complexes)
-    projs = [
-        alg.projective(vertex_of_entries(alg, coords(p).entries))
-        for p in enumerate_dyck(3, 2)
-    ]
-    result = preprojective_graded_check(3, 2, alg, projs, b0, B=B)
+    vertices = [vertex_of_entries(alg, coords(p).entries) for p in enumerate_dyck(3, 2)]
+    pi = trivial_ext_r(b0, 3 + 2)
+    result = preprojective_graded_check(
+        alg, vertices, b0, pi, B, VerifyConfig().iso_budget
+    )
     assert result.hom_dim_value == 3 and result.base_end_dim == 3
     assert result.self_injective
     assert result.degree_zero_iso
@@ -344,38 +346,6 @@ def test_criterion_14_fractional_calabi_yau():
         u = ShiftedModule(p, 0)
         assert nakayama_pow(u, n + d + 1) == ShiftedModule(p, n)
     report(14, "object-level fractional Calabi-Yau periods", started)
-
-
-def cone_of_chain_map(alg, X, Y, f):
-    """cone(f: X -> Y): degree m holds X^{m+1} + Y^m."""
-    terms = {}
-    degrees = sorted(set([m - 1 for m in X.terms] + list(Y.terms)))
-    for m in degrees:
-        part = tuple(X.terms.get(m + 1, ())) + tuple(Y.terms.get(m, ()))
-        if part:
-            terms[m] = part
-    diffs = {}
-    for m in degrees:
-        if (m + 1) not in terms:
-            continue
-        nx_s, ny_s = len(X.terms.get(m + 1, ())), len(Y.terms.get(m, ()))
-        nx_t, ny_t = len(X.terms.get(m + 2, ())), len(Y.terms.get(m + 1, ()))
-        rows = [[{} for _ in range(nx_s + ny_s)] for _ in range(nx_t + ny_t)]
-        dX = X.diffs.get(m + 1)
-        if dX is not None:
-            for t in range(nx_t):
-                for s in range(nx_s):
-                    rows[t][s] = alg.elem_scale(-1, dX[t][s])
-        fm = f.get(m + 1, {})
-        for (t, s), elem in fm.items():
-            rows[nx_t + t][s] = elem
-        dY = Y.diffs.get(m)
-        if dY is not None:
-            for t in range(ny_t):
-                for s in range(ny_s):
-                    rows[nx_t + t][nx_s + s] = dY[t][s]
-        diffs[m] = rows
-    return ProjComplex(alg, terms, diffs, "proj", check=True)
 
 
 def test_criterion_15_linear_a4_end_to_end(ka4):

@@ -205,6 +205,33 @@ class TestVerify:
         assert claim["status"] == "fail"
         assert claim["value"]["reason"]
 
+    def test_preprojective_iso_search_obeys_the_budget(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "verify", "--d", "3", "--n", "2",
+            "--claims", "preprojective",
+            "--budget", "iso_budget=1",
+        )
+        assert code == 3
+        claim = json.loads(out)["claims"][0]
+        assert claim["status"] == "skipped"
+        assert "budget" in claim["value"]["reason"]
+
+    def test_rejected_generation_certificate_fails_the_claim(self, capsys, monkeypatch):
+        import hatilt.verify
+
+        def certificate(d, n):
+            raise RuntimeError("dependency order violated")
+
+        monkeypatch.setattr(hatilt.verify, "generation_certificate", certificate)
+        code, out, _ = run(
+            capsys, "verify", "--d", "3", "--n", "2", "--claims", "generation"
+        )
+        assert code == 1
+        claim = json.loads(out)["claims"][0]
+        assert claim["status"] == "fail"
+        assert claim["value"]["reason"] == "dependency order violated"
+
 
 class TestHomdim:
     def test_interleaving_pair(self, capsys):

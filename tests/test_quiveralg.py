@@ -185,7 +185,7 @@ class TestModuleM:
                 # matches e_z A for z = (x_2 - 1, ..., x_{d+1} - 1)
                 z = vertex_of_entries(alg, tuple(e - 1 for e in x.entries[1:]))
                 p = alg.projective(z)
-                assert m.dim_vector() == p.dim_vector()
+                assert m.dims == p.dims
                 dim, basis = hom_space(m, p)
                 assert any(
                     all(mat.rank() == m.dims[v] for v, mat in phi.items())
@@ -262,7 +262,7 @@ class TestProjectivesInjectives:
         op = alg.opposite()
         for v in alg.vertex_ids():
             inj = alg.injective(v)
-            assert inj.dim_vector() == dual_module(op.projective(v)).dim_vector()
+            assert inj.dims == dual_module(op.projective(v)).dims
 
     def test_injective_is_valid_module(self):
         alg = build_auslander_algebra(4, 2)
@@ -276,14 +276,14 @@ class TestProjectivesInjectives:
         for bid in alg.blocks.get((u, v), []):
             elem = alg.basis_elem(bid)
             phi = alg.proj_map_from_element(elem, u, v)
-            assert alg.proj_map_element(phi, u, v) == elem
+            # the map is determined by the image of the degree-zero generator
+            gen = alg.blocks[(u, u)].index(alg.idempotent_of[u])
+            col = [phi[u].data[i][gen] for i in range(phi[u].rows)]
+            assert alg.elem_from_block_coords(col, u, v) == elem
 
 
 class TestKernelAndSums:
     def test_direct_sum_dims(self):
         alg = build_linear(3)
-        total, incs = direct_sum([alg.projective(0), alg.projective(2)])
+        total = direct_sum([alg.projective(0), alg.projective(2)])
         assert total.total_dim == alg.projective(0).total_dim + alg.projective(2).total_dim
-        for inc, rep in zip(incs, [alg.projective(0), alg.projective(2)]):
-            for v in alg.vertex_ids():
-                assert inc[v].cols == rep.dims[v]
