@@ -761,14 +761,14 @@ def projective_injective_vertices(alg) -> set:
     """Vertices whose injective envelope of the simple is also projective."""
     out = set()
     for v in alg.vertex_ids():
-        if _is_projective_module(alg, alg.injective(v)):
+        I = alg.injective(v)
+        if _is_projective_cover(alg, I, _top(alg.vertex_ids(), I.dims, I.radical_fibers())):
             out.add(v)
     return out
 
 
-def _is_projective_module(alg, M: QuiverRep) -> bool:
-    # the projective cover surjects; it is an isomorphism iff dims agree
-    top = _top(alg.vertex_ids(), M.dims, M.radical_fibers())
+def _is_projective_cover(alg, M: QuiverRep, top) -> bool:
+    # the projective cover on ``top`` surjects; it is an isomorphism iff dims agree
     return sum(alg.projective(v).total_dim for v, _ in top) == M.total_dim
 
 
@@ -969,13 +969,15 @@ def preprojective_graded_check(A, vertices, B0, Pi, B, budget) -> PreprojectiveR
     hom_matches = hom_pnup == B0.dim
 
     piq = presentation(Pi)
-    self_inj = projective_injective_vertices(piq) == set(piq.vertex_ids())
+    # Pi is self-injective iff every indecomposable injective I_z is
+    # projective; then I_z = P_w for the one vertex w of its top, and z -> w
+    # is the Nakayama permutation
     perm = {}
-    perm_ok = self_inj
+    perm_ok = True
     for z in piq.vertex_ids():
         I = piq.injective(z)
         top = _top(piq.vertex_ids(), I.dims, I.radical_fibers())
-        if len(top) == 1 and _is_projective_module(piq, I):
+        if len(top) == 1 and _is_projective_cover(piq, I, top):
             perm[z] = top[0][0]
         else:
             perm_ok = False
@@ -986,8 +988,8 @@ def preprojective_graded_check(A, vertices, B0, Pi, B, budget) -> PreprojectiveR
         hom_pnup,
         B0.dim,
         hom_matches,
-        self_inj and perm_ok,
+        perm_ok,
         perm,
         iso,
-        hom_matches and self_inj and perm_ok and iso,
+        hom_matches and perm_ok and iso,
     )

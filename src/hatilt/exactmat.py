@@ -28,7 +28,8 @@ class ExactMatrix:
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("data shape mismatch")
-            self.data = [[Fraction(x) for x in row] for row in data]
+            # fresh row lists, so copies never alias; only non-Fractions are wrapped
+            self.data = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in data]
 
     @staticmethod
     def identity(k: int) -> "ExactMatrix":

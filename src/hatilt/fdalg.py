@@ -15,7 +15,11 @@ constants: arrows lift a basis of rad/rad^2, the kernel of the induced
 path-algebra surjection is computed degree by degree, and minimal
 generators are chosen greedily in lexicographic path order.  The returned
 algebra is rebuilt from that presentation and must reproduce the original
-dimension, failing loudly otherwise.
+dimension, failing loudly otherwise.  Both the radical filtration and the
+presentation kernels are computed block by block: rad^{k+1} in block
+(i, j) comes from rad^k in (i, l) times rad in (l, j) and is reduced in the
+coordinates of block (i, j) alone, and paths from j to i are evaluated in
+e_i A e_j only.
 
 ``iso_test`` certifies isomorphisms: it searches vertex bijections
 compatible with Cartan data and arrow multiplicities, matches arrows, and
@@ -86,14 +90,22 @@ class FDAlgebra(ElementArithmetic):
         )
 
     def radical_powers(self) -> list[list[dict]]:
-        """Spanning sets of rad^1, rad^2, ... down to the vanishing power."""
+        """Echelon bases of rad^1, rad^2, ... down to the vanishing power.
+
+        rad^{k+1} in block (i, j) is the sum over l of rad^k in (i, l) times
+        rad in (l, j), so each element of rad^k only meets the radical basis
+        elements of the blocks that can follow it.
+        """
+        following: dict[int, list[int]] = {}
+        for b in self.radical_ids():
+            following.setdefault(self.blocks[b][0], []).append(b)
         rad = _reduce_elems(self, [self.basis_elem(b) for b in self.radical_ids()])
         powers = [rad]
         for _ in range(self.dim + 1):
             prev = powers[-1]
             nxt = []
             for x in prev:
-                for b in self.radical_ids():
+                for b in following.get(self.blocks[min(x)][1], ()):
                     p = self.elem_mul(x, self.basis_elem(b))
                     if p:
                         nxt.append(p)
@@ -110,16 +122,24 @@ class FDAlgebra(ElementArithmetic):
         return powers
 
 
-def _elem_vector(fd, elem):
-    vec = [ZERO] * fd.dim
-    for k, v in elem.items():
-        vec[k] = v
-    return vec
-
-
 def _reduce_elems(fd, elems):
-    vecs = span_basis([_elem_vector(fd, e) for e in elems])
-    return [{k: v for k, v in enumerate(vec) if v != 0} for vec in vecs]
+    """Reduced echelon basis of the span of block-homogeneous elements.
+
+    The span is the direct sum of its block parts, and reduced echelon form
+    is unique, so reducing each block in its own coordinates and ordering
+    the union by leading basis id gives the echelon basis of the whole.
+    """
+    by_block: dict[tuple[int, int], list[dict]] = {}
+    for e in elems:
+        if e:
+            by_block.setdefault(fd.blocks[min(e)], []).append(e)
+    out = []
+    for blk, group in by_block.items():
+        ids = fd.block_basis[blk]
+        for vec in span_basis([[e.get(bid, ZERO) for bid in ids] for e in group]):
+            out.append({bid: v for bid, v in zip(ids, vec) if v != 0})
+    out.sort(key=min)
+    return out
 
 
 def fd_from_bqa(alg: BoundQuiverAlgebra) -> FDAlgebra:
@@ -254,9 +274,12 @@ def presentation_data(fd: FDAlgebra, max_degree: int = DEFAULT_PRESENTATION_DEGR
             grown = span_basis(grown)
 
             # kernel of evaluation on degree-m paths
-            eval_cols = [_elem_vector(fd, eval_path(p)) for p in paths]
+            # a path from src to tgt evaluates into e_tgt A e_src; the other
+            # rows of the evaluation matrix are zero
+            evals = [eval_path(p) for p in paths]
+            block_ids = fd.block_basis.get((blk[1], blk[0]), [])
             eval_matrix = ExactMatrix(
-                fd.dim, len(paths), [[eval_cols[j][i] for j in range(len(paths))] for i in range(fd.dim)]
+                len(block_ids), len(paths), [[e.get(bid, ZERO) for e in evals] for bid in block_ids]
             )
             kernel = eval_matrix.nullspace()
             if len(kernel) < len(paths):

@@ -4,8 +4,9 @@ None of these is reached from a verification claim or a CLI command, so
 they live here rather than in ``hatilt``: the inverse Serre twist (through
 duality over the opposite algebra, an independent route to the one
 ``derived_nakayama`` takes), direct sums and cones of complexes, Ext
-dimensions from a minimal resolution, and an exhaustive associativity check
-of structure constants.
+dimensions from a minimal resolution, an exhaustive associativity check
+of structure constants, and the radical filtration reduced on dense
+vectors of the full algebra rather than block by block.
 """
 
 from hatilt.complexes import (
@@ -17,6 +18,7 @@ from hatilt.complexes import (
     proj_replace,
     realize_complex,
 )
+from hatilt.exactmat import ZERO, span_basis
 from hatilt.quiveralg import QuiverRep, dual_module
 
 
@@ -153,3 +155,29 @@ def cone_of_chain_map(alg, X, Y, f):
                     rows[nx_t + t][nx_s + s] = dY[t][s]
         diffs[m] = rows
     return ProjComplex(alg, terms, diffs, "proj", check=True)
+
+
+def reduce_elems_dense(fd, elems):
+    """Reduced echelon basis of the span of elements, as dense vectors."""
+    vectors = []
+    for e in elems:
+        vec = [ZERO] * fd.dim
+        for k, v in e.items():
+            vec[k] = v
+        vectors.append(vec)
+    return [{k: v for k, v in enumerate(vec) if v != 0} for vec in span_basis(vectors)]
+
+
+def radical_powers_dense(fd):
+    """rad^1, rad^2, ..., []: every element of rad^k times every radical
+    basis element, reduced on dense vectors."""
+    rad = fd.radical_ids()
+    powers = [reduce_elems_dense(fd, [fd.basis_elem(b) for b in rad])]
+    while True:
+        prev = powers[-1]
+        nxt = reduce_elems_dense(fd, [fd.elem_mul(x, fd.basis_elem(b)) for x in prev for b in rad])
+        powers.append(nxt)
+        if not nxt:
+            return powers
+        if len(nxt) == len(prev):
+            raise ValueError("radical not nilpotent")

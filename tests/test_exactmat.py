@@ -46,6 +46,34 @@ class TestKernelSolve:
         assert a.matmul(b).data == [[a.apply([F(7), F(8)])[i]] for i in range(3)]
 
 
+class TestEntriesAndAliasing:
+    def test_mixed_entries_come_back_as_fractions(self):
+        m = ExactMatrix.from_rows([[1, Fraction(1, 2)], [Fraction(3), -2]])
+        assert all(type(x) is Fraction for row in m.data for x in row)
+        assert m.data == [[F(1), Fraction(1, 2)], [F(3), F(-2)]]
+
+    def test_rows_are_not_shared_with_the_input(self):
+        rows = [[F(1), F(2)], [F(3), F(4)]]
+        m = ExactMatrix(2, 2, rows)
+        m.data[0][0] = F(9)
+        assert rows == [[F(1), F(2)], [F(3), F(4)]]
+
+    def test_mutating_a_copy_leaves_the_original(self):
+        m = ExactMatrix.from_rows([[1, 2], [3, 4]])
+        c = m.copy()
+        c.data[0][0] = F(9)
+        c.data[1] = [F(0), F(0)]
+        assert m.data == [[F(1), F(2)], [F(3), F(4)]]
+
+    def test_elimination_leaves_its_input(self):
+        m = ExactMatrix.from_rows([[2, 4, 1], [1, 2, Fraction(1, 3)], [0, 1, 1]])
+        before = [list(row) for row in m.data]
+        m.rref()
+        m.nullspace()
+        m.solve([F(1), F(2), F(3)])
+        assert m.data == before
+
+
 class TestSpans:
     def test_span_basis_reduces(self):
         basis = span_basis([[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]])

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
-from oracles import check_associative
+from hypothesis import example, given, settings, strategies as st
+from oracles import check_associative, radical_powers_dense, reduce_elems_dense
 
 from hatilt.fdalg import (
     FDAlgebra,
+    _reduce_elems,
     degree_zero_part,
     endo_algebra,
     fd_from_bqa,
@@ -27,6 +30,7 @@ from hatilt.quiveralg import (
     relation,
     vertex_of_entries,
 )
+from hatilt.verify import ModelData, VerifyConfig
 
 
 def linear_algebra_fd(k, rad_power=None):
@@ -82,6 +86,59 @@ class TestFDBasics:
         assert powers[-1] == []
 
 
+@cache
+def reduction_algebras():
+    """A at (3, 2), whose blocks are all one-dimensional, and the path
+    algebra of 0 => 1 => 2 => 3, whose blocks have dimension up to 8."""
+    q = Quiver(
+        [Vertex(i, str(i + 1)) for i in range(4)],
+        [Arrow(2 * i + k, i, i + 1, f"a{i}{k}") for i in range(3) for k in range(2)],
+    )
+    return (
+        fd_from_bqa(ModelData(3, 2, VerifyConfig()).algebra()),
+        fd_from_bqa(BoundQuiverAlgebra.from_quiver_data(q, [])),
+    )
+
+
+@st.composite
+def block_homogeneous_elements(draw):
+    """Elements of a few blocks of one algebra; tiny entries over few blocks
+    make dependencies common."""
+    fd = draw(st.sampled_from(reduction_algebras()))
+    blocks = draw(st.lists(st.sampled_from(sorted(fd.block_basis)), min_size=1, max_size=3))
+    entry = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+    elems = []
+    for _ in range(draw(st.integers(0, 8))):
+        ids = fd.block_basis[draw(st.sampled_from(blocks))]
+        coeffs = draw(st.lists(entry, min_size=len(ids), max_size=len(ids)))
+        elems.append({bid: c for bid, c in zip(ids, coeffs) if c != 0})
+    return fd, elems
+
+
+class TestBlockReduction:
+    @settings(derandomize=True, deadline=None)
+    @given(block_homogeneous_elements())
+    # one element per block, listed against the order of the leading ids
+    @example((reduction_algebras()[1], [{25: Fraction(1)}, {4: Fraction(1)}]))
+    @example((reduction_algebras()[1], []))
+    def test_matches_the_dense_reduction(self, data):
+        fd, elems = data
+        assert _reduce_elems(fd, elems) == reduce_elems_dense(fd, elems)
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3)])
+    def test_radical_powers_match_the_dense_filtration(self, d, n):
+        model = ModelData(d, n, VerifyConfig())
+        algebras = {
+            "A": fd_from_bqa(model.algebra()),
+            "B0": model.b0(),
+            "B": model.b_replicated(),
+            "Lambda": model.lam(),
+            "Pi": model.pi(),
+        }
+        for name, fd in algebras.items():
+            assert fd.radical_powers() == radical_powers_dense(fd), name
+
+
 class TestEndoAlgebra:
     def test_single_brick(self):
         alg = build_auslander_algebra(3, 2)
@@ -126,8 +183,6 @@ class TestEndoAlgebra:
     def test_infinite_projective_dimension_exhausts_the_budget(self):
         # Pi is self-injective, so its non-projective simples never stop
         # resolving
-        from hatilt.verify import ModelData, VerifyConfig
-
         pi = presentation(ModelData(3, 2, VerifyConfig()).pi())
         with pytest.raises(BudgetError):
             endo_algebra([pi.simple(pi.vertex_ids()[0])])
