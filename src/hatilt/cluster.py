@@ -18,6 +18,7 @@ thick-subcategory generation by a double induction on (n - h, mu).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,21 +50,8 @@ class ShiftedModule:
     path: LatticePath
     shift: int
 
-    @property
-    def d(self) -> int:
-        return self.path.d - 1
 
-    @property
-    def n(self) -> int:
-        return self.path.n
-
-    def is_projective_at_zero(self) -> bool:
-        return self.shift == 0 and self.path.steps[0] == "H"
-
-    def is_injective_at_zero(self) -> bool:
-        return self.shift == 0 and self.path.steps[-1] == "H"
-
-
+@functools.lru_cache(maxsize=65536)
 def tau_d(x: OrderedSeq):
     """Componentwise decrement; None on projective labels (x_1 = 1)."""
     if x.entries[0] == 1:
@@ -71,39 +59,20 @@ def tau_d(x: OrderedSeq):
     return OrderedSeq(x.n, x.d, tuple(e - 1 for e in x.entries))
 
 
-def _check_same_model(u: ShiftedModule, v: ShiftedModule):
-    if (u.d, u.n) != (v.d, v.n):
-        raise ValueError(f"objects live over different models: {(u.d, u.n)} vs {(v.d, v.n)}")
-
-
 def hom_dim(src: ShiftedModule, dst: ShiftedModule) -> int:
     """Dimension (0 or 1) of the morphism space in the derived category."""
-    _check_same_model(src, dst)
-    x = coords(src.path)
-    y = coords(dst.path)
+    p, q = src.path, dst.path
+    if (p.d, p.n) != (q.d, q.n):
+        raise ValueError(
+            f"objects live over different models: {(p.d - 1, p.n)} vs {(q.d - 1, q.n)}"
+        )
     delta = dst.shift - src.shift
     if delta == 0:
-        return 1 if preceq(x, y) else 0
+        return 1 if preceq(coords(p), coords(q)) else 0
     if delta == 1:
-        t = tau_d(x)
-        return 1 if t is not None and preceq(y, t) else 0
+        t = tau_d(coords(p))
+        return 1 if t is not None and preceq(coords(q), t) else 0
     return 0
-
-
-def compose_nonzero(u1: ShiftedModule, u2: ShiftedModule, u3: ShiftedModule) -> bool:
-    """Whether the composite of the basis morphisms u1 -> u2 -> u3 is nonzero.
-
-    Only the equal-shift case is combinatorial; compositions involving a
-    shift jump are routed through the linear-algebra side.  If either leg
-    vanishes the composite is zero.
-    """
-    _check_same_model(u1, u2)
-    _check_same_model(u2, u3)
-    if not u1.shift == u2.shift == u3.shift:
-        raise ValueError("compose_nonzero handles degree-0 morphisms only")
-    if hom_dim(u1, u2) == 0 or hom_dim(u2, u3) == 0:
-        return False
-    return preceq(coords(u1.path), coords(u3.path))
 
 
 def nakayama(u: ShiftedModule) -> ShiftedModule:

@@ -143,6 +143,7 @@ def preceq(x: OrderedSeq, y: OrderedSeq) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=65536)
 def coords(path: LatticePath) -> OrderedSeq:
     """Labels (1-indexed step positions) of the horizontal steps."""
     entries = tuple(i + 1 for i, s in enumerate(path.steps) if s == "H")
@@ -166,13 +167,6 @@ def below(p1: LatticePath, p2: LatticePath) -> bool:
     if (p1.d, p1.n) != (p2.d, p2.n):
         raise ValueError("paths live in different grids")
     return all(a <= b for a, b in zip(p1.column_heights(), p2.column_heights()))
-
-
-def skew_cells(p1: LatticePath, p2: LatticePath) -> set[tuple[int, int]]:
-    """Unit cells between p1 and p2 (p1 below p2), as bottom-left corners."""
-    h1 = p1.column_heights()
-    h2 = p2.column_heights()
-    return {(i, j) for i in range(p1.d) for j in range(h1[i], h2[i])}
 
 
 def relation_R(p1: LatticePath, p2: LatticePath) -> bool:
@@ -231,20 +225,6 @@ def enumerate_dyck(d: int, n: int) -> list[LatticePath]:
     if math.gcd(n, d) != 1:
         raise ValueError(f"gcd(n, d) must be 1, got n={n}, d={d}")
     return [p for p in enumerate_all(d, n) if is_dyck(p)]
-
-
-def dyck_orbit_representative(path: LatticePath) -> tuple[LatticePath, int]:
-    """The unique Dyck path in the rotation orbit, and the k rotating it back.
-
-    Returns (rep, k) with rotate_pow(rep, k) == path and 0 <= k < d+n.
-    """
-    if math.gcd(path.n, path.d) != 1:
-        raise ValueError("orbit representatives need gcd(n, d) = 1")
-    for k in range(path.d + path.n):
-        candidate = rotate_pow(path, -k)
-        if is_dyck(candidate):
-            return candidate, k
-    raise AssertionError(f"no Dyck path in the orbit of {path}")  # unreachable
 
 
 def prepend_horizontal(path: LatticePath) -> LatticePath:
@@ -362,37 +342,9 @@ def delta_set(d: int, n: int, i: int) -> list[GridPoint]:
     return points
 
 
-def delta_prime_set(d: int, n: int, i: int) -> list[GridPoint]:
-    """Lattice points weakly above the bent curve at (d, n), indexed dually.
-
-    A point (x, y) belongs to slice i when (d+1-x) + (n-y) = i.  The origin
-    is excluded; (d+1, n) is a member.
-    """
-    if not 0 <= i <= n + d:
-        raise ValueError(f"index i={i} out of range [0, {n + d}]")
-    points = []
-    for x in range(0, d + 2):
-        y = n - (i - (d + 1 - x))
-        if not 0 <= y <= n or (x, y) == (0, 0):
-            continue
-        if (x, y) == (d + 1, n) or (x <= d and Fraction(y) >= Fraction(n, d) * x):
-            points.append(GridPoint(x, y))
-    return points
-
-
 def delta_pair(point: GridPoint, d: int, n: int) -> GridPoint:
     """The slice-preserving partner D' = (d+1-x, n-y) of D."""
     return GridPoint(d + 1 - point.x, n - point.y)
-
-
-def s_region(point: GridPoint, d: int, n: int) -> list[LatticePath]:
-    """Paths of the region at (0, 0) passing through D, sorted by coordinates."""
-    origin = GridPoint(0, 0)
-    return [
-        p
-        for p in region_paths(origin, d, n)
-        if (point.x, point.y) in p.points()
-    ]
 
 
 def strip_sequence(window, d: int, n: int) -> list[LatticePath]:

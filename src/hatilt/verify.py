@@ -4,8 +4,9 @@ Each claim is a pure function of (d, n) and a budget configuration; it
 returns a measured value and a pass verdict.  The pipeline runs claims in
 declared order, times them, and assembles a deterministic report (apart
 from the wall-clock ``ms`` fields).  Budget exhaustion marks a claim as
-skipped rather than failed, and so does an isomorphism search that can
-neither find nor rule out an isomorphism.
+skipped rather than failed, and so do an isomorphism search that can
+neither find nor rule out an isomorphism and a claim that degenerates on
+the model.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ from .quiveralg import (
     module_M,
     vertex_of_entries,
 )
+
+
+class SkipClaim(Exception):
+    """A claim that has nothing to check on this model; reported as skipped."""
 
 
 @dataclass(frozen=True)
@@ -220,8 +225,9 @@ def claim_nu_orbit_blocks(model: ModelData):
 def claim_serre_symmetry(model: ModelData):
     summands = tilting_summands(model.d, model.n)
     for u in summands:
+        twisted = nakayama(u)
         for v in summands:
-            if hom_dim(u, v) != hom_dim(v, nakayama(u)):
+            if hom_dim(u, v) != hom_dim(v, twisted):
                 return False, {}
     return True, {"pairs": len(summands) ** 2}
 
@@ -282,8 +288,8 @@ def claim_b0_presentation(model: ModelData):
 def claim_idempotent_corner(model: ModelData):
     d, n = model.d, model.n
     s = math.ceil(d / n)
-    if d == s:  # the smaller Auslander algebra degenerates
-        return True, {"skipped_degenerate": True}
+    if d == s:
+        raise SkipClaim(f"the smaller Auslander algebra degenerates: d = ceil(d/n) = {s}")
     aprime = build_auslander_algebra(n + 1, d - s, max_dim=model.config.max_algebra_dim)
     fd = fd_from_bqa(aprime)
     vpos = {v.id: k for k, v in enumerate(aprime.quiver.vertices)}
@@ -414,7 +420,7 @@ def run_claims(d, n, names, config: VerifyConfig | None = None):
         try:
             ok, value = fn(model)
             status = "pass" if ok else "fail"
-        except (BudgetError, IsoInconclusive) as exc:
+        except (BudgetError, IsoInconclusive, SkipClaim) as exc:
             status = "skipped"
             value = {"reason": str(exc)}
         ms = int((time.monotonic() - start) * 1000)

@@ -6,9 +6,17 @@ duality over the opposite algebra, an independent route to the one
 ``derived_nakayama`` takes), direct sums and cones of complexes, Ext
 dimensions from a minimal resolution, an exhaustive associativity check
 of structure constants, and the radical filtration reduced on dense
-vectors of the full algebra rather than block by block.
+vectors of the full algebra rather than block by block.  It also holds
+the lattice-path definitions and lemmas of the paper that the
+combinatorial tests check (skew shapes, Dyck orbit representatives, the
+dual slices, the S-regions, degree-zero composition and the projective
+and injective labels at shift zero).
 """
 
+import math
+from fractions import Fraction
+
+from hatilt.cluster import ShiftedModule, hom_dim
 from hatilt.complexes import (
     ModuleComplex,
     ProjComplex,
@@ -19,6 +27,15 @@ from hatilt.complexes import (
     realize_complex,
 )
 from hatilt.exactmat import ZERO, span_basis
+from hatilt.pathcomb import (
+    GridPoint,
+    LatticePath,
+    coords,
+    is_dyck,
+    preceq,
+    region_paths,
+    rotate_pow,
+)
 from hatilt.quiveralg import QuiverRep, dual_module
 
 
@@ -181,3 +198,74 @@ def radical_powers_dense(fd):
             return powers
         if len(nxt) == len(prev):
             raise ValueError("radical not nilpotent")
+
+
+def skew_cells(p1: LatticePath, p2: LatticePath) -> set[tuple[int, int]]:
+    """Unit cells between p1 and p2 (p1 below p2), as bottom-left corners."""
+    h1 = p1.column_heights()
+    h2 = p2.column_heights()
+    return {(i, j) for i in range(p1.d) for j in range(h1[i], h2[i])}
+
+
+def dyck_orbit_representative(path: LatticePath) -> tuple[LatticePath, int]:
+    """The unique Dyck path in the rotation orbit, and the k rotating it back.
+
+    Returns (rep, k) with rotate_pow(rep, k) == path and 0 <= k < d+n.
+    """
+    if math.gcd(path.n, path.d) != 1:
+        raise ValueError("orbit representatives need gcd(n, d) = 1")
+    for k in range(path.d + path.n):
+        candidate = rotate_pow(path, -k)
+        if is_dyck(candidate):
+            return candidate, k
+    raise AssertionError(f"no Dyck path in the orbit of {path}")  # unreachable
+
+
+def delta_prime_set(d: int, n: int, i: int) -> list[GridPoint]:
+    """Lattice points weakly above the bent curve at (d, n), indexed dually.
+
+    A point (x, y) belongs to slice i when (d+1-x) + (n-y) = i.  The origin
+    is excluded; (d+1, n) is a member.
+    """
+    if not 0 <= i <= n + d:
+        raise ValueError(f"index i={i} out of range [0, {n + d}]")
+    points = []
+    for x in range(0, d + 2):
+        y = n - (i - (d + 1 - x))
+        if not 0 <= y <= n or (x, y) == (0, 0):
+            continue
+        if (x, y) == (d + 1, n) or (x <= d and Fraction(y) >= Fraction(n, d) * x):
+            points.append(GridPoint(x, y))
+    return points
+
+
+def s_region(point: GridPoint, d: int, n: int) -> list[LatticePath]:
+    """Paths of the region at (0, 0) passing through D, sorted by coordinates."""
+    origin = GridPoint(0, 0)
+    return [
+        p
+        for p in region_paths(origin, d, n)
+        if (point.x, point.y) in p.points()
+    ]
+
+
+def compose_nonzero(u1: ShiftedModule, u2: ShiftedModule, u3: ShiftedModule) -> bool:
+    """Whether the composite of the basis morphisms u1 -> u2 -> u3 is nonzero.
+
+    Only the equal-shift case is combinatorial.  If either leg vanishes the
+    composite is zero; ``hom_dim`` rejects objects over different models.
+    """
+    first, second = hom_dim(u1, u2), hom_dim(u2, u3)
+    if not u1.shift == u2.shift == u3.shift:
+        raise ValueError("compose_nonzero handles degree-0 morphisms only")
+    if first == 0 or second == 0:
+        return False
+    return preceq(coords(u1.path), coords(u3.path))
+
+
+def is_projective_at_zero(u: ShiftedModule) -> bool:
+    return u.shift == 0 and u.path.steps[0] == "H"
+
+
+def is_injective_at_zero(u: ShiftedModule) -> bool:
+    return u.shift == 0 and u.path.steps[-1] == "H"

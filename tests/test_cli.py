@@ -148,6 +148,21 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["claims"][0]["status"] == "skipped"
 
+    @pytest.mark.parametrize("d, n", [(1, 2), (2, 1)])
+    def test_degenerate_idempotent_corner_is_skipped(self, capsys, d, n):
+        # d = ceil(d/n): there is no smaller Auslander algebra to compare with
+        code, out, _ = run(
+            capsys,
+            "verify", "--d", str(d), "--n", str(n),
+            "--claims", "idempotent_corner",
+        )
+        assert code == 3
+        claim = json.loads(out)["claims"][0]
+        assert claim["status"] == "skipped"
+        assert claim["value"] == {
+            "reason": f"the smaller Auslander algebra degenerates: d = ceil(d/n) = {d}"
+        }
+
     @pytest.mark.parametrize("value", ["abc", "0", "-1"])
     def test_bad_budget_value_is_usage_error(self, capsys, value):
         code, out, err = run(

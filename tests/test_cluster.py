@@ -1,10 +1,12 @@
+import math
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from oracles import compose_nonzero, is_injective_at_zero, is_projective_at_zero
 
 from hatilt.cluster import (
     ShiftedModule,
-    compose_nonzero,
     generation_certificate,
     hom_dim,
     nakayama,
@@ -18,6 +20,7 @@ from hatilt.cluster import (
 )
 from hatilt.pathcomb import (
     GridPoint,
+    LatticePath,
     rotate_pow,
     OrderedSeq,
     append_horizontal,
@@ -71,6 +74,81 @@ class TestHomDim:
     def test_mismatched_models_rejected(self):
         with pytest.raises(ValueError):
             hom_dim(obj(3, 4, (1, 2, 4, 6)), obj(2, 3, (1, 2, 4)))
+
+
+def hom_dim_from_steps(src, dst):
+    """The Hom rule read straight off the step words: the labels of the
+    horizontal steps, the interleaving order x_1 <= y_1 < x_2 <= ... <= y_d,
+    and for a shift difference of one the source labels decremented."""
+    x = [k for k, s in enumerate(src.path.steps, 1) if s == "H"]
+    y = [k for k, s in enumerate(dst.path.steps, 1) if s == "H"]
+    delta = dst.shift - src.shift
+    if delta == 1:
+        if x[0] == 1:
+            return 0  # a projective label has no decrement
+        x, y = y, [e - 1 for e in x]
+    elif delta != 0:
+        return 0
+    chain = [e for pair in zip(x, y) for e in pair]  # x_1, y_1, x_2, y_2, ...
+    weak = all(chain[k] <= chain[k + 1] for k in range(0, len(chain) - 1, 2))
+    strict = all(chain[k] < chain[k + 1] for k in range(1, len(chain) - 1, 2))
+    return int(weak and strict)
+
+
+HOM_MODELS = [
+    (d, n) for d in range(1, 8) for n in range(1, 8) if d + n <= 8 and math.gcd(d, n) == 1
+]
+
+
+@st.composite
+def object_pairs(draw):
+    """Two shifted objects over one random small coprime model."""
+    d, n = draw(st.sampled_from(HOM_MODELS))
+    objects = []
+    for _ in range(2):
+        labels = draw(
+            st.lists(st.integers(1, d + 1 + n), min_size=d + 1, max_size=d + 1, unique=True)
+        )
+        objects.append(obj(d, n, sorted(labels), draw(st.integers(-2, 2))))
+    return tuple(objects)
+
+
+class TestHomDimDifferential:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(object_pairs())
+    @example((obj(3, 4, (1, 2, 4, 6)), obj(2, 3, (1, 2, 4))))  # different models
+    @example((obj(1, 2, (2, 3)), obj(2, 1, (1, 2, 3), 1)))  # equal length, different models
+    @example((obj(3, 4, (2, 3, 5, 7)), obj(3, 4, (1, 2, 4, 6), 1)))  # shift one, nonzero
+    @example((obj(3, 4, (1, 2, 4, 6)), obj(3, 4, (1, 2, 4, 6), 1)))  # projective label
+    def test_matches_the_rule_read_off_the_steps(self, pair):
+        src, dst = pair
+        p, q = src.path, dst.path
+        if (p.d, p.n) != (q.d, q.n):
+            with pytest.raises(ValueError) as info:
+                hom_dim(src, dst)
+            assert str(info.value) == (
+                f"objects live over different models: {(p.d - 1, p.n)} vs {(q.d - 1, q.n)}"
+            )
+            return
+        assert hom_dim(src, dst) == hom_dim_from_steps(src, dst)
+
+    def test_coords_of_one_path_are_stable(self):
+        path = path_from_entries(4, 4, (1, 2, 4, 6))
+        first = coords(path)
+        hom_dim(ShiftedModule(path, 0), obj(3, 4, (1, 3, 5, 7)))
+        second = coords(LatticePath(path.d, path.n, path.steps))
+        assert first == second
+        assert first.entries == second.entries == (1, 2, 4, 6)
+
+
+class TestHomRuleCost:
+    def test_rigidity_builds_each_summand_coordinate_once(self):
+        # a count, not a timing: rebuilding coordinates per Hom query would
+        # make tens of thousands of misses here
+        coords.cache_clear()
+        rigidity_check(4, 3)
+        distinct = {u.path for u in tilting_summands(4, 3)}
+        assert coords.cache_info().misses <= len(distinct)
 
 
 class TestCompose:
@@ -139,7 +217,7 @@ class TestTiltingSummands:
     def test_first_twist_is_injectives_at_zero(self):
         base = projective_summands(3, 4)
         twisted = [nakayama(u) for u in base]
-        assert all(u.is_injective_at_zero() for u in twisted)
+        assert all(is_injective_at_zero(u) for u in twisted)
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
@@ -261,9 +339,9 @@ class TestGenerationCertificate:
 
     def test_projectivity_transport(self):
         for u in projective_summands(3, 4):
-            assert u.is_projective_at_zero()
+            assert is_projective_at_zero(u)
             twisted = nakayama(u)
-            assert twisted.is_injective_at_zero()
+            assert is_injective_at_zero(twisted)
             assert coords(twisted.path).entries[-1] == 8
 
 

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from oracles import delta_prime_set, dyck_orbit_representative, s_region, skew_cells
 
 from hatilt.pathcomb import (
     GridPoint,
@@ -13,9 +14,7 @@ from hatilt.pathcomb import (
     below,
     coords,
     delta_pair,
-    delta_prime_set,
     delta_set,
-    dyck_orbit_representative,
     enumerate_all,
     enumerate_dyck,
     enumerate_os,
@@ -30,8 +29,6 @@ from hatilt.pathcomb import (
     resolving_sequence,
     rotate,
     rotate_pow,
-    s_region,
-    skew_cells,
     strip_sequence,
 )
 

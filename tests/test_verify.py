@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hatilt.cluster import ShiftedModule
 from hatilt.verify import (
     CLAIM_NAMES,
     COMBINATORIAL_CLAIMS,
@@ -80,6 +81,12 @@ class TestRunClaims:
         assert [p.name for p in tmp_path.iterdir()] == [poisoned.name]
 
 
+def assert_only_corner_skipped(claims):
+    not_passed = [c for c in claims if c["status"] != "pass"]
+    assert [(c["name"], c["status"]) for c in not_passed] == [("idempotent_corner", "skipped")]
+    assert "degenerates" in not_passed[0]["value"]["reason"]
+
+
 class TestOtherModels:
     def test_transposed_model_2_3(self):
         claims, failed, skipped = run_claims(
@@ -90,15 +97,41 @@ class TestOtherModels:
         assert by_name["endo_replicate"]["value"]["dim"] == 27
         assert by_name["gldim_B0"]["value"]["gldim"] == 1
 
+    # on these models d = ceil(d/n), so the smaller Auslander algebra of
+    # idempotent_corner degenerates and that claim alone is skipped
     def test_smallest_model_1_1(self):
         claims, failed, skipped = run_claims(1, 1, CLAIM_NAMES)
-        assert not failed and not skipped
+        assert not failed and skipped
+        assert_only_corner_skipped(claims)
 
     def test_width_one_model_1_2(self):
         claims, failed, skipped = run_claims(1, 2, CLAIM_NAMES)
-        assert not failed and not skipped
+        assert not failed and skipped
+        assert_only_corner_skipped(claims)
 
     def test_gldim_B_reported_value_3_2(self):
         claims, failed, _ = run_claims(3, 2, ["gldim_B"])
         assert not failed
         assert claims[0]["value"]["gldim"] == 6
+
+
+class TestHomRuleFaultInjection:
+    def test_rigidity_and_serre_symmetry_see_a_broken_hom_rule(self, monkeypatch):
+        # a rule that forgets the shifts gives Hom(u, u[d]) = 1 and breaks
+        # the twist symmetry; both claims must catch it
+        import hatilt.cluster
+        import hatilt.verify
+
+        real = hatilt.cluster.hom_dim
+
+        def shift_blind(src, dst):
+            return real(ShiftedModule(src.path, 0), ShiftedModule(dst.path, 0))
+
+        monkeypatch.setattr(hatilt.cluster, "hom_dim", shift_blind)
+        monkeypatch.setattr(hatilt.verify, "hom_dim", shift_blind)
+        claims, failed, _ = run_claims(3, 2, ["rigidity", "serre_symmetry"])
+        assert failed
+        assert [(c["name"], c["status"]) for c in claims] == [
+            ("rigidity", "fail"),
+            ("serre_symmetry", "fail"),
+        ]
