@@ -36,7 +36,6 @@ from .quiveralg import (  # noqa: F401
     QuiverRep,
     Relation,
     build_auslander_algebra,
-    hom_space,
     module_M,
 )
 from .fdalg import (  # noqa: F401

@@ -9,6 +9,7 @@ the wall-clock ``ms`` fields inside verification reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -237,6 +238,8 @@ def _parse_budget(overrides_arg):
         key = key.strip()
         if key not in ("max_resolution_length", "max_algebra_dim", "iso_budget"):
             raise UsageError(f"unknown budget key {key!r}")
+        if key in overrides:
+            raise UsageError(f"budget {key} given more than once")
         try:
             overrides[key] = int(value)
         except ValueError:
@@ -255,22 +258,29 @@ def cmd_verify(args) -> int:
         names = list(CLAIM_NAMES)
     else:
         names = [c.strip() for c in args.claims.split(",") if c.strip()]
+        if not names:
+            raise UsageError(f"no claims selected; available: {', '.join(CLAIM_NAMES)}")
         unknown = [c for c in names if c not in CLAIM_NAMES]
         if unknown:
             raise UsageError(
                 f"unknown claims: {', '.join(unknown)}; available: {', '.join(CLAIM_NAMES)}"
             )
-    claims, failed, skipped = run_claims(args.d, args.n, names, config)
-    doc = report_to_doc(
-        {"n": args.n, "d": args.d},
-        claims,
-        __version__,
-        config.echo(args.d, args.n),
-    )
-    payload = dumps(doc)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+    # open the report before any claim runs, so a bad path costs no work
+    try:
+        report = open(args.report, "w", encoding="utf-8") if args.report else None
+    except OSError as exc:
+        raise UsageError(f"cannot write report {args.report!r}: {exc.strerror}") from None
+    with report or contextlib.nullcontext():
+        claims, failed, skipped = run_claims(args.d, args.n, names, config)
+        doc = report_to_doc(
+            {"n": args.n, "d": args.d},
+            claims,
+            __version__,
+            config.echo(args.d, args.n),
+        )
+        payload = dumps(doc)
+        if report:
+            report.write(payload)
     sys.stdout.write(payload)
     if failed:
         return CLAIM_FAILURE

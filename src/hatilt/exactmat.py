@@ -1,7 +1,7 @@
 """Dense exact-rational matrices: elimination, rank, kernel, solving.
 
-Everything downstream (intertwiner spaces, chain maps modulo homotopy,
-radical filtrations) reduces to row reduction over ``fractions.Fraction``.
+Everything downstream (resolutions, chain maps modulo homotopy, radical
+filtrations) reduces to row reduction over ``fractions.Fraction``.
 Matrices here are small and dense, so plain Gaussian elimination with
 first-nonzero pivoting is deterministic and fast enough; no floating point
 ever enters.

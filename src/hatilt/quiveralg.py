@@ -12,7 +12,7 @@ stay stable.
 Modules are right modules, stored as one fiber per vertex with one matrix
 per arrow mapping the target fiber to the source fiber (the right action).
 Projectives, injectives and the interval modules M(x) of the type-A model
-are produced here, along with exact intertwiner-space solving.
+are produced here.
 
 Paths compose diagrammatically: ``path = (a1, a2, ...)`` traverses a1
 first, and ``mul(p, q)`` is "p after q".
@@ -278,27 +278,37 @@ class BoundQuiverAlgebra(ElementArithmetic):
     def is_radical(self, elem: dict) -> bool:
         return all(self.basis[k].degree >= 1 for k, v in elem.items() if v != 0)
 
+    def mult_matrix(self, src, tgt, left=None, right=None) -> ExactMatrix:
+        """Matrix of b -> left . b . right from block ``src`` to block ``tgt``.
+
+        Blocks are (source, target) vertex pairs; a factor left as None is
+        the unit.
+        """
+        src_ids = self.blocks.get(src, [])
+        rows = len(self.blocks.get(tgt, []))
+        out = ExactMatrix(rows, len(src_ids))
+        for j, bid in enumerate(src_ids):
+            prod = self.basis_elem(bid)
+            if left is not None:
+                prod = self.elem_mul(left, prod)
+            if right is not None:
+                prod = self.elem_mul(prod, right)
+            col = self.block_coords(prod, *tgt)
+            for i in range(rows):
+                out.data[i][j] = col[i]
+        return out
+
     # -- distinguished modules ---------------------------------------------
 
     def projective(self, v: int) -> "QuiverRep":
         if v not in self._proj_cache:
-            dims = {}
-            for u in self.vertex_ids():
-                dims[u] = len(self.blocks.get((u, v), []))
-            maps = {}
-            for a in self.quiver.arrows:
-                src_ids = self.blocks.get((a.src, v), [])
-                tgt_ids = self.blocks.get((a.tgt, v), [])
-                arrow = self.basis_elem(self.arrow_elem[a.id])
-                cols = []
-                for bid in tgt_ids:
-                    prod = self.elem_mul(self.basis_elem(bid), arrow)
-                    cols.append(self.block_coords(prod, a.src, v))
-                maps[a.id] = ExactMatrix(
-                    len(src_ids),
-                    len(tgt_ids),
-                    [[cols[j][i] for j in range(len(tgt_ids))] for i in range(len(src_ids))],
+            dims = {u: len(self.blocks.get((u, v), [])) for u in self.vertex_ids()}
+            maps = {
+                a.id: self.mult_matrix(
+                    (a.tgt, v), (a.src, v), right=self.basis_elem(self.arrow_elem[a.id])
                 )
+                for a in self.quiver.arrows
+            }
             self._proj_cache[v] = QuiverRep(self, dims, maps, check=False)
         return self._proj_cache[v]
 
@@ -306,20 +316,14 @@ class BoundQuiverAlgebra(ElementArithmetic):
         """Dual of the opposite projective: fiber at y is the dual of paths v -> y."""
         if v not in self._inj_cache:
             dims = {u: len(self.blocks.get((v, u), [])) for u in self.vertex_ids()}
-            maps = {}
-            for a in self.quiver.arrows:
-                # right action sends the fiber at tgt to the fiber at src by
-                # precomposing with left multiplication by the arrow
-                src_ids = self.blocks.get((v, a.src), [])
-                tgt_ids = self.blocks.get((v, a.tgt), [])
-                arrow = self.basis_elem(self.arrow_elem[a.id])
-                lmult = ExactMatrix(len(tgt_ids), len(src_ids))
-                for j, bid in enumerate(src_ids):
-                    prod = self.elem_mul(arrow, self.basis_elem(bid))
-                    col = self.block_coords(prod, v, a.tgt)
-                    for i in range(len(tgt_ids)):
-                        lmult.data[i][j] = col[i]
-                maps[a.id] = lmult.transpose()
+            # the right action sends the fiber at tgt to the fiber at src by
+            # precomposing with left multiplication by the arrow
+            maps = {
+                a.id: self.mult_matrix(
+                    (v, a.src), (v, a.tgt), left=self.basis_elem(self.arrow_elem[a.id])
+                ).transpose()
+                for a in self.quiver.arrows
+            }
             self._inj_cache[v] = QuiverRep(self, dims, maps, check=False)
         return self._inj_cache[v]
 
@@ -329,21 +333,6 @@ class BoundQuiverAlgebra(ElementArithmetic):
             a.id: ExactMatrix(dims[a.src], dims[a.tgt]) for a in self.quiver.arrows
         }
         return QuiverRep(self, dims, maps, check=False)
-
-    def proj_map_from_element(self, elem: dict, u: int, v: int) -> dict[int, ExactMatrix]:
-        """Per-vertex matrices of left multiplication e_u A -> e_v A."""
-        maps = {}
-        for y in self.vertex_ids():
-            src_ids = self.blocks.get((y, u), [])
-            tgt_ids = self.blocks.get((y, v), [])
-            m = ExactMatrix(len(tgt_ids), len(src_ids))
-            for j, bid in enumerate(src_ids):
-                prod = self.elem_mul(elem, self.basis_elem(bid))
-                col = self.block_coords(prod, y, v)
-                for i in range(len(tgt_ids)):
-                    m.data[i][j] = col[i]
-            maps[y] = m
-        return maps
 
 
 class BudgetError(RuntimeError):
@@ -650,52 +639,6 @@ def module_M(alg: BoundQuiverAlgebra, x: OrderedSeq) -> QuiverRep:
         if dims[a.src] and dims[a.tgt]:
             maps[a.id] = ExactMatrix(1, 1, [[ONE]])
     return QuiverRep(alg, dims, maps)
-
-
-# -- morphisms of representations -----------------------------------------
-
-
-def hom_space(M: QuiverRep, N: QuiverRep) -> tuple[int, list[dict[int, ExactMatrix]]]:
-    """Dimension and basis of the intertwiner space Hom(M, N), exactly."""
-    if M.algebra is not N.algebra:
-        raise ValueError("modules over different algebras")
-    alg = M.algebra
-    offsets = {}
-    total = 0
-    for v in alg.vertex_ids():
-        offsets[v] = total
-        total += N.dims[v] * M.dims[v]
-    rows = []
-    for a in alg.quiver.arrows:
-        u, w = a.src, a.tgt
-        RM, RN = M.maps[a.id], N.maps[a.id]
-        # phi_u RM - RN phi_w = 0, an (N_u x M_w)-matrix of equations
-        for i in range(N.dims[u]):
-            for j in range(M.dims[w]):
-                row = [ZERO] * total
-                for k in range(M.dims[u]):
-                    if RM.data[k][j] != 0:
-                        row[offsets[u] + i * M.dims[u] + k] += RM.data[k][j]
-                for k in range(N.dims[w]):
-                    if RN.data[i][k] != 0:
-                        row[offsets[w] + k * M.dims[w] + j] -= RN.data[i][k]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    if rows:
-        kernel = ExactMatrix.from_rows(rows).nullspace()
-    else:
-        kernel = ExactMatrix.identity(total).data if total else []
-    basis = []
-    for vec in kernel:
-        phi = {}
-        for v in alg.vertex_ids():
-            m = ExactMatrix(N.dims[v], M.dims[v])
-            for i in range(N.dims[v]):
-                for j in range(M.dims[v]):
-                    m.data[i][j] = vec[offsets[v] + i * M.dims[v] + j]
-            phi[v] = m
-        basis.append(phi)
-    return len(basis), basis
 
 
 def direct_sum(reps: list[QuiverRep]) -> QuiverRep:

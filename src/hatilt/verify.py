@@ -363,10 +363,10 @@ def claim_preprojective(model: ModelData):
 
 def claim_fcy_a(model: ModelData):
     d, n = model.d, model.n
-    report = fcy_object_check(
+    passed = fcy_object_check(
         model.algebra(), n * d, n + d + 1, max_len=model.config.resolution_length(d, n)
     )
-    return report.passed, {"shift": n * d, "power": n + d + 1}
+    return passed, {"shift": n * d, "power": n + d + 1}
 
 
 CLAIMS = [

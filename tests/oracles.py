@@ -3,10 +3,12 @@
 None of these is reached from a verification claim or a CLI command, so
 they live here rather than in ``hatilt``: the inverse Serre twist (through
 duality over the opposite algebra, an independent route to the one
-``derived_nakayama`` takes), direct sums and cones of complexes, Ext
-dimensions from a minimal resolution, an exhaustive associativity check
-of structure constants, and the radical filtration reduced on dense
-vectors of the full algebra rather than block by block.  It also holds
+``derived_nakayama`` takes), direct sums and cones of complexes, a search
+for an isomorphism between complexes, Ext dimensions from a minimal
+resolution through their own coboundary matrices, the intertwiner solver
+for Hom between modules, an exhaustive associativity check of structure
+constants, and the radical filtration reduced on dense vectors of the full
+algebra rather than block by block.  It also holds
 the lattice-path definitions and lemmas of the paper that the
 combinatorial tests check (skew shapes, Dyck orbit representatives, the
 dual slices, the S-regions, degree-zero composition and the projective
@@ -20,13 +22,15 @@ from hatilt.cluster import ShiftedModule, hom_dim
 from hatilt.complexes import (
     ModuleComplex,
     ProjComplex,
-    _ext_from_resolution,
+    _delta_matrix,
+    _scalar_part,
+    _vector_to_chain_map,
     minimal_proj_resolution,
     minimize_complex,
     proj_replace,
     realize_complex,
 )
-from hatilt.exactmat import ZERO, span_basis
+from hatilt.exactmat import ZERO, ExactMatrix, span_basis
 from hatilt.pathcomb import (
     GridPoint,
     LatticePath,
@@ -110,12 +114,147 @@ def derived_nakayama_inverse(X: ProjComplex, max_len=64) -> ProjComplex:
     return minimize_complex(as_projective_complex(J))
 
 
+def complexes_isomorphic(X, Y, tries=60):
+    """Isomorphism test for complexes: minimise, match labels, solve.
+
+    A degreewise-invertible chain map is sought among rational combinations
+    of a cycle basis; invertibility only depends on the scalar parts, which
+    are checked per degree and vertex by exact determinants.
+    """
+    Xm = minimize_complex(X)
+    Ym = minimize_complex(Y)
+    if Xm.is_zero() and Ym.is_zero():
+        return True
+    if Xm.label_signature() != Ym.label_signature():
+        return False
+    delta0, slots, dim0 = _delta_matrix(Xm, Ym, 0)
+    cycles = delta0.nullspace() if dim0 else []
+    if not cycles:
+        return Xm.size() == 0
+
+    def scalar_blocks(vec):
+        comps = _vector_to_chain_map(Xm, Ym, 0, vec, slots)
+        blocks = []
+        for m, vs in Xm.terms.items():
+            by_vertex = {}
+            for idx, u in enumerate(vs):
+                by_vertex.setdefault(u, []).append(idx)
+            for u, idxs in by_vertex.items():
+                mat = ExactMatrix(len(idxs), len(idxs))
+                for i, t in enumerate(idxs):
+                    for j, s in enumerate(idxs):
+                        elem = comps.get(m, {}).get((t, s), {})
+                        mat.data[i][j] = _scalar_part(Xm.algebra, elem, u)
+                blocks.append(mat)
+        return blocks
+
+    def invertible(vec):
+        return all(b.rank() == b.rows for b in scalar_blocks(vec))
+
+    for vec in cycles:
+        if invertible(vec):
+            return True
+    seeds = [(i + 2) for i in range(tries)]
+    for t in seeds:
+        vec = [ZERO] * dim0
+        w = 1
+        for cyc in cycles:
+            for i, x in enumerate(cyc):
+                vec[i] += w * x
+            w = (w * t) % 1000003
+        if invertible(vec):
+            return True
+    return False
+
+
+def _ext_from_resolution(alg, R: ProjComplex, N: QuiverRep, i: int) -> int:
+    def hom_dim_at(j):
+        return sum(N.dims[u] for u in R.terms.get(-j, ()))
+
+    def delta(j):
+        """Hom(R^{-j}, N) -> Hom(R^{-j-1}, N), precomposition with d."""
+        src_labels = R.terms.get(-j, ())
+        tgt_labels = R.terms.get(-j - 1, ())
+        rows_out = sum(N.dims[u] for u in tgt_labels)
+        cols_in = sum(N.dims[u] for u in src_labels)
+        m = ExactMatrix(rows_out, cols_in)
+        d = R.diffs.get(-j - 1)
+        if d is None:
+            return m
+        col_off = 0
+        col_offsets = []
+        for u in src_labels:
+            col_offsets.append(col_off)
+            col_off += N.dims[u]
+        row_off = 0
+        for s2, u2 in enumerate(tgt_labels):
+            for t, u in enumerate(src_labels):
+                elem = d[t][s2]
+                if elem:
+                    act = N.element_action(elem, u2, u)
+                    for a in range(act.rows):
+                        for b in range(act.cols):
+                            m.data[row_off + a][col_offsets[t] + b] = act.data[a][b]
+            row_off += N.dims[u2]
+        return m
+
+    dim_i = hom_dim_at(i)
+    if dim_i == 0:
+        return 0
+    rank_out = delta(i).rank()
+    rank_in = delta(i - 1).rank() if i >= 1 else 0
+    return dim_i - rank_out - rank_in
+
+
 def ext_dim(alg, M: QuiverRep, N: QuiverRep, i: int, max_len=64) -> int:
     """dim Ext^i(M, N) from a minimal resolution of M."""
     if i < 0:
         raise ValueError("negative Ext degree")
     _, R, _ = minimal_proj_resolution(alg, M, max_len=max(max_len, i + 1))
     return _ext_from_resolution(alg, R, N, i)
+
+
+def hom_space(M: QuiverRep, N: QuiverRep) -> tuple[int, list[dict[int, ExactMatrix]]]:
+    """Dimension and basis of the intertwiner space Hom(M, N), exactly."""
+    if M.algebra is not N.algebra:
+        raise ValueError("modules over different algebras")
+    alg = M.algebra
+    offsets = {}
+    total = 0
+    for v in alg.vertex_ids():
+        offsets[v] = total
+        total += N.dims[v] * M.dims[v]
+    rows = []
+    for a in alg.quiver.arrows:
+        u, w = a.src, a.tgt
+        RM, RN = M.maps[a.id], N.maps[a.id]
+        # phi_u RM - RN phi_w = 0, an (N_u x M_w)-matrix of equations
+        for i in range(N.dims[u]):
+            for j in range(M.dims[w]):
+                row = [ZERO] * total
+                for k in range(M.dims[u]):
+                    if RM.data[k][j] != 0:
+                        row[offsets[u] + i * M.dims[u] + k] += RM.data[k][j]
+                for k in range(N.dims[w]):
+                    if RN.data[i][k] != 0:
+                        row[offsets[w] + k * M.dims[w] + j] -= RN.data[i][k]
+                if any(x != 0 for x in row):
+                    rows.append(row)
+    if rows:
+        kernel = ExactMatrix.from_rows(rows).nullspace()
+    else:
+        kernel = ExactMatrix.identity(total).data if total else []
+    basis = []
+    for vec in kernel:
+        phi = {}
+        for v in alg.vertex_ids():
+            m = ExactMatrix(N.dims[v], M.dims[v])
+            for i in range(N.dims[v]):
+                for j in range(M.dims[v]):
+                    m.data[i][j] = vec[offsets[v] + i * M.dims[v] + j]
+            phi[v] = m
+        basis.append(phi)
+    return len(basis), basis
 
 
 def check_associative(fd):

@@ -137,6 +137,43 @@ class TestVerify:
         doc = json.loads(target.read_text())
         assert doc["claims"][1]["value"]["gldim"] == 1
 
+    def test_unwritable_report_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        import hatilt.verify
+
+        def run_claims(*args, **kwargs):
+            raise AssertionError("a claim ran before the report path was checked")
+
+        monkeypatch.setattr(hatilt.verify, "run_claims", run_claims)
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(
+            capsys,
+            "verify", "--d", "3", "--n", "2",
+            "--claims", "dyck_count",
+            "--report", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
+    @pytest.mark.parametrize("claims", [",", " , ,", ""])
+    def test_empty_claim_list_is_usage_error(self, capsys, claims):
+        code, out, err = run(capsys, "verify", "--d", "3", "--n", "2", "--claims", claims)
+        assert code == 2
+        assert out == ""
+        assert "no claims" in err
+
+    def test_repeated_budget_key_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "verify", "--d", "3", "--n", "2",
+            "--claims", "dyck_count",
+            "--budget", "iso_budget=5,iso_budget=7",
+        )
+        assert code == 2
+        assert out == ""
+        assert "iso_budget" in err
+
     def test_budget_exhaustion_exit_three(self, capsys):
         code, out, _ = run(
             capsys,

@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from oracles import hom_space
 
+from hatilt.complexes import _realize_entry
 from hatilt.pathcomb import OrderedSeq, enumerate_os, preceq
 from hatilt.quiveralg import (
     Arrow,
@@ -12,7 +14,6 @@ from hatilt.quiveralg import (
     build_auslander_algebra,
     direct_sum,
     dual_module,
-    hom_space,
     module_M,
     relation,
     vertex_of_entries,
@@ -262,7 +263,9 @@ class TestProjectivesInjectives:
         op = alg.opposite()
         for v in alg.vertex_ids():
             inj = alg.injective(v)
-            assert inj.dims == dual_module(op.projective(v)).dims
+            dual = dual_module(op.projective(v))
+            assert inj.dims == dual.dims
+            assert inj.maps == dual.maps
 
     def test_injective_is_valid_module(self):
         alg = build_auslander_algebra(4, 2)
@@ -275,7 +278,7 @@ class TestProjectivesInjectives:
         v = vertex_of_entries(alg, (1, 3))
         for bid in alg.blocks.get((u, v), []):
             elem = alg.basis_elem(bid)
-            phi = alg.proj_map_from_element(elem, u, v)
+            phi = _realize_entry(alg, elem, u, v, "proj")
             # the map is determined by the image of the degree-zero generator
             gen = alg.blocks[(u, u)].index(alg.idempotent_of[u])
             col = [phi[u].data[i][gen] for i in range(phi[u].rows)]
