@@ -1,6 +1,8 @@
 """Command-line front end: enumeration, algebra export, verification.
 
-Exit codes: 0 success, 1 claim failure, 2 usage error, 3 budget exhaustion.
+Exit codes: 0 success, 1 claim failure, 2 usage error, 3 budget exhaustion
+(a skipped claim), 4 a claim that raised an unexpected exception (status
+``error``) while none failed.
 Primary output goes to stdout, diagnostics to stderr; outputs are
 byte-identical for identical inputs, version and configuration, except for
 the wall-clock ``ms`` fields inside verification reports.
@@ -33,6 +35,7 @@ from .serialize import (
 USAGE_ERROR = 2
 CLAIM_FAILURE = 1
 BUDGET_EXHAUSTED = 3
+CLAIM_ERROR = 4
 
 
 class UsageError(Exception):
@@ -284,6 +287,8 @@ def cmd_verify(args) -> int:
     sys.stdout.write(payload)
     if failed:
         return CLAIM_FAILURE
+    if any(c["status"] == "error" for c in claims):
+        return CLAIM_ERROR
     if skipped:
         return BUDGET_EXHAUSTED
     return 0

@@ -212,11 +212,11 @@ def chain_maps_mod_homotopy(X, Y, k=0):
         if any(x != 0 for x in vec):
             boundaries.append(vec)
     chosen = [cycles[k] for k in extend_basis(boundaries, cycles)]
-    reps = [_vector_to_chain_map(X, Y, k, vec, slots) for vec in chosen]
+    reps = [_vector_to_chain_map(vec, slots) for vec in chosen]
     return reps, chosen, boundaries, slots, dim_k
 
 
-def _vector_to_chain_map(X, Y, k, vec, slots):
+def _vector_to_chain_map(vec, slots):
     comps = {}
     for m, t, s, ids, off in slots:
         elem = {bid: vec[off + idx] for idx, bid in enumerate(ids) if vec[off + idx] != 0}
@@ -225,7 +225,7 @@ def _vector_to_chain_map(X, Y, k, vec, slots):
     return comps
 
 
-def _chain_map_to_vector(X, Y, k, comps, slots, dim):
+def _chain_map_to_vector(comps, slots, dim):
     vec = [ZERO] * dim
     for m, t, s, ids, off in slots:
         elem = comps.get(m, {}).get((t, s))
@@ -709,11 +709,10 @@ def two_subhomogeneous_check(alg, d_check: int, max_len=64) -> TwoStepReport:
 
     The global dimension must be at most d_check.  For each indecomposable
     injective non-projective I, the shifted twist nu(I)[-d] must minimise to
-    a stalk of projectives in degree zero, and Ext^i(I, N) must vanish for
-    0 < i < d_check and every indecomposable projective or injective N.  One
-    resolution R of I feeds both checks: Ext^i(I, P_w) is Hom(R, P_w[i]),
-    and Ext^i(I, I_w) = Hom(R, nu(P_w)[i]) is dual to Hom(P_w, R[-i]) by
-    Serre duality.
+    a stalk of projectives in degree zero, and Ext^i(I, P_w) must vanish for
+    0 < i < d_check and every vertex w.  One resolution R of I feeds both
+    checks: Ext^i(I, P_w) is Hom(R, P_w[i]).  Ext^i(I, I_w) needs no check,
+    since it vanishes for i >= 1 because I_w is injective.
     """
     g = gldim(alg, max_len)
     twists_ok = rigidity_ok = True
@@ -727,7 +726,7 @@ def two_subhomogeneous_check(alg, d_check: int, max_len=64) -> TwoStepReport:
         twists_ok = twists_ok and list(twisted.terms) == [0]
         for S in stalks:
             for i in range(1, d_check):
-                if hom_complex_dim(R, S, i) or hom_complex_dim(S, R, -i):
+                if hom_complex_dim(R, S, i):
                     rigidity_ok = False
     passed = g <= d_check and twists_ok and rigidity_ok
     return TwoStepReport(g, g == d_check, passed, rigidity_ok)
@@ -761,7 +760,6 @@ def endo_algebra_of_complexes(complexes) -> FDAlgebra:
     """End of a list of complexes, composed modulo homotopy."""
     if not complexes:
         raise ValueError("need at least one complex")
-    alg = complexes[0].algebra
     data = {}
     for i, Xi in enumerate(complexes):
         for j, Xj in enumerate(complexes):
@@ -769,7 +767,7 @@ def endo_algebra_of_complexes(complexes) -> FDAlgebra:
             if i == j:
                 # rebuild the basis so the identity comes first
                 ident = identity_chain_map(Xi)
-                vectors = [_chain_map_to_vector(Xj, Xi, 0, ident, slots, dim)] + vectors
+                vectors = [_chain_map_to_vector(ident, slots, dim)] + vectors
                 reps = [ident] + reps
                 picked = extend_basis(boundaries, vectors)
                 reps, vectors = [reps[k] for k in picked], [vectors[k] for k in picked]
@@ -786,41 +784,30 @@ def endo_algebra_of_complexes(complexes) -> FDAlgebra:
             idem_ids.append(index[(i, i, 0)])
 
     mult = {}
-    for (i, j), (reps_left, _, _, _, _) in data.items():
-        for (jj, k), (reps_right, _, _, _, _) in data.items():
-            if jj != j:
-                continue
-            target = data[(i, k)]
-            t_reps, t_vecs, t_bound, t_slots, t_dim = target
+    n = len(complexes)
+    for i in range(n):
+        for k in range(n):
+            t_reps, t_vecs, t_bound, t_slots, t_dim = data[(i, k)]
             if not t_reps and not t_bound:
                 continue
-            solver_cols = [list(v) for v in t_vecs] + [list(b) for b in t_bound]
-            solver = (
-                ExactMatrix.from_rows(solver_cols).transpose() if solver_cols else None
-            )
-            for a, f in enumerate(reps_left):
-                for b, g in enumerate(reps_right):
-                    comp = compose_chain_maps(
-                        complexes[k], complexes[j], complexes[i], g, f
-                    )
-                    vec = _chain_map_to_vector(
-                        complexes[k], complexes[i], 0, comp, t_slots, t_dim
-                    )
-                    if solver is None:
-                        if any(x != 0 for x in vec):
-                            raise AssertionError("composite misses the Hom space")
-                        continue
-                    sol = solver.solve(vec)
-                    if sol is None:
-                        raise AssertionError("composite not a cycle")
-                    entry = {
-                        index[(i, k, t)]: c
-                        for t, c in enumerate(sol[: len(t_reps)])
-                        if c != 0
-                    }
-                    if entry:
-                        mult[(index[(i, j, a)], index[(j, k, b)])] = entry
-    return FDAlgebra(len(complexes), blocks, mult, idem_ids)
+            solver = ExactMatrix.from_rows(t_vecs + t_bound).transpose()
+            for j in range(n):
+                for a, f in enumerate(data[(i, j)][0]):
+                    for b, g in enumerate(data[(j, k)][0]):
+                        comp = compose_chain_maps(
+                            complexes[k], complexes[j], complexes[i], g, f
+                        )
+                        sol = solver.solve(_chain_map_to_vector(comp, t_slots, t_dim))
+                        if sol is None:
+                            raise AssertionError("composite not a cycle")
+                        entry = {
+                            index[(i, k, t)]: c
+                            for t, c in enumerate(sol[: len(t_reps)])
+                            if c != 0
+                        }
+                        if entry:
+                            mult[(index[(i, j, a)], index[(j, k, b)])] = entry
+    return FDAlgebra(n, blocks, mult, idem_ids)
 
 
 @dataclass

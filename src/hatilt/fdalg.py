@@ -21,11 +21,16 @@ presentation kernels are computed block by block: rad^{k+1} in block
 coordinates of block (i, j) alone, and paths from j to i are evaluated in
 e_i A e_j only.
 
-``iso_test`` certifies isomorphisms: it searches vertex bijections
-compatible with Cartan data and arrow multiplicities, matches arrows, and
-solves for per-arrow scalars making every relation of one side evaluate to
-zero in the other.  Success hands back an explicit generator map that is
-verified by evaluation; failure means the search space was exhausted.
+``iso_test`` certifies isomorphisms from the presentation of its first
+argument alone; the second is read through its Gabriel quiver.  Each vertex
+gets a profile (diagonal Cartan entry, sorted Cartan and arrow-count rows
+and columns) that every vertex bijection compatible with Cartan data and
+arrow multiplicities keeps.  Profiles give each vertex its candidates, and
+the search places the vertex with the fewest candidates first.  Each
+bijection found has its arrows matched and per-arrow scalars solved so that
+every relation of the first side evaluates to zero in the second.  Success
+hands back an explicit generator map that is verified by evaluation;
+failure means the search space was exhausted.
 """
 
 from __future__ import annotations
@@ -462,26 +467,34 @@ def iso_test(a1, a2, budget: int = 2_000_000):
     Accepts ``FDAlgebra`` or ``BoundQuiverAlgebra`` inputs.  Returns an
     ``IsoResult`` carrying a verified generator-level isomorphism, or None
     after exhausting all vertex bijections compatible with the Cartan data.
+
+    Only the first algebra is presented.  Its relations generate the kernel
+    of its path-algebra surjection (``presentation_data`` checks the rebuilt
+    dimension), so a map sending each of its arrows to a nonzero multiple of
+    a distinct Gabriel arrow of the second algebra, under which every
+    relation vanishes, is a surjective algebra map between algebras of equal
+    dimension: an isomorphism.
     """
     fd1 = fd_from_bqa(a1) if isinstance(a1, BoundQuiverAlgebra) else a1
     fd2 = fd_from_bqa(a2) if isinstance(a2, BoundQuiverAlgebra) else a2
     if fd1.dim != fd2.dim or fd1.nidem != fd2.nidem:
         return None
     p1 = presentation_data(fd1)
-    p2 = presentation_data(fd2)
-    c1, c2 = fd1.cartan(), fd2.cartan()
-    arrows1 = _arrow_count_matrix(p1.quiver, fd1.nidem)
-    arrows2 = _arrow_count_matrix(p2.quiver, fd2.nidem)
-
-    classes1, classes2 = _refine_classes_pair((c1, arrows1), (c2, arrows2))
-    if sorted(classes1.values()) != sorted(classes2.values()):
-        return None
-
+    quiver2, arrow_elems2 = gabriel_quiver(fd2)
     n = fd1.nidem
-    order = sorted(range(n), key=lambda v: (classes1[v], v))
+    c1, c2 = fd1.cartan(), fd2.cartan()
+    arrows1 = _arrow_count_matrix(p1.quiver, n)
+    arrows2 = _arrow_count_matrix(quiver2, n)
+
+    profiles1 = [_vertex_profile(c1, arrows1, v) for v in range(n)]
+    profiles2 = [_vertex_profile(c2, arrows2, w) for w in range(n)]
+    if sorted(profiles1) != sorted(profiles2):
+        return None
     candidates = {
-        v: [w for w in range(n) if classes2[w] == classes1[v]] for v in range(n)
+        v: [w for w in range(n) if profiles2[w] == profiles1[v]] for v in range(n)
     }
+    # fail first: the vertex with the fewest candidates is placed first
+    order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
 
     steps = 0
 
@@ -504,7 +517,7 @@ def iso_test(a1, a2, budget: int = 2_000_000):
                 and arrows1[u][v] == arrows2[sigma[u]][w]
                 for u in sigma
             )
-            if not ok or c1[v][v] != c2[w][w]:
+            if not ok:
                 continue
             sigma[v] = w
             used.add(w)
@@ -513,11 +526,11 @@ def iso_test(a1, a2, budget: int = 2_000_000):
             used.discard(w)
 
     for sigma in backtrack(0, {}, set()):
-        result = _match_arrows_and_scalars(fd2, p1, p2, sigma)
+        result = _match_arrows_and_scalars(fd2, p1, quiver2, arrow_elems2, sigma)
         if result is not None:
             arrow_map, scalars = result
             return IsoResult(sigma, arrow_map, scalars)
-    if _has_parallel_arrows(p1.quiver) or _has_parallel_arrows(p2.quiver):
+    if _has_parallel_arrows(p1.quiver) or _has_parallel_arrows(quiver2):
         # per-arrow scalars cannot mix parallel arrows, so an exhausted
         # search is not a certificate of non-isomorphism here
         raise IsoInconclusive("parallel arrows require base mixing beyond the search")
@@ -541,48 +554,24 @@ def _arrow_count_matrix(quiver, n):
     return counts
 
 
-def _refine_classes_pair(side1, side2):
-    """Simultaneous partition refinement so class labels align across sides."""
-    sides = [side1, side2]
-    classes = [{v: 0 for v in range(len(c))} for c, _ in sides]
-    size = max(len(side1[0]), len(side2[0]))
-    for _ in range(size + 1):
-        signatures = []
-        for (cartan, arrows), cls in zip(sides, classes):
-            n = len(cartan)
-            sig = {
-                v: (
-                    cls[v],
-                    cartan[v][v],
-                    tuple(
-                        sorted(
-                            (cls[u], cartan[v][u], cartan[u][v], arrows[v][u], arrows[u][v])
-                            for u in range(n)
-                        )
-                    ),
-                )
-                for v in range(n)
-            }
-            signatures.append(sig)
-        relabel: dict = {}
-        for sig in signatures:
-            for key in sorted(map(repr, sig.values())):
-                relabel.setdefault(key, len(relabel))
-        new_classes = [
-            {v: relabel[repr(sig[v])] for v in sig} for sig in signatures
-        ]
-        if new_classes == classes:
-            break
-        classes = new_classes
-    return classes[0], classes[1]
+def _vertex_profile(cartan, arrows, v):
+    """What every vertex bijection preserving Cartan data and arrow counts
+    keeps at v: its diagonal Cartan entry and its sorted rows and columns."""
+    return (
+        cartan[v][v],
+        sorted(cartan[v]),
+        sorted(row[v] for row in cartan),
+        sorted(arrows[v]),
+        sorted(row[v] for row in arrows),
+    )
 
 
-def _match_arrows_and_scalars(fd2, p1, p2, sigma):
+def _match_arrows_and_scalars(fd2, p1, quiver2, arrow_elems2, sigma):
     by_block1: dict[tuple[int, int], list[int]] = {}
     for a in p1.quiver.arrows:
         by_block1.setdefault((a.src, a.tgt), []).append(a.id)
     by_block2: dict[tuple[int, int], list[int]] = {}
-    for a in p2.quiver.arrows:
+    for a in quiver2.arrows:
         by_block2.setdefault((a.src, a.tgt), []).append(a.id)
 
     block_choices = []
@@ -599,17 +588,17 @@ def _match_arrows_and_scalars(fd2, p1, p2, sigma):
         for (ids1, _), perm in zip(block_choices, perm_combo):
             for a1_id, a2_id in zip(ids1, perm):
                 arrow_map[a1_id] = a2_id
-        scalars = _solve_scalars(fd2, p1, p2, arrow_map)
+        scalars = _solve_scalars(fd2, p1, arrow_elems2, arrow_map)
         if scalars is not None:
             return arrow_map, scalars
     return None
 
 
-def _solve_scalars(fd2, p1, p2, arrow_map):
+def _solve_scalars(fd2, p1, arrow_elems2, arrow_map):
     def eval_mapped(path):
-        elem = p2.arrow_elems[arrow_map[path[0]]]
+        elem = arrow_elems2[arrow_map[path[0]]]
         for aid in path[1:]:
-            elem = fd2.elem_mul(p2.arrow_elems[arrow_map[aid]], elem)
+            elem = fd2.elem_mul(arrow_elems2[arrow_map[aid]], elem)
         return elem
 
     constraints = []  # (exponent dict, required value)
@@ -627,7 +616,8 @@ def _solve_scalars(fd2, p1, p2, arrow_map):
         ratio = _parallel_ratio(v1, v2)
         if ratio is None:
             return None
-        # m1 / m2 = -c2 ratio / c1 where v2 = ratio... careful: v1 = ratio * v2
+        # v1 = ratio * v2, so c1 m1 v1 + c2 m2 v2 = (c1 m1 ratio + c2 m2) v2
+        # vanishes exactly when m1 / m2 = -c2 / (c1 ratio)
         exps: dict[int, int] = {}
         for aid in path1:
             exps[aid] = exps.get(aid, 0) + 1

@@ -6,7 +6,9 @@ declared order, times them, and assembles a deterministic report (apart
 from the wall-clock ``ms`` fields).  Budget exhaustion marks a claim as
 skipped rather than failed, and so do an isomorphism search that can
 neither find nor rule out an isomorphism and a claim that degenerates on
-the model.
+the model.  Any other exception a claim raises marks it ``error`` with the
+exception type and message as its reason, and the remaining claims still
+run.
 """
 
 from __future__ import annotations
@@ -407,7 +409,7 @@ COMBINATORIAL_CLAIMS = [
 
 def run_claims(d, n, names, config: VerifyConfig | None = None):
     """Run the selected claims in declared order; returns (claims, any_failed,
-    any_skipped)."""
+    any_skipped).  A claim with status ``error`` counts as neither."""
     config = config or VerifyConfig()
     model = ModelData(d, n, config)
     results = []
@@ -423,6 +425,9 @@ def run_claims(d, n, names, config: VerifyConfig | None = None):
         except (BudgetError, IsoInconclusive, SkipClaim) as exc:
             status = "skipped"
             value = {"reason": str(exc)}
+        except Exception as exc:  # a defect, reported instead of a traceback
+            status = "error"
+            value = {"reason": f"{type(exc).__name__}: {exc}"}
         ms = int((time.monotonic() - start) * 1000)
         results.append({"name": name, "status": status, "value": value, "ms": ms})
         failed = failed or status == "fail"

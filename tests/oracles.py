@@ -133,7 +133,7 @@ def complexes_isomorphic(X, Y, tries=60):
         return Xm.size() == 0
 
     def scalar_blocks(vec):
-        comps = _vector_to_chain_map(Xm, Ym, 0, vec, slots)
+        comps = _vector_to_chain_map(vec, slots)
         blocks = []
         for m, vs in Xm.terms.items():
             by_vertex = {}

@@ -237,6 +237,28 @@ class TestVerify:
         assert "budget" in claim["value"]["reason"]
         assert json.loads(report.read_text()) == doc
 
+    def test_claim_exception_is_error_exit_four(self, capsys, monkeypatch, tmp_path):
+        import hatilt.verify
+
+        def gldim(*args, **kwargs):
+            raise AssertionError("boom")
+
+        monkeypatch.setattr(hatilt.verify, "gldim", gldim)
+        report = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys,
+            "verify", "--d", "3", "--n", "2",
+            "--claims", "dyck_count,gldim_A",
+            "--report", str(report),
+        )
+        assert code == 4
+        doc = json.loads(report.read_text())
+        assert doc == json.loads(out)
+        dyck, gldim_a = doc["claims"]
+        assert dyck["name"] == "dyck_count" and dyck["status"] == "pass"
+        assert gldim_a["name"] == "gldim_A"
+        assert gldim_a["status"] == "error"
+        assert gldim_a["value"] == {"reason": "AssertionError: boom"}
 
     @pytest.mark.parametrize("fault", ["dimension_mismatch", "not_isomorphic"])
     def test_b0_presentation_fault_fails_the_claim(self, capsys, monkeypatch, fault):

@@ -310,7 +310,118 @@ class TestIdempotentSurgery:
         assert sub.cartan() == [[1, 0], [1, 1]]
 
 
+@cache
+def relabelling_algebras():
+    """B0, B and End(T) at (3, 2) and (2, 3)."""
+    out = []
+    for d, n in [(3, 2), (2, 3)]:
+        model = ModelData(d, n, VerifyConfig())
+        out += [model.b0(), model.b_replicated(), model.end_t()]
+    return tuple(out)
+
+
+def relabel(fd, perm):
+    """The same algebra with vertex i renamed perm[i]."""
+    blocks = [(perm[i], perm[j]) for i, j in fd.blocks]
+    idem_ids = [0] * fd.nidem
+    for i, bid in enumerate(fd.idem_ids):
+        idem_ids[perm[i]] = bid
+    return FDAlgebra(fd.nidem, blocks, fd.mult, idem_ids)
+
+
+@st.composite
+def relabelled_pairs(draw):
+    fd = draw(st.sampled_from(relabelling_algebras()))
+    return fd, relabel(fd, draw(st.permutations(range(fd.nidem))))
+
+
+def linear_a6_with_zero_pairs(starts):
+    """kA_6 with the length-two paths starting at ``starts`` set to zero."""
+    q = Quiver(
+        [Vertex(i, str(i + 1)) for i in range(6)],
+        [Arrow(i, i, i + 1, f"a{i + 1}") for i in range(5)],
+    )
+    return BoundQuiverAlgebra.from_quiver_data(
+        q, [relation((1, (s, s + 1))) for s in starts]
+    )
+
+
+def square(rels):
+    """The square 0 -> 1 -> 3, 0 -> 2 -> 3 with arrows a, b, c, d."""
+    q = Quiver(
+        [Vertex(i, str(i)) for i in range(4)],
+        [
+            Arrow(0, 0, 1, "a"),
+            Arrow(1, 0, 2, "b"),
+            Arrow(2, 1, 3, "c"),
+            Arrow(3, 2, 3, "d"),
+        ],
+    )
+    return BoundQuiverAlgebra.from_quiver_data(q, rels)
+
+
 class TestIsoTest:
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(relabelled_pairs())
+    def test_finds_relabelled_copies_both_ways(self, pair):
+        fd, shuffled = pair
+        assert iso_test(fd, shuffled) is not None
+        assert iso_test(shuffled, fd) is not None
+
+    @pytest.mark.parametrize(
+        "a1, a2, dim",
+        [
+            # mirror images: the profiles agree, but no vertex bijection
+            # keeps the arrows and the Cartan entries
+            (
+                linear_a6_with_zero_pairs([0, 1, 3]),
+                linear_a6_with_zero_pairs([0, 2, 3]),
+                12,
+            ),
+            # the same quiver and Cartan matrix: only evaluating the
+            # relations tells the commuting square from a c = 0
+            (
+                square([relation((1, (0, 2)), (-1, (1, 3)))]),
+                square([relation((1, (0, 2)))]),
+                9,
+            ),
+        ],
+        ids=["kA6_zero_pairs", "square"],
+    )
+    def test_equal_profiles_are_not_enough(self, a1, a2, dim):
+        assert a1.dim == a2.dim == dim
+        assert iso_test(a1, a2) is None
+        assert iso_test(a2, a1) is None
+
+    def test_profile_mismatch_is_certified_with_parallel_arrows(self):
+        # 0 => 1 -> 2 against 0 -> 1 => 2: the search cannot mix parallel
+        # arrows, but different vertex profiles already rule out a bijection
+        def path_algebra(arrows):
+            q = Quiver(
+                [Vertex(i, str(i)) for i in range(3)],
+                [Arrow(k, s, t, f"a{k}") for k, (s, t) in enumerate(arrows)],
+            )
+            return BoundQuiverAlgebra.from_quiver_data(q, [])
+
+        a1 = path_algebra([(0, 1), (0, 1), (1, 2)])
+        a2 = path_algebra([(0, 1), (1, 2), (1, 2)])
+        assert a1.dim == a2.dim == 8
+        assert iso_test(a1, a2) is None
+
+    def test_presents_only_the_first_algebra(self, monkeypatch):
+        import hatilt.fdalg
+
+        presented = []
+
+        def counting(fd, *args, **kwargs):
+            presented.append(fd)
+            return presentation_data(fd, *args, **kwargs)
+
+        monkeypatch.setattr(hatilt.fdalg, "presentation_data", counting)
+        first, second = branching_b0(), branching_b0()
+        assert iso_test(first, second) is not None
+        assert len(presented) == 1
+
     def test_self_iso(self):
         bqa = branching_b0()
         result = iso_test(bqa, bqa)
@@ -333,18 +444,6 @@ class TestIsoTest:
         assert result.vertex_map == {0: 2, 1: 0, 2: 1}
 
     def test_distinguishes_commuting_square_from_zero_square(self):
-        def square(rels):
-            q = Quiver(
-                [Vertex(i, str(i)) for i in range(4)],
-                [
-                    Arrow(0, 0, 1, "a"),
-                    Arrow(1, 0, 2, "b"),
-                    Arrow(2, 1, 3, "c"),
-                    Arrow(3, 2, 3, "d"),
-                ],
-            )
-            return BoundQuiverAlgebra.from_quiver_data(q, rels)
-
         commuting = square([relation((1, (0, 2)), (-1, (1, 3)))])
         both_zero = square([relation((1, (0, 2))), relation((1, (1, 3)))])
         assert commuting.dim != both_zero.dim or iso_test(commuting, both_zero) is None
