@@ -181,7 +181,6 @@ def _paths_dot(groups, d, n) -> str:
 
 
 def _build_named_algebra(name, d, n):
-    from .fdalg import presentation_data
     from .quiveralg import build_auslander_algebra
     from .verify import ModelData, VerifyConfig
 
@@ -192,19 +191,7 @@ def _build_named_algebra(name, d, n):
     if name == "A":
         alg = build_auslander_algebra(n + 1, d)
         return alg.quiver, alg.relations
-    model = ModelData(d, n, VerifyConfig())
-    if name == "B0":
-        fd = model.b0()
-    elif name == "B":
-        fd = model.b_replicated()
-    elif name == "Lambda":
-        fd = model.lam()
-    else:
-        # Pi and Tr are the two sides of the preprojective comparison: the
-        # (nd+1)-preprojective algebra of B equals the (n+d)-fold trivial
-        # extension of B0, so both export the same presentation
-        fd = model.pi()
-    data = presentation_data(fd)
+    data = ModelData(d, n, VerifyConfig()).presentation(name)
     return data.quiver, data.relations
 
 

@@ -698,23 +698,21 @@ def domdim(alg, max_len=64):
 
 @dataclass
 class TwoStepReport:
-    gldim: int
-    gldim_equals_d: bool
     passed: bool
     rigidity_ok: bool
 
 
-def two_subhomogeneous_check(alg, d_check: int, max_len=64) -> TwoStepReport:
+def two_subhomogeneous_check(alg, d_check: int, global_dim: int, max_len=64) -> TwoStepReport:
     """Every twisted injective lands in add(A), plus the rigidity window.
 
-    The global dimension must be at most d_check.  For each indecomposable
-    injective non-projective I, the shifted twist nu(I)[-d] must minimise to
-    a stalk of projectives in degree zero, and Ext^i(I, P_w) must vanish for
+    The global dimension ``global_dim`` of ``alg``, as ``gldim`` returns it,
+    must be at most d_check.  For each indecomposable injective
+    non-projective I, the shifted twist nu(I)[-d] must minimise to a stalk of
+    projectives in degree zero, and Ext^i(I, P_w) must vanish for
     0 < i < d_check and every vertex w.  One resolution R of I feeds both
     checks: Ext^i(I, P_w) is Hom(R, P_w[i]).  Ext^i(I, I_w) needs no check,
     since it vanishes for i >= 1 because I_w is injective.
     """
-    g = gldim(alg, max_len)
     twists_ok = rigidity_ok = True
     proj_inj = projective_injective_vertices(alg)
     stalks = [stalk_complex(alg, w) for w in alg.vertex_ids()]
@@ -728,8 +726,8 @@ def two_subhomogeneous_check(alg, d_check: int, max_len=64) -> TwoStepReport:
             for i in range(1, d_check):
                 if hom_complex_dim(R, S, i):
                     rigidity_ok = False
-    passed = g <= d_check and twists_ok and rigidity_ok
-    return TwoStepReport(g, g == d_check, passed, rigidity_ok)
+    passed = global_dim <= d_check and twists_ok and rigidity_ok
+    return TwoStepReport(passed, rigidity_ok)
 
 
 def fcy_object_check(alg, shift: int, power: int, max_len=64) -> bool:

@@ -36,6 +36,7 @@ failure means the search space was exhausted.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -259,24 +260,17 @@ def presentation_data(fd: FDAlgebra, max_degree: int = DEFAULT_PRESENTATION_DEGR
             break
         all_killed = True
         ideal_now: dict[tuple[int, int], list[dict]] = {}
+        # grow the ideal: extend each previous ideal vector by one arrow on
+        # either side, and file the product under the block it lands in
+        extended: dict[tuple[int, int], list[dict]] = defaultdict(list)
+        for (s, t), vectors in ideal_prev.items():
+            for vec in vectors:
+                for a in quiver.arrows_out[t]:
+                    extended[s, a.tgt].append({p + (a.id,): c for p, c in vec.items()})
+                for a in quiver.arrows_into[s]:
+                    extended[a.src, t].append({(a.id,) + p: c for p, c in vec.items()})
         for blk, paths in sorted(by_block.items()):
-            pos = {p: k for k, p in enumerate(paths)}
-            # grow the ideal: arrow * (previous ideal vectors) * arrow
-            grown: list[list[Fraction]] = []
-            for prev_blk, vectors in ideal_prev.items():
-                for vec in vectors:
-                    for a in quiver.arrows:
-                        if a.src == prev_blk[1] and (blk == (prev_blk[0], a.tgt)):
-                            row = [ZERO] * len(paths)
-                            for p, c in vec.items():
-                                row[pos[p + (a.id,)]] += c
-                            grown.append(row)
-                        if a.tgt == prev_blk[0] and (blk == (a.src, prev_blk[1])):
-                            row = [ZERO] * len(paths)
-                            for p, c in vec.items():
-                                row[pos[(a.id,) + p]] += c
-                            grown.append(row)
-            grown = span_basis(grown)
+            grown = span_basis([[vec.get(p, ZERO) for p in paths] for vec in extended[blk]])
 
             # kernel of evaluation on degree-m paths
             # a path from src to tgt evaluates into e_tgt A e_src; the other

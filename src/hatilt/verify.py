@@ -83,7 +83,18 @@ class VerifyConfig:
 
 
 class ModelData:
-    """Shared constructions for one coprime (d, n), built lazily."""
+    """Shared constructions for one coprime (d, n), built lazily.
+
+    Everything but Lambda and Pi is built at most once per model, and so are
+    the global dimensions of A, B0 and B and the presentations that claims
+    ask ``presentation`` for, those of B0 and B.  B0's presentation feeds
+    ``b0_presentation`` and ``gldim_B0``; B's presentation and global
+    dimension feed ``gldim_B`` and ``two_subhomogeneous``, so B's presentation
+    stays alive for the rest of the run, with the projective and injective
+    modules it caches.  Lambda and Pi are built afresh on each call and their
+    claims present them directly: each has one consumer per run, and keeping
+    them would only raise the peak memory.
+    """
 
     def __init__(self, d, n, config: VerifyConfig):
         if math.gcd(n, d) != 1:
@@ -91,6 +102,7 @@ class ModelData:
         self.d = d
         self.n = n
         self.config = config
+        self.max_len = config.resolution_length(d, n)
         self._built = {}
 
     def _memo(self, key, builder):
@@ -125,13 +137,30 @@ class ModelData:
     def b_replicated(self):
         return self._memo("b", lambda: replicate(self.b0(), self.n + self.d))
 
-    # Lambda and Pi are built afresh on each call: each has one consumer
-    # per run, and keeping them would only raise the peak memory.
     def lam(self):
         return replicate(self.b0(), self.n + self.d + 1)
 
     def pi(self):
         return trivial_ext_r(self.b0(), self.n + self.d)
+
+    def named(self, name):
+        """The algebra that ``hatilt quiver --algebra name`` exports, for
+        every name but A, which needs no coprime model."""
+        # Pi and Tr are the two sides of the preprojective comparison: the
+        # (nd+1)-preprojective algebra of B equals the (n+d)-fold trivial
+        # extension of B0, so both export the same presentation
+        builders = {"B0": self.b0, "B": self.b_replicated, "Lambda": self.lam, "Pi": self.pi}
+        return builders["Pi" if name == "Tr" else name]()
+
+    def presentation(self, name):
+        return self._memo(("presentation", name), lambda: presentation_data(self.named(name)))
+
+    def gldim(self, name):
+        def build():
+            alg = self.algebra() if name == "A" else self.presentation(name).algebra
+            return gldim(alg, max_len=self.max_len)
+
+        return self._memo(("gldim", name), build)
 
     def tilting_complexes(self):
         def build():
@@ -139,14 +168,7 @@ class ModelData:
             out = []
             for u in tilting_summands(self.d, self.n):
                 m = module_M(alg, coords(u.path))
-                out.append(
-                    shifted_module_complex(
-                        alg,
-                        m,
-                        self.d * u.shift,
-                        max_len=self.config.resolution_length(self.d, self.n),
-                    )
-                )
+                out.append(shifted_module_complex(alg, m, self.d * u.shift, max_len=self.max_len))
             return out
 
         return self._memo("tilting_complexes", build)
@@ -273,7 +295,7 @@ def claim_endo_replicate(model: ModelData):
 def claim_b0_presentation(model: ModelData):
     b0 = model.b0()
     try:
-        data = presentation_data(b0)
+        data = model.presentation("B0")
     except ValueError as exc:  # e.g. the rebuilt algebra has the wrong dimension
         return False, {"reason": str(exc)}
     value = {
@@ -303,47 +325,39 @@ def claim_idempotent_corner(model: ModelData):
     return corner_ok and iso, {"corner_vanishes": corner_ok, "iso": iso, "s": s}
 
 
+def _gldim_claim(model: ModelData, name, expected):
+    value = model.gldim(name)
+    return value == expected, {"gldim": value, "expected": expected}
+
+
 def claim_gldim_a(model: ModelData):
-    d = model.d
-    value = gldim(model.algebra(), max_len=model.config.resolution_length(d, model.n))
-    return value == d, {"gldim": value, "expected": d}
+    return _gldim_claim(model, "A", model.d)
 
 
 def claim_gldim_b(model: ModelData):
-    nd = model.n * model.d
-    B = presentation(model.b_replicated())
-    value = gldim(B, max_len=model.config.resolution_length(model.d, model.n))
-    return value == nd, {"gldim": value, "expected": nd}
+    return _gldim_claim(model, "B", model.n * model.d)
 
 
 def claim_gldim_b0(model: ModelData):
-    expected = model.d - math.ceil(model.d / model.n)
-    B0 = presentation(model.b0())
-    value = gldim(B0, max_len=model.config.resolution_length(model.d, model.n))
-    return value == expected, {"gldim": value, "expected": expected}
+    return _gldim_claim(model, "B0", model.d - math.ceil(model.d / model.n))
 
 
 def claim_higher_auslander(model: ModelData):
     d, n = model.d, model.n
     lam = presentation(model.lam())
-    max_len = model.config.resolution_length(d, n)
-    g = gldim(lam, max_len=max_len)
-    dd = domdim(lam, max_len=max_len)
+    g = gldim(lam, max_len=model.max_len)
+    dd = domdim(lam, max_len=model.max_len)
     ok = g <= n * d + 1 and (dd == math.inf or n * d + 1 <= dd)
     return ok, {"gldim": g, "domdim": "inf" if dd == math.inf else dd, "bound": n * d + 1}
 
 
 def claim_two_subhomogeneous(model: ModelData):
-    d, n = model.d, model.n
-    B = presentation(model.b_replicated())
+    nd = model.n * model.d
+    g = model.gldim("B")
     report = two_subhomogeneous_check(
-        B, n * d, max_len=model.config.resolution_length(d, n)
+        model.presentation("B").algebra, nd, g, max_len=model.max_len
     )
-    return report.passed, {
-        "gldim": report.gldim,
-        "gldim_equals_d": report.gldim_equals_d,
-        "rigidity": report.rigidity_ok,
-    }
+    return report.passed, {"gldim": g, "gldim_equals_d": g == nd, "rigidity": report.rigidity_ok}
 
 
 def claim_preprojective(model: ModelData):
@@ -365,9 +379,7 @@ def claim_preprojective(model: ModelData):
 
 def claim_fcy_a(model: ModelData):
     d, n = model.d, model.n
-    passed = fcy_object_check(
-        model.algebra(), n * d, n + d + 1, max_len=model.config.resolution_length(d, n)
-    )
+    passed = fcy_object_check(model.algebra(), n * d, n + d + 1, max_len=model.max_len)
     return passed, {"shift": n * d, "power": n + d + 1}
 
 

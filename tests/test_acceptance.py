@@ -285,7 +285,7 @@ def test_criterion_11_two_subhomogeneity(model_3_2):
     started = time.monotonic()
     _, _, _, b0 = model_3_2
     B = presentation(replicate(b0, 5))
-    assert two_subhomogeneous_check(B, 6, max_len=8).passed
+    assert two_subhomogeneous_check(B, 6, gldim(B, max_len=8), max_len=8).passed
     q = Quiver(
         [Vertex(i, str(i + 1)) for i in range(4)],
         [Arrow(i, i, i + 1, f"a{i + 1}") for i in range(3)],
@@ -293,7 +293,7 @@ def test_criterion_11_two_subhomogeneity(model_3_2):
     ka4_rad2 = BoundQuiverAlgebra.from_quiver_data(
         q, [relation((1, (i, i + 1))) for i in range(2)]
     )
-    assert two_subhomogeneous_check(ka4_rad2, 3).passed
+    assert two_subhomogeneous_check(ka4_rad2, 3, gldim(ka4_rad2)).passed
     report(11, "two-step homogeneity for B and the radical-square quotient", started)
 
 

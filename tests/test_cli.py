@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -96,6 +97,25 @@ class TestQuiver:
         _, out2, _ = run(capsys, "quiver", "--n", "2", "--d", "3", "--algebra", "Tr")
         assert out1 == out2
         assert len(json.loads(out1)["vertices"]) == 10
+
+    # SHA-256 of each JSON export at --n 2 --d 3: the presentation and the
+    # algebra named by each --algebra value must reproduce these bytes
+    EXPORT_SHA256 = {
+        "A": "adc56eab0076977f83d48f61063ba014aba4f6a8d1bbb66c0b4b704cf0976f58",
+        "B0": "1b9353363023f07d4bcdcb4917d56cbe98baaf1403e4519b113a91ed70a08f88",
+        "B": "fd9223c3380fc9b5846d1142f28ea04647b4ec6b35989b9b4b724ce6ac31f62e",
+        "Lambda": "8ecfb761dca799a43bde9f21afd191c5b2a3f6a97e1731d3c96a0811837fe96d",
+        "Pi": "c712b20d8f8f14ce8160a677d64035fa5dafaf40aa00a0c86c24813624f5dd09",
+        "Tr": "c712b20d8f8f14ce8160a677d64035fa5dafaf40aa00a0c86c24813624f5dd09",
+    }
+
+    @pytest.mark.parametrize("algebra", sorted(EXPORT_SHA256))
+    def test_json_export_is_pinned(self, capsys, algebra):
+        code, out, _ = run(
+            capsys, "quiver", "--n", "2", "--d", "3", "--algebra", algebra, "--format", "json"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.EXPORT_SHA256[algebra]
 
     def test_non_coprime_is_construction_failure(self, capsys):
         # for quiver construction a bad gcd is a precondition failure (1),

@@ -381,14 +381,15 @@ class TestGlobalDimensions:
 class TestTwoSubhomogeneous:
     def test_kA4_mod_rad_square(self):
         alg = linear_bqa(4, rad_power=2)
-        report = two_subhomogeneous_check(alg, 3)
-        assert report.passed
-        assert report.gldim_equals_d
+        g = gldim(alg)
+        assert g == 3
+        assert two_subhomogeneous_check(alg, 3, g).passed
 
     def test_hereditary_kA2(self):
         # d = 1 has an empty rigidity window; kA_2 satisfies the twisted
         # injective condition as well (mod kA_2 = add(A + DA))
-        report = two_subhomogeneous_check(linear_bqa(2), 1)
+        alg = linear_bqa(2)
+        report = two_subhomogeneous_check(alg, 1, gldim(alg))
         assert report.passed
         assert report.rigidity_ok
 
@@ -405,12 +406,15 @@ class TestTwoSubhomogeneous:
             for N in targets
             for i in range(1, d)
         )
-        assert two_subhomogeneous_check(alg, d).rigidity_ok == expected
+        assert two_subhomogeneous_check(alg, d, gldim(alg)).rigidity_ok == expected
 
     def test_hereditary_kA3_fails_honestly(self):
         # kA_3 is not two-step homogeneous: the twist of the simple
         # injective is the middle simple, which is not projective
-        report = two_subhomogeneous_check(linear_bqa(3), 1)
+        alg = linear_bqa(3)
+        g = gldim(alg)
+        assert g == 1  # the global dimension does not fail it
+        report = two_subhomogeneous_check(alg, 1, g)
         assert report.rigidity_ok  # the d = 1 window is empty
         assert not report.passed
 
@@ -422,18 +426,20 @@ class TestTwoSubhomogeneous:
             for p in enumerate_dyck(d, n)
         ]
         B = presentation(replicate(endo_algebra(P), n + d))
-        report = two_subhomogeneous_check(B, n * d, max_len=10)
-        assert report.passed
-        assert report.gldim == 6
+        g = gldim(B, max_len=10)
+        assert g == 6
+        assert two_subhomogeneous_check(B, n * d, g, max_len=10).passed
 
     def test_rejects_gldim_overflow(self):
         # gldim above d fails the check; it does not raise
         B = presentation(ModelData(3, 2, VerifyConfig()).b_replicated())
         for alg, d_check, g in [(linear_bqa(3), 0, 1), (B, 2, 6)]:
-            report = two_subhomogeneous_check(alg, d_check, max_len=10)
-            assert report.gldim == g
-            assert not report.gldim_equals_d
-            assert not report.passed
+            assert gldim(alg, max_len=10) == g
+            assert not two_subhomogeneous_check(alg, d_check, g, max_len=10).passed
+        # kA_4 / rad^2 passes with d = 3 = gldim, so only the global
+        # dimension can fail it here
+        alg = linear_bqa(4, rad_power=2)
+        assert not two_subhomogeneous_check(alg, 3, 4).passed
 
 
 class TestFCY:

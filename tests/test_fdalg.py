@@ -216,6 +216,47 @@ class TestPresentation:
         assert rebuilt.dim == bqa.dim
         assert iso_test(rebuilt, bqa) is not None
 
+    @pytest.mark.parametrize("name", ["B", "Pi"])
+    def test_ideal_growth_makes_no_pass_over_all_arrows(self, monkeypatch, name):
+        # each degree lists its paths with one pass over the arrows; the
+        # previous ideal is extended through arrows_out and arrows_into alone
+        import hatilt.fdalg as fdalg
+
+        gabriel, paths_of_length = fdalg.gabriel_quiver, fdalg._paths_of_length
+        rebuild = BoundQuiverAlgebra.from_quiver_data
+        degree = [None]  # the degree being grown, None outside the degree loop
+        passes = {}  # degree -> passes over quiver.arrows outside path listing
+
+        class CountingArrows(list):
+            def __iter__(self):
+                if degree[0] is not None:
+                    passes[degree[0]] += 1
+                return super().__iter__()
+
+        def counting_quiver(fd):
+            quiver, arrow_elems = gabriel(fd)
+            quiver.arrows = CountingArrows(quiver.arrows)
+            return quiver, arrow_elems
+
+        def listing_paths(quiver, m):
+            degree[0] = None
+            by_block = paths_of_length(quiver, m)
+            degree[0] = m
+            passes[m] = 0
+            return by_block
+
+        def rebuilding(*args, **kwargs):
+            degree[0] = None
+            return rebuild(*args, **kwargs)
+
+        monkeypatch.setattr(fdalg, "gabriel_quiver", counting_quiver)
+        monkeypatch.setattr(fdalg, "_paths_of_length", listing_paths)
+        monkeypatch.setattr(BoundQuiverAlgebra, "from_quiver_data", staticmethod(rebuilding))
+        # at (4, 3) both have relations of degree 2, which degree 3 extends
+        presentation_data(ModelData(4, 3, VerifyConfig()).named(name))
+        assert len(passes) >= 2
+        assert set(passes.values()) == {0}
+
 
 class TestReplicate:
     def test_r1_is_identity(self):

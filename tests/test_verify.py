@@ -34,6 +34,41 @@ class TestModelData:
         assert model.algebra() is model.algebra()
         assert model.b0() is model.b0()
 
+    def test_run_presents_and_resolves_each_algebra_once(self, monkeypatch):
+        import hatilt.complexes
+        import hatilt.fdalg
+        import hatilt.verify
+        from hatilt.complexes import gldim
+        from hatilt.fdalg import presentation_data
+
+        presented = []  # (algebra, its presentation), kept alive so ids stay unique
+        source = {}  # id of a presented algebra -> id of the algebra it presents
+        resolved = []  # per gldim call, the id of the algebra it stands for
+
+        def counting_presentation(fd, *args, **kwargs):
+            data = presentation_data(fd, *args, **kwargs)
+            presented.append((fd, data))
+            source[id(data.algebra)] = id(fd)
+            return data
+
+        def counting_gldim(alg, *args, **kwargs):
+            resolved.append(source.get(id(alg), id(alg)))
+            return gldim(alg, *args, **kwargs)
+
+        for module in (hatilt.verify, hatilt.fdalg, hatilt.complexes):
+            for name, wrapper in [
+                ("presentation_data", counting_presentation),
+                ("gldim", counting_gldim),
+            ]:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        claims, _, _ = run_claims(3, 2, CLAIM_NAMES)
+        assert all(c["status"] == "pass" for c in claims)
+        presented_ids = [id(fd) for fd, _ in presented]
+        assert len(presented_ids) == len(set(presented_ids)) == 8
+        # gldim of A, B0, B and Lambda
+        assert len(resolved) == len(set(resolved)) == 4
+
 
 class TestRunClaims:
     def test_combinatorial_subset_passes(self):
