@@ -56,6 +56,5 @@ from .complexes import (  # noqa: F401
     gldim,
     hom_complex_dim,
     minimal_proj_resolution,
-    preprojective_graded_check,
     two_subhomogeneous_check,
 )

@@ -1,4 +1,4 @@
-"""Bounded complexes of projectives and the homological verification suite.
+"""Bounded complexes of projectives and generic homological algebra on them.
 
 Complexes are cochain complexes: the differential raises degree and squares
 to zero exactly.  Entries of differentials are algebra elements (an entry
@@ -16,11 +16,11 @@ of the cone of the map built so far, read off per vertex as a nullspace in
 block coordinates.  Minimisation strips contractible two-term blocks by
 Gaussian elimination with entries inverted through the radical filtration.
 
-On top of this live the verification routines: global and dominant
-dimension, the two-step homogeneity criterion (Ext vanishing read off one
-resolution per injective), object-level fractional Calabi-Yau checks, the
-Serre-twist orbit of a complex, endomorphism algebras of complexes modulo
-homotopy and the graded preprojective comparison.
+On top of this live the routines that know nothing of a particular
+model: global and dominant dimension, projective-injective vertices, the
+two-step homogeneity criterion (Ext vanishing read off one resolution per
+injective), object-level fractional Calabi-Yau checks and endomorphism
+algebras of complexes modulo homotopy.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .quiveralg import (
     direct_sum,
     dual_module,
 )
-from .fdalg import FDAlgebra, degree_zero_part, iso_test, presentation
+from .fdalg import FDAlgebra
 
 
 # -- complexes ---------------------------------------------------------------
@@ -88,9 +88,6 @@ class ProjComplex:
     def is_zero(self):
         return not self.terms
 
-    def size(self):
-        return sum(len(v) for v in self.terms.values())
-
     def shift(self, k):
         """The complex X[k]: degree m holds what X held in degree m+k."""
         sign = -1 if k % 2 else 1
@@ -100,9 +97,6 @@ class ProjComplex:
             for m, rows in self.diffs.items()
         }
         return ProjComplex(self.algebra, terms, diffs, self.kind, check=False)
-
-    def label_signature(self):
-        return {m: tuple(sorted(v)) for m, v in self.terms.items()}
 
     def is_minimal(self):
         alg = self.algebra
@@ -132,8 +126,8 @@ def _entry_matmul(alg, rows_a, rows_b):
     return out
 
 
-def stalk_complex(alg, vertex, degree=0, kind="proj"):
-    return ProjComplex(alg, {degree: (vertex,)}, {}, kind, check=False)
+def stalk_complex(alg, vertex, degree=0):
+    return ProjComplex(alg, {degree: (vertex,)}, {}, check=False)
 
 
 # -- chain maps up to homotopy ----------------------------------------------
@@ -472,7 +466,7 @@ def _replace(C: ModuleComplex, max_len, label):
             out = _act(alg, g[0], alg.basis_elem(bid), y, labels)
             if Cm is not None:
                 if bid not in acts:
-                    acts[bid] = _module_action(alg, Cm, bid)
+                    acts[bid] = Cm.basis_action(bid)
                 out += acts[bid].apply(g[1])
             return out
 
@@ -516,24 +510,18 @@ def _replace(C: ModuleComplex, max_len, label):
     return terms, diffs, psi
 
 
-@dataclass
-class ResolutionReport:
-    length: int
+def minimal_proj_resolution(alg, M: QuiverRep, max_len=64, label="M") -> ProjComplex:
+    """Minimal projective resolution R of M as a complex ending in degree zero.
 
-
-def minimal_proj_resolution(alg, M: QuiverRep, max_len=64, label="M"):
-    """Minimal projective resolution as a complex ending in degree zero.
-
-    Returns (report, complex, augmentation) where the augmentation lists,
-    per degree-zero summand, the image of its generator in M.  This is the
+    The projective dimension of M is ``len(R.terms) - 1``.  This is the
     replacement engine run on M alone in degree zero: every Z^m below is a
     syzygy, the kernel of a projective cover, so the result is minimal.
     """
-    terms, diffs, psi = _replace(ModuleComplex(alg, {0: M}, {}), max_len, label)
+    terms, diffs, _ = _replace(ModuleComplex(alg, {0: M}, {}), max_len, label)
     cplx = ProjComplex(alg, terms, diffs, "proj")
     if not cplx.is_minimal():
         raise AssertionError("resolution differential has a non-radical entry")
-    return ResolutionReport(len(terms) - 1), cplx, psi.get(0, [])
+    return cplx
 
 
 def _top(vertices, dims, rad):
@@ -570,14 +558,6 @@ def _act(alg, elems, b, y, labels):
     for e, w in zip(elems, labels):
         out.extend(alg.block_coords(alg.elem_mul(e, b), y, w))
     return out
-
-
-def _module_action(alg, M, bid):
-    """Right action of a basis element of e_v A e_y on M: fiber v -> fiber y."""
-    b = alg.basis[bid]
-    if b.degree == 0:
-        return ExactMatrix.identity(M.dims[b.src])
-    return M.path_action(b.path)
 
 
 def proj_replace(C: ModuleComplex, max_len=64):
@@ -636,8 +616,7 @@ def derived_nakayama(X: ProjComplex, max_len=64) -> ProjComplex:
 
 def shifted_module_complex(alg, module: QuiverRep, shift_by=0, max_len=64, label="M"):
     """Minimal projective complex of a module placed in degree -shift_by."""
-    _, cplx, _ = minimal_proj_resolution(alg, module, max_len, label=label)
-    return cplx.shift(shift_by)
+    return minimal_proj_resolution(alg, module, max_len, label=label).shift(shift_by)
 
 
 # -- homological dimensions ---------------------------------------------------
@@ -647,8 +626,8 @@ def gldim(alg, max_len=64) -> int:
     """Global dimension: the longest minimal resolution of a simple."""
     best = 0
     for v in alg.vertex_ids():
-        report, _, _ = minimal_proj_resolution(alg, alg.simple(v), max_len, label=f"S{v}")
-        best = max(best, report.length)
+        R = minimal_proj_resolution(alg, alg.simple(v), max_len, label=f"S{v}")
+        best = max(best, len(R.terms) - 1)
     return best
 
 
@@ -678,10 +657,10 @@ def domdim(alg, max_len=64):
     best = None
     for z in alg.vertex_ids():
         dual = dual_module(alg.projective(z))
-        report, R, _ = minimal_proj_resolution(op, dual, max_len, label=f"DP{z}")
+        R = minimal_proj_resolution(op, dual, max_len, label=f"DP{z}")
         count = 0
         exhausted = True
-        for j in range(0, report.length + 1):
+        for j in range(len(R.terms)):
             labels = R.terms.get(-j, ())
             if all(w in proj_inj for w in labels):
                 count += 1
@@ -719,7 +698,7 @@ def two_subhomogeneous_check(alg, d_check: int, global_dim: int, max_len=64) -> 
     for z in alg.vertex_ids():
         if z in proj_inj:
             continue
-        _, R, _ = minimal_proj_resolution(alg, alg.injective(z), max_len, label=f"I{z}")
+        R = minimal_proj_resolution(alg, alg.injective(z), max_len, label=f"I{z}")
         twisted = derived_nakayama(R, max_len).shift(-d_check)
         twists_ok = twists_ok and list(twisted.terms) == [0]
         for S in stalks:
@@ -744,14 +723,6 @@ def fcy_object_check(alg, shift: int, power: int, max_len=64) -> bool:
             Y = derived_nakayama(Y, max_len)
         passed = passed and Y.terms == {-shift: (z,)}
     return passed
-
-
-def nu_orbit_complexes(alg, X: ProjComplex, a: int, max_len=64):
-    """[X, nu X, ..., nu^{a-1} X], each minimised."""
-    out = [minimize_complex(X)]
-    for _ in range(a - 1):
-        out.append(derived_nakayama(out[-1], max_len))
-    return out
 
 
 def endo_algebra_of_complexes(complexes) -> FDAlgebra:
@@ -806,47 +777,3 @@ def endo_algebra_of_complexes(complexes) -> FDAlgebra:
                         if entry:
                             mult[(index[(i, j, a)], index[(j, k, b)])] = entry
     return FDAlgebra(n, blocks, mult, idem_ids)
-
-
-@dataclass
-class PreprojectiveReport:
-    hom_dim_value: int
-    base_end_dim: int
-    self_injective: bool
-    degree_zero_iso: bool
-    passed: bool
-
-
-def preprojective_graded_check(A, vertices, B0, Pi, B, budget) -> PreprojectiveReport:
-    """Graded comparison of the extension algebra with the twisted End data.
-
-    ``A`` is the Auslander algebra of the model, ``vertices`` its vertices
-    at the rational Dyck paths, ``B0 = End(P)`` for P the sum of the
-    projectives there, ``Pi`` the graded (n+d)-fold trivial extension of B0
-    and ``B`` the algebra to compare its degree-zero part with.  Verifies
-    dim Hom(P, nu P) = dim End(P) (the Serre-duality count), that Pi is
-    self-injective with an honest projective-injective matching, and that
-    its degree-zero part is isomorphic to B, searching at most ``budget``
-    vertex assignments.
-    """
-    # Hom(P_p, I_i) is the fiber of I_i at p (Yoneda)
-    hom_pnup = sum(A.injective(i).dims[p] for p in vertices for i in vertices)
-
-    piq = presentation(Pi)
-    # Pi is self-injective iff every indecomposable injective I_z is
-    # projective; then I_z = P_w for the one vertex w of its top, and z -> w
-    # is the Nakayama permutation
-    perm = {}
-    perm_ok = True
-    for z in piq.vertex_ids():
-        I = piq.injective(z)
-        top = _top(piq.vertex_ids(), I.dims, I.radical_fibers())
-        if len(top) == 1 and _is_projective_cover(piq, I, top):
-            perm[z] = top[0][0]
-        else:
-            perm_ok = False
-    perm_ok = perm_ok and sorted(perm.values()) == sorted(piq.vertex_ids())
-
-    iso = iso_test(degree_zero_part(Pi), B, budget=budget) is not None
-    passed = hom_pnup == B0.dim and perm_ok and iso
-    return PreprojectiveReport(hom_pnup, B0.dim, perm_ok, iso, passed)

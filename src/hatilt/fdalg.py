@@ -30,7 +30,8 @@ the search places the vertex with the fewest candidates first.  Each
 bijection found has its arrows matched and per-arrow scalars solved so that
 every relation of the first side evaluates to zero in the second.  Success
 hands back an explicit generator map that is verified by evaluation;
-failure means the search space was exhausted.
+None means every arrow map of the exhausted search was ruled out, and an
+arrow map the scalar solve cannot decide makes the search inconclusive.
 """
 
 from __future__ import annotations
@@ -177,9 +178,7 @@ def endo_algebra(reps: list[QuiverRep]) -> FDAlgebra:
 
     if not reps:
         raise ValueError("need at least one module")
-    return endo_algebra_of_complexes(
-        [minimal_proj_resolution(M.algebra, M)[1] for M in reps]
-    )
+    return endo_algebra_of_complexes([minimal_proj_resolution(M.algebra, M) for M in reps])
 
 
 # -- Gabriel quiver and presentation ----------------------------------------
@@ -452,7 +451,11 @@ class IsoResult:
 
 
 class IsoInconclusive(RuntimeError):
-    """Search budget exceeded before a verdict was reached."""
+    """The search could neither find nor rule out an isomorphism."""
+
+
+class _Undecided(Exception):
+    """The scalar solve can neither find nor rule out scalars for an arrow map."""
 
 
 def iso_test(a1, a2, budget: int = 2_000_000):
@@ -461,6 +464,8 @@ def iso_test(a1, a2, budget: int = 2_000_000):
     Accepts ``FDAlgebra`` or ``BoundQuiverAlgebra`` inputs.  Returns an
     ``IsoResult`` carrying a verified generator-level isomorphism, or None
     after exhausting all vertex bijections compatible with the Cartan data.
+    Raises ``IsoInconclusive`` instead when some arrow map stayed undecided,
+    when parallel arrows occur, or when ``budget`` placements did not suffice.
 
     Only the first algebra is presented.  Its relations generate the kernel
     of its path-algebra surjection (``presentation_data`` checks the rebuilt
@@ -519,11 +524,18 @@ def iso_test(a1, a2, budget: int = 2_000_000):
             del sigma[v]
             used.discard(w)
 
+    undecided = False
     for sigma in backtrack(0, {}, set()):
-        result = _match_arrows_and_scalars(fd2, p1, quiver2, arrow_elems2, sigma)
-        if result is not None:
-            arrow_map, scalars = result
-            return IsoResult(sigma, arrow_map, scalars)
+        for arrow_map in _arrow_maps(p1.quiver, quiver2, sigma):
+            try:
+                scalars = _solve_scalars(fd2, p1, arrow_elems2, arrow_map)
+            except _Undecided:
+                undecided = True
+                continue
+            if scalars is not None:
+                return IsoResult(sigma, arrow_map, scalars)
+    if undecided:
+        raise IsoInconclusive("the scalar solve left some arrow map undecided")
     if _has_parallel_arrows(p1.quiver) or _has_parallel_arrows(quiver2):
         # per-arrow scalars cannot mix parallel arrows, so an exhausted
         # search is not a certificate of non-isomorphism here
@@ -560,9 +572,10 @@ def _vertex_profile(cartan, arrows, v):
     )
 
 
-def _match_arrows_and_scalars(fd2, p1, quiver2, arrow_elems2, sigma):
+def _arrow_maps(quiver1, quiver2, sigma):
+    """Every bijection of arrows that follows the vertex bijection sigma."""
     by_block1: dict[tuple[int, int], list[int]] = {}
-    for a in p1.quiver.arrows:
+    for a in quiver1.arrows:
         by_block1.setdefault((a.src, a.tgt), []).append(a.id)
     by_block2: dict[tuple[int, int], list[int]] = {}
     for a in quiver2.arrows:
@@ -572,7 +585,7 @@ def _match_arrows_and_scalars(fd2, p1, quiver2, arrow_elems2, sigma):
     for blk, ids1 in sorted(by_block1.items()):
         ids2 = by_block2.get((sigma[blk[0]], sigma[blk[1]]), [])
         if len(ids1) != len(ids2):
-            return None
+            return
         block_choices.append((ids1, ids2))
 
     for perm_combo in itertools.product(
@@ -582,13 +595,20 @@ def _match_arrows_and_scalars(fd2, p1, quiver2, arrow_elems2, sigma):
         for (ids1, _), perm in zip(block_choices, perm_combo):
             for a1_id, a2_id in zip(ids1, perm):
                 arrow_map[a1_id] = a2_id
-        scalars = _solve_scalars(fd2, p1, arrow_elems2, arrow_map)
-        if scalars is not None:
-            return arrow_map, scalars
-    return None
+        yield arrow_map
 
 
 def _solve_scalars(fd2, p1, arrow_elems2, arrow_map):
+    """Nonzero arrow scalars under which every relation of ``p1`` vanishes
+    along ``arrow_map``, or None if there are none.  Raises ``_Undecided``
+    when a relation keeps three or more terms or a pin leads to a contradiction."""
+    pinned = False
+
+    def no_scalars():
+        # forced scalars rule the map out; a scalar pinned to 1 may not
+        if pinned:
+            raise _Undecided
+
     def eval_mapped(path):
         elem = arrow_elems2[arrow_map[path[0]]]
         for aid in path[1:]:
@@ -604,7 +624,7 @@ def _solve_scalars(fd2, p1, arrow_elems2, arrow_map):
         if len(nonzero) == 1:
             return None  # a single surviving monomial cannot vanish
         if len(nonzero) != 2:
-            raise IsoInconclusive("relation with 3+ surviving terms; scalar solve unsupported")
+            raise _Undecided
         (c1_, path1, v1), (c2_, path2, v2) = nonzero
         # need c1 m1 v1 + c2 m2 v2 = 0 with m monomials in arrow scalars
         ratio = _parallel_ratio(v1, v2)
@@ -633,14 +653,14 @@ def _solve_scalars(fd2, p1, arrow_elems2, arrow_map):
                     acc /= scalars[a] ** e
             if not unknown:
                 if acc != 1:
-                    return None
+                    return no_scalars()
                 progress = True
                 continue
             if len(unknown) == 1 and abs(exps[unknown[0]]) == 1:
                 a = unknown[0]
                 scalars[a] = acc if exps[a] == 1 else 1 / acc
                 if scalars[a] == 0:
-                    return None
+                    return no_scalars()
                 progress = True
                 continue
             remaining.append((exps, value))
@@ -652,6 +672,7 @@ def _solve_scalars(fd2, p1, arrow_elems2, arrow_map):
             unknown = [a for a in exps if scalars[a] is None]
             for a in unknown[1:] if abs(exps[unknown[0]]) == 1 else unknown:
                 scalars[a] = ONE
+            pinned = True
     for a in scalars:
         if scalars[a] is None:
             scalars[a] = ONE
@@ -665,7 +686,7 @@ def _solve_scalars(fd2, p1, arrow_elems2, arrow_map):
                 m *= scalars[aid]
             total = fd2.elem_add(total, fd2.elem_scale(c * m, eval_mapped(path)))
         if total:
-            return None
+            return no_scalars()
     return scalars
 
 

@@ -510,6 +510,14 @@ class QuiverRep:
         assert m.rows == self.dims[src]
         return m
 
+    def basis_action(self, bid: int) -> ExactMatrix:
+        """Right action of the basis element ``bid`` of e_tgt A e_src, from the
+        fiber at its tgt to the fiber at its src."""
+        b = self.algebra.basis[bid]
+        if b.degree == 0:
+            return ExactMatrix.identity(self.dims[b.src])
+        return self.path_action(b.path)
+
     def element_action(self, elem: dict, src: int, tgt: int) -> ExactMatrix:
         """Right action of an algebra element supported on e_tgt A e_src.
 
@@ -522,10 +530,7 @@ class QuiverRep:
             b = self.algebra.basis[bid]
             if (b.src, b.tgt) != (src, tgt):
                 raise ValueError("element not supported on the requested block")
-            if b.degree == 0:
-                out = out.add(ExactMatrix.identity(self.dims[src]).scale(c))
-            else:
-                out = out.add(self.path_action(b.path).scale(c))
+            out = out.add(self.basis_action(bid).scale(c))
         return out
 
     def check_relations(self):

@@ -33,7 +33,7 @@ from .complexes import (
     fcy_object_check,
     gldim,
     hom_complex_dim,
-    preprojective_graded_check,
+    projective_injective_vertices,
     shifted_module_complex,
     two_subhomogeneous_check,
     endo_algebra_of_complexes,
@@ -41,6 +41,7 @@ from .complexes import (
 from .fdalg import (
     IsoInconclusive,
     corner_vanishes,
+    degree_zero_part,
     endo_algebra,
     fd_from_bqa,
     idempotent_subalgebra,
@@ -94,6 +95,9 @@ class ModelData:
     modules it caches.  Lambda and Pi are built afresh on each call and their
     claims present them directly: each has one consumer per run, and keeping
     them would only raise the peak memory.
+
+    Every algebra built here counts against ``max_algebra_dim``, and so does
+    every presentation: it rebuilds the dimension it presents or fails.
     """
 
     def __init__(self, d, n, config: VerifyConfig):
@@ -109,6 +113,12 @@ class ModelData:
         if key not in self._built:
             self._built[key] = builder()
         return self._built[key]
+
+    def _bounded(self, name, alg):
+        limit = self.config.max_algebra_dim
+        if alg.dim > limit:
+            raise BudgetError(f"{name} has dimension {alg.dim}, above max_algebra_dim {limit}")
+        return alg
 
     def algebra(self):
         return self._memo(
@@ -130,18 +140,19 @@ class ModelData:
 
     def b0(self):
         alg = self.algebra()
-        return self._memo(
+        b0 = self._memo(
             "b0", lambda: endo_algebra([alg.projective(v) for v in self.dyck_vertices()])
         )
+        return self._bounded("B0", b0)
 
     def b_replicated(self):
-        return self._memo("b", lambda: replicate(self.b0(), self.n + self.d))
+        return self._bounded("B", self._memo("b", lambda: replicate(self.b0(), self.n + self.d)))
 
     def lam(self):
-        return replicate(self.b0(), self.n + self.d + 1)
+        return self._bounded("Lambda", replicate(self.b0(), self.n + self.d + 1))
 
     def pi(self):
-        return trivial_ext_r(self.b0(), self.n + self.d)
+        return self._bounded("Pi", trivial_ext_r(self.b0(), self.n + self.d))
 
     def named(self, name):
         """The algebra that ``hatilt quiver --algebra name`` exports, for
@@ -174,9 +185,8 @@ class ModelData:
         return self._memo("tilting_complexes", build)
 
     def end_t(self):
-        return self._memo(
-            "end_t", lambda: endo_algebra_of_complexes(self.tilting_complexes())
-        )
+        end_t = self._memo("end_t", lambda: endo_algebra_of_complexes(self.tilting_complexes()))
+        return self._bounded("End(T)", end_t)
 
 
 # -- claims -------------------------------------------------------------------
@@ -361,19 +371,24 @@ def claim_two_subhomogeneous(model: ModelData):
 
 
 def claim_preprojective(model: ModelData):
-    report = preprojective_graded_check(
-        model.algebra(),
-        model.dyck_vertices(),
-        model.b0(),
-        model.pi(),
-        model.end_t(),
-        model.config.iso_budget,
-    )
-    return report.passed, {
-        "hom_dim": report.hom_dim_value,
-        "end_p_dim": report.base_end_dim,
-        "self_injective": report.self_injective,
-        "degree_zero_iso": report.degree_zero_iso,
+    """dim Hom(P, nu P) = dim End(P), and Pi, the (n+d)-fold trivial extension
+    of B0 = End(P), is self-injective with degree-zero part isomorphic to
+    End(T)."""
+    A, vertices = model.algebra(), model.dyck_vertices()
+    b0, pi = model.b0(), model.pi()
+    # Hom(P_p, I_i) is the fiber of I_i at p (Yoneda)
+    hom = sum(A.injective(i).dims[p] for p in vertices for i in vertices)
+    # a basic algebra is self-injective iff every indecomposable injective
+    # I_z is projective: such an I_z is a single P_w, so its top is one
+    # vertex, and distinct socles give distinct w, so z -> w is the Nakayama
+    # permutation.  The presentation's vertices are Pi's idempotents.
+    self_injective = projective_injective_vertices(presentation(pi)) == set(range(pi.nidem))
+    iso = iso_test(degree_zero_part(pi), model.end_t(), budget=model.config.iso_budget) is not None
+    return hom == b0.dim and self_injective and iso, {
+        "hom_dim": hom,
+        "end_p_dim": b0.dim,
+        "self_injective": self_injective,
+        "degree_zero_iso": iso,
     }
 
 

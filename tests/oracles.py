@@ -4,9 +4,11 @@ None of these is reached from a verification claim or a CLI command, so
 they live here rather than in ``hatilt``: the inverse Serre twist (through
 duality over the opposite algebra, an independent route to the one
 ``derived_nakayama`` takes), direct sums and cones of complexes, a search
-for an isomorphism between complexes, Ext dimensions from a minimal
-resolution through their own coboundary matrices, the intertwiner solver
-for Hom between modules, an exhaustive associativity check of structure
+for an isomorphism between complexes, the Serre-twist orbit of a complex
+and its label signature, Ext dimensions from a minimal resolution through
+their own coboundary matrices, the intertwiner solver for Hom between
+modules, self-injectivity read off the tops of the injectives and the
+Nakayama permutation, an exhaustive associativity check of structure
 constants, and the radical filtration reduced on dense vectors of the full
 algebra rather than block by block.  It also holds
 the lattice-path definitions and lemmas of the paper that the
@@ -23,8 +25,11 @@ from hatilt.complexes import (
     ModuleComplex,
     ProjComplex,
     _delta_matrix,
+    _is_projective_cover,
     _scalar_part,
+    _top,
     _vector_to_chain_map,
+    derived_nakayama,
     minimal_proj_resolution,
     minimize_complex,
     proj_replace,
@@ -114,6 +119,31 @@ def derived_nakayama_inverse(X: ProjComplex, max_len=64) -> ProjComplex:
     return minimize_complex(as_projective_complex(J))
 
 
+def label_signature(X: ProjComplex):
+    return {m: tuple(sorted(v)) for m, v in X.terms.items()}
+
+
+def nu_orbit_complexes(alg, X: ProjComplex, a: int, max_len=64):
+    """[X, nu X, ..., nu^{a-1} X], each minimised."""
+    out = [minimize_complex(X)]
+    for _ in range(a - 1):
+        out.append(derived_nakayama(out[-1], max_len))
+    return out
+
+
+def self_injective_by_tops(alg) -> bool:
+    """Every injective I_z is the projective P_w at the one vertex w of its
+    top, and z -> w is a permutation of the vertices."""
+    perm = {}
+    for z in alg.vertex_ids():
+        I = alg.injective(z)
+        top = _top(alg.vertex_ids(), I.dims, I.radical_fibers())
+        if len(top) != 1 or not _is_projective_cover(alg, I, top):
+            return False
+        perm[z] = top[0][0]
+    return sorted(perm.values()) == sorted(alg.vertex_ids())
+
+
 def complexes_isomorphic(X, Y, tries=60):
     """Isomorphism test for complexes: minimise, match labels, solve.
 
@@ -125,12 +155,12 @@ def complexes_isomorphic(X, Y, tries=60):
     Ym = minimize_complex(Y)
     if Xm.is_zero() and Ym.is_zero():
         return True
-    if Xm.label_signature() != Ym.label_signature():
+    if label_signature(Xm) != label_signature(Ym):
         return False
     delta0, slots, dim0 = _delta_matrix(Xm, Ym, 0)
     cycles = delta0.nullspace() if dim0 else []
     if not cycles:
-        return Xm.size() == 0
+        return Xm.is_zero()
 
     def scalar_blocks(vec):
         comps = _vector_to_chain_map(vec, slots)
@@ -210,7 +240,7 @@ def ext_dim(alg, M: QuiverRep, N: QuiverRep, i: int, max_len=64) -> int:
     """dim Ext^i(M, N) from a minimal resolution of M."""
     if i < 0:
         raise ValueError("negative Ext degree")
-    _, R, _ = minimal_proj_resolution(alg, M, max_len=max(max_len, i + 1))
+    R = minimal_proj_resolution(alg, M, max_len=max(max_len, i + 1))
     return _ext_from_resolution(alg, R, N, i)
 
 

@@ -9,7 +9,7 @@ import math
 import time
 
 import pytest
-from oracles import complexes_isomorphic, cone_of_chain_map
+from oracles import complexes_isomorphic, cone_of_chain_map, nu_orbit_complexes
 
 from hatilt.cluster import (
     ShiftedModule,
@@ -27,8 +27,6 @@ from hatilt.complexes import (
     gldim,
     hom_complex_dim,
     minimize_complex,
-    nu_orbit_complexes,
-    preprojective_graded_check,
     shifted_module_complex,
     stalk_complex,
     two_subhomogeneous_check,
@@ -42,7 +40,6 @@ from hatilt.fdalg import (
     presentation,
     presentation_data,
     replicate,
-    trivial_ext_r,
 )
 from hatilt.pathcomb import (
     anchor_data,
@@ -64,7 +61,7 @@ from hatilt.quiveralg import (
     relation,
     vertex_of_entries,
 )
-from hatilt.verify import VerifyConfig
+from hatilt.verify import ModelData, VerifyConfig, claim_preprojective
 
 MAIN_MODELS = [(3, 2), (2, 3), (3, 4), (4, 3), (5, 2)]
 
@@ -297,19 +294,13 @@ def test_criterion_11_two_subhomogeneity(model_3_2):
     report(11, "two-step homogeneity for B and the radical-square quotient", started)
 
 
-def test_criterion_12_preprojective(model_3_2):
+def test_criterion_12_preprojective():
     started = time.monotonic()
-    alg, _, complexes, b0 = model_3_2
-    B = endo_algebra_of_complexes(complexes)
-    vertices = [vertex_of_entries(alg, coords(p).entries) for p in enumerate_dyck(3, 2)]
-    pi = trivial_ext_r(b0, 3 + 2)
-    result = preprojective_graded_check(
-        alg, vertices, b0, pi, B, VerifyConfig().iso_budget
-    )
-    assert result.hom_dim_value == 3 and result.base_end_dim == 3
-    assert result.self_injective
-    assert result.degree_zero_iso
-    assert result.passed
+    passed, value = claim_preprojective(ModelData(3, 2, VerifyConfig()))
+    assert value["hom_dim"] == 3 and value["end_p_dim"] == 3
+    assert value["self_injective"]
+    assert value["degree_zero_iso"]
+    assert passed
     report(12, "graded preprojective comparison at (3,2)", started)
 
 

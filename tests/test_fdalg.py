@@ -23,6 +23,7 @@ from hatilt.quiveralg import (
     Arrow,
     BoundQuiverAlgebra,
     BudgetError,
+    ElementArithmetic,
     Quiver,
     Vertex,
     build_auslander_algebra,
@@ -551,6 +552,55 @@ class TestIsoTest:
         except IsoInconclusive:
             result = "inconclusive"
         assert result == "inconclusive" or result is not None
+
+    def test_contradiction_after_a_pin_is_undecided(self):
+        # relations (a,b) - 2(c,d) and (a,c) - 8(b,d) in a target where every
+        # product of two arrows is the same basis vector 0: the solve pins
+        # b = c = d = 1, gets a = 2 and then ac/bd = 2, not 8, although
+        # (a, b, c, d) = (4, 1, 2, 1) solves both relations
+        from types import SimpleNamespace
+
+        from hatilt.fdalg import _solve_scalars, _Undecided
+
+        target = ElementArithmetic()
+        target.mult = {(i, j): {0: Fraction(1)} for i in range(1, 5) for j in range(1, 5)}
+        relations = [relation((1, (0, 1)), (-2, (2, 3))), relation((1, (0, 2)), (-8, (1, 3)))]
+        source = SimpleNamespace(
+            quiver=SimpleNamespace(arrows=[SimpleNamespace(id=k) for k in range(4)]),
+            relations=relations,
+        )
+        scalars = (4, 1, 2, 1)
+        for rel in relations:
+            assert sum(c * scalars[p[0]] * scalars[p[1]] for c, p in rel.terms) == 0
+        arrow_elems = [{k + 1: Fraction(1)} for k in range(4)]
+        with pytest.raises(_Undecided):
+            _solve_scalars(target, source, arrow_elems, {k: k for k in range(4)})
+
+    @pytest.mark.parametrize("undecided", ["first_call", "every_call"])
+    def test_undecided_arrow_maps_keep_the_search_going(self, monkeypatch, undecided):
+        # the commuting square has two vertex bijections onto itself: an
+        # undecided first one leaves the second to find the isomorphism, and
+        # an exhausted search with an undecided map is inconclusive, not None
+        import hatilt.fdalg
+        from hatilt.fdalg import IsoInconclusive, _Undecided
+
+        real = hatilt.fdalg._solve_scalars
+        calls = []
+
+        def solve(*args):
+            calls.append(args)
+            if undecided == "every_call" or len(calls) == 1:
+                raise _Undecided
+            return real(*args)
+
+        monkeypatch.setattr(hatilt.fdalg, "_solve_scalars", solve)
+        commuting = square([relation((1, (0, 2)), (-1, (1, 3)))])
+        if undecided == "first_call":
+            result = iso_test(commuting, commuting)
+            assert result is not None and len(calls) == 2
+        else:
+            with pytest.raises(IsoInconclusive):
+                iso_test(commuting, square([relation((1, (0, 2)))]))
 
     def test_b0_regression_3_4(self):
         alg = build_auslander_algebra(5, 3)

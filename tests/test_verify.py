@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +147,18 @@ class TestOtherModels:
         assert not failed and skipped
         assert_only_corner_skipped(claims)
 
+    def test_algebra_budget_bounds_every_model_algebra(self):
+        # at (3,2) A has dimension 28, B and End(T) 27, Pi 30 and Lambda 33
+        claims, failed, skipped = run_claims(
+            3, 2, CLAIM_NAMES, VerifyConfig(max_algebra_dim=30)
+        )
+        assert not failed and skipped
+        not_passed = [c for c in claims if c["status"] != "pass"]
+        assert [(c["name"], c["status"]) for c in not_passed] == [
+            ("higher_auslander", "skipped")
+        ]
+        assert "max_algebra_dim" in not_passed[0]["value"]["reason"]
+
     def test_gldim_B_reported_value_3_2(self):
         claims, failed, _ = run_claims(3, 2, ["gldim_B"])
         assert not failed
@@ -170,3 +185,30 @@ class TestHomRuleFaultInjection:
             ("rigidity", "fail"),
             ("serre_symmetry", "fail"),
         ]
+
+
+class TestTracerTargets:
+    # names the tracer lists that no longer exist in the package
+    STALE = {
+        "complexes.complexes_isomorphic",
+        "quiveralg.kernel_of_morphism",
+        "quiveralg.hom_space",
+    }
+
+    def test_every_traced_name_resolves(self):
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("hatilt_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        missing = set()
+        # resolve each target the way Tracer.install does, without patching
+        for module, targets in tracer.TARGETS.items():
+            home = importlib.import_module(f"hatilt.{module}")
+            for target in targets:
+                owner, attr = home, target
+                if "." in target:
+                    cls_name, attr = target.split(".")
+                    owner = getattr(home, cls_name, None)
+                if getattr(owner, attr, None) is None:
+                    missing.add(tracer.metric_name(module, target))
+        assert missing == self.STALE
