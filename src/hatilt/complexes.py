@@ -710,19 +710,41 @@ def two_subhomogeneous_check(alg, d_check: int, global_dim: int, max_len=64) -> 
 
 
 def fcy_object_check(alg, shift: int, power: int, max_len=64) -> bool:
-    """Object-level fractional Calabi-Yau test on every projective stalk.
+    """Object-level fractional Calabi-Yau test: nu^power(P_z) ~ P_z[shift] for all z.
 
-    nu^power(P_z) comes out of proj_replace, so it is minimal, and minimal
-    complexes are isomorphic exactly when their terms agree; a minimal
-    complex whose one term is P_z is the stalk itself.
+    nu is an autoequivalence that commutes with [1], and a minimal complex
+    whose one term is P_w in degree m is the stalk P_w[-m]; so once
+    nu^k(P_z) is that stalk, nu^(k+j)(P_z) = nu^j(P_w)[-m].  The segment
+    nu(P_w), nu^2(P_w), ... of each w is computed once, up to its first
+    stalk and at most ``power`` steps, and every orbit follows these
+    returns: the same complexes as direct iteration, up to shift, so the
+    same verdict and BudgetError.  Minimal complexes, which proj_replace
+    returns, are isomorphic exactly when their terms agree.
     """
-    passed = True
-    for z in alg.vertex_ids():
-        Y = stalk_complex(alg, z, 0)
-        for _ in range(power):
+    terms = _nu_power_terms(alg, power, max_len)
+    return all(terms[z] == {-shift: (z,)} for z in alg.vertex_ids())
+
+
+def _nu_power_terms(alg, power: int, max_len=64) -> dict:
+    """The terms of nu^power(P_z) for every vertex z, by fcy_object_check's walk."""
+    segments, returns = {}, {}
+    for w in alg.vertex_ids():
+        Y, segments[w] = stalk_complex(alg, w), []
+        while len(segments[w]) < power and w not in returns:
             Y = derived_nakayama(Y, max_len)
-        passed = passed and Y.terms == {-shift: (z,)}
-    return passed
+            segments[w].append(Y.terms)
+            if sum(map(len, Y.terms.values())) == 1:
+                ((m, (v,)),) = Y.terms.items()
+                returns[w] = (v, m, len(segments[w]))
+    out = {}
+    for z in alg.vertex_ids():
+        w, offset, left = z, 0, power
+        while w in returns and returns[w][2] <= left:
+            w, m, steps = returns[w]
+            offset, left = offset + m, left - steps
+        terms = segments[w][left - 1] if left else {0: (w,)}
+        out[z] = {m + offset: v for m, v in terms.items()}
+    return out
 
 
 def endo_algebra_of_complexes(complexes) -> FDAlgebra:

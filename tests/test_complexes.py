@@ -26,6 +26,7 @@ from hatilt.cluster import (
 )
 from hatilt.complexes import (
     ModuleComplex,
+    _nu_power_terms,
     _replace,
     as_injective_complex,
     derived_nakayama,
@@ -531,6 +532,47 @@ class TestFCY:
             verdicts.append(complexes_isomorphic(Y, X.shift(shift)))
         assert all(verdicts) == expected
         assert fcy_object_check(alg, shift, power) == expected
+
+    @pytest.mark.parametrize("algebra", ["A_3_2", "A_2_3", "cyclic2"])
+    def test_walk_matches_iterated_orbit(self, algebra):
+        # the terms the return-map walk reads for nu^i(P_z) are those of
+        # nu applied i times, for every z and every i up to n + d + 1 = 6;
+        # on cyclic2 every orbit returns to the other vertex after one step
+        power = 6
+        alg = {
+            "A_3_2": lambda: build_auslander_algebra(3, 3),
+            "A_2_3": lambda: build_auslander_algebra(4, 2),
+            "cyclic2": lambda: cyclic_rad_square_zero(2),
+        }[algebra]()
+        orbits = {
+            z: nu_orbit_complexes(alg, stalk_complex(alg, z), power + 1)
+            for z in alg.vertex_ids()
+        }
+        for i in range(power + 1):
+            walked = _nu_power_terms(alg, i)
+            for z in alg.vertex_ids():
+                assert walked[z] == orbits[z][i].terms
+
+    def test_walk_applies_nakayama_once_per_return_step(self, monkeypatch):
+        import hatilt.complexes
+
+        # at (4,3) 20 vertices return to a stalk after one step, 10 after
+        # two, 4 after three and 1 after four: 20 + 20 + 12 + 4 calls, not
+        # 35 * 8 = 280 as iterating nu on every stalk would make
+        calls = []
+
+        def counting(X, max_len=64):
+            calls.append(X)
+            return derived_nakayama(X, max_len)
+
+        monkeypatch.setattr(hatilt.complexes, "derived_nakayama", counting)
+        assert fcy_object_check(build_auslander_algebra(4, 4), 12, 8)
+        assert len(calls) == 56
+
+    def test_power_zero_is_the_identity(self):
+        alg = build_auslander_algebra(3, 3)
+        assert fcy_object_check(alg, 0, 0)
+        assert not any(fcy_object_check(alg, s, 0) for s in (-1, 1, 6))
 
     def test_B0_for_3_2(self):
         assert fcy_object_check(linear_bqa(2), 2, 6)

@@ -159,6 +159,23 @@ class TestOtherModels:
         ]
         assert "max_algebra_dim" in not_passed[0]["value"]["reason"]
 
+    def test_fcy_budget_stops_the_walk_where_it_stops_iteration(self):
+        # the orbit walk resolves the same complexes as iterating nu, so a
+        # resolution budget of 2 skips fcy_A at (3,2) and 3 lets it pass
+        claims, failed, skipped = run_claims(
+            3, 2, ["fcy_A"], VerifyConfig(max_resolution_length=2)
+        )
+        assert skipped and not failed
+        assert claims[0]["status"] == "skipped"
+        assert claims[0]["value"] == {
+            "reason": "resolution of complex exceeds max length 2"
+        }
+        claims, failed, skipped = run_claims(
+            3, 2, ["fcy_A"], VerifyConfig(max_resolution_length=3)
+        )
+        assert not failed and not skipped
+        assert claims[0]["status"] == "pass"
+
     def test_gldim_B_reported_value_3_2(self):
         claims, failed, _ = run_claims(3, 2, ["gldim_B"])
         assert not failed
