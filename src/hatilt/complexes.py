@@ -150,11 +150,12 @@ def _hom_slots(X, Y, j):
     return slots, offset
 
 
-def _delta_matrix(X, Y, j):
-    """Matrix of f -> d_Y f - (-1)^j f d_X from Hom^j to Hom^{j+1}."""
+def _delta_matrix(X, Y, j, source, target):
+    """Matrix of f -> d_Y f - (-1)^j f d_X from Hom^j to Hom^{j+1}, whose
+    ``_hom_slots`` are ``source`` and ``target``."""
     alg = X.algebra
-    slots_j, dim_j = _hom_slots(X, Y, j)
-    slots_j1, dim_j1 = _hom_slots(X, Y, j + 1)
+    slots_j, dim_j = source
+    slots_j1, dim_j1 = target
     out_index = {}
     for m, t, s, ids, off in slots_j1:
         for k, bid in enumerate(ids):
@@ -183,22 +184,31 @@ def _delta_matrix(X, Y, j):
                         r = out_index.get((m - 1, t, s2, bid2))
                         if r is not None:
                             rows[r][col] -= sign * c
-    return ExactMatrix(dim_j1, dim_j, rows), slots_j, dim_j
+    return ExactMatrix(dim_j1, dim_j, rows)
+
+
+def _hom_differentials(X, Y, k):
+    """delta^k and delta^{k-1} of Hom^*(X, Y), with the slots and dim of
+    Hom^k; each of the three slot lists is built once."""
+    below, here, above = (_hom_slots(X, Y, j) for j in (k - 1, k, k + 1))
+    return (
+        _delta_matrix(X, Y, k, here, above),
+        _delta_matrix(X, Y, k - 1, below, here),
+        *here,
+    )
 
 
 def hom_complex_dim(X, Y, k=0):
     """dim of chain maps X -> Y[k] modulo homotopy, by exact elimination."""
     if X.is_zero() or Y.is_zero():
         return 0
-    delta_k, _, dim_k = _delta_matrix(X, Y, k)
-    delta_km1, _, _ = _delta_matrix(X, Y, k - 1)
+    delta_k, delta_km1, _, dim_k = _hom_differentials(X, Y, k)
     return dim_k - delta_k.rank() - delta_km1.rank()
 
 
 def chain_maps_mod_homotopy(X, Y, k=0):
     """Basis of Hom_{K}(X, Y[k]) as entry matrices, plus boundary vectors."""
-    delta_k, slots, dim_k = _delta_matrix(X, Y, k)
-    delta_km1, _, _ = _delta_matrix(X, Y, k - 1)
+    delta_k, delta_km1, slots, dim_k = _hom_differentials(X, Y, k)
     cycles = delta_k.nullspace() if dim_k else []
     boundaries = []
     for j in range(delta_km1.cols):

@@ -168,6 +168,8 @@ class BoundQuiverAlgebra(ElementArithmetic):
     def __init__(self, quiver, relations, basis, mult, nilpotency, vertex_data=None):
         self.quiver = quiver
         self.relations = list(relations)
+        # (relation, src, tgt), validated once per algebra for check_relations
+        self.relation_ends = [(r, *r.validate(quiver)[:2]) for r in self.relations]
         self.basis: list[BasisElement] = basis
         self.mult: dict[tuple[int, int], dict[int, Fraction]] = mult
         self.nilpotency = nilpotency
@@ -534,8 +536,11 @@ class QuiverRep:
         return out
 
     def check_relations(self):
-        for r in self.algebra.relations:
-            src, tgt, _ = r.validate(self.algebra.quiver)
+        for r, src, tgt in self.algebra.relation_ends:
+            # a relation out of or into a zero fiber acts as an empty matrix,
+            # so it vanishes and cannot fail
+            if not (self.dims[src] and self.dims[tgt]):
+                continue
             acc = ExactMatrix(self.dims[src], self.dims[tgt])
             for coeff, path in r.terms:
                 acc = acc.add(self.path_action(path).scale(coeff))

@@ -25,6 +25,7 @@ from hatilt.complexes import (
     ModuleComplex,
     ProjComplex,
     _delta_matrix,
+    _hom_slots,
     _is_projective_cover,
     _scalar_part,
     _top,
@@ -157,7 +158,8 @@ def complexes_isomorphic(X, Y, tries=60):
         return True
     if label_signature(Xm) != label_signature(Ym):
         return False
-    delta0, slots, dim0 = _delta_matrix(Xm, Ym, 0)
+    slots, dim0 = _hom_slots(Xm, Ym, 0)
+    delta0 = _delta_matrix(Xm, Ym, 0, (slots, dim0), _hom_slots(Xm, Ym, 1))
     cycles = delta0.nullspace() if dim0 else []
     if not cycles:
         return Xm.is_zero()

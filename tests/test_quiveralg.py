@@ -1,9 +1,12 @@
 import itertools
+import re
+from fractions import Fraction
 
 import pytest
 from oracles import hom_space
 
 from hatilt.complexes import _realize_entry
+from hatilt.exactmat import ExactMatrix
 from hatilt.pathcomb import OrderedSeq, enumerate_os, preceq
 from hatilt.quiveralg import (
     Arrow,
@@ -161,8 +164,78 @@ class TestOpposite:
         for (i, j), out in alg.mult.items():
             assert op.mult[(j, i)] == out
 
+    def test_dual_module_checks_relations_over_opposite(self):
+        alg = build_auslander_algebra(3, 2)
+        op = alg.opposite()
+        # reversing every path swaps each relation's ends
+        assert [(s, t) for _, s, t in op.relation_ends] == [
+            (t, s) for _, s, t in alg.relation_ends
+        ]
+        for r, s, t in op.relation_ends:
+            assert r.validate(op.quiver)[:2] == (s, t)
+        dual = dual_module(module_M(alg, OrderedSeq(3, 3, (1, 3, 5))))
+        assert dual.algebra is op
+        # break the one commuting square with two nonzero end fibers
+        r, s, t = next(
+            (r, s, t) for r, s, t in op.relation_ends
+            if len(r.terms) == 2 and dual.dims[s] and dual.dims[t]
+        )
+        maps = dict(dual.maps)
+        maps[r.terms[0][1][0]] = maps[r.terms[0][1][0]].scale(2)
+        with pytest.raises(ValueError, match=re.escape(str(r))):
+            QuiverRep(op, dual.dims, maps)
+
+
+def _rep_along(alg, path, scaled=None):
+    """One-dimensional fibers at the vertices of ``path`` (one or more
+    paths), 1 on their arrows and 2 on the arrow ``scaled``."""
+    dims, maps = {}, {}
+    for aid in path:
+        a = alg.quiver.arrow_by_id[aid]
+        dims[a.src] = dims[a.tgt] = 1
+        maps[aid] = ExactMatrix(1, 1, [[Fraction(2 if aid == scaled else 1)]])
+    return dims, maps
+
 
 class TestModuleM:
+    def test_broken_commuting_square_raises(self):
+        alg = build_auslander_algebra(3, 2)
+        r = next(r for r in alg.relations if len(r.terms) == 2)
+        (_, via_i), (_, via_j) = r.terms
+        dims, maps = _rep_along(alg, via_i + via_j, scaled=via_j[0])
+        with pytest.raises(ValueError, match=re.escape(str(r))):
+            QuiverRep(alg, dims, maps)
+        # the same square with 1 on both reroutes is a module
+        QuiverRep(alg, *_rep_along(alg, via_i + via_j))
+
+    def test_broken_zero_relation_raises(self):
+        alg = build_auslander_algebra(3, 2)
+        r = next(r for r in alg.relations if len(r.terms) == 1)
+        ((_, path),) = r.terms
+        dims, maps = _rep_along(alg, path)
+        with pytest.raises(ValueError, match=re.escape(str(r))):
+            QuiverRep(alg, dims, maps)
+
+    def test_relations_checked_only_between_nonzero_fibers(self, monkeypatch):
+        # model (3, 4): A^3_5 with 50 relations, labels in os_5^4
+        alg = build_auslander_algebra(5, 3)
+        ends = [(r, *r.validate(alg.quiver)[:2]) for r in alg.relations]
+        calls = []
+        action = QuiverRep.path_action
+
+        def counted(self, path):
+            calls.append(path)
+            return action(self, path)
+
+        monkeypatch.setattr(QuiverRep, "path_action", counted)
+        expected = every = 0
+        for x in enumerate_os(5, 4):
+            dims = module_M(alg, x).dims
+            expected += sum(len(r.terms) for r, s, t in ends if dims[s] and dims[t])
+            every += sum(len(r.terms) for r in alg.relations)
+        assert 0 < expected < every
+        assert len(calls) == expected
+
     def test_degenerate_interval_is_simple_projective(self):
         alg = build_auslander_algebra(4, 2)
         m = module_M(alg, OrderedSeq(4, 3, (1, 2, 3)))
