@@ -3,7 +3,9 @@
 Indecomposables are shifted interval modules M_p[d i], encoded as a lattice
 path p in the widened grid L_{d+1,n} together with an integer shift i
 (counted in units of [d]).  Morphism spaces between two such objects are at
-most one dimensional and are read off combinatorially:
+most one dimensional.  ``_hom_rule`` reads them off the label triples
+(shift, coordinates, decremented coordinates or None) that ``_labels``
+builds once per object:
 
 * equal shifts: the interleaving order on coordinates,
 * shift difference one: the target dominated by the decremented source,
@@ -33,7 +35,7 @@ from .pathcomb import (
     delta_set,
     enumerate_all,
     enumerate_dyck,
-    preceq,
+    interleaves,
     prepend_horizontal,
     region_paths,
     resolving_sequence,
@@ -66,12 +68,22 @@ def hom_dim(src: ShiftedModule, dst: ShiftedModule) -> int:
         raise ValueError(
             f"objects live over different models: {(p.d - 1, p.n)} vs {(q.d - 1, q.n)}"
         )
-    delta = dst.shift - src.shift
+    return _hom_rule(_labels(src), _labels(dst))
+
+
+def _labels(u: ShiftedModule):
+    x = coords(u.path)
+    t = tau_d(x)
+    return (u.shift, x.entries, None if t is None else t.entries)
+
+
+def _hom_rule(a, b) -> int:
+    """The three-case rule of the module docstring on label triples."""
+    delta = b[0] - a[0]
     if delta == 0:
-        return 1 if preceq(coords(p), coords(q)) else 0
+        return 1 if interleaves(a[1], b[1]) else 0
     if delta == 1:
-        t = tau_d(coords(p))
-        return 1 if t is not None and preceq(coords(q), t) else 0
+        return 1 if a[2] is not None and interleaves(b[1], a[2]) else 0
     return 0
 
 
@@ -148,22 +160,31 @@ def rigidity_check(d: int, n: int) -> RigidityReport:
     byproduct.
     """
     summands = tilting_summands(d, n)
+    labels = [_labels(u) for u in summands]
     end_dim = 0
     violations = []
-    pairs = 0
-    for u in summands:
-        for v in summands:
-            pairs += 1
-            end_dim += hom_dim(u, v)
+    for u, a in zip(summands, labels):
+        for v, b in zip(summands, labels):
+            end_dim += _hom_rule(a, b)
             # morphisms into v[k] need d * (shift difference) + k in {0, d},
             # so only these two k are in play; both are multiples of d
-            s = v.shift - u.shift
+            s = b[0] - a[0]
             for k in (-d * s, d * (1 - s)):
-                if k == 0:
-                    continue
-                if hom_dim(u, ShiftedModule(v.path, v.shift + k // d)):
+                if k != 0 and _hom_rule(a, (b[0] + k // d,) + b[1:]):
                     violations.append((u, v, k))
-    return RigidityReport(d, n, not violations, end_dim, pairs, tuple(violations))
+    return RigidityReport(d, n, not violations, end_dim, len(summands) ** 2, tuple(violations))
+
+
+def serre_symmetry_check(d: int, n: int) -> bool:
+    """Verify Hom(u, v) = Hom(v, nu u) over all ordered summand pairs."""
+    summands = tilting_summands(d, n)
+    labels = [_labels(u) for u in summands]
+    for u, a in zip(summands, labels):
+        twisted = _labels(nakayama(u))
+        for b in labels:
+            if _hom_rule(a, b) != _hom_rule(b, twisted):
+                return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -135,12 +135,15 @@ def preceq(x: OrderedSeq, y: OrderedSeq) -> bool:
     """Interleaving order: x_1 <= y_1 < x_2 <= y_2 < ... < x_d <= y_d."""
     if (x.n, x.d) != (y.n, y.d):
         raise ValueError(f"mismatched parameters: ({x.n},{x.d}) vs ({y.n},{y.d})")
-    for i in range(x.d):
-        if x.entries[i] > y.entries[i]:
+    return interleaves(x.entries, y.entries)
+
+
+def interleaves(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+    """The interleaving order on bare entry tuples of one length."""
+    for i in range(len(x) - 1):
+        if x[i] > y[i] or y[i] >= x[i + 1]:
             return False
-        if i + 1 < x.d and y.entries[i] >= x.entries[i + 1]:
-            return False
-    return True
+    return x[-1] <= y[-1]
 
 
 @functools.lru_cache(maxsize=65536)
@@ -152,9 +155,10 @@ def coords(path: LatticePath) -> OrderedSeq:
 
 def from_coords(x: OrderedSeq) -> LatticePath:
     """Inverse of :func:`coords`; x lives in os_{n+1}^d, the path in L_{d,n}."""
-    positions = set(x.entries)
-    steps = "".join("H" if i in positions else "V" for i in range(1, x.n + x.d))
-    return LatticePath(x.d, x.n - 1, steps)
+    steps = ["V"] * (x.n + x.d - 1)
+    for e in x.entries:
+        steps[e - 1] = "H"
+    return LatticePath(x.d, x.n - 1, "".join(steps))
 
 
 def path_from_entries(d: int, n: int, entries) -> LatticePath:
@@ -230,11 +234,6 @@ def enumerate_dyck(d: int, n: int) -> list[LatticePath]:
 def prepend_horizontal(path: LatticePath) -> LatticePath:
     """Widen the grid by one column, entering it with a first H step."""
     return LatticePath(path.d + 1, path.n, "H" + path.steps)
-
-
-def append_horizontal(path: LatticePath) -> LatticePath:
-    """Widen the grid by one column, leaving through a final H step."""
-    return LatticePath(path.d + 1, path.n, path.steps + "H")
 
 
 def slope_intercept(d: int, n: int, x: int, y: int) -> Fraction:

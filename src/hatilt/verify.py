@@ -21,11 +21,11 @@ from .cluster import (
     ShiftedModule,
     generation_certificate,
     hom_dim,
-    nakayama,
     nakayama_pow,
     nu_orbit_decomposition,
     projective_summands,
     rigidity_check,
+    serre_symmetry_check,
     tilting_summands,
 )
 from .complexes import (
@@ -257,13 +257,8 @@ def claim_nu_orbit_blocks(model: ModelData):
 
 
 def claim_serre_symmetry(model: ModelData):
-    summands = tilting_summands(model.d, model.n)
-    for u in summands:
-        twisted = nakayama(u)
-        for v in summands:
-            if hom_dim(u, v) != hom_dim(v, twisted):
-                return False, {}
-    return True, {"pairs": len(summands) ** 2}
+    ok = serre_symmetry_check(model.d, model.n)
+    return ok, ({"pairs": (len(model.dyck()) * (model.n + model.d)) ** 2} if ok else {})
 
 
 def claim_fcy_combinatorial(model: ModelData):

@@ -13,14 +13,23 @@ constants, and the radical filtration reduced on dense vectors of the full
 algebra rather than block by block.  It also holds
 the lattice-path definitions and lemmas of the paper that the
 combinatorial tests check (skew shapes, Dyck orbit representatives, the
-dual slices, the S-regions, degree-zero composition and the projective
-and injective labels at shift zero).
+widening by a final horizontal step, the dual slices, the S-regions,
+degree-zero composition and the projective and injective labels at shift
+zero), and the rigidity and Serre-symmetry checks asked one ``hom_dim``
+query at a time, against which the label-triple checks of
+``hatilt.cluster`` are compared.
 """
 
 import math
 from fractions import Fraction
 
-from hatilt.cluster import ShiftedModule, hom_dim
+from hatilt.cluster import (
+    RigidityReport,
+    ShiftedModule,
+    hom_dim,
+    nakayama,
+    tilting_summands,
+)
 from hatilt.complexes import (
     ModuleComplex,
     ProjComplex,
@@ -378,6 +387,11 @@ def skew_cells(p1: LatticePath, p2: LatticePath) -> set[tuple[int, int]]:
     return {(i, j) for i in range(p1.d) for j in range(h1[i], h2[i])}
 
 
+def append_horizontal(path: LatticePath) -> LatticePath:
+    """Widen the grid by one column, leaving through a final H step."""
+    return LatticePath(path.d + 1, path.n, path.steps + "H")
+
+
 def dyck_orbit_representative(path: LatticePath) -> tuple[LatticePath, int]:
     """The unique Dyck path in the rotation orbit, and the k rotating it back.
 
@@ -440,3 +454,35 @@ def is_projective_at_zero(u: ShiftedModule) -> bool:
 
 def is_injective_at_zero(u: ShiftedModule) -> bool:
     return u.shift == 0 and u.path.steps[-1] == "H"
+
+
+def rigidity_check_by_hom_dim(d: int, n: int) -> RigidityReport:
+    """``hatilt.cluster.rigidity_check``, one ``hom_dim`` call per query."""
+    summands = tilting_summands(d, n)
+    end_dim = 0
+    violations = []
+    pairs = 0
+    for u in summands:
+        for v in summands:
+            pairs += 1
+            end_dim += hom_dim(u, v)
+            # morphisms into v[k] need d * (shift difference) + k in {0, d},
+            # so only these two k are in play; both are multiples of d
+            s = v.shift - u.shift
+            for k in (-d * s, d * (1 - s)):
+                if k == 0:
+                    continue
+                if hom_dim(u, ShiftedModule(v.path, v.shift + k // d)):
+                    violations.append((u, v, k))
+    return RigidityReport(d, n, not violations, end_dim, pairs, tuple(violations))
+
+
+def serre_symmetry_by_hom_dim(d: int, n: int) -> bool:
+    """``hatilt.cluster.serre_symmetry_check``, one ``hom_dim`` call per query."""
+    summands = tilting_summands(d, n)
+    for u in summands:
+        twisted = nakayama(u)
+        for v in summands:
+            if hom_dim(u, v) != hom_dim(v, twisted):
+                return False
+    return True

@@ -3,8 +3,16 @@ from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import compose_nonzero, is_injective_at_zero, is_projective_at_zero
+from oracles import (
+    append_horizontal,
+    compose_nonzero,
+    is_injective_at_zero,
+    is_projective_at_zero,
+    rigidity_check_by_hom_dim,
+    serre_symmetry_by_hom_dim,
+)
 
+import hatilt.cluster
 from hatilt.cluster import (
     ShiftedModule,
     generation_certificate,
@@ -15,6 +23,7 @@ from hatilt.cluster import (
     nu_orbit_decomposition,
     projective_summands,
     rigidity_check,
+    serre_symmetry_check,
     tau_d,
     tilting_summands,
 )
@@ -23,7 +32,6 @@ from hatilt.pathcomb import (
     LatticePath,
     rotate_pow,
     OrderedSeq,
-    append_horizontal,
     coords,
     enumerate_all,
     enumerate_dyck,
@@ -149,6 +157,51 @@ class TestHomRuleCost:
         rigidity_check(4, 3)
         distinct = {u.path for u in tilting_summands(4, 3)}
         assert coords.cache_info().misses <= len(distinct)
+
+    def test_rigidity_builds_no_object_per_query(self, monkeypatch):
+        # the Hom rule runs on label triples: every ShiftedModule the check
+        # builds is one the summand list builds
+        def constructions(fn, *args):
+            count = 0
+            init = ShiftedModule.__init__
+
+            def counting(self, *fields):
+                nonlocal count
+                count += 1
+                init(self, *fields)
+
+            with monkeypatch.context() as m:
+                m.setattr(ShiftedModule, "__init__", counting)
+                fn(*args)
+            return count
+
+        assert constructions(rigidity_check, 4, 3) == constructions(tilting_summands, 4, 3)
+
+
+COPRIME_UP_TO_8 = [
+    (d, n) for d in range(1, 8) for n in range(1, 9 - d) if math.gcd(d, n) == 1
+]
+
+
+class TestHomRuleDifferential:
+    # the label-triple checks against the same checks asked one hom_dim
+    # query at a time
+    @pytest.mark.parametrize("d, n", COPRIME_UP_TO_8)
+    def test_rigidity_and_serre_match_the_hom_dim_checks(self, d, n):
+        assert rigidity_check(d, n) == rigidity_check_by_hom_dim(d, n)
+        assert serre_symmetry_check(d, n) == serre_symmetry_by_hom_dim(d, n)
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3)])
+    def test_match_under_a_shift_blind_rule(self, monkeypatch, d, n):
+        # a rule that zeroes both shifts breaks rigidity
+        real = hatilt.cluster._hom_rule
+        monkeypatch.setattr(
+            hatilt.cluster, "_hom_rule", lambda a, b: real((0,) + a[1:], (0,) + b[1:])
+        )
+        report = rigidity_check(d, n)
+        assert report.violations
+        assert report == rigidity_check_by_hom_dim(d, n)
+        assert serre_symmetry_check(d, n) == serre_symmetry_by_hom_dim(d, n)
 
 
 class TestCompose:

@@ -2,14 +2,19 @@ import math
 from fractions import Fraction
 
 import pytest
-from oracles import delta_prime_set, dyck_orbit_representative, s_region, skew_cells
+from oracles import (
+    append_horizontal,
+    delta_prime_set,
+    dyck_orbit_representative,
+    s_region,
+    skew_cells,
+)
 
 from hatilt.pathcomb import (
     GridPoint,
     LatticePath,
     OrderedSeq,
     anchor_data,
-    append_horizontal,
     base_path,
     below,
     coords,

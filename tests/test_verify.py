@@ -1,11 +1,11 @@
 import importlib
 import importlib.util
+import json
 import math
 from pathlib import Path
 
 import pytest
 
-from hatilt.cluster import ShiftedModule
 from hatilt.verify import (
     CLAIM_NAMES,
     COMBINATORIAL_CLAIMS,
@@ -187,21 +187,34 @@ class TestHomRuleFaultInjection:
         # a rule that forgets the shifts gives Hom(u, u[d]) = 1 and breaks
         # the twist symmetry; both claims must catch it
         import hatilt.cluster
-        import hatilt.verify
 
-        real = hatilt.cluster.hom_dim
+        real = hatilt.cluster._hom_rule
 
-        def shift_blind(src, dst):
-            return real(ShiftedModule(src.path, 0), ShiftedModule(dst.path, 0))
+        def shift_blind(a, b):
+            return real((0,) + a[1:], (0,) + b[1:])
 
-        monkeypatch.setattr(hatilt.cluster, "hom_dim", shift_blind)
-        monkeypatch.setattr(hatilt.verify, "hom_dim", shift_blind)
+        monkeypatch.setattr(hatilt.cluster, "_hom_rule", shift_blind)
         claims, failed, _ = run_claims(3, 2, ["rigidity", "serre_symmetry"])
         assert failed
         assert [(c["name"], c["status"]) for c in claims] == [
             ("rigidity", "fail"),
             ("serre_symmetry", "fail"),
         ]
+
+
+class TestReferenceReports:
+    # the benchmark compares its claim runs with these files; a changed
+    # claim value fails here as well
+    REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference"
+
+    @pytest.mark.parametrize(
+        "names, stem", [(COMBINATORIAL_CLAIMS, "combinatorial"), (CLAIM_NAMES, "all")]
+    )
+    def test_reports_at_3_2_match_the_reference(self, names, stem):
+        claims, _, _ = run_claims(3, 2, names)
+        report = [{k: v for k, v in c.items() if k != "ms"} for c in claims]
+        expected = json.loads((self.REFERENCE / f"{stem}_d3_n2.json").read_text())
+        assert json.loads(json.dumps(report)) == expected
 
 
 class TestTracerTargets:
