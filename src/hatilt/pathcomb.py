@@ -45,15 +45,18 @@ class OrderedSeq:
             raise ValueError(f"parameters must be positive, got n={self.n}, d={self.d}")
         if len(self.entries) != self.d:
             raise ValueError(f"expected {self.d} entries, got {len(self.entries)}")
+        top = self.n + self.d - 1
         prev = 0
         for e in self.entries:
             if e <= prev:
-                raise ValueError(f"entries not strictly increasing: {self.entries}")
+                break
             prev = e
-        if self.entries[0] < 1 or self.entries[-1] > self.n + self.d - 1:
-            raise ValueError(
-                f"entries {self.entries} out of range [1, {self.n + self.d - 1}]"
-            )
+        else:  # increasing from above 0, so only the last entry can be too big
+            if prev <= top:
+                return
+        if min(self.entries) < 1 or max(self.entries) > top:
+            raise ValueError(f"entries {self.entries} out of range [1, {top}]")
+        raise ValueError(f"entries not strictly increasing: {self.entries}")
 
 
 @dataclass(frozen=True, order=True)
@@ -181,13 +184,16 @@ def relation_R(p1: LatticePath, p2: LatticePath) -> bool:
     """
     if (p1.d, p1.n) != (p2.d, p2.n):
         raise ValueError("paths live in different grids")
-    h1 = p1.column_heights()
-    h2 = p2.column_heights()
+    return heights_related(p1.column_heights(), p2.column_heights())
+
+
+def heights_related(h1: tuple[int, ...], h2: tuple[int, ...]) -> bool:
+    """Relation R on the column heights of two paths in one grid."""
     if any(a > b for a, b in zip(h1, h2)):
         return False
     # cells (i, j) and (i+1, j) both in the skew shape iff h1[i+1] < h2[i],
     # using that column heights are nondecreasing along a monotone path
-    return all(h1[i + 1] >= h2[i] for i in range(p1.d - 1))
+    return all(h1[i + 1] >= h2[i] for i in range(len(h1) - 1))
 
 
 def rotate(path: LatticePath) -> LatticePath:

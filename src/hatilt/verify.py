@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 from .cluster import (
     ShiftedModule,
+    _hom_rule,
+    _labels,
     generation_certificate,
-    hom_dim,
     nakayama_pow,
     nu_orbit_decomposition,
     projective_summands,
@@ -32,7 +33,7 @@ from .complexes import (
     domdim,
     fcy_object_check,
     gldim,
-    hom_complex_dim,
+    hom_complex_dims,
     projective_injective_vertices,
     shifted_module_complex,
     two_subhomogeneous_check,
@@ -51,7 +52,7 @@ from .fdalg import (
     replicate,
     trivial_ext_r,
 )
-from .pathcomb import coords, enumerate_all, enumerate_dyck, preceq, relation_R
+from .pathcomb import coords, enumerate_all, enumerate_dyck, heights_related, interleaves
 from .quiveralg import (
     BudgetError,
     build_auslander_algebra,
@@ -214,13 +215,13 @@ def claim_orbit_normal_form(model: ModelData):
 
 def claim_interleaving_agreement(model: ModelData):
     d, n = model.d, model.n
-    paths = enumerate_all(d, n)
+    # relation R on column heights against preceq on coordinates
+    labels = [(p.column_heights(), coords(p).entries) for p in enumerate_all(d, n)]
     pairs = 0
-    for p1 in paths:
-        c1 = coords(p1)
-        for p2 in paths:
+    for h1, x1 in labels:
+        for h2, x2 in labels:
             pairs += 1
-            if relation_R(p1, p2) != preceq(c1, coords(p2)):
+            if heights_related(h1, h2) != interleaves(x1, x2):
                 return False, {"pairs": pairs}
     return True, {"pairs": pairs}
 
@@ -273,18 +274,16 @@ def claim_fcy_combinatorial(model: ModelData):
 def claim_hom_agreement(model: ModelData):
     d, n = model.d, model.n
     summands = tilting_summands(d, n)
+    labels = [_labels(u) for u in summands]
     complexes = model.tilting_complexes()
-    window = 2 * (d + 1)
+    window = range(-2 * (d + 1), 2 * (d + 1) + 1)
     checked = 0
-    for u, X in zip(summands, complexes):
-        for v, Y in zip(summands, complexes):
-            for k in range(-window, window + 1):
-                comb = (
-                    hom_dim(u, ShiftedModule(v.path, v.shift + k // d))
-                    if k % d == 0
-                    else 0
-                )
-                if hom_complex_dim(X, Y, k) != comb:
+    for u, a, X in zip(summands, labels, complexes):
+        for v, b, Y in zip(summands, labels, complexes):
+            for k, dim in zip(window, hom_complex_dims(X, Y, window)):
+                # Y[k] is v shifted by k // d units of [d] when d divides k
+                comb = _hom_rule(a, (b[0] + k // d,) + b[1:]) if k % d == 0 else 0
+                if dim != comb:
                     return False, {"pair": (u.path.steps, v.path.steps, k)}
                 checked += 1
     return True, {"checked": checked}

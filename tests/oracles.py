@@ -17,7 +17,8 @@ widening by a final horizontal step, the dual slices, the S-regions,
 degree-zero composition and the projective and injective labels at shift
 zero), and the rigidity and Serre-symmetry checks asked one ``hom_dim``
 query at a time, against which the label-triple checks of
-``hatilt.cluster`` are compared.
+``hatilt.cluster`` are compared, and the Hom dimension of complexes asked
+one shift at a time, against which ``hom_complex_dims`` is compared.
 """
 
 import math
@@ -34,6 +35,7 @@ from hatilt.complexes import (
     ModuleComplex,
     ProjComplex,
     _delta_matrix,
+    _hom_differentials,
     _hom_slots,
     _is_projective_cover,
     _scalar_part,
@@ -486,3 +488,12 @@ def serre_symmetry_by_hom_dim(d: int, n: int) -> bool:
             if hom_dim(u, v) != hom_dim(v, twisted):
                 return False
     return True
+
+
+def hom_complex_dim_per_shift(X, Y, k=0):
+    """``hatilt.complexes.hom_complex_dim`` as one query per shift: three slot
+    lists, two delta matrices and two ranks, whatever the degrees."""
+    if X.is_zero() or Y.is_zero():
+        return 0
+    delta_k, delta_km1, _, dim_k = _hom_differentials(X, Y, k)
+    return dim_k - delta_k.rank() - delta_km1.rank()

@@ -365,3 +365,12 @@ class TestHomdim:
             "homdim", "--n", "4", "--d", "3", "--from", "1,2,4,9@0", "--to", "1,2,4,6@0",
         )
         assert code == 2
+
+    def test_zero_coordinate_is_reported_out_of_range(self, capsys):
+        # 0 lies below the alphabet; it is not an ordering fault
+        code, _, err = run(
+            capsys,
+            "homdim", "--d", "2", "--n", "3", "--from", "0,2,3@0", "--to", "1,2,4@0",
+        )
+        assert code == 2
+        assert err.strip() == "error: entries (0, 2, 3) out of range [1, 6]"

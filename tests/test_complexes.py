@@ -10,6 +10,7 @@ from oracles import (
     derived_nakayama_inverse,
     direct_sum_complexes,
     ext_dim,
+    hom_complex_dim_per_shift,
     hom_space,
     label_signature,
     nu_orbit_complexes,
@@ -35,6 +36,7 @@ from hatilt.complexes import (
     fcy_object_check,
     gldim,
     hom_complex_dim,
+    hom_complex_dims,
     minimal_proj_resolution,
     minimize_complex,
     projective_injective_vertices,
@@ -68,7 +70,7 @@ from hatilt.quiveralg import (
     relation,
     vertex_of_entries,
 )
-from hatilt.verify import ModelData, VerifyConfig, claim_preprojective
+from hatilt.verify import ModelData, VerifyConfig, claim_hom_agreement, claim_preprojective
 
 
 def linear_bqa(k, rad_power=None):
@@ -291,6 +293,95 @@ class TestHomComplex:
         assert label_signature(minimize_complex(X)) == label_signature(X)
 
 
+def padded_window(X, Y, pad=2):
+    """The shifts k where Hom^k(X, Y) can be nonzero, ``pad`` more each side."""
+    if X.is_zero() or Y.is_zero():
+        return range(-pad, pad + 1)
+    lo, hi = min(Y.terms) - max(X.terms), max(Y.terms) - min(X.terms)
+    return range(lo - pad, hi + pad + 1)
+
+
+def injective_resolutions_and_stalks(alg):
+    """The inputs of two_subhomogeneous_check: a resolution of each injective
+    non-projective, and the stalk of each vertex."""
+    proj_inj = projective_injective_vertices(alg)
+    resolutions = [
+        minimal_proj_resolution(alg, alg.injective(z), label=f"I{z}")
+        for z in alg.vertex_ids()
+        if z not in proj_inj
+    ]
+    return resolutions, [stalk_complex(alg, w) for w in alg.vertex_ids()]
+
+
+class TestHomWindows:
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3)])
+    def test_every_tilting_pair_matches_the_per_shift_oracle(self, d, n):
+        _, complexes = tilting_complexes(d, n)
+        nonzero = 0
+        for X in complexes:
+            for Y in complexes:
+                ks = padded_window(X, Y)
+                expected = [hom_complex_dim_per_shift(X, Y, k) for k in ks]
+                assert hom_complex_dims(X, Y, ks) == expected
+                nonzero += sum(map(bool, expected))
+                # the order of the shifts and repeats do not matter
+                shuffled = list(ks)[::-2] + list(ks)[::2] + [ks[0]]
+                assert hom_complex_dims(X, Y, shuffled) == [
+                    expected[k - ks[0]] for k in shuffled
+                ]
+        assert nonzero
+
+    @pytest.mark.parametrize("algebra", ["kA4_rad2", "kA5_rad3", "B_3_2"])
+    def test_injective_resolutions_against_stalks(self, algebra):
+        if algebra == "B_3_2":
+            alg = ModelData(3, 2, VerifyConfig()).presentation("B").algebra
+        else:
+            alg = linear_bqa(4, 2) if algebra == "kA4_rad2" else linear_bqa(5, 3)
+        resolutions, stalks = injective_resolutions_and_stalks(alg)
+        assert resolutions
+        for R in resolutions:
+            for S in stalks:
+                for X, Y in ((R, S), (S, R)):
+                    ks = padded_window(X, Y)
+                    assert hom_complex_dims(X, Y, ks) == [
+                        hom_complex_dim_per_shift(X, Y, k) for k in ks
+                    ]
+
+    def test_zero_complex_has_zero_hom(self):
+        alg = linear_bqa(3)
+        zero, P = ProjComplex(alg, {}, {}), stalk_complex(alg, 1)
+        assert hom_complex_dims(zero, P, range(-2, 3)) == [0] * 5
+        assert hom_complex_dims(P, zero, [0]) == [0]
+        assert hom_complex_dims(P, P, []) == []
+
+    def test_hom_agreement_builds_delta_only_between_nonzero_homs(self, monkeypatch):
+        # at (4, 3) 96.8% of the 25,725 queries have Hom^k = 0; one query per
+        # shift built 77,175 slot lists and 51,450 delta matrices
+        import hatilt.complexes
+
+        model = ModelData(4, 3, VerifyConfig())
+        model.tilting_complexes()
+        real_slots, real_delta = hatilt.complexes._hom_slots, hatilt.complexes._delta_matrix
+        slot_calls, delta_calls = Counter(), Counter()
+
+        def counting_slots(X, Y, j):
+            slot_calls[id(X), id(Y), j] += 1
+            return real_slots(X, Y, j)
+
+        def counting_delta(X, Y, j, source, target):
+            assert source[1] and target[1], "delta built from or into a zero Hom"
+            delta_calls[id(X), id(Y), j] += 1
+            return real_delta(X, Y, j, source, target)
+
+        monkeypatch.setattr(hatilt.complexes, "_hom_slots", counting_slots)
+        monkeypatch.setattr(hatilt.complexes, "_delta_matrix", counting_delta)
+        ok, value = claim_hom_agreement(model)
+        assert ok and value == {"checked": 25725}
+        # each pair is asked once, so no slot list or rank is built twice
+        assert set(slot_calls.values()) == {1} and set(delta_calls.values()) == {1}
+        assert (sum(slot_calls.values()), sum(delta_calls.values())) == (5069, 393)
+
+
 @cache
 def model_algebra(d, n):
     return build_auslander_algebra(n + 1, d)
@@ -306,6 +397,12 @@ def equal_shift_pairs(draw):
     return d, n, draw(labels), draw(labels), draw(st.integers(-1, 1))
 
 
+@st.composite
+def shifted_pairs(draw):
+    """Two interval modules of a small coprime model at shifts s, t in -1..1."""
+    return draw(equal_shift_pairs()) + (draw(st.integers(-1, 1)),)
+
+
 class TestHomProperty:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(equal_shift_pairs())
@@ -317,6 +414,16 @@ class TestHomProperty:
             shifted_module_complex(alg, module_M(alg, coords(path)), d * s) for path in (p, q)
         )
         assert hom_dim(ShiftedModule(p, s), ShiftedModule(q, s)) == hom_complex_dim(X, Y, 0)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(shifted_pairs())
+    def test_combinatorial_hom_is_hom_of_complexes_across_shifts(self, case):
+        d, n, x, y, s, t = case
+        alg = model_algebra(d, n)
+        p, q = (path_from_entries(d + 1, n, e) for e in (x, y))
+        X = shifted_module_complex(alg, module_M(alg, coords(p)), d * s)
+        Y = shifted_module_complex(alg, module_M(alg, coords(q)), d * t)
+        assert hom_dim(ShiftedModule(p, s), ShiftedModule(q, t)) == hom_complex_dim(X, Y, 0)
 
 
 class TestDerivedNakayama:

@@ -24,6 +24,7 @@ from hatilt.pathcomb import (
     enumerate_dyck,
     enumerate_os,
     from_coords,
+    heights_related,
     is_dyck,
     path_from_entries,
     preceq,
@@ -80,6 +81,23 @@ class TestOrderedSeq:
             seq(3, 2, 0, 1)
         with pytest.raises(ValueError):
             seq(3, 2, 3, 5)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ((0, 2, 3), "entries (0, 2, 3) out of range [1, 6]"),
+            ((2, 0, 3), "entries (2, 0, 3) out of range [1, 6]"),
+            ((1, 2, 7), "entries (1, 2, 7) out of range [1, 6]"),
+            ((1, 3, 3), "entries not strictly increasing: (1, 3, 3)"),
+            ((3, 2, 4), "entries not strictly increasing: (3, 2, 4)"),
+        ],
+        ids=["zero_first", "zero_inside", "too_big", "repeat", "descent"],
+    )
+    def test_violation_messages_name_the_violation(self, entries, message):
+        # an entry below 1 is out of range, not out of order
+        with pytest.raises(ValueError) as info:
+            OrderedSeq(4, 3, entries)
+        assert str(info.value) == message
 
 
 class TestPreceq:
@@ -149,6 +167,17 @@ class TestRelationR:
                     expected = naive_relation_R(p1, p2)
                     assert relation_R(p1, p2) == expected
                     assert preceq(coords(p1), coords(p2)) == expected
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
+    def test_heights_related_on_every_pair(self, d, n):
+        # relation_R delegates to heights_related; the cell-level oracle is
+        # the independent side
+        paths = enumerate_all(d, n)
+        for p1 in paths:
+            for p2 in paths:
+                expected = naive_relation_R(p1, p2)
+                assert heights_related(p1.column_heights(), p2.column_heights()) == expected
+                assert relation_R(p1, p2) == expected
 
     def test_agreement_on_L34_all_pairs(self):
         paths = enumerate_all(3, 4)

@@ -216,6 +216,13 @@ class TestReferenceReports:
         expected = json.loads((self.REFERENCE / f"{stem}_d3_n2.json").read_text())
         assert json.loads(json.dumps(report)) == expected
 
+    def test_reports_at_the_verify_model_match_the_reference(self):
+        # (4, 3) is the model of the benchmark's verify workload
+        claims, _, _ = run_claims(4, 3, CLAIM_NAMES)
+        report = [{k: v for k, v in c.items() if k != "ms"} for c in claims]
+        expected = json.loads((self.REFERENCE / "all_d4_n3.json").read_text())
+        assert json.loads(json.dumps(report)) == expected
+
 
 class TestTracerTargets:
     # names the tracer lists that no longer exist in the package
