@@ -34,7 +34,6 @@ from .quiveralg import (
     BudgetError,
     QuiverRep,
     direct_sum,
-    dual_module,
 )
 from .fdalg import FDAlgebra
 
@@ -666,13 +665,15 @@ def gldim(alg, max_len=64) -> int:
     return best
 
 
-def projective_injective_vertices(alg) -> set:
-    """Vertices whose injective envelope of the simple is also projective."""
-    out = set()
+def projective_injective_vertices(alg) -> dict:
+    """{v: w} for each vertex v whose injective I_v is projective, I_v = P_w:
+    an indecomposable projective is the cover of its top, the one vertex w."""
+    out = {}
     for v in alg.vertex_ids():
         I = alg.injective(v)
-        if _is_projective_cover(alg, I, _top(alg.vertex_ids(), I.dims, I.radical_fibers())):
-            out.add(v)
+        top = _top(alg.vertex_ids(), I.dims, I.radical_fibers())
+        if _is_projective_cover(alg, I, top):
+            out[v] = top[0][0]
     return out
 
 
@@ -682,29 +683,27 @@ def _is_projective_cover(alg, M: QuiverRep, top) -> bool:
 
 
 def domdim(alg, max_len=64):
-    """Dominant dimension via the dual resolution over the opposite algebra.
+    """Dominant dimension, read off the projective resolutions of the
+    injectives.
 
-    Returns math.inf when every term of the minimal injective coresolution
-    of the algebra is projective.
+    The dominant dimension of an algebra equals that of its opposite
+    (B. J. Muller, "The classification of algebras by dominant dimension",
+    Canad. J. Math. 20, 1968).  Dualising the minimal projective resolution
+    of I_z gives the minimal injective coresolution of the opposite
+    projective D(I_z), whose term D(P_w) is projective exactly when P_w is
+    injective.  So the value is the least number, over z, of leading terms
+    of the resolution of I_z whose vertices are all tops w of
+    projective-injectives I_v = P_w; math.inf when every term is.
     """
-    op = alg.opposite()
-    proj_inj = projective_injective_vertices(alg)
-    best = None
+    tops = set(projective_injective_vertices(alg).values())
+    best = math.inf
     for z in alg.vertex_ids():
-        dual = dual_module(alg.projective(z))
-        R = minimal_proj_resolution(op, dual, max_len, label=f"DP{z}")
-        count = 0
-        exhausted = True
+        R = minimal_proj_resolution(alg, alg.injective(z), max_len, label=f"I{z}")
         for j in range(len(R.terms)):
-            labels = R.terms.get(-j, ())
-            if all(w in proj_inj for w in labels):
-                count += 1
-            else:
-                exhausted = False
+            if not all(w in tops for w in R.terms.get(-j, ())):
+                best = min(best, j)
                 break
-        value = math.inf if exhausted else count
-        best = value if best is None else min(best, value)
-    return best if best is not None else math.inf
+    return best
 
 
 # -- verification reports -----------------------------------------------------

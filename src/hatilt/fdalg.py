@@ -313,31 +313,18 @@ def presentation(fd: FDAlgebra) -> BoundQuiverAlgebra:
 # -- replicated and trivial extension algebras ------------------------------
 
 
-def trivial_ext_r(fd: FDAlgebra, r: int, wrap: bool = True) -> FDAlgebra:
+def trivial_ext_r(fd: FDAlgebra, r: int) -> FDAlgebra:
     """r x r matrix algebra with fd on the diagonal and its dual on the
-    superdiagonal; ``wrap`` adds the corner dual block (degree one)."""
+    superdiagonal and in the corner; the corner block has degree one."""
     if r < 1:
         raise ValueError("need r >= 1")
-    k = fd.nidem
-    blocks = []
-    grading = []
-    layer_base = {}
-    bond_base = {}
-    for t in range(r):
-        layer_base[t] = len(blocks)
-        for bid in range(fd.dim):
-            (i, j) = fd.blocks[bid]
-            blocks.append((t * k + i, t * k + j))
-            grading.append(0)
-    bonds = list(range(r - 1)) + ([r - 1] if wrap else [])
-    for t in bonds:
-        bond_base[t] = len(blocks)
-        t1 = (t + 1) % r
-        for bid in range(fd.dim):
-            (p, q) = fd.blocks[bid]
-            # the dual of e_p A e_q sits in e_q (DA) e_p, between layers t, t+1
-            blocks.append((t * k + q, t1 * k + p))
-            grading.append(1 if (wrap and t == r - 1) else 0)
+    k, m = fd.nidem, fd.dim
+    # layer t holds the basis ids from t m on, and bond t, the dual between
+    # layers t and t+1 (mod r), those from (r + t) m on
+    blocks = [(t * k + i, t * k + j) for t in range(r) for i, j in fd.blocks]
+    # the dual of e_p A e_q sits in e_q (DA) e_p
+    blocks += [(t * k + q, (t + 1) % r * k + p) for t in range(r) for p, q in fd.blocks]
+    grading = [0] * ((2 * r - 1) * m) + [1] * m
 
     mult: dict[tuple[int, int], dict[int, Fraction]] = {}
 
@@ -347,14 +334,13 @@ def trivial_ext_r(fd: FDAlgebra, r: int, wrap: bool = True) -> FDAlgebra:
 
     # layer * layer
     for t in range(r):
-        base = layer_base[t]
+        base = t * m
         for (a, b), table in fd.mult.items():
             add_entry(base + a, base + b, {base + c: v for c, v in table.items()})
 
     # layer t left-multiplies bond t; layer t+1 right-multiplies bond t
-    for t in bonds:
-        t1 = (t + 1) % r
-        lbase, bbase, rbase = layer_base[t], bond_base[t], layer_base[t1]
+    for t in range(r):
+        lbase, bbase, rbase = t * m, (r + t) * m, (t + 1) % r * m
         for a in range(fd.dim):
             (i, j) = fd.blocks[a]
             for bs in range(fd.dim):
@@ -376,15 +362,14 @@ def trivial_ext_r(fd: FDAlgebra, r: int, wrap: bool = True) -> FDAlgebra:
                             out[bbase + c] = coeff
                     add_entry(bbase + bs, rbase + a, out)
 
-    idem_ids = [layer_base[t] + fd.idem_ids[i] for t in range(r) for i in range(k)]
+    idem_ids = [t * m + fd.idem_ids[i] for t in range(r) for i in range(k)]
     return FDAlgebra(r * k, blocks, mult, idem_ids, grading)
 
 
 def replicate(fd: FDAlgebra, r: int) -> FDAlgebra:
-    """Upper-bidiagonal replicated algebra: r diagonal copies, r-1 dual bonds."""
-    out = trivial_ext_r(fd, r, wrap=False)
-    out.grading = None
-    return out
+    """Upper-bidiagonal replicated algebra: r diagonal copies, r-1 dual bonds,
+    the degree-zero part of the r-fold trivial extension."""
+    return degree_zero_part(trivial_ext_r(fd, r))
 
 
 def degree_zero_part(fd: FDAlgebra) -> FDAlgebra:
@@ -404,14 +389,12 @@ def _sub_on_basis(fd, keep, nidem, idem_order, idem_remap=None):
             i, j = idem_remap[i], idem_remap[j]
         blocks.append((i, j))
     mult = {}
-    for a in keep:
-        for b in keep:
-            table = fd.mult.get((a, b))
-            if not table:
-                continue
-            if any(c not in remap for c in table):
-                raise ValueError("basis subset not multiplicatively closed")
-            mult[(remap[a], remap[b])] = {remap[c]: v for c, v in table.items()}
+    for (a, b), table in fd.mult.items():
+        if not table or a not in remap or b not in remap:
+            continue
+        if any(c not in remap for c in table):
+            raise ValueError("basis subset not multiplicatively closed")
+        mult[(remap[a], remap[b])] = {remap[c]: v for c, v in table.items()}
     idem_ids = [remap[fd.idem_ids[i]] for i in idem_order]
     grading = [fd.grading[bid] for bid in keep] if fd.grading is not None else None
     return FDAlgebra(nidem, blocks, mult, idem_ids, grading)

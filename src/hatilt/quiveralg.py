@@ -64,12 +64,6 @@ class Quiver:
             self.arrows_into[a.tgt].append(a)
             self.arrows_out[a.src].append(a)
 
-    def reversed(self) -> "Quiver":
-        return Quiver(
-            self.vertices,
-            [Arrow(a.id, a.tgt, a.src, a.label) for a in self.arrows],
-        )
-
     def path_endpoints(self, path: tuple[int, ...]) -> tuple[int, int]:
         if not path:
             raise ValueError("empty path has no endpoints")
@@ -187,7 +181,6 @@ class BoundQuiverAlgebra(ElementArithmetic):
             (src, tgt): {bid: k for k, bid in enumerate(ids)}
             for (src, tgt), ids in self.blocks.items()
         }
-        self._op = None
         self._proj_cache: dict[int, QuiverRep] = {}
         self._inj_cache: dict[int, QuiverRep] = {}
 
@@ -233,26 +226,6 @@ class BoundQuiverAlgebra(ElementArithmetic):
                 }
         nilpotency = max((b.degree for b in basis), default=0) + 1
         return BoundQuiverAlgebra(quiver, relations, basis, mult, nilpotency, vertex_data)
-
-    def opposite(self) -> "BoundQuiverAlgebra":
-        """Same basis ids with reversed paths, swapped blocks, transposed table."""
-        if self._op is None:
-            op_quiver = self.quiver.reversed()
-            op_relations = [
-                Relation(tuple((c, tuple(reversed(p))) for c, p in r.terms))
-                for r in self.relations
-            ]
-            op_basis = [
-                BasisElement(b.id, b.tgt, b.src, b.degree, tuple(reversed(b.path)))
-                for b in self.basis
-            ]
-            op_mult = {(j, i): dict(v) for (i, j), v in self.mult.items()}
-            op = BoundQuiverAlgebra(
-                op_quiver, op_relations, op_basis, op_mult, self.nilpotency, self.vertex_data
-            )
-            op._op = self
-            self._op = op
-        return self._op
 
     @property
     def dim(self) -> int:
@@ -670,11 +643,3 @@ def direct_sum(reps: list[QuiverRep]) -> QuiverRep:
             co += r.dims[a.tgt]
         maps[a.id] = m
     return QuiverRep(alg, dims, maps, check=False)
-
-
-def dual_module(M: QuiverRep) -> QuiverRep:
-    """The linear dual as a module over the opposite algebra."""
-    op = M.algebra.opposite()
-    dims = dict(M.dims)
-    maps = {a.id: M.maps[a.id].transpose() for a in M.algebra.quiver.arrows}
-    return QuiverRep(op, dims, maps, check=True)

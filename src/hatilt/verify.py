@@ -42,7 +42,6 @@ from .complexes import (
 from .fdalg import (
     IsoInconclusive,
     corner_vanishes,
-    degree_zero_part,
     endo_algebra,
     fd_from_bqa,
     idempotent_subalgebra,
@@ -95,7 +94,8 @@ class ModelData:
     stays alive for the rest of the run, with the projective and injective
     modules it caches.  Lambda and Pi are built afresh on each call and their
     claims present them directly: each has one consumer per run, and keeping
-    them would only raise the peak memory.
+    them would only raise the peak memory.  The isomorphism End(T) = B is
+    searched once and feeds ``endo_replicate`` and ``preprojective``.
 
     Every algebra built here counts against ``max_algebra_dim``, and so does
     every presentation: it rebuilds the dimension it presents or fails.
@@ -188,6 +188,13 @@ class ModelData:
     def end_t(self):
         end_t = self._memo("end_t", lambda: endo_algebra_of_complexes(self.tilting_complexes()))
         return self._bounded("End(T)", end_t)
+
+    def end_t_iso(self):
+        """The isomorphism End(T) -> B, or None if there is none."""
+        budget = self.config.iso_budget
+        return self._memo(
+            "end_t_iso", lambda: iso_test(self.end_t(), self.b_replicated(), budget=budget)
+        )
 
 
 # -- claims -------------------------------------------------------------------
@@ -291,9 +298,7 @@ def claim_hom_agreement(model: ModelData):
 
 def claim_endo_replicate(model: ModelData):
     B = model.end_t()
-    target = model.b_replicated()
-    result = iso_test(B, target, budget=model.config.iso_budget)
-    return result is not None, {"dim": B.dim, "vertices": B.nidem}
+    return model.end_t_iso() is not None, {"dim": B.dim, "vertices": B.nidem}
 
 
 def claim_b0_presentation(model: ModelData):
@@ -367,7 +372,8 @@ def claim_two_subhomogeneous(model: ModelData):
 def claim_preprojective(model: ModelData):
     """dim Hom(P, nu P) = dim End(P), and Pi, the (n+d)-fold trivial extension
     of B0 = End(P), is self-injective with degree-zero part isomorphic to
-    End(T)."""
+    End(T).  B is built as Pi's degree-zero part, so the last is
+    ``endo_replicate``'s certificate End(T) = B, read from ``end_t_iso``."""
     A, vertices = model.algebra(), model.dyck_vertices()
     b0, pi = model.b0(), model.pi()
     # Hom(P_p, I_i) is the fiber of I_i at p (Yoneda)
@@ -376,8 +382,8 @@ def claim_preprojective(model: ModelData):
     # I_z is projective: such an I_z is a single P_w, so its top is one
     # vertex, and distinct socles give distinct w, so z -> w is the Nakayama
     # permutation.  The presentation's vertices are Pi's idempotents.
-    self_injective = projective_injective_vertices(presentation(pi)) == set(range(pi.nidem))
-    iso = iso_test(degree_zero_part(pi), model.end_t(), budget=model.config.iso_budget) is not None
+    self_injective = projective_injective_vertices(presentation(pi)).keys() == set(range(pi.nidem))
+    iso = model.end_t_iso() is not None
     return hom == b0.dim and self_injective and iso, {
         "hom_dim": hom,
         "end_p_dim": b0.dim,
@@ -430,7 +436,11 @@ COMBINATORIAL_CLAIMS = [
 
 def run_claims(d, n, names, config: VerifyConfig | None = None):
     """Run the selected claims in declared order; returns (claims, any_failed,
-    any_skipped).  A claim with status ``error`` counts as neither."""
+    any_skipped).  A claim with status ``error`` counts as neither.  An
+    unknown claim name raises ``ValueError`` before any claim runs."""
+    unknown = [name for name in names if name not in CLAIM_NAMES]
+    if unknown:
+        raise ValueError(f"unknown claims: {', '.join(unknown)}")
     config = config or VerifyConfig()
     model = ModelData(d, n, config)
     results = []

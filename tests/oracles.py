@@ -5,8 +5,11 @@ they live here rather than in ``hatilt``: the inverse Serre twist (through
 duality over the opposite algebra, an independent route to the one
 ``derived_nakayama`` takes), direct sums and cones of complexes, a search
 for an isomorphism between complexes, the Serre-twist orbit of a complex
-and its label signature, Ext dimensions from a minimal resolution through
-their own coboundary matrices, the intertwiner solver for Hom between
+and its label signature, the opposite algebra and the dual module over
+it, the dominant dimension read off the injective coresolution of the
+algebra through those duals (against which ``domdim`` is compared), Ext
+dimensions from a minimal resolution through their own coboundary
+matrices, the intertwiner solver for Hom between
 modules, self-injectivity read off the tops of the injectives and the
 Nakayama permutation, an exhaustive associativity check of structure
 constants, and the radical filtration reduced on dense vectors of the full
@@ -45,6 +48,7 @@ from hatilt.complexes import (
     minimal_proj_resolution,
     minimize_complex,
     proj_replace,
+    projective_injective_vertices,
     realize_complex,
 )
 from hatilt.exactmat import ZERO, ExactMatrix, span_basis
@@ -57,7 +61,79 @@ from hatilt.pathcomb import (
     region_paths,
     rotate_pow,
 )
-from hatilt.quiveralg import QuiverRep, dual_module
+from hatilt.quiveralg import (
+    Arrow,
+    BasisElement,
+    BoundQuiverAlgebra,
+    Quiver,
+    QuiverRep,
+    Relation,
+)
+
+
+def reversed_quiver(quiver: Quiver) -> Quiver:
+    return Quiver(
+        quiver.vertices,
+        [Arrow(a.id, a.tgt, a.src, a.label) for a in quiver.arrows],
+    )
+
+
+def opposite(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
+    """Same basis ids with reversed paths, swapped blocks, transposed table.
+
+    The two algebras keep each other as ``_op``, so ``opposite`` is an
+    involution up to identity."""
+    if getattr(alg, "_op", None) is None:
+        op_quiver = reversed_quiver(alg.quiver)
+        op_relations = [
+            Relation(tuple((c, tuple(reversed(p))) for c, p in r.terms))
+            for r in alg.relations
+        ]
+        op_basis = [
+            BasisElement(b.id, b.tgt, b.src, b.degree, tuple(reversed(b.path)))
+            for b in alg.basis
+        ]
+        op_mult = {(j, i): dict(v) for (i, j), v in alg.mult.items()}
+        op = BoundQuiverAlgebra(
+            op_quiver, op_relations, op_basis, op_mult, alg.nilpotency, alg.vertex_data
+        )
+        op._op = alg
+        alg._op = op
+    return alg._op
+
+
+def dual_module(M: QuiverRep) -> QuiverRep:
+    """The linear dual as a module over the opposite algebra."""
+    op = opposite(M.algebra)
+    dims = dict(M.dims)
+    maps = {a.id: M.maps[a.id].transpose() for a in M.algebra.quiver.arrows}
+    return QuiverRep(op, dims, maps, check=True)
+
+
+def domdim_by_coresolution(alg, max_len=64):
+    """Dominant dimension via the dual resolution over the opposite algebra.
+
+    Returns math.inf when every term of the minimal injective coresolution
+    of the algebra is projective.
+    """
+    op = opposite(alg)
+    proj_inj = projective_injective_vertices(alg)
+    best = None
+    for z in alg.vertex_ids():
+        dual = dual_module(alg.projective(z))
+        R = minimal_proj_resolution(op, dual, max_len, label=f"DP{z}")
+        count = 0
+        exhausted = True
+        for j in range(len(R.terms)):
+            labels = R.terms.get(-j, ())
+            if all(w in proj_inj for w in labels):
+                count += 1
+            else:
+                exhausted = False
+                break
+        value = math.inf if exhausted else count
+        best = value if best is None else min(best, value)
+    return best if best is not None else math.inf
 
 
 def direct_sum_complexes(complexes):
@@ -108,7 +184,7 @@ def derived_nakayama_inverse(X: ProjComplex, max_len=64) -> ProjComplex:
     if X.is_zero():
         return X
     alg = X.algebra
-    op = alg.opposite()
+    op = opposite(alg)
     C = realize_complex(minimize_complex(X))
     # dual complex over the opposite algebra, with degrees negated
     terms = {-m: dual_module(C.terms[m]) for m in C.degrees()}

@@ -9,11 +9,14 @@ from oracles import (
     complexes_isomorphic,
     derived_nakayama_inverse,
     direct_sum_complexes,
+    domdim_by_coresolution,
+    dual_module,
     ext_dim,
     hom_complex_dim_per_shift,
     hom_space,
     label_signature,
     nu_orbit_complexes,
+    opposite,
     self_injective_by_tops,
 )
 
@@ -65,7 +68,6 @@ from hatilt.quiveralg import (
     Quiver,
     Vertex,
     build_auslander_algebra,
-    dual_module,
     module_M,
     relation,
     vertex_of_entries,
@@ -105,7 +107,7 @@ def resolution_test_modules(kind):
         return [(alg, alg.injective(v)) for v in alg.vertex_ids()]
     if kind == "interval":
         return [(alg, module_M(alg, x)) for x in enumerate_os(5, 4)]
-    op = alg.opposite()
+    op = opposite(alg)
     return [(op, dual_module(alg.projective(z))) for z in alg.vertex_ids()]
 
 
@@ -527,6 +529,50 @@ class TestGlobalDimensions:
         assert g <= n * d + 1 <= dd
 
 
+def domdim_test_algebras():
+    """A builder for every kA_k/rad^r with 2 <= r <= k <= 7, the
+    Auslander algebras of (n, d) for 2 <= n <= 5 and 1 <= d <= 3, and the
+    presented B0, B, Lambda and Pi at four models: 49 algebras."""
+    out = [
+        pytest.param(lambda k=k, r=r: linear_bqa(k, r), id=f"kA{k}_rad{r}")
+        for k in range(2, 8)
+        for r in range(2, k + 1)
+    ]
+    out += [
+        pytest.param(lambda n=n, d=d: build_auslander_algebra(n, d), id=f"A_n{n}_d{d}")
+        for n in range(2, 6)
+        for d in range(1, 4)
+    ]
+    out += [
+        pytest.param(
+            lambda d=d, n=n, name=name: model_presentation(d, n, name), id=f"{name}_{d}_{n}"
+        )
+        for d, n in [(3, 2), (2, 3), (5, 2), (3, 4)]
+        for name in ("B0", "B", "Lambda", "Pi")
+    ]
+    return out
+
+
+def model_presentation(d, n, name):
+    return ModelData(d, n, VerifyConfig()).presentation(name).algebra
+
+
+class TestDominantDimension:
+    @pytest.mark.parametrize("build", domdim_test_algebras())
+    def test_matches_the_coresolution_oracle(self, build):
+        # domdim reads the resolutions of the injectives over the algebra;
+        # the oracle coresolves the algebra through the opposite algebra
+        alg = build()
+        assert domdim(alg) == domdim_by_coresolution(alg)
+
+    def test_projective_injective_vertices_map_to_tops(self):
+        # right modules over kA3/rad2 (arrows 1 -> 2 -> 3, vertex ids from
+        # 0): I_1 = P_2 and I_2 = P_3 are two-dimensional, I_3 = S_3 is not
+        # projective, and the values are the tops, not the socles
+        alg = linear_bqa(3, 2)
+        assert projective_injective_vertices(alg) == {0: 1, 1: 2}
+
+
 class TestTwoSubhomogeneous:
     def test_kA4_mod_rad_square(self):
         alg = linear_bqa(4, rad_power=2)
@@ -817,7 +863,7 @@ class TestPreprojective:
             alg = build_auslander_algebra(3, 3)
         else:
             alg = cyclic_rad_square_zero(3) if algebra == "cyclic_rad2" else linear_bqa(3)
-        self_injective = projective_injective_vertices(alg) == set(alg.vertex_ids())
+        self_injective = projective_injective_vertices(alg).keys() == set(alg.vertex_ids())
         assert self_injective == self_injective_by_tops(alg) == expected
 
     def test_hom_into_injective_is_its_fiber(self):

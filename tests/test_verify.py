@@ -68,9 +68,46 @@ class TestModelData:
         claims, _, _ = run_claims(3, 2, CLAIM_NAMES)
         assert all(c["status"] == "pass" for c in claims)
         presented_ids = [id(fd) for fd, _ in presented]
-        assert len(presented_ids) == len(set(presented_ids)) == 8
+        assert len(presented_ids) == len(set(presented_ids)) == 7
         # gldim of A, B0, B and Lambda
         assert len(resolved) == len(set(resolved)) == 4
+
+    def test_one_isomorphism_search_feeds_both_end_t_claims(self, monkeypatch):
+        import hatilt.verify
+        from hatilt.fdalg import iso_test
+
+        calls = []
+
+        def counting_iso_test(a1, a2, *args, **kwargs):
+            calls.append((a1, a2))
+            return iso_test(a1, a2, *args, **kwargs)
+
+        monkeypatch.setattr(hatilt.verify, "iso_test", counting_iso_test)
+        claims, _, _ = run_claims(4, 3, ["endo_replicate", "preprojective"])
+        assert [c["status"] for c in claims] == ["pass", "pass"]
+        assert claims[1]["value"]["degree_zero_iso"] is True
+        # B is Pi's degree-zero part, so End(T) = B answers both claims
+        assert len(calls) == 1
+        assert calls[0][0].dim == calls[0][1].dim == claims[0]["value"]["dim"]
+
+    def test_higher_auslander_builds_no_opposite_algebra(self, monkeypatch):
+        from hatilt.quiveralg import BoundQuiverAlgebra
+        from hatilt.verify import claim_higher_auslander
+
+        model = ModelData(3, 2, VerifyConfig())
+        lam_dim = model.lam().dim
+        built = []
+        init = BoundQuiverAlgebra.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(BoundQuiverAlgebra, "__init__", recording_init)
+        ok, value = claim_higher_auslander(model)
+        assert ok and value["domdim"] == 7
+        # the presentation of Lambda is the one bound quiver algebra built
+        assert [alg.dim for alg in built] == [lam_dim]
 
 
 class TestRunClaims:
@@ -95,6 +132,22 @@ class TestRunClaims:
         assert skipped and not failed
         assert claims[0]["status"] == "skipped"
         assert "reason" in claims[0]["value"]
+
+    @pytest.mark.parametrize(
+        "names, unknown", [(["dyck_count", "gldim_b"], "gldim_b"), (["nope"], "nope")]
+    )
+    def test_unknown_claim_names_raise_before_any_claim_runs(self, names, unknown, monkeypatch):
+        import hatilt.verify
+
+        ran = []
+        monkeypatch.setattr(
+            hatilt.verify,
+            "CLAIMS",
+            [(name, lambda model, name=name: ran.append(name)) for name, _ in hatilt.verify.CLAIMS],
+        )
+        with pytest.raises(ValueError, match=f"unknown claims: {unknown}$"):
+            run_claims(3, 2, names)
+        assert ran == []
 
     def test_all_claim_names_are_registered(self):
         assert len(CLAIM_NAMES) == len(set(CLAIM_NAMES))
