@@ -12,8 +12,9 @@ data, realised as a complex of modules, and traded back for a
 quasi-isomorphic complex of projectives.  One engine does that replacement
 and also computes minimal projective resolutions (the one-term case): going
 down from the top degree, each term is the projective cover of the cycles
-of the cone of the map built so far, read off per vertex as a nullspace in
-block coordinates.  Minimisation strips contractible two-term blocks by
+of the cone of the map built so far, read off as a nullspace in block
+coordinates at the vertices where the cone lives, since its cycles vanish
+elsewhere.  Minimisation strips contractible two-term blocks by
 Gaussian elimination with entries inverted through the radical filtration.
 
 On top of this live the routines that know nothing of a particular
@@ -197,6 +198,14 @@ def _hom_differentials(X, Y, k):
     )
 
 
+def _check_hom_pair(X, Y):
+    """The Hom formulas below hold for complexes of projectives over one algebra."""
+    if X.algebra is not Y.algebra:
+        raise ValueError("the two complexes lie over different algebras")
+    if (X.kind, Y.kind) != ("proj", "proj"):
+        raise ValueError(f"expected complexes of projectives, got {X.kind!r} and {Y.kind!r}")
+
+
 def hom_complex_dim(X, Y, k=0):
     """dim of chain maps X -> Y[k] modulo homotopy, by exact elimination."""
     return hom_complex_dims(X, Y, [k])[0]
@@ -211,6 +220,7 @@ def hom_complex_dims(X, Y, ks):
     subquotient of Hom^k.  A rank with a zero-dimensional source or target
     is 0, so delta^j is built only when Hom^j and Hom^{j+1} are nonzero.
     """
+    _check_hom_pair(X, Y)
     if X.is_zero() or Y.is_zero():
         return [0 for _ in ks]
     lo, hi = min(Y.terms) - max(X.terms), max(Y.terms) - min(X.terms)
@@ -232,6 +242,7 @@ def hom_complex_dims(X, Y, ks):
 
 def chain_maps_mod_homotopy(X, Y, k=0):
     """Basis of Hom_{K}(X, Y[k]) as entry matrices, plus boundary vectors."""
+    _check_hom_pair(X, Y)
     delta_k, delta_km1, slots, dim_k = _hom_differentials(X, Y, k)
     cycles = delta_k.nullspace() if dim_k else []
     boundaries = []
@@ -478,67 +489,76 @@ def _replace(C: ModuleComplex, max_len, label):
     components are the columns of d_Q^m and of psi^m.  Below the lowest
     degree of C each Z^m is a syzygy; the loop stops when it vanishes and
     raises BudgetError if Q has a term more than max_len degrees below C.
+
+    Only the support is visited; skipping the rest is exact.  Where C^m_y = 0
+    and e_y A e_w = 0 for every summand P_w of Q^{m+1}, [cover | -d_C] has no
+    columns, so Z^m_y = 0.  Radical rows come from the arrows between vertices
+    where Z^m is nonzero, and _top's pivots depend only on their row space.
+    Cover columns are built wherever Q^m is nonzero, of length zero where
+    Z^m_y = 0: their number sizes Q^m in the next degree.
     """
     alg = C.algebra
-    vertices = alg.vertex_ids()
     degs = [m for m in C.degrees() if C.terms[m].total_dim > 0]
     terms, diffs, psi = {}, {}, {}
     if not degs:
         return terms, diffs, psi
     low, m = degs[0], degs[-1]
-    # labels: the summands of Q^{m+1}; free[y] and nq[y]: the free columns of
-    # Z^{m+1} at y and the length of its Q^{m+2} part; cover[y]: the columns
-    # of Q^{m+1} -> Z^{m+1} at y
-    labels, free, nq = [], {y: [] for y in vertices}, {y: 0 for y in vertices}
-    cover = {y: [] for y in vertices}
+    # labels: the summands of Q^{m+1}; free[y] and nq[y], where Z^{m+1}_y is
+    # nonzero: its free columns and the length of its Q^{m+2} part;
+    # cover[y], where Q^{m+1}_y is nonzero: the columns of Q^{m+1} -> Z^{m+1}
+    labels, free, nq, cover = [], {}, {}, {}
     while m >= low or labels:
         Cm, dC = C.terms.get(m), C.maps.get(m)
+        cdims = Cm.dims if Cm is not None else dict.fromkeys(alg.vertex_ids(), 0)
         acts = {}
 
-        def image(g, bid, y):
-            """Ambient coordinates at y of g . b for the basis element b = bid."""
-            out = _act(alg, g[0], alg.basis_elem(bid), y, labels)
-            if Cm is not None:
-                if bid not in acts:
-                    acts[bid] = Cm.basis_action(bid)
-                out += acts[bid].apply(g[1])
-            return out
+        def image(k, bid, y):
+            """Ambient coordinates at y of k . b, for k in Z^m at b.tgt, b = bid."""
+            x = alg.basis[bid].tgt
+            out = _act(alg, k, x, alg.basis_elem(bid), y, labels)
+            if not (cdims[x] and cdims[y]):
+                return out + [ZERO] * cdims[y]
+            if bid not in acts:
+                acts[bid] = Cm.basis_action(bid)
+            return out + acts[bid].apply(k[nq[x] :])
 
-        kernel, elems, rad = {}, {}, {y: [] for y in vertices}
-        for y in vertices:
-            dims = Cm.dims[y] if Cm is not None else 0
-            cols = cover[y] + [
-                [
-                    -dC[y].data[f - nq[y]][j] if dC is not None and f >= nq[y] else ZERO
-                    for f in free[y]
-                ]
-                for j in range(dims)
+        kernel = {}
+        for y in alg.vertex_ids():
+            if y not in cover and not cdims[y]:
+                continue
+            f = free.get(y, [])
+            cols = cover.get(y, []) + [
+                [-dC[y].data[i - nq[y]][j] if dC is not None and i >= nq[y] else ZERO for i in f]
+                for j in range(cdims[y])
             ]
-            kernel[y] = _from_columns(len(free[y]), cols).nullspace() if cols else []
-            nq[y] = sum(len(alg.blocks.get((y, w), [])) for w in labels)
-            elems[y] = [(_split(alg, k, y, labels), k[nq[y] :]) for k in kernel[y]]
-        free = {y: [max(i for i, x in enumerate(k) if x) for k in kernel[y]] for y in vertices}
-        for a in alg.quiver.arrows:
-            for g in elems[a.tgt]:
-                img = image(g, alg.arrow_elem[a.id], a.src)
-                coords = [img[i] for i in free[a.src]]
-                if any(x != 0 for x in coords):
-                    rad[a.src].append(coords)
-        top = _top(vertices, {y: len(kernel[y]) for y in vertices}, rad)
+            if ks := _from_columns(len(f), cols).nullspace():
+                kernel[y] = ks
+        nq = {y: len(cover.get(y, [])) for y in kernel}
+        free = {y: [max(i for i, x in enumerate(k) if x) for k in ks] for y, ks in kernel.items()}
+        rad = {y: [] for y in kernel}
+        for t, ks in kernel.items():
+            for a in alg.quiver.arrows_into[t]:
+                if a.src in kernel:
+                    for k in ks:
+                        img = image(k, alg.arrow_elem[a.id], a.src)
+                        if any(coords := [img[i] for i in free[a.src]]):
+                            rad[a.src].append(coords)
+        top = _top(list(kernel), {y: len(ks) for y, ks in kernel.items()}, rad)
         if top and m < low - max_len:
             raise BudgetError(f"resolution of {label} exceeds max length {max_len}")
-        gens = [elems[v][c] for v, c in top]
+        gens = [(v, kernel[v][c]) for v, c in top]
         if gens:
             terms[m] = tuple(v for v, _ in top)
-            psi[m] = [g[1] for g in gens]
+            psi[m] = [g[nq[v] :] for v, g in gens]
             if labels:
-                diffs[m] = [[g[0][t] for g in gens] for t in range(len(labels))]
-        cover = {y: [] for y in vertices}
-        for (v, _), g in zip(top, gens):
-            for y in vertices:
+                split = [_split(alg, g, v, labels) for v, g in gens]
+                diffs[m] = [[s[t] for s in split] for t in range(len(labels))]
+        cover = {}
+        for v, g in gens:
+            for y in alg.vertex_ids():
                 for bid in alg.blocks.get((y, v), []):
-                    img = image(g, bid, y)
-                    cover[y].append([img[i] for i in free[y]])
+                    img = image(g, bid, y) if y in free else []
+                    cover.setdefault(y, []).append([img[i] for i in free.get(y, [])])
         labels = [v for v, _ in top]
         m -= 1
     return terms, diffs, psi
@@ -586,10 +606,10 @@ def _split(alg, vec, y, labels):
     return out
 
 
-def _act(alg, elems, b, y, labels):
-    """Fiber coordinates at y of the summandwise products elems[t] . b."""
+def _act(alg, vec, x, b, y, labels):
+    """Fiber coordinates at y of vec . b, vec a fiber at x of the P_w, w in labels."""
     out = []
-    for e, w in zip(elems, labels):
+    for e, w in zip(_split(alg, vec, x, labels), labels):
         out.extend(alg.block_coords(alg.elem_mul(e, b), y, w))
     return out
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmat import ExactMatrix, ZERO, ONE, span_basis
-from .pathcomb import OrderedSeq, preceq
+from .pathcomb import OrderedSeq, interleaves
 
 DEFAULT_MAX_DIM = 40_000
 DEFAULT_MAX_DEGREE = 64
@@ -611,16 +611,11 @@ def module_M(alg: BoundQuiverAlgebra, x: OrderedSeq) -> QuiverRep:
         raise ValueError("module_M needs an algebra built by build_auslander_algebra")
     if (x.n, x.d) != (n, d + 1):
         raise ValueError(f"label must lie in os_{n}^{d + 1}, got os_{x.n}^{x.d}")
-    lo = OrderedSeq(n, d, x.entries[:d])
-    hi = OrderedSeq(n, d, tuple(e - 1 for e in x.entries[1:]))
-    dims = {}
-    for v, entries in alg.vertex_data.items():
-        z = OrderedSeq(n, d, entries)
-        dims[v] = 1 if preceq(lo, z) and preceq(z, hi) else 0
-    maps = {}
-    for a in alg.quiver.arrows:
-        if dims[a.src] and dims[a.tgt]:
-            maps[a.id] = ExactMatrix(1, 1, [[ONE]])
+    lo = OrderedSeq(n, d, x.entries[:d]).entries
+    hi = OrderedSeq(n, d, tuple(e - 1 for e in x.entries[1:])).entries
+    dims = {v: int(interleaves(lo, z) and interleaves(z, hi)) for v, z in alg.vertex_data.items()}
+    arrows = alg.quiver.arrows
+    maps = {a.id: ExactMatrix(1, 1, [[ONE]]) for a in arrows if dims[a.src] and dims[a.tgt]}
     return QuiverRep(alg, dims, maps)
 
 

@@ -20,8 +20,11 @@ widening by a final horizontal step, the dual slices, the S-regions,
 degree-zero composition and the projective and injective labels at shift
 zero), and the rigidity and Serre-symmetry checks asked one ``hom_dim``
 query at a time, against which the label-triple checks of
-``hatilt.cluster`` are compared, and the Hom dimension of complexes asked
-one shift at a time, against which ``hom_complex_dims`` is compared.
+``hatilt.cluster`` are compared, the Hom dimension of complexes asked
+one shift at a time, against which ``hom_complex_dims`` is compared, and
+the projective-replacement engine that sweeps every vertex and every arrow
+in each degree, against which the support-restricted
+``hatilt.complexes._replace`` is compared.
 """
 
 import math
@@ -38,10 +41,12 @@ from hatilt.complexes import (
     ModuleComplex,
     ProjComplex,
     _delta_matrix,
+    _from_columns,
     _hom_differentials,
     _hom_slots,
     _is_projective_cover,
     _scalar_part,
+    _split,
     _top,
     _vector_to_chain_map,
     derived_nakayama,
@@ -65,6 +70,7 @@ from hatilt.quiveralg import (
     Arrow,
     BasisElement,
     BoundQuiverAlgebra,
+    BudgetError,
     Quiver,
     QuiverRep,
     Relation,
@@ -573,3 +579,93 @@ def hom_complex_dim_per_shift(X, Y, k=0):
         return 0
     delta_k, delta_km1, _, dim_k = _hom_differentials(X, Y, k)
     return dim_k - delta_k.rank() - delta_km1.rank()
+
+
+def replace_all_vertices(C: ModuleComplex, max_len, label):
+    """A complex Q of projectives and a chain map psi: Q -> C with acyclic cone.
+
+    Returns (terms, diffs, psi) with psi[m] listing, per degree-m summand,
+    the image of its generator in C^m.  Works down from the top degree of C.
+    In degree m the cone cycles
+
+        Z^m = {(q, c) in Q^{m+1} + C^m : d_Q q = 0, psi q = d_C c}
+
+    are, per vertex, the nullspace of [cover | -d_C], where cover is the map
+    Q^{m+1} -> Z^{m+1} and (0, d_C c), which lies in Z^{m+1}, is written
+    there too.  A vector of Z^{m+1} is its entries at the free columns of
+    that nullspace.  The top generators of Z^m span Q^m, and their two
+    components are the columns of d_Q^m and of psi^m.  Below the lowest
+    degree of C each Z^m is a syzygy; the loop stops when it vanishes and
+    raises BudgetError if Q has a term more than max_len degrees below C.
+    """
+    alg = C.algebra
+    vertices = alg.vertex_ids()
+    degs = [m for m in C.degrees() if C.terms[m].total_dim > 0]
+    terms, diffs, psi = {}, {}, {}
+    if not degs:
+        return terms, diffs, psi
+    low, m = degs[0], degs[-1]
+    # labels: the summands of Q^{m+1}; free[y] and nq[y]: the free columns of
+    # Z^{m+1} at y and the length of its Q^{m+2} part; cover[y]: the columns
+    # of Q^{m+1} -> Z^{m+1} at y
+    labels, free, nq = [], {y: [] for y in vertices}, {y: 0 for y in vertices}
+    cover = {y: [] for y in vertices}
+    while m >= low or labels:
+        Cm, dC = C.terms.get(m), C.maps.get(m)
+        acts = {}
+
+        def image(g, bid, y):
+            """Ambient coordinates at y of g . b for the basis element b = bid."""
+            out = _act_on_elements(alg, g[0], alg.basis_elem(bid), y, labels)
+            if Cm is not None:
+                if bid not in acts:
+                    acts[bid] = Cm.basis_action(bid)
+                out += acts[bid].apply(g[1])
+            return out
+
+        kernel, elems, rad = {}, {}, {y: [] for y in vertices}
+        for y in vertices:
+            dims = Cm.dims[y] if Cm is not None else 0
+            cols = cover[y] + [
+                [
+                    -dC[y].data[f - nq[y]][j] if dC is not None and f >= nq[y] else ZERO
+                    for f in free[y]
+                ]
+                for j in range(dims)
+            ]
+            kernel[y] = _from_columns(len(free[y]), cols).nullspace() if cols else []
+            nq[y] = sum(len(alg.blocks.get((y, w), [])) for w in labels)
+            elems[y] = [(_split(alg, k, y, labels), k[nq[y] :]) for k in kernel[y]]
+        free = {y: [max(i for i, x in enumerate(k) if x) for k in kernel[y]] for y in vertices}
+        for a in alg.quiver.arrows:
+            for g in elems[a.tgt]:
+                img = image(g, alg.arrow_elem[a.id], a.src)
+                coords = [img[i] for i in free[a.src]]
+                if any(x != 0 for x in coords):
+                    rad[a.src].append(coords)
+        top = _top(vertices, {y: len(kernel[y]) for y in vertices}, rad)
+        if top and m < low - max_len:
+            raise BudgetError(f"resolution of {label} exceeds max length {max_len}")
+        gens = [elems[v][c] for v, c in top]
+        if gens:
+            terms[m] = tuple(v for v, _ in top)
+            psi[m] = [g[1] for g in gens]
+            if labels:
+                diffs[m] = [[g[0][t] for g in gens] for t in range(len(labels))]
+        cover = {y: [] for y in vertices}
+        for (v, _), g in zip(top, gens):
+            for y in vertices:
+                for bid in alg.blocks.get((y, v), []):
+                    img = image(g, bid, y)
+                    cover[y].append([img[i] for i in free[y]])
+        labels = [v for v, _ in top]
+        m -= 1
+    return terms, diffs, psi
+
+
+def _act_on_elements(alg, elems, b, y, labels):
+    """Fiber coordinates at y of the summandwise products elems[t] . b."""
+    out = []
+    for e, w in zip(elems, labels):
+        out.extend(alg.block_coords(alg.elem_mul(e, b), y, w))
+    return out

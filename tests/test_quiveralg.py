@@ -235,6 +235,19 @@ class TestModuleM:
         assert 0 < expected < every
         assert len(calls) == expected
 
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (3, 4)])
+    def test_support_is_the_preceq_band(self, d, n):
+        # every label of model (d, n), against the support written with preceq
+        alg = build_auslander_algebra(n + 1, d)
+        for x in enumerate_os(n + 1, d + 1):
+            lo = OrderedSeq(n + 1, d, x.entries[:d])
+            hi = OrderedSeq(n + 1, d, tuple(e - 1 for e in x.entries[1:]))
+            expected = {}
+            for v, entries in alg.vertex_data.items():
+                z = OrderedSeq(n + 1, d, entries)
+                expected[v] = 1 if preceq(lo, z) and preceq(z, hi) else 0
+            assert module_M(alg, x).dims == expected
+
     def test_degenerate_interval_is_simple_projective(self):
         alg = build_auslander_algebra(4, 2)
         m = module_M(alg, OrderedSeq(4, 3, (1, 2, 3)))
