@@ -161,17 +161,19 @@ def rigidity_check(d: int, n: int) -> RigidityReport:
     """
     summands = tilting_summands(d, n)
     labels = [_labels(u) for u in summands]
+    # morphisms into v[k] need d * (shift difference s) + k in {0, d}: only k = -d s
+    # and k = d (1 - s), which put v at u's shift or one above; at[t][j] is v_j at t
+    at = {t: [(t,) + b[1:] for b in labels] for t in {a[0] + e for a in labels for e in (0, 1)}}
     end_dim = 0
     violations = []
     for u, a in zip(summands, labels):
-        for v, b in zip(summands, labels):
+        for v, b, b_level, b_above in zip(summands, labels, at[a[0]], at[a[0] + 1]):
             end_dim += _hom_rule(a, b)
-            # morphisms into v[k] need d * (shift difference) + k in {0, d},
-            # so only these two k are in play; both are multiples of d
             s = b[0] - a[0]
-            for k in (-d * s, d * (1 - s)):
-                if k != 0 and _hom_rule(a, (b[0] + k // d,) + b[1:]):
-                    violations.append((u, v, k))
+            if s != 0 and _hom_rule(a, b_level):
+                violations.append((u, v, -d * s))
+            if s != 1 and _hom_rule(a, b_above):
+                violations.append((u, v, d * (1 - s)))
     return RigidityReport(d, n, not violations, end_dim, len(summands) ** 2, tuple(violations))
 
 
@@ -204,12 +206,6 @@ class GenerationCertificate:
     n: int
     entries: tuple[CertificateEntry, ...]
     injective_labels: tuple[LatticePath, ...]
-
-    def entry_for(self, path: LatticePath) -> CertificateEntry:
-        for e in self.entries:
-            if e.path == path:
-                return e
-        raise KeyError(path)
 
 
 def generation_certificate(d: int, n: int) -> GenerationCertificate:

@@ -18,9 +18,10 @@ overshoot weight mu, the regions cut out by the bent slope curves, width-one
 strips (windows) and the search for resolving windows that strictly decrease
 the (n - h, mu) key.
 
-All slope computations are exact: quantities like x - (d/n) y are held as
-``fractions.Fraction`` so that membership in open bands such as 0 < v < 1 is
-decided without rounding.
+Every comparison with the slope-n/d line is made in integers scaled by the
+positive n or d, which keeps every order: x - (d/n) y is held as n x - d y, and
+y <= y0 + (n/d) r is tested as d y <= d y0 + n r.  So open bands such as
+0 < x - (d/n) y < 1 are decided exactly; mu is the one Fraction, built once.
 """
 
 from __future__ import annotations
@@ -189,11 +190,12 @@ def relation_R(p1: LatticePath, p2: LatticePath) -> bool:
 
 def heights_related(h1: tuple[int, ...], h2: tuple[int, ...]) -> bool:
     """Relation R on the column heights of two paths in one grid."""
-    if any(a > b for a, b in zip(h1, h2)):
-        return False
     # cells (i, j) and (i+1, j) both in the skew shape iff h1[i+1] < h2[i],
     # using that column heights are nondecreasing along a monotone path
-    return all(h1[i + 1] >= h2[i] for i in range(len(h1) - 1))
+    for i in range(len(h1) - 1):
+        if h1[i] > h2[i] or h1[i + 1] < h2[i]:
+            return False
+    return not h1 or h1[-1] <= h2[-1]
 
 
 def rotate(path: LatticePath) -> LatticePath:
@@ -214,15 +216,20 @@ def is_dyck(path: LatticePath) -> bool:
 
 
 def enumerate_all(d: int, n: int) -> list[LatticePath]:
-    """All C(d+n, d) paths of L_{d,n}, sorted by coordinates."""
+    """All C(d+n, d) paths of L_{d,n}, sorted by coordinates, in a new list."""
     if d < 0 or n < 0:
         raise ValueError("negative rectangle dimensions")
+    return list(_all_paths(d, n))
+
+
+@functools.lru_cache(maxsize=256)
+def _all_paths(d: int, n: int) -> tuple[LatticePath, ...]:
     paths = []
     for combo in itertools.combinations(range(1, n + d + 1), d):
         positions = set(combo)
         steps = "".join("H" if i in positions else "V" for i in range(1, n + d + 1))
         paths.append(LatticePath(d, n, steps))
-    return paths
+    return tuple(paths)
 
 
 def enumerate_dyck(d: int, n: int) -> list[LatticePath]:
@@ -240,11 +247,6 @@ def enumerate_dyck(d: int, n: int) -> list[LatticePath]:
 def prepend_horizontal(path: LatticePath) -> LatticePath:
     """Widen the grid by one column, entering it with a first H step."""
     return LatticePath(path.d + 1, path.n, "H" + path.steps)
-
-
-def slope_intercept(d: int, n: int, x: int, y: int) -> Fraction:
-    """x-intercept of the slope-n/d line through (x, y), exactly."""
-    return Fraction(x) - Fraction(d, n) * y
 
 
 @functools.lru_cache(maxsize=65536)
@@ -265,34 +267,36 @@ def anchor_data(path: LatticePath) -> AnchorData:
         raise ValueError(f"anchor data needs gcd(n, d) = 1, got n={n}, d={d}")
 
     pts = path.points()
-    xints = [slope_intercept(d, n, x, y) for x, y in pts]
+    xints = [n * x - d * y for x, y in pts]  # n times each x-intercept
     best = min(xints)
     anchor_idx = xints.index(best)
     if best == 0 and (d, n) in pts:
         anchor_idx = pts.index((d, n))
     anchor = GridPoint(*pts[anchor_idx])
 
-    mu = Fraction(0)
+    # t = n (x_int(F) - x_int(anchor)): the band is 0 < t < n, w_F = (n - t) / d
+    overshoot = 0
     for k in range(anchor_idx + 1, len(pts) - 1):
         if path.steps[k - 1] == "V" and path.steps[k] == "H":
             t = xints[k] - best
             if not 0 < t:
                 raise AssertionError(f"anchor minimality violated at {pts[k]} on {path}")
-            if t < 1:
-                w = Fraction(n, d) * (1 - t)
-                mu += w * w
-    return AnchorData(anchor, anchor.y, mu)
+            if t < n:
+                overshoot += (n - t) ** 2
+    return AnchorData(anchor, anchor.y, Fraction(overshoot, d * d))
 
 
-def _validate_region_point(point: GridPoint, d: int, n: int):
-    if not (0 <= point.x <= d and 0 <= point.y <= n):
-        raise ValueError(f"point {point} outside the bent-curve range for d={d}, n={n}")
+def _require_slope(d: int):
+    if d < 1:
+        raise ValueError(f"the slope-n/d curves need d >= 1, got d={d}")
 
 
 def base_path(point: GridPoint, d: int, n: int) -> LatticePath:
     """The lowest path of the region at (x, y): H^x V^y H^{d+1-x} V^{n-y}."""
-    _validate_region_point(point, d, n)
+    _require_slope(d)
     x, y = point.x, point.y
+    if not (0 <= x <= d and 0 <= y <= n):
+        raise ValueError(f"point {point} outside the bent-curve range for d={d}, n={n}")
     return LatticePath(d + 1, n, "H" * x + "V" * y + "H" * (d + 1 - x) + "V" * (n - y))
 
 
@@ -305,29 +309,26 @@ def lies_below_bent_curve(point: GridPoint, path: LatticePath) -> bool:
     """
     d = path.d - 1
     n = path.n
-    x0, y0 = point.x, point.y
+    _require_slope(d)
+    x0, dy0 = point.x, d * point.y
     for px, py in path.points():
-        if px <= x0:
-            bound = Fraction(y0) + Fraction(n, d) * (px - x0)
-        elif px >= x0 + 1:
-            bound = Fraction(y0) + Fraction(n, d) * (px - x0 - 1)
-        else:  # pragma: no cover - lattice x is never strictly inside (x0, x0+1)
-            bound = Fraction(y0)
-        if py > bound:
+        run = px - x0 if px <= x0 else px - x0 - 1
+        if d * py > dy0 + n * run:
             return False
     return True
 
 
 def region_contains(point: GridPoint, path: LatticePath) -> bool:
     """Membership of a path of L_{d+1,n} in the region at D = (x, y)."""
-    d = path.d - 1
-    _validate_region_point(point, d, path.n)
+    d = path.d - 1  # base_path validates D
     return below(base_path(point, d, path.n), path) and lies_below_bent_curve(point, path)
 
 
 def region_paths(point: GridPoint, d: int, n: int) -> list[LatticePath]:
     """All paths of L_{d+1,n} in the region at D, sorted by coordinates."""
-    return [p for p in enumerate_all(d + 1, n) if region_contains(point, p)]
+    base = base_path(point, d, n)
+    grid = _all_paths(d + 1, n)
+    return [p for p in grid if below(base, p) and lies_below_bent_curve(point, p)]
 
 
 def delta_set(d: int, n: int, i: int) -> list[GridPoint]:
@@ -335,6 +336,7 @@ def delta_set(d: int, n: int, i: int) -> list[GridPoint]:
 
     The terminal corner (d+1, n) is excluded; (0, 0) itself is a member.
     """
+    _require_slope(d)
     if not 0 <= i <= n + d:
         raise ValueError(f"index i={i} out of range [0, {n + d}]")
     points = []
@@ -342,7 +344,7 @@ def delta_set(d: int, n: int, i: int) -> list[GridPoint]:
         y = i - x
         if not 0 <= y <= n or (x, y) == (d + 1, n):
             continue
-        if (x, y) == (0, 0) or (x >= 1 and Fraction(y) <= Fraction(n, d) * (x - 1)):
+        if (x, y) == (0, 0) or (x >= 1 and d * y <= n * (x - 1)):
             points.append(GridPoint(x, y))
     return points
 

@@ -18,7 +18,10 @@ the lattice-path definitions and lemmas of the paper that the
 combinatorial tests check (skew shapes, Dyck orbit representatives, the
 widening by a final horizontal step, the dual slices, the S-regions,
 degree-zero composition and the projective and injective labels at shift
-zero), and the rigidity and Serre-symmetry checks asked one ``hom_dim``
+zero), the anchor data, bent-curve test, regions and slices computed with
+``Fraction`` slopes, against which the integer-scaled ``hatilt.pathcomb``
+versions are compared, the lookup of a path's generation-certificate
+entry, and the rigidity and Serre-symmetry checks asked one ``hom_dim``
 query at a time, against which the label-triple checks of
 ``hatilt.cluster`` are compared, the Hom dimension of complexes asked
 one shift at a time, against which ``hom_complex_dims`` is compared, and
@@ -31,6 +34,8 @@ import math
 from fractions import Fraction
 
 from hatilt.cluster import (
+    CertificateEntry,
+    GenerationCertificate,
     RigidityReport,
     ShiftedModule,
     hom_dim,
@@ -58,9 +63,13 @@ from hatilt.complexes import (
 )
 from hatilt.exactmat import ZERO, ExactMatrix, span_basis
 from hatilt.pathcomb import (
+    AnchorData,
     GridPoint,
     LatticePath,
+    base_path,
+    below,
     coords,
+    enumerate_all,
     is_dyck,
     preceq,
     region_paths,
@@ -508,6 +517,81 @@ def delta_prime_set(d: int, n: int, i: int) -> list[GridPoint]:
     return points
 
 
+def slope_intercept(d: int, n: int, x: int, y: int) -> Fraction:
+    """x-intercept of the slope-n/d line through (x, y), exactly."""
+    return Fraction(x) - Fraction(d, n) * y
+
+
+def anchor_data_by_fractions(path: LatticePath) -> AnchorData:
+    """``hatilt.pathcomb.anchor_data`` with every slope quantity a ``Fraction``."""
+    d = path.d - 1
+    n = path.n
+    if d < 1:
+        raise ValueError("anchor data needs a path in a widened grid L_{d+1,n} with d >= 1")
+    if math.gcd(n, d) != 1:
+        raise ValueError(f"anchor data needs gcd(n, d) = 1, got n={n}, d={d}")
+
+    pts = path.points()
+    xints = [slope_intercept(d, n, x, y) for x, y in pts]
+    best = min(xints)
+    anchor_idx = xints.index(best)
+    if best == 0 and (d, n) in pts:
+        anchor_idx = pts.index((d, n))
+    anchor = GridPoint(*pts[anchor_idx])
+
+    mu = Fraction(0)
+    for k in range(anchor_idx + 1, len(pts) - 1):
+        if path.steps[k - 1] == "V" and path.steps[k] == "H":
+            t = xints[k] - best
+            if not 0 < t:
+                raise AssertionError(f"anchor minimality violated at {pts[k]} on {path}")
+            if t < 1:
+                w = Fraction(n, d) * (1 - t)
+                mu += w * w
+    return AnchorData(anchor, anchor.y, mu)
+
+
+def lies_below_bent_curve_by_fractions(point: GridPoint, path: LatticePath) -> bool:
+    """``hatilt.pathcomb.lies_below_bent_curve`` with ``Fraction`` bounds."""
+    d = path.d - 1
+    n = path.n
+    x0, y0 = point.x, point.y
+    for px, py in path.points():
+        if px <= x0:
+            bound = Fraction(y0) + Fraction(n, d) * (px - x0)
+        elif px >= x0 + 1:
+            bound = Fraction(y0) + Fraction(n, d) * (px - x0 - 1)
+        else:  # pragma: no cover - lattice x is never strictly inside (x0, x0+1)
+            bound = Fraction(y0)
+        if py > bound:
+            return False
+    return True
+
+
+def region_paths_by_fractions(point: GridPoint, d: int, n: int) -> list[LatticePath]:
+    """``hatilt.pathcomb.region_paths``, testing each path against a fresh base
+    path and the ``Fraction`` bent curve."""
+    return [
+        p
+        for p in enumerate_all(d + 1, n)
+        if below(base_path(point, d, n), p) and lies_below_bent_curve_by_fractions(point, p)
+    ]
+
+
+def delta_set_by_fractions(d: int, n: int, i: int) -> list[GridPoint]:
+    """``hatilt.pathcomb.delta_set`` with a ``Fraction`` slope test."""
+    if not 0 <= i <= n + d:
+        raise ValueError(f"index i={i} out of range [0, {n + d}]")
+    points = []
+    for x in range(0, d + 2):
+        y = i - x
+        if not 0 <= y <= n or (x, y) == (d + 1, n):
+            continue
+        if (x, y) == (0, 0) or (x >= 1 and Fraction(y) <= Fraction(n, d) * (x - 1)):
+            points.append(GridPoint(x, y))
+    return points
+
+
 def s_region(point: GridPoint, d: int, n: int) -> list[LatticePath]:
     """Paths of the region at (0, 0) passing through D, sorted by coordinates."""
     origin = GridPoint(0, 0)
@@ -530,6 +614,14 @@ def compose_nonzero(u1: ShiftedModule, u2: ShiftedModule, u3: ShiftedModule) -> 
     if first == 0 or second == 0:
         return False
     return preceq(coords(u1.path), coords(u3.path))
+
+
+def entry_for(cert: GenerationCertificate, path: LatticePath) -> CertificateEntry:
+    """The entry of ``cert`` that covers ``path``; KeyError if none does."""
+    for e in cert.entries:
+        if e.path == path:
+            return e
+    raise KeyError(path)
 
 
 def is_projective_at_zero(u: ShiftedModule) -> bool:

@@ -9,7 +9,7 @@ import math
 import time
 
 import pytest
-from oracles import complexes_isomorphic, cone_of_chain_map, nu_orbit_complexes
+from oracles import complexes_isomorphic, cone_of_chain_map, entry_for, nu_orbit_complexes
 
 from hatilt.cluster import (
     ShiftedModule,
@@ -163,7 +163,7 @@ def test_criterion_05_generation_certificate():
             data = anchor_data(p)
             if data.h >= 1:
                 assert p in covered
-                entry = cert.entry_for(p)
+                entry = entry_for(cert, p)
                 expected = "in-T" if data.mu == 0 else "resolved"
                 assert entry.status == expected
         assert set(cert.injective_labels) <= covered

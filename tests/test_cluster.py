@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     append_horizontal,
     compose_nonzero,
+    entry_for,
     is_injective_at_zero,
     is_projective_at_zero,
     rigidity_check_by_hom_dim,
@@ -357,7 +358,7 @@ class TestGenerationCertificate:
     def test_appended_dyck_entries_are_base_cases(self):
         cert = generation_certificate(3, 4)
         for p in enumerate_dyck(3, 4):
-            entry = cert.entry_for(append_horizontal(p))
+            entry = entry_for(cert, append_horizontal(p))
             assert entry.status == "in-T"
             assert entry.h == 4 and entry.mu == 0
 

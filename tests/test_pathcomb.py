@@ -3,13 +3,18 @@ from fractions import Fraction
 
 import pytest
 from oracles import (
+    anchor_data_by_fractions,
     append_horizontal,
     delta_prime_set,
+    delta_set_by_fractions,
     dyck_orbit_representative,
+    lies_below_bent_curve_by_fractions,
+    region_paths_by_fractions,
     s_region,
     skew_cells,
 )
 
+import hatilt.pathcomb
 from hatilt.pathcomb import (
     GridPoint,
     LatticePath,
@@ -26,6 +31,7 @@ from hatilt.pathcomb import (
     from_coords,
     heights_related,
     is_dyck,
+    lies_below_bent_curve,
     path_from_entries,
     preceq,
     prepend_horizontal,
@@ -185,6 +191,17 @@ class TestRelationR:
         for p1 in paths:
             for p2 in paths:
                 assert relation_R(p1, p2) == preceq(coords(p1), coords(p2))
+
+
+class TestEnumerateAll:
+    def test_returned_list_is_the_callers_own(self):
+        # the grid is enumerated once and cached; a caller editing its list
+        # must not edit the cache
+        paths = enumerate_all(3, 2)
+        expected = list(paths)
+        paths.reverse()
+        paths.append(paths[0])
+        assert enumerate_all(3, 2) == expected
 
 
 class TestRotation:
@@ -410,6 +427,92 @@ class TestDeltaSlices:
             delta_set(3, 4, 8)
         with pytest.raises(ValueError):
             delta_prime_set(3, 4, -1)
+
+
+COPRIME_UP_TO_9 = [
+    (d, n) for d in range(1, 9) for n in range(1, 10 - d) if math.gcd(d, n) == 1
+]
+
+
+def slice_points(d, n):
+    """Every point of every slice of model (d, n) and its partner."""
+    points = set()
+    for i in range(n + d + 1):
+        for D in delta_set_by_fractions(d, n, i):
+            points |= {D, delta_pair(D, d, n)}
+    return sorted(points)
+
+
+class TestIntegerSlopes:
+    # the integer-scaled slope tests against the Fraction versions they replace
+    @pytest.mark.parametrize("d, n", COPRIME_UP_TO_9)
+    def test_delta_sets_match(self, d, n):
+        for i in range(n + d + 1):
+            assert delta_set(d, n, i) == delta_set_by_fractions(d, n, i)
+
+    @pytest.mark.parametrize("d, n", COPRIME_UP_TO_9)
+    def test_anchor_data_matches(self, d, n):
+        for p in enumerate_all(d + 1, n):
+            assert anchor_data(p) == anchor_data_by_fractions(p)
+
+    @pytest.mark.parametrize("d, n", COPRIME_UP_TO_9)
+    def test_bent_curves_and_regions_match(self, d, n):
+        paths = enumerate_all(d + 1, n)
+        for point in slice_points(d, n):
+            for p in paths:
+                expected = lies_below_bent_curve_by_fractions(point, p)
+                assert lies_below_bent_curve(point, p) == expected
+            if point.x <= d:  # regions are taken at points of the d+1 columns
+                assert region_paths(point, d, n) == region_paths_by_fractions(point, d, n)
+
+    # the slope n/d has no meaning at d = 0, whose widened grid is L_{1,n}
+    def test_region_paths_needs_a_positive_d(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            region_paths(GridPoint(0, 0), 0, 2)
+
+    def test_region_contains_needs_a_positive_d(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            region_contains(GridPoint(0, 0), LatticePath(1, 2, "HVV"))
+
+    def test_bent_curve_needs_a_positive_d(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            lies_below_bent_curve(GridPoint(0, 0), LatticePath(1, 2, "HVV"))
+
+    def test_delta_set_needs_a_positive_d(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            delta_set(0, 2, 1)
+
+    @staticmethod
+    def fraction_calls(monkeypatch, work):
+        count = 0
+        real = hatilt.pathcomb.Fraction
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(hatilt.pathcomb, "Fraction", counting)
+            work()
+        return count
+
+    def test_regions_and_slices_build_no_fraction(self, monkeypatch):
+        d, n = 4, 3
+
+        def regions_of_every_slice():
+            for i in range(1, n + d + 1):
+                for D in delta_set(d, n, i):
+                    region_paths(delta_pair(D, d, n), d, n)
+
+        assert self.fraction_calls(monkeypatch, regions_of_every_slice) == 0
+
+    def test_one_fraction_per_uncached_anchor(self, monkeypatch):
+        paths = enumerate_all(5, 3)
+        anchor_data.cache_clear()
+        first = self.fraction_calls(monkeypatch, lambda: [anchor_data(p) for p in paths])
+        again = self.fraction_calls(monkeypatch, lambda: [anchor_data(p) for p in paths])
+        assert (first, again) == (len(paths), 0)
 
 
 class TestStripSequence:

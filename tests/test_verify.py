@@ -90,6 +90,38 @@ class TestModelData:
         assert len(calls) == 1
         assert calls[0][0].dim == calls[0][1].dim == claims[0]["value"]["dim"]
 
+    def test_nu_orbit_blocks_enumerates_each_grid_once(self, monkeypatch):
+        import hatilt.pathcomb
+        from hatilt.pathcomb import LatticePath, delta_set
+        from hatilt.verify import claim_nu_orbit_blocks
+
+        d, n = 4, 3
+        model = ModelData(d, n, VerifyConfig())
+        hatilt.pathcomb._all_paths.cache_clear()
+        built = 0
+        init = LatticePath.__init__
+
+        def counting_init(self, *fields):
+            nonlocal built
+            built += 1
+            init(self, *fields)
+
+        monkeypatch.setattr(LatticePath, "__init__", counting_init)
+        ok, _ = claim_nu_orbit_blocks(model)
+        assert ok
+        dyck = math.comb(d + n, d) // (d + n)
+        blocks = sum(len(delta_set(d, n, i)) for i in range(1, n + d + 1))
+        # L_{d,n} (for the Dyck paths) and L_{d+1,n} (for the regions) once
+        # each; then the widened Dyck paths, one path per rotation step of
+        # nakayama_pow(u, i) for i = 1..n+d, and one base path per block
+        assert built == (
+            math.comb(d + n, d)
+            + math.comb(d + 1 + n, n)
+            + dyck
+            + dyck * sum(range(1, n + d + 1))
+            + blocks
+        )
+
     def test_higher_auslander_builds_no_opposite_algebra(self, monkeypatch):
         from hatilt.quiveralg import BoundQuiverAlgebra
         from hatilt.verify import claim_higher_auslander
