@@ -2,9 +2,9 @@
 
 An ``FDAlgebra`` is a rational algebra with a distinguished complete set of
 orthogonal idempotents; every basis element is sandwiched between a single
-pair of them, so Cartan data, radical filtration and idempotent surgery
-(corner subalgebras, degree-zero parts, replicated and r-fold trivial
-extension algebras) are all blockwise linear algebra.
+pair of them, so Cartan data, rad^2 and idempotent surgery (corner
+subalgebras, degree-zero parts, replicated and r-fold trivial extension
+algebras) are all blockwise linear algebra.
 
 ``endo_algebra`` builds End of a sum of modules of finite projective
 dimension as End of their minimal projective resolutions modulo homotopy,
@@ -15,9 +15,9 @@ constants: arrows lift a basis of rad/rad^2, the kernel of the induced
 path-algebra surjection is computed degree by degree, and minimal
 generators are chosen greedily in lexicographic path order.  The returned
 algebra is rebuilt from that presentation and must reproduce the original
-dimension, failing loudly otherwise.  Both the radical filtration and the
-presentation kernels are computed block by block: rad^{k+1} in block
-(i, j) comes from rad^k in (i, l) times rad in (l, j) and is reduced in the
+dimension, failing loudly otherwise.  Both rad^2 and the presentation
+kernels are computed block by block: rad^2 in block (i, j) is spanned by
+the products of basis elements from (i, l) and (l, j), reduced in the
 coordinates of block (i, j) alone, and paths from j to i are evaluated in
 e_i A e_j only.
 
@@ -87,70 +87,14 @@ class FDAlgebra(ElementArithmetic):
             for i in range(self.nidem)
         ]
 
-    def radical_ids(self) -> list[int]:
-        idem = set(self.idem_ids)
-        return [bid for bid in range(self.dim) if bid not in idem]
-
     def is_basic_split(self) -> bool:
         return all(
             len(self.block_basis.get((i, i), [])) == 1 for i in range(self.nidem)
         )
 
-    def radical_powers(self) -> list[list[dict]]:
-        """Echelon bases of rad^1, rad^2, ... down to the vanishing power.
-
-        rad^{k+1} in block (i, j) is the sum over l of rad^k in (i, l) times
-        rad in (l, j), so each element of rad^k only meets the radical basis
-        elements of the blocks that can follow it.
-        """
-        following: dict[int, list[int]] = {}
-        for b in self.radical_ids():
-            following.setdefault(self.blocks[b][0], []).append(b)
-        rad = _reduce_elems(self, [self.basis_elem(b) for b in self.radical_ids()])
-        powers = [rad]
-        for _ in range(self.dim + 1):
-            prev = powers[-1]
-            nxt = []
-            for x in prev:
-                for b in following.get(self.blocks[min(x)][1], ()):
-                    p = self.elem_mul(x, self.basis_elem(b))
-                    if p:
-                        nxt.append(p)
-            nxt = _reduce_elems(self, nxt)
-            if not nxt:
-                powers.append([])
-                break
-            # rad^{k+1} lies in rad^k, so equal dimensions mean equal spans
-            if len(nxt) == len(prev):
-                raise ValueError("radical not nilpotent")
-            powers.append(nxt)
-        else:
-            raise ValueError("radical not nilpotent")
-        return powers
-
-
-def _reduce_elems(fd, elems):
-    """Reduced echelon basis of the span of block-homogeneous elements.
-
-    The span is the direct sum of its block parts, and reduced echelon form
-    is unique, so reducing each block in its own coordinates and ordering
-    the union by leading basis id gives the echelon basis of the whole.
-    """
-    by_block: dict[tuple[int, int], list[dict]] = {}
-    for e in elems:
-        if e:
-            by_block.setdefault(fd.blocks[min(e)], []).append(e)
-    out = []
-    for blk, group in by_block.items():
-        ids = fd.block_basis[blk]
-        for vec in span_basis([[e.get(bid, ZERO) for bid in ids] for e in group]):
-            out.append({bid: v for bid, v in zip(ids, vec) if v != 0})
-    out.sort(key=min)
-    return out
-
 
 def fd_from_bqa(alg: BoundQuiverAlgebra) -> FDAlgebra:
-    """Forget the path structure, keeping blocks, table and degree grading."""
+    """Forget the path structure, keeping blocks and table."""
     vpos = {v.id: k for k, v in enumerate(alg.quiver.vertices)}
     blocks = [(vpos[b.tgt], vpos[b.src]) for b in alg.basis]
     idem_ids = [alg.idempotent_of[v.id] for v in alg.quiver.vertices]
@@ -159,7 +103,6 @@ def fd_from_bqa(alg: BoundQuiverAlgebra) -> FDAlgebra:
         blocks,
         {k: dict(v) for k, v in alg.mult.items()},
         idem_ids,
-        grading=[b.degree for b in alg.basis],
     )
 
 
@@ -188,21 +131,35 @@ def endo_algebra(reps: list[QuiverRep]) -> FDAlgebra:
 class PresentationData:
     quiver: Quiver
     relations: list[Relation]
-    arrow_elems: list[dict]  # image of each arrow inside the FD algebra
     algebra: BoundQuiverAlgebra
 
 
 def gabriel_quiver(fd: FDAlgebra) -> tuple[Quiver, list[dict]]:
-    """Quiver on the idempotents with one arrow per rad/rad^2 basis element."""
+    """Quiver on the idempotents with one arrow per rad/rad^2 basis element.
+
+    Basic-split means every e_i A e_i is k e_i, so rad is the span of the
+    off-diagonal blocks, and rad^2 in block (i, j) is spanned by the
+    products b c of basis elements b in (i, l) and c in (l, j).
+
+    rad is nilpotent iff no such product lands in a diagonal block with a
+    nonzero value.  If b c = lambda e_i with lambda != 0, the powers
+    lambda^k e_i of b c never vanish.  Otherwise rad rad lies in rad.  A
+    product of nidem radical basis elements then runs along a chain of
+    nidem + 1 block indices, one of which repeats; the factors between its
+    two visits multiply into rad inside a diagonal block, which is zero.
+    So rad^nidem = 0.
+    """
     if not fd.is_basic_split():
         raise ValueError("not basic-split: some e_i A e_i has dimension > 1")
-    powers = fd.radical_powers()
-    rad2 = powers[1] if len(powers) > 1 else []
-    # rad^2 is the sum of its blocks, so each reduced basis vector lies in
-    # the block of its first nonzero coordinate
-    rad2_by_block: dict[tuple[int, int], list[dict]] = {}
-    for e in rad2:
-        rad2_by_block.setdefault(fd.blocks[min(e)], []).append(e)
+    products: dict[tuple[int, int], list[dict]] = defaultdict(list)
+    for (b, c), table in fd.mult.items():
+        (i, l), (m, j) = fd.blocks[b], fd.blocks[c]
+        if i == l or m == j:
+            continue  # an idempotent factor
+        if i != j:
+            products[i, j].append(table)
+        elif any(table.values()):
+            raise ValueError("radical not nilpotent")
     vertices = [Vertex(i, f"v{i}") for i in range(fd.nidem)]
     arrows = []
     arrow_elems = []
@@ -210,7 +167,7 @@ def gabriel_quiver(fd: FDAlgebra) -> tuple[Quiver, list[dict]]:
         if i == j:
             continue
         # in block coordinates the basis elements are the unit vectors
-        base = [[e.get(bid, ZERO) for bid in ids] for e in rad2_by_block.get((i, j), [])]
+        base = [[t.get(bid, ZERO) for bid in ids] for t in products[i, j]]
         for k in extend_basis(base, ExactMatrix.identity(len(ids)).data):
             aid = len(arrows)
             # the element lives in e_i A e_j, so the arrow runs j -> i
@@ -239,7 +196,7 @@ def _paths_of_length(quiver: Quiver, m: int):
 DEFAULT_PRESENTATION_DEGREE = 64
 
 
-def presentation_data(fd: FDAlgebra, max_degree: int = DEFAULT_PRESENTATION_DEGREE) -> PresentationData:
+def presentation_data(fd: FDAlgebra) -> PresentationData:
     quiver, arrow_elems = gabriel_quiver(fd)
 
     def eval_path(path):
@@ -252,7 +209,7 @@ def presentation_data(fd: FDAlgebra, max_degree: int = DEFAULT_PRESENTATION_DEGR
     # ideal vectors per block at the previous degree, each a {path: coeff}
     ideal_prev: dict[tuple[int, int], list[dict]] = {}
     m = 1
-    while m < max_degree:
+    while m < DEFAULT_PRESENTATION_DEGREE:
         m += 1
         by_block = _paths_of_length(quiver, m)
         if not by_block:
@@ -303,7 +260,7 @@ def presentation_data(fd: FDAlgebra, max_degree: int = DEFAULT_PRESENTATION_DEGR
             f"presentation mismatch: rebuilt dimension {algebra.dim} != {fd.dim}; "
             "the algebra does not admit a length grading for the chosen arrows"
         )
-    return PresentationData(quiver, relations, arrow_elems, algebra)
+    return PresentationData(quiver, relations, algebra)
 
 
 def presentation(fd: FDAlgebra) -> BoundQuiverAlgebra:

@@ -318,12 +318,6 @@ def lies_below_bent_curve(point: GridPoint, path: LatticePath) -> bool:
     return True
 
 
-def region_contains(point: GridPoint, path: LatticePath) -> bool:
-    """Membership of a path of L_{d+1,n} in the region at D = (x, y)."""
-    d = path.d - 1  # base_path validates D
-    return below(base_path(point, d, path.n), path) and lies_below_bent_curve(point, path)
-
-
 def region_paths(point: GridPoint, d: int, n: int) -> list[LatticePath]:
     """All paths of L_{d+1,n} in the region at D, sorted by coordinates."""
     base = base_path(point, d, n)

@@ -13,14 +13,16 @@ matrices, the intertwiner solver for Hom between
 modules, self-injectivity read off the tops of the injectives and the
 Nakayama permutation, an exhaustive associativity check of structure
 constants, and the radical filtration reduced on dense vectors of the full
-algebra rather than block by block.  It also holds
+algebra rather than block by block, with the Gabriel quiver read off its
+rad^2 in those coordinates.  It also holds
 the lattice-path definitions and lemmas of the paper that the
 combinatorial tests check (skew shapes, Dyck orbit representatives, the
-widening by a final horizontal step, the dual slices, the S-regions,
-degree-zero composition and the projective and injective labels at shift
-zero), the anchor data, bent-curve test, regions and slices computed with
-``Fraction`` slopes, against which the integer-scaled ``hatilt.pathcomb``
-versions are compared, the lookup of a path's generation-certificate
+widening by a final horizontal step, the dual slices, the S-regions and
+the membership of one path in a region, degree-zero composition and the
+projective and injective labels at shift zero), the anchor data,
+bent-curve test, regions and slices computed with ``Fraction`` slopes,
+against which the integer-scaled ``hatilt.pathcomb`` versions are
+compared, the lookup of a path's generation-certificate
 entry, and the rigidity and Serre-symmetry checks asked one ``hom_dim``
 query at a time, against which the label-triple checks of
 ``hatilt.cluster`` are compared, the Hom dimension of complexes asked
@@ -61,7 +63,7 @@ from hatilt.complexes import (
     projective_injective_vertices,
     realize_complex,
 )
-from hatilt.exactmat import ZERO, ExactMatrix, span_basis
+from hatilt.exactmat import ZERO, ExactMatrix, extend_basis, span_basis
 from hatilt.pathcomb import (
     AnchorData,
     GridPoint,
@@ -71,6 +73,7 @@ from hatilt.pathcomb import (
     coords,
     enumerate_all,
     is_dyck,
+    lies_below_bent_curve,
     preceq,
     region_paths,
     rotate_pow,
@@ -447,30 +450,43 @@ def cone_of_chain_map(alg, X, Y, f):
     return ProjComplex(alg, terms, diffs, "proj", check=True)
 
 
-def reduce_elems_dense(fd, elems):
-    """Reduced echelon basis of the span of elements, as dense vectors."""
-    vectors = []
-    for e in elems:
-        vec = [ZERO] * fd.dim
-        for k, v in e.items():
-            vec[k] = v
-        vectors.append(vec)
-    return [{k: v for k, v in enumerate(vec) if v != 0} for vec in span_basis(vectors)]
+def _dense(fd, elem):
+    vec = [ZERO] * fd.dim
+    for k, v in elem.items():
+        vec[k] = v
+    return vec
 
 
 def radical_powers_dense(fd):
-    """rad^1, rad^2, ..., []: every element of rad^k times every radical
-    basis element, reduced on dense vectors."""
-    rad = fd.radical_ids()
-    powers = [reduce_elems_dense(fd, [fd.basis_elem(b) for b in rad])]
+    """rad^1, rad^2, ..., []: every element of rad^k times every basis
+    element other than the idempotents, reduced on dense vectors."""
+
+    def reduce(elems):
+        vectors = [_dense(fd, e) for e in elems if e]
+        return [{k: v for k, v in enumerate(vec) if v != 0} for vec in span_basis(vectors)]
+
+    rad = [bid for bid in range(fd.dim) if bid not in fd.idem_ids]
+    powers = [reduce([fd.basis_elem(b) for b in rad])]
     while True:
         prev = powers[-1]
-        nxt = reduce_elems_dense(fd, [fd.elem_mul(x, fd.basis_elem(b)) for x in prev for b in rad])
+        nxt = reduce([fd.elem_mul(x, fd.basis_elem(b)) for x in prev for b in rad])
         powers.append(nxt)
         if not nxt:
             return powers
         if len(nxt) == len(prev):
             raise ValueError("radical not nilpotent")
+
+
+def gabriel_quiver_dense(fd):
+    """Arrows ``(id, src, tgt, label)`` and arrow elements of the Gabriel
+    quiver: a greedy pass over the basis elements of the off-diagonal
+    blocks, in sorted block order, keeps each one outside the span of rad^2
+    and of those kept before it, all as dense vectors of the whole algebra."""
+    units = [(i, j, bid) for (i, j), ids in sorted(fd.block_basis.items()) if i != j for bid in ids]
+    rad2 = [_dense(fd, e) for e in radical_powers_dense(fd)[1]]
+    kept = extend_basis(rad2, [_dense(fd, fd.basis_elem(bid)) for _, _, bid in units])
+    arrows = [(aid, units[k][1], units[k][0], f"x{aid}") for aid, k in enumerate(kept)]
+    return arrows, [fd.basis_elem(units[k][2]) for k in kept]
 
 
 def skew_cells(p1: LatticePath, p2: LatticePath) -> set[tuple[int, int]]:
@@ -566,6 +582,12 @@ def lies_below_bent_curve_by_fractions(point: GridPoint, path: LatticePath) -> b
         if py > bound:
             return False
     return True
+
+
+def region_contains(point: GridPoint, path: LatticePath) -> bool:
+    """Membership of a path of L_{d+1,n} in the region at D = (x, y)."""
+    d = path.d - 1  # base_path validates D
+    return below(base_path(point, d, path.n), path) and lies_below_bent_curve(point, path)
 
 
 def region_paths_by_fractions(point: GridPoint, d: int, n: int) -> list[LatticePath]:

@@ -2,15 +2,15 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
-from oracles import check_associative, radical_powers_dense, reduce_elems_dense
+from hypothesis import given, settings, strategies as st
+from oracles import check_associative, gabriel_quiver_dense
 
 from hatilt.fdalg import (
     FDAlgebra,
-    _reduce_elems,
     degree_zero_part,
     endo_algebra,
     fd_from_bqa,
+    gabriel_quiver,
     idempotent_subalgebra,
     iso_test,
     presentation,
@@ -80,54 +80,29 @@ class TestFDBasics:
             assert fd.elem_mul(one, fd.basis_elem(bid)) == fd.basis_elem(bid)
             assert fd.elem_mul(fd.basis_elem(bid), one) == fd.basis_elem(bid)
 
-    def test_radical_powers(self):
+    def test_gabriel_quiver_of_a_truncated_path_algebra(self):
         fd = linear_algebra_fd(4, rad_power=3)
-        powers = fd.radical_powers()
-        assert len(powers[0]) == 5  # 3 arrows + 2 surviving length-2 paths
-        assert powers[-1] == []
+        quiver, _ = gabriel_quiver(fd)
+        assert len(quiver.arrows) == 3
+        assert presentation_data(fd).algebra.dim == fd.dim
 
 
-@cache
-def reduction_algebras():
-    """A at (3, 2), whose blocks are all one-dimensional, and the path
-    algebra of 0 => 1 => 2 => 3, whose blocks have dimension up to 8."""
-    q = Quiver(
-        [Vertex(i, str(i + 1)) for i in range(4)],
-        [Arrow(2 * i + k, i, i + 1, f"a{i}{k}") for i in range(3) for k in range(2)],
-    )
-    return (
-        fd_from_bqa(ModelData(3, 2, VerifyConfig()).algebra()),
-        fd_from_bqa(BoundQuiverAlgebra.from_quiver_data(q, [])),
-    )
+class TestGabrielQuiver:
+    def test_rejects_a_radical_that_is_not_nilpotent(self):
+        # the matrix units of M_2(Q): e12 e21 = e11 is a nonzero idempotent
+        units = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        mult = {}
+        for a, (i, j) in enumerate(units):
+            for b, (k, m) in enumerate(units):
+                if j == k:
+                    mult[(a, b)] = {units.index((i, m)): Fraction(1)}
+        fd = FDAlgebra(2, units, mult, [0, 3])
+        check_associative(fd)
+        with pytest.raises(ValueError, match="radical not nilpotent"):
+            gabriel_quiver(fd)
 
-
-@st.composite
-def block_homogeneous_elements(draw):
-    """Elements of a few blocks of one algebra; tiny entries over few blocks
-    make dependencies common."""
-    fd = draw(st.sampled_from(reduction_algebras()))
-    blocks = draw(st.lists(st.sampled_from(sorted(fd.block_basis)), min_size=1, max_size=3))
-    entry = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
-    elems = []
-    for _ in range(draw(st.integers(0, 8))):
-        ids = fd.block_basis[draw(st.sampled_from(blocks))]
-        coeffs = draw(st.lists(entry, min_size=len(ids), max_size=len(ids)))
-        elems.append({bid: c for bid, c in zip(ids, coeffs) if c != 0})
-    return fd, elems
-
-
-class TestBlockReduction:
-    @settings(derandomize=True, deadline=None)
-    @given(block_homogeneous_elements())
-    # one element per block, listed against the order of the leading ids
-    @example((reduction_algebras()[1], [{25: Fraction(1)}, {4: Fraction(1)}]))
-    @example((reduction_algebras()[1], []))
-    def test_matches_the_dense_reduction(self, data):
-        fd, elems = data
-        assert _reduce_elems(fd, elems) == reduce_elems_dense(fd, elems)
-
-    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3)])
-    def test_radical_powers_match_the_dense_filtration(self, d, n):
+    @pytest.mark.parametrize("d, n", [(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3)])
+    def test_matches_the_dense_quiver(self, d, n):
         model = ModelData(d, n, VerifyConfig())
         algebras = {
             "A": fd_from_bqa(model.algebra()),
@@ -135,9 +110,12 @@ class TestBlockReduction:
             "B": model.b_replicated(),
             "Lambda": model.lam(),
             "Pi": model.pi(),
+            "End(T)": model.end_t(),
         }
         for name, fd in algebras.items():
-            assert fd.radical_powers() == radical_powers_dense(fd), name
+            quiver, elems = gabriel_quiver(fd)
+            arrows = [(a.id, a.src, a.tgt, a.label) for a in quiver.arrows]
+            assert (arrows, elems) == gabriel_quiver_dense(fd), name
 
 
 class TestEndoAlgebra:

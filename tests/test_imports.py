@@ -1,10 +1,14 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+function, class and method the package defines is reached.
 
 No linter ships with the project, so this stands in for its unused-import
 rule.  The package ``__init__`` is left out: its imports are the exports.
+A definition counts as reached when package code names it outside its own
+body, or when ``__init__`` exports it; dunder methods are exempt.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,3 +39,55 @@ def test_every_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     source = "from .fdalg import degree_zero_part, replicate\n\nx = replicate\n"
     assert unused_imports(source) == ["degree_zero_part (line 1)"]
+
+
+def _named(node) -> Counter:
+    """How often each name or attribute appears in the code under ``node``."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def unreached_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = sum((_named(tree) for tree in trees.values()), Counter())
+    unreached = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or name in exported:
+                continue
+            # a recursive call names the function inside its own body only
+            if named[name] == _named(node)[name]:
+                unreached.append(f"{module}: {name} (line {node.lineno})")
+    return unreached
+
+
+def test_every_definition_is_reached():
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse((SRC / "__init__.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreached_definitions(sources, exported) == []
+
+
+def test_the_check_sees_an_unreached_definition():
+    source = (
+        "class Grid:\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    def walk(self):\n"
+        "        return self.walk()\n"
+        "def size(grid):\n"
+        "    return len(grid)\n"
+        "def exported():\n"
+        "    return size(Grid())\n"
+    )
+    assert unreached_definitions({"m.py": source}, {"exported"}) == ["m.py: walk (line 4)"]

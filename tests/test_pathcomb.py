@@ -9,6 +9,7 @@ from oracles import (
     delta_set_by_fractions,
     dyck_orbit_representative,
     lies_below_bent_curve_by_fractions,
+    region_contains,
     region_paths_by_fractions,
     s_region,
     skew_cells,
@@ -35,7 +36,6 @@ from hatilt.pathcomb import (
     path_from_entries,
     preceq,
     prepend_horizontal,
-    region_contains,
     region_paths,
     relation_R,
     resolving_sequence,

@@ -313,6 +313,7 @@ class TestTracerTargets:
     # names the tracer lists that no longer exist in the package
     STALE = {
         "complexes.complexes_isomorphic",
+        "fdalg.radical_powers",
         "quiveralg.kernel_of_morphism",
         "quiveralg.hom_space",
     }
