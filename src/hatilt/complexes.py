@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactmat import ExactMatrix, ZERO, extend_basis
+from .exactmat import ExactMatrix, ZERO, exact_div, extend_basis
 from .quiveralg import (
     BoundQuiverAlgebra,
     BudgetError,
@@ -319,13 +319,13 @@ def _invert_local(alg, elem, u):
         raise ValueError("element not invertible")
     e = alg.basis_elem(alg.idempotent_of[u])
     r = alg.elem_sub(elem, alg.elem_scale(lam, e))  # radical part
-    inv = alg.elem_scale(1 / lam, e)
+    inv = alg.elem_scale(exact_div(1, lam), e)
     power = e
     for _ in range(alg.nilpotency):
-        power = alg.elem_scale(-1 / lam, alg.elem_mul(r, power))
+        power = alg.elem_scale(exact_div(-1, lam), alg.elem_mul(r, power))
         if not power:
             break
-        inv = alg.elem_add(inv, alg.elem_scale(1 / lam, power))
+        inv = alg.elem_add(inv, alg.elem_scale(exact_div(1, lam), power))
     return inv
 
 

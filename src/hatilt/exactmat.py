@@ -1,22 +1,46 @@
 """Dense exact-rational matrices: elimination, rank, kernel, solving.
 
-Everything downstream (resolutions, chain maps modulo homotopy, radical
-filtrations) reduces to row reduction over ``fractions.Fraction``.
+Everything downstream (resolutions, chain maps modulo homotopy, Gabriel
+quivers, presentations) reduces to row reduction over the rationals.
+A scalar is an ``int`` when its value is integral and a ``fractions.Fraction``
+otherwise; no float is ever produced or accepted.  The algebras verified
+here have structure constants 0 and +-1, so elimination almost always
+divides by a unit and stays in ``int``; every division goes through
+``exact_div``, which leaves ``int`` only for a non-integral quotient.
 Matrices here are small and dense, so plain Gaussian elimination with
-first-nonzero pivoting is deterministic and fast enough; no floating point
-ever enters.
+first-nonzero pivoting is deterministic and fast enough.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
+
+
+def exact(x):
+    """``x`` as an exact scalar: an int if integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not an exact scalar")
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def exact_div(a, b):
+    """The exact quotient ``a / b`` of two exact scalars."""
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    return exact(Fraction(a) / b)
 
 
 class ExactMatrix:
-    """A rows x cols matrix of Fractions."""
+    """A rows x cols matrix of exact scalars (ints and non-integral Fractions)."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -28,8 +52,8 @@ class ExactMatrix:
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("data shape mismatch")
-            # fresh row lists, so copies never alias; only non-Fractions are wrapped
-            self.data = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in data]
+            # fresh row lists, so copies never alias; only non-ints are normalised
+            self.data = [[x if type(x) is int else exact(x) for x in row] for row in data]
 
     @staticmethod
     def identity(k: int) -> "ExactMatrix":
@@ -102,7 +126,7 @@ class ExactMatrix:
         )
 
     def scale(self, c) -> "ExactMatrix":
-        c = Fraction(c)
+        c = exact(c)
         return ExactMatrix(self.rows, self.cols, [[c * x for x in row] for row in self.data])
 
     def rref(self) -> tuple["ExactMatrix", list[int]]:
@@ -117,7 +141,7 @@ class ExactMatrix:
             m.data[r], m.data[pivot_row] = m.data[pivot_row], m.data[r]
             pv = m.data[r][c]
             if pv != 1:
-                m.data[r] = [x / pv for x in m.data[r]]
+                m.data[r] = [exact_div(x, pv) for x in m.data[r]]
             for i in range(m.rows):
                 if i != r and m.data[i][c] != 0:
                     f = m.data[i][c]
@@ -150,7 +174,7 @@ class ExactMatrix:
         if len(rhs) != self.rows:
             raise ValueError("rhs length mismatch")
         aug = ExactMatrix(
-            self.rows, self.cols + 1, [row + [Fraction(v)] for row, v in zip(self.data, rhs)]
+            self.rows, self.cols + 1, [row + [exact(v)] for row, v in zip(self.data, rhs)]
         )
         red, pivots = aug.rref()
         if self.cols in pivots:

@@ -41,7 +41,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import ExactMatrix, ONE, ZERO, extend_basis, span_basis
+from .exactmat import ExactMatrix, ONE, ZERO, exact_div, extend_basis, span_basis
 from .quiveralg import (
     Arrow,
     BoundQuiverAlgebra,
@@ -577,7 +577,7 @@ def _solve_scalars(fd2, p1, arrow_elems2, arrow_map):
             exps[aid] = exps.get(aid, 0) + 1
         for aid in path2:
             exps[aid] = exps.get(aid, 0) - 1
-        value = -Fraction(c2_, 1) / (Fraction(c1_, 1) * ratio)
+        value = exact_div(-c2_, c1_ * ratio)
         constraints.append(({a: e for a, e in exps.items() if e}, value))
 
     scalars = {aid: None for aid in {a.id for a in p1.quiver.arrows}}
@@ -590,7 +590,8 @@ def _solve_scalars(fd2, p1, arrow_elems2, arrow_map):
             acc = value
             for a, e in exps.items():
                 if scalars[a] is not None:
-                    acc /= scalars[a] ** e
+                    # a Fraction base: an int to a negative power is a float
+                    acc = exact_div(acc, Fraction(scalars[a]) ** e)
             if not unknown:
                 if acc != 1:
                     return no_scalars()
@@ -598,7 +599,7 @@ def _solve_scalars(fd2, p1, arrow_elems2, arrow_map):
                 continue
             if len(unknown) == 1 and abs(exps[unknown[0]]) == 1:
                 a = unknown[0]
-                scalars[a] = acc if exps[a] == 1 else 1 / acc
+                scalars[a] = acc if exps[a] == 1 else exact_div(1, acc)
                 if scalars[a] == 0:
                     return no_scalars()
                 progress = True
@@ -636,7 +637,7 @@ def _parallel_ratio(v1: dict, v2: dict):
         return None
     rho = None
     for k in v1:
-        r = v1[k] / v2[k]
+        r = exact_div(v1[k], v2[k])
         if rho is None:
             rho = r
         elif rho != r:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import ExactMatrix, ZERO, ONE, span_basis
+from .exactmat import ExactMatrix, ZERO, ONE, exact, span_basis
 from .pathcomb import OrderedSeq, interleaves
 
 DEFAULT_MAX_DIM = 40_000
@@ -105,7 +105,7 @@ class Relation:
 
 
 def relation(*terms) -> Relation:
-    return Relation(tuple((Fraction(c), tuple(p)) for c, p in terms))
+    return Relation(tuple((exact(c), tuple(p)) for c, p in terms))
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,9 @@ class BasisElement:
 
 
 class ElementArithmetic:
-    """Arithmetic of elements (dicts basis id -> Fraction) over ``self.mult``,
-    the sparse structure constants: ``mult[(i, j)]`` is "i after j"."""
+    """Arithmetic of elements (dicts basis id -> exact scalar: an int, or a
+    Fraction when not integral) over ``self.mult``, the sparse structure
+    constants: ``mult[(i, j)]`` is "i after j"."""
 
     def elem_mul(self, x: dict, y: dict) -> dict:
         out: dict[int, Fraction] = {}
@@ -144,7 +145,7 @@ class ElementArithmetic:
         return {k: v for k, v in out.items() if v != 0}
 
     def elem_scale(self, c, x: dict) -> dict:
-        c = Fraction(c)
+        c = exact(c)
         if c == 0:
             return {}
         return {k: c * v for k, v in x.items()}
@@ -248,7 +249,7 @@ class BoundQuiverAlgebra(ElementArithmetic):
 
     def elem_from_block_coords(self, coords, src: int, tgt: int) -> dict:
         ids = self.blocks.get((src, tgt), [])
-        return {bid: Fraction(c) for bid, c in zip(ids, coords) if c != 0}
+        return {bid: exact(c) for bid, c in zip(ids, coords) if c != 0}
 
     def is_radical(self, elem: dict) -> bool:
         return all(self.basis[k].degree >= 1 for k, v in elem.items() if v != 0)

@@ -320,7 +320,7 @@ def claim_b0_presentation(model: ModelData):
 
 def claim_idempotent_corner(model: ModelData):
     d, n = model.d, model.n
-    s = math.ceil(d / n)
+    s = -(-d // n)
     if d == s:
         raise SkipClaim(f"the smaller Auslander algebra degenerates: d = ceil(d/n) = {s}")
     aprime = build_auslander_algebra(n + 1, d - s, max_dim=model.config.max_algebra_dim)
@@ -348,7 +348,7 @@ def claim_gldim_b(model: ModelData):
 
 
 def claim_gldim_b0(model: ModelData):
-    return _gldim_claim(model, "B0", model.d - math.ceil(model.d / model.n))
+    return _gldim_claim(model, "B0", model.d - -(-model.d // model.n))
 
 
 def claim_higher_auslander(model: ModelData):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hatilt.exactmat import ExactMatrix, extend_basis, span_basis
@@ -47,10 +48,26 @@ class TestKernelSolve:
 
 
 class TestEntriesAndAliasing:
-    def test_mixed_entries_come_back_as_fractions(self):
+    def test_entries_are_ints_unless_fractional(self):
         m = ExactMatrix.from_rows([[1, Fraction(1, 2)], [Fraction(3), -2]])
-        assert all(type(x) is Fraction for row in m.data for x in row)
-        assert m.data == [[F(1), Fraction(1, 2)], [F(3), F(-2)]]
+        assert m.data == [[1, Fraction(1, 2)], [3, -2]]
+        assert [type(x) for row in m.data for x in row] == [int, Fraction, int, int]
+        # pivots -1 and 1 keep an integer matrix integral
+        red, _ = ExactMatrix.from_rows([[-1, -2, -3], [-1, -1, 1], [2, 3, 2]]).rref()
+        assert red.data == [[1, 0, -5], [0, 1, 4], [0, 0, 0]]
+        assert all(type(x) is int for row in red.data for x in row)
+        # a non-unit pivot still divides exactly
+        red, _ = ExactMatrix.from_rows([[2, 1]]).rref()
+        assert red.data == [[1, Fraction(1, 2)]]
+        assert [type(x) for x in red.data[0]] == [int, Fraction]
+
+    def test_floats_are_refused(self):
+        with pytest.raises(TypeError):
+            ExactMatrix.from_rows([[0.5]])
+        with pytest.raises(TypeError):
+            ExactMatrix.identity(1).scale(0.5)
+        with pytest.raises(TypeError):
+            ExactMatrix.identity(1).solve([0.5])
 
     def test_rows_are_not_shared_with_the_input(self):
         rows = [[F(1), F(2)], [F(3), F(4)]]

@@ -554,6 +554,28 @@ class TestIsoTest:
         with pytest.raises(_Undecided):
             _solve_scalars(target, source, arrow_elems, {k: k for k in range(4)})
 
+    def test_a_pinned_scalar_divides_exactly_under_a_negative_exponent(self):
+        # relations (a,b) - 3(c,d) and (e,c) - 1/7 (a,d) in a target where every
+        # product of two arrows is basis vector 0: the solve pins b = c = d = 1,
+        # gets a = 3, then e = (1/7) / a^-1, which must stay a Fraction
+        from types import SimpleNamespace
+
+        from hatilt.fdalg import _solve_scalars
+
+        target = ElementArithmetic()
+        target.mult = {(i, j): {0: 1} for i in range(1, 6) for j in range(1, 6)}
+        source = SimpleNamespace(
+            quiver=SimpleNamespace(arrows=[SimpleNamespace(id=k) for k in range(5)]),
+            relations=[
+                relation((1, (0, 1)), (-3, (2, 3))),
+                relation((1, (4, 2)), (Fraction(-1, 7), (0, 3))),
+            ],
+        )
+        arrow_elems = [{k + 1: 1} for k in range(5)]
+        scalars = _solve_scalars(target, source, arrow_elems, {k: k for k in range(5)})
+        assert scalars == {0: 3, 1: 1, 2: 1, 3: 1, 4: Fraction(3, 7)}
+        assert not any(isinstance(v, float) for v in scalars.values())
+
     @pytest.mark.parametrize("undecided", ["first_call", "every_call"])
     def test_undecided_arrow_maps_keep_the_search_going(self, monkeypatch, undecided):
         # the commuting square has two vertex bijections onto itself: an

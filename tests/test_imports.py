@@ -4,7 +4,9 @@ function, class and method the package defines is reached.
 No linter ships with the project, so this stands in for its unused-import
 rule.  The package ``__init__`` is left out: its imports are the exports.
 A definition counts as reached when package code names it outside its own
-body, or when ``__init__`` exports it; dunder methods are exempt.
+body, or when ``__init__`` exports it; dunder methods are exempt.  The only
+true division (``/`` or ``/=``) in the package is the one in
+``exactmat.exact_div``, so no float can arise from a quotient.
 """
 
 import ast
@@ -39,6 +41,38 @@ def test_every_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     source = "from .fdalg import degree_zero_part, replicate\n\nx = replicate\n"
     assert unused_imports(source) == ["degree_zero_part (line 1)"]
+
+
+def true_divisions(source: str) -> list[str]:
+    """Each ``/`` and ``/=`` in ``source``, as "enclosing function (line N)"."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+                found.append(f"{owner} (line {child.lineno})")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_exact_div_divides():
+    # ``/`` on two ints is a float; exact_div keeps every quotient exact
+    sites = [
+        f"{p.name}: {site.split(' (')[0]}"
+        for p in sorted(SRC.glob("*.py"))
+        for site in true_divisions(p.read_text())
+    ]
+    assert sites == ["exactmat.py: exact_div"]
+
+
+def test_the_check_sees_a_true_division():
+    source = "def half(x):\n    y = x // 2\n    y /= 3\n    return x / 2\n\nthird = 1 / 3\n"
+    assert true_divisions(source) == ["half (line 3)", "half (line 4)", "<module> (line 6)"]
 
 
 def _named(node) -> Counter:

@@ -1,8 +1,16 @@
 import json
+from fractions import Fraction
 
 from hatilt.pathcomb import LatticePath
 from hatilt.quiveralg import build_auslander_algebra
-from hatilt.serialize import dumps, path_to_doc, quiver_to_doc, quiver_to_dot, quiver_to_tex
+from hatilt.serialize import (
+    dumps,
+    frac_str,
+    path_to_doc,
+    quiver_to_doc,
+    quiver_to_dot,
+    quiver_to_tex,
+)
 
 
 class TestJsonRoundTrips:
@@ -17,6 +25,13 @@ class TestJsonRoundTrips:
         assert len(doc["vertices"]) == len(alg.quiver.vertices)
         assert len(doc["arrows"]) == len(alg.quiver.arrows)
         assert len(doc["relations"]) == len(alg.relations)
+
+    def test_coefficient_strings(self):
+        # ints and Fractions of the same value export the same string
+        assert frac_str(3) == "3"
+        assert frac_str(-1) == "-1"
+        assert frac_str(Fraction(6, 3)) == "2"
+        assert frac_str(Fraction(-2, 3)) == "-2/3"
 
     def test_dumps_deterministic(self):
         alg = build_auslander_algebra(3, 2)
