@@ -184,7 +184,7 @@ def _delta_matrix(X, Y, j, source, target):
                         r = out_index.get((m - 1, t, s2, bid2))
                         if r is not None:
                             rows[r][col] -= sign * c
-    return ExactMatrix(dim_j1, dim_j, rows)
+    return ExactMatrix._adopt(dim_j1, dim_j, rows)
 
 
 def _hom_differentials(X, Y, k):
@@ -515,7 +515,7 @@ def _replace(C: ModuleComplex, max_len, label):
         def image(k, bid, y):
             """Ambient coordinates at y of k . b, for k in Z^m at b.tgt, b = bid."""
             x = alg.basis[bid].tgt
-            out = _act(alg, k, x, alg.basis_elem(bid), y, labels)
+            out = _act(alg, k, x, bid, y, labels)
             if not (cdims[x] and cdims[y]):
                 return out + [ZERO] * cdims[y]
             if bid not in acts:
@@ -580,19 +580,18 @@ def minimal_proj_resolution(alg, M: QuiverRep, max_len=64, label="M") -> ProjCom
 
 def _top(vertices, dims, rad):
     """(vertex, coordinate) of each top generator: per vertex, the coordinates
-    off the rref pivots of the spanning rows ``rad[v]`` of the radical."""
+    off the rref pivots of the spanning rows ``rad[v]`` of the radical, equal
+    length lists of exact scalars that rref reads but leaves."""
     out = []
     for v in vertices:
         rows = rad[v]
-        pivots = set(ExactMatrix.from_rows(rows).rref()[1]) if rows else set()
+        pivots = set(ExactMatrix._adopt(len(rows), len(rows[0]), rows).rref()[1]) if rows else set()
         out.extend((v, c) for c in range(dims[v]) if c not in pivots)
     return out
 
 
 def _from_columns(rows, cols):
-    m = ExactMatrix(rows, len(cols))
-    m.data = [[col[i] for col in cols] for i in range(rows)]
-    return m
+    return ExactMatrix._adopt(rows, len(cols), [[col[i] for col in cols] for i in range(rows)])
 
 
 def _split(alg, vec, y, labels):
@@ -606,11 +605,25 @@ def _split(alg, vec, y, labels):
     return out
 
 
-def _act(alg, vec, x, b, y, labels):
-    """Fiber coordinates at y of vec . b, vec a fiber at x of the P_w, w in labels."""
+def _act(alg, vec, x, bid, y, labels):
+    """Fiber coordinates at y of vec . b for the basis element b = bid of
+    e_x A e_y, vec a fiber at x of the P_w, w in labels.
+
+    The block of P_w at x holds the basis elements x -> w, and each product
+    with b lies in the block y -> w of P_w at y."""
+    mult, blocks, block_index = alg.mult, alg.blocks, alg._block_index
     out = []
-    for e, w in zip(_split(alg, vec, x, labels), labels):
-        out.extend(alg.block_coords(alg.elem_mul(e, b), y, w))
+    offset = 0
+    for w in labels:
+        ids = blocks.get((x, w), ())
+        index = block_index.get((y, w), {})
+        coords = [ZERO] * len(index)
+        for i, c in zip(ids, vec[offset : offset + len(ids)]):
+            if c != 0:
+                for k, ck in mult.get((i, bid), {}).items():
+                    coords[index[k]] += c * ck
+        offset += len(ids)
+        out.extend(coords)
     return out
 
 

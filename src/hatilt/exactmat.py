@@ -39,12 +39,19 @@ def exact_div(a, b):
     return exact(Fraction(a) / b)
 
 
+def _exact_row(values) -> list:
+    """The values as a row of exact scalars: integral Fractions become ints."""
+    return [x if type(x) is int else exact(x) for x in values]
+
+
 class ExactMatrix:
     """A rows x cols matrix of exact scalars (ints and non-integral Fractions)."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data=None):
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative shape {rows}x{cols}")
         self.rows = rows
         self.cols = cols
         if data is None:
@@ -53,7 +60,15 @@ class ExactMatrix:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("data shape mismatch")
             # fresh row lists, so copies never alias; only non-ints are normalised
-            self.data = [[x if type(x) is int else exact(x) for x in row] for row in data]
+            self.data = [_exact_row(row) for row in data]
+
+    @staticmethod
+    def _adopt(rows: int, cols: int, data: list) -> "ExactMatrix":
+        """The matrix that owns ``data``, fresh rows of exact scalars built in
+        this package; neither copied nor checked."""
+        m = object.__new__(ExactMatrix)
+        m.rows, m.cols, m.data = rows, cols, data
+        return m
 
     @staticmethod
     def identity(k: int) -> "ExactMatrix":
@@ -69,7 +84,7 @@ class ExactMatrix:
         return ExactMatrix(len(rows_list), cols, rows_list)
 
     def copy(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, self.data)
+        return ExactMatrix._adopt(self.rows, self.cols, [row[:] for row in self.data])
 
     def __eq__(self, other):
         return (
@@ -86,17 +101,17 @@ class ExactMatrix:
         return all(x == 0 for row in self.data for x in row)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols, self.rows, [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        if not self.rows:  # zip(*data) would yield no column at all
+            return ExactMatrix._adopt(self.cols, 0, [[] for _ in range(self.cols)])
+        return ExactMatrix._adopt(self.cols, self.rows, [list(col) for col in zip(*self.data)])
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.cols} vs {other.rows}")
-        out = ExactMatrix(self.rows, other.cols)
+        out = [[ZERO] * other.cols for _ in range(self.rows)]
         for i in range(self.rows):
             row = self.data[i]
-            out_row = out.data[i]
+            out_row = out[i]
             for k in range(self.cols):
                 a = row[k]
                 if a == 0:
@@ -106,9 +121,10 @@ class ExactMatrix:
                     b = other_row[j]
                     if b != 0:
                         out_row[j] += a * b
-        return out
+        return ExactMatrix._adopt(self.rows, other.cols, out)
 
-    def apply(self, vec: list[Fraction]) -> list[Fraction]:
+    def apply(self, vec: list) -> list:
+        """The exact scalars of ``self . vec``."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         return [
@@ -119,15 +135,17 @@ class ExactMatrix:
     def add(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return ExactMatrix(
+        return ExactMatrix._adopt(
             self.rows,
             self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
+            [_exact_row(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)],
         )
 
     def scale(self, c) -> "ExactMatrix":
         c = exact(c)
-        return ExactMatrix(self.rows, self.cols, [[c * x for x in row] for row in self.data])
+        return ExactMatrix._adopt(
+            self.rows, self.cols, [_exact_row(c * x for x in row) for row in self.data]
+        )
 
     def rref(self) -> tuple["ExactMatrix", list[int]]:
         """Reduced row echelon form and its pivot columns."""
@@ -155,8 +173,9 @@ class ExactMatrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def nullspace(self) -> list[list[Fraction]]:
-        """Basis of the right kernel, one vector per free column."""
+    def nullspace(self) -> list[list]:
+        """Basis of the right kernel, one vector of exact scalars per free
+        column."""
         red, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
@@ -169,8 +188,10 @@ class ExactMatrix:
             basis.append(vec)
         return basis
 
-    def solve(self, rhs: list[Fraction]):
-        """One solution of A x = rhs, or None if inconsistent."""
+    def solve(self, rhs: list):
+        """One solution of A x = rhs as exact scalars, or None if inconsistent.
+
+        Floats in ``rhs`` are refused."""
         if len(rhs) != self.rows:
             raise ValueError("rhs length mismatch")
         aug = ExactMatrix(
@@ -185,8 +206,9 @@ class ExactMatrix:
         return x
 
 
-def span_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
-    """A subset-echelon basis of the span of the given vectors."""
+def span_basis(vectors: list[list]) -> list[list]:
+    """A subset-echelon basis of the span of the given vectors of exact
+    scalars."""
     if not vectors:
         return []
     m = ExactMatrix.from_rows(vectors)
@@ -194,7 +216,7 @@ def span_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
     return [red.data[i] for i in range(len(pivots))]
 
 
-def extend_basis(base: list[list[Fraction]], candidates: list[list[Fraction]]) -> list[int]:
+def extend_basis(base: list[list], candidates: list[list]) -> list[int]:
     """Indices of the candidates a greedy pass would add to span(base).
 
     Candidate k is chosen iff it lies outside the span of ``base`` and

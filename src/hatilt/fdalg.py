@@ -437,7 +437,9 @@ def iso_test(a1, a2, budget: int = 2_000_000):
 
     steps = 0
 
-    def backtrack(pos, sigma, used):
+    # the recursion goes through ``recurse``: a closure that named itself
+    # would hold itself through its own cell, a cycle only a full gc frees
+    def backtrack(pos, sigma, used, recurse):
         nonlocal steps
         if pos == len(order):
             yield dict(sigma)
@@ -460,12 +462,12 @@ def iso_test(a1, a2, budget: int = 2_000_000):
                 continue
             sigma[v] = w
             used.add(w)
-            yield from backtrack(pos + 1, sigma, used)
+            yield from recurse(pos + 1, sigma, used, recurse)
             del sigma[v]
             used.discard(w)
 
     undecided = False
-    for sigma in backtrack(0, {}, set()):
+    for sigma in backtrack(0, {}, set(), backtrack):
         for arrow_map in _arrow_maps(p1.quiver, quiver2, sigma):
             try:
                 scalars = _solve_scalars(fd2, p1, arrow_elems2, arrow_map)

@@ -21,6 +21,7 @@ first, and ``mul(p, q)`` is "p after q".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 from .exactmat import ExactMatrix, ZERO, ONE, exact, span_basis
@@ -169,6 +170,7 @@ class BoundQuiverAlgebra(ElementArithmetic):
         self.mult: dict[tuple[int, int], dict[int, Fraction]] = mult
         self.nilpotency = nilpotency
         self.vertex_data = vertex_data or {}
+        self._vertex_ids = tuple(v.id for v in quiver.vertices)
         self.blocks: dict[tuple[int, int], list[int]] = {}
         for b in self.basis:
             self.blocks.setdefault((b.src, b.tgt), []).append(b.id)
@@ -232,20 +234,8 @@ class BoundQuiverAlgebra(ElementArithmetic):
     def dim(self) -> int:
         return len(self.basis)
 
-    def vertex_ids(self) -> list[int]:
-        return [v.id for v in self.quiver.vertices]
-
-    def block_coords(self, elem: dict, src: int, tgt: int) -> list[Fraction]:
-        ids = self.blocks.get((src, tgt), [])
-        index = self._block_index.get((src, tgt), {})
-        vec = [ZERO] * len(ids)
-        for k, v in elem.items():
-            if v == 0:
-                continue
-            if k not in index:
-                raise ValueError(f"element not supported on block ({src}, {tgt})")
-            vec[index[k]] = v
-        return vec
+    def vertex_ids(self) -> tuple[int, ...]:
+        return self._vertex_ids
 
     def elem_from_block_coords(self, coords, src: int, tgt: int) -> dict:
         ids = self.blocks.get((src, tgt), [])
@@ -258,20 +248,23 @@ class BoundQuiverAlgebra(ElementArithmetic):
         """Matrix of b -> left . b . right from block ``src`` to block ``tgt``.
 
         Blocks are (source, target) vertex pairs; a factor left as None is
-        the unit.
+        the unit.  Between a block and an empty one it is the shared
+        entry-less matrix of that shape.
         """
         src_ids = self.blocks.get(src, [])
-        rows = len(self.blocks.get(tgt, []))
-        out = ExactMatrix(rows, len(src_ids))
+        index = self._block_index.get(tgt, {})
+        rows, cols = len(index), len(src_ids)
+        out = ExactMatrix(rows, cols) if rows and cols else _empty_map(rows, cols)
         for j, bid in enumerate(src_ids):
             prod = self.basis_elem(bid)
             if left is not None:
                 prod = self.elem_mul(left, prod)
             if right is not None:
                 prod = self.elem_mul(prod, right)
-            col = self.block_coords(prod, *tgt)
-            for i in range(rows):
-                out.data[i][j] = col[i]
+            for k, v in prod.items():
+                if k not in index:
+                    raise ValueError(f"element not supported on block {tgt}")
+                out.data[index[k]][j] = v
         return out
 
     # -- distinguished modules ---------------------------------------------
@@ -304,11 +297,8 @@ class BoundQuiverAlgebra(ElementArithmetic):
         return self._inj_cache[v]
 
     def simple(self, v: int) -> "QuiverRep":
-        dims = {u: (1 if u == v else 0) for u in self.vertex_ids()}
-        maps = {
-            a.id: ExactMatrix(dims[a.src], dims[a.tgt]) for a in self.quiver.arrows
-        }
-        return QuiverRep(self, dims, maps, check=False)
+        # the arrow maps are zero; QuiverRep fills them in
+        return QuiverRep(self, {v: 1}, {}, check=False)
 
 
 class BudgetError(RuntimeError):
@@ -455,18 +445,33 @@ class _Tower:
         return [(self.layers[degree][u][idx], c) for (u, idx), c in vec.items()]
 
 
+@cache
+def _empty_map(rows: int, cols: int) -> ExactMatrix:
+    """The one entry-less rows x cols matrix (rows or cols is 0) that every
+    missing arrow map of that shape shares; having no entries, it cannot be
+    written into."""
+    return ExactMatrix(rows, cols)
+
+
 class QuiverRep:
-    """Right module: fibers per vertex, right arrow action target -> source."""
+    """Right module: fibers per vertex, right arrow action target -> source.
+
+    A missing arrow map is zero; out of or into a zero fiber it is a shared
+    entry-less matrix, so treat arrow maps as read-only."""
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims: dict, maps: dict, check=True):
         self.algebra = algebra
-        self.dims = {v: int(dims.get(v, 0)) for v in algebra.vertex_ids()}
+        self.dims = dims = {v: dims.get(v, 0) for v in algebra.vertex_ids()}
+        if not set(map(type, dims.values())) <= {int} or min(dims.values(), default=0) < 0:
+            v, k = next((v, k) for v, k in dims.items() if type(k) is not int or k < 0)
+            raise ValueError(f"fiber dimension at vertex {v} is not a natural number: {k!r}")
         self.maps = {}
         for a in algebra.quiver.arrows:
+            rows, cols = dims[a.src], dims[a.tgt]
             m = maps.get(a.id)
             if m is None:
-                m = ExactMatrix(self.dims[a.src], self.dims[a.tgt])
-            if (m.rows, m.cols) != (self.dims[a.src], self.dims[a.tgt]):
+                m = ExactMatrix(rows, cols) if rows and cols else _empty_map(rows, cols)
+            elif m.rows != rows or m.cols != cols:
                 raise ValueError(f"map for arrow {a.id} has wrong shape")
             self.maps[a.id] = m
         if check:
@@ -477,14 +482,17 @@ class QuiverRep:
         return sum(self.dims.values())
 
     def path_action(self, path: tuple[int, ...]) -> ExactMatrix:
-        """Matrix of the right action of a path, target fiber to source fiber."""
-        quiver = self.algebra.quiver
-        src, tgt = quiver.path_endpoints(path)
-        m = ExactMatrix.identity(self.dims[tgt])
-        for aid in reversed(path):
-            m = self.maps[aid].matmul(m)
-        assert m.rows == self.dims[src]
-        return m
+        """Matrix of the right action of a path, target fiber to source fiber.
+
+        Always a fresh matrix, zero at once when the path meets a zero fiber."""
+        src, tgt = self.algebra.quiver.path_endpoints(path)
+        mats = [self.maps[aid] for aid in path]
+        if not all(m.rows and m.cols for m in mats):
+            return ExactMatrix(self.dims[src], self.dims[tgt])
+        out = mats[-1].copy() if len(mats) == 1 else mats[-1]
+        for m in reversed(mats[:-1]):
+            out = m.matmul(out)
+        return out
 
     def basis_action(self, bid: int) -> ExactMatrix:
         """Right action of the basis element ``bid`` of e_tgt A e_src, from the
@@ -521,7 +529,7 @@ class QuiverRep:
             if not acc.is_zero():
                 raise ValueError(f"relation {r} does not vanish on the representation")
 
-    def radical_fibers(self) -> dict[int, list[list[Fraction]]]:
+    def radical_fibers(self) -> dict[int, list[list]]:
         """Spanning vectors of (M rad)_v = sum of images of outgoing arrows."""
         rad = {v: [] for v in self.dims}
         for a in self.algebra.quiver.arrows:
@@ -628,6 +636,8 @@ def direct_sum(reps: list[QuiverRep]) -> QuiverRep:
     dims = {v: sum(r.dims[v] for r in reps) for v in alg.vertex_ids()}
     maps = {}
     for a in alg.quiver.arrows:
+        if not (dims[a.src] and dims[a.tgt]):
+            continue  # QuiverRep fills in the shared empty map
         m = ExactMatrix(dims[a.src], dims[a.tgt])
         ro = co = 0
         for r in reps:

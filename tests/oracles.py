@@ -29,7 +29,12 @@ query at a time, against which the label-triple checks of
 one shift at a time, against which ``hom_complex_dims`` is compared, and
 the projective-replacement engine that sweeps every vertex and every arrow
 in each degree, against which the support-restricted
-``hatilt.complexes._replace`` is compared.
+``hatilt.complexes._replace`` is compared.  Last come the element route of
+the block-coordinate kernels: block coordinates of an element, the action of
+a basis element on a fiber of a sum of projectives and the multiplication
+matrices, each through algebra elements, and the action of a path as the
+identity times each arrow matrix, against which ``_act``, ``mult_matrix``
+and ``path_action`` are compared.
 """
 
 import math
@@ -781,5 +786,56 @@ def _act_on_elements(alg, elems, b, y, labels):
     """Fiber coordinates at y of the summandwise products elems[t] . b."""
     out = []
     for e, w in zip(elems, labels):
-        out.extend(alg.block_coords(alg.elem_mul(e, b), y, w))
+        out.extend(block_coords(alg, alg.elem_mul(e, b), y, w))
     return out
+
+
+def block_coords(alg, elem: dict, src: int, tgt: int) -> list:
+    """The exact scalars of ``elem`` in the basis of the block (src, tgt);
+    raises ValueError if it has a nonzero entry outside that block."""
+    ids = alg.blocks.get((src, tgt), [])
+    index = alg._block_index.get((src, tgt), {})
+    vec = [ZERO] * len(ids)
+    for k, v in elem.items():
+        if v == 0:
+            continue
+        if k not in index:
+            raise ValueError(f"element not supported on block ({src}, {tgt})")
+        vec[index[k]] = v
+    return vec
+
+
+def act_by_elements(alg, vec, x, bid, y, labels):
+    """``hatilt.complexes._act`` through algebra elements: split vec into one
+    element per summand, multiply each by the basis element, read the
+    products back in block coordinates."""
+    return _act_on_elements(alg, _split(alg, vec, x, labels), alg.basis_elem(bid), y, labels)
+
+
+def mult_matrix_by_elements(alg, src, tgt, left=None, right=None) -> ExactMatrix:
+    """``BoundQuiverAlgebra.mult_matrix`` one product element at a time, each
+    column read back through ``block_coords``."""
+    src_ids = alg.blocks.get(src, [])
+    rows = len(alg.blocks.get(tgt, []))
+    out = ExactMatrix(rows, len(src_ids))
+    for j, bid in enumerate(src_ids):
+        prod = alg.basis_elem(bid)
+        if left is not None:
+            prod = alg.elem_mul(left, prod)
+        if right is not None:
+            prod = alg.elem_mul(prod, right)
+        col = block_coords(alg, prod, *tgt)
+        for i in range(rows):
+            out.data[i][j] = col[i]
+    return out
+
+
+def path_action_by_identity(M: QuiverRep, path) -> ExactMatrix:
+    """``QuiverRep.path_action`` as the identity at the path's target
+    multiplied by every arrow matrix in turn."""
+    src, tgt = M.algebra.quiver.path_endpoints(path)
+    m = ExactMatrix.identity(M.dims[tgt])
+    for aid in reversed(path):
+        m = M.maps[aid].matmul(m)
+    assert m.rows == M.dims[src]
+    return m

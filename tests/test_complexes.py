@@ -5,6 +5,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    act_by_elements,
     check_associative,
     complexes_isomorphic,
     derived_nakayama_inverse,
@@ -223,7 +224,12 @@ class TestReplaceSupport:
     def test_work_on_interval_modules_at_3_4(self, monkeypatch):
         # the same eliminations as the all-vertex sweep, which also makes 1380
         # nullspace and 1895 rref calls here, and fewer products: it makes
-        # 1274 elem_mul calls, most of them for fibers that are zero
+        # 1274 elem_mul calls, most of them for fibers that are zero.  The
+        # engine multiplies in block coordinates straight from the structure
+        # constants; its 70 elem_mul calls are the d^2 = 0 checks of the
+        # resolutions.  Of the 4455 matrices it builds, only the 70 identities
+        # of degree-zero actions go through the checking constructor; the
+        # rest are rows it built itself (5125 checked constructions before).
         modules = resolution_test_modules("interval")
         calls = Counter()
 
@@ -239,9 +245,46 @@ class TestReplaceSupport:
         count(ExactMatrix, "nullspace")
         count(ExactMatrix, "rref")
         count(ElementArithmetic, "elem_mul")
+        count(ExactMatrix, "__init__")
+        count(ExactMatrix, "_adopt")
         for alg, M in modules:
             minimal_proj_resolution(alg, M)
-        assert calls == {"nullspace": 1380, "rref": 1895, "elem_mul": 754}
+        assert calls == {
+            "nullspace": 1380,
+            "rref": 1895,
+            "elem_mul": 70,
+            "__init__": 70,
+            "_adopt": 4385,
+        }
+
+
+class TestBlockKernel:
+    """``_act`` multiplies in block coordinates straight from the structure
+    constants; the element route it replaced must give the same coordinates,
+    each of the same type, on every input the resolutions reach."""
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
+    @pytest.mark.parametrize("name", ["B0", "B", "Lambda"])
+    def test_act_matches_the_element_route(self, d, n, name, monkeypatch):
+        import hatilt.complexes
+
+        alg = model_presentation(d, n, name)
+        act = hatilt.complexes._act
+        inputs = set()
+
+        def checked(alg, vec, x, bid, y, labels):
+            out = act(alg, vec, x, bid, y, labels)
+            expected = act_by_elements(alg, vec, x, bid, y, labels)
+            assert [(type(c), c) for c in out] == [(type(c), c) for c in expected]
+            inputs.add((bid, tuple(labels)))
+            return out
+
+        monkeypatch.setattr(hatilt.complexes, "_act", checked)
+        for v in alg.vertex_ids():
+            for M in (alg.simple(v), alg.injective(v)):
+                minimal_proj_resolution(alg, M)
+        # every arrow acts on some degree's cone
+        assert {alg.arrow_elem[a.id] for a in alg.quiver.arrows} <= {bid for bid, _ in inputs}
 
 
 class TestExt:

@@ -69,6 +69,13 @@ class TestEntriesAndAliasing:
         with pytest.raises(TypeError):
             ExactMatrix.identity(1).solve([0.5])
 
+    @pytest.mark.parametrize("rows, cols", [(-1, 2), (2, -1)])
+    def test_negative_shapes_are_refused(self, rows, cols):
+        with pytest.raises(ValueError, match="negative shape"):
+            ExactMatrix(rows, cols)
+        with pytest.raises(ValueError, match="negative shape"):
+            ExactMatrix(rows, cols, [])
+
     def test_rows_are_not_shared_with_the_input(self):
         rows = [[F(1), F(2)], [F(3), F(4)]]
         m = ExactMatrix(2, 2, rows)

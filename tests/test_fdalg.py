@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from functools import cache
 
@@ -427,6 +428,22 @@ class TestIsoTest:
         a2 = path_algebra([(0, 1), (1, 2), (1, 2)])
         assert a1.dim == a2.dim == 8
         assert iso_test(a1, a2) is None
+
+    def test_leaves_no_cyclic_garbage(self):
+        # a recursive search closure would be a reference cycle of the
+        # function and its cells, freed only by a full collection
+        B = ModelData(3, 2, VerifyConfig()).b_replicated()
+        assert iso_test(B, B) is not None
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert iso_test(B, B) is not None
+            gc.collect()
+            kinds = {type(o).__name__ for o in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert not kinds & {"function", "cell"}
 
     def test_presents_only_the_first_algebra(self, monkeypatch):
         import hatilt.fdalg

@@ -3,7 +3,13 @@ import re
 from fractions import Fraction
 
 import pytest
-from oracles import dual_module, hom_space, opposite
+from oracles import (
+    dual_module,
+    hom_space,
+    mult_matrix_by_elements,
+    opposite,
+    path_action_by_identity,
+)
 
 from hatilt.complexes import _realize_entry
 from hatilt.exactmat import ExactMatrix
@@ -20,6 +26,7 @@ from hatilt.quiveralg import (
     relation,
     vertex_of_entries,
 )
+from hatilt.verify import ModelData, VerifyConfig
 
 
 def linear_quiver(k):
@@ -375,3 +382,102 @@ class TestKernelAndSums:
         alg = build_linear(3)
         total = direct_sum([alg.projective(0), alg.projective(2)])
         assert total.total_dim == alg.projective(0).total_dim + alg.projective(2).total_dim
+
+
+def typed(m: ExactMatrix):
+    """The shape and entries of m, each entry with its type: an int and an
+    equal Fraction differ here."""
+    return m.rows, m.cols, [[(type(x), x) for x in row] for row in m.data]
+
+
+def modules_at(d, n):
+    """Interval modules over A, and the projectives and injectives of A and of
+    the presented B0, B and Lambda, at the model (d, n)."""
+    alg = build_auslander_algebra(n + 1, d)
+    out = [module_M(alg, x) for x in enumerate_os(n + 1, d + 1)]
+    model = ModelData(d, n, VerifyConfig())
+    for a in [alg] + [model.presentation(name).algebra for name in ("B0", "B", "Lambda")]:
+        for v in a.vertex_ids():
+            out += [a.projective(v), a.injective(v)]
+    return out
+
+
+class TestModuleInput:
+    @pytest.mark.parametrize("dim", [1.7, -1, Fraction(1, 2), "1"])
+    def test_impossible_fiber_dimensions_are_refused(self, dim):
+        alg = build_linear(3)
+        with pytest.raises(ValueError, match="fiber dimension at vertex 0"):
+            QuiverRep(alg, {0: dim, 1: 0, 2: 0}, {})
+
+    def test_supplied_maps_keep_their_shape_check(self):
+        alg = build_linear(2)
+        with pytest.raises(ValueError, match="map for arrow 0 has wrong shape"):
+            QuiverRep(alg, {0: 1, 1: 1}, {0: ExactMatrix(1, 2)})
+
+    def test_missing_maps_at_zero_fibers_share_one_empty_matrix(self):
+        alg = build_linear(3)
+        s0, s2 = alg.simple(0), alg.simple(2)
+        # arrow 0 runs 0 -> 1, arrow 1 runs 1 -> 2
+        assert s0.maps[0] is alg.simple(0).maps[0]
+        assert s0.maps[1] is not s0.maps[0]
+        assert s0.maps[1] is s2.maps[0]  # both 0 x 0
+        assert (s0.maps[0].rows, s0.maps[0].cols, s0.maps[0].data) == (1, 0, [[]])
+        # a missing map between nonzero fibers is a fresh zero matrix
+        ms = [QuiverRep(alg, {0: 1, 1: 1}, {}).maps[0] for _ in range(2)]
+        assert ms[0] == ms[1] == ExactMatrix(1, 1) and ms[0] is not ms[1]
+
+
+class TestActionKernels:
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
+    def test_path_action_matches_the_identity_chain(self, d, n):
+        checked = 0
+        for M in modules_at(d, n):
+            for b in M.algebra.basis:
+                if b.degree:
+                    new = M.path_action(b.path)
+                    assert typed(new) == typed(path_action_by_identity(M, b.path))
+                    checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
+    def test_mult_matrix_matches_the_element_route(self, d, n):
+        model = ModelData(d, n, VerifyConfig())
+        for name in ("B0", "B", "Lambda"):
+            alg = model.presentation(name).algebra
+            for b in alg.basis:
+                elem = alg.basis_elem(b.id)
+                for y in alg.vertex_ids():
+                    # b . (e_y A e_src) and (e_tgt A e_y) . b
+                    for src, tgt, side in [
+                        ((y, b.src), (y, b.tgt), {"left": elem}),
+                        ((b.tgt, y), (b.src, y), {"right": elem}),
+                    ]:
+                        new = alg.mult_matrix(src, tgt, **side)
+                        assert typed(new) == typed(mult_matrix_by_elements(alg, src, tgt, **side))
+
+    def test_mult_matrix_refuses_a_product_outside_the_target_block(self):
+        alg = build_linear(3)
+        arrow = alg.basis_elem(alg.arrow_elem[0])  # 0 -> 1
+        assert alg.mult_matrix((0, 0), (0, 1), left=arrow) == ExactMatrix(1, 1, [[1]])
+        with pytest.raises(ValueError, match=r"not supported on block \(0, 2\)"):
+            alg.mult_matrix((0, 0), (0, 2), left=arrow)
+        # also when the target block is empty: a0 a1 = 0 here
+        alg = build_linear(3, rad_power=2)
+        assert alg.blocks.get((0, 2)) is None
+        with pytest.raises(ValueError, match=r"not supported on block \(0, 2\)"):
+            alg.mult_matrix((0, 0), (0, 2), left=alg.basis_elem(alg.arrow_elem[0]))
+
+    def test_results_are_fresh(self):
+        alg = build_auslander_algebra(3, 2)
+        M = module_M(alg, OrderedSeq(3, 3, (1, 3, 5)))
+        before = {aid: m.copy() for aid, m in M.maps.items()}
+        one = next(a.id for a in alg.quiver.arrows if M.dims[a.src] and M.dims[a.tgt])
+        deg0 = alg.idempotent_of[alg.quiver.arrow_by_id[one].src]
+        for m in (M.path_action((one,)), M.basis_action(alg.arrow_elem[one]), M.basis_action(deg0)):
+            m.data[0][0] = 7
+        assert M.maps == before
+        m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        for out in (m.copy(), m.transpose()):
+            out.data[0][0] = 9
+            out.data[1] = [0] * out.cols
+        assert m.data == [[1, 2, 3], [4, 5, 6]]
