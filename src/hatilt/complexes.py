@@ -9,13 +9,16 @@ algebra-block coordinates rather than on realized fibers.
 The Serre twist is implemented structurally: a complex of projectives is
 reinterpreted termwise as a complex of injectives carrying the same entry
 data, realised as a complex of modules, and traded back for a
-quasi-isomorphic complex of projectives.  One engine does that replacement
-and also computes minimal projective resolutions (the one-term case): going
-down from the top degree, each term is the projective cover of the cycles
-of the cone of the map built so far, read off as a nullspace in block
-coordinates at the vertices where the cone lives, since its cycles vanish
-elsewhere.  Minimisation strips contractible two-term blocks by
-Gaussian elimination with entries inverted through the radical filtration.
+quasi-isomorphic complex of projectives.  The realisation builds each
+differential only at the vertices where both its fibers are nonzero.  One
+engine does the replacement and also computes minimal projective
+resolutions (the one-term case): going down from the top degree, each term
+is the projective cover of the cycles of the cone of the map built so far,
+read off as a nullspace in block coordinates at the vertices where the cone
+lives, since its cycles vanish elsewhere.  Where that nullspace is forced,
+the standard basis or zero, it is written down without elimination.
+Minimisation strips contractible two-term blocks by Gaussian elimination
+with entries inverted through the radical filtration.
 
 On top of this live the routines that know nothing of a particular
 model: global and dominant dimension, projective-injective vertices, the
@@ -29,11 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactmat import ExactMatrix, ZERO, exact_div, extend_basis
+from .exactmat import ExactMatrix, ONE, ZERO, exact_div, extend_basis
 from .quiveralg import (
     BoundQuiverAlgebra,
     BudgetError,
     QuiverRep,
+    _empty_map,
     direct_sum,
 )
 from .fdalg import FDAlgebra
@@ -421,19 +425,22 @@ def realize_term(alg, vertex, kind):
     return alg.projective(vertex) if kind == "proj" else alg.injective(vertex)
 
 
-def _realize_entry(alg, elem, u, v, kind):
-    """Per-vertex matrices of the morphism P_u -> P_v (or I_u -> I_v) at elem."""
-    if kind == "proj":
-        # left multiplication e_y A e_u -> e_y A e_v
-        return {y: alg.mult_matrix((y, u), (y, v), left=elem) for y in alg.vertex_ids()}
-    # right multiplication e_v A e_y -> e_u A e_y on the dual fibers, dualised
-    return {
-        y: alg.mult_matrix((v, y), (u, y), right=elem).transpose() for y in alg.vertex_ids()
-    }
-
-
 def realize_complex(X: ProjComplex) -> ModuleComplex:
+    """The complex of modules X stands for: P_v (or I_v) for each summand,
+    and per vertex y the block matrix of each differential.
+
+    An entry e in e_v A e_u, from a summand at u to one at v, acts at y on
+    the fiber e_y A e_u of P_u by left multiplication b -> e.b into
+    e_y A e_v, and on the fiber D(e_u A e_y) of I_u by the dual of right
+    multiplication b -> b.e from e_v A e_y.  A differential is built only at
+    the vertices where both its fibers are nonzero, and only from the nonzero
+    entries and the basis elements of their nonempty blocks: every other
+    product is zero.  At every other vertex it is the shared entry-less
+    matrix of its shape.
+    """
     alg = X.algebra
+    proj = X.kind == "proj"
+    mult, blocks, block_index = alg.mult, alg.blocks, alg._block_index
     # ProjComplex keeps no empty terms, so every sum has a summand
     terms = {
         m: direct_sum([realize_term(alg, v, X.kind) for v in vs]) for m, vs in X.terms.items()
@@ -441,36 +448,38 @@ def realize_complex(X: ProjComplex) -> ModuleComplex:
     maps = {}
     for m, rows in X.diffs.items():
         src_vs, tgt_vs = X.terms[m], X.terms[m + 1]
-        entries = [
-            [_realize_entry(alg, rows[t][s], us, vt, X.kind) for s, us in enumerate(src_vs)]
-            for t, vt in enumerate(tgt_vs)
-        ]
-        maps[m] = {
-            y: _assemble_blocks([[e[y] for e in row] for row in entries])
-            for y in alg.vertex_ids()
-        }
+        src, tgt = terms[m].dims, terms[m + 1].dims
+        maps[m] = phi = {}
+        for y in alg.vertex_ids():
+            if not (src[y] and tgt[y]):
+                phi[y] = _empty_map(tgt[y], src[y])
+                continue
+            out = [[ZERO] * src[y] for _ in range(tgt[y])]
+            r0 = 0
+            for t, v in enumerate(tgt_vs):
+                tgt_block = (y, v) if proj else (v, y)
+                c0 = 0
+                for s, u in enumerate(src_vs):
+                    src_block = (y, u) if proj else (u, y)
+                    elem = rows[t][s]
+                    if elem and proj:
+                        index = block_index.get(tgt_block, {})
+                        for j, b in enumerate(blocks.get(src_block, ())):
+                            for i, c in elem.items():
+                                for k, ck in mult.get((i, b), {}).items():
+                                    out[r0 + index[k]][c0 + j] += c * ck
+                    elif elem:
+                        index = block_index.get(src_block, {})
+                        for j, b in enumerate(blocks.get(tgt_block, ())):
+                            for i, c in elem.items():
+                                for k, ck in mult.get((b, i), {}).items():
+                                    out[r0 + j][c0 + index[k]] += c * ck
+                    c0 += len(blocks.get(src_block, ()))
+                r0 += len(blocks.get(tgt_block, ()))
+            phi[y] = ExactMatrix._adopt(tgt[y], src[y], out)
     mc = ModuleComplex(alg, terms, maps)
     mc.check()
     return mc
-
-
-def _assemble_blocks(blocks):
-    if not blocks or not blocks[0]:
-        return ExactMatrix(0, 0)
-    row_sizes = [blocks[t][0].rows for t in range(len(blocks))]
-    col_sizes = [blocks[0][s].cols for s in range(len(blocks[0]))]
-    out = ExactMatrix(sum(row_sizes), sum(col_sizes))
-    r0 = 0
-    for t, rs in enumerate(row_sizes):
-        c0 = 0
-        for s, cs in enumerate(col_sizes):
-            block = blocks[t][s]
-            for i in range(rs):
-                for j in range(cs):
-                    out.data[r0 + i][c0 + j] = block.data[i][j]
-            c0 += cs
-        r0 += rs
-    return out
 
 
 def _replace(C: ModuleComplex, max_len, label):
@@ -495,7 +504,15 @@ def _replace(C: ModuleComplex, max_len, label):
     columns, so Z^m_y = 0.  Radical rows come from the arrows between vertices
     where Z^m is nonzero, and _top's pivots depend only on their row space.
     Cover columns are built wherever Q^m is nonzero, of length zero where
-    Z^m_y = 0: their number sizes Q^m in the next degree.
+    Z^m_y = 0: their number sizes Q^m in the next degree.  Each generator
+    P_v reaches only the vertices y with e_y A e_v != 0 (``_blocks_into``).
+
+    Two kernels are forced and need no elimination.  Where Z^{m+1}_y = 0,
+    [cover | -d_C] has no rows, so every column is a cycle and the kernel is
+    the standard basis, the basis nullspace returns.  Where C^m_y = 0 and
+    the cover has as many columns as Z^{m+1}_y has dimensions, the kernel is
+    0: the top generators generate Z^{m+1} (Nakayama's lemma), so the cover
+    Q^{m+1}_y -> Z^{m+1}_y is onto, and a square onto map is injective.
     """
     alg = C.algebra
     degs = [m for m in C.degrees() if C.terms[m].total_dim > 0]
@@ -526,13 +543,18 @@ def _replace(C: ModuleComplex, max_len, label):
         for y in alg.vertex_ids():
             if y not in cover and not cdims[y]:
                 continue
-            f = free.get(y, [])
-            cols = cover.get(y, []) + [
-                [-dC[y].data[i - nq[y]][j] if dC is not None and i >= nq[y] else ZERO for i in f]
-                for j in range(cdims[y])
-            ]
-            if ks := _from_columns(len(f), cols).nullspace():
-                kernel[y] = ks
+            f, qy = free.get(y, []), cover.get(y, [])
+            if not f:  # every column is a cycle
+                width = len(qy) + cdims[y]
+                kernel[y] = [[ONE if i == j else ZERO for i in range(width)] for j in range(width)]
+            elif cdims[y] or len(qy) != len(f):
+                cols = qy + [
+                    [-dC[y].data[i - nq[y]][j] if dC is not None and i >= nq[y] else ZERO for i in f]
+                    for j in range(cdims[y])
+                ]
+                if ks := _from_columns(len(f), cols).nullspace():
+                    kernel[y] = ks
+            # else the cover is onto and square, so its kernel is 0
         nq = {y: len(cover.get(y, [])) for y in kernel}
         free = {y: [max(i for i, x in enumerate(k) if x) for k in ks] for y, ks in kernel.items()}
         rad = {y: [] for y in kernel}
@@ -555,10 +577,14 @@ def _replace(C: ModuleComplex, max_len, label):
                 diffs[m] = [[s[t] for s in split] for t in range(len(labels))]
         cover = {}
         for v, g in gens:
-            for y in alg.vertex_ids():
-                for bid in alg.blocks.get((y, v), []):
-                    img = image(g, bid, y) if y in free else []
-                    cover.setdefault(y, []).append([img[i] for i in free.get(y, [])])
+            for y, ids in alg._blocks_into[v]:
+                cols = cover.setdefault(y, [])
+                if y not in free:
+                    cols.extend([] for _ in ids)
+                    continue
+                for bid in ids:
+                    img = image(g, bid, y)
+                    cols.append([img[i] for i in free[y]])
         labels = [v for v, _ in top]
         m -= 1
     return terms, diffs, psi

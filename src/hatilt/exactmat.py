@@ -121,16 +121,20 @@ class ExactMatrix:
                     b = other_row[j]
                     if b != 0:
                         out_row[j] += a * b
+            if type(sum(out_row)) is not int:  # a Fraction touched the row
+                out[i] = _exact_row(out_row)
         return ExactMatrix._adopt(self.rows, other.cols, out)
 
     def apply(self, vec: list) -> list:
         """The exact scalars of ``self . vec``."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return [
+        out = [
             sum((row[j] * vec[j] for j in range(self.cols) if vec[j] != 0), ZERO)
             for row in self.data
         ]
+        # a sum is an int unless a Fraction took part in it
+        return out if type(sum(out)) is int else _exact_row(out)
 
     def add(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -148,27 +152,38 @@ class ExactMatrix:
         )
 
     def rref(self) -> tuple["ExactMatrix", list[int]]:
-        """Reduced row echelon form and its pivot columns."""
-        m = self.copy()
+        """Reduced row echelon form and its pivot columns.
+
+        Rows are only ever swapped or replaced by new lists, never written
+        into, so eliminating on a shallow copy of the row list leaves ``self``
+        unchanged; the result may share untouched rows with it.  A row update
+        ``a - f * b`` of exact scalars by an int ``f`` and an all-int pivot
+        row is exact again, so only updates a Fraction takes part in are
+        normalised.
+        """
+        rows = list(self.data)
         pivots = []
         r = 0
-        for c in range(m.cols):
-            pivot_row = next((i for i in range(r, m.rows) if m.data[i][c] != 0), None)
+        for c in range(self.cols):
+            pivot_row = next((i for i in range(r, self.rows) if rows[i][c] != 0), None)
             if pivot_row is None:
                 continue
-            m.data[r], m.data[pivot_row] = m.data[pivot_row], m.data[r]
-            pv = m.data[r][c]
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            pv = rows[r][c]
             if pv != 1:
-                m.data[r] = [exact_div(x, pv) for x in m.data[r]]
-            for i in range(m.rows):
-                if i != r and m.data[i][c] != 0:
-                    f = m.data[i][c]
-                    m.data[i] = [a - f * b for a, b in zip(m.data[i], m.data[r])]
+                rows[r] = [exact_div(x, pv) for x in rows[r]]
+            pivot = rows[r]
+            plain = type(sum(pivot)) is int  # a sum is an int unless a Fraction took part
+            for i in range(self.rows):
+                if i != r and rows[i][c] != 0:
+                    f = rows[i][c]
+                    new = [a - f * b for a, b in zip(rows[i], pivot)]
+                    rows[i] = new if plain and type(f) is int else _exact_row(new)
             pivots.append(c)
             r += 1
-            if r == m.rows:
+            if r == self.rows:
                 break
-        return m, pivots
+        return ExactMatrix._adopt(self.rows, self.cols, rows), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

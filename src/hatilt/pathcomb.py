@@ -364,12 +364,13 @@ def strip_sequence(window, d: int, n: int) -> list[LatticePath]:
         raise ValueError(f"window {window} not strictly increasing")
     if window[0] < 1 or window[-1] > n + d + 1:
         raise ValueError(f"window {window} out of range [1, {n + d + 1}]")
-    out = []
-    for j in range(d + 2):
-        omit = d + 1 - j  # 0-based index of the omitted entry
-        entries = window[:omit] + window[omit + 1 :]
-        out.append(path_from_entries(d + 1, n, entries))
-    return out
+    return [_strip_term(window, j, d, n) for j in range(d + 2)]
+
+
+def _strip_term(window: tuple, j: int, d: int, n: int) -> LatticePath:
+    """Entry j of ``strip_sequence(window, d, n)``, for a window it accepts."""
+    omit = d + 1 - j  # 0-based index of the omitted entry
+    return path_from_entries(d + 1, n, window[:omit] + window[omit + 1 :])
 
 
 def resolving_sequence(path: LatticePath) -> tuple[tuple[int, ...], int]:
@@ -399,10 +400,16 @@ def resolving_sequence(path: LatticePath) -> tuple[tuple[int, ...], int]:
 
 
 def _window_resolves(window, position, d, n, data: AnchorData) -> bool:
-    for j, term in enumerate(strip_sequence(window, d, n)):
+    """Whether every strip term but the resolved path has a smaller key.
+
+    ``window`` is the d+1 labels of a path with one more label inserted, so
+    ``strip_sequence`` accepts it; each term is built only when it is read,
+    and the first term that fails ends the test.
+    """
+    for j in range(d + 2):
         if d + 2 - j == position:
             continue  # the path being resolved
-        term_data = anchor_data(term)
+        term_data = anchor_data(_strip_term(window, j, d, n))
         if term_data.h > data.h:
             continue
         if term_data.h == data.h and term_data.mu < data.mu:

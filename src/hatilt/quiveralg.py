@@ -184,8 +184,14 @@ class BoundQuiverAlgebra(ElementArithmetic):
             (src, tgt): {bid: k for k, bid in enumerate(ids)}
             for (src, tgt), ids in self.blocks.items()
         }
-        self._proj_cache: dict[int, QuiverRep] = {}
-        self._inj_cache: dict[int, QuiverRep] = {}
+        # the nonempty blocks e_y A e_v into each vertex v, as (y, ids)
+        self._blocks_into: dict[int, list[tuple[int, list[int]]]] = {}
+        for (src, tgt), ids in self.blocks.items():
+            self._blocks_into.setdefault(tgt, []).append((src, ids))
+        # (dims, maps) of the modules built so far; holding no module, they
+        # make no reference cycle through the algebra
+        self._proj_cache: dict[int, tuple[dict, dict]] = {}
+        self._inj_cache: dict[int, tuple[dict, dict]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -278,8 +284,9 @@ class BoundQuiverAlgebra(ElementArithmetic):
                 )
                 for a in self.quiver.arrows
             }
-            self._proj_cache[v] = QuiverRep(self, dims, maps, check=False)
-        return self._proj_cache[v]
+            P = QuiverRep(self, dims, maps, check=False)
+            self._proj_cache[v] = P.dims, P.maps
+        return QuiverRep._adopt(self, *self._proj_cache[v])
 
     def injective(self, v: int) -> "QuiverRep":
         """Dual of the opposite projective: fiber at y is the dual of paths v -> y."""
@@ -293,8 +300,9 @@ class BoundQuiverAlgebra(ElementArithmetic):
                 ).transpose()
                 for a in self.quiver.arrows
             }
-            self._inj_cache[v] = QuiverRep(self, dims, maps, check=False)
-        return self._inj_cache[v]
+            I = QuiverRep(self, dims, maps, check=False)
+            self._inj_cache[v] = I.dims, I.maps
+        return QuiverRep._adopt(self, *self._inj_cache[v])
 
     def simple(self, v: int) -> "QuiverRep":
         # the arrow maps are zero; QuiverRep fills them in
@@ -476,6 +484,15 @@ class QuiverRep:
             self.maps[a.id] = m
         if check:
             self.check_relations()
+
+    @staticmethod
+    def _adopt(algebra: BoundQuiverAlgebra, dims: dict, maps: dict) -> "QuiverRep":
+        """The module over ``algebra`` that shares ``dims`` and ``maps``, a
+        complete fiber and arrow-map table of a module built in this package;
+        neither copied nor checked."""
+        rep = object.__new__(QuiverRep)
+        rep.algebra, rep.dims, rep.maps = algebra, dims, maps
+        return rep
 
     @property
     def total_dim(self) -> int:

@@ -34,7 +34,12 @@ the block-coordinate kernels: block coordinates of an element, the action of
 a basis element on a fiber of a sum of projectives and the multiplication
 matrices, each through algebra elements, and the action of a path as the
 identity times each arrow matrix, against which ``_act``, ``mult_matrix``
-and ``path_action`` are compared.
+and ``path_action`` are compared.  The entry-wise builder of module
+complexes, one multiplication matrix per entry and vertex assembled into
+blocks, is what the support-restricted ``realize_complex`` is compared
+against, and the resolving-window search that builds every strip term
+before reading one is what the lazy ``resolving_sequence`` is compared
+against.
 """
 
 import math
@@ -67,12 +72,14 @@ from hatilt.complexes import (
     proj_replace,
     projective_injective_vertices,
     realize_complex,
+    realize_term,
 )
 from hatilt.exactmat import ZERO, ExactMatrix, extend_basis, span_basis
 from hatilt.pathcomb import (
     AnchorData,
     GridPoint,
     LatticePath,
+    anchor_data,
     base_path,
     below,
     coords,
@@ -82,6 +89,7 @@ from hatilt.pathcomb import (
     preceq,
     region_paths,
     rotate_pow,
+    strip_sequence,
 )
 from hatilt.quiveralg import (
     Arrow,
@@ -91,6 +99,7 @@ from hatilt.quiveralg import (
     Quiver,
     QuiverRep,
     Relation,
+    direct_sum,
 )
 
 
@@ -839,3 +848,91 @@ def path_action_by_identity(M: QuiverRep, path) -> ExactMatrix:
         m = M.maps[aid].matmul(m)
     assert m.rows == M.dims[src]
     return m
+
+
+def _realize_entry(alg, elem, u, v, kind):
+    """Per-vertex matrices of the morphism P_u -> P_v (or I_u -> I_v) at elem."""
+    if kind == "proj":
+        # left multiplication e_y A e_u -> e_y A e_v
+        return {y: alg.mult_matrix((y, u), (y, v), left=elem) for y in alg.vertex_ids()}
+    # right multiplication e_v A e_y -> e_u A e_y on the dual fibers, dualised
+    return {
+        y: alg.mult_matrix((v, y), (u, y), right=elem).transpose() for y in alg.vertex_ids()
+    }
+
+
+def _assemble_blocks(blocks):
+    if not blocks or not blocks[0]:
+        return ExactMatrix(0, 0)
+    row_sizes = [blocks[t][0].rows for t in range(len(blocks))]
+    col_sizes = [blocks[0][s].cols for s in range(len(blocks[0]))]
+    out = ExactMatrix(sum(row_sizes), sum(col_sizes))
+    r0 = 0
+    for t, rs in enumerate(row_sizes):
+        c0 = 0
+        for s, cs in enumerate(col_sizes):
+            block = blocks[t][s]
+            for i in range(rs):
+                for j in range(cs):
+                    out.data[r0 + i][c0 + j] = block.data[i][j]
+            c0 += cs
+        r0 += rs
+    return out
+
+
+def realize_complex_by_entries(X: ProjComplex) -> ModuleComplex:
+    """``hatilt.complexes.realize_complex`` one entry and one vertex at a
+    time: a multiplication matrix for every entry at every vertex, zero
+    entries and empty blocks included, assembled into block matrices."""
+    alg = X.algebra
+    terms = {
+        m: direct_sum([realize_term(alg, v, X.kind) for v in vs]) for m, vs in X.terms.items()
+    }
+    maps = {}
+    for m, rows in X.diffs.items():
+        src_vs, tgt_vs = X.terms[m], X.terms[m + 1]
+        entries = [
+            [_realize_entry(alg, rows[t][s], us, vt, X.kind) for s, us in enumerate(src_vs)]
+            for t, vt in enumerate(tgt_vs)
+        ]
+        maps[m] = {
+            y: _assemble_blocks([[e[y] for e in row] for row in entries])
+            for y in alg.vertex_ids()
+        }
+    mc = ModuleComplex(alg, terms, maps)
+    mc.check()
+    return mc
+
+
+def resolving_sequence_eager(path: LatticePath) -> tuple[tuple[int, ...], int]:
+    """``hatilt.pathcomb.resolving_sequence`` with every window's d+2 strip
+    terms built by ``strip_sequence`` before the first is read."""
+    d = path.d - 1
+    n = path.n
+    data = anchor_data(path)
+    if data.h < 1 or data.mu == 0:
+        raise ValueError(
+            f"precondition violated: need h >= 1 and mu > 0, got h={data.h}, mu={data.mu}"
+        )
+    own = set(coords(path).entries)
+    for v in range(1, n + d + 2):
+        if v in own:
+            continue
+        window = tuple(sorted(own | {v}))
+        position = window.index(v) + 1
+        if _window_resolves_eager(window, position, d, n, data):
+            return window, position
+    raise RuntimeError(f"no resolving insertion found for {path}")
+
+
+def _window_resolves_eager(window, position, d, n, data: AnchorData) -> bool:
+    for j, term in enumerate(strip_sequence(window, d, n)):
+        if d + 2 - j == position:
+            continue  # the path being resolved
+        term_data = anchor_data(term)
+        if term_data.h > data.h:
+            continue
+        if term_data.h == data.h and term_data.mu < data.mu:
+            continue
+        return False
+    return True

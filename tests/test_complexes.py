@@ -18,6 +18,7 @@ from oracles import (
     label_signature,
     nu_orbit_complexes,
     opposite,
+    realize_complex_by_entries,
     replace_all_vertices,
     self_injective_by_tops,
 )
@@ -76,7 +77,14 @@ from hatilt.quiveralg import (
     relation,
     vertex_of_entries,
 )
-from hatilt.verify import ModelData, VerifyConfig, claim_hom_agreement, claim_preprojective
+from hatilt.verify import (
+    CLAIM_NAMES,
+    ModelData,
+    VerifyConfig,
+    claim_hom_agreement,
+    claim_preprojective,
+    run_claims,
+)
 
 
 def linear_bqa(k, rad_power=None):
@@ -209,12 +217,40 @@ class TestReplaceSupport:
             self.assert_same(ModuleComplex(alg, {0: M}, {}))
 
     @pytest.mark.parametrize("d, n", [(3, 2), (2, 3)])
-    @pytest.mark.parametrize("name", ["B0", "B"])
+    @pytest.mark.parametrize("name", ["B0", "B", "Lambda"])
     def test_simples_and_injectives_of_presented_algebras(self, d, n, name):
         alg = model_presentation(d, n, name)
         for v in alg.vertex_ids():
             for M in (alg.simple(v), alg.injective(v)):
                 self.assert_same(ModuleComplex(alg, {0: M}, {}))
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("name", ["B", "Lambda"])
+    def test_twisted_simples_and_injectives_of_presented_algebras(
+        self, d, n, name, monkeypatch
+    ):
+        # the kernels of these resolutions are all forced; their twists live
+        # in several degrees, so some kernels, with fibers Z^{m+1}_y above
+        # dimension 1, are eliminated
+        import hatilt.complexes
+
+        alg = model_presentation(d, n, name)
+        resolutions = [
+            minimal_proj_resolution(alg, M)
+            for v in alg.vertex_ids()
+            for M in (alg.simple(v), alg.injective(v))
+        ]
+        eliminated = []
+        from_columns = hatilt.complexes._from_columns
+
+        def recorded(rows, cols):
+            eliminated.append(rows)
+            return from_columns(rows, cols)
+
+        monkeypatch.setattr(hatilt.complexes, "_from_columns", recorded)
+        for R in resolutions:
+            self.assert_same(realize_complex(as_injective_complex(R)))
+        assert max(eliminated) > 1
 
     @pytest.mark.parametrize("d, n", [(3, 2), (4, 3)])
     def test_twisted_tilting_summands(self, d, n):
@@ -222,14 +258,18 @@ class TestReplaceSupport:
             self.assert_same(realize_complex(as_injective_complex(X)))
 
     def test_work_on_interval_modules_at_3_4(self, monkeypatch):
-        # the same eliminations as the all-vertex sweep, which also makes 1380
-        # nullspace and 1895 rref calls here, and fewer products: it makes
-        # 1274 elem_mul calls, most of them for fibers that are zero.  The
-        # engine multiplies in block coordinates straight from the structure
-        # constants; its 70 elem_mul calls are the d^2 = 0 checks of the
-        # resolutions.  Of the 4455 matrices it builds, only the 70 identities
-        # of degree-zero actions go through the checking constructor; the
-        # rest are rows it built itself (5125 checked constructions before).
+        # fewer eliminations than the all-vertex sweep, which makes 1380
+        # nullspace and 1895 rref calls here: every per-vertex kernel of these
+        # resolutions is forced (no free columns, or a square cover onto
+        # Z^{m+1} where C^m is zero), so the engine calls nullspace nowhere,
+        # and its 515 rref calls are _top's.  It also makes fewer products:
+        # the sweep makes 1274 elem_mul calls, most of them for fibers that
+        # are zero.  The engine multiplies in block coordinates straight from
+        # the structure constants; its 70 elem_mul calls are the d^2 = 0
+        # checks of the resolutions.  Of the matrices it builds, only the 70
+        # identities of degree-zero actions go through the checking
+        # constructor; the rest are rows it built itself (1625 adopted, 4385
+        # before the forced kernels).
         modules = resolution_test_modules("interval")
         calls = Counter()
 
@@ -249,13 +289,57 @@ class TestReplaceSupport:
         count(ExactMatrix, "_adopt")
         for alg, M in modules:
             minimal_proj_resolution(alg, M)
-        assert calls == {
-            "nullspace": 1380,
-            "rref": 1895,
+        counted = ("nullspace", "rref", "elem_mul", "__init__", "_adopt")
+        assert {name: calls[name] for name in counted} == {
+            "nullspace": 0,
+            "rref": 515,
             "elem_mul": 70,
             "__init__": 70,
-            "_adopt": 4385,
+            "_adopt": 1625,
         }
+
+
+def realized(C):
+    """Every fiber dimension and every per-vertex matrix of a module
+    complex, each entry with its type."""
+
+    def typed(M):
+        return M.rows, M.cols, [[(type(x), x) for x in row] for row in M.data]
+
+    terms = {m: (T.dims, {a: typed(M) for a, M in T.maps.items()}) for m, T in C.terms.items()}
+    maps = {m: {y: typed(M) for y, M in phi.items()} for m, phi in C.maps.items()}
+    return terms, maps
+
+
+class TestRealizeOnSupport:
+    """``realize_complex`` builds a differential only where both fibers are
+    nonzero, from nonzero entries and nonempty blocks; the entry-wise builder
+    it replaced must give the same terms and per-vertex maps."""
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
+    def test_every_complex_the_claims_twist(self, d, n, monkeypatch):
+        import hatilt.complexes
+
+        realize = hatilt.complexes.realize_complex
+        seen, differing = [], []
+
+        def checked(X):
+            out = realize(X)
+            seen.append(X.kind)
+            if realized(out) != realized(realize_complex_by_entries(X)):
+                differing.append(X.terms)
+            return out
+
+        monkeypatch.setattr(hatilt.complexes, "realize_complex", checked)
+        claims, _, _ = run_claims(d, n, CLAIM_NAMES)
+        assert all(c["status"] == "pass" for c in claims)
+        assert differing == []
+        assert seen and set(seen) == {"inj"}
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
+    def test_tilting_complexes_as_projectives(self, d, n):
+        for X in tilting_complexes(d, n)[1]:
+            assert realized(realize_complex(X)) == realized(realize_complex_by_entries(X))
 
 
 class TestBlockKernel:

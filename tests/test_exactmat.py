@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hatilt.exactmat import ExactMatrix, extend_basis, span_basis
+from hatilt.exactmat import ExactMatrix, exact, extend_basis, span_basis
 
 
 def F(x):
@@ -60,6 +60,17 @@ class TestEntriesAndAliasing:
         red, _ = ExactMatrix.from_rows([[2, 1]]).rref()
         assert red.data == [[1, Fraction(1, 2)]]
         assert [type(x) for x in red.data[0]] == [int, Fraction]
+
+    def test_products_and_eliminations_return_ints_for_integral_values(self):
+        half, two = ExactMatrix.from_rows([[Fraction(1, 2)]]), ExactMatrix.from_rows([[2]])
+        assert [type(x) for x in half.matmul(two).data[0]] == [int]
+        assert half.matmul(two).data == [[1]]
+        assert [(type(x), x) for x in half.apply([2])] == [(int, 1)]
+        red, _ = ExactMatrix.from_rows([[2, 1], [1, Fraction(1, 2)]]).rref()
+        assert [[(type(x), x) for x in row] for row in red.data] == [
+            [(int, 1), (Fraction, Fraction(1, 2))],
+            [(int, 0), (int, 0)],
+        ]
 
     def test_floats_are_refused(self):
         with pytest.raises(TypeError):
@@ -135,3 +146,34 @@ class TestExtendBasis:
             if rank(base + candidates[: k + 1]) > rank(base + candidates[:k])
         ]
         assert extend_basis(base, candidates) == expected
+
+
+def is_exact_scalar(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+@st.composite
+def product_operands(draw):
+    """An r x k and a k x c matrix and a length-k vector of small rationals,
+    so that Fractions often cancel to integral values."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+    def matrix(rows, cols):
+        return [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+    return (
+        ExactMatrix(r, k, matrix(r, k)),
+        ExactMatrix(k, c, matrix(k, c)),
+        draw(st.lists(entry, min_size=k, max_size=k).map(lambda v: [exact(x) for x in v])),
+    )
+
+
+class TestExactEntries:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(product_operands())
+    def test_every_entry_is_an_int_or_a_non_integral_fraction(self, operands):
+        a, b, vec = operands
+        for m in (a.rref()[0], b.rref()[0], a.matmul(b)):
+            assert all(is_exact_scalar(x) for row in m.data for x in row)
+        assert all(is_exact_scalar(x) for x in a.apply(vec))

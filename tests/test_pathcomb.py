@@ -11,6 +11,7 @@ from oracles import (
     lies_below_bent_curve_by_fractions,
     region_contains,
     region_paths_by_fractions,
+    resolving_sequence_eager,
     s_region,
     skew_cells,
 )
@@ -582,6 +583,20 @@ class TestResolvingSequence:
                     continue
                 window, position = resolving_sequence(p)
                 self.check_window(p, window, position)
+
+    def test_lazy_strip_terms_give_the_eager_windows(self):
+        # terms are built only when read; the windows must not change
+        checked = 0
+        for d in range(1, 8):
+            for n in range(1, 9 - d):
+                if math.gcd(n, d) != 1:
+                    continue
+                for p in enumerate_all(d + 1, n):
+                    data = anchor_data(p)
+                    if data.h >= 1 and data.mu > 0:
+                        assert resolving_sequence(p) == resolving_sequence_eager(p)
+                        checked += 1
+        assert checked == 185
 
     def test_precondition_errors(self):
         flat = prepend_horizontal(path_from_entries(3, 4, (1, 2, 3)))

@@ -9,9 +9,9 @@ from oracles import (
     mult_matrix_by_elements,
     opposite,
     path_action_by_identity,
+    _realize_entry,
 )
 
-from hatilt.complexes import _realize_entry
 from hatilt.exactmat import ExactMatrix
 from hatilt.pathcomb import OrderedSeq, enumerate_os, preceq
 from hatilt.quiveralg import (

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import importlib.util
 import json
@@ -307,6 +308,26 @@ class TestReferenceReports:
         report = [{k: v for k, v in c.items() if k != "ms"} for c in claims]
         expected = json.loads((self.REFERENCE / "all_d4_n3.json").read_text())
         assert json.loads(json.dumps(report)) == expected
+
+
+class TestReferenceCycles:
+    def test_a_run_leaves_no_module_or_algebra_in_cyclic_garbage(self):
+        # what a claim drops must be freed by reference counting, not wait
+        # for a full collection that decides when the peak memory falls
+        from hatilt.quiveralg import BoundQuiverAlgebra, QuiverRep
+
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            claims, _, _ = run_claims(3, 2, CLAIM_NAMES)
+            gc.collect()
+            kinds = {type(o) for o in gc.garbage}
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert all(c["status"] == "pass" for c in claims)
+        assert not kinds & {QuiverRep, BoundQuiverAlgebra}
 
 
 class TestTracerTargets:
