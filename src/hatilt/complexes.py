@@ -708,8 +708,35 @@ def derived_nakayama(X: ProjComplex, max_len=64) -> ProjComplex:
 
 
 def shifted_module_complex(alg, module: QuiverRep, shift_by=0, max_len=64, label="M"):
-    """Minimal projective complex of a module placed in degree -shift_by."""
-    return minimal_proj_resolution(alg, module, max_len, label=label).shift(shift_by)
+    """Minimal projective complex of a module placed in degree -shift_by.
+
+    The unshifted resolution's terms and diffs are memoised per algebra in
+    ``alg._resolution_memo``, keyed on ``max_len`` and the module's content:
+    its nonzero fibers (v, dim) and the arrow-map entries between two nonzero
+    fibers, every other arrow map being zero.  So the key fixes the module,
+    its minimal resolution and the outcome of that resolution's ``_check``
+    and ``is_minimal``, which the first build ran; a hit builds the complex
+    unchecked.  A resolution longer than ``max_len`` raises BudgetError and is
+    not stored.  Every result is a fresh complex with its own entries; it
+    shares only the immutable term tuples with the memo.
+    """
+    dims, maps = module.dims, module.maps
+    key = (
+        max_len,
+        tuple((v, dims[v]) for v in alg.vertex_ids() if dims[v]),
+        # given the fibers, these are the arrows between nonzero ones, in order
+        tuple(
+            tuple(map(tuple, maps[a.id].data))
+            for a in alg.quiver.arrows
+            if dims[a.src] and dims[a.tgt]
+        ),
+    )
+    memo = alg._resolution_memo.get(key)
+    if memo is None:
+        R = minimal_proj_resolution(alg, module, max_len, label=label)
+        alg._resolution_memo[key] = R.terms, R.diffs
+        return R.shift(shift_by)
+    return ProjComplex(alg, *memo, check=False).shift(shift_by)
 
 
 # -- homological dimensions ---------------------------------------------------

@@ -192,6 +192,11 @@ class BoundQuiverAlgebra(ElementArithmetic):
         # make no reference cycle through the algebra
         self._proj_cache: dict[int, tuple[dict, dict]] = {}
         self._inj_cache: dict[int, tuple[dict, dict]] = {}
+        # module_M: label entries -> support, once its relations were checked;
+        # complexes.shifted_module_complex: module content -> (terms, diffs)
+        # of its minimal resolution.  Plain tuples and dicts, as above.
+        self._support_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._resolution_memo: dict[tuple, tuple[dict, dict]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -278,11 +283,14 @@ class BoundQuiverAlgebra(ElementArithmetic):
     def projective(self, v: int) -> "QuiverRep":
         if v not in self._proj_cache:
             dims = {u: len(self.blocks.get((u, v), [])) for u in self.vertex_ids()}
+            # only arrows between two nonzero fibers carry entries; QuiverRep
+            # gives the rest the shared empty map (here and in injective)
             maps = {
                 a.id: self.mult_matrix(
                     (a.tgt, v), (a.src, v), right=self.basis_elem(self.arrow_elem[a.id])
                 )
                 for a in self.quiver.arrows
+                if dims[a.src] and dims[a.tgt]
             }
             P = QuiverRep(self, dims, maps, check=False)
             self._proj_cache[v] = P.dims, P.maps
@@ -299,6 +307,7 @@ class BoundQuiverAlgebra(ElementArithmetic):
                     (v, a.src), (v, a.tgt), left=self.basis_elem(self.arrow_elem[a.id])
                 ).transpose()
                 for a in self.quiver.arrows
+                if dims[a.src] and dims[a.tgt]
             }
             I = QuiverRep(self, dims, maps, check=False)
             self._inj_cache[v] = I.dims, I.maps
@@ -631,18 +640,38 @@ def module_M(alg: BoundQuiverAlgebra, x: OrderedSeq) -> QuiverRep:
     x has d+1 entries for an algebra on os_n^d; the support consists of the
     vertices z with (x_1..x_d) interleaving below z and z interleaving below
     (x_2-1..x_{d+1}-1), with identity maps on all supported arrows.
+
+    The label is checked on every call.  The first call for a label computes
+    its support and checks the relations; the support is then remembered in
+    ``alg._support_memo``, and later calls rebuild the module from it without
+    the check.  That is exact: the maps are fixed by the support (the identity
+    on every arrow between two supported vertices), so whether the relations
+    hold depends only on the label.  Each call returns a new module with its
+    own unit maps; like every module, it shares the read-only empty maps.
     """
     n, d = getattr(alg, "os_params", (None, None))
     if n is None:
         raise ValueError("module_M needs an algebra built by build_auslander_algebra")
     if (x.n, x.d) != (n, d + 1):
         raise ValueError(f"label must lie in os_{n}^{d + 1}, got os_{x.n}^{x.d}")
-    lo = OrderedSeq(n, d, x.entries[:d]).entries
-    hi = OrderedSeq(n, d, tuple(e - 1 for e in x.entries[1:])).entries
-    dims = {v: int(interleaves(lo, z) and interleaves(z, hi)) for v, z in alg.vertex_data.items()}
-    arrows = alg.quiver.arrows
-    maps = {a.id: ExactMatrix(1, 1, [[ONE]]) for a in arrows if dims[a.src] and dims[a.tgt]}
-    return QuiverRep(alg, dims, maps)
+    support = alg._support_memo.get(x.entries)
+    first = support is None
+    if first:
+        lo = OrderedSeq(n, d, x.entries[:d]).entries
+        hi = OrderedSeq(n, d, tuple(e - 1 for e in x.entries[1:])).entries
+        support = tuple(
+            v for v, z in alg.vertex_data.items() if interleaves(lo, z) and interleaves(z, hi)
+        )
+    dims = dict.fromkeys(support, 1)
+    maps = {
+        a.id: ExactMatrix._adopt(1, 1, [[ONE]])
+        for a in alg.quiver.arrows
+        if a.src in dims and a.tgt in dims
+    }
+    M = QuiverRep(alg, dims, maps, check=first)
+    if first:
+        alg._support_memo[x.entries] = support
+    return M
 
 
 def direct_sum(reps: list[QuiverRep]) -> QuiverRep:

@@ -70,6 +70,7 @@ from hatilt.quiveralg import (
     BoundQuiverAlgebra,
     BudgetError,
     Quiver,
+    QuiverRep,
     Vertex,
     build_auslander_algebra,
     module_M,
@@ -309,6 +310,77 @@ def realized(C):
     terms = {m: (T.dims, {a: typed(M) for a, M in T.maps.items()}) for m, T in C.terms.items()}
     maps = {m: {y: typed(M) for y, M in phi.items()} for m, phi in C.maps.items()}
     return terms, maps
+
+
+class TestResolutionMemo:
+    """shifted_module_complex memoises resolutions per algebra; cold, warm and
+    fresh-algebra answers must agree, entries included."""
+
+    SHIFTS = range(-2, 3)
+
+    @staticmethod
+    def content(X):
+        return X.terms, X.diffs
+
+    @pytest.mark.parametrize("d, n", [(3, 4), (4, 3)])
+    def test_cold_warm_and_fresh_algebra_agree(self, d, n):
+        labels = list(enumerate_os(n + 1, d + 1))
+        # one algebra per shift, so that every label's first call there is cold
+        algs = {s: build_auslander_algebra(n + 1, d) for s in self.SHIFTS}
+        cold = {
+            (x, s): self.content(shifted_module_complex(alg, module_M(alg, x), s))
+            for s, alg in algs.items()
+            for x in labels
+        }
+        for alg in algs.values():
+            for x in labels:
+                for s in self.SHIFTS:
+                    X = shifted_module_complex(alg, module_M(alg, x), s)
+                    assert self.content(X) == cold[x, s]
+        fresh = build_auslander_algebra(n + 1, d)
+        for x in labels:
+            R = minimal_proj_resolution(fresh, module_M(fresh, x))
+            for s in self.SHIFTS:
+                assert self.content(R.shift(s)) == cold[x, s]
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_a_returned_complex_is_its_own(self, shift):
+        alg = build_auslander_algebra(5, 3)
+        x = OrderedSeq(5, 4, (2, 3, 5, 7))
+        expected = self.content(minimal_proj_resolution(alg, module_M(alg, x)).shift(shift))
+        # the cold result, then a warm one, each mutated before the next call
+        for _ in range(3):
+            X = shifted_module_complex(alg, module_M(alg, x), shift)
+            assert self.content(X) == expected and X.diffs
+            for rows in X.diffs.values():
+                for row in rows:
+                    for elem in row:
+                        for bid in elem:
+                            elem[bid] = 5
+                    row.append({})
+            X.diffs.clear()
+
+    def test_modules_with_equal_fibers_and_other_maps_are_told_apart(self):
+        # the interval module and the semisimple module on its support have
+        # the same fibers; only the arrow maps in the key tell them apart
+        alg = build_auslander_algebra(5, 3)
+        M = module_M(alg, OrderedSeq(5, 4, (2, 3, 5, 7)))
+        S = QuiverRep(alg, M.dims, {}, check=False)
+        expected = [self.content(minimal_proj_resolution(alg, N)) for N in (M, S)]
+        assert expected[0] != expected[1]
+        for _ in range(2):
+            assert [self.content(shifted_module_complex(alg, N)) for N in (M, S)] == expected
+
+    def test_a_shorter_budget_after_a_success_still_raises(self):
+        alg = build_auslander_algebra(5, 3)
+        M = module_M(alg, OrderedSeq(5, 4, (2, 3, 5, 7)))
+        length = len(shifted_module_complex(alg, M).terms) - 1
+        assert length >= 1
+        for _ in range(2):
+            with pytest.raises(BudgetError):
+                shifted_module_complex(alg, M, max_len=length - 1)
+        X = shifted_module_complex(alg, M, max_len=length)
+        assert len(X.terms) == length + 1
 
 
 class TestRealizeOnSupport:

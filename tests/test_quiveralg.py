@@ -306,6 +306,44 @@ class TestModuleM:
                 socle_vertices.add(v)
         assert socle_vertices == {vertex_of_entries(alg, (2, 3))}
 
+    @pytest.mark.parametrize("d, n", [(3, 4), (4, 3)])
+    def test_relations_checked_once_per_label(self, d, n, monkeypatch):
+        # the support memo: later calls for a label rebuild the same module
+        # without the check, and the first call of every label still checks
+        alg = build_auslander_algebra(n + 1, d)
+        labels = list(enumerate_os(n + 1, d + 1))
+        calls = []
+        check = QuiverRep.check_relations
+
+        def counted(self):
+            calls.append(self)
+            return check(self)
+
+        monkeypatch.setattr(QuiverRep, "check_relations", counted)
+        cold = [module_M(alg, x) for x in labels]
+        assert len(calls) == len(labels)
+        for _ in range(2):
+            warm = [module_M(alg, x) for x in labels]
+            assert [(m.dims, m.maps) for m in warm] == [(m.dims, m.maps) for m in cold]
+        assert len(calls) == len(labels)
+        # every call returns its own unit maps
+        k = max(range(len(labels)), key=lambda k: cold[k].total_dim)
+        m = module_M(alg, labels[k])
+        next(mat for mat in m.maps.values() if mat.rows and mat.cols).data[0][0] = 7
+        assert module_M(alg, labels[k]).maps == cold[k].maps
+
+    def test_label_checks_survive_warm_memo(self):
+        alg = build_auslander_algebra(5, 3)
+        for x in enumerate_os(5, 4):
+            module_M(alg, x)
+        with pytest.raises(ValueError, match="label must lie in os_5"):
+            module_M(alg, OrderedSeq(5, 3, (1, 2, 4)))
+        with pytest.raises(ValueError, match="label must lie in os_5"):
+            module_M(alg, OrderedSeq(4, 4, (1, 2, 4, 7)))
+        del alg.os_params
+        with pytest.raises(ValueError, match="build_auslander_algebra"):
+            module_M(alg, OrderedSeq(5, 4, (1, 2, 4, 7)))
+
 
 class TestHomSpace:
     def test_identity_counts(self):
@@ -358,6 +396,21 @@ class TestProjectivesInjectives:
             dual = dual_module(op.projective(v))
             assert inj.dims == dual.dims
             assert inj.maps == dual.maps
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3)])
+    def test_arrow_maps_match_the_element_route_on_every_arrow(self, d, n):
+        # only the arrows between two nonzero fibers are built; every arrow,
+        # the rest included, must carry the map the element route gives
+        B = ModelData(d, n, VerifyConfig()).presentation("B").algebra
+        for alg in (build_auslander_algebra(n + 1, d), B):
+            for v in alg.vertex_ids():
+                P, I = alg.projective(v), alg.injective(v)
+                for a in alg.quiver.arrows:
+                    arrow = alg.basis_elem(alg.arrow_elem[a.id])
+                    expected = mult_matrix_by_elements(alg, (a.tgt, v), (a.src, v), right=arrow)
+                    assert P.maps[a.id] == expected
+                    expected = mult_matrix_by_elements(alg, (v, a.src), (v, a.tgt), left=arrow)
+                    assert I.maps[a.id] == expected.transpose()
 
     def test_injective_is_valid_module(self):
         alg = build_auslander_algebra(4, 2)

@@ -329,6 +329,53 @@ class TestReferenceCycles:
         assert all(c["status"] == "pass" for c in claims)
         assert not kinds & {QuiverRep, BoundQuiverAlgebra}
 
+    def test_memoised_hom_queries_leave_no_cycle_and_memos_hold_plain_data(self):
+        # the memos of module_M and shifted_module_complex live on the
+        # algebra; holding only tuples, dicts, lists and scalars, they keep
+        # no module or complex alive and make no cycle through the algebra
+        from fractions import Fraction
+
+        from hatilt.complexes import ProjComplex, hom_complex_dim, shifted_module_complex
+        from hatilt.pathcomb import enumerate_os
+        from hatilt.quiveralg import BoundQuiverAlgebra, QuiverRep, build_auslander_algebra, module_M
+
+        def leaves(obj):
+            if isinstance(obj, dict):
+                for k, v in obj.items():
+                    yield from leaves(k)
+                    yield from leaves(v)
+            elif isinstance(obj, (tuple, list)):
+                for v in obj:
+                    yield from leaves(v)
+            else:
+                yield obj
+
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            alg = build_auslander_algebra(5, 3)  # model (3, 4)
+            labels = list(enumerate_os(5, 4))[::7]
+            dims = []
+            for s in (-1, 0, 2):
+                for x in labels:
+                    X = shifted_module_complex(alg, module_M(alg, x), 3 * s)
+                    for y in labels:
+                        Y = shifted_module_complex(alg, module_M(alg, y), 3 * s)
+                        dims.append(hom_complex_dim(X, Y, 0))
+            memos = (alg._support_memo, alg._resolution_memo)
+            memo_sizes = tuple(map(len, memos))
+            leaf_kinds = {type(v) for memo in memos for v in leaves(memo)}
+            del X, Y, alg, memos
+            gc.collect()
+            kinds = {type(o) for o in gc.garbage}
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert any(dims) and memo_sizes == (len(labels), len(labels))
+        assert leaf_kinds <= {int, Fraction}
+        assert not kinds & {QuiverRep, BoundQuiverAlgebra, ProjComplex}
+
 
 class TestTracerTargets:
     # names the tracer lists that no longer exist in the package
