@@ -9,8 +9,9 @@ algebra-block coordinates rather than on realized fibers.
 The Serre twist is implemented structurally: a complex of projectives is
 reinterpreted termwise as a complex of injectives carrying the same entry
 data, realised as a complex of modules, and traded back for a
-quasi-isomorphic complex of projectives.  The realisation builds each
-differential only at the vertices where both its fibers are nonzero.  One
+quasi-isomorphic complex of projectives.  A complex of modules keeps a
+differential matrix exactly at the vertices where both its fibers are
+nonzero, as a module keeps its arrow maps; every other one is zero.  One
 engine does the replacement and also computes minimal projective
 resolutions (the one-term case): going down from the top degree, each term
 is the projective cover of the cycles of the cone of the map built so far,
@@ -37,7 +38,6 @@ from .quiveralg import (
     BoundQuiverAlgebra,
     BudgetError,
     QuiverRep,
-    _empty_map,
     direct_sum,
 )
 from .fdalg import FDAlgebra
@@ -403,22 +403,24 @@ class ModuleComplex:
 
     algebra: BoundQuiverAlgebra
     terms: dict  # degree -> QuiverRep
-    maps: dict  # degree m -> {vertex: ExactMatrix} for term^m -> term^{m+1}
+    # degree m -> {vertex: ExactMatrix} for term^m -> term^{m+1}, at the
+    # vertices where both fibers are nonzero
+    maps: dict
 
     def degrees(self):
         return sorted(self.terms)
 
     def check(self):
         for m, phi in self.maps.items():
-            src, tgt = self.terms[m], self.terms[m + 1]
-            for v in self.algebra.vertex_ids():
-                if (phi[v].rows, phi[v].cols) != (tgt.dims[v], src.dims[v]):
-                    raise ValueError(f"module complex map shape mismatch at {m}")
-        for m in self.maps:
-            if (m + 1) in self.maps:
-                for v in self.algebra.vertex_ids():
-                    if not self.maps[m + 1][v].matmul(self.maps[m][v]).is_zero():
-                        raise ValueError("module complex differential does not square to zero")
+            src, tgt = self.terms[m].dims, self.terms[m + 1].dims
+            if missing := sorted({v for v, k in src.items() if k and tgt[v]} - phi.keys()):
+                raise ValueError(f"module complex map missing at vertices {missing} in degree {m}")
+            if any((f.rows, f.cols) != (tgt[v], src[v]) for v, f in phi.items()):
+                raise ValueError(f"module complex map shape mismatch at {m}")
+        for m, phi in self.maps.items():
+            after = self.maps.get(m + 1, {})
+            if any(v in after and not after[v].matmul(f).is_zero() for v, f in phi.items()):
+                raise ValueError("module complex differential does not square to zero")
 
 
 def realize_term(alg, vertex, kind):
@@ -435,8 +437,7 @@ def realize_complex(X: ProjComplex) -> ModuleComplex:
     multiplication b -> b.e from e_v A e_y.  A differential is built only at
     the vertices where both its fibers are nonzero, and only from the nonzero
     entries and the basis elements of their nonempty blocks: every other
-    product is zero.  At every other vertex it is the shared entry-less
-    matrix of its shape.
+    product is zero.
     """
     alg = X.algebra
     proj = X.kind == "proj"
@@ -452,7 +453,6 @@ def realize_complex(X: ProjComplex) -> ModuleComplex:
         maps[m] = phi = {}
         for y in alg.vertex_ids():
             if not (src[y] and tgt[y]):
-                phi[y] = _empty_map(tgt[y], src[y])
                 continue
             out = [[ZERO] * src[y] for _ in range(tgt[y])]
             r0 = 0
@@ -668,8 +668,8 @@ def _assert_qis_chain_map(Q: ProjComplex, C: ModuleComplex, psi):
         # d_C psi = psi d_Q degreewise
         for s, u in enumerate(Q.terms[m]):
             lhs = None
-            if m in C.maps and m in C.terms:
-                lhs = C.maps[m][u].apply(psi_m[s])
+            if (phi := C.maps.get(m, {}).get(u)) is not None:
+                lhs = phi.apply(psi_m[s])
             rhs = None
             if dQ is not None and (m + 1) in psi:
                 acc = [ZERO] * (C.terms[m + 1].dims[u] if (m + 1) in C.terms else 0)
@@ -712,24 +712,18 @@ def shifted_module_complex(alg, module: QuiverRep, shift_by=0, max_len=64, label
 
     The unshifted resolution's terms and diffs are memoised per algebra in
     ``alg._resolution_memo``, keyed on ``max_len`` and the module's content:
-    its nonzero fibers (v, dim) and the arrow-map entries between two nonzero
-    fibers, every other arrow map being zero.  So the key fixes the module,
+    its nonzero fibers (v, dim) and its arrow maps (id, entries) as stored,
+    every missing one being zero.  So the key fixes the module,
     its minimal resolution and the outcome of that resolution's ``_check``
     and ``is_minimal``, which the first build ran; a hit builds the complex
     unchecked.  A resolution longer than ``max_len`` raises BudgetError and is
     not stored.  Every result is a fresh complex with its own entries; it
     shares only the immutable term tuples with the memo.
     """
-    dims, maps = module.dims, module.maps
     key = (
         max_len,
-        tuple((v, dims[v]) for v in alg.vertex_ids() if dims[v]),
-        # given the fibers, these are the arrows between nonzero ones, in order
-        tuple(
-            tuple(map(tuple, maps[a.id].data))
-            for a in alg.quiver.arrows
-            if dims[a.src] and dims[a.tgt]
-        ),
+        tuple((v, k) for v, k in module.dims.items() if k),
+        tuple((aid, tuple(map(tuple, m.data))) for aid, m in module.maps.items()),
     )
     memo = alg._resolution_memo.get(key)
     if memo is None:

@@ -9,10 +9,11 @@ always eliminates the lexicographically-largest candidate path, so every
 basis element carries a deterministic representative path and golden files
 stay stable.
 
-Modules are right modules, stored as one fiber per vertex with one matrix
-per arrow mapping the target fiber to the source fiber (the right action).
+Modules are right modules, stored as one fiber per vertex with a matrix
+for each arrow between two nonzero fibers, mapping the target fiber to the
+source fiber (the right action); a missing arrow map is zero.
 Projectives, injectives and the interval modules M(x) of the type-A model
-are produced here.
+are produced here, each built once per algebra and then shared read-only.
 
 Paths compose diagrammatically: ``path = (a1, a2, ...)`` traverses a1
 first, and ``mul(p, q)`` is "p after q".
@@ -21,7 +22,6 @@ first, and ``mul(p, q)`` is "p after q".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from fractions import Fraction
 
 from .exactmat import ExactMatrix, ZERO, ONE, exact, span_basis
@@ -188,14 +188,11 @@ class BoundQuiverAlgebra(ElementArithmetic):
         self._blocks_into: dict[int, list[tuple[int, list[int]]]] = {}
         for (src, tgt), ids in self.blocks.items():
             self._blocks_into.setdefault(tgt, []).append((src, ids))
-        # (dims, maps) of the modules built so far; holding no module, they
-        # make no reference cycle through the algebra
-        self._proj_cache: dict[int, tuple[dict, dict]] = {}
-        self._inj_cache: dict[int, tuple[dict, dict]] = {}
-        # module_M: label entries -> support, once its relations were checked;
-        # complexes.shifted_module_complex: module content -> (terms, diffs)
-        # of its minimal resolution.  Plain tuples and dicts, as above.
-        self._support_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # ("P", v), ("I", v) and ("M", label entries) -> (dims, maps) of the
+        # modules built so far; holding no module, they make no reference
+        # cycle through the algebra.  complexes.shifted_module_complex: module
+        # content -> (terms, diffs) of its minimal resolution, plain data too.
+        self._modules: dict[tuple, tuple[dict, dict]] = {}
         self._resolution_memo: dict[tuple, tuple[dict, dict]] = {}
 
     # -- construction ------------------------------------------------------
@@ -259,13 +256,11 @@ class BoundQuiverAlgebra(ElementArithmetic):
         """Matrix of b -> left . b . right from block ``src`` to block ``tgt``.
 
         Blocks are (source, target) vertex pairs; a factor left as None is
-        the unit.  Between a block and an empty one it is the shared
-        entry-less matrix of that shape.
+        the unit.
         """
         src_ids = self.blocks.get(src, [])
         index = self._block_index.get(tgt, {})
-        rows, cols = len(index), len(src_ids)
-        out = ExactMatrix(rows, cols) if rows and cols else _empty_map(rows, cols)
+        out = ExactMatrix(len(index), len(src_ids))
         for j, bid in enumerate(src_ids):
             prod = self.basis_elem(bid)
             if left is not None:
@@ -280,11 +275,18 @@ class BoundQuiverAlgebra(ElementArithmetic):
 
     # -- distinguished modules ---------------------------------------------
 
+    def _module(self, key, build) -> "QuiverRep":
+        """A new module sharing the read-only tables cached under ``key``,
+        which ``build()`` makes on first use."""
+        tables = self._modules.get(key)
+        if tables is None:
+            M = build()
+            tables = self._modules[key] = M.dims, M.maps
+        return QuiverRep._adopt(self, *tables)
+
     def projective(self, v: int) -> "QuiverRep":
-        if v not in self._proj_cache:
+        def build():
             dims = {u: len(self.blocks.get((u, v), [])) for u in self.vertex_ids()}
-            # only arrows between two nonzero fibers carry entries; QuiverRep
-            # gives the rest the shared empty map (here and in injective)
             maps = {
                 a.id: self.mult_matrix(
                     (a.tgt, v), (a.src, v), right=self.basis_elem(self.arrow_elem[a.id])
@@ -292,13 +294,14 @@ class BoundQuiverAlgebra(ElementArithmetic):
                 for a in self.quiver.arrows
                 if dims[a.src] and dims[a.tgt]
             }
-            P = QuiverRep(self, dims, maps, check=False)
-            self._proj_cache[v] = P.dims, P.maps
-        return QuiverRep._adopt(self, *self._proj_cache[v])
+            return QuiverRep(self, dims, maps, check=False)
+
+        return self._module(("P", v), build)
 
     def injective(self, v: int) -> "QuiverRep":
         """Dual of the opposite projective: fiber at y is the dual of paths v -> y."""
-        if v not in self._inj_cache:
+
+        def build():
             dims = {u: len(self.blocks.get((v, u), [])) for u in self.vertex_ids()}
             # the right action sends the fiber at tgt to the fiber at src by
             # precomposing with left multiplication by the arrow
@@ -309,12 +312,12 @@ class BoundQuiverAlgebra(ElementArithmetic):
                 for a in self.quiver.arrows
                 if dims[a.src] and dims[a.tgt]
             }
-            I = QuiverRep(self, dims, maps, check=False)
-            self._inj_cache[v] = I.dims, I.maps
-        return QuiverRep._adopt(self, *self._inj_cache[v])
+            return QuiverRep(self, dims, maps, check=False)
+
+        return self._module(("I", v), build)
 
     def simple(self, v: int) -> "QuiverRep":
-        # the arrow maps are zero; QuiverRep fills them in
+        # every arrow map is zero, so none is stored
         return QuiverRep(self, {v: 1}, {}, check=False)
 
 
@@ -462,19 +465,12 @@ class _Tower:
         return [(self.layers[degree][u][idx], c) for (u, idx), c in vec.items()]
 
 
-@cache
-def _empty_map(rows: int, cols: int) -> ExactMatrix:
-    """The one entry-less rows x cols matrix (rows or cols is 0) that every
-    missing arrow map of that shape shares; having no entries, it cannot be
-    written into."""
-    return ExactMatrix(rows, cols)
-
-
 class QuiverRep:
     """Right module: fibers per vertex, right arrow action target -> source.
 
-    A missing arrow map is zero; out of or into a zero fiber it is a shared
-    entry-less matrix, so treat arrow maps as read-only."""
+    ``maps`` holds arrow maps only between two nonzero fibers, and a missing
+    one is zero.  Cached modules share their tables, so treat them as
+    read-only."""
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims: dict, maps: dict, check=True):
         self.algebra = algebra
@@ -482,23 +478,24 @@ class QuiverRep:
         if not set(map(type, dims.values())) <= {int} or min(dims.values(), default=0) < 0:
             v, k = next((v, k) for v, k in dims.items() if type(k) is not int or k < 0)
             raise ValueError(f"fiber dimension at vertex {v} is not a natural number: {k!r}")
+        arrow_by_id = algebra.quiver.arrow_by_id
         self.maps = {}
-        for a in algebra.quiver.arrows:
-            rows, cols = dims[a.src], dims[a.tgt]
-            m = maps.get(a.id)
-            if m is None:
-                m = ExactMatrix(rows, cols) if rows and cols else _empty_map(rows, cols)
-            elif m.rows != rows or m.cols != cols:
-                raise ValueError(f"map for arrow {a.id} has wrong shape")
-            self.maps[a.id] = m
+        for aid, m in maps.items():
+            a = arrow_by_id.get(aid)
+            if a is None:
+                raise ValueError(f"no arrow with id {aid!r}")
+            if (m.rows, m.cols) != (dims[a.src], dims[a.tgt]):
+                raise ValueError(f"map for arrow {aid} has wrong shape")
+            if m.rows and m.cols:
+                self.maps[aid] = m
         if check:
             self.check_relations()
 
     @staticmethod
     def _adopt(algebra: BoundQuiverAlgebra, dims: dict, maps: dict) -> "QuiverRep":
-        """The module over ``algebra`` that shares ``dims`` and ``maps``, a
-        complete fiber and arrow-map table of a module built in this package;
-        neither copied nor checked."""
+        """The module over ``algebra`` that shares ``dims`` and ``maps``, the
+        fiber and arrow-map tables of a module built in this package; neither
+        copied nor checked."""
         rep = object.__new__(QuiverRep)
         rep.algebra, rep.dims, rep.maps = algebra, dims, maps
         return rep
@@ -510,10 +507,10 @@ class QuiverRep:
     def path_action(self, path: tuple[int, ...]) -> ExactMatrix:
         """Matrix of the right action of a path, target fiber to source fiber.
 
-        Always a fresh matrix, zero at once when the path meets a zero fiber."""
+        Always a fresh matrix, zero at once when the path meets a missing map."""
         src, tgt = self.algebra.quiver.path_endpoints(path)
-        mats = [self.maps[aid] for aid in path]
-        if not all(m.rows and m.cols for m in mats):
+        mats = [self.maps.get(aid) for aid in path]
+        if None in mats:
             return ExactMatrix(self.dims[src], self.dims[tgt])
         out = mats[-1].copy() if len(mats) == 1 else mats[-1]
         for m in reversed(mats[:-1]):
@@ -558,12 +555,12 @@ class QuiverRep:
     def radical_fibers(self) -> dict[int, list[list]]:
         """Spanning vectors of (M rad)_v = sum of images of outgoing arrows."""
         rad = {v: [] for v in self.dims}
-        for a in self.algebra.quiver.arrows:
-            mat = self.maps[a.id]
+        arrow_by_id = self.algebra.quiver.arrow_by_id
+        for aid, mat in self.maps.items():
             for j in range(mat.cols):
                 col = [mat.data[i][j] for i in range(mat.rows)]
                 if any(x != 0 for x in col):
-                    rad[a.src].append(col)
+                    rad[arrow_by_id[aid].src].append(col)
         return {v: span_basis(vs) for v, vs in rad.items()}
 
 
@@ -641,37 +638,30 @@ def module_M(alg: BoundQuiverAlgebra, x: OrderedSeq) -> QuiverRep:
     vertices z with (x_1..x_d) interleaving below z and z interleaving below
     (x_2-1..x_{d+1}-1), with identity maps on all supported arrows.
 
-    The label is checked on every call.  The first call for a label computes
-    its support and checks the relations; the support is then remembered in
-    ``alg._support_memo``, and later calls rebuild the module from it without
-    the check.  That is exact: the maps are fixed by the support (the identity
-    on every arrow between two supported vertices), so whether the relations
-    hold depends only on the label.  Each call returns a new module with its
-    own unit maps; like every module, it shares the read-only empty maps.
+    The label is checked on every call.  A label's module is built, and its
+    relations checked, on its first call; it is cached in ``alg._modules``,
+    and every call returns a new module sharing the cached read-only tables.
     """
     n, d = getattr(alg, "os_params", (None, None))
     if n is None:
         raise ValueError("module_M needs an algebra built by build_auslander_algebra")
     if (x.n, x.d) != (n, d + 1):
         raise ValueError(f"label must lie in os_{n}^{d + 1}, got os_{x.n}^{x.d}")
-    support = alg._support_memo.get(x.entries)
-    first = support is None
-    if first:
+
+    def build():
         lo = OrderedSeq(n, d, x.entries[:d]).entries
         hi = OrderedSeq(n, d, tuple(e - 1 for e in x.entries[1:])).entries
-        support = tuple(
-            v for v, z in alg.vertex_data.items() if interleaves(lo, z) and interleaves(z, hi)
-        )
-    dims = dict.fromkeys(support, 1)
-    maps = {
-        a.id: ExactMatrix._adopt(1, 1, [[ONE]])
-        for a in alg.quiver.arrows
-        if a.src in dims and a.tgt in dims
-    }
-    M = QuiverRep(alg, dims, maps, check=first)
-    if first:
-        alg._support_memo[x.entries] = support
-    return M
+        dims = {
+            v: 1 for v, z in alg.vertex_data.items() if interleaves(lo, z) and interleaves(z, hi)
+        }
+        maps = {
+            a.id: ExactMatrix._adopt(1, 1, [[ONE]])
+            for a in alg.quiver.arrows
+            if a.src in dims and a.tgt in dims
+        }
+        return QuiverRep(alg, dims, maps)
+
+    return alg._module(("M", x.entries), build)
 
 
 def direct_sum(reps: list[QuiverRep]) -> QuiverRep:
@@ -682,16 +672,16 @@ def direct_sum(reps: list[QuiverRep]) -> QuiverRep:
     dims = {v: sum(r.dims[v] for r in reps) for v in alg.vertex_ids()}
     maps = {}
     for a in alg.quiver.arrows:
-        if not (dims[a.src] and dims[a.tgt]):
-            continue  # QuiverRep fills in the shared empty map
-        m = ExactMatrix(dims[a.src], dims[a.tgt])
+        if not any(a.id in r.maps for r in reps):
+            continue  # zero, so not stored
+        m = maps[a.id] = ExactMatrix(dims[a.src], dims[a.tgt])
         ro = co = 0
         for r in reps:
-            block = r.maps[a.id]
-            for i in range(block.rows):
-                for j in range(block.cols):
-                    m.data[ro + i][co + j] = block.data[i][j]
+            block = r.maps.get(a.id)
+            if block is not None:
+                for i in range(block.rows):
+                    for j in range(block.cols):
+                        m.data[ro + i][co + j] = block.data[i][j]
             ro += r.dims[a.src]
             co += r.dims[a.tgt]
-        maps[a.id] = m
     return QuiverRep(alg, dims, maps, check=False)

@@ -134,11 +134,17 @@ def opposite(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
     return alg._op
 
 
+def arrow_map(M: QuiverRep, a) -> ExactMatrix:
+    """The matrix of arrow ``a`` on M, zero where M stores none."""
+    m = M.maps.get(a.id)
+    return m if m is not None else ExactMatrix(M.dims[a.src], M.dims[a.tgt])
+
+
 def dual_module(M: QuiverRep) -> QuiverRep:
     """The linear dual as a module over the opposite algebra."""
     op = opposite(M.algebra)
     dims = dict(M.dims)
-    maps = {a.id: M.maps[a.id].transpose() for a in M.algebra.quiver.arrows}
+    maps = {a.id: arrow_map(M, a).transpose() for a in M.algebra.quiver.arrows}
     return QuiverRep(op, dims, maps, check=True)
 
 
@@ -222,7 +228,7 @@ def derived_nakayama_inverse(X: ProjComplex, max_len=64) -> ProjComplex:
     terms = {-m: dual_module(C.terms[m]) for m in C.degrees()}
     maps = {}
     for m, phi in C.maps.items():
-        maps[-m - 1] = {v: phi[v].transpose() for v in alg.vertex_ids()}
+        maps[-m - 1] = {v: f.transpose() for v, f in phi.items()}
     Cd = ModuleComplex(op, terms, maps)
     Cd.check()
     Qop = proj_replace(Cd, max_len)
@@ -378,7 +384,7 @@ def hom_space(M: QuiverRep, N: QuiverRep) -> tuple[int, list[dict[int, ExactMatr
     rows = []
     for a in alg.quiver.arrows:
         u, w = a.src, a.tgt
-        RM, RN = M.maps[a.id], N.maps[a.id]
+        RM, RN = arrow_map(M, a), arrow_map(N, a)
         # phi_u RM - RN phi_w = 0, an (N_u x M_w)-matrix of equations
         for i in range(N.dims[u]):
             for j in range(M.dims[w]):
@@ -754,11 +760,9 @@ def replace_all_vertices(C: ModuleComplex, max_len, label):
         kernel, elems, rad = {}, {}, {y: [] for y in vertices}
         for y in vertices:
             dims = Cm.dims[y] if Cm is not None else 0
+            d = dC.get(y) if dC is not None else None  # a missing map is zero
             cols = cover[y] + [
-                [
-                    -dC[y].data[f - nq[y]][j] if dC is not None and f >= nq[y] else ZERO
-                    for f in free[y]
-                ]
+                [-d.data[f - nq[y]][j] if d is not None and f >= nq[y] else ZERO for f in free[y]]
                 for j in range(dims)
             ]
             kernel[y] = _from_columns(len(free[y]), cols).nullspace() if cols else []
@@ -845,7 +849,7 @@ def path_action_by_identity(M: QuiverRep, path) -> ExactMatrix:
     src, tgt = M.algebra.quiver.path_endpoints(path)
     m = ExactMatrix.identity(M.dims[tgt])
     for aid in reversed(path):
-        m = M.maps[aid].matmul(m)
+        m = arrow_map(M, M.algebra.quiver.arrow_by_id[aid]).matmul(m)
     assert m.rows == M.dims[src]
     return m
 
@@ -895,9 +899,11 @@ def realize_complex_by_entries(X: ProjComplex) -> ModuleComplex:
             [_realize_entry(alg, rows[t][s], us, vt, X.kind) for s, us in enumerate(src_vs)]
             for t, vt in enumerate(tgt_vs)
         ]
+        # a module complex keeps the vertices where both fibers are nonzero
         maps[m] = {
             y: _assemble_blocks([[e[y] for e in row] for row in entries])
             for y in alg.vertex_ids()
+            if terms[m].dims[y] and terms[m + 1].dims[y]
         }
     mc = ModuleComplex(alg, terms, maps)
     mc.check()

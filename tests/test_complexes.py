@@ -124,6 +124,12 @@ def resolution_test_modules(kind):
     return [(op, dual_module(alg.projective(z))) for z in alg.vertex_ids()]
 
 
+def rank_at(C, m, y):
+    """Rank at y of the differential of C out of degree m; a missing map is zero."""
+    f = C.maps.get(m, {}).get(y)
+    return f.rank() if f is not None else 0
+
+
 def assert_resolution_exact(alg, M):
     """Realise the minimal resolution of M and check exactness at every vertex,
     using only realize_complex and the action of A on M.  The augmentation
@@ -139,11 +145,11 @@ def assert_resolution_exact(alg, M):
         ]
         eps = ExactMatrix(M.dims[y], len(cols), [list(r) for r in zip(*cols)] if cols else None)
         assert eps.rank() == M.dims[y]
-        if -1 in C.maps:
-            assert eps.matmul(C.maps[-1][y]).is_zero()
+        if (d := C.maps.get(-1, {}).get(y)) is not None:
+            assert eps.matmul(d).is_zero()
         for m in R.degrees():
-            out_rank = eps.rank() if m == 0 else C.maps[m][y].rank()
-            in_rank = C.maps[m - 1][y].rank() if (m - 1) in C.maps else 0
+            out_rank = eps.rank() if m == 0 else rank_at(C, m, y)
+            in_rank = rank_at(C, m - 1, y)
             assert out_rank + in_rank == C.terms[m].dims[y]
 
 
@@ -153,8 +159,7 @@ def cohomology_dims(C):
     for m in C.degrees():
         for y in C.algebra.vertex_ids():
             dim = C.terms[m].dims[y]
-            dim -= C.maps[m][y].rank() if m in C.maps else 0
-            dim -= C.maps[m - 1][y].rank() if (m - 1) in C.maps else 0
+            dim -= rank_at(C, m, y) + rank_at(C, m - 1, y)
             if dim:
                 out[(m, y)] = dim
     return out
@@ -412,6 +417,71 @@ class TestRealizeOnSupport:
     def test_tilting_complexes_as_projectives(self, d, n):
         for X in tilting_complexes(d, n)[1]:
             assert realized(realize_complex(X)) == realized(realize_complex_by_entries(X))
+
+
+class TestSparseTables:
+    """A module stores arrow maps only between two nonzero fibers, and a
+    module complex a differential matrix exactly at the vertices where both
+    fibers are nonzero.  Checked on every module a claim run makes (each is
+    built by ``QuiverRep.__init__`` or shares a cached table through
+    ``QuiverRep._adopt``) and on every complex it realises."""
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
+    def test_every_table_a_claim_run_builds(self, d, n, monkeypatch):
+        import hatilt.complexes
+
+        init, adopt = QuiverRep.__init__, QuiverRep._adopt
+        realize = hatilt.complexes.realize_complex
+        seen, bad = Counter(), []
+
+        def check_module(M):
+            seen["module"] += 1
+            arrows = M.algebra.quiver.arrow_by_id
+            extra = [
+                aid for aid in M.maps if not (M.dims[arrows[aid].src] and M.dims[arrows[aid].tgt])
+            ]
+            if extra:
+                bad.append(("module", extra))
+
+        def built(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            check_module(self)
+
+        def adopted(*args):
+            M = adopt(*args)
+            check_module(M)
+            return M
+
+        def realized(X):
+            C = realize(X)
+            seen["complex"] += 1
+            for m, phi in C.maps.items():
+                src, tgt = C.terms[m].dims, C.terms[m + 1].dims
+                if phi.keys() != {y for y, k in src.items() if k and tgt[y]}:
+                    bad.append(("complex", m, sorted(phi)))
+            return C
+
+        monkeypatch.setattr(QuiverRep, "__init__", built)
+        monkeypatch.setattr(QuiverRep, "_adopt", staticmethod(adopted))
+        monkeypatch.setattr(hatilt.complexes, "realize_complex", realized)
+        claims, _, _ = run_claims(d, n, CLAIM_NAMES)
+        assert all(c["status"] == "pass" for c in claims)
+        assert bad == []
+        assert seen["module"] > 100 and seen["complex"] > 0
+
+    def test_check_refuses_a_missing_map_a_wrong_shape_and_a_nonzero_square(self):
+        alg = linear_bqa(3)
+        S = alg.simple(0)
+        one = ExactMatrix(1, 1, [[1]])
+        ModuleComplex(alg, {0: S, 1: S}, {0: {0: one}}).check()
+        with pytest.raises(ValueError, match=r"map missing at vertices \[0\] in degree 0"):
+            ModuleComplex(alg, {0: S, 1: S}, {0: {}}).check()
+        with pytest.raises(ValueError, match="shape mismatch at 0"):
+            ModuleComplex(alg, {0: S, 1: S}, {0: {0: ExactMatrix(1, 2)}}).check()
+        with pytest.raises(ValueError, match="does not square to zero"):
+            ModuleComplex(alg, {0: S, 1: S, 2: S}, {0: {0: one}, 1: {0: one}}).check()
+        # a stored zero map squares to zero
+        ModuleComplex(alg, {0: S, 1: S, 2: S}, {0: {0: one}, 1: {0: ExactMatrix(1, 1)}}).check()
 
 
 class TestBlockKernel:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from oracles import (
+    arrow_map,
     dual_module,
     hom_space,
     mult_matrix_by_elements,
@@ -300,7 +301,7 @@ class TestModuleM:
             if m.dims[v] == 0:
                 continue
             killed = all(
-                m.maps[a.id].is_zero() for a in alg.quiver.arrows if a.tgt == v
+                arrow_map(m, a).is_zero() for a in alg.quiver.arrows if a.tgt == v
             )
             if killed:
                 socle_vertices.add(v)
@@ -308,8 +309,8 @@ class TestModuleM:
 
     @pytest.mark.parametrize("d, n", [(3, 4), (4, 3)])
     def test_relations_checked_once_per_label(self, d, n, monkeypatch):
-        # the support memo: later calls for a label rebuild the same module
-        # without the check, and the first call of every label still checks
+        # the module cache: later calls for a label share the first call's
+        # tables without the check, and the first call of every label checks
         alg = build_auslander_algebra(n + 1, d)
         labels = list(enumerate_os(n + 1, d + 1))
         calls = []
@@ -324,13 +325,9 @@ class TestModuleM:
         assert len(calls) == len(labels)
         for _ in range(2):
             warm = [module_M(alg, x) for x in labels]
-            assert [(m.dims, m.maps) for m in warm] == [(m.dims, m.maps) for m in cold]
+            assert all(w is not c for w, c in zip(warm, cold))
+            assert all(w.dims is c.dims and w.maps is c.maps for w, c in zip(warm, cold))
         assert len(calls) == len(labels)
-        # every call returns its own unit maps
-        k = max(range(len(labels)), key=lambda k: cold[k].total_dim)
-        m = module_M(alg, labels[k])
-        next(mat for mat in m.maps.values() if mat.rows and mat.cols).data[0][0] = 7
-        assert module_M(alg, labels[k]).maps == cold[k].maps
 
     def test_label_checks_survive_warm_memo(self):
         alg = build_auslander_algebra(5, 3)
@@ -399,8 +396,8 @@ class TestProjectivesInjectives:
 
     @pytest.mark.parametrize("d, n", [(3, 2), (2, 3)])
     def test_arrow_maps_match_the_element_route_on_every_arrow(self, d, n):
-        # only the arrows between two nonzero fibers are built; every arrow,
-        # the rest included, must carry the map the element route gives
+        # only the arrows between two nonzero fibers are stored; every arrow,
+        # the rest read as zero, must carry the map the element route gives
         B = ModelData(d, n, VerifyConfig()).presentation("B").algebra
         for alg in (build_auslander_algebra(n + 1, d), B):
             for v in alg.vertex_ids():
@@ -408,9 +405,9 @@ class TestProjectivesInjectives:
                 for a in alg.quiver.arrows:
                     arrow = alg.basis_elem(alg.arrow_elem[a.id])
                     expected = mult_matrix_by_elements(alg, (a.tgt, v), (a.src, v), right=arrow)
-                    assert P.maps[a.id] == expected
+                    assert arrow_map(P, a) == expected
                     expected = mult_matrix_by_elements(alg, (v, a.src), (v, a.tgt), left=arrow)
-                    assert I.maps[a.id] == expected.transpose()
+                    assert arrow_map(I, a) == expected.transpose()
 
     def test_injective_is_valid_module(self):
         alg = build_auslander_algebra(4, 2)
@@ -467,16 +464,31 @@ class TestModuleInput:
         with pytest.raises(ValueError, match="map for arrow 0 has wrong shape"):
             QuiverRep(alg, {0: 1, 1: 1}, {0: ExactMatrix(1, 2)})
 
-    def test_missing_maps_at_zero_fibers_share_one_empty_matrix(self):
+    def test_unknown_arrow_ids_are_refused(self):
         alg = build_linear(3)
-        s0, s2 = alg.simple(0), alg.simple(2)
+        for aid in (10**6, -1, "0"):
+            with pytest.raises(ValueError, match=f"no arrow with id {aid!r}"):
+                QuiverRep(alg, {0: 1}, {aid: ExactMatrix(5, 5)})
+
+    def test_only_maps_between_nonzero_fibers_are_stored(self):
+        alg = build_linear(3)
         # arrow 0 runs 0 -> 1, arrow 1 runs 1 -> 2
-        assert s0.maps[0] is alg.simple(0).maps[0]
-        assert s0.maps[1] is not s0.maps[0]
-        assert s0.maps[1] is s2.maps[0]  # both 0 x 0
-        assert (s0.maps[0].rows, s0.maps[0].cols, s0.maps[0].data) == (1, 0, [[]])
-        # a missing map between nonzero fibers is a fresh zero matrix
-        ms = [QuiverRep(alg, {0: 1, 1: 1}, {}).maps[0] for _ in range(2)]
+        assert alg.simple(0).maps == {}
+        assert alg.projective(2).maps.keys() == {0, 1}
+        assert alg.projective(1).maps.keys() == {0}
+        # an entry-less map into a zero fiber passes its shape check and is
+        # not stored; one of the wrong shape is refused
+        rep = QuiverRep(alg, {0: 1}, {0: ExactMatrix(1, 0), 1: ExactMatrix(0, 0)})
+        assert rep.maps == {}
+        with pytest.raises(ValueError, match="map for arrow 1 has wrong shape"):
+            QuiverRep(alg, {0: 1}, {1: ExactMatrix(1, 0)})
+        # a given map between nonzero fibers is stored as given, a missing
+        # one is zero, and its action is a fresh zero matrix on every call
+        given = ExactMatrix(1, 1, [[2]])
+        assert QuiverRep(alg, {0: 1, 1: 1}, {0: given}).maps == {0: given}
+        rep = QuiverRep(alg, {0: 1, 1: 1}, {})
+        assert rep.maps == {}
+        ms = [rep.path_action((0,)) for _ in range(2)]
         assert ms[0] == ms[1] == ExactMatrix(1, 1) and ms[0] is not ms[1]
 
 

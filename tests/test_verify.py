@@ -330,12 +330,13 @@ class TestReferenceCycles:
         assert not kinds & {QuiverRep, BoundQuiverAlgebra}
 
     def test_memoised_hom_queries_leave_no_cycle_and_memos_hold_plain_data(self):
-        # the memos of module_M and shifted_module_complex live on the
-        # algebra; holding only tuples, dicts, lists and scalars, they keep
+        # the module cache and the resolution memo live on the algebra;
+        # holding only tuples, dicts, lists, matrices and scalars, they keep
         # no module or complex alive and make no cycle through the algebra
         from fractions import Fraction
 
         from hatilt.complexes import ProjComplex, hom_complex_dim, shifted_module_complex
+        from hatilt.exactmat import ExactMatrix
         from hatilt.pathcomb import enumerate_os
         from hatilt.quiveralg import BoundQuiverAlgebra, QuiverRep, build_auslander_algebra, module_M
 
@@ -347,6 +348,8 @@ class TestReferenceCycles:
             elif isinstance(obj, (tuple, list)):
                 for v in obj:
                     yield from leaves(v)
+            elif type(obj) is ExactMatrix:
+                yield from leaves(obj.data)
             else:
                 yield obj
 
@@ -363,7 +366,7 @@ class TestReferenceCycles:
                     for y in labels:
                         Y = shifted_module_complex(alg, module_M(alg, y), 3 * s)
                         dims.append(hom_complex_dim(X, Y, 0))
-            memos = (alg._support_memo, alg._resolution_memo)
+            memos = (alg._modules, alg._resolution_memo)
             memo_sizes = tuple(map(len, memos))
             leaf_kinds = {type(v) for memo in memos for v in leaves(memo)}
             del X, Y, alg, memos
@@ -373,7 +376,7 @@ class TestReferenceCycles:
             gc.set_debug(flags)
             gc.garbage.clear()
         assert any(dims) and memo_sizes == (len(labels), len(labels))
-        assert leaf_kinds <= {int, Fraction}
+        assert leaf_kinds <= {int, Fraction, str}
         assert not kinds & {QuiverRep, BoundQuiverAlgebra, ProjComplex}
 
 
