@@ -39,12 +39,11 @@ from .quiveralg import (  # noqa: F401
     module_M,
 )
 from .fdalg import (  # noqa: F401
-    FDAlgebra,
     endo_algebra,
     gabriel_quiver,
     idempotent_subalgebra,
     iso_test,
-    presentation,
+    presentation_data,
     replicate,
     trivial_ext_r,
 )

@@ -35,12 +35,12 @@ from dataclasses import dataclass
 
 from .exactmat import ExactMatrix, ONE, ZERO, exact_div, extend_basis
 from .quiveralg import (
+    BasisElement,
     BoundQuiverAlgebra,
     BudgetError,
     QuiverRep,
     direct_sum,
 )
-from .fdalg import FDAlgebra
 
 
 # -- complexes ---------------------------------------------------------------
@@ -51,16 +51,16 @@ class ProjComplex:
 
     ``terms[m]`` lists the vertex labels of the degree-m summands and
     ``diffs[m][t][s]`` is the algebra element (sparse dict) of the component
-    from summand s of degree m to summand t of degree m+1.
+    from summand s of degree m to summand t of degree m+1.  The complex keeps
+    the given rows of entries, uncopied.
     """
 
     def __init__(self, algebra, terms, diffs, kind="proj", check=True):
         self.algebra = algebra
         self.terms = {m: tuple(v) for m, v in terms.items() if v}
-        self.diffs = {}
-        for m, rows in diffs.items():
-            if m in self.terms and (m + 1) in self.terms:
-                self.diffs[m] = [[dict(e) for e in row] for row in rows]
+        self.diffs = {
+            m: rows for m, rows in diffs.items() if m in self.terms and (m + 1) in self.terms
+        }
         self.kind = kind
         if check:
             self._check()
@@ -860,7 +860,7 @@ def _nu_power_terms(alg, power: int, max_len=64) -> dict:
     return out
 
 
-def endo_algebra_of_complexes(complexes) -> FDAlgebra:
+def endo_algebra_of_complexes(complexes) -> BoundQuiverAlgebra:
     """End of a list of complexes, composed modulo homotopy."""
     if not complexes:
         raise ValueError("need at least one complex")
@@ -877,15 +877,16 @@ def endo_algebra_of_complexes(complexes) -> FDAlgebra:
                 reps, vectors = [reps[k] for k in picked], [vectors[k] for k in picked]
             data[(i, j)] = (reps, vectors, boundaries, slots, dim)
 
-    blocks = []
+    basis = []
     index = {}
-    idem_ids = []
+    idempotent_of = {}
     for (i, j), (reps, _, _, _, _) in sorted(data.items()):
         for k in range(len(reps)):
-            index[(i, j, k)] = len(blocks)
-            blocks.append((i, j))
+            index[(i, j, k)] = len(basis)
+            # a map from X_j to X_i lies in e_i End e_j
+            basis.append(BasisElement(len(basis), j, i))
         if i == j:
-            idem_ids.append(index[(i, i, 0)])
+            idempotent_of[i] = index[(i, i, 0)]
 
     mult = {}
     n = len(complexes)
@@ -911,4 +912,4 @@ def endo_algebra_of_complexes(complexes) -> FDAlgebra:
                         }
                         if entry:
                             mult[(index[(i, j, a)], index[(j, k, b)])] = entry
-    return FDAlgebra(n, blocks, mult, idem_ids)
+    return BoundQuiverAlgebra(basis, mult, idempotent_of)

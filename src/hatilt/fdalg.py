@@ -1,28 +1,30 @@
-"""Finite-dimensional algebras by structure constants, and algebra surgery.
+"""Algebra surgery, endomorphism algebras, presentations and isomorphisms.
 
-An ``FDAlgebra`` is a rational algebra with a distinguished complete set of
-orthogonal idempotents; every basis element is sandwiched between a single
-pair of them, so Cartan data, rad^2 and idempotent surgery (corner
-subalgebras, degree-zero parts, replicated and r-fold trivial extension
-algebras) are all blockwise linear algebra.
+Every algebra here is a ``quiveralg.BoundQuiverAlgebra`` with vertices
+0, ..., n-1, its complete set of orthogonal idempotents; every basis element
+is sandwiched between a single pair of them, so Cartan data, rad^2 and
+idempotent surgery (corner subalgebras, degree-zero parts, replicated and
+r-fold trivial extension algebras) are all blockwise linear algebra.  The
+results of surgery are built from structure constants alone; they carry no
+relations, and their quiver is their Gabriel quiver, computed on first use.
 
 ``endo_algebra`` builds End of a sum of modules of finite projective
 dimension as End of their minimal projective resolutions modulo homotopy,
 so modules and complexes share one endomorphism-algebra builder.
 
-``presentation`` recovers a bound quiver presentation from structure
+``presentation_data`` recovers a bound quiver presentation from structure
 constants: arrows lift a basis of rad/rad^2, the kernel of the induced
 path-algebra surjection is computed degree by degree, and minimal
 generators are chosen greedily in lexicographic path order.  The returned
 algebra is rebuilt from that presentation and must reproduce the original
 dimension, failing loudly otherwise.  Both rad^2 and the presentation
-kernels are computed block by block: rad^2 in block (i, j) is spanned by
-the products of basis elements from (i, l) and (l, j), reduced in the
-coordinates of block (i, j) alone, and paths from j to i are evaluated in
+kernels are computed block by block: rad^2 in e_i A e_j is spanned by the
+products of basis elements of e_i A e_l and e_l A e_j, reduced in the
+coordinates of e_i A e_j alone, and paths from j to i are evaluated in
 e_i A e_j only.
 
 ``iso_test`` certifies isomorphisms from the presentation of its first
-argument alone; the second is read through its Gabriel quiver.  Each vertex
+argument alone; the second is read through its quiver.  Each vertex
 gets a profile (diagonal Cartan entry, sorted Cartan and arrow-count rows
 and columns) that every vertex bijection compatible with Cartan data and
 arrow multiplicities keeps.  Profiles give each vertex its candidates, and
@@ -44,9 +46,9 @@ from fractions import Fraction
 from .exactmat import ExactMatrix, ONE, ZERO, exact_div, extend_basis, span_basis
 from .quiveralg import (
     Arrow,
+    BasisElement,
     BoundQuiverAlgebra,
     BudgetError,
-    ElementArithmetic,
     Quiver,
     QuiverRep,
     Relation,
@@ -54,62 +56,10 @@ from .quiveralg import (
 )
 
 
-class FDAlgebra(ElementArithmetic):
-    """Structure-constant algebra with block-homogeneous basis.
-
-    ``blocks[b] = (i, j)`` means e_i * b * e_j = b for the distinguished
-    idempotents; multiplication is ``mult[(a, b)]`` = sparse coefficients of
-    "a after b".
-    """
-
-    def __init__(self, nidem, blocks, mult, idem_ids, grading=None):
-        self.nidem = nidem
-        self.blocks = list(blocks)
-        self.mult = mult
-        self.idem_ids = list(idem_ids)
-        self.grading = list(grading) if grading is not None else None
-        if len(self.idem_ids) != nidem:
-            raise ValueError("need one distinguished idempotent per index")
-        for i, bid in enumerate(self.idem_ids):
-            if self.blocks[bid] != (i, i):
-                raise ValueError("idempotent basis element in wrong block")
-        self.block_basis: dict[tuple[int, int], list[int]] = {}
-        for bid, blk in enumerate(self.blocks):
-            self.block_basis.setdefault(blk, []).append(bid)
-
-    @property
-    def dim(self):
-        return len(self.blocks)
-
-    def cartan(self) -> list[list[int]]:
-        return [
-            [len(self.block_basis.get((i, j), [])) for j in range(self.nidem)]
-            for i in range(self.nidem)
-        ]
-
-    def is_basic_split(self) -> bool:
-        return all(
-            len(self.block_basis.get((i, i), [])) == 1 for i in range(self.nidem)
-        )
-
-
-def fd_from_bqa(alg: BoundQuiverAlgebra) -> FDAlgebra:
-    """Forget the path structure, keeping blocks and table."""
-    vpos = {v.id: k for k, v in enumerate(alg.quiver.vertices)}
-    blocks = [(vpos[b.tgt], vpos[b.src]) for b in alg.basis]
-    idem_ids = [alg.idempotent_of[v.id] for v in alg.quiver.vertices]
-    return FDAlgebra(
-        len(alg.quiver.vertices),
-        blocks,
-        {k: dict(v) for k, v in alg.mult.items()},
-        idem_ids,
-    )
-
-
 # -- endomorphism algebras --------------------------------------------------
 
 
-def endo_algebra(reps: list[QuiverRep]) -> FDAlgebra:
+def endo_algebra(reps: list[QuiverRep]) -> BoundQuiverAlgebra:
     """End(M_1 + ... + M_k) with the identity maps as idempotents.
 
     Hom between modules of finite projective dimension is Hom between their
@@ -134,12 +84,12 @@ class PresentationData:
     algebra: BoundQuiverAlgebra
 
 
-def gabriel_quiver(fd: FDAlgebra) -> tuple[Quiver, list[dict]]:
+def gabriel_quiver(fd: BoundQuiverAlgebra) -> tuple[Quiver, list[dict]]:
     """Quiver on the idempotents with one arrow per rad/rad^2 basis element.
 
     Basic-split means every e_i A e_i is k e_i, so rad is the span of the
-    off-diagonal blocks, and rad^2 in block (i, j) is spanned by the
-    products b c of basis elements b in (i, l) and c in (l, j).
+    off-diagonal blocks, and rad^2 in e_i A e_j is spanned by the products
+    b c of basis elements b of e_i A e_l and c of e_l A e_j.
 
     rad is nilpotent iff no such product lands in a diagonal block with a
     nonzero value.  If b c = lambda e_i with lambda != 0, the powers
@@ -149,31 +99,32 @@ def gabriel_quiver(fd: FDAlgebra) -> tuple[Quiver, list[dict]]:
     two visits multiply into rad inside a diagonal block, which is zero.
     So rad^nidem = 0.
     """
-    if not fd.is_basic_split():
+    vertices = fd.vertex_ids()
+    if any(len(fd.blocks.get((i, i), [])) != 1 for i in vertices):
         raise ValueError("not basic-split: some e_i A e_i has dimension > 1")
     products: dict[tuple[int, int], list[dict]] = defaultdict(list)
     for (b, c), table in fd.mult.items():
-        (i, l), (m, j) = fd.blocks[b], fd.blocks[c]
-        if i == l or m == j:
+        left, right = fd.basis[b], fd.basis[c]
+        if left.src == left.tgt or right.src == right.tgt:
             continue  # an idempotent factor
-        if i != j:
-            products[i, j].append(table)
-        elif any(table.values()):
+        if right.src != left.tgt:
+            products[right.src, left.tgt].append(table)
+        else:
             raise ValueError("radical not nilpotent")
-    vertices = [Vertex(i, f"v{i}") for i in range(fd.nidem)]
     arrows = []
     arrow_elems = []
-    for (i, j), ids in sorted(fd.block_basis.items()):
+    # blocks in the order of (tgt, src), which fixes the arrow ids
+    for (j, i), ids in sorted(fd.blocks.items(), key=lambda item: item[0][::-1]):
         if i == j:
             continue
         # in block coordinates the basis elements are the unit vectors
-        base = [[t.get(bid, ZERO) for bid in ids] for t in products[i, j]]
+        base = [[t.get(bid, ZERO) for bid in ids] for t in products[j, i]]
         for k in extend_basis(base, ExactMatrix.identity(len(ids)).data):
             aid = len(arrows)
             # the element lives in e_i A e_j, so the arrow runs j -> i
             arrows.append(Arrow(aid, j, i, f"x{aid}"))
             arrow_elems.append(fd.basis_elem(ids[k]))
-    return Quiver(vertices, arrows), arrow_elems
+    return Quiver([Vertex(i, f"v{i}") for i in vertices], arrows), arrow_elems
 
 
 def _paths_of_length(quiver: Quiver, m: int):
@@ -196,7 +147,7 @@ def _paths_of_length(quiver: Quiver, m: int):
 DEFAULT_PRESENTATION_DEGREE = 64
 
 
-def presentation_data(fd: FDAlgebra) -> PresentationData:
+def presentation_data(fd: BoundQuiverAlgebra) -> PresentationData:
     quiver, arrow_elems = gabriel_quiver(fd)
 
     def eval_path(path):
@@ -232,7 +183,7 @@ def presentation_data(fd: FDAlgebra) -> PresentationData:
             # a path from src to tgt evaluates into e_tgt A e_src; the other
             # rows of the evaluation matrix are zero
             evals = [eval_path(p) for p in paths]
-            block_ids = fd.block_basis.get((blk[1], blk[0]), [])
+            block_ids = fd.blocks.get(blk, [])
             eval_matrix = ExactMatrix(
                 len(block_ids), len(paths), [[e.get(bid, ZERO) for e in evals] for bid in block_ids]
             )
@@ -263,14 +214,10 @@ def presentation_data(fd: FDAlgebra) -> PresentationData:
     return PresentationData(quiver, relations, algebra)
 
 
-def presentation(fd: FDAlgebra) -> BoundQuiverAlgebra:
-    return presentation_data(fd).algebra
-
-
 # -- replicated and trivial extension algebras ------------------------------
 
 
-def trivial_ext_r(fd: FDAlgebra, r: int) -> FDAlgebra:
+def trivial_ext_r(fd: BoundQuiverAlgebra, r: int) -> BoundQuiverAlgebra:
     """r x r matrix algebra with fd on the diagonal and its dual on the
     superdiagonal and in the corner; the corner block has degree one."""
     if r < 1:
@@ -278,106 +225,77 @@ def trivial_ext_r(fd: FDAlgebra, r: int) -> FDAlgebra:
     k, m = fd.nidem, fd.dim
     # layer t holds the basis ids from t m on, and bond t, the dual between
     # layers t and t+1 (mod r), those from (r + t) m on
-    blocks = [(t * k + i, t * k + j) for t in range(r) for i, j in fd.blocks]
-    # the dual of e_p A e_q sits in e_q (DA) e_p
-    blocks += [(t * k + q, (t + 1) % r * k + p) for t in range(r) for p, q in fd.blocks]
+    ends = [(t * k + b.src, t * k + b.tgt) for t in range(r) for b in fd.basis]
+    # the dual of e_tgt A e_src sits in e_src (DA) e_tgt
+    ends += [((t + 1) % r * k + b.tgt, t * k + b.src) for t in range(r) for b in fd.basis]
     grading = [0] * ((2 * r - 1) * m) + [1] * m
 
     mult: dict[tuple[int, int], dict[int, Fraction]] = {}
-
-    def add_entry(a, b, out):
-        if out:
-            mult[(a, b)] = out
-
-    # layer * layer
     for t in range(r):
-        base = t * m
-        for (a, b), table in fd.mult.items():
-            add_entry(base + a, base + b, {base + c: v for c, v in table.items()})
-
-    # layer t left-multiplies bond t; layer t+1 right-multiplies bond t
-    for t in range(r):
+        # layer t times layer t; for bond t, <x y, z> is the coefficient of
+        # dual(x) in y . dual(z) and of dual(y) in dual(z) . x
         lbase, bbase, rbase = t * m, (r + t) * m, (t + 1) % r * m
-        for a in range(fd.dim):
-            (i, j) = fd.blocks[a]
-            for bs in range(fd.dim):
-                (p, q) = fd.blocks[bs]
-                # a * dual(bs): nonzero needs j == q
-                if j == q:
-                    out = {}
-                    for c in fd.block_basis.get((p, i), []):
-                        coeff = fd.mult.get((c, a), {}).get(bs, ZERO)
-                        if coeff != 0:
-                            out[bbase + c] = coeff
-                    add_entry(lbase + a, bbase + bs, out)
-                # dual(bs) * a: nonzero needs p == i
-                if p == i:
-                    out = {}
-                    for c in fd.block_basis.get((j, q), []):
-                        coeff = fd.mult.get((a, c), {}).get(bs, ZERO)
-                        if coeff != 0:
-                            out[bbase + c] = coeff
-                    add_entry(bbase + bs, rbase + a, out)
+        for (x, y), table in fd.mult.items():
+            mult[(lbase + x, lbase + y)] = {lbase + c: v for c, v in table.items()}
+            for z, coeff in table.items():
+                mult.setdefault((lbase + y, bbase + z), {})[bbase + x] = coeff
+                mult.setdefault((bbase + z, rbase + x), {})[bbase + y] = coeff
 
-    idem_ids = [t * m + fd.idem_ids[i] for t in range(r) for i in range(k)]
-    return FDAlgebra(r * k, blocks, mult, idem_ids, grading)
+    idempotent_of = {t * k + v: t * m + fd.idempotent_of[v] for t in range(r) for v in range(k)}
+    return _algebra(ends, mult, idempotent_of, grading)
 
 
-def replicate(fd: FDAlgebra, r: int) -> FDAlgebra:
+def _algebra(ends, mult, idempotent_of, grading=None) -> BoundQuiverAlgebra:
+    """The algebra whose basis element b lies in the block ``ends[b]``."""
+    basis = [BasisElement(bid, src, tgt) for bid, (src, tgt) in enumerate(ends)]
+    return BoundQuiverAlgebra(basis, mult, idempotent_of, grading=grading)
+
+
+def replicate(fd: BoundQuiverAlgebra, r: int) -> BoundQuiverAlgebra:
     """Upper-bidiagonal replicated algebra: r diagonal copies, r-1 dual bonds,
     the degree-zero part of the r-fold trivial extension."""
     return degree_zero_part(trivial_ext_r(fd, r))
 
 
-def degree_zero_part(fd: FDAlgebra) -> FDAlgebra:
+def degree_zero_part(fd: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
     """Subalgebra on the degree-zero basis elements of a graded algebra."""
     if fd.grading is None:
         raise ValueError("algebra carries no grading")
     keep = [bid for bid in range(fd.dim) if fd.grading[bid] == 0]
-    return _sub_on_basis(fd, keep, fd.nidem, list(range(fd.nidem)))
+    return _sub_on_basis(fd, keep, list(range(fd.nidem)))
 
 
-def _sub_on_basis(fd, keep, nidem, idem_order, idem_remap=None):
+def _sub_on_basis(fd, keep, idem_order):
+    """The subalgebra on the basis ids ``keep``, whose vertex k is the vertex
+    ``idem_order[k]`` of fd."""
     remap = {bid: t for t, bid in enumerate(keep)}
-    blocks = []
-    for bid in keep:
-        (i, j) = fd.blocks[bid]
-        if idem_remap:
-            i, j = idem_remap[i], idem_remap[j]
-        blocks.append((i, j))
+    vertex = {old: new for new, old in enumerate(idem_order)}
+    ends = [(vertex[fd.basis[bid].src], vertex[fd.basis[bid].tgt]) for bid in keep]
     mult = {}
     for (a, b), table in fd.mult.items():
-        if not table or a not in remap or b not in remap:
+        if a not in remap or b not in remap:
             continue
         if any(c not in remap for c in table):
             raise ValueError("basis subset not multiplicatively closed")
         mult[(remap[a], remap[b])] = {remap[c]: v for c, v in table.items()}
-    idem_ids = [remap[fd.idem_ids[i]] for i in idem_order]
-    grading = [fd.grading[bid] for bid in keep] if fd.grading is not None else None
-    return FDAlgebra(nidem, blocks, mult, idem_ids, grading)
+    idempotent_of = {new: remap[fd.idempotent_of[old]] for new, old in enumerate(idem_order)}
+    return _algebra(ends, mult, idempotent_of)
 
 
-def idempotent_subalgebra(fd: FDAlgebra, idem_indices) -> FDAlgebra:
+def idempotent_subalgebra(fd: BoundQuiverAlgebra, idem_indices) -> BoundQuiverAlgebra:
     """Corner algebra e A e for e the sum of the chosen idempotents."""
     chosen = sorted(set(idem_indices))
     if not chosen:
         raise ValueError("empty idempotent set")
     inside = set(chosen)
-    keep = [
-        bid
-        for bid in range(fd.dim)
-        if fd.blocks[bid][0] in inside and fd.blocks[bid][1] in inside
-    ]
-    idem_remap = {old: new for new, old in enumerate(chosen)}
-    return _sub_on_basis(fd, keep, len(chosen), chosen, idem_remap)
+    keep = [b.id for b in fd.basis if b.src in inside and b.tgt in inside]
+    return _sub_on_basis(fd, keep, chosen)
 
 
-def corner_vanishes(fd: FDAlgebra, idem_indices) -> bool:
+def corner_vanishes(fd: BoundQuiverAlgebra, idem_indices) -> bool:
     """True iff e A (1 - e) = 0 for e the sum of the chosen idempotents."""
     inside = set(idem_indices)
-    return not any(
-        blk[0] in inside and blk[1] not in inside for blk in fd.block_basis
-    )
+    return not any(tgt in inside and src not in inside for src, tgt in fd.blocks)
 
 
 # -- isomorphism testing -----------------------------------------------------
@@ -401,27 +319,27 @@ class _Undecided(Exception):
 def iso_test(a1, a2, budget: int = 2_000_000):
     """Certified isomorphism search between two basic split algebras.
 
-    Accepts ``FDAlgebra`` or ``BoundQuiverAlgebra`` inputs.  Returns an
-    ``IsoResult`` carrying a verified generator-level isomorphism, or None
-    after exhausting all vertex bijections compatible with the Cartan data.
-    Raises ``IsoInconclusive`` instead when some arrow map stayed undecided,
-    when parallel arrows occur, or when ``budget`` placements did not suffice.
+    Returns an ``IsoResult`` carrying a verified generator-level
+    isomorphism, or None after exhausting all vertex bijections compatible
+    with the Cartan data.  Raises ``IsoInconclusive`` instead when some arrow
+    map stayed undecided, when parallel arrows occur, or when ``budget``
+    placements did not suffice.
 
     Only the first algebra is presented.  Its relations generate the kernel
     of its path-algebra surjection (``presentation_data`` checks the rebuilt
     dimension), so a map sending each of its arrows to a nonzero multiple of
-    a distinct Gabriel arrow of the second algebra, under which every
+    a distinct arrow of the second algebra's quiver, under which every
     relation vanishes, is a surjective algebra map between algebras of equal
-    dimension: an isomorphism.
+    dimension: an isomorphism.  The arrows of either quiver of an algebra,
+    the Gabriel quiver or the one it was built from, lift a basis of rad/rad^2.
     """
-    fd1 = fd_from_bqa(a1) if isinstance(a1, BoundQuiverAlgebra) else a1
-    fd2 = fd_from_bqa(a2) if isinstance(a2, BoundQuiverAlgebra) else a2
-    if fd1.dim != fd2.dim or fd1.nidem != fd2.nidem:
+    if a1.dim != a2.dim or a1.nidem != a2.nidem:
         return None
-    p1 = presentation_data(fd1)
-    quiver2, arrow_elems2 = gabriel_quiver(fd2)
-    n = fd1.nidem
-    c1, c2 = fd1.cartan(), fd2.cartan()
+    p1 = presentation_data(a1)
+    quiver2 = a2.quiver
+    arrow_elems2 = {aid: a2.basis_elem(bid) for aid, bid in a2.arrow_elem.items()}
+    n = a1.nidem
+    c1, c2 = a1.cartan(), a2.cartan()
     arrows1 = _arrow_count_matrix(p1.quiver, n)
     arrows2 = _arrow_count_matrix(quiver2, n)
 
@@ -470,7 +388,7 @@ def iso_test(a1, a2, budget: int = 2_000_000):
     for sigma in backtrack(0, {}, set(), backtrack):
         for arrow_map in _arrow_maps(p1.quiver, quiver2, sigma):
             try:
-                scalars = _solve_scalars(fd2, p1, arrow_elems2, arrow_map)
+                scalars = _solve_scalars(a2, p1, arrow_elems2, arrow_map)
             except _Undecided:
                 undecided = True
                 continue

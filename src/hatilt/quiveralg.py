@@ -1,13 +1,14 @@
-"""Bound quiver algebras over the rationals, and their representations.
+"""Finite-dimensional algebras over the rationals, and their representations.
 
-An algebra is presented by a quiver and an admissible ideal generated by
-homogeneous relations (rational combinations of parallel equal-length
-paths).  The basis is built degree by degree: the degree-m piece reachable
-from a source vertex is spanned by arrows applied to the degree-(m-1)
-piece, modulo relations applied at the top.  Pivoting during the reduction
-always eliminates the lexicographically-largest candidate path, so every
-basis element carries a deterministic representative path and golden files
-stay stable.
+One class holds every algebra by structure constants.  An algebra presented
+by a quiver and an admissible ideal generated by homogeneous relations
+(rational combinations of parallel equal-length paths) also keeps a path
+basis, built degree by degree: the degree-m piece reachable from a source
+vertex is spanned by arrows applied to the degree-(m-1) piece, modulo
+relations applied at the top.  Pivoting during the reduction always
+eliminates the lexicographically-largest candidate path, so every basis
+element carries a deterministic representative path and golden files stay
+stable.  Any other algebra is read through its Gabriel quiver.
 
 Modules are right modules, stored as one fiber per vertex with a matrix
 for each arrow between two nonzero fibers, mapping the target fiber to the
@@ -23,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .exactmat import ExactMatrix, ZERO, ONE, exact, span_basis
+from .exactmat import ExactMatrix, ZERO, ONE, exact, extend_basis, span_basis
 from .pathcomb import OrderedSeq, interleaves
 
 DEFAULT_MAX_DIM = 40_000
@@ -111,17 +113,68 @@ def relation(*terms) -> Relation:
 
 @dataclass(frozen=True)
 class BasisElement:
+    """A basis element of e_tgt A e_src; a path basis also sets its path."""
+
     id: int
     src: int
     tgt: int
-    degree: int
-    path: tuple[int, ...]
+    degree: int | None = None
+    path: tuple[int, ...] | None = None
 
 
-class ElementArithmetic:
-    """Arithmetic of elements (dicts basis id -> exact scalar: an int, or a
-    Fraction when not integral) over ``self.mult``, the sparse structure
-    constants: ``mult[(i, j)]`` is "i after j"."""
+class BoundQuiverAlgebra:
+    """A finite-dimensional algebra by structure constants.
+
+    Vertex v = 0, ..., n-1 stands for the idempotent ``idempotent_of[v]``.
+    Basis element b lies in e_tgt A e_src for its ends ``basis[b].src/.tgt``,
+    and ``blocks[(src, tgt)]`` lists the ids of each block.  An element is a
+    dict basis id -> exact scalar (an int, or a Fraction when not integral).
+    ``mult[(a, b)]`` holds the coefficients of "a after b", and ``mult`` holds
+    only nonzero products: a pair that multiplies to zero has no entry.
+
+    The path data is optional: ``from_quiver_data`` keeps the quiver, its
+    relations and a path basis (``basis[b].path``, of length ``.degree``).
+    Without it, ``relations`` is None, ``quiver`` and ``arrow_elem`` are the
+    Gabriel quiver, computed on first use, and ``nilpotency`` is the number
+    of vertices, a Loewy bound that ``fdalg.gabriel_quiver`` proves.
+    """
+
+    def __init__(self, basis, mult, idempotent_of, *, quiver=None, relations=None,
+                 nilpotency=None, vertex_data=None, grading=None):
+        if list(idempotent_of) != list(range(len(idempotent_of))):
+            raise ValueError("vertex ids must be 0, ..., n-1 in order")
+        self.basis = basis
+        self.mult: dict[tuple[int, int], dict[int, Fraction]] = mult
+        self.idempotent_of = idempotent_of
+        self.nidem = len(idempotent_of)
+        self.nilpotency = self.nidem if nilpotency is None else nilpotency
+        self.relations = relations
+        self.vertex_data = vertex_data or {}
+        self.grading = grading
+        if quiver is not None:
+            self.quiver = quiver
+            self.arrow_elem = {b.path[0]: b.id for b in basis if b.degree == 1}
+            # (relation, src, tgt), validated once per algebra for check_relations
+            self.relation_ends = [(r, *r.validate(quiver)[:2]) for r in relations]
+        self._vertex_ids = tuple(idempotent_of)
+        self._idempotent_ids = frozenset(idempotent_of.values())
+        self.blocks: dict[tuple[int, int], list[int]] = {}
+        for b in self.basis:
+            self.blocks.setdefault((b.src, b.tgt), []).append(b.id)
+        self._block_index = {
+            (src, tgt): {bid: k for k, bid in enumerate(ids)}
+            for (src, tgt), ids in self.blocks.items()
+        }
+        # the nonempty blocks e_y A e_v into each vertex v, as (y, ids)
+        self._blocks_into: dict[int, list[tuple[int, list[int]]]] = {}
+        for (src, tgt), ids in self.blocks.items():
+            self._blocks_into.setdefault(tgt, []).append((src, ids))
+        # ("P", v), ("I", v) and ("M", label entries) -> (dims, maps) of the
+        # modules built so far; holding no module, they make no reference
+        # cycle through the algebra.  complexes.shifted_module_complex: module
+        # content -> (terms, diffs) of its minimal resolution, plain data too.
+        self._modules: dict[tuple, tuple[dict, dict]] = {}
+        self._resolution_memo: dict[tuple, tuple[dict, dict]] = {}
 
     def elem_mul(self, x: dict, y: dict) -> dict:
         out: dict[int, Fraction] = {}
@@ -157,43 +210,56 @@ class ElementArithmetic:
     def basis_elem(self, bid: int) -> dict:
         return {bid: ONE}
 
+    def __getattr__(self, name):
+        # reached only when normal lookup fails: the quiver and arrow_elem of
+        # an algebra without path data are its Gabriel quiver, set on first use
+        if name not in ("quiver", "arrow_elem"):
+            raise AttributeError(name)
+        from .fdalg import gabriel_quiver
 
-class BoundQuiverAlgebra(ElementArithmetic):
-    """kQ/I with a path basis, exact multiplication table and nilpotency bound."""
+        self.quiver, elems = gabriel_quiver(self)
+        self.arrow_elem = {a.id: next(iter(e)) for a, e in zip(self.quiver.arrows, elems)}
+        return getattr(self, name)
 
-    def __init__(self, quiver, relations, basis, mult, nilpotency, vertex_data=None):
-        self.quiver = quiver
-        self.relations = list(relations)
-        # (relation, src, tgt), validated once per algebra for check_relations
-        self.relation_ends = [(r, *r.validate(quiver)[:2]) for r in self.relations]
-        self.basis: list[BasisElement] = basis
-        self.mult: dict[tuple[int, int], dict[int, Fraction]] = mult
-        self.nilpotency = nilpotency
-        self.vertex_data = vertex_data or {}
-        self._vertex_ids = tuple(v.id for v in quiver.vertices)
-        self.blocks: dict[tuple[int, int], list[int]] = {}
-        for b in self.basis:
-            self.blocks.setdefault((b.src, b.tgt), []).append(b.id)
-        self.idempotent_of: dict[int, int] = {
-            b.src: b.id for b in self.basis if b.degree == 0
-        }
-        self.arrow_elem: dict[int, int] = {
-            b.path[0]: b.id for b in self.basis if b.degree == 1
-        }
-        self._block_index = {
-            (src, tgt): {bid: k for k, bid in enumerate(ids)}
-            for (src, tgt), ids in self.blocks.items()
-        }
-        # the nonempty blocks e_y A e_v into each vertex v, as (y, ids)
-        self._blocks_into: dict[int, list[tuple[int, list[int]]]] = {}
-        for (src, tgt), ids in self.blocks.items():
-            self._blocks_into.setdefault(tgt, []).append((src, ids))
-        # ("P", v), ("I", v) and ("M", label entries) -> (dims, maps) of the
-        # modules built so far; holding no module, they make no reference
-        # cycle through the algebra.  complexes.shifted_module_complex: module
-        # content -> (terms, diffs) of its minimal resolution, plain data too.
-        self._modules: dict[tuple, tuple[dict, dict]] = {}
-        self._resolution_memo: dict[tuple, tuple[dict, dict]] = {}
+    @cached_property
+    def path_combinations(self) -> dict:
+        """Each basis element off the idempotents, for an algebra without a
+        path basis, as a combination of arrow paths: id -> [(path, coeff)].
+
+        Out of each source, paths are walked degree by degree, and each block
+        keeps, by ``extend_basis``, the paths whose values are new.  Only kept
+        paths are extended: the value of a path a.p is a times that of p, so
+        the kept paths span the values of all paths.  The arrows generate the
+        radical, so those values span every block off the diagonal, and one
+        elimination per block writes its basis in the kept values.
+        """
+        out = {}
+        for s in self._vertex_ids:
+            kept: dict[int, tuple[list, list]] = {}  # tgt -> (paths, value coordinates)
+            frontier = [((), s, self.basis_elem(self.idempotent_of[s]))]
+            while frontier:
+                found: dict[int, list] = {}
+                for path, u, value in frontier:
+                    for a in self.quiver.arrows_out[u]:
+                        if prod := self.elem_mul(self.basis_elem(self.arrow_elem[a.id]), value):
+                            found.setdefault(a.tgt, []).append((path + (a.id,), prod))
+                frontier = []
+                for t, cands in found.items():
+                    paths, rows = kept.setdefault(t, ([], []))
+                    coords = [[value.get(b, ZERO) for b in self.blocks[(s, t)]] for _, value in cands]
+                    for k in extend_basis(rows, coords):
+                        paths.append(cands[k][0])
+                        rows.append(coords[k])
+                        frontier.append((cands[k][0], t, cands[k][1]))
+            for t, (paths, rows) in kept.items():
+                # [R | 1] reduces to [1 | R^-1]: row j of R^-1 writes basis
+                # element j of the block in the kept values, the rows of R
+                k = len(rows)
+                aug = [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+                inverse = ExactMatrix.from_rows(aug).rref()[0].data
+                for j, bid in enumerate(self.blocks[(s, t)]):
+                    out[bid] = [(p, c) for p, c in zip(paths, inverse[j][k:]) if c]
+        return out
 
     # -- construction ------------------------------------------------------
 
@@ -225,18 +291,20 @@ class BoundQuiverAlgebra(ElementArithmetic):
                         rec.global_id = len(basis)
                         basis.append(BasisElement(rec.global_id, s, t, m, rec.path))
 
+        by_src: dict[int, list[BasisElement]] = {}
+        for b in basis:
+            by_src.setdefault(b.src, []).append(b)
         mult = {}
         for b2 in basis:  # right factor: s -> u
             tower = towers[b2.src]
-            for b1 in basis:  # left factor: u -> t
-                if b1.src != b2.tgt:
-                    continue
+            for b1 in by_src.get(b2.tgt, ()):  # left factor: u -> t
                 coeffs = tower.apply_path(b1.path, b2.degree, b2.tgt, b2.path)
-                mult[(b1.id, b2.id)] = {
-                    rec.global_id: c for rec, c in coeffs if c != 0
-                }
+                if table := {rec.global_id: c for rec, c in coeffs if c != 0}:
+                    mult[(b1.id, b2.id)] = table
+        idempotent_of = {b.src: b.id for b in basis if b.degree == 0}
         nilpotency = max((b.degree for b in basis), default=0) + 1
-        return BoundQuiverAlgebra(quiver, relations, basis, mult, nilpotency, vertex_data)
+        return BoundQuiverAlgebra(basis, mult, idempotent_of, quiver=quiver, relations=relations,
+                                  nilpotency=nilpotency, vertex_data=vertex_data)
 
     @property
     def dim(self) -> int:
@@ -250,7 +318,11 @@ class BoundQuiverAlgebra(ElementArithmetic):
         return {bid: exact(c) for bid, c in zip(ids, coords) if c != 0}
 
     def is_radical(self, elem: dict) -> bool:
-        return all(self.basis[k].degree >= 1 for k, v in elem.items() if v != 0)
+        return not any(k in self._idempotent_ids for k, v in elem.items() if v != 0)
+
+    def cartan(self) -> list[list[int]]:
+        """``cartan()[i][j]`` is the dimension of e_i A e_j."""
+        return [[len(self.blocks.get((j, i), [])) for j in self._vertex_ids] for i in self._vertex_ids]
 
     def mult_matrix(self, src, tgt, left=None, right=None) -> ExactMatrix:
         """Matrix of b -> left . b . right from block ``src`` to block ``tgt``.
@@ -474,6 +546,8 @@ class QuiverRep:
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims: dict, maps: dict, check=True):
         self.algebra = algebra
+        if unknown := dims.keys() - algebra.idempotent_of.keys():
+            raise ValueError(f"no vertex with id {next(iter(unknown))!r}")
         self.dims = dims = {v: dims.get(v, 0) for v in algebra.vertex_ids()}
         if not set(map(type, dims.values())) <= {int} or min(dims.values(), default=0) < 0:
             v, k = next((v, k) for v, k in dims.items() if type(k) is not int or k < 0)
@@ -519,11 +593,18 @@ class QuiverRep:
 
     def basis_action(self, bid: int) -> ExactMatrix:
         """Right action of the basis element ``bid`` of e_tgt A e_src, from the
-        fiber at its tgt to the fiber at its src."""
-        b = self.algebra.basis[bid]
-        if b.degree == 0:
+        fiber at its tgt to the fiber at its src: that of its path in a path
+        basis, else that of its ``path_combinations``."""
+        alg = self.algebra
+        b = alg.basis[bid]
+        if bid == alg.idempotent_of[b.src]:
             return ExactMatrix.identity(self.dims[b.src])
-        return self.path_action(b.path)
+        if b.path is not None:
+            return self.path_action(b.path)
+        out = ExactMatrix(self.dims[b.src], self.dims[b.tgt])
+        for path, c in alg.path_combinations[bid]:
+            out = out.add(self.path_action(path).scale(c))
+        return out
 
     def element_action(self, elem: dict, src: int, tgt: int) -> ExactMatrix:
         """Right action of an algebra element supported on e_tgt A e_src.
@@ -541,6 +622,8 @@ class QuiverRep:
         return out
 
     def check_relations(self):
+        if self.algebra.relations is None:
+            raise ValueError("the algebra carries no relations to check the module against")
         for r, src, tgt in self.algebra.relation_ends:
             # a relation out of or into a zero fiber acts as an empty matrix,
             # so it vanishes and cannot fail

@@ -43,10 +43,8 @@ from .fdalg import (
     IsoInconclusive,
     corner_vanishes,
     endo_algebra,
-    fd_from_bqa,
     idempotent_subalgebra,
     iso_test,
-    presentation,
     presentation_data,
     replicate,
     trivial_ext_r,
@@ -87,15 +85,15 @@ class ModelData:
     """Shared constructions for one coprime (d, n), built lazily.
 
     Everything but Lambda and Pi is built at most once per model, and so are
-    the global dimensions of A, B0 and B and the presentations that claims
-    ask ``presentation`` for, those of B0 and B.  B0's presentation feeds
-    ``b0_presentation`` and ``gldim_B0``; B's presentation and global
-    dimension feed ``gldim_B`` and ``two_subhomogeneous``, so B's presentation
-    stays alive for the rest of the run, with the projective and injective
-    modules it caches.  Lambda and Pi are built afresh on each call and their
-    claims present them directly: each has one consumer per run, and keeping
-    them would only raise the peak memory.  The isomorphism End(T) = B is
-    searched once and feeds ``endo_replicate`` and ``preprojective``.
+    the global dimensions of A, B0 and B and the presentation of B0, which
+    ``b0_presentation`` asks ``presentation`` for.  The claims resolve over
+    the algebras built here, not over presentations of them: B0 feeds
+    ``gldim_B0``, and B feeds ``gldim_B`` and ``two_subhomogeneous``, so B
+    stays alive for the rest of the run with the projective and injective
+    modules it caches.  Lambda and Pi are built afresh on each call: each
+    has one consumer per run, and keeping them would only raise the peak
+    memory.  The isomorphism End(T) = B is searched once and feeds
+    ``endo_replicate`` and ``preprojective``.
 
     Every algebra built here counts against ``max_algebra_dim``, and so does
     every presentation: it rebuilds the dimension it presents or fails.
@@ -169,7 +167,7 @@ class ModelData:
 
     def gldim(self, name):
         def build():
-            alg = self.algebra() if name == "A" else self.presentation(name).algebra
+            alg = self.algebra() if name == "A" else self.named(name)
             return gldim(alg, max_len=self.max_len)
 
         return self._memo(("gldim", name), build)
@@ -324,12 +322,10 @@ def claim_idempotent_corner(model: ModelData):
     if d == s:
         raise SkipClaim(f"the smaller Auslander algebra degenerates: d = ceil(d/n) = {s}")
     aprime = build_auslander_algebra(n + 1, d - s, max_dim=model.config.max_algebra_dim)
-    fd = fd_from_bqa(aprime)
-    vpos = {v.id: k for k, v in enumerate(aprime.quiver.vertices)}
     beta = [tuple(e - s for e in coords(p).entries[s:]) for p in model.dyck()]
-    e_indices = [vpos[vertex_of_entries(aprime, b)] for b in beta]
-    corner_ok = corner_vanishes(fd, e_indices)
-    sub = idempotent_subalgebra(fd, e_indices)
+    e_indices = [vertex_of_entries(aprime, b) for b in beta]
+    corner_ok = corner_vanishes(aprime, e_indices)
+    sub = idempotent_subalgebra(aprime, e_indices)
     iso = iso_test(sub, model.b0(), budget=model.config.iso_budget) is not None
     return corner_ok and iso, {"corner_vanishes": corner_ok, "iso": iso, "s": s}
 
@@ -353,7 +349,7 @@ def claim_gldim_b0(model: ModelData):
 
 def claim_higher_auslander(model: ModelData):
     d, n = model.d, model.n
-    lam = presentation(model.lam())
+    lam = model.lam()
     g = gldim(lam, max_len=model.max_len)
     dd = domdim(lam, max_len=model.max_len)
     ok = g <= n * d + 1 and (dd == math.inf or n * d + 1 <= dd)
@@ -363,9 +359,7 @@ def claim_higher_auslander(model: ModelData):
 def claim_two_subhomogeneous(model: ModelData):
     nd = model.n * model.d
     g = model.gldim("B")
-    report = two_subhomogeneous_check(
-        model.presentation("B").algebra, nd, g, max_len=model.max_len
-    )
+    report = two_subhomogeneous_check(model.b_replicated(), nd, g, max_len=model.max_len)
     return report.passed, {"gldim": g, "gldim_equals_d": g == nd, "rigidity": report.rigidity_ok}
 
 
@@ -381,8 +375,8 @@ def claim_preprojective(model: ModelData):
     # a basic algebra is self-injective iff every indecomposable injective
     # I_z is projective: such an I_z is a single P_w, so its top is one
     # vertex, and distinct socles give distinct w, so z -> w is the Nakayama
-    # permutation.  The presentation's vertices are Pi's idempotents.
-    self_injective = projective_injective_vertices(presentation(pi)).keys() == set(range(pi.nidem))
+    # permutation.
+    self_injective = projective_injective_vertices(pi).keys() == set(pi.vertex_ids())
     iso = model.end_t_iso() is not None
     return hom == b0.dim and self_injective and iso, {
         "hom_dim": hom,

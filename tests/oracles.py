@@ -127,7 +127,13 @@ def opposite(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
         ]
         op_mult = {(j, i): dict(v) for (i, j), v in alg.mult.items()}
         op = BoundQuiverAlgebra(
-            op_quiver, op_relations, op_basis, op_mult, alg.nilpotency, alg.vertex_data
+            op_basis,
+            op_mult,
+            dict(alg.idempotent_of),
+            quiver=op_quiver,
+            relations=op_relations,
+            nilpotency=alg.nilpotency,
+            vertex_data=alg.vertex_data,
         )
         op._op = alg
         alg._op = op
@@ -416,11 +422,11 @@ def hom_space(M: QuiverRep, N: QuiverRep) -> tuple[int, list[dict[int, ExactMatr
 
 def check_associative(fd):
     """Exhaustive check over composable basis triples."""
-    for (i, j), left_ids in fd.block_basis.items():
-        for (j2, k), mid_ids in fd.block_basis.items():
+    for (j, i), left_ids in fd.blocks.items():
+        for (k, j2), mid_ids in fd.blocks.items():
             if j2 != j:
                 continue
-            for (k2, l), right_ids in fd.block_basis.items():
+            for (l, k2), right_ids in fd.blocks.items():
                 if k2 != k:
                     continue
                 for a in left_ids:
@@ -485,7 +491,7 @@ def radical_powers_dense(fd):
         vectors = [_dense(fd, e) for e in elems if e]
         return [{k: v for k, v in enumerate(vec) if v != 0} for vec in span_basis(vectors)]
 
-    rad = [bid for bid in range(fd.dim) if bid not in fd.idem_ids]
+    rad = [bid for bid in range(fd.dim) if bid not in fd.idempotent_of.values()]
     powers = [reduce([fd.basis_elem(b) for b in rad])]
     while True:
         prev = powers[-1]
@@ -500,9 +506,11 @@ def radical_powers_dense(fd):
 def gabriel_quiver_dense(fd):
     """Arrows ``(id, src, tgt, label)`` and arrow elements of the Gabriel
     quiver: a greedy pass over the basis elements of the off-diagonal
-    blocks, in sorted block order, keeps each one outside the span of rad^2
-    and of those kept before it, all as dense vectors of the whole algebra."""
-    units = [(i, j, bid) for (i, j), ids in sorted(fd.block_basis.items()) if i != j for bid in ids]
+    blocks, in (target, source) order, keeps each one outside the span of
+    rad^2 and of those kept before it, all as dense vectors of the whole
+    algebra."""
+    blocks = sorted((tgt, src, ids) for (src, tgt), ids in fd.blocks.items())
+    units = [(i, j, bid) for i, j, ids in blocks if i != j for bid in ids]
     rad2 = [_dense(fd, e) for e in radical_powers_dense(fd)[1]]
     kept = extend_basis(rad2, [_dense(fd, fd.basis_elem(bid)) for _, _, bid in units])
     arrows = [(aid, units[k][1], units[k][0], f"x{aid}") for aid, k in enumerate(kept)]

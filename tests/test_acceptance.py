@@ -34,10 +34,8 @@ from hatilt.complexes import (
 from hatilt.fdalg import (
     corner_vanishes,
     endo_algebra,
-    fd_from_bqa,
     idempotent_subalgebra,
     iso_test,
-    presentation,
     presentation_data,
     replicate,
 )
@@ -240,7 +238,7 @@ def test_criterion_09_global_dimensions(model_3_2):
     started = time.monotonic()
     assert gldim(build_auslander_algebra(5, 3), max_len=6) == 3
     alg, _, _, b0_32 = model_3_2
-    B = presentation(replicate(b0_32, 5))
+    B = replicate(b0_32, 5)
     assert gldim(B, max_len=8) == 6
     expectations = {(3, 2): 1, (3, 4): 2, (4, 3): 2}
     for (d, n), expected in expectations.items():
@@ -249,7 +247,7 @@ def test_criterion_09_global_dimensions(model_3_2):
             A.projective(vertex_of_entries(A, coords(p).entries))
             for p in enumerate_dyck(d, n)
         ]
-        b0 = presentation(endo_algebra(projs))
+        b0 = endo_algebra(projs)
         assert gldim(b0, max_len=6) == expected
     report(9, "global dimensions of A, B and the base algebra", started)
 
@@ -257,7 +255,7 @@ def test_criterion_09_global_dimensions(model_3_2):
 def test_criterion_10_higher_auslander_bounds(model_3_2):
     started = time.monotonic()
     _, _, _, b0 = model_3_2
-    lam = presentation(replicate(b0, 6))
+    lam = replicate(b0, 6)
     g, dd = gldim(lam, max_len=9), domdim(lam, max_len=9)
     assert g <= 7 <= dd
     report(10, "replicated higher Auslander bounds gldim <= 7 <= domdim", started)
@@ -272,7 +270,7 @@ def test_criterion_10_extended_4_3_instance():
         A.projective(vertex_of_entries(A, coords(p).entries))
         for p in enumerate_dyck(d, n)
     ]
-    lam = presentation(replicate(endo_algebra(projs), n + d + 1))
+    lam = replicate(endo_algebra(projs), n + d + 1)
     g, dd = gldim(lam, max_len=15), domdim(lam, max_len=15)
     assert g == 13 and dd == 13
     report(10, "extended (4,3): gldim Lambda = 13 = domdim Lambda", started)
@@ -281,7 +279,7 @@ def test_criterion_10_extended_4_3_instance():
 def test_criterion_11_two_subhomogeneity(model_3_2):
     started = time.monotonic()
     _, _, _, b0 = model_3_2
-    B = presentation(replicate(b0, 5))
+    B = replicate(b0, 5)
     assert two_subhomogeneous_check(B, 6, gldim(B, max_len=8), max_len=8).passed
     q = Quiver(
         [Vertex(i, str(i + 1)) for i in range(4)],
@@ -308,14 +306,12 @@ def test_criterion_13_idempotent_subalgebra():
     started = time.monotonic()
     d, n, s = 3, 4, 1
     aprime = build_auslander_algebra(n + 1, d - s)
-    fd = fd_from_bqa(aprime)
-    vpos = {v.id: k for k, v in enumerate(aprime.quiver.vertices)}
     indices = [
-        vpos[vertex_of_entries(aprime, tuple(e - s for e in coords(p).entries[s:]))]
+        vertex_of_entries(aprime, tuple(e - s for e in coords(p).entries[s:]))
         for p in enumerate_dyck(d, n)
     ]
-    assert corner_vanishes(fd, indices)
-    corner = idempotent_subalgebra(fd, indices)
+    assert corner_vanishes(aprime, indices)
+    corner = idempotent_subalgebra(aprime, indices)
     A = build_auslander_algebra(n + 1, d)
     projs = [
         A.projective(vertex_of_entries(A, coords(p).entries))

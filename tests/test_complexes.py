@@ -55,7 +55,7 @@ from hatilt.complexes import (
     ProjComplex,
 )
 from hatilt.exactmat import ExactMatrix
-from hatilt.fdalg import endo_algebra, fd_from_bqa, presentation, replicate
+from hatilt.fdalg import endo_algebra, presentation_data, replicate
 from hatilt.pathcomb import (
     OrderedSeq,
     coords,
@@ -74,7 +74,6 @@ from hatilt.quiveralg import (
     Vertex,
     build_auslander_algebra,
     module_M,
-    ElementArithmetic,
     relation,
     vertex_of_entries,
 )
@@ -290,7 +289,7 @@ class TestReplaceSupport:
 
         count(ExactMatrix, "nullspace")
         count(ExactMatrix, "rref")
-        count(ElementArithmetic, "elem_mul")
+        count(BoundQuiverAlgebra, "elem_mul")
         count(ExactMatrix, "__init__")
         count(ExactMatrix, "_adopt")
         for alg, M in modules:
@@ -364,6 +363,26 @@ class TestResolutionMemo:
                             elem[bid] = 5
                     row.append({})
             X.diffs.clear()
+
+    def test_a_hit_builds_each_entry_once(self, monkeypatch):
+        # the shifted entries are the only copies: a complex keeps the rows it
+        # is given, so wrapping the memo copies nothing
+        alg = build_auslander_algebra(5, 3)
+        M = module_M(alg, OrderedSeq(5, 4, (2, 3, 5, 7)))
+        shifted_module_complex(alg, M, 1)
+        scaled, scale = [], alg.elem_scale
+
+        def counting_scale(c, x):
+            scaled.append(x)
+            return scale(c, x)
+
+        monkeypatch.setattr(alg, "elem_scale", counting_scale)
+        X = shifted_module_complex(alg, M, 1)
+        entries = [e for rows in X.diffs.values() for row in rows for e in row]
+        _, diffs = alg._resolution_memo.popitem()[1]
+        stored = {id(e) for rows in diffs.values() for row in rows for e in row}
+        assert len(scaled) == len(entries) > 0
+        assert {id(e) for e in scaled} == stored and not stored & {id(e) for e in entries}
 
     def test_modules_with_equal_fibers_and_other_maps_are_told_apart(self):
         # the interval module and the semisimple module on its support have
@@ -468,6 +487,23 @@ class TestSparseTables:
         assert all(c["status"] == "pass" for c in claims)
         assert bad == []
         assert seen["module"] > 100 and seen["complex"] > 0
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
+    def test_no_algebra_a_claim_run_builds_stores_an_empty_table(self, d, n, monkeypatch):
+        # mult holds only nonzero products
+        built = []
+        init = BoundQuiverAlgebra.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(BoundQuiverAlgebra, "__init__", recording)
+        claims, _, _ = run_claims(d, n, CLAIM_NAMES)
+        assert all(c["status"] == "pass" for c in claims)
+        assert len(built) >= 8
+        for alg in built:
+            assert all(table and all(table.values()) for table in alg.mult.values())
 
     def test_check_refuses_a_missing_map_a_wrong_shape_and_a_nonzero_square(self):
         alg = linear_bqa(3)
@@ -853,9 +889,8 @@ class TestGlobalDimensions:
     def test_domdim_selfinjective_is_infinite(self):
         from hatilt.fdalg import trivial_ext_r
 
-        b0 = fd_from_bqa(linear_bqa(2))
-        piq = presentation(trivial_ext_r(b0, 3))
-        assert domdim(piq) == math.inf
+        pi = trivial_ext_r(linear_bqa(2), 3)
+        assert domdim(pi) == math.inf
 
     def test_gldim_domdim_replicated(self):
         d, n = 3, 2
@@ -864,10 +899,47 @@ class TestGlobalDimensions:
             alg.projective(vertex_of_entries(alg, coords(p).entries))
             for p in enumerate_dyck(d, n)
         ]
-        lam = presentation(replicate(endo_algebra(P), n + d + 1))
+        lam = replicate(endo_algebra(P), n + d + 1)
         g = gldim(lam, max_len=10)
         dd = domdim(lam, max_len=10)
         assert g <= n * d + 1 <= dd
+
+
+def engine_outcome(alg, nd, max_len):
+    """What the claims read off the engine over ``alg``: gldim, domdim, the
+    projective-injective vertices and the two-step report, with BudgetError
+    standing for a resolution that does not end (gldim of the self-injective
+    Pi)."""
+
+    def attempt(compute):
+        try:
+            return compute()
+        except BudgetError:
+            return "BudgetError"
+
+    g = attempt(lambda: gldim(alg, max_len=max_len))
+    return (
+        g,
+        attempt(lambda: domdim(alg, max_len=max_len)),
+        projective_injective_vertices(alg),
+        two_subhomogeneous_check(alg, nd, g, max_len=max_len) if type(g) is int else None,
+    )
+
+
+class TestEngineAgreement:
+    """The claims resolve over B0, B, Lambda and Pi as built, from structure
+    constants; over their presentations the engine must read the same."""
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
+    @pytest.mark.parametrize("name", ["B0", "B", "Lambda", "Pi"])
+    def test_built_and_presented_agree(self, d, n, name):
+        model = ModelData(d, n, VerifyConfig())
+        built = model.named(name)
+        presented = presentation_data(built).algebra
+        assert built.relations is None and presented.relations is not None
+        outcomes = [engine_outcome(alg, n * d, model.max_len) for alg in (built, presented)]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] or name == "B0"
 
 
 def domdim_test_algebras():
@@ -961,14 +1033,14 @@ class TestTwoSubhomogeneous:
             alg.projective(vertex_of_entries(alg, coords(p).entries))
             for p in enumerate_dyck(d, n)
         ]
-        B = presentation(replicate(endo_algebra(P), n + d))
+        B = replicate(endo_algebra(P), n + d)
         g = gldim(B, max_len=10)
         assert g == 6
         assert two_subhomogeneous_check(B, n * d, g, max_len=10).passed
 
     def test_rejects_gldim_overflow(self):
         # gldim above d fails the check; it does not raise
-        B = presentation(ModelData(3, 2, VerifyConfig()).b_replicated())
+        B = ModelData(3, 2, VerifyConfig()).b_replicated()
         for alg, d_check, g in [(linear_bqa(3), 0, 1), (B, 2, 6)]:
             assert gldim(alg, max_len=10) == g
             assert not two_subhomogeneous_check(alg, d_check, g, max_len=10).passed
@@ -1097,7 +1169,7 @@ class TestFCY:
             alg.projective(vertex_of_entries(alg, coords(p).entries))
             for p in enumerate_dyck(d, n)
         ]
-        B = presentation(replicate(endo_algebra(P), n + d))
+        B = replicate(endo_algebra(P), n + d)
         assert fcy_object_check(B, n * d, n + d + 1, max_len=8)
 
 
@@ -1277,7 +1349,7 @@ class TestEndoOfComplexes:
             alg.projective(vertex_of_entries(alg, coords(p).entries))
             for p in enumerate_dyck(d, n)
         ]
-        B = presentation(replicate(endo_algebra(P), n + d))
+        B = replicate(endo_algebra(P), n + d)
         proj_stalks = [stalk_complex(B, v, 0) for v in B.vertex_ids()]
         inj_complexes = [
             shifted_module_complex(B, B.injective(v), 0, max_len=10)

@@ -7,14 +7,11 @@ from hypothesis import given, settings, strategies as st
 from oracles import check_associative, gabriel_quiver_dense
 
 from hatilt.fdalg import (
-    FDAlgebra,
     degree_zero_part,
     endo_algebra,
-    fd_from_bqa,
     gabriel_quiver,
     idempotent_subalgebra,
     iso_test,
-    presentation,
     presentation_data,
     replicate,
     trivial_ext_r,
@@ -22,9 +19,9 @@ from hatilt.fdalg import (
 from hatilt.pathcomb import OrderedSeq, coords, enumerate_dyck
 from hatilt.quiveralg import (
     Arrow,
+    BasisElement,
     BoundQuiverAlgebra,
     BudgetError,
-    ElementArithmetic,
     Quiver,
     Vertex,
     build_auslander_algebra,
@@ -44,7 +41,7 @@ def linear_algebra_fd(k, rad_power=None):
     if rad_power is not None:
         for start in range(0, k - rad_power):
             rels.append(relation((1, tuple(range(start, start + rad_power)))))
-    return fd_from_bqa(BoundQuiverAlgebra.from_quiver_data(q, rels))
+    return BoundQuiverAlgebra.from_quiver_data(q, rels)
 
 
 def branching_b0():
@@ -76,7 +73,7 @@ class TestFDBasics:
 
     def test_unit(self):
         fd = linear_algebra_fd(3)
-        one = {bid: Fraction(1) for bid in fd.idem_ids}
+        one = {bid: Fraction(1) for bid in fd.idempotent_of.values()}
         for bid in range(fd.dim):
             assert fd.elem_mul(one, fd.basis_elem(bid)) == fd.basis_elem(bid)
             assert fd.elem_mul(fd.basis_elem(bid), one) == fd.basis_elem(bid)
@@ -97,7 +94,9 @@ class TestGabrielQuiver:
             for b, (k, m) in enumerate(units):
                 if j == k:
                     mult[(a, b)] = {units.index((i, m)): Fraction(1)}
-        fd = FDAlgebra(2, units, mult, [0, 3])
+        # e_ij lies in e_i A e_j
+        basis = [BasisElement(a, j, i) for a, (i, j) in enumerate(units)]
+        fd = BoundQuiverAlgebra(basis, mult, {0: 0, 1: 3})
         check_associative(fd)
         with pytest.raises(ValueError, match="radical not nilpotent"):
             gabriel_quiver(fd)
@@ -106,7 +105,7 @@ class TestGabrielQuiver:
     def test_matches_the_dense_quiver(self, d, n):
         model = ModelData(d, n, VerifyConfig())
         algebras = {
-            "A": fd_from_bqa(model.algebra()),
+            "A": model.algebra(),
             "B0": model.b0(),
             "B": model.b_replicated(),
             "Lambda": model.lam(),
@@ -163,7 +162,7 @@ class TestEndoAlgebra:
     def test_infinite_projective_dimension_exhausts_the_budget(self):
         # Pi is self-injective, so its non-projective simples never stop
         # resolving
-        pi = presentation(ModelData(3, 2, VerifyConfig()).pi())
+        pi = ModelData(3, 2, VerifyConfig()).pi()
         with pytest.raises(BudgetError):
             endo_algebra([pi.simple(pi.vertex_ids()[0])])
 
@@ -179,11 +178,10 @@ class TestPresentation:
         assert data.algebra.dim == 27
 
     def test_semisimple_product(self):
-        fd = FDAlgebra(
-            3,
-            [(0, 0), (1, 1), (2, 2)],
+        fd = BoundQuiverAlgebra(
+            [BasisElement(i, i, i) for i in range(3)],
             {(i, i): {i: Fraction(1)} for i in range(3)},
-            [0, 1, 2],
+            {i: i for i in range(3)},
         )
         data = presentation_data(fd)
         assert not data.quiver.arrows
@@ -191,8 +189,7 @@ class TestPresentation:
 
     def test_round_trip_identity(self):
         bqa = branching_b0()
-        fd = fd_from_bqa(bqa)
-        rebuilt = presentation(fd)
+        rebuilt = presentation_data(bqa).algebra
         assert rebuilt.dim == bqa.dim
         assert iso_test(rebuilt, bqa) is not None
 
@@ -343,11 +340,9 @@ def relabelling_algebras():
 
 def relabel(fd, perm):
     """The same algebra with vertex i renamed perm[i]."""
-    blocks = [(perm[i], perm[j]) for i, j in fd.blocks]
-    idem_ids = [0] * fd.nidem
-    for i, bid in enumerate(fd.idem_ids):
-        idem_ids[perm[i]] = bid
-    return FDAlgebra(fd.nidem, blocks, fd.mult, idem_ids)
+    basis = [BasisElement(b.id, perm[b.src], perm[b.tgt]) for b in fd.basis]
+    idempotent_of = {perm[v]: bid for v, bid in fd.idempotent_of.items()}
+    return BoundQuiverAlgebra(basis, fd.mult, dict(sorted(idempotent_of.items())))
 
 
 @st.composite
@@ -557,8 +552,9 @@ class TestIsoTest:
 
         from hatilt.fdalg import _solve_scalars, _Undecided
 
-        target = ElementArithmetic()
-        target.mult = {(i, j): {0: Fraction(1)} for i in range(1, 5) for j in range(1, 5)}
+        target = BoundQuiverAlgebra(
+            [], {(i, j): {0: Fraction(1)} for i in range(1, 5) for j in range(1, 5)}, {}
+        )
         relations = [relation((1, (0, 1)), (-2, (2, 3))), relation((1, (0, 2)), (-8, (1, 3)))]
         source = SimpleNamespace(
             quiver=SimpleNamespace(arrows=[SimpleNamespace(id=k) for k in range(4)]),
@@ -579,8 +575,7 @@ class TestIsoTest:
 
         from hatilt.fdalg import _solve_scalars
 
-        target = ElementArithmetic()
-        target.mult = {(i, j): {0: 1} for i in range(1, 6) for j in range(1, 6)}
+        target = BoundQuiverAlgebra([], {(i, j): {0: 1} for i in range(1, 6) for j in range(1, 6)}, {})
         source = SimpleNamespace(
             quiver=SimpleNamespace(arrows=[SimpleNamespace(id=k) for k in range(5)]),
             relations=[

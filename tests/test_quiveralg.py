@@ -470,6 +470,23 @@ class TestModuleInput:
             with pytest.raises(ValueError, match=f"no arrow with id {aid!r}"):
                 QuiverRep(alg, {0: 1}, {aid: ExactMatrix(5, 5)})
 
+    def test_unknown_vertex_ids_are_refused(self):
+        alg = build_auslander_algebra(3, 2)
+        for v in (10**6, -5, "0"):
+            with pytest.raises(ValueError, match=f"no vertex with id {v!r}"):
+                QuiverRep(alg, {0: 1, v: 2}, {})
+
+    def test_a_checked_module_needs_relations_to_check(self):
+        B = ModelData(3, 2, VerifyConfig()).b_replicated()
+        assert B.relations is None
+        with pytest.raises(ValueError, match="carries no relations"):
+            QuiverRep(B, {0: 1}, {})
+        assert QuiverRep(B, {0: 1}, {}, check=False).total_dim == 1
+        # a path algebra has relations, none of them
+        alg = build_linear(3)
+        assert alg.relations == []
+        assert QuiverRep(alg, {0: 1}, {}).total_dim == 1
+
     def test_only_maps_between_nonzero_fibers_are_stored(self):
         alg = build_linear(3)
         # arrow 0 runs 0 -> 1, arrow 1 runs 1 -> 2
@@ -519,6 +536,22 @@ class TestActionKernels:
                     ]:
                         new = alg.mult_matrix(src, tgt, **side)
                         assert typed(new) == typed(mult_matrix_by_elements(alg, src, tgt, **side))
+
+    def test_basis_action_without_a_path_basis_matches_the_element_route(self):
+        # B is built from structure constants: its basis elements act through
+        # their combinations of Gabriel arrow paths
+        B = ModelData(3, 2, VerifyConfig()).b_replicated()
+        checked = 0
+        for v in B.vertex_ids():
+            P, I = B.projective(v), B.injective(v)
+            for b in B.basis:
+                elem = B.basis_elem(b.id)
+                right = mult_matrix_by_elements(B, (b.tgt, v), (b.src, v), right=elem)
+                left = mult_matrix_by_elements(B, (v, b.src), (v, b.tgt), left=elem)
+                assert typed(P.basis_action(b.id)) == typed(right)
+                assert typed(I.basis_action(b.id)) == typed(left.transpose())
+                checked += 1
+        assert checked == B.dim * B.nidem
 
     def test_mult_matrix_refuses_a_product_outside_the_target_block(self):
         alg = build_linear(3)

@@ -69,7 +69,9 @@ class TestModelData:
         claims, _, _ = run_claims(3, 2, CLAIM_NAMES)
         assert all(c["status"] == "pass" for c in claims)
         presented_ids = [id(fd) for fd, _ in presented]
-        assert len(presented_ids) == len(set(presented_ids)) == 7
+        # B0, the presented B0 inside b0_presentation's iso_test, End(T) and
+        # the corner of idempotent_corner; B, Lambda and Pi are resolved as built
+        assert len(presented_ids) == len(set(presented_ids)) == 4
         # gldim of A, B0, B and Lambda
         assert len(resolved) == len(set(resolved)) == 4
 
@@ -139,8 +141,9 @@ class TestModelData:
         monkeypatch.setattr(BoundQuiverAlgebra, "__init__", recording_init)
         ok, value = claim_higher_auslander(model)
         assert ok and value["domdim"] == 7
-        # the presentation of Lambda is the one bound quiver algebra built
-        assert [alg.dim for alg in built] == [lam_dim]
+        # Lambda is resolved as built: the (n+d+1)-fold trivial extension of
+        # B0 and its degree-zero part Lambda are the only algebras built
+        assert [alg.dim for alg in built] == [2 * 6 * model.b0().dim, lam_dim]
 
 
 class TestRunClaims:
