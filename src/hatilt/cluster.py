@@ -11,6 +11,14 @@ builds once per object:
 * shift difference one: the target dominated by the decremented source,
 * anything else: zero.
 
+The checks over the whole summand list read the rule the other way round.
+The solutions of x <= y are a box of coordinates, y_i in [x_i, x_{i+1} - 1]
+and y_d up to the top label, and so are those of y <= x (the proofs are in
+``pathcomb.interleaving_up_box`` and ``interleaving_down_box``).  So the
+Hom support of each object is listed from two boxes and held as a bitmask of
+summand positions (at (6, 5), about a dozen of the 462 summands) rather than
+found by testing every pair.
+
 The Serre twist acts by rotating the path, bumping the shift exactly when
 the first step is vertical.  Iterating it on the prepended Dyck paths
 produces the summand list of the candidate tilting object; this module
@@ -36,6 +44,8 @@ from .pathcomb import (
     enumerate_all,
     enumerate_dyck,
     interleaves,
+    interleaving_down_box,
+    interleaving_up_box,
     prepend_horizontal,
     region_paths,
     resolving_sequence,
@@ -151,42 +161,101 @@ class RigidityReport:
     violations: tuple = ()
 
 
+def _summand_index(labels):
+    """Bitmasks of summand positions, by coordinates (any shift) and by shift."""
+    by_entries: dict[tuple[int, ...], int] = {}
+    by_shift: dict[int, int] = {}
+    for j, (t, x, _) in enumerate(labels):
+        by_entries[x] = by_entries.get(x, 0) | 1 << j
+        by_shift[t] = by_shift.get(t, 0) | 1 << j
+    return by_entries, by_shift
+
+
+def _box_mask(by_entries, box) -> int:
+    mask = 0
+    for y in box:
+        mask |= by_entries.get(y, 0)
+    return mask
+
+
+def _hom_support(a, by_entries, top: int) -> tuple[int, int]:
+    """Positions j with Hom(u, v_j) nonzero, u labelled a and v_j moved to
+    u's shift and to one shift above; coordinates run up to ``top``.
+
+    The rule of the module docstring as boxes: the up-box of u's coordinates
+    and the down-box of the decremented ones.  Other shifts give zero.
+    """
+    _, x, tx = a
+    above = 0 if tx is None else _box_mask(by_entries, interleaving_down_box(tx))
+    return _box_mask(by_entries, interleaving_up_box(x, top)), above
+
+
+def _cohom_support(b, by_entries, top: int) -> tuple[int, int]:
+    """Positions j with Hom(v_j, w) nonzero, w labelled b and v_j moved to
+    w's shift and to one shift below.
+
+    The down-box of w's coordinates z, and the up-box of z + 1, since
+    z <= y - 1 iff z + 1 <= y in the interleaving order, and z + 1 <= y
+    forces y_1 > 1, so y - 1 is a label.
+    """
+    z = b[1]
+    below = _box_mask(by_entries, interleaving_up_box(tuple(e + 1 for e in z), top))
+    return _box_mask(by_entries, interleaving_down_box(z)), below
+
+
 def rigidity_check(d: int, n: int) -> RigidityReport:
     """Verify Hom(T, T[k]) = 0 for k != 0 over all ordered summand pairs.
 
     For a pair with shift difference s, the only degrees k where a morphism
-    could live are k = -d s and k = d (1 - s); both are checked through the
-    combinatorial rule.  The total dimension of End(T) comes back as a
-    byproduct.
+    could live are k = -d s and k = d (1 - s), which put v at u's shift or
+    one above; both are read off the Hom support of u.  The total
+    dimension of End(T) comes back as a byproduct.  Violations come in the
+    order of a row-major pass over the pairs, the k = -d s one of a pair
+    first.
     """
     summands = tilting_summands(d, n)
     labels = [_labels(u) for u in summands]
-    # morphisms into v[k] need d * (shift difference s) + k in {0, d}: only k = -d s
-    # and k = d (1 - s), which put v at u's shift or one above; at[t][j] is v_j at t
-    at = {t: [(t,) + b[1:] for b in labels] for t in {a[0] + e for a in labels for e in (0, 1)}}
+    by_entries, by_shift = _summand_index(labels)
+    top = n + d + 1
     end_dim = 0
     violations = []
     for u, a in zip(summands, labels):
-        for v, b, b_level, b_above in zip(summands, labels, at[a[0]], at[a[0] + 1]):
-            end_dim += _hom_rule(a, b)
-            s = b[0] - a[0]
-            if s != 0 and _hom_rule(a, b_level):
+        level, above = _hom_support(a, by_entries, top)
+        here, next_up = by_shift[a[0]], by_shift.get(a[0] + 1, 0)
+        end_dim += (level & here).bit_count() + (above & next_up).bit_count()
+        level &= ~here
+        above &= ~next_up
+        if not level | above:
+            continue
+        for j, v in enumerate(summands):
+            s = v.shift - u.shift
+            if level >> j & 1:
                 violations.append((u, v, -d * s))
-            if s != 1 and _hom_rule(a, b_above):
+            if above >> j & 1:
                 violations.append((u, v, d * (1 - s)))
     return RigidityReport(d, n, not violations, end_dim, len(summands) ** 2, tuple(violations))
 
 
-def serre_symmetry_check(d: int, n: int) -> bool:
-    """Verify Hom(u, v) = Hom(v, nu u) over all ordered summand pairs."""
+def serre_symmetry_check(d: int, n: int):
+    """First summand pair (u, v) with Hom(u, v) != Hom(v, nu u), or None.
+
+    Pairs are taken in row-major order; None means the symmetry holds on
+    every ordered pair.
+    """
     summands = tilting_summands(d, n)
     labels = [_labels(u) for u in summands]
+    by_entries, by_shift = _summand_index(labels)
+    top = n + d + 1
     for u, a in zip(summands, labels):
+        level, above = _hom_support(a, by_entries, top)
+        hom = level & by_shift[a[0]] | above & by_shift.get(a[0] + 1, 0)
         twisted = _labels(nakayama(u))
-        for b in labels:
-            if _hom_rule(a, b) != _hom_rule(b, twisted):
-                return False
-    return True
+        level, below = _cohom_support(twisted, by_entries, top)
+        cohom = level & by_shift.get(twisted[0], 0) | below & by_shift.get(twisted[0] - 1, 0)
+        diff = hom ^ cohom
+        if diff:
+            return u, summands[(diff & -diff).bit_length() - 1]
+    return None
 
 
 @dataclass(frozen=True)

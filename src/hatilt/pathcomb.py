@@ -198,6 +198,42 @@ def heights_related(h1: tuple[int, ...], h2: tuple[int, ...]) -> bool:
     return not h1 or h1[-1] <= h2[-1]
 
 
+def interleaving_up_box(x: tuple[int, ...], top: int):
+    """All strictly increasing y in [1, top] with ``interleaves(x, y)``.
+
+    For such y, x_1 <= y_1 < x_2 <= y_2 < ... < x_d <= y_d says exactly
+    y_i in [x_i, x_{i+1} - 1] for i < d and y_d in [x_d, top].  Conversely
+    every tuple of this box is such a y: interval i ends below x_{i+1}, where
+    interval i + 1 starts, so the entries strictly increase, and they lie in
+    [x_1, top].  Yields in lexicographic order.
+    """
+    return itertools.product(*(range(a, b) for a, b in zip(x, x[1:] + (top + 1,))))
+
+
+def interleaving_down_box(x: tuple[int, ...]):
+    """All strictly increasing y of positive integers with ``interleaves(y, x)``.
+
+    For such y, y_1 <= x_1 < y_2 <= x_2 < ... < y_d <= x_d says exactly
+    y_1 in [1, x_1] and y_i in [x_{i-1} + 1, x_i] for i > 1.  Conversely
+    every tuple of this box is such a y: interval i ends at x_i, below the
+    start of interval i + 1, so the entries strictly increase, and they lie
+    in [1, x_d].  Yields in lexicographic order.
+    """
+    return itertools.product(*(range(a + 1, b + 1) for a, b in zip((0,) + x[:-1], x)))
+
+
+def heights_up_box(h: tuple[int, ...], n: int):
+    """All column heights h2 of L_{d,n} with ``heights_related(h, h2)``.
+
+    Column heights are the nondecreasing d-tuples in [0, n].  For such h2 the
+    relation says exactly h2_i in [h_i, h_{i+1}] for i < d and h2_d in
+    [h_d, n].  Conversely every tuple of this box is such an h2: consecutive
+    intervals share their endpoint h_{i+1}, so the entries do not decrease,
+    and they lie in [h_1, n].  Yields in lexicographic order.
+    """
+    return itertools.product(*(range(a, b + 1) for a, b in zip(h, h[1:] + (n,))))
+
+
 def rotate(path: LatticePath) -> LatticePath:
     """Move the first step to the end."""
     return LatticePath(path.d, path.n, path.steps[1:] + path.steps[0])

@@ -272,11 +272,15 @@ class BoundQuiverAlgebra:
         max_degree: int = DEFAULT_MAX_DEGREE,
     ) -> "BoundQuiverAlgebra":
         relations = list(relations)
-        rel_info = [(r, r.validate(quiver)) for r in relations]
+        # relations grouped by target vertex, each group in the given order
+        rels_by_tgt: dict[int, list[tuple[Relation, int, int]]] = {}
+        for r in relations:
+            rsrc, rtgt, rdeg = r.validate(quiver)
+            rels_by_tgt.setdefault(rtgt, []).append((r, rsrc, rdeg))
         towers = {}
         total_dim = 0
         for s in quiver.vertices:
-            tower = _Tower.build(quiver, rel_info, s.id, max_degree)
+            tower = _Tower.build(quiver, rels_by_tgt, s.id, max_degree)
             towers[s.id] = tower
             total_dim += tower.dimension()
             if total_dim > max_dim:
@@ -417,11 +421,11 @@ class _Tower:
         self.apply_maps: dict[tuple[int, int], ExactMatrix] = {}
 
     @staticmethod
-    def build(quiver, rel_info, source, max_degree):
+    def build(quiver, rels_by_tgt, source, max_degree):
         tower = _Tower(quiver, source)
         tower.layers.append({source: [_TowerRecord((), 0)]})
         for m in range(1, max_degree + 1):
-            layer = tower._extend(rel_info, m)
+            layer = tower._extend(rels_by_tgt, m)
             if not layer:
                 break
             tower.layers.append(layer)
@@ -432,7 +436,7 @@ class _Tower:
     def dimension(self):
         return sum(len(recs) for layer in self.layers for recs in layer.values())
 
-    def _extend(self, rel_info, m):
+    def _extend(self, rels_by_tgt, m):
         prev = self.layers[m - 1]
         # formal candidates per target vertex: (arrow, previous record)
         candidates: dict[int, list[tuple[Arrow, _TowerRecord]]] = {}
@@ -448,8 +452,8 @@ class _Tower:
         for t, cands in candidates.items():
             pos = {(a.id, rec.local_index, a.src): k for k, (a, rec) in enumerate(cands)}
             rel_rows = []
-            for r, (rsrc, rtgt, rdeg) in rel_info:
-                if rtgt != t or m < rdeg:
+            for r, rsrc, rdeg in rels_by_tgt.get(t, ()):
+                if m < rdeg:
                     continue
                 lower = self.layers[m - rdeg].get(rsrc, [])
                 for w in lower:

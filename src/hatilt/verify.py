@@ -49,7 +49,7 @@ from .fdalg import (
     replicate,
     trivial_ext_r,
 )
-from .pathcomb import coords, enumerate_all, enumerate_dyck, heights_related, interleaves
+from .pathcomb import coords, enumerate_all, enumerate_dyck, heights_up_box, interleaving_up_box
 from .quiveralg import (
     BudgetError,
     build_auslander_algebra,
@@ -220,15 +220,21 @@ def claim_orbit_normal_form(model: ModelData):
 
 def claim_interleaving_agreement(model: ModelData):
     d, n = model.d, model.n
-    # relation R on column heights against preceq on coordinates
-    labels = [(p.column_heights(), coords(p).entries) for p in enumerate_all(d, n)]
-    pairs = 0
-    for h1, x1 in labels:
-        for h2, x2 in labels:
-            pairs += 1
-            if heights_related(h1, h2) != interleaves(x1, x2):
-                return False, {"pairs": pairs}
-    return True, {"pairs": pairs}
+    # relation R on column heights against preceq on coordinates, as the
+    # up-sets of each path: bitmasks over the paths, listed from their boxes
+    paths = enumerate_all(d, n)
+    heights = [p.column_heights() for p in paths]
+    entries = [coords(p).entries for p in paths]
+    by_heights = {h: 1 << j for j, h in enumerate(heights)}
+    by_entries = {x: 1 << j for j, x in enumerate(entries)}
+    for r, (h, x) in enumerate(zip(heights, entries)):
+        related = sum(by_heights[h2] for h2 in heights_up_box(h, n))
+        above = sum(by_entries[y] for y in interleaving_up_box(x, n + d))
+        diff = related ^ above
+        if diff:
+            # the pairs a row-major pass would have read up to this mismatch
+            return False, {"pairs": r * len(paths) + (diff & -diff).bit_length()}
+    return True, {"pairs": len(paths) ** 2}
 
 
 def claim_rigidity(model: ModelData):
@@ -263,8 +269,11 @@ def claim_nu_orbit_blocks(model: ModelData):
 
 
 def claim_serre_symmetry(model: ModelData):
-    ok = serre_symmetry_check(model.d, model.n)
-    return ok, ({"pairs": (len(model.dyck()) * (model.n + model.d)) ** 2} if ok else {})
+    witness = serre_symmetry_check(model.d, model.n)
+    if witness is None:
+        return True, {"pairs": (len(model.dyck()) * (model.n + model.d)) ** 2}
+    u, v = witness
+    return False, {"pair": (u.path.steps, u.shift, v.path.steps, v.shift)}
 
 
 def claim_fcy_combinatorial(model: ModelData):

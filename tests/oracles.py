@@ -24,10 +24,12 @@ bent-curve test, regions and slices computed with ``Fraction`` slopes,
 against which the integer-scaled ``hatilt.pathcomb`` versions are
 compared, the lookup of a path's generation-certificate
 entry, and the rigidity and Serre-symmetry checks asked one ``hom_dim``
-query at a time, against which the label-triple checks of
-``hatilt.cluster`` are compared, the Hom dimension of complexes asked
-one shift at a time, against which ``hom_complex_dims`` is compared, and
-the projective-replacement engine that sweeps every vertex and every arrow
+query at a time, against which the box checks of ``hatilt.cluster`` are
+compared, also under a planted Hom rule that forgets shifts, and the
+interleaving-agreement claim as a test of every pair, against which the
+box comparison of ``hatilt.verify`` is compared, the Hom dimension of
+complexes asked one shift at a time, against which ``hom_complex_dims`` is
+compared, and the projective-replacement engine that sweeps every vertex and every arrow
 in each degree, against which the support-restricted
 ``hatilt.complexes._replace`` is compared.  Last come the element route of
 the block-coordinate kernels: block coordinates of an element, the action of
@@ -45,11 +47,13 @@ against.
 import math
 from fractions import Fraction
 
+import hatilt.cluster
 from hatilt.cluster import (
     CertificateEntry,
     GenerationCertificate,
     RigidityReport,
     ShiftedModule,
+    _box_mask,
     hom_dim,
     nakayama,
     tilting_summands,
@@ -84,6 +88,10 @@ from hatilt.pathcomb import (
     below,
     coords,
     enumerate_all,
+    heights_related,
+    interleaves,
+    interleaving_down_box,
+    interleaving_up_box,
     is_dyck,
     lies_below_bent_curve,
     preceq,
@@ -682,6 +690,12 @@ def is_injective_at_zero(u: ShiftedModule) -> bool:
     return u.shift == 0 and u.path.steps[-1] == "H"
 
 
+# the coprime models with d + n <= 8, which the differential tests sweep
+COPRIME_UP_TO_8 = [
+    (d, n) for d in range(1, 8) for n in range(1, 9 - d) if math.gcd(d, n) == 1
+]
+
+
 def rigidity_check_by_hom_dim(d: int, n: int) -> RigidityReport:
     """``hatilt.cluster.rigidity_check``, one ``hom_dim`` call per query."""
     summands = tilting_summands(d, n)
@@ -703,15 +717,50 @@ def rigidity_check_by_hom_dim(d: int, n: int) -> RigidityReport:
     return RigidityReport(d, n, not violations, end_dim, pairs, tuple(violations))
 
 
-def serre_symmetry_by_hom_dim(d: int, n: int) -> bool:
+def serre_symmetry_by_hom_dim(d: int, n: int):
     """``hatilt.cluster.serre_symmetry_check``, one ``hom_dim`` call per query."""
     summands = tilting_summands(d, n)
     for u in summands:
         twisted = nakayama(u)
         for v in summands:
             if hom_dim(u, v) != hom_dim(v, twisted):
-                return False
-    return True
+                return u, v
+    return None
+
+
+def plant_shift_blind_rule(monkeypatch):
+    """Make the Hom rule forget shifts, in its pairwise form and in the box
+    form the summand checks read: Hom(u, v) is 1 exactly when the
+    coordinates of u and v interleave, whatever the shifts.  This gives
+    Hom(u, u[d]) = 1 and breaks the twist symmetry."""
+    real = hatilt.cluster._hom_rule
+    monkeypatch.setattr(
+        hatilt.cluster, "_hom_rule", lambda a, b: real((0,) + a[1:], (0,) + b[1:])
+    )
+
+    def hom_support(a, by_entries, top):
+        up = _box_mask(by_entries, interleaving_up_box(a[1], top))
+        return up, up
+
+    def cohom_support(b, by_entries, top):
+        down = _box_mask(by_entries, interleaving_down_box(b[1]))
+        return down, down
+
+    monkeypatch.setattr(hatilt.cluster, "_hom_support", hom_support)
+    monkeypatch.setattr(hatilt.cluster, "_cohom_support", cohom_support)
+
+
+def interleaving_agreement_by_pairs(d: int, n: int):
+    """``hatilt.verify.claim_interleaving_agreement`` as a test of every pair."""
+    # relation R on column heights against preceq on coordinates
+    labels = [(p.column_heights(), coords(p).entries) for p in enumerate_all(d, n)]
+    pairs = 0
+    for h1, x1 in labels:
+        for h2, x2 in labels:
+            pairs += 1
+            if heights_related(h1, h2) != interleaves(x1, x2):
+                return False, {"pairs": pairs}
+    return True, {"pairs": pairs}
 
 
 def hom_complex_dim_per_shift(X, Y, k=0):

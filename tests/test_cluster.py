@@ -4,11 +4,13 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import (
+    COPRIME_UP_TO_8,
     append_horizontal,
     compose_nonzero,
     entry_for,
     is_injective_at_zero,
     is_projective_at_zero,
+    plant_shift_blind_rule,
     rigidity_check_by_hom_dim,
     serre_symmetry_by_hom_dim,
 )
@@ -179,30 +181,38 @@ class TestHomRuleCost:
         assert constructions(rigidity_check, 4, 3) == constructions(tilting_summands, 4, 3)
 
 
-COPRIME_UP_TO_8 = [
-    (d, n) for d in range(1, 8) for n in range(1, 9 - d) if math.gcd(d, n) == 1
-]
-
-
 class TestHomRuleDifferential:
-    # the label-triple checks against the same checks asked one hom_dim
-    # query at a time
+    # the box checks against the same checks asked one hom_dim query at a time
     @pytest.mark.parametrize("d, n", COPRIME_UP_TO_8)
     def test_rigidity_and_serre_match_the_hom_dim_checks(self, d, n):
         assert rigidity_check(d, n) == rigidity_check_by_hom_dim(d, n)
-        assert serre_symmetry_check(d, n) == serre_symmetry_by_hom_dim(d, n)
+        assert serre_symmetry_check(d, n) == serre_symmetry_by_hom_dim(d, n) is None
 
     @pytest.mark.parametrize("d, n", [(3, 2), (2, 3)])
     def test_match_under_a_shift_blind_rule(self, monkeypatch, d, n):
-        # a rule that zeroes both shifts breaks rigidity
-        real = hatilt.cluster._hom_rule
-        monkeypatch.setattr(
-            hatilt.cluster, "_hom_rule", lambda a, b: real((0,) + a[1:], (0,) + b[1:])
-        )
+        # a rule that zeroes both shifts breaks rigidity and the symmetry
+        plant_shift_blind_rule(monkeypatch)
         report = rigidity_check(d, n)
         assert report.violations
         assert report == rigidity_check_by_hom_dim(d, n)
-        assert serre_symmetry_check(d, n) == serre_symmetry_by_hom_dim(d, n)
+        witness = serre_symmetry_check(d, n)
+        assert witness is not None
+        assert witness == serre_symmetry_by_hom_dim(d, n)
+
+    def test_match_under_a_rule_that_sees_every_morphism(self, monkeypatch):
+        # Hom = 1 everywhere gives the pairs whose shifts differ by 2 or -1
+        # a violation in both degrees, listed in the order the oracle asks;
+        # end_dim differs, since the supports read only the two shifts where
+        # the rule can place a morphism
+        def everything(a, by_entries, top):
+            mask = sum(by_entries.values())
+            return mask, mask
+
+        monkeypatch.setattr(hatilt.cluster, "_hom_rule", lambda a, b: 1)
+        monkeypatch.setattr(hatilt.cluster, "_hom_support", everything)
+        report = rigidity_check(2, 3)
+        assert len(report.violations) > len({(u, v) for u, v, _ in report.violations})
+        assert report.violations == rigidity_check_by_hom_dim(2, 3).violations
 
 
 class TestCompose:

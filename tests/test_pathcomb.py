@@ -32,6 +32,10 @@ from hatilt.pathcomb import (
     enumerate_os,
     from_coords,
     heights_related,
+    heights_up_box,
+    interleaves,
+    interleaving_down_box,
+    interleaving_up_box,
     is_dyck,
     lies_below_bent_curve,
     path_from_entries,
@@ -192,6 +196,24 @@ class TestRelationR:
         for p1 in paths:
             for p2 in paths:
                 assert relation_R(p1, p2) == preceq(coords(p1), coords(p2))
+
+
+class TestBoxes:
+    # each box generator lists exactly the solutions of its predicate
+    @pytest.mark.parametrize(
+        "d, n", [(d, n) for d in range(1, 10) for n in range(1, 11 - d)]
+    )
+    def test_boxes_are_the_solution_sets(self, d, n):
+        paths = enumerate_all(d, n)
+        entries = [coords(p).entries for p in paths]  # lexicographic, as the boxes
+        for x in entries:
+            assert list(interleaving_up_box(x, n + d)) == [
+                y for y in entries if interleaves(x, y)
+            ]
+            assert list(interleaving_down_box(x)) == [y for y in entries if interleaves(y, x)]
+        heights = sorted(p.column_heights() for p in paths)
+        for h in heights:
+            assert list(heights_up_box(h, n)) == [g for g in heights if heights_related(h, g)]
 
 
 class TestEnumerateAll:

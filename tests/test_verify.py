@@ -5,13 +5,24 @@ import json
 import math
 from pathlib import Path
 
+import oracles
 import pytest
+from oracles import (
+    COPRIME_UP_TO_8,
+    interleaving_agreement_by_pairs,
+    plant_shift_blind_rule,
+    rigidity_check_by_hom_dim,
+    serre_symmetry_by_hom_dim,
+)
 
+import hatilt.verify
+from hatilt.pathcomb import enumerate_all, heights_related
 from hatilt.verify import (
     CLAIM_NAMES,
     COMBINATORIAL_CLAIMS,
     ModelData,
     VerifyConfig,
+    claim_interleaving_agreement,
     run_claims,
 )
 
@@ -274,21 +285,46 @@ class TestOtherModels:
 class TestHomRuleFaultInjection:
     def test_rigidity_and_serre_symmetry_see_a_broken_hom_rule(self, monkeypatch):
         # a rule that forgets the shifts gives Hom(u, u[d]) = 1 and breaks
-        # the twist symmetry; both claims must catch it
-        import hatilt.cluster
-
-        real = hatilt.cluster._hom_rule
-
-        def shift_blind(a, b):
-            return real((0,) + a[1:], (0,) + b[1:])
-
-        monkeypatch.setattr(hatilt.cluster, "_hom_rule", shift_blind)
+        # the twist symmetry; both claims must catch it and report what the
+        # checks asked one hom_dim query at a time find
+        plant_shift_blind_rule(monkeypatch)
         claims, failed, _ = run_claims(3, 2, ["rigidity", "serre_symmetry"])
         assert failed
         assert [(c["name"], c["status"]) for c in claims] == [
             ("rigidity", "fail"),
             ("serre_symmetry", "fail"),
         ]
+        report = rigidity_check_by_hom_dim(3, 2)
+        assert claims[0]["value"] == {
+            "end_dim": report.end_dim,
+            "violations": len(report.violations),
+        }
+        u, v = serre_symmetry_by_hom_dim(3, 2)
+        assert claims[1]["value"] == {"pair": (u.path.steps, u.shift, v.path.steps, v.shift)}
+
+
+class TestInterleavingAgreement:
+    # the up-set comparison against the test of every pair
+    @pytest.mark.parametrize("d, n", COPRIME_UP_TO_8)
+    def test_matches_the_pairwise_loop(self, d, n):
+        model = ModelData(d, n, VerifyConfig())
+        assert claim_interleaving_agreement(model) == interleaving_agreement_by_pairs(d, n)
+
+    @pytest.mark.parametrize("d, n", COPRIME_UP_TO_8)
+    def test_matches_the_pairwise_loop_under_a_planted_fault(self, monkeypatch, d, n):
+        # a relation R that misses every pair whose first height rises by two
+        # or more; the claim reads it as a box, the loop as a predicate
+        def faulty(h1, h2):
+            return heights_related(h1, h2) and h2[0] - h1[0] < 2
+
+        heights = [p.column_heights() for p in enumerate_all(d, n)]
+        monkeypatch.setattr(oracles, "heights_related", faulty)
+        monkeypatch.setattr(
+            hatilt.verify, "heights_up_box", lambda h, top: [g for g in heights if faulty(h, g)]
+        )
+        ok, value = claim_interleaving_agreement(ModelData(d, n, VerifyConfig()))
+        assert (ok, value) == interleaving_agreement_by_pairs(d, n)
+        assert ok == (n == 1)
 
 
 class TestReferenceReports:
