@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import sys
 
@@ -220,13 +221,14 @@ def _parse_budget(overrides_arg):
 
     if not overrides_arg:
         return VerifyConfig()
+    keys = {field.name for field in dataclasses.fields(VerifyConfig)}
     overrides = {}
     for chunk in overrides_arg.split(","):
         if "=" not in chunk:
             raise UsageError(f"bad budget override {chunk!r}")
         key, value = chunk.split("=", 1)
         key = key.strip()
-        if key not in ("max_resolution_length", "max_algebra_dim", "iso_budget"):
+        if key not in keys:
             raise UsageError(f"unknown budget key {key!r}")
         if key in overrides:
             raise UsageError(f"budget {key} given more than once")
@@ -234,9 +236,10 @@ def _parse_budget(overrides_arg):
             overrides[key] = int(value)
         except ValueError:
             raise UsageError(f"budget {key} must be an integer, got {value!r}") from None
-        if overrides[key] < 1:
-            raise UsageError(f"budget {key} must be at least 1, got {value!r}")
-    return VerifyConfig(**overrides)
+    try:
+        return VerifyConfig(**overrides)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_verify(args) -> int:

@@ -1,25 +1,26 @@
 """Bounded complexes of projectives and generic homological algebra on them.
 
-Complexes are cochain complexes: the differential raises degree and squares
-to zero exactly.  Entries of differentials are algebra elements (an entry
-from a summand at vertex u to one at vertex v lies in e_v A e_u), so chain
-maps, homotopies and Hom-space dimensions are all solved in the small
-algebra-block coordinates rather than on realized fibers.
+Complexes are cochain complexes of indecomposable projectives: the
+differential raises degree and squares to zero exactly.  Entries of
+differentials are algebra elements (an entry from a summand at vertex u to
+one at vertex v lies in e_v A e_u), so chain maps, homotopies and
+Hom-space dimensions are all solved in the small algebra-block coordinates
+rather than on realized fibers.
 
-The Serre twist is implemented structurally: a complex of projectives is
-reinterpreted termwise as a complex of injectives carrying the same entry
-data, realised as a complex of modules, and traded back for a
-quasi-isomorphic complex of projectives.  A complex of modules keeps a
-differential matrix exactly at the vertices where both its fibers are
-nonzero, as a module keeps its arrow maps; every other one is zero.  One
-engine does the replacement and also computes minimal projective
-resolutions (the one-term case): going down from the top degree, each term
-is the projective cover of the cycles of the cone of the map built so far,
-read off as a nullspace in block coordinates at the vertices where the cone
-lives, since its cycles vanish elsewhere.  Where that nullspace is forced,
-the standard basis or zero, it is written down without elimination.
-Minimisation strips contractible two-term blocks by Gaussian elimination
-with entries inverted through the radical filtration.
+The derived Nakayama functor reads the same entries on injectives:
+nu(P_v) = I_v, and e in e_v A e_u gives the map I_u -> I_v dual to right
+multiplication by e.  ``realize_complex`` builds that complex of modules,
+and the replacement engine trades it back for a quasi-isomorphic complex
+of projectives.  A complex of modules keeps a differential matrix exactly
+at the vertices where both its fibers are nonzero, as a module keeps its
+arrow maps; every other one is zero.  The same engine also computes
+minimal projective resolutions (the one-term case): going down from the
+top degree, each term is the projective cover of the cycles of the cone of
+the map built so far, read off as a nullspace in block coordinates at the
+vertices where the cone lives, since its cycles vanish elsewhere.  Where
+that nullspace is forced, the standard basis or zero, it is written down
+without elimination.  Minimisation strips contractible two-term blocks by
+Gaussian elimination with entries inverted through the radical filtration.
 
 On top of this live the routines that know nothing of a particular
 model: global and dominant dimension, projective-injective vertices, the
@@ -47,7 +48,7 @@ from .quiveralg import (
 
 
 class ProjComplex:
-    """Bounded complex of indecomposable projectives (or injectives).
+    """Bounded complex of indecomposable projectives.
 
     ``terms[m]`` lists the vertex labels of the degree-m summands and
     ``diffs[m][t][s]`` is the algebra element (sparse dict) of the component
@@ -55,13 +56,12 @@ class ProjComplex:
     the given rows of entries, uncopied.
     """
 
-    def __init__(self, algebra, terms, diffs, kind="proj", check=True):
+    def __init__(self, algebra, terms, diffs, check=True):
         self.algebra = algebra
         self.terms = {m: tuple(v) for m, v in terms.items() if v}
         self.diffs = {
             m: rows for m, rows in diffs.items() if m in self.terms and (m + 1) in self.terms
         }
-        self.kind = kind
         if check:
             self._check()
 
@@ -100,7 +100,7 @@ class ProjComplex:
             m - k: [[self.algebra.elem_scale(sign, e) for e in row] for row in rows]
             for m, rows in self.diffs.items()
         }
-        return ProjComplex(self.algebra, terms, diffs, self.kind, check=False)
+        return ProjComplex(self.algebra, terms, diffs, check=False)
 
     def is_minimal(self):
         alg = self.algebra
@@ -191,23 +191,9 @@ def _delta_matrix(X, Y, j, source, target):
     return ExactMatrix._adopt(dim_j1, dim_j, rows)
 
 
-def _hom_differentials(X, Y, k):
-    """delta^k and delta^{k-1} of Hom^*(X, Y), with the slots and dim of
-    Hom^k; each of the three slot lists is built once."""
-    below, here, above = (_hom_slots(X, Y, j) for j in (k - 1, k, k + 1))
-    return (
-        _delta_matrix(X, Y, k, here, above),
-        _delta_matrix(X, Y, k - 1, below, here),
-        *here,
-    )
-
-
 def _check_hom_pair(X, Y):
-    """The Hom formulas below hold for complexes of projectives over one algebra."""
     if X.algebra is not Y.algebra:
         raise ValueError("the two complexes lie over different algebras")
-    if (X.kind, Y.kind) != ("proj", "proj"):
-        raise ValueError(f"expected complexes of projectives, got {X.kind!r} and {Y.kind!r}")
 
 
 def hom_complex_dim(X, Y, k=0):
@@ -245,15 +231,17 @@ def hom_complex_dims(X, Y, ks):
 
 
 def chain_maps_mod_homotopy(X, Y, k=0):
-    """Basis of Hom_{K}(X, Y[k]) as entry matrices, plus boundary vectors."""
+    """Basis of Hom_{K}(X, Y[k]) as entry matrices, plus boundary vectors.
+
+    The boundaries are the nonzero images of delta^{k-1}, the rows of its
+    transpose."""
     _check_hom_pair(X, Y)
-    delta_k, delta_km1, slots, dim_k = _hom_differentials(X, Y, k)
-    cycles = delta_k.nullspace() if dim_k else []
-    boundaries = []
-    for j in range(delta_km1.cols):
-        vec = [delta_km1.data[i][j] for i in range(delta_km1.rows)]
-        if any(x != 0 for x in vec):
-            boundaries.append(vec)
+    below, here, above = (_hom_slots(X, Y, j) for j in (k - 1, k, k + 1))
+    slots, dim_k = here
+    cycles = _delta_matrix(X, Y, k, here, above).nullspace() if dim_k else []
+    boundaries = [
+        row for row in _delta_matrix(X, Y, k - 1, below, here).transpose().data if any(row)
+    ]
     chosen = [cycles[k] for k in extend_basis(boundaries, cycles)]
     reps = [_vector_to_chain_map(vec, slots) for vec in chosen]
     return reps, chosen, boundaries, slots, dim_k
@@ -388,7 +376,7 @@ def minimize_complex(X):
             if key in terms and not terms[key]:
                 terms.pop(key)
 
-    out = ProjComplex(alg, {m: tuple(v) for m, v in terms.items()}, diffs, X.kind, check=True)
+    out = ProjComplex(alg, {m: tuple(v) for m, v in terms.items()}, diffs, check=True)
     if not out.is_minimal():
         raise AssertionError("minimisation left a non-radical entry")
     return out
@@ -423,29 +411,21 @@ class ModuleComplex:
                 raise ValueError("module complex differential does not square to zero")
 
 
-def realize_term(alg, vertex, kind):
-    return alg.projective(vertex) if kind == "proj" else alg.injective(vertex)
-
-
 def realize_complex(X: ProjComplex) -> ModuleComplex:
-    """The complex of modules X stands for: P_v (or I_v) for each summand,
-    and per vertex y the block matrix of each differential.
+    """The complex of modules nu(X): I_v for each summand P_v of X, and per
+    vertex y the block matrix of each differential.
 
-    An entry e in e_v A e_u, from a summand at u to one at v, acts at y on
-    the fiber e_y A e_u of P_u by left multiplication b -> e.b into
-    e_y A e_v, and on the fiber D(e_u A e_y) of I_u by the dual of right
-    multiplication b -> b.e from e_v A e_y.  A differential is built only at
-    the vertices where both its fibers are nonzero, and only from the nonzero
-    entries and the basis elements of their nonempty blocks: every other
-    product is zero.
+    An entry e in e_v A e_u, from a summand at u to one at v, acts at y as
+    the map from the fiber D(e_u A e_y) of I_u to the fiber D(e_v A e_y) of
+    I_v dual to right multiplication b -> b.e from e_v A e_y.  A
+    differential is built only at the vertices where both its fibers are
+    nonzero, and only from the nonzero entries and the basis elements of
+    their nonempty blocks: every other product is zero.
     """
     alg = X.algebra
-    proj = X.kind == "proj"
     mult, blocks, block_index = alg.mult, alg.blocks, alg._block_index
     # ProjComplex keeps no empty terms, so every sum has a summand
-    terms = {
-        m: direct_sum([realize_term(alg, v, X.kind) for v in vs]) for m, vs in X.terms.items()
-    }
+    terms = {m: direct_sum([alg.injective(v) for v in vs]) for m, vs in X.terms.items()}
     maps = {}
     for m, rows in X.diffs.items():
         src_vs, tgt_vs = X.terms[m], X.terms[m + 1]
@@ -457,25 +437,17 @@ def realize_complex(X: ProjComplex) -> ModuleComplex:
             out = [[ZERO] * src[y] for _ in range(tgt[y])]
             r0 = 0
             for t, v in enumerate(tgt_vs):
-                tgt_block = (y, v) if proj else (v, y)
+                tgt_ids = blocks.get((v, y), ())
                 c0 = 0
                 for s, u in enumerate(src_vs):
-                    src_block = (y, u) if proj else (u, y)
-                    elem = rows[t][s]
-                    if elem and proj:
-                        index = block_index.get(tgt_block, {})
-                        for j, b in enumerate(blocks.get(src_block, ())):
-                            for i, c in elem.items():
-                                for k, ck in mult.get((i, b), {}).items():
-                                    out[r0 + index[k]][c0 + j] += c * ck
-                    elif elem:
-                        index = block_index.get(src_block, {})
-                        for j, b in enumerate(blocks.get(tgt_block, ())):
+                    if elem := rows[t][s]:
+                        index = block_index.get((u, y), {})
+                        for j, b in enumerate(tgt_ids):
                             for i, c in elem.items():
                                 for k, ck in mult.get((b, i), {}).items():
                                     out[r0 + j][c0 + index[k]] += c * ck
-                    c0 += len(blocks.get(src_block, ()))
-                r0 += len(blocks.get(tgt_block, ()))
+                    c0 += len(blocks.get((u, y), ()))
+                r0 += len(tgt_ids)
             phi[y] = ExactMatrix._adopt(tgt[y], src[y], out)
     mc = ModuleComplex(alg, terms, maps)
     mc.check()
@@ -596,12 +568,19 @@ def minimal_proj_resolution(alg, M: QuiverRep, max_len=64, label="M") -> ProjCom
     The projective dimension of M is ``len(R.terms) - 1``.  This is the
     replacement engine run on M alone in degree zero: every Z^m below is a
     syzygy, the kernel of a projective cover, so the result is minimal.
+    ``M`` must be a module over ``alg``.
     """
+    _check_module(alg, M)
     terms, diffs, _ = _replace(ModuleComplex(alg, {0: M}, {}), max_len, label)
-    cplx = ProjComplex(alg, terms, diffs, "proj")
+    cplx = ProjComplex(alg, terms, diffs)
     if not cplx.is_minimal():
         raise AssertionError("resolution differential has a non-radical entry")
     return cplx
+
+
+def _check_module(alg, M: QuiverRep):
+    if M.algebra is not alg:
+        raise ValueError("the module lies over a different algebra")
 
 
 def _top(vertices, dims, rad):
@@ -656,7 +635,7 @@ def _act(alg, vec, x, bid, y, labels):
 def proj_replace(C: ModuleComplex, max_len=64):
     """A minimal complex of projectives quasi-isomorphic to C."""
     terms, diffs, psi = _replace(C, max_len, "complex")
-    Q = ProjComplex(C.algebra, terms, diffs, "proj", check=True)
+    Q = ProjComplex(C.algebra, terms, diffs, check=True)
     _assert_qis_chain_map(Q, C, psi)
     return minimize_complex(Q)
 
@@ -691,20 +670,12 @@ def _assert_qis_chain_map(Q: ProjComplex, C: ModuleComplex, psi):
 # -- the derived Nakayama functor -------------------------------------------
 
 
-def as_injective_complex(X: ProjComplex) -> ProjComplex:
-    """Termwise Serre twist: P_v becomes I_v, entries carry over verbatim."""
-    if X.kind != "proj":
-        raise ValueError("expected a complex of projectives")
-    return ProjComplex(X.algebra, X.terms, X.diffs, "inj", check=False)
-
-
 def derived_nakayama(X: ProjComplex, max_len=64) -> ProjComplex:
-    """nu(X): twist termwise, then re-express by projectives and minimise."""
+    """nu(X): realise X on injectives, re-express it by projectives and
+    minimise."""
     if X.is_zero():
         return X
-    J = as_injective_complex(minimize_complex(X))
-    C = realize_complex(J)
-    return proj_replace(C, max_len)
+    return proj_replace(realize_complex(X), max_len)
 
 
 def shifted_module_complex(alg, module: QuiverRep, shift_by=0, max_len=64, label="M"):
@@ -718,8 +689,10 @@ def shifted_module_complex(alg, module: QuiverRep, shift_by=0, max_len=64, label
     and ``is_minimal``, which the first build ran; a hit builds the complex
     unchecked.  A resolution longer than ``max_len`` raises BudgetError and is
     not stored.  Every result is a fresh complex with its own entries; it
-    shares only the immutable term tuples with the memo.
+    shares only the immutable term tuples with the memo.  ``module`` must be
+    a module over ``alg``: the key does not name the algebra.
     """
+    _check_module(alg, module)
     key = (
         max_len,
         tuple((v, k) for v, k in module.dims.items() if k),

@@ -127,44 +127,30 @@ def gabriel_quiver(fd: BoundQuiverAlgebra) -> tuple[Quiver, list[dict]]:
     return Quiver([Vertex(i, f"v{i}") for i in vertices], arrows), arrow_elems
 
 
-def _paths_of_length(quiver: Quiver, m: int):
-    """All composable arrow-id tuples of length m, grouped by (src, tgt)."""
-    by_block: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    frontier = [((a.id,), a.src, a.tgt) for a in quiver.arrows]
-    for _ in range(m - 1):
-        nxt = []
-        for path, src, tgt in frontier:
-            for a in quiver.arrows_out[tgt]:
-                nxt.append((path + (a.id,), src, a.tgt))
-        frontier = nxt
-    for path, src, tgt in frontier:
-        by_block.setdefault((src, tgt), []).append(path)
-    for paths in by_block.values():
-        paths.sort()
-    return by_block
-
-
 DEFAULT_PRESENTATION_DEGREE = 64
 
 
 def presentation_data(fd: BoundQuiverAlgebra) -> PresentationData:
     quiver, arrow_elems = gabriel_quiver(fd)
-
-    def eval_path(path):
-        elem = arrow_elems[path[0]]
-        for aid in path[1:]:
-            elem = fd.elem_mul(arrow_elems[aid], elem)
-        return elem
-
     relations: list[Relation] = []
     # ideal vectors per block at the previous degree, each a {path: coeff}
     ideal_prev: dict[tuple[int, int], list[dict]] = {}
+    # every composable path of the current degree: (arrow ids, src, tgt, value)
+    walked = [((a.id,), a.src, a.tgt, arrow_elems[a.id]) for a in quiver.arrows]
     m = 1
     while m < DEFAULT_PRESENTATION_DEGREE:
         m += 1
-        by_block = _paths_of_length(quiver, m)
-        if not by_block:
+        # extend each path of the previous degree by one arrow at its target
+        walked = [
+            (path + (a.id,), src, a.tgt, fd.elem_mul(arrow_elems[a.id], value))
+            for path, src, tgt, value in walked
+            for a in quiver.arrows_out[tgt]
+        ]
+        if not walked:
             break
+        by_block: dict[tuple[int, int], list] = defaultdict(list)
+        for path, src, tgt, value in walked:
+            by_block[src, tgt].append((path, value))
         all_killed = True
         ideal_now: dict[tuple[int, int], list[dict]] = {}
         # grow the ideal: extend each previous ideal vector by one arrow on
@@ -176,13 +162,15 @@ def presentation_data(fd: BoundQuiverAlgebra) -> PresentationData:
                     extended[s, a.tgt].append({p + (a.id,): c for p, c in vec.items()})
                 for a in quiver.arrows_into[s]:
                     extended[a.src, t].append({(a.id,) + p: c for p, c in vec.items()})
-        for blk, paths in sorted(by_block.items()):
+        for blk, entries in sorted(by_block.items()):
+            entries.sort(key=lambda entry: entry[0])
+            paths = [path for path, _ in entries]
             grown = span_basis([[vec.get(p, ZERO) for p in paths] for vec in extended[blk]])
 
             # kernel of evaluation on degree-m paths
             # a path from src to tgt evaluates into e_tgt A e_src; the other
             # rows of the evaluation matrix are zero
-            evals = [eval_path(p) for p in paths]
+            evals = [value for _, value in entries]
             block_ids = fd.blocks.get(blk, [])
             eval_matrix = ExactMatrix(
                 len(block_ids), len(paths), [[e.get(bid, ZERO) for e in evals] for bid in block_ids]

@@ -6,9 +6,10 @@ by a quiver and an admissible ideal generated by homogeneous relations
 basis, built degree by degree: the degree-m piece reachable from a source
 vertex is spanned by arrows applied to the degree-(m-1) piece, modulo
 relations applied at the top.  Pivoting during the reduction always
-eliminates the lexicographically-largest candidate path, so every basis
-element carries a deterministic representative path and golden files stay
-stable.  Any other algebra is read through its Gabriel quiver.
+eliminates the lexicographically-smallest candidate path and keeps the
+largest, so every basis element carries a deterministic representative
+path and golden files stay stable.  Any other algebra is read through its
+Gabriel quiver.
 
 Modules are right modules, stored as one fiber per vertex with a matrix
 for each arrow between two nonzero fibers, mapping the target fiber to the
@@ -59,7 +60,6 @@ class Quiver:
                 raise ValueError(f"arrow {a} has an endpoint outside the vertex set")
         if len({a.id for a in self.arrows}) != len(self.arrows):
             raise ValueError("duplicate arrow ids")
-        self.vertex_by_id = {v.id: v for v in self.vertices}
         self.arrow_by_id = {a.id: a for a in self.arrows}
         self.arrows_into: dict[int, list[Arrow]] = {v.id: [] for v in self.vertices}
         self.arrows_out: dict[int, list[Arrow]] = {v.id: [] for v in self.vertices}

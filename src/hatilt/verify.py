@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cluster import (
     ShiftedModule,
@@ -67,6 +67,15 @@ class VerifyConfig:
     max_resolution_length: int | None = None  # defaults to n d + 2 per model
     max_algebra_dim: int = 40_000
     iso_budget: int = 2_000_000
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is None and field.name == "max_resolution_length":
+                continue
+            # bool is a subclass of int, but True is no budget
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"budget {field.name} must be an integer >= 1, got {value!r}")
 
     def resolution_length(self, d, n):
         if self.max_resolution_length is None:

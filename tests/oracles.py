@@ -39,9 +39,10 @@ identity times each arrow matrix, against which ``_act``, ``mult_matrix``
 and ``path_action`` are compared.  The entry-wise builder of module
 complexes, one multiplication matrix per entry and vertex assembled into
 blocks, is what the support-restricted ``realize_complex`` is compared
-against, and the resolving-window search that builds every strip term
-before reading one is what the lazy ``resolving_sequence`` is compared
-against.
+against on injectives; on projectives it realises a complex of projectives
+as modules, which the library never needs.  The resolving-window search
+that builds every strip term before reading one is what the lazy
+``resolving_sequence`` is compared against.
 """
 
 import math
@@ -63,7 +64,6 @@ from hatilt.complexes import (
     ProjComplex,
     _delta_matrix,
     _from_columns,
-    _hom_differentials,
     _hom_slots,
     _is_projective_cover,
     _scalar_part,
@@ -76,7 +76,6 @@ from hatilt.complexes import (
     proj_replace,
     projective_injective_vertices,
     realize_complex,
-    realize_term,
 )
 from hatilt.exactmat import ZERO, ExactMatrix, extend_basis, span_basis
 from hatilt.pathcomb import (
@@ -222,13 +221,7 @@ def direct_sum_complexes(complexes):
             row_off += nt
             col_off += ns
         diffs[m] = rows
-    return ProjComplex(alg, terms, diffs, complexes[0].kind, check=False)
-
-
-def as_projective_complex(X: ProjComplex) -> ProjComplex:
-    if X.kind != "inj":
-        raise ValueError("expected a complex of injectives")
-    return ProjComplex(X.algebra, X.terms, X.diffs, "proj", check=False)
+    return ProjComplex(alg, terms, diffs, check=False)
 
 
 def derived_nakayama_inverse(X: ProjComplex, max_len=64) -> ProjComplex:
@@ -237,7 +230,7 @@ def derived_nakayama_inverse(X: ProjComplex, max_len=64) -> ProjComplex:
         return X
     alg = X.algebra
     op = opposite(alg)
-    C = realize_complex(minimize_complex(X))
+    C = realize_projectives(minimize_complex(X))
     # dual complex over the opposite algebra, with degrees negated
     terms = {-m: dual_module(C.terms[m]) for m in C.degrees()}
     maps = {}
@@ -246,7 +239,8 @@ def derived_nakayama_inverse(X: ProjComplex, max_len=64) -> ProjComplex:
     Cd = ModuleComplex(op, terms, maps)
     Cd.check()
     Qop = proj_replace(Cd, max_len)
-    # dualise back: P^op_w in degree j becomes I_w in degree -j
+    # dualise back: P^op_w in degree j becomes I_w in degree -j, and the
+    # inverse twist reads the same entries on P_w
     terms_back = {-m: tuple(v) for m, v in Qop.terms.items()}
     diffs_back = {}
     for m, rows in Qop.diffs.items():
@@ -255,8 +249,7 @@ def derived_nakayama_inverse(X: ProjComplex, max_len=64) -> ProjComplex:
         diffs_back[-m - 1] = [
             [rows[t][s] for t in range(n_tgt)] for s in range(n_src)
         ]
-    J = ProjComplex(alg, terms_back, diffs_back, "inj", check=True)
-    return minimize_complex(as_projective_complex(J))
+    return minimize_complex(ProjComplex(alg, terms_back, diffs_back, check=True))
 
 
 def label_signature(X: ProjComplex):
@@ -481,7 +474,7 @@ def cone_of_chain_map(alg, X, Y, f):
                 for s in range(ny_s):
                     rows[nx_t + t][nx_s + s] = dY[t][s]
         diffs[m] = rows
-    return ProjComplex(alg, terms, diffs, "proj", check=True)
+    return ProjComplex(alg, terms, diffs, check=True)
 
 
 def _dense(fd, elem):
@@ -768,8 +761,10 @@ def hom_complex_dim_per_shift(X, Y, k=0):
     lists, two delta matrices and two ranks, whatever the degrees."""
     if X.is_zero() or Y.is_zero():
         return 0
-    delta_k, delta_km1, _, dim_k = _hom_differentials(X, Y, k)
-    return dim_k - delta_k.rank() - delta_km1.rank()
+    below, here, above = (_hom_slots(X, Y, j) for j in (k - 1, k, k + 1))
+    delta_k = _delta_matrix(X, Y, k, here, above)
+    delta_km1 = _delta_matrix(X, Y, k - 1, below, here)
+    return here[1] - delta_k.rank() - delta_km1.rank()
 
 
 def replace_all_vertices(C: ModuleComplex, max_len, label):
@@ -911,12 +906,15 @@ def path_action_by_identity(M: QuiverRep, path) -> ExactMatrix:
     return m
 
 
-def _realize_entry(alg, elem, u, v, kind):
-    """Per-vertex matrices of the morphism P_u -> P_v (or I_u -> I_v) at elem."""
-    if kind == "proj":
-        # left multiplication e_y A e_u -> e_y A e_v
-        return {y: alg.mult_matrix((y, u), (y, v), left=elem) for y in alg.vertex_ids()}
-    # right multiplication e_v A e_y -> e_u A e_y on the dual fibers, dualised
+def projective_entry_maps(alg, elem, u, v):
+    """Per-vertex matrices of the morphism P_u -> P_v at elem: left
+    multiplication e_y A e_u -> e_y A e_v."""
+    return {y: alg.mult_matrix((y, u), (y, v), left=elem) for y in alg.vertex_ids()}
+
+
+def injective_entry_maps(alg, elem, u, v):
+    """Per-vertex matrices of the morphism I_u -> I_v at elem: right
+    multiplication e_v A e_y -> e_u A e_y on the dual fibers, dualised."""
     return {
         y: alg.mult_matrix((v, y), (u, y), right=elem).transpose() for y in alg.vertex_ids()
     }
@@ -945,15 +943,25 @@ def realize_complex_by_entries(X: ProjComplex) -> ModuleComplex:
     """``hatilt.complexes.realize_complex`` one entry and one vertex at a
     time: a multiplication matrix for every entry at every vertex, zero
     entries and empty blocks included, assembled into block matrices."""
+    return _realize_by_entries(X, X.algebra.injective, injective_entry_maps)
+
+
+def realize_projectives(X: ProjComplex) -> ModuleComplex:
+    """X as the complex of projective modules it stands for, built like
+    ``realize_complex_by_entries``."""
+    return _realize_by_entries(X, X.algebra.projective, projective_entry_maps)
+
+
+def _realize_by_entries(X, module, entry_maps) -> ModuleComplex:
+    """The module complex with ``module(v)`` for each summand at v and, per
+    entry e from u to v, the maps ``entry_maps(alg, e, u, v)``."""
     alg = X.algebra
-    terms = {
-        m: direct_sum([realize_term(alg, v, X.kind) for v in vs]) for m, vs in X.terms.items()
-    }
+    terms = {m: direct_sum([module(v) for v in vs]) for m, vs in X.terms.items()}
     maps = {}
     for m, rows in X.diffs.items():
         src_vs, tgt_vs = X.terms[m], X.terms[m + 1]
         entries = [
-            [_realize_entry(alg, rows[t][s], us, vt, X.kind) for s, us in enumerate(src_vs)]
+            [entry_maps(alg, rows[t][s], us, vt) for s, us in enumerate(src_vs)]
             for t, vt in enumerate(tgt_vs)
         ]
         # a module complex keeps the vertices where both fibers are nonzero

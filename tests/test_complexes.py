@@ -19,6 +19,7 @@ from oracles import (
     nu_orbit_complexes,
     opposite,
     realize_complex_by_entries,
+    realize_projectives,
     replace_all_vertices,
     self_injective_by_tops,
 )
@@ -35,7 +36,6 @@ from hatilt.complexes import (
     ModuleComplex,
     _nu_power_terms,
     _replace,
-    as_injective_complex,
     chain_maps_mod_homotopy,
     derived_nakayama,
     domdim,
@@ -131,11 +131,12 @@ def rank_at(C, m, y):
 
 def assert_resolution_exact(alg, M):
     """Realise the minimal resolution of M and check exactness at every vertex,
-    using only realize_complex and the action of A on M.  The augmentation
-    lists, per degree-zero summand, the image of its generator in M."""
+    using only the entry-wise realisation and the action of A on M.  The
+    augmentation lists, per degree-zero summand, the image of its generator
+    in M."""
     R = minimal_proj_resolution(alg, M)
     aug = _replace(ModuleComplex(alg, {0: M}, {}), 64, "M")[2].get(0, [])
-    C = realize_complex(R)
+    C = realize_projectives(R)
     for y in alg.vertex_ids():
         cols = [
             M.element_action(alg.basis_elem(bid), y, v).apply(gen)
@@ -199,6 +200,12 @@ class TestResolutions:
             z = vertex_of_entries(alg, tuple(e - 1 for e in entries[1:]))
             assert Counter(cplx.terms[-(d - j)]) == Counter([z])
 
+    def test_module_over_another_algebra_raises(self):
+        A, A3 = build_auslander_algebra(4, 2), build_auslander_algebra(3, 2)
+        for v in A3.vertex_ids():
+            with pytest.raises(ValueError, match="different algebra"):
+                minimal_proj_resolution(A, A3.simple(v))
+
     def test_differentials_are_radical(self):
         alg = build_auslander_algebra(4, 2)
         for v in alg.vertex_ids():
@@ -254,13 +261,13 @@ class TestReplaceSupport:
 
         monkeypatch.setattr(hatilt.complexes, "_from_columns", recorded)
         for R in resolutions:
-            self.assert_same(realize_complex(as_injective_complex(R)))
+            self.assert_same(realize_complex(R))
         assert max(eliminated) > 1
 
     @pytest.mark.parametrize("d, n", [(3, 2), (4, 3)])
     def test_twisted_tilting_summands(self, d, n):
         for X in tilting_complexes(d, n)[1]:
-            self.assert_same(realize_complex(as_injective_complex(X)))
+            self.assert_same(realize_complex(X))
 
     def test_work_on_interval_modules_at_3_4(self, monkeypatch):
         # fewer eliminations than the all-vertex sweep, which makes 1380
@@ -347,6 +354,15 @@ class TestResolutionMemo:
             for s in self.SHIFTS:
                 assert self.content(R.shift(s)) == cold[x, s]
 
+    def test_module_over_another_algebra_raises(self):
+        # A's simple at 3 and A3's have equal nonzero fibers and no arrow
+        # maps, so they share a memo key over A
+        A, A3 = build_auslander_algebra(4, 2), build_auslander_algebra(3, 2)
+        assert shifted_module_complex(A, A.simple(3)).terms == {0: (3,), -1: (2,)}
+        with pytest.raises(ValueError, match="different algebra"):
+            shifted_module_complex(A, A3.simple(3))
+        assert shifted_module_complex(A3, A3.simple(3)).terms == {0: (3,), -1: (1,), -2: (0,)}
+
     @pytest.mark.parametrize("shift", [0, 1])
     def test_a_returned_complex_is_its_own(self, shift):
         alg = build_auslander_algebra(5, 3)
@@ -421,7 +437,7 @@ class TestRealizeOnSupport:
 
         def checked(X):
             out = realize(X)
-            seen.append(X.kind)
+            seen.append(X.terms)
             if realized(out) != realized(realize_complex_by_entries(X)):
                 differing.append(X.terms)
             return out
@@ -430,12 +446,7 @@ class TestRealizeOnSupport:
         claims, _, _ = run_claims(d, n, CLAIM_NAMES)
         assert all(c["status"] == "pass" for c in claims)
         assert differing == []
-        assert seen and set(seen) == {"inj"}
-
-    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
-    def test_tilting_complexes_as_projectives(self, d, n):
-        for X in tilting_complexes(d, n)[1]:
-            assert realized(realize_complex(X)) == realized(realize_complex_by_entries(X))
+        assert seen
 
 
 class TestSparseTables:
@@ -657,15 +668,6 @@ class TestHomComplex:
         with pytest.raises(ValueError, match="different algebras"):
             chain_maps_mod_homotopy(X, Y)
 
-    def test_injective_complexes_raise(self):
-        X = stalk_complex(build_auslander_algebra(3, 2), 0)
-        J = as_injective_complex(X)
-        for pair in ((X, J), (J, X), (J, J)):
-            with pytest.raises(ValueError, match="'inj'"):
-                hom_complex_dims(*pair, [0])
-            with pytest.raises(ValueError, match="'inj'"):
-                chain_maps_mod_homotopy(*pair)
-
     def test_minimization_idempotent(self):
         alg = linear_bqa(4)
         X = nu_orbit_complexes(alg, stalk_complex(alg, 0, 0), 3)[2]
@@ -847,10 +849,10 @@ class TestDerivedNakayama:
     def test_proj_replace_preserves_cohomology(self, d, n):
         alg, summands = tilting_complexes(d, n)
         for X in summands + [direct_sum_complexes(summands)]:
-            C = realize_complex(as_injective_complex(X))
+            C = realize_complex(X)
             Q = proj_replace(C)
             assert Q.is_minimal()
-            assert cohomology_dims(realize_complex(Q)) == cohomology_dims(C)
+            assert cohomology_dims(realize_projectives(Q)) == cohomology_dims(C)
 
 
 class TestBudgets:

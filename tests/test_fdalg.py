@@ -194,45 +194,53 @@ class TestPresentation:
         assert iso_test(rebuilt, bqa) is not None
 
     @pytest.mark.parametrize("name", ["B", "Pi"])
-    def test_ideal_growth_makes_no_pass_over_all_arrows(self, monkeypatch, name):
-        # each degree lists its paths with one pass over the arrows; the
-        # previous ideal is extended through arrows_out and arrows_into alone
+    def test_each_path_is_walked_once(self, monkeypatch, name):
+        # degree one reads the arrows, the one pass over all of them; every
+        # longer path is a path of the previous degree times one arrow, one
+        # product each, and the previous ideal is extended through
+        # arrows_out and arrows_into alone
         import hatilt.fdalg as fdalg
 
-        gabriel, paths_of_length = fdalg.gabriel_quiver, fdalg._paths_of_length
-        rebuild = BoundQuiverAlgebra.from_quiver_data
-        degree = [None]  # the degree being grown, None outside the degree loop
-        passes = {}  # degree -> passes over quiver.arrows outside path listing
+        fd = ModelData(4, 3, VerifyConfig()).named(name)
+        gabriel, rebuild = fdalg.gabriel_quiver, BoundQuiverAlgebra.from_quiver_data
+        elem_mul = BoundQuiverAlgebra.elem_mul
+        walking = [False]  # between the Gabriel quiver and the rebuild
+        passes, products = [0], [0]
 
         class CountingArrows(list):
             def __iter__(self):
-                if degree[0] is not None:
-                    passes[degree[0]] += 1
+                passes[0] += walking[0]
                 return super().__iter__()
 
-        def counting_quiver(fd):
-            quiver, arrow_elems = gabriel(fd)
+        def counting_quiver(alg):
+            quiver, arrow_elems = gabriel(alg)
             quiver.arrows = CountingArrows(quiver.arrows)
+            walking[0] = True
             return quiver, arrow_elems
 
-        def listing_paths(quiver, m):
-            degree[0] = None
-            by_block = paths_of_length(quiver, m)
-            degree[0] = m
-            passes[m] = 0
-            return by_block
-
         def rebuilding(*args, **kwargs):
-            degree[0] = None
+            walking[0] = False
             return rebuild(*args, **kwargs)
 
+        def counting_mul(self, a, b):
+            products[0] += walking[0] and self is fd
+            return elem_mul(self, a, b)
+
         monkeypatch.setattr(fdalg, "gabriel_quiver", counting_quiver)
-        monkeypatch.setattr(fdalg, "_paths_of_length", listing_paths)
         monkeypatch.setattr(BoundQuiverAlgebra, "from_quiver_data", staticmethod(rebuilding))
-        # at (4, 3) both have relations of degree 2, which degree 3 extends
-        presentation_data(ModelData(4, 3, VerifyConfig()).named(name))
-        assert len(passes) >= 2
-        assert set(passes.values()) == {0}
+        monkeypatch.setattr(BoundQuiverAlgebra, "elem_mul", counting_mul)
+        pres = presentation_data(fd)
+        # composable paths per target vertex, degree by degree up to the
+        # first degree where every path vanishes, the last one walked
+        quiver = pres.quiver
+        ending = {v.id: len(quiver.arrows_into[v.id]) for v in quiver.vertices}
+        paths = 0
+        for _ in range(2, pres.algebra.nilpotency + 1):
+            ending = {v: sum(ending[a.src] for a in quiver.arrows_into[v]) for v in ending}
+            paths += sum(ending.values())
+        assert pres.algebra.nilpotency >= 3
+        assert passes == [1]
+        assert products == [paths]
 
 
 class TestReplicate:

@@ -10,7 +10,7 @@ from oracles import (
     mult_matrix_by_elements,
     opposite,
     path_action_by_identity,
-    _realize_entry,
+    projective_entry_maps,
 )
 
 from hatilt.exactmat import ExactMatrix
@@ -104,6 +104,13 @@ class TestCommutingSquare:
         bd = alg.elem_mul(alg.basis_elem(alg.arrow_elem[3]), alg.basis_elem(alg.arrow_elem[1]))
         assert ac == bd
         assert ac != {}
+
+    def test_auslander_square_keeps_the_larger_path(self):
+        # rref pivots on the lexicographically smaller candidate path
+        alg = build_auslander_algebra(3, 2)
+        assert relation((1, (1, 4)), (-1, (2, 3))) in alg.relations
+        paths = {b.path for b in alg.basis}
+        assert (2, 3) in paths and (1, 4) not in paths
 
 
 class TestAuslanderAlgebra:
@@ -420,7 +427,7 @@ class TestProjectivesInjectives:
         v = vertex_of_entries(alg, (1, 3))
         for bid in alg.blocks.get((u, v), []):
             elem = alg.basis_elem(bid)
-            phi = _realize_entry(alg, elem, u, v, "proj")
+            phi = projective_entry_maps(alg, elem, u, v)
             # the map is determined by the image of the degree-zero generator
             gen = alg.blocks[(u, u)].index(alg.idempotent_of[u])
             col = [phi[u].data[i][gen] for i in range(phi[u].rows)]

@@ -38,6 +38,32 @@ class TestConfig:
         config = VerifyConfig(max_resolution_length=5)
         assert config.resolution_length(3, 4) == 5
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"max_resolution_length": -3},
+            {"max_resolution_length": 0},
+            {"max_resolution_length": 2.5},
+            {"max_resolution_length": True},
+            {"max_algebra_dim": None},
+            {"max_algebra_dim": "5"},
+            {"iso_budget": 0},
+            {"iso_budget": False},
+        ],
+    )
+    def test_bad_budgets_raise(self, overrides):
+        (key,) = overrides
+        with pytest.raises(ValueError, match=f"budget {key} must be an integer >= 1"):
+            VerifyConfig(**overrides)
+
+    def test_least_budgets_are_accepted(self):
+        config = VerifyConfig(max_resolution_length=1, max_algebra_dim=1, iso_budget=1)
+        assert config.echo(3, 2) == {
+            "max_resolution_length": 1,
+            "max_algebra_dim": 1,
+            "iso_budget": 1,
+        }
+
 
 class TestModelData:
     def test_rejects_non_coprime(self):
