@@ -731,8 +731,9 @@ def projective_injective_vertices(alg) -> dict:
 
 
 def _is_projective_cover(alg, M: QuiverRep, top) -> bool:
-    # the projective cover on ``top`` surjects; it is an isomorphism iff dims agree
-    return sum(alg.projective(v).total_dim for v, _ in top) == M.total_dim
+    # the projective cover on ``top`` surjects; it is an isomorphism iff dims
+    # agree; dim P_w sums the blocks into w, so no projective is built
+    return sum(len(ids) for w, _ in top for _, ids in alg._blocks_into[w]) == M.total_dim
 
 
 def domdim(alg, max_len=64):

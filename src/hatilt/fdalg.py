@@ -135,15 +135,18 @@ def presentation_data(fd: BoundQuiverAlgebra) -> PresentationData:
     relations: list[Relation] = []
     # ideal vectors per block at the previous degree, each a {path: coeff}
     ideal_prev: dict[tuple[int, int], list[dict]] = {}
-    # every composable path of the current degree: (arrow ids, src, tgt, value)
+    # the walked paths of the current degree, those whose proper prefixes are
+    # all nonzero: (arrow ids, src, tgt, value)
     walked = [((a.id,), a.src, a.tgt, arrow_elems[a.id]) for a in quiver.arrows]
     m = 1
     while m < DEFAULT_PRESENTATION_DEGREE:
         m += 1
-        # extend each path of the previous degree by one arrow at its target
+        # extend each nonzero path of the previous degree by one arrow at its
+        # target; a zero path lies in the ideal, and so do its extensions
         walked = [
             (path + (a.id,), src, a.tgt, fd.elem_mul(arrow_elems[a.id], value))
             for path, src, tgt, value in walked
+            if value
             for a in quiver.arrows_out[tgt]
         ]
         if not walked:

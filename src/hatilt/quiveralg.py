@@ -271,40 +271,46 @@ class BoundQuiverAlgebra:
         max_dim: int = DEFAULT_MAX_DIM,
         max_degree: int = DEFAULT_MAX_DEGREE,
     ) -> "BoundQuiverAlgebra":
+        """The path algebra of ``quiver`` modulo the ideal of ``relations``.
+
+        Out of each source vertex, the paths of length m into a target t are
+        the kept paths of length m - 1 followed by one arrow into t.  The
+        relations ending at t, applied after every kept path of length m minus
+        their degree, span the ideal among them; its reduced echelon form
+        eliminates the lexicographically smallest paths, and the other paths
+        are kept.  The kept paths form the basis, ordered by source, degree,
+        target and then path.  ``mult`` holds only nonzero products.
+
+        Raises ``BudgetError`` when the dimension exceeds ``max_dim`` or when
+        some source still has kept paths of length ``max_degree``.
+        """
         relations = list(relations)
         # relations grouped by target vertex, each group in the given order
         rels_by_tgt: dict[int, list[tuple[Relation, int, int]]] = {}
         for r in relations:
             rsrc, rtgt, rdeg = r.validate(quiver)
             rels_by_tgt.setdefault(rtgt, []).append((r, rsrc, rdeg))
-        towers = {}
-        total_dim = 0
-        for s in quiver.vertices:
-            tower = _Tower.build(quiver, rels_by_tgt, s.id, max_degree)
-            towers[s.id] = tower
-            total_dim += tower.dimension()
-            if total_dim > max_dim:
+        basis, acts, by_src = [], {}, {}
+        offset = {}  # (source, degree, target) -> id of its first kept path
+        for s in sorted(v.id for v in quiver.vertices):
+            layers, acts[s] = _paths_from(quiver, rels_by_tgt, s, max_degree)
+            for m, layer in enumerate(layers):
+                for t in sorted(layer):
+                    first = offset[s, m, t] = len(basis)
+                    basis += [BasisElement(first + k, s, t, m, p) for k, p in enumerate(layer[t])]
+            if len(basis) > max_dim:
                 raise BudgetError(f"algebra dimension exceeds budget {max_dim}")
+            by_src[s] = basis[offset[s, 0, s]:]
 
-        basis = []
-        for s in sorted(towers):
-            tower = towers[s]
-            for m in range(len(tower.layers)):
-                for t in sorted(tower.layers[m]):
-                    for rec in tower.layers[m][t]:
-                        rec.global_id = len(basis)
-                        basis.append(BasisElement(rec.global_id, s, t, m, rec.path))
-
-        by_src: dict[int, list[BasisElement]] = {}
-        for b in basis:
-            by_src.setdefault(b.src, []).append(b)
         mult = {}
         for b2 in basis:  # right factor: s -> u
-            tower = towers[b2.src]
-            for b1 in by_src.get(b2.tgt, ()):  # left factor: u -> t
-                coeffs = tower.apply_path(b1.path, b2.degree, b2.tgt, b2.path)
-                if table := {rec.global_id: c for rec, c in coeffs if c != 0}:
-                    mult[(b1.id, b2.id)] = table
+            if b2.degree == 0:  # a new source: the tables of the one before are done
+                act = acts.pop(b2.src)
+            start = {b2.id - offset[b2.src, b2.degree, b2.tgt]: ONE}
+            for b1 in by_src[b2.tgt]:  # left factor: u -> t
+                if vec := _apply(act, b2.degree, b1.path, start):
+                    base = offset[b2.src, b2.degree + b1.degree, b1.tgt]
+                    mult[(b1.id, b2.id)] = {base + i: c for i, c in vec.items()}
         idempotent_of = {b.src: b.id for b in basis if b.degree == 0}
         nilpotency = max((b.degree for b in basis), default=0) + 1
         return BoundQuiverAlgebra(basis, mult, idempotent_of, quiver=quiver, relations=relations,
@@ -401,144 +407,68 @@ class BudgetError(RuntimeError):
     """A configured size or depth budget was exhausted."""
 
 
-class _TowerRecord:
-    __slots__ = ("path", "local_index", "global_id")
+def _apply(act, m: int, path, vec: dict) -> dict:
+    """``vec``, coordinates {index: scalar} on the kept paths of length m
+    into the start of ``path``, followed by ``path``; ``act`` as
+    ``_paths_from`` returns it."""
+    for aid in path:
+        m += 1
+        out = {}
+        for k, c in vec.items():
+            for i, x in act[m, aid][k]:
+                out[i] = out.get(i, ZERO) + c * x
+        vec = {i: c for i, c in out.items() if c != 0}
+    return vec
 
-    def __init__(self, path, local_index):
-        self.path = path
-        self.local_index = local_index
-        self.global_id = None
 
+def _paths_from(quiver, rels_by_tgt, source, max_degree):
+    """The kept paths out of ``source`` and the arrows' action on them.
 
-class _Tower:
-    """Degreewise basis of the paths out of one source vertex, mod relations."""
-
-    def __init__(self, quiver, source):
-        self.quiver = quiver
-        self.source = source
-        self.layers: list[dict[int, list[_TowerRecord]]] = []
-        # arrow application in coordinates: (degree, arrow id) -> ExactMatrix
-        self.apply_maps: dict[tuple[int, int], ExactMatrix] = {}
-
-    @staticmethod
-    def build(quiver, rels_by_tgt, source, max_degree):
-        tower = _Tower(quiver, source)
-        tower.layers.append({source: [_TowerRecord((), 0)]})
-        for m in range(1, max_degree + 1):
-            layer = tower._extend(rels_by_tgt, m)
-            if not layer:
-                break
-            tower.layers.append(layer)
-        else:
-            raise BudgetError(f"algebra not nilpotent within degree {max_degree}")
-        return tower
-
-    def dimension(self):
-        return sum(len(recs) for layer in self.layers for recs in layer.values())
-
-    def _extend(self, rels_by_tgt, m):
-        prev = self.layers[m - 1]
-        # formal candidates per target vertex: (arrow, previous record)
-        candidates: dict[int, list[tuple[Arrow, _TowerRecord]]] = {}
-        for u, recs in prev.items():
-            for a in self.quiver.arrows_out[u]:
-                for rec in recs:
-                    candidates.setdefault(a.tgt, []).append((a, rec))
-        for t in candidates:
-            candidates[t].sort(key=lambda ab: ab[1].path + (ab[0].id,))
-
-        layer: dict[int, list[_TowerRecord]] = {}
-        projections: dict[int, tuple[dict, list[int]]] = {}
-        for t, cands in candidates.items():
-            pos = {(a.id, rec.local_index, a.src): k for k, (a, rec) in enumerate(cands)}
-            rel_rows = []
+    ``layers[m][t]`` lists the kept paths of length m into t, in increasing
+    order, and ``act[m, aid]`` gives, for the k-th kept path into the source
+    of arrow ``aid``, the coordinates of that path followed by the arrow on
+    ``layers[m][tgt]``, as (index, scalar) pairs.
+    """
+    layers = [{source: [()]}]
+    act: dict[tuple[int, int], list[tuple]] = {}
+    for m in range(1, max_degree + 1):
+        cands: dict[int, list] = {}  # t -> [(path, arrow, k)], k indexing the path before it
+        for u, paths in layers[-1].items():
+            for a in quiver.arrows_out[u]:
+                cands.setdefault(a.tgt, []).extend((p + (a.id,), a, k) for k, p in enumerate(paths))
+        layer = {}
+        for t, cs in cands.items():
+            cs.sort()  # by path, as no two paths are equal
+            column = {(a.id, k): j for j, (_, a, k) in enumerate(cs)}
+            rows = []
             for r, rsrc, rdeg in rels_by_tgt.get(t, ()):
                 if m < rdeg:
                     continue
-                lower = self.layers[m - rdeg].get(rsrc, [])
-                for w in lower:
-                    row = [ZERO] * len(cands)
+                # the relation after each kept path of length m - rdeg into rsrc
+                for w in range(len(layers[m - rdeg].get(rsrc, ()))):
+                    row = [ZERO] * len(cs)
                     for coeff, path in r.terms:
-                        cur = {(rsrc, w.local_index): ONE}
-                        degree = m - rdeg
-                        for aid in path[:-1]:
-                            cur = self._apply_arrow_coords(cur, aid, degree)
-                            degree += 1
-                        last = self.quiver.arrow_by_id[path[-1]]
-                        for (u, idx), c in cur.items():
-                            if u != last.src or c == 0:
-                                continue
-                            row[pos[(last.id, idx, u)]] += coeff * c
+                        for k, c in _apply(act, m - rdeg, path[:-1], {w: ONE}).items():
+                            row[column[path[-1], k]] += coeff * c
                     if any(x != 0 for x in row):
-                        rel_rows.append(row)
-            if rel_rows:
-                red, pivots = ExactMatrix.from_rows(rel_rows).rref()
-            else:
-                red, pivots = None, []
-            pivot_set = set(pivots)
-            free = [k for k in range(len(cands)) if k not in pivot_set]
-            if free:
-                recs = []
-                for local, k in enumerate(free):
-                    a, prev_rec = cands[k]
-                    recs.append(_TowerRecord(prev_rec.path + (a.id,), local))
-                layer[t] = recs
-            projections[t] = (
-                {pc: red.data[rix] for rix, pc in enumerate(pivots)} if red else {},
-                free,
-            )
-
-        # store arrow-application matrices from layer m-1 into layer m
-        for t, cands in candidates.items():
-            pivot_rows, free = projections[t]
-            free_pos = {k: i for i, k in enumerate(free)}
-            by_arrow: dict[int, ExactMatrix] = {}
-            for k, (a, rec) in enumerate(cands):
-                m_arrow = by_arrow.get(a.id)
-                if m_arrow is None:
-                    m_arrow = ExactMatrix(len(free), len(prev[a.src]))
-                    by_arrow[a.id] = m_arrow
-                if k in free_pos:
-                    m_arrow.data[free_pos[k]][rec.local_index] += ONE
-                else:
-                    row = pivot_rows[k]
-                    for fk, i in free_pos.items():
-                        if row[fk] != 0:
-                            m_arrow.data[i][rec.local_index] -= row[fk]
-            for aid, mat in by_arrow.items():
-                self.apply_maps[(m, aid)] = mat
-        return layer
-
-    def _apply_arrow_coords(self, vec: dict, arrow_id: int, degree: int) -> dict:
-        """Apply one arrow to a degree-homogeneous vector {(vertex, idx): coeff}."""
-        arrow = self.quiver.arrow_by_id[arrow_id]
-        out: dict[tuple[int, int], Fraction] = {}
-        mat = self.apply_maps.get((degree + 1, arrow_id))
-        if mat is None:
-            return out
-        for (u, idx), c in vec.items():
-            if c == 0 or u != arrow.src:
-                continue
-            for i in range(mat.rows):
-                x = mat.data[i][idx]
-                if x != 0:
-                    key = (arrow.tgt, i)
-                    out[key] = out.get(key, ZERO) + c * x
-        return {k: v for k, v in out.items() if v != 0}
-
-    def apply_path(self, path, start_degree, start_vertex, _start_path):
-        """Apply a path to a degree-``start_degree`` basis record; returns
-        [(record, coeff)] in the resulting layer."""
-        layer = self.layers[start_degree][start_vertex]
-        rec = next(r for r in layer if r.path == _start_path)
-        vec = {(start_vertex, rec.local_index): ONE}
-        degree = start_degree
-        for aid in path:
-            vec = self._apply_arrow_coords(vec, aid, degree)
-            degree += 1
-            if not vec:
-                return []
-        return [(self.layers[degree][u][idx], c) for (u, idx), c in vec.items()]
+                        rows.append(row)
+            red, pivots = ExactMatrix.from_rows(rows).rref()
+            pivot_row = dict(zip(pivots, red.data))
+            # candidate -> its position among the kept ones
+            position = {j: i for i, j in enumerate(j for j in range(len(cs)) if j not in pivot_row)}
+            if position:
+                layer[t] = [cs[j][0] for j in position]
+            # the kept paths are increasing, so each arrow meets k = 0, 1, ...
+            for j, (_, a, k) in enumerate(cs):
+                row = pivot_row.get(j)
+                act.setdefault((m, a.id), []).append(
+                    ((position[j], ONE),) if row is None
+                    else tuple((i, -row[kj]) for kj, i in position.items() if row[kj] != 0)
+                )
+        if not layer:
+            return layers, act
+        layers.append(layer)
+    raise BudgetError(f"algebra not nilpotent within degree {max_degree}")
 
 
 class QuiverRep:
@@ -752,9 +682,12 @@ def module_M(alg: BoundQuiverAlgebra, x: OrderedSeq) -> QuiverRep:
 
 
 def direct_sum(reps: list[QuiverRep]) -> QuiverRep:
-    """Direct sum, the summands stacked in the given order at every vertex."""
+    """Direct sum, the summands stacked in the given order at every vertex;
+    one summand is returned itself, its tables shared and read-only."""
     if not reps:
         raise ValueError("empty direct sum")
+    if len(reps) == 1:
+        return reps[0]
     alg = reps[0].algebra
     dims = {v: sum(r.dims[v] for r in reps) for v in alg.vertex_ids()}
     maps = {}

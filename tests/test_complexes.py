@@ -448,6 +448,13 @@ class TestRealizeOnSupport:
         assert differing == []
         assert seen
 
+    def test_a_stalk_shares_its_injective(self):
+        alg = build_auslander_algebra(4, 2)
+        for v in alg.vertex_ids():
+            term = realize_complex(stalk_complex(alg, v)).terms[0]
+            I = alg.injective(v)
+            assert term.dims is I.dims and term.maps is I.maps
+
 
 class TestSparseTables:
     """A module stores arrow maps only between two nonzero fibers, and a
@@ -986,6 +993,20 @@ class TestDominantDimension:
         # projective, and the values are the tops, not the socles
         alg = linear_bqa(3, 2)
         assert projective_injective_vertices(alg) == {0: 1, 1: 2}
+
+    def test_projective_injective_vertices_build_no_projective(self):
+        # dim P_w is read off the blocks; the modules agree with it
+        B = ModelData(4, 3, VerifyConfig()).b_replicated()
+        found = projective_injective_vertices(B)
+        assert not [key for key in B._modules if key[0] == "P"]
+        expected = {}
+        for v in B.vertex_ids():
+            I = B.injective(v)
+            rad = I.radical_fibers()
+            top = [(w, k) for w in B.vertex_ids() for k in range(I.dims[w] - len(rad[w]))]
+            if len(top) == 1 and B.projective(top[0][0]).total_dim == I.total_dim:
+                expected[v] = top[0][0]
+        assert found == expected and found
 
 
 class TestTwoSubhomogeneous:

@@ -230,17 +230,32 @@ class TestPresentation:
         monkeypatch.setattr(BoundQuiverAlgebra, "from_quiver_data", staticmethod(rebuilding))
         monkeypatch.setattr(BoundQuiverAlgebra, "elem_mul", counting_mul)
         pres = presentation_data(fd)
-        # composable paths per target vertex, degree by degree up to the
-        # first degree where every path vanishes, the last one walked
-        quiver = pres.quiver
+        # the composable paths of length >= 2 whose proper prefixes are all
+        # nonzero, their values multiplied out of the structure constants
+        quiver, arrow_elems = gabriel(fd)
+
+        def times(x, y):
+            out = [0] * fd.dim
+            for i, ci in x.items():
+                for j, cj in y.items():
+                    for k, ck in fd.mult.get((i, j), {}).items():
+                        out[k] += ci * cj * ck
+            return {k: c for k, c in enumerate(out) if c}
+
+        paths, composable = 0, 0
+        live = [(a.tgt, arrow_elems[a.id]) for a in quiver.arrows]
         ending = {v.id: len(quiver.arrows_into[v.id]) for v in quiver.vertices}
-        paths = 0
+        while live:
+            paths += sum(len(quiver.arrows_out[t]) for t, _ in live)
+            live = [(a.tgt, value) for t, x in live for a in quiver.arrows_out[t]
+                    if (value := times(arrow_elems[a.id], x))]
+        # every composable path up to the nilpotency walks more: some are zero
         for _ in range(2, pres.algebra.nilpotency + 1):
             ending = {v: sum(ending[a.src] for a in quiver.arrows_into[v]) for v in ending}
-            paths += sum(ending.values())
+            composable += sum(ending.values())
         assert pres.algebra.nilpotency >= 3
         assert passes == [1]
-        assert products == [paths]
+        assert products == [paths] and paths < composable
 
 
 class TestReplicate:

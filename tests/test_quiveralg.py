@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 from fractions import Fraction
@@ -157,6 +158,44 @@ class TestBudgets:
         q = Quiver([Vertex(0, "1")], [Arrow(0, 0, 0, "loop")])
         with pytest.raises(BudgetError):
             BoundQuiverAlgebra.from_quiver_data(q, [], max_degree=12)
+
+
+def algebra_digest(alg):
+    """SHA-256 of what ``from_quiver_data`` returns: each basis element, the
+    products in insertion order with their scalar types, the idempotents and
+    the nilpotency."""
+    h = hashlib.sha256()
+    for b in alg.basis:
+        h.update(repr((b.id, b.src, b.tgt, b.degree, b.path)).encode())
+    for key, table in alg.mult.items():
+        h.update(repr((key, [(k, type(c).__name__, c) for k, c in table.items()])).encode())
+    h.update(repr(list(alg.idempotent_of.items())).encode())
+    h.update(repr(alg.nilpotency).encode())
+    return h.hexdigest()
+
+
+class TestFromQuiverDataDigest:
+    """The output of ``from_quiver_data``, pinned bit for bit: the basis
+    order, the kept paths and every structure constant."""
+
+    @pytest.mark.parametrize("n, d, digest", [
+        (3, 2, "883318f0af97a68f766f185239829757d0dd5b3b211e32788be2d5fb1952705b"),
+        (4, 3, "38624cc71e3653125618b89b52162492ec7ed894e98e49a4d26250cd866e31a1"),
+        (5, 3, "ad0ca42e567a765516f58f6dd0533d61b8faf519f29648a05b634e3196e6b492"),
+        (4, 4, "b363ff8c97cf829bd11600beceee2be30d8af6e4c63c7f92889cc6222335f69c"),
+    ])
+    def test_auslander_algebra(self, n, d, digest):
+        assert algebra_digest(build_auslander_algebra(n, d)) == digest
+
+    def test_parallel_arrows_with_a_fraction(self):
+        # a, b: 0 -> 1 and c: 1 -> 2 with 2 (a, c) = 3 (b, c); the smaller
+        # path (a, c) is eliminated, so c after a is 3/2 (b, c)
+        q = Quiver([Vertex(i, str(i)) for i in range(3)],
+                   [Arrow(0, 0, 1, "a"), Arrow(1, 0, 1, "b"), Arrow(2, 1, 2, "c")])
+        alg = BoundQuiverAlgebra.from_quiver_data(q, [relation((2, (0, 2)), (-3, (1, 2)))])
+        assert alg.mult[(5, 1)] == {3: Fraction(3, 2)}
+        digest = "b63dba502b8a3004fde1569c6add53379cc3dbf3b720136d6ec42b0076882ebc"
+        assert algebra_digest(alg) == digest
 
 
 class TestOpposite:
@@ -439,6 +478,22 @@ class TestKernelAndSums:
         alg = build_linear(3)
         total = direct_sum([alg.projective(0), alg.projective(2)])
         assert total.total_dim == alg.projective(0).total_dim + alg.projective(2).total_dim
+
+    def test_two_summands_stack_blockwise(self):
+        alg = build_auslander_algebra(3, 2)
+        P, Q = alg.projective(0), alg.injective(2)
+        total = direct_sum([P, Q])
+        assert total.dims == {v: P.dims[v] + Q.dims[v] for v in alg.vertex_ids()}
+        for a in alg.quiver.arrows:
+            p, q = P.path_action((a.id,)), Q.path_action((a.id,))
+            rows = [row + [0] * q.cols for row in p.data] + [[0] * p.cols + row for row in q.data]
+            stacked = ExactMatrix(p.rows + q.rows, p.cols + q.cols, rows)
+            assert typed(total.path_action((a.id,))) == typed(stacked)
+
+    def test_one_summand_is_itself(self):
+        alg = build_linear(3)
+        P = alg.projective(0)
+        assert direct_sum([P]) is P
 
 
 def typed(m: ExactMatrix):
