@@ -128,10 +128,16 @@ def projective_summands(d: int, n: int) -> list[ShiftedModule]:
 
 
 def tilting_summands(d: int, n: int) -> list[ShiftedModule]:
-    """All n+d twist iterates of the base projective summands."""
+    """All n+d twist iterates of the base projective summands, i-major:
+    ``[nakayama_pow(u, i) for i in 1..n+d for u in base]``.  Each row is
+    the twist of the one before, so each orbit is walked once."""
     _require_coprime(d, n)
-    base = projective_summands(d, n)
-    return [nakayama_pow(u, i) for i in range(1, n + d + 1) for u in base]
+    row = projective_summands(d, n)
+    summands = []
+    for _ in range(n + d):
+        row = [nakayama(u) for u in row]
+        summands += row
+    return summands
 
 
 def nu_orbit_decomposition(d: int, n: int, i: int) -> dict[GridPoint, list[ShiftedModule]]:

@@ -251,6 +251,27 @@ def is_dyck(path: LatticePath) -> bool:
     return all(y * path.d <= x * path.n for x, y in path.points())
 
 
+def dyck_rotations(path: LatticePath) -> list[int]:
+    """The k in [0, d+n) with ``is_dyck(rotate_pow(path, k))``, increasing.
+
+    Let P_0, ..., P_{d+n} be the points of the path and v_j = n x_j - d y_j,
+    so a path is Dyck iff v >= 0 at each of its points.  Rotation k visits
+    P_{k+j} - P_k for k + j <= d + n and then P_{d+n} - P_k + P_j; v is
+    linear and v_{d+n} = n d - d n = 0, so its values there are v_{k+j} -
+    v_k and v_j - v_k.  Together they run over every j in [0, d+n], so
+    rotation k is Dyck iff v_k = min v.  As v_{d+n} = v_0, the minimum is
+    already taken over the first d + n points, the ones walked here.
+    """
+    d, n = path.d, path.n
+    values = []
+    v = 0
+    for s in path.steps:
+        values.append(v)
+        v += n if s == "H" else -d
+    low = min(values, default=0)
+    return [k for k, vk in enumerate(values) if vk == low]
+
+
 def enumerate_all(d: int, n: int) -> list[LatticePath]:
     """All C(d+n, d) paths of L_{d,n}, sorted by coordinates, in a new list."""
     if d < 0 or n < 0:
@@ -336,29 +357,45 @@ def base_path(point: GridPoint, d: int, n: int) -> LatticePath:
     return LatticePath(d + 1, n, "H" * x + "V" * y + "H" * (d + 1 - x) + "V" * (n - y))
 
 
-def lies_below_bent_curve(point: GridPoint, path: LatticePath) -> bool:
-    """True iff every path point is weakly below the bent slope curve at D.
-
-    The curve climbs with slope n/d into D = (x, y), runs horizontally to
-    (x+1, y), then climbs with slope n/d again.  Points on the curve count
-    as below.
-    """
-    d = path.d - 1
-    n = path.n
-    _require_slope(d)
-    x0, dy0 = point.x, d * point.y
-    for px, py in path.points():
-        run = px - x0 if px <= x0 else px - x0 - 1
-        if d * py > dy0 + n * run:
-            return False
-    return True
-
-
 def region_paths(point: GridPoint, d: int, n: int) -> list[LatticePath]:
-    """All paths of L_{d+1,n} in the region at D, sorted by coordinates."""
-    base = base_path(point, d, n)
-    grid = _all_paths(d + 1, n)
-    return [p for p in grid if below(base, p) and lies_below_bent_curve(point, p)]
+    """All paths of L_{d+1,n} in the region at D, sorted by coordinates.
+
+    The region at D = (x, y) holds the paths p with ``below(base, p)`` for
+    the base path at D, and with every point weakly below the bent slope
+    curve at D: the curve climbs with slope n/d into D, runs horizontally
+    to (x+1, y), then climbs with slope n/d again, so a point (i, j) is
+    below it iff d j <= d y + n run(i), with run(i) = i - x for i <= x and
+    i - x - 1 otherwise.
+
+    A path of L_{d+1,n} is its column heights h_0 <= ... <= h_d in [0, n];
+    its points over column boundary i <= d climb from h_{i-1} (0 for i = 0)
+    to h_i, and those over d + 1 from h_d to n.  The base path has heights
+    0 before x and y from x on, so ``below`` says exactly h_i >= 0 for
+    i < x and h_i >= y for i >= x.  The curve's bound depends only on the
+    boundary i, so it holds at every point over i iff it holds at the
+    highest one: d h_i <= d y + n run(i) for i <= d, and d n <= d y +
+    n (d - x) at i = d + 1, since x <= d.  Conversely every nondecreasing
+    tuple in these bounds and in [0, n] is such a path.  So the region is
+    empty unless that top corner fits, and is otherwise the nondecreasing
+    tuples of a box.  Horizontal step i (from 0) has label i + 1 + h_i, so
+    each coordinate grows with its height, and heights in lexicographic
+    order give coordinates in lexicographic order.
+    """
+    base_path(point, d, n)  # validates d and D
+    x, dy = point.x, d * point.y
+    if d * n > dy + n * (d - x):
+        return []
+    low = [0] * x + [point.y] * (d + 1 - x)
+    high = [min(n, (dy + n * (i - x if i <= x else i - x - 1)) // d) for i in range(d + 1)]
+    # the step words of h_0..h_i in lexicographic order, with h_i
+    prefixes = [("", 0)]
+    for i in range(d + 1):
+        prefixes = [
+            (steps + "V" * (h - floor) + "H", h)
+            for steps, floor in prefixes
+            for h in range(max(low[i], floor), high[i] + 1)
+        ]
+    return [LatticePath(d + 1, n, steps + "V" * (n - floor)) for steps, floor in prefixes]
 
 
 def delta_set(d: int, n: int, i: int) -> list[GridPoint]:

@@ -24,7 +24,6 @@ from .cluster import (
     generation_certificate,
     nakayama_pow,
     nu_orbit_decomposition,
-    projective_summands,
     rigidity_check,
     serre_symmetry_check,
     tilting_summands,
@@ -49,7 +48,14 @@ from .fdalg import (
     replicate,
     trivial_ext_r,
 )
-from .pathcomb import coords, enumerate_all, enumerate_dyck, heights_up_box, interleaving_up_box
+from .pathcomb import (
+    coords,
+    dyck_rotations,
+    enumerate_all,
+    enumerate_dyck,
+    heights_up_box,
+    interleaving_up_box,
+)
 from .quiveralg import (
     BudgetError,
     build_auslander_algebra,
@@ -216,15 +222,11 @@ def claim_dyck_count(model: ModelData):
 
 def claim_orbit_normal_form(model: ModelData):
     d, n = model.d, model.n
-    from .pathcomb import is_dyck, rotate_pow
-
-    ok = True
     for p in enumerate_all(d, n):
-        hits = sum(is_dyck(rotate_pow(p, k)) for k in range(d + n))
+        hits = len(dyck_rotations(p))
         if hits != 1:
-            ok = False
-            break
-    return ok, {"paths": math.comb(d + n, d)}
+            return False, {"path": p.steps, "dyck_rotations": hits}
+    return True, {"paths": math.comb(d + n, d)}
 
 
 def claim_interleaving_agreement(model: ModelData):
@@ -268,10 +270,11 @@ def claim_nu_orbit_blocks(model: ModelData):
     from collections import Counter
 
     d, n = model.d, model.n
-    base = projective_summands(d, n)
+    # slice i of the i-major summand list is the i-th twist of the base
+    summands, k = tilting_summands(d, n), len(model.dyck())
     for i in range(1, n + d + 1):
         blocks = nu_orbit_decomposition(d, n, i)
-        direct = Counter(nakayama_pow(u, i) for u in base)
+        direct = Counter(summands[(i - 1) * k : i * k])
         if Counter(x for b in blocks.values() for x in b) != direct:
             return False, {"i": i}
     return True, {"slices": n + d}

@@ -92,7 +92,6 @@ from hatilt.pathcomb import (
     interleaving_down_box,
     interleaving_up_box,
     is_dyck,
-    lies_below_bent_curve,
     preceq,
     region_paths,
     rotate_pow,
@@ -597,7 +596,10 @@ def anchor_data_by_fractions(path: LatticePath) -> AnchorData:
 
 
 def lies_below_bent_curve_by_fractions(point: GridPoint, path: LatticePath) -> bool:
-    """``hatilt.pathcomb.lies_below_bent_curve`` with ``Fraction`` bounds."""
+    """Whether every point of a path of L_{d+1,n} is weakly below the bent
+    slope curve at D, with ``Fraction`` bounds: the curve climbs with slope
+    n/d into D = (x, y), runs horizontally to (x+1, y), then climbs with
+    slope n/d again."""
     d = path.d - 1
     n = path.n
     x0, y0 = point.x, point.y
@@ -616,7 +618,9 @@ def lies_below_bent_curve_by_fractions(point: GridPoint, path: LatticePath) -> b
 def region_contains(point: GridPoint, path: LatticePath) -> bool:
     """Membership of a path of L_{d+1,n} in the region at D = (x, y)."""
     d = path.d - 1  # base_path validates D
-    return below(base_path(point, d, path.n), path) and lies_below_bent_curve(point, path)
+    return below(base_path(point, d, path.n), path) and lies_below_bent_curve_by_fractions(
+        point, path
+    )
 
 
 def region_paths_by_fractions(point: GridPoint, d: int, n: int) -> list[LatticePath]:

@@ -287,6 +287,12 @@ class TestTiltingSummands:
         with pytest.raises(ValueError):
             tilting_summands(2, 4)
 
+    @pytest.mark.parametrize("d, n", COPRIME_UP_TO_8)
+    def test_matches_restarting_each_power(self, d, n):
+        base = projective_summands(d, n)
+        restarted = [nakayama_pow(u, i) for i in range(1, n + d + 1) for u in base]
+        assert tilting_summands(d, n) == restarted
+
 
 class TestOrbitDecomposition:
     def test_slice_one_block(self):

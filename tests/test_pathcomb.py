@@ -8,7 +8,6 @@ from oracles import (
     delta_prime_set,
     delta_set_by_fractions,
     dyck_orbit_representative,
-    lies_below_bent_curve_by_fractions,
     region_contains,
     region_paths_by_fractions,
     resolving_sequence_eager,
@@ -27,6 +26,7 @@ from hatilt.pathcomb import (
     coords,
     delta_pair,
     delta_set,
+    dyck_rotations,
     enumerate_all,
     enumerate_dyck,
     enumerate_os,
@@ -37,7 +37,6 @@ from hatilt.pathcomb import (
     interleaving_down_box,
     interleaving_up_box,
     is_dyck,
-    lies_below_bent_curve,
     path_from_entries,
     preceq,
     prepend_horizontal,
@@ -321,6 +320,21 @@ class TestOrbitRepresentative:
                 assert sum(is_dyck(q) for q in orbit) == 1
 
 
+class TestDyckRotations:
+    # the prefix-walk minimum against testing every rotation
+    def test_matches_the_rotation_scan_on_every_grid(self):
+        for d in range(13):
+            for n in range(13 - d):  # coprime or not
+                for p in enumerate_all(d, n):
+                    expected = [k for k in range(d + n) if is_dyck(rotate_pow(p, k))]
+                    assert dyck_rotations(p) == expected
+
+    def test_counts_other_than_one_off_the_coprime_grids(self):
+        # a path of period 3 in L_{2,4} reaches its minimum once per period
+        assert dyck_rotations(LatticePath(2, 4, "HVVHVV")) == [0, 3]
+        assert {len(dyck_rotations(p)) for p in enumerate_all(2, 4)} == {1, 2}
+
+
 class TestWidening:
     def test_prepend_coords(self):
         p = path_from_entries(3, 4, (1, 3, 5))
@@ -407,6 +421,9 @@ class TestRegions:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             region_contains(GridPoint(5, 0), path_from_entries(4, 4, (1, 2, 3, 4)))
+        for point in (GridPoint(4, 0), GridPoint(0, 5), GridPoint(-1, 0)):
+            with pytest.raises(ValueError, match="outside the bent-curve range"):
+                region_paths(point, 3, 4)
 
 
 class TestDeltaSlices:
@@ -457,15 +474,6 @@ COPRIME_UP_TO_9 = [
 ]
 
 
-def slice_points(d, n):
-    """Every point of every slice of model (d, n) and its partner."""
-    points = set()
-    for i in range(n + d + 1):
-        for D in delta_set_by_fractions(d, n, i):
-            points |= {D, delta_pair(D, d, n)}
-    return sorted(points)
-
-
 class TestIntegerSlopes:
     # the integer-scaled slope tests against the Fraction versions they replace
     @pytest.mark.parametrize("d, n", COPRIME_UP_TO_9)
@@ -480,13 +488,15 @@ class TestIntegerSlopes:
 
     @pytest.mark.parametrize("d, n", COPRIME_UP_TO_9)
     def test_bent_curves_and_regions_match(self, d, n):
-        paths = enumerate_all(d + 1, n)
-        for point in slice_points(d, n):
-            for p in paths:
-                expected = lies_below_bent_curve_by_fractions(point, p)
-                assert lies_below_bent_curve(point, p) == expected
-            if point.x <= d:  # regions are taken at points of the d+1 columns
+        # the height box against testing every path under the Fraction bent
+        # curve; regions are taken at points of the d+1 columns, all checked
+        # here, and the box is empty at (d, 0), where the top corner does
+        # not fit
+        for x in range(d + 1):
+            for y in range(n + 1):
+                point = GridPoint(x, y)
                 assert region_paths(point, d, n) == region_paths_by_fractions(point, d, n)
+        assert region_paths(GridPoint(d, 0), d, n) == []
 
     # the slope n/d has no meaning at d = 0, whose widened grid is L_{1,n}
     def test_region_paths_needs_a_positive_d(self):
@@ -496,10 +506,6 @@ class TestIntegerSlopes:
     def test_region_contains_needs_a_positive_d(self):
         with pytest.raises(ValueError, match="d >= 1"):
             region_contains(GridPoint(0, 0), LatticePath(1, 2, "HVV"))
-
-    def test_bent_curve_needs_a_positive_d(self):
-        with pytest.raises(ValueError, match="d >= 1"):
-            lies_below_bent_curve(GridPoint(0, 0), LatticePath(1, 2, "HVV"))
 
     def test_delta_set_needs_a_positive_d(self):
         with pytest.raises(ValueError, match="d >= 1"):

@@ -151,15 +151,15 @@ class TestModelData:
         assert ok
         dyck = math.comb(d + n, d) // (d + n)
         blocks = sum(len(delta_set(d, n, i)) for i in range(1, n + d + 1))
-        # L_{d,n} (for the Dyck paths) and L_{d+1,n} (for the regions) once
-        # each; then the widened Dyck paths, one path per rotation step of
-        # nakayama_pow(u, i) for i = 1..n+d, and one base path per block
+        # L_{d,n} once, for the Dyck paths, and L_{d+1,n} never; the widened
+        # Dyck paths and one rotation per twist step, n+d per orbit; one base
+        # path per block, and the paths of the regions, one per summand
         assert built == (
             math.comb(d + n, d)
-            + math.comb(d + 1 + n, n)
             + dyck
-            + dyck * sum(range(1, n + d + 1))
+            + dyck * (n + d)
             + blocks
+            + dyck * (n + d)
         )
 
     def test_higher_auslander_builds_no_opposite_algebra(self, monkeypatch):
@@ -327,6 +327,24 @@ class TestHomRuleFaultInjection:
         }
         u, v = serre_symmetry_by_hom_dim(3, 2)
         assert claims[1]["value"] == {"pair": (u.path.steps, u.shift, v.path.steps, v.shift)}
+
+
+class TestOrbitNormalFormWitness:
+    def test_a_fail_names_the_path_and_its_dyck_rotation_count(self, monkeypatch):
+        # a helper that also takes the end point, where v returns to v_0,
+        # counts rotation 0 twice on every Dyck path; the first path of
+        # L_{3,2}, HHHVV, is Dyck
+        real = hatilt.verify.dyck_rotations
+
+        def with_the_end_point(p):
+            hits = real(p)
+            return hits + [p.d + p.n] if hits[0] == 0 else hits
+
+        monkeypatch.setattr(hatilt.verify, "dyck_rotations", with_the_end_point)
+        claims, failed, _ = run_claims(3, 2, ["orbit_normal_form"])
+        assert failed
+        assert claims[0]["status"] == "fail"
+        assert claims[0]["value"] == {"path": "HHHVV", "dyck_rotations": 2}
 
 
 class TestInterleavingAgreement:
