@@ -39,7 +39,6 @@ from .quiveralg import (  # noqa: F401
     module_M,
 )
 from .fdalg import (  # noqa: F401
-    endo_algebra,
     gabriel_quiver,
     idempotent_subalgebra,
     iso_test,

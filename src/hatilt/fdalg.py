@@ -1,4 +1,4 @@
-"""Algebra surgery, endomorphism algebras, presentations and isomorphisms.
+"""Algebra surgery, presentations and isomorphisms.
 
 Every algebra here is a ``quiveralg.BoundQuiverAlgebra`` with vertices
 0, ..., n-1, its complete set of orthogonal idempotents; every basis element
@@ -7,10 +7,6 @@ idempotent surgery (corner subalgebras, degree-zero parts, replicated and
 r-fold trivial extension algebras) are all blockwise linear algebra.  The
 results of surgery are built from structure constants alone; they carry no
 relations, and their quiver is their Gabriel quiver, computed on first use.
-
-``endo_algebra`` builds End of a sum of modules of finite projective
-dimension as End of their minimal projective resolutions modulo homotopy,
-so modules and complexes share one endomorphism-algebra builder.
 
 ``presentation_data`` recovers a bound quiver presentation from structure
 constants: arrows lift a basis of rad/rad^2, the kernel of the induced
@@ -50,28 +46,9 @@ from .quiveralg import (
     BoundQuiverAlgebra,
     BudgetError,
     Quiver,
-    QuiverRep,
     Relation,
     Vertex,
 )
-
-
-# -- endomorphism algebras --------------------------------------------------
-
-
-def endo_algebra(reps: list[QuiverRep]) -> BoundQuiverAlgebra:
-    """End(M_1 + ... + M_k) with the identity maps as idempotents.
-
-    Hom between modules of finite projective dimension is Hom between their
-    minimal projective resolutions modulo homotopy, so this is the
-    endomorphism algebra of those resolutions.  The modules must have finite
-    projective dimension; resolving any other module raises ``BudgetError``.
-    """
-    from .complexes import endo_algebra_of_complexes, minimal_proj_resolution
-
-    if not reps:
-        raise ValueError("need at least one module")
-    return endo_algebra_of_complexes([minimal_proj_resolution(M.algebra, M) for M in reps])
 
 
 # -- Gabriel quiver and presentation ----------------------------------------
@@ -274,11 +251,14 @@ def _sub_on_basis(fd, keep, idem_order):
 
 
 def idempotent_subalgebra(fd: BoundQuiverAlgebra, idem_indices) -> BoundQuiverAlgebra:
-    """Corner algebra e A e for e the sum of the chosen idempotents."""
-    chosen = sorted(set(idem_indices))
+    """Corner algebra e A e for e the sum of the chosen idempotents; its
+    vertex k is the k-th chosen vertex of fd."""
+    chosen = list(idem_indices)
     if not chosen:
         raise ValueError("empty idempotent set")
     inside = set(chosen)
+    if len(inside) != len(chosen):
+        raise ValueError("repeated idempotent index")
     keep = [b.id for b in fd.basis if b.src in inside and b.tgt in inside]
     return _sub_on_basis(fd, keep, chosen)
 
@@ -346,37 +326,47 @@ def iso_test(a1, a2, budget: int = 2_000_000):
 
     steps = 0
 
-    # the recursion goes through ``recurse``: a closure that named itself
-    # would hold itself through its own cell, a cycle only a full gc frees
-    def backtrack(pos, sigma, used, recurse):
+    def fits(v, w, sigma):
+        """One step of the budget: does v -> w agree with sigma?"""
         nonlocal steps
-        if pos == len(order):
-            yield dict(sigma)
-            return
-        v = order[pos]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            steps += 1
-            if steps > budget:
-                raise IsoInconclusive("vertex bijection search budget exceeded")
-            ok = all(
-                c1[v][u] == c2[w][sigma[u]]
-                and c1[u][v] == c2[sigma[u]][w]
-                and arrows1[v][u] == arrows2[w][sigma[u]]
-                and arrows1[u][v] == arrows2[sigma[u]][w]
-                for u in sigma
-            )
-            if not ok:
-                continue
-            sigma[v] = w
-            used.add(w)
-            yield from recurse(pos + 1, sigma, used, recurse)
-            del sigma[v]
-            used.discard(w)
+        steps += 1
+        if steps > budget:
+            raise IsoInconclusive("vertex bijection search budget exceeded")
+        return all(
+            c1[v][u] == c2[w][sigma[u]]
+            and c1[u][v] == c2[sigma[u]][w]
+            and arrows1[v][u] == arrows2[w][sigma[u]]
+            and arrows1[u][v] == arrows2[sigma[u]][w]
+            for u in sigma
+        )
+
+    def bijections():
+        """Depth first over the positions of ``order``, without recursion:
+        ``stack`` holds an iterator over the untried candidates of each
+        position up to the deepest."""
+        sigma, used, stack = {}, set(), []
+        while True:
+            if len(sigma) == len(order):
+                yield dict(sigma)
+            else:
+                stack.append(iter(candidates[order[len(sigma)]]))
+            # move the deepest position to its next fitting candidate, and
+            # take back each position whose candidates ran out
+            while stack:
+                v = order[len(stack) - 1]
+                if v in sigma:
+                    used.discard(sigma.pop(v))
+                w = next((w for w in stack[-1] if w not in used and fits(v, w, sigma)), None)
+                if w is not None:
+                    sigma[v] = w
+                    used.add(w)
+                    break
+                stack.pop()
+            if not stack:
+                return
 
     undecided = False
-    for sigma in backtrack(0, {}, set(), backtrack):
+    for sigma in bijections():
         for arrow_map in _arrow_maps(p1.quiver, quiver2, sigma):
             try:
                 scalars = _solve_scalars(a2, p1, arrow_elems2, arrow_map)

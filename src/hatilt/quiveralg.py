@@ -14,8 +14,8 @@ Gabriel quiver.
 Modules are right modules, stored as one fiber per vertex with a matrix
 for each arrow between two nonzero fibers, mapping the target fiber to the
 source fiber (the right action); a missing arrow map is zero.
-Projectives, injectives and the interval modules M(x) of the type-A model
-are produced here, each built once per algebra and then shared read-only.
+Injectives and the interval modules M(x) of the type-A model are produced
+here, each built once per algebra and then shared read-only.
 
 Paths compose diagrammatically: ``path = (a1, a2, ...)`` traverses a1
 first, and ``mul(p, q)`` is "p after q".
@@ -169,7 +169,7 @@ class BoundQuiverAlgebra:
         self._blocks_into: dict[int, list[tuple[int, list[int]]]] = {}
         for (src, tgt), ids in self.blocks.items():
             self._blocks_into.setdefault(tgt, []).append((src, ids))
-        # ("P", v), ("I", v) and ("M", label entries) -> (dims, maps) of the
+        # ("I", v) and ("M", label entries) -> (dims, maps) of the
         # modules built so far; holding no module, they make no reference
         # cycle through the algebra.  complexes.shifted_module_complex: module
         # content -> (terms, diffs) of its minimal resolution, plain data too.
@@ -334,22 +334,14 @@ class BoundQuiverAlgebra:
         """``cartan()[i][j]`` is the dimension of e_i A e_j."""
         return [[len(self.blocks.get((j, i), [])) for j in self._vertex_ids] for i in self._vertex_ids]
 
-    def mult_matrix(self, src, tgt, left=None, right=None) -> ExactMatrix:
-        """Matrix of b -> left . b . right from block ``src`` to block ``tgt``.
-
-        Blocks are (source, target) vertex pairs; a factor left as None is
-        the unit.
-        """
+    def mult_matrix(self, src, tgt, left) -> ExactMatrix:
+        """Matrix of b -> left . b from block ``src`` to block ``tgt``; blocks
+        are (source, target) vertex pairs."""
         src_ids = self.blocks.get(src, [])
         index = self._block_index.get(tgt, {})
         out = ExactMatrix(len(index), len(src_ids))
         for j, bid in enumerate(src_ids):
-            prod = self.basis_elem(bid)
-            if left is not None:
-                prod = self.elem_mul(left, prod)
-            if right is not None:
-                prod = self.elem_mul(prod, right)
-            for k, v in prod.items():
+            for k, v in self.elem_mul(left, self.basis_elem(bid)).items():
                 if k not in index:
                     raise ValueError(f"element not supported on block {tgt}")
                 out.data[index[k]][j] = v
@@ -366,20 +358,6 @@ class BoundQuiverAlgebra:
             tables = self._modules[key] = M.dims, M.maps
         return QuiverRep._adopt(self, *tables)
 
-    def projective(self, v: int) -> "QuiverRep":
-        def build():
-            dims = {u: len(self.blocks.get((u, v), [])) for u in self.vertex_ids()}
-            maps = {
-                a.id: self.mult_matrix(
-                    (a.tgt, v), (a.src, v), right=self.basis_elem(self.arrow_elem[a.id])
-                )
-                for a in self.quiver.arrows
-                if dims[a.src] and dims[a.tgt]
-            }
-            return QuiverRep(self, dims, maps, check=False)
-
-        return self._module(("P", v), build)
-
     def injective(self, v: int) -> "QuiverRep":
         """Dual of the opposite projective: fiber at y is the dual of paths v -> y."""
 
@@ -389,7 +367,7 @@ class BoundQuiverAlgebra:
             # precomposing with left multiplication by the arrow
             maps = {
                 a.id: self.mult_matrix(
-                    (v, a.src), (v, a.tgt), left=self.basis_elem(self.arrow_elem[a.id])
+                    (v, a.src), (v, a.tgt), self.basis_elem(self.arrow_elem[a.id])
                 ).transpose()
                 for a in self.quiver.arrows
                 if dims[a.src] and dims[a.tgt]

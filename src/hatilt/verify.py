@@ -13,6 +13,7 @@ run.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, fields
@@ -41,7 +42,6 @@ from .complexes import (
 from .fdalg import (
     IsoInconclusive,
     corner_vanishes,
-    endo_algebra,
     idempotent_subalgebra,
     iso_test,
     presentation_data,
@@ -99,19 +99,30 @@ class VerifyConfig:
 class ModelData:
     """Shared constructions for one coprime (d, n), built lazily.
 
+    B0 = End_A(P), for P the sum of the projectives P_x of A at the Dyck
+    vertices, is built as the Dyck corner e A e, e the sum of their
+    idempotents, with vertex k at the k-th Dyck path.  By Yoneda, a map of
+    right modules P_x = e_x A -> P_y = e_y A is left multiplication by the
+    image of e_x, an element of e_y A e_x, and composing maps multiplies
+    those elements.  So a basis element x -> y of the corner, which lies in
+    e_y A e_x, is a map P_x -> P_y, the orientation in which
+    ``endo_algebra_of_complexes`` puts a map X_j -> X_i in e_i End e_j.
+
     Everything but Lambda and Pi is built at most once per model, and so are
     the global dimensions of A, B0 and B and the presentation of B0, which
     ``b0_presentation`` asks ``presentation`` for.  The claims resolve over
     the algebras built here, not over presentations of them: B0 feeds
     ``gldim_B0``, and B feeds ``gldim_B`` and ``two_subhomogeneous``, so B
-    stays alive for the rest of the run with the projective and injective
-    modules it caches.  Lambda and Pi are built afresh on each call: each
+    stays alive for the rest of the run with the injective modules it
+    caches.  Lambda and Pi are built afresh on each call: each
     has one consumer per run, and keeping them would only raise the peak
     memory.  The isomorphism End(T) = B is searched once and feeds
     ``endo_replicate`` and ``preprojective``.
 
     Every algebra built here counts against ``max_algebra_dim``, and so does
-    every presentation: it rebuilds the dimension it presents or fails.
+    every presentation: it rebuilds the dimension it presents or fails.  A
+    build that raised is not repeated: later calls raise a copy of its
+    exception.
     """
 
     def __init__(self, d, n, config: VerifyConfig):
@@ -125,8 +136,17 @@ class ModelData:
 
     def _memo(self, key, builder):
         if key not in self._built:
-            self._built[key] = builder()
-        return self._built[key]
+            try:
+                self._built[key] = builder()
+            except Exception as exc:
+                # a copy, never raised, holds no traceback and so no frame
+                # that holds the model
+                self._built[key] = copy.copy(exc)
+                raise
+        value = self._built[key]
+        if isinstance(value, Exception):
+            raise copy.copy(value)
+        return value
 
     def _bounded(self, name, alg):
         limit = self.config.max_algebra_dim
@@ -153,9 +173,8 @@ class ModelData:
         )
 
     def b0(self):
-        alg = self.algebra()
         b0 = self._memo(
-            "b0", lambda: endo_algebra([alg.projective(v) for v in self.dyck_vertices()])
+            "b0", lambda: idempotent_subalgebra(self.algebra(), self.dyck_vertices())
         )
         return self._bounded("B0", b0)
 
@@ -387,7 +406,8 @@ def claim_two_subhomogeneous(model: ModelData):
 def claim_preprojective(model: ModelData):
     """dim Hom(P, nu P) = dim End(P), and Pi, the (n+d)-fold trivial extension
     of B0 = End(P), is self-injective with degree-zero part isomorphic to
-    End(T).  B is built as Pi's degree-zero part, so the last is
+    End(T).  B0 is built as the corner e A e, whose dimension is dim End(P)
+    by Yoneda; B is built as Pi's degree-zero part, so the last is
     ``endo_replicate``'s certificate End(T) = B, read from ``end_t_iso``."""
     A, vertices = model.algebra(), model.dyck_vertices()
     b0, pi = model.b0(), model.pi()

@@ -42,7 +42,12 @@ blocks, is what the support-restricted ``realize_complex`` is compared
 against on injectives; on projectives it realises a complex of projectives
 as modules, which the library never needs.  The resolving-window search
 that builds every strip term before reading one is what the lazy
-``resolving_sequence`` is compared against.
+``resolving_sequence`` is compared against.  The projective modules e_v A
+live here too: the library reads P_v as a vertex of a complex and never
+builds it as a module.  End of a sum of modules, through their minimal
+projective resolutions, and End(P) of the Dyck projectives, through their
+stalk complexes, are built by ``endo_algebra_of_complexes``; the latter is
+what the corner e A e that ``ModelData.b0`` builds is compared against.
 """
 
 import math
@@ -71,11 +76,13 @@ from hatilt.complexes import (
     _top,
     _vector_to_chain_map,
     derived_nakayama,
+    endo_algebra_of_complexes,
     minimal_proj_resolution,
     minimize_complex,
     proj_replace,
     projective_injective_vertices,
     realize_complex,
+    stalk_complex,
 )
 from hatilt.exactmat import ZERO, ExactMatrix, extend_basis, span_basis
 from hatilt.pathcomb import (
@@ -87,6 +94,7 @@ from hatilt.pathcomb import (
     below,
     coords,
     enumerate_all,
+    enumerate_dyck,
     heights_related,
     interleaves,
     interleaving_down_box,
@@ -106,7 +114,36 @@ from hatilt.quiveralg import (
     QuiverRep,
     Relation,
     direct_sum,
+    vertex_of_entries,
 )
+
+
+def projective(alg, v) -> QuiverRep:
+    """The right module P_v = e_v A: its fiber at u is e_v A e_u, and an
+    arrow acts by right multiplication."""
+    dims = {u: len(alg.blocks.get((u, v), [])) for u in alg.vertex_ids()}
+    maps = {
+        a.id: mult_matrix_by_elements(
+            alg, (a.tgt, v), (a.src, v), right=alg.basis_elem(alg.arrow_elem[a.id])
+        )
+        for a in alg.quiver.arrows
+        if dims[a.src] and dims[a.tgt]
+    }
+    return QuiverRep(alg, dims, maps, check=False)
+
+
+def endo_algebra_of_modules(reps: list[QuiverRep]) -> BoundQuiverAlgebra:
+    """End(M_1 + ... + M_k) as End of the minimal projective resolutions
+    modulo homotopy; a module of infinite projective dimension raises
+    ``BudgetError``."""
+    return endo_algebra_of_complexes([minimal_proj_resolution(M.algebra, M) for M in reps])
+
+
+def dyck_end_p(alg, d, n) -> BoundQuiverAlgebra:
+    """End(P) for P the sum of the projectives of ``alg`` at the Dyck paths
+    of (d, n), in Dyck order, as End of their stalk complexes."""
+    vertices = [vertex_of_entries(alg, coords(p).entries) for p in enumerate_dyck(d, n)]
+    return endo_algebra_of_complexes([stalk_complex(alg, v) for v in vertices])
 
 
 def reversed_quiver(quiver: Quiver) -> Quiver:
@@ -170,7 +207,7 @@ def domdim_by_coresolution(alg, max_len=64):
     proj_inj = projective_injective_vertices(alg)
     best = None
     for z in alg.vertex_ids():
-        dual = dual_module(alg.projective(z))
+        dual = dual_module(projective(alg, z))
         R = minimal_proj_resolution(op, dual, max_len, label=f"DP{z}")
         count = 0
         exhausted = True
@@ -882,8 +919,10 @@ def act_by_elements(alg, vec, x, bid, y, labels):
 
 
 def mult_matrix_by_elements(alg, src, tgt, left=None, right=None) -> ExactMatrix:
-    """``BoundQuiverAlgebra.mult_matrix`` one product element at a time, each
-    column read back through ``block_coords``."""
+    """Matrix of b -> left . b . right from block ``src`` to block ``tgt``, a
+    factor left as None being the unit, one product element at a time, each
+    column read back through ``block_coords``; with a left factor only, this
+    is ``BoundQuiverAlgebra.mult_matrix``."""
     src_ids = alg.blocks.get(src, [])
     rows = len(alg.blocks.get(tgt, []))
     out = ExactMatrix(rows, len(src_ids))
@@ -920,7 +959,8 @@ def injective_entry_maps(alg, elem, u, v):
     """Per-vertex matrices of the morphism I_u -> I_v at elem: right
     multiplication e_v A e_y -> e_u A e_y on the dual fibers, dualised."""
     return {
-        y: alg.mult_matrix((v, y), (u, y), right=elem).transpose() for y in alg.vertex_ids()
+        y: mult_matrix_by_elements(alg, (v, y), (u, y), right=elem).transpose()
+        for y in alg.vertex_ids()
     }
 
 
@@ -947,20 +987,20 @@ def realize_complex_by_entries(X: ProjComplex) -> ModuleComplex:
     """``hatilt.complexes.realize_complex`` one entry and one vertex at a
     time: a multiplication matrix for every entry at every vertex, zero
     entries and empty blocks included, assembled into block matrices."""
-    return _realize_by_entries(X, X.algebra.injective, injective_entry_maps)
+    return _realize_by_entries(X, BoundQuiverAlgebra.injective, injective_entry_maps)
 
 
 def realize_projectives(X: ProjComplex) -> ModuleComplex:
     """X as the complex of projective modules it stands for, built like
     ``realize_complex_by_entries``."""
-    return _realize_by_entries(X, X.algebra.projective, projective_entry_maps)
+    return _realize_by_entries(X, projective, projective_entry_maps)
 
 
 def _realize_by_entries(X, module, entry_maps) -> ModuleComplex:
-    """The module complex with ``module(v)`` for each summand at v and, per
+    """The module complex with ``module(alg, v)`` for each summand at v and, per
     entry e from u to v, the maps ``entry_maps(alg, e, u, v)``."""
     alg = X.algebra
-    terms = {m: direct_sum([module(v) for v in vs]) for m, vs in X.terms.items()}
+    terms = {m: direct_sum([module(alg, v) for v in vs]) for m, vs in X.terms.items()}
     maps = {}
     for m, rows in X.diffs.items():
         src_vs, tgt_vs = X.terms[m], X.terms[m + 1]

@@ -9,7 +9,13 @@ import math
 import time
 
 import pytest
-from oracles import complexes_isomorphic, cone_of_chain_map, entry_for, nu_orbit_complexes
+from oracles import (
+    complexes_isomorphic,
+    cone_of_chain_map,
+    dyck_end_p,
+    entry_for,
+    nu_orbit_complexes,
+)
 
 from hatilt.cluster import (
     ShiftedModule,
@@ -33,7 +39,6 @@ from hatilt.complexes import (
 )
 from hatilt.fdalg import (
     corner_vanishes,
-    endo_algebra,
     idempotent_subalgebra,
     iso_test,
     presentation_data,
@@ -91,11 +96,7 @@ def model_3_2():
     for u in summands:
         m = module_M(alg, coords(u.path))
         complexes.append(shifted_module_complex(alg, m, d * u.shift))
-    projs = [
-        alg.projective(vertex_of_entries(alg, coords(p).entries))
-        for p in enumerate_dyck(d, n)
-    ]
-    b0 = endo_algebra(projs)
+    b0 = dyck_end_p(alg, d, n)
     return alg, summands, complexes, b0
 
 
@@ -207,11 +208,7 @@ def test_criterion_08_b0_presentation_regression():
     started = time.monotonic()
     d, n = 3, 4
     alg = build_auslander_algebra(n + 1, d)
-    projs = [
-        alg.projective(vertex_of_entries(alg, coords(p).entries))
-        for p in enumerate_dyck(d, n)
-    ]
-    b0 = endo_algebra(projs)
+    b0 = dyck_end_p(alg, d, n)
     data = presentation_data(b0)
     assert len(data.quiver.vertices) == 5
     assert len(data.quiver.arrows) == 5
@@ -243,11 +240,7 @@ def test_criterion_09_global_dimensions(model_3_2):
     expectations = {(3, 2): 1, (3, 4): 2, (4, 3): 2}
     for (d, n), expected in expectations.items():
         A = build_auslander_algebra(n + 1, d)
-        projs = [
-            A.projective(vertex_of_entries(A, coords(p).entries))
-            for p in enumerate_dyck(d, n)
-        ]
-        b0 = endo_algebra(projs)
+        b0 = dyck_end_p(A, d, n)
         assert gldim(b0, max_len=6) == expected
     report(9, "global dimensions of A, B and the base algebra", started)
 
@@ -266,11 +259,7 @@ def test_criterion_10_extended_4_3_instance():
     started = time.monotonic()
     d, n = 4, 3
     A = build_auslander_algebra(n + 1, d)
-    projs = [
-        A.projective(vertex_of_entries(A, coords(p).entries))
-        for p in enumerate_dyck(d, n)
-    ]
-    lam = replicate(endo_algebra(projs), n + d + 1)
+    lam = replicate(dyck_end_p(A, d, n), n + d + 1)
     g, dd = gldim(lam, max_len=15), domdim(lam, max_len=15)
     assert g == 13 and dd == 13
     report(10, "extended (4,3): gldim Lambda = 13 = domdim Lambda", started)
@@ -312,12 +301,7 @@ def test_criterion_13_idempotent_subalgebra():
     ]
     assert corner_vanishes(aprime, indices)
     corner = idempotent_subalgebra(aprime, indices)
-    A = build_auslander_algebra(n + 1, d)
-    projs = [
-        A.projective(vertex_of_entries(A, coords(p).entries))
-        for p in enumerate_dyck(d, n)
-    ]
-    assert iso_test(corner, endo_algebra(projs)) is not None
+    assert iso_test(corner, dyck_end_p(build_auslander_algebra(n + 1, d), d, n)) is not None
     report(13, "idempotent corner of the smaller Auslander algebra", started)
 
 

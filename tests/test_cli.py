@@ -117,6 +117,22 @@ class TestQuiver:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.EXPORT_SHA256[algebra]
 
+    # SHA-256 of the JSON exports of B0 and B at (d, n) = (4, 3) and (3, 4),
+    # where the structure constants of the corner e A e differ from those of
+    # End(P) built through chain maps, but the presentations do not; the
+    # two models export the same bytes
+    LARGER_EXPORT_SHA256 = {
+        "B0": "f4de1fe3fbe308621ff98f0afad8af3ef2e15090e0a5dfb1b7054175a15e6423",
+        "B": "3e9c300f43cf6850868e67f453165cd4b3264f390731b0858ed8199445ccf174",
+    }
+
+    @pytest.mark.parametrize("algebra", sorted(LARGER_EXPORT_SHA256))
+    @pytest.mark.parametrize("d, n", [(4, 3), (3, 4)])
+    def test_larger_json_export_is_pinned(self, capsys, d, n, algebra):
+        code, out, _ = run(capsys, "quiver", "--n", str(n), "--d", str(d), "--algebra", algebra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.LARGER_EXPORT_SHA256[algebra]
+
     def test_non_coprime_is_construction_failure(self, capsys):
         # for quiver construction a bad gcd is a precondition failure (1),
         # unlike the verify command where it is a usage error (2)

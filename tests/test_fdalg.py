@@ -1,14 +1,20 @@
 import gc
+import sys
 from fractions import Fraction
 from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import check_associative, gabriel_quiver_dense
+from oracles import (
+    check_associative,
+    dyck_end_p,
+    endo_algebra_of_modules,
+    gabriel_quiver_dense,
+    projective,
+)
 
 from hatilt.fdalg import (
     degree_zero_part,
-    endo_algebra,
     gabriel_quiver,
     idempotent_subalgebra,
     iso_test,
@@ -122,13 +128,13 @@ class TestEndoAlgebra:
     def test_single_brick(self):
         alg = build_auslander_algebra(3, 2)
         m = module_M(alg, OrderedSeq(3, 3, (1, 2, 4)))
-        fd = endo_algebra([m])
+        fd = endo_algebra_of_modules([m])
         assert fd.dim == 1
         assert fd.nidem == 1
 
     def test_projectives_of_auslander_algebra(self):
         alg = build_auslander_algebra(3, 1)  # kA_3
-        fd = endo_algebra([alg.projective(v) for v in alg.vertex_ids()])
+        fd = endo_algebra_of_modules([projective(alg, v) for v in alg.vertex_ids()])
         # End(A) = A^op: same dimension as the path algebra
         assert fd.dim == 10 - 4  # paths of kA_3: 3 + 2 + 1 = 6
         check_associative(fd)
@@ -141,7 +147,7 @@ class TestEndoAlgebra:
 
         alg = build_auslander_algebra(3, 1)  # kA_3
         labels = enumerate_os(3, 2)
-        fd = endo_algebra([module_M(alg, x) for x in labels])
+        fd = endo_algebra_of_modules([module_M(alg, x) for x in labels])
         oracle = sum(1 for x in labels for y in labels if preceq(x, y))
         assert fd.dim == oracle
         next_level = build_auslander_algebra(3, 2)
@@ -151,10 +157,10 @@ class TestEndoAlgebra:
     def test_dyck_projectives_3_4(self):
         alg = build_auslander_algebra(5, 3)
         summands = [
-            alg.projective(vertex_of_entries(alg, coords(p).entries))
+            projective(alg, vertex_of_entries(alg, coords(p).entries))
             for p in enumerate_dyck(3, 4)
         ]
-        fd = endo_algebra(summands)
+        fd = endo_algebra_of_modules(summands)
         assert fd.nidem == 5
         assert fd.dim == 12
         check_associative(fd)
@@ -164,7 +170,7 @@ class TestEndoAlgebra:
         # resolving
         pi = ModelData(3, 2, VerifyConfig()).pi()
         with pytest.raises(BudgetError):
-            endo_algebra([pi.simple(pi.vertex_ids()[0])])
+            endo_algebra_of_modules([pi.simple(pi.vertex_ids()[0])])
 
 
 class TestPresentation:
@@ -298,11 +304,7 @@ class TestReplicate:
     def test_replicated_dimension_3_4(self):
         # (2r - 1) copies of the 12-dimensional base algebra
         alg = build_auslander_algebra(5, 3)
-        summands = [
-            alg.projective(vertex_of_entries(alg, coords(p).entries))
-            for p in enumerate_dyck(3, 4)
-        ]
-        assert replicate(endo_algebra(summands), 7).dim == 156
+        assert replicate(dyck_end_p(alg, 3, 4), 7).dim == 156
 
 
 class TestTrivialExtension:
@@ -349,6 +351,17 @@ class TestIdempotentSurgery:
         # e A e keeps both idempotents and the long path
         assert sub.dim == 3
         assert sub.cartan() == [[1, 0], [1, 1]]
+
+    def test_corner_keeps_the_given_vertex_order(self):
+        fd = linear_algebra_fd(4)
+        sub = idempotent_subalgebra(fd, [3, 0])
+        # vertex k of the corner is the k-th given vertex, so the long path
+        # 0 -> 3 of fd runs 1 -> 0 and lies in e_0 (e A e) e_1
+        assert sub.cartan() == [[1, 1], [0, 1]]
+
+    def test_repeated_vertex_raises(self):
+        with pytest.raises(ValueError, match="repeated idempotent index"):
+            idempotent_subalgebra(linear_algebra_fd(3), [0, 2, 0])
 
 
 @cache
@@ -400,6 +413,25 @@ def square(rels):
 
 
 class TestIsoTest:
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        # a semisimple algebra: the search places every vertex before it
+        # finds a bijection, 300 deep, with 100 frames to spare above here
+        k = 300
+        fd = BoundQuiverAlgebra.from_quiver_data(
+            Quiver([Vertex(i, str(i)) for i in range(k)], []), []
+        )
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            result = iso_test(fd, fd)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result is not None
+        assert result.vertex_map == {v: v for v in range(k)}
+
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(relabelled_pairs())
     def test_finds_relabelled_copies_both_ways(self, pair):
@@ -638,12 +670,7 @@ class TestIsoTest:
                 iso_test(commuting, square([relation((1, (0, 2)))]))
 
     def test_b0_regression_3_4(self):
-        alg = build_auslander_algebra(5, 3)
-        summands = [
-            alg.projective(vertex_of_entries(alg, coords(p).entries))
-            for p in enumerate_dyck(3, 4)
-        ]
-        fd = endo_algebra(summands)
+        fd = dyck_end_p(build_auslander_algebra(5, 3), 3, 4)
         data = presentation_data(fd)
         assert len(data.quiver.vertices) == 5
         assert len(data.quiver.arrows) == 5

@@ -3,6 +3,8 @@ function, class and method the package defines is reached.
 
 No linter ships with the project, so this stands in for its unused-import
 rule.  The package ``__init__`` is left out: its imports are the exports.
+``fdalg`` sits below ``complexes``: it imports nothing from it, not even
+inside a function.
 A definition counts as reached when package code names it outside its own
 body, or when ``__init__`` exports it; dunder methods are exempt.  The only
 true division (``/`` or ``/=``) in the package is the one in
@@ -41,6 +43,28 @@ def test_every_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     source = "from .fdalg import degree_zero_part, replicate\n\nx = replicate\n"
     assert unused_imports(source) == ["degree_zero_part (line 1)"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every module that ``source`` imports from, at any nesting level, with
+    the leading dots of a relative import dropped."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_fdalg_imports_nothing_from_complexes():
+    modules = imported_modules((SRC / "fdalg.py").read_text())
+    assert not {m for m in modules if m.split(".")[-1] == "complexes"}
+
+
+def test_the_check_sees_a_nested_import():
+    source = "def end(reps):\n    from .complexes import gldim\n    import hatilt.complexes\n"
+    assert imported_modules(source) == {"complexes", "hatilt.complexes"}
 
 
 def true_divisions(source: str) -> list[str]:

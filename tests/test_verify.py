@@ -9,6 +9,7 @@ import oracles
 import pytest
 from oracles import (
     COPRIME_UP_TO_8,
+    dyck_end_p,
     interleaving_agreement_by_pairs,
     plant_shift_blind_rule,
     rigidity_check_by_hom_dim,
@@ -16,7 +17,9 @@ from oracles import (
 )
 
 import hatilt.verify
+from hatilt.fdalg import iso_test
 from hatilt.pathcomb import enumerate_all, heights_related
+from hatilt.quiveralg import BudgetError
 from hatilt.verify import (
     CLAIM_NAMES,
     COMBINATORIAL_CLAIMS,
@@ -74,6 +77,59 @@ class TestModelData:
         model = ModelData(3, 2, VerifyConfig())
         assert model.algebra() is model.algebra()
         assert model.b0() is model.b0()
+
+    @pytest.mark.parametrize(
+        "d, n", [(3, 2), (2, 3), (5, 2), (2, 5), (4, 3), (3, 4), (5, 3), (3, 5)]
+    )
+    def test_b0_is_end_of_the_dyck_projectives(self, d, n):
+        # the corner e A e against End(P) built through chain maps of stalk
+        # complexes; equal Cartan matrices keep vertex k at the k-th Dyck path
+        model = ModelData(d, n, VerifyConfig())
+        b0, end_p = model.b0(), dyck_end_p(model.algebra(), d, n)
+        assert b0.cartan() == end_p.cartan()
+        assert iso_test(b0, end_p) is not None
+
+    def test_b0_builds_no_resolution_and_no_chain_map(self, monkeypatch):
+        import hatilt.complexes
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("B0 went through the complexes layer")
+
+        model = ModelData(4, 3, VerifyConfig())
+        model.algebra()
+        for name in ("minimal_proj_resolution", "_replace", "chain_maps_mod_homotopy"):
+            monkeypatch.setattr(hatilt.complexes, name, forbidden)
+        assert model.b0().nidem == len(model.dyck())
+
+    def test_failed_builds_are_remembered(self, monkeypatch):
+        builds = []
+        real = hatilt.verify.build_auslander_algebra
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hatilt.verify, "build_auslander_algebra", counting_build)
+        claims, failed, skipped = run_claims(3, 2, CLAIM_NAMES, VerifyConfig(max_algebra_dim=5))
+        # A once, and the smaller A' of idempotent_corner once
+        assert builds == [(3, 3), (3, 1)]
+        assert not failed and skipped
+        reason = {"reason": "algebra dimension exceeds budget 5"}
+        assert [(c["name"], c["status"], c["value"]) for c in claims[8:]] == [
+            (name, "skipped", reason) for name in CLAIM_NAMES[8:]
+        ]
+        assert all(c["status"] == "pass" for c in claims[:8])
+
+    def test_a_remembered_failure_raises_a_fresh_copy(self):
+        model = ModelData(3, 2, VerifyConfig(max_algebra_dim=5))
+        raised = []
+        for _ in range(2):
+            with pytest.raises(BudgetError, match="exceeds budget 5") as info:
+                model.b0()
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
+        # the stored copy was never raised, so it holds no frame of the model
+        assert model._built["algebra"].__traceback__ is None
 
     def test_run_presents_and_resolves_each_algebra_once(self, monkeypatch):
         import hatilt.complexes
@@ -467,6 +523,7 @@ class TestTracerTargets:
     # names the tracer lists that no longer exist in the package
     STALE = {
         "complexes.complexes_isomorphic",
+        "fdalg.endo_algebra",
         "fdalg.radical_powers",
         "quiveralg.kernel_of_morphism",
         "quiveralg.hom_space",
