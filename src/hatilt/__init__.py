@@ -25,7 +25,6 @@ from .cluster import (  # noqa: F401
     generation_certificate,
     hom_dim,
     nakayama,
-    nakayama_pow,
     projective_summands,
     rigidity_check,
     tilting_summands,
@@ -36,10 +35,10 @@ from .quiveralg import (  # noqa: F401
     QuiverRep,
     Relation,
     build_auslander_algebra,
+    gabriel_quiver,
     module_M,
 )
 from .fdalg import (  # noqa: F401
-    gabriel_quiver,
     idempotent_subalgebra,
     iso_test,
     presentation_data,

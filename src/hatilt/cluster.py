@@ -50,7 +50,6 @@ from .pathcomb import (
     region_paths,
     resolving_sequence,
     rotate,
-    rotate_pow,
     strip_sequence,
 )
 
@@ -103,19 +102,6 @@ def nakayama(u: ShiftedModule) -> ShiftedModule:
     return ShiftedModule(rotate(u.path), u.shift + bump)
 
 
-def nakayama_inverse(u: ShiftedModule) -> ShiftedModule:
-    prev = rotate_pow(u.path, -1)
-    bump = 0 if prev.steps[0] == "H" else 1
-    return ShiftedModule(prev, u.shift - bump)
-
-
-def nakayama_pow(u: ShiftedModule, k: int) -> ShiftedModule:
-    step = nakayama if k >= 0 else nakayama_inverse
-    for _ in range(abs(k)):
-        u = step(u)
-    return u
-
-
 def _require_coprime(d: int, n: int):
     if math.gcd(n, d) != 1:
         raise ValueError(f"gcd(n, d) must be 1, got n={n}, d={d}")
@@ -129,8 +115,8 @@ def projective_summands(d: int, n: int) -> list[ShiftedModule]:
 
 def tilting_summands(d: int, n: int) -> list[ShiftedModule]:
     """All n+d twist iterates of the base projective summands, i-major:
-    ``[nakayama_pow(u, i) for i in 1..n+d for u in base]``.  Each row is
-    the twist of the one before, so each orbit is walked once."""
+    row i holds the i-th twist of each base summand, for i = 1..n+d.  Each
+    row is the twist of the one before, so each orbit is walked once."""
     _require_coprime(d, n)
     row = projective_summands(d, n)
     summands = []
@@ -167,14 +153,17 @@ class RigidityReport:
     violations: tuple = ()
 
 
-def _summand_index(labels):
-    """Bitmasks of summand positions, by coordinates (any shift) and by shift."""
+def _summand_index(d: int, n: int):
+    """The summands of T, their labels, and bitmasks of summand positions by
+    coordinates (any shift) and by shift."""
+    summands = tilting_summands(d, n)
+    labels = [_labels(u) for u in summands]
     by_entries: dict[tuple[int, ...], int] = {}
     by_shift: dict[int, int] = {}
     for j, (t, x, _) in enumerate(labels):
         by_entries[x] = by_entries.get(x, 0) | 1 << j
         by_shift[t] = by_shift.get(t, 0) | 1 << j
-    return by_entries, by_shift
+    return summands, labels, by_entries, by_shift
 
 
 def _box_mask(by_entries, box) -> int:
@@ -219,9 +208,7 @@ def rigidity_check(d: int, n: int) -> RigidityReport:
     order of a row-major pass over the pairs, the k = -d s one of a pair
     first.
     """
-    summands = tilting_summands(d, n)
-    labels = [_labels(u) for u in summands]
-    by_entries, by_shift = _summand_index(labels)
+    summands, labels, by_entries, by_shift = _summand_index(d, n)
     top = n + d + 1
     end_dim = 0
     violations = []
@@ -248,9 +235,7 @@ def serre_symmetry_check(d: int, n: int):
     Pairs are taken in row-major order; None means the symmetry holds on
     every ordered pair.
     """
-    summands = tilting_summands(d, n)
-    labels = [_labels(u) for u in summands]
-    by_entries, by_shift = _summand_index(labels)
+    summands, labels, by_entries, by_shift = _summand_index(d, n)
     top = n + d + 1
     for u, a in zip(summands, labels):
         level, above = _hom_support(a, by_entries, top)

@@ -130,8 +130,9 @@ def _entry_matmul(alg, rows_a, rows_b):
     return out
 
 
-def stalk_complex(alg, vertex, degree=0):
-    return ProjComplex(alg, {degree: (vertex,)}, {}, check=False)
+def stalk_complex(alg, vertex):
+    """The indecomposable projective at ``vertex``, in degree zero."""
+    return ProjComplex(alg, {0: (vertex,)}, {}, check=False)
 
 
 # -- chain maps up to homotopy ----------------------------------------------
@@ -678,7 +679,7 @@ def derived_nakayama(X: ProjComplex, max_len=64) -> ProjComplex:
     return proj_replace(realize_complex(X), max_len)
 
 
-def shifted_module_complex(alg, module: QuiverRep, shift_by=0, max_len=64, label="M"):
+def shifted_module_complex(alg, module: QuiverRep, shift_by=0, max_len=64):
     """Minimal projective complex of a module placed in degree -shift_by.
 
     The unshifted resolution's terms and diffs are memoised per algebra in
@@ -700,7 +701,7 @@ def shifted_module_complex(alg, module: QuiverRep, shift_by=0, max_len=64, label
     )
     memo = alg._resolution_memo.get(key)
     if memo is None:
-        R = minimal_proj_resolution(alg, module, max_len, label=label)
+        R = minimal_proj_resolution(alg, module, max_len)
         alg._resolution_memo[key] = R.terms, R.diffs
         return R.shift(shift_by)
     return ProjComplex(alg, *memo, check=False).shift(shift_by)

@@ -6,18 +6,19 @@ is sandwiched between a single pair of them, so Cartan data, rad^2 and
 idempotent surgery (corner subalgebras, degree-zero parts, replicated and
 r-fold trivial extension algebras) are all blockwise linear algebra.  The
 results of surgery are built from structure constants alone; they carry no
-relations, and their quiver is their Gabriel quiver, computed on first use.
+relations, and their quiver is their Gabriel quiver, which
+``quiveralg.gabriel_quiver`` computes on first use.
 
 ``presentation_data`` recovers a bound quiver presentation from structure
-constants: arrows lift a basis of rad/rad^2, the kernel of the induced
-path-algebra surjection is computed degree by degree, and minimal
-generators are chosen greedily in lexicographic path order.  The returned
-algebra is rebuilt from that presentation and must reproduce the original
-dimension, failing loudly otherwise.  Both rad^2 and the presentation
-kernels are computed block by block: rad^2 in e_i A e_j is spanned by the
-products of basis elements of e_i A e_l and e_l A e_j, reduced in the
-coordinates of e_i A e_j alone, and paths from j to i are evaluated in
-e_i A e_j only.
+constants: the Gabriel quiver's arrows lift a basis of rad/rad^2, the
+kernel of the induced path-algebra surjection is computed degree by
+degree, and minimal generators are chosen greedily in lexicographic path
+order.  The returned algebra is rebuilt from that presentation and must
+reproduce the original dimension, failing loudly otherwise.  Both rad^2
+and the presentation kernels are computed block by block: rad^2 in
+e_i A e_j is spanned by the products of basis elements of e_i A e_l and
+e_l A e_j, reduced in the coordinates of e_i A e_j alone, and paths from
+j to i are evaluated in e_i A e_j only.
 
 ``iso_test`` certifies isomorphisms from the presentation of its first
 argument alone; the second is read through its quiver.  Each vertex
@@ -41,17 +42,16 @@ from fractions import Fraction
 
 from .exactmat import ExactMatrix, ONE, ZERO, exact_div, extend_basis, span_basis
 from .quiveralg import (
-    Arrow,
     BasisElement,
     BoundQuiverAlgebra,
     BudgetError,
     Quiver,
     Relation,
-    Vertex,
+    gabriel_quiver,
 )
 
 
-# -- Gabriel quiver and presentation ----------------------------------------
+# -- presentation ------------------------------------------------------------
 
 
 @dataclass
@@ -59,49 +59,6 @@ class PresentationData:
     quiver: Quiver
     relations: list[Relation]
     algebra: BoundQuiverAlgebra
-
-
-def gabriel_quiver(fd: BoundQuiverAlgebra) -> tuple[Quiver, list[dict]]:
-    """Quiver on the idempotents with one arrow per rad/rad^2 basis element.
-
-    Basic-split means every e_i A e_i is k e_i, so rad is the span of the
-    off-diagonal blocks, and rad^2 in e_i A e_j is spanned by the products
-    b c of basis elements b of e_i A e_l and c of e_l A e_j.
-
-    rad is nilpotent iff no such product lands in a diagonal block with a
-    nonzero value.  If b c = lambda e_i with lambda != 0, the powers
-    lambda^k e_i of b c never vanish.  Otherwise rad rad lies in rad.  A
-    product of nidem radical basis elements then runs along a chain of
-    nidem + 1 block indices, one of which repeats; the factors between its
-    two visits multiply into rad inside a diagonal block, which is zero.
-    So rad^nidem = 0.
-    """
-    vertices = fd.vertex_ids()
-    if any(len(fd.blocks.get((i, i), [])) != 1 for i in vertices):
-        raise ValueError("not basic-split: some e_i A e_i has dimension > 1")
-    products: dict[tuple[int, int], list[dict]] = defaultdict(list)
-    for (b, c), table in fd.mult.items():
-        left, right = fd.basis[b], fd.basis[c]
-        if left.src == left.tgt or right.src == right.tgt:
-            continue  # an idempotent factor
-        if right.src != left.tgt:
-            products[right.src, left.tgt].append(table)
-        else:
-            raise ValueError("radical not nilpotent")
-    arrows = []
-    arrow_elems = []
-    # blocks in the order of (tgt, src), which fixes the arrow ids
-    for (j, i), ids in sorted(fd.blocks.items(), key=lambda item: item[0][::-1]):
-        if i == j:
-            continue
-        # in block coordinates the basis elements are the unit vectors
-        base = [[t.get(bid, ZERO) for bid in ids] for t in products[j, i]]
-        for k in extend_basis(base, ExactMatrix.identity(len(ids)).data):
-            aid = len(arrows)
-            # the element lives in e_i A e_j, so the arrow runs j -> i
-            arrows.append(Arrow(aid, j, i, f"x{aid}"))
-            arrow_elems.append(fd.basis_elem(ids[k]))
-    return Quiver([Vertex(i, f"v{i}") for i in vertices], arrows), arrow_elems
 
 
 DEFAULT_PRESENTATION_DEGREE = 64
@@ -318,9 +275,7 @@ def iso_test(a1, a2, budget: int = 2_000_000):
     profiles2 = [_vertex_profile(c2, arrows2, w) for w in range(n)]
     if sorted(profiles1) != sorted(profiles2):
         return None
-    candidates = {
-        v: [w for w in range(n) if profiles2[w] == profiles1[v]] for v in range(n)
-    }
+    candidates = _candidates(profiles1, profiles2)
     # fail first: the vertex with the fewest candidates is placed first
     order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
 
@@ -406,11 +361,20 @@ def _vertex_profile(cartan, arrows, v):
     keeps at v: its diagonal Cartan entry and its sorted rows and columns."""
     return (
         cartan[v][v],
-        sorted(cartan[v]),
-        sorted(row[v] for row in cartan),
-        sorted(arrows[v]),
-        sorted(row[v] for row in arrows),
+        tuple(sorted(cartan[v])),
+        tuple(sorted(row[v] for row in cartan)),
+        tuple(sorted(arrows[v])),
+        tuple(sorted(row[v] for row in arrows)),
     )
+
+
+def _candidates(profiles1, profiles2) -> dict[int, list[int]]:
+    """v -> the vertices w with ``profiles2[w] == profiles1[v]``, ascending;
+    every profile of the first side occurs on the second."""
+    buckets: dict[tuple, list[int]] = {}
+    for w, profile in enumerate(profiles2):
+        buckets.setdefault(profile, []).append(w)
+    return {v: buckets[profile] for v, profile in enumerate(profiles1)}
 
 
 def _arrow_maps(quiver1, quiver2, sigma):

@@ -82,7 +82,14 @@ class LatticePath:
 
     def column_heights(self) -> tuple[int, ...]:
         """Height at which the path crosses column i -> i+1, for i = 0..d-1."""
-        return _column_heights(self)
+        heights = []
+        y = 0
+        for s in self.steps:
+            if s == "H":
+                heights.append(y)
+            else:
+                y += 1
+        return tuple(heights)
 
 
 @functools.lru_cache(maxsize=65536)
@@ -96,18 +103,6 @@ def _points(path: LatticePath) -> tuple[tuple[int, int], ...]:
             y += 1
         pts.append((x, y))
     return tuple(pts)
-
-
-@functools.lru_cache(maxsize=65536)
-def _column_heights(path: LatticePath) -> tuple[int, ...]:
-    heights = []
-    y = 0
-    for s in path.steps:
-        if s == "H":
-            heights.append(y)
-        else:
-            y += 1
-    return tuple(heights)
 
 
 @dataclass(frozen=True, order=True)
@@ -168,13 +163,6 @@ def from_coords(x: OrderedSeq) -> LatticePath:
 def path_from_entries(d: int, n: int, entries) -> LatticePath:
     """Path in L_{d,n} with horizontal steps at the given labels."""
     return from_coords(OrderedSeq(n + 1, d, tuple(entries)))
-
-
-def below(p1: LatticePath, p2: LatticePath) -> bool:
-    """True iff p1 lies weakly below p2 (columnwise)."""
-    if (p1.d, p1.n) != (p2.d, p2.n):
-        raise ValueError("paths live in different grids")
-    return all(a <= b for a, b in zip(p1.column_heights(), p2.column_heights()))
 
 
 def relation_R(p1: LatticePath, p2: LatticePath) -> bool:
@@ -360,18 +348,18 @@ def base_path(point: GridPoint, d: int, n: int) -> LatticePath:
 def region_paths(point: GridPoint, d: int, n: int) -> list[LatticePath]:
     """All paths of L_{d+1,n} in the region at D, sorted by coordinates.
 
-    The region at D = (x, y) holds the paths p with ``below(base, p)`` for
-    the base path at D, and with every point weakly below the bent slope
-    curve at D: the curve climbs with slope n/d into D, runs horizontally
-    to (x+1, y), then climbs with slope n/d again, so a point (i, j) is
-    below it iff d j <= d y + n run(i), with run(i) = i - x for i <= x and
-    i - x - 1 otherwise.
+    The region at D = (x, y) holds the paths p that lie columnwise weakly
+    above the base path at D and have every point weakly below the bent
+    slope curve at D: the curve climbs with slope n/d into D, runs
+    horizontally to (x+1, y), then climbs with slope n/d again, so a point
+    (i, j) is below it iff d j <= d y + n run(i), with run(i) = i - x for
+    i <= x and i - x - 1 otherwise.
 
     A path of L_{d+1,n} is its column heights h_0 <= ... <= h_d in [0, n];
     its points over column boundary i <= d climb from h_{i-1} (0 for i = 0)
     to h_i, and those over d + 1 from h_d to n.  The base path has heights
-    0 before x and y from x on, so ``below`` says exactly h_i >= 0 for
-    i < x and h_i >= y for i >= x.  The curve's bound depends only on the
+    0 before x and y from x on, so lying above it says exactly h_i >= 0
+    for i < x and h_i >= y for i >= x.  The curve's bound depends only on the
     boundary i, so it holds at every point over i iff it holds at the
     highest one: d h_i <= d y + n run(i) for i <= d, and d n <= d y +
     n (d - x) at i = d + 1, since x <= d.  Conversely every nondecreasing

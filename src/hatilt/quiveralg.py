@@ -23,12 +23,13 @@ first, and ``mul(p, q)`` is "p after q".
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .exactmat import ExactMatrix, ZERO, ONE, exact, extend_basis, span_basis
-from .pathcomb import OrderedSeq, interleaves
+from .pathcomb import OrderedSeq, enumerate_os, interleaves
 
 DEFAULT_MAX_DIM = 40_000
 DEFAULT_MAX_DEGREE = 64
@@ -136,7 +137,7 @@ class BoundQuiverAlgebra:
     relations and a path basis (``basis[b].path``, of length ``.degree``).
     Without it, ``relations`` is None, ``quiver`` and ``arrow_elem`` are the
     Gabriel quiver, computed on first use, and ``nilpotency`` is the number
-    of vertices, a Loewy bound that ``fdalg.gabriel_quiver`` proves.
+    of vertices, a Loewy bound that ``gabriel_quiver`` proves.
     """
 
     def __init__(self, basis, mult, idempotent_of, *, quiver=None, relations=None,
@@ -210,16 +211,21 @@ class BoundQuiverAlgebra:
     def basis_elem(self, bid: int) -> dict:
         return {bid: ONE}
 
-    def __getattr__(self, name):
-        # reached only when normal lookup fails: the quiver and arrow_elem of
-        # an algebra without path data are its Gabriel quiver, set on first use
-        if name not in ("quiver", "arrow_elem"):
-            raise AttributeError(name)
-        from .fdalg import gabriel_quiver
+    @cached_property
+    def _gabriel(self) -> tuple[Quiver, dict[int, int]]:
+        """The Gabriel quiver and the basis id of each arrow's element."""
+        quiver, elems = gabriel_quiver(self)
+        return quiver, {a.id: next(iter(e)) for a, e in zip(quiver.arrows, elems)}
 
-        self.quiver, elems = gabriel_quiver(self)
-        self.arrow_elem = {a.id: next(iter(e)) for a, e in zip(self.quiver.arrows, elems)}
-        return getattr(self, name)
+    @cached_property
+    def quiver(self) -> Quiver:
+        """The quiver the algebra was built from, else its Gabriel quiver."""
+        return self._gabriel[0]
+
+    @cached_property
+    def arrow_elem(self) -> dict[int, int]:
+        """Arrow id -> id of the basis element the arrow stands for."""
+        return self._gabriel[1]
 
     @cached_property
     def path_combinations(self) -> dict:
@@ -265,11 +271,7 @@ class BoundQuiverAlgebra:
 
     @staticmethod
     def from_quiver_data(
-        quiver: Quiver,
-        relations,
-        vertex_data=None,
-        max_dim: int = DEFAULT_MAX_DIM,
-        max_degree: int = DEFAULT_MAX_DEGREE,
+        quiver: Quiver, relations, vertex_data=None, max_dim: int = DEFAULT_MAX_DIM
     ) -> "BoundQuiverAlgebra":
         """The path algebra of ``quiver`` modulo the ideal of ``relations``.
 
@@ -282,7 +284,7 @@ class BoundQuiverAlgebra:
         target and then path.  ``mult`` holds only nonzero products.
 
         Raises ``BudgetError`` when the dimension exceeds ``max_dim`` or when
-        some source still has kept paths of length ``max_degree``.
+        some source still has kept paths of length ``DEFAULT_MAX_DEGREE``.
         """
         relations = list(relations)
         # relations grouped by target vertex, each group in the given order
@@ -293,7 +295,7 @@ class BoundQuiverAlgebra:
         basis, acts, by_src = [], {}, {}
         offset = {}  # (source, degree, target) -> id of its first kept path
         for s in sorted(v.id for v in quiver.vertices):
-            layers, acts[s] = _paths_from(quiver, rels_by_tgt, s, max_degree)
+            layers, acts[s] = _paths_from(quiver, rels_by_tgt, s)
             for m, layer in enumerate(layers):
                 for t in sorted(layer):
                     first = offset[s, m, t] = len(basis)
@@ -381,6 +383,52 @@ class BoundQuiverAlgebra:
         return QuiverRep(self, {v: 1}, {}, check=False)
 
 
+# -- Gabriel quiver ---------------------------------------------------------
+
+
+def gabriel_quiver(fd: BoundQuiverAlgebra) -> tuple[Quiver, list[dict]]:
+    """Quiver on the idempotents with one arrow per rad/rad^2 basis element.
+
+    Basic-split means every e_i A e_i is k e_i, so rad is the span of the
+    off-diagonal blocks, and rad^2 in e_i A e_j is spanned by the products
+    b c of basis elements b of e_i A e_l and c of e_l A e_j.
+
+    rad is nilpotent iff no such product lands in a diagonal block with a
+    nonzero value.  If b c = lambda e_i with lambda != 0, the powers
+    lambda^k e_i of b c never vanish.  Otherwise rad rad lies in rad.  A
+    product of nidem radical basis elements then runs along a chain of
+    nidem + 1 block indices, one of which repeats; the factors between its
+    two visits multiply into rad inside a diagonal block, which is zero.
+    So rad^nidem = 0.
+    """
+    vertices = fd.vertex_ids()
+    if any(len(fd.blocks.get((i, i), [])) != 1 for i in vertices):
+        raise ValueError("not basic-split: some e_i A e_i has dimension > 1")
+    products: dict[tuple[int, int], list[dict]] = defaultdict(list)
+    for (b, c), table in fd.mult.items():
+        left, right = fd.basis[b], fd.basis[c]
+        if left.src == left.tgt or right.src == right.tgt:
+            continue  # an idempotent factor
+        if right.src != left.tgt:
+            products[right.src, left.tgt].append(table)
+        else:
+            raise ValueError("radical not nilpotent")
+    arrows = []
+    arrow_elems = []
+    # blocks in the order of (tgt, src), which fixes the arrow ids
+    for (j, i), ids in sorted(fd.blocks.items(), key=lambda item: item[0][::-1]):
+        if i == j:
+            continue
+        # in block coordinates the basis elements are the unit vectors
+        base = [[t.get(bid, ZERO) for bid in ids] for t in products[j, i]]
+        for k in extend_basis(base, ExactMatrix.identity(len(ids)).data):
+            aid = len(arrows)
+            # the element lives in e_i A e_j, so the arrow runs j -> i
+            arrows.append(Arrow(aid, j, i, f"x{aid}"))
+            arrow_elems.append(fd.basis_elem(ids[k]))
+    return Quiver([Vertex(i, f"v{i}") for i in vertices], arrows), arrow_elems
+
+
 class BudgetError(RuntimeError):
     """A configured size or depth budget was exhausted."""
 
@@ -399,7 +447,7 @@ def _apply(act, m: int, path, vec: dict) -> dict:
     return vec
 
 
-def _paths_from(quiver, rels_by_tgt, source, max_degree):
+def _paths_from(quiver, rels_by_tgt, source):
     """The kept paths out of ``source`` and the arrows' action on them.
 
     ``layers[m][t]`` lists the kept paths of length m into t, in increasing
@@ -409,7 +457,7 @@ def _paths_from(quiver, rels_by_tgt, source, max_degree):
     """
     layers = [{source: [()]}]
     act: dict[tuple[int, int], list[tuple]] = {}
-    for m in range(1, max_degree + 1):
+    for m in range(1, DEFAULT_MAX_DEGREE + 1):
         cands: dict[int, list] = {}  # t -> [(path, arrow, k)], k indexing the path before it
         for u, paths in layers[-1].items():
             for a in quiver.arrows_out[u]:
@@ -446,7 +494,7 @@ def _paths_from(quiver, rels_by_tgt, source, max_degree):
         if not layer:
             return layers, act
         layers.append(layer)
-    raise BudgetError(f"algebra not nilpotent within degree {max_degree}")
+    raise BudgetError(f"algebra not nilpotent within degree {DEFAULT_MAX_DEGREE}")
 
 
 class QuiverRep:
@@ -570,8 +618,6 @@ def build_auslander_algebra(
     """
     if n < 2 or d < 1:
         raise ValueError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
-    from .pathcomb import enumerate_os
-
     seqs = [x.entries for x in enumerate_os(n, d)]
     index = {x: i for i, x in enumerate(seqs)}
     vertices = [Vertex(i, "".join(map(str, x)) if n + d - 1 <= 9 else str(x)) for i, x in enumerate(seqs)]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, fields
 
 from .cluster import (
@@ -23,7 +24,7 @@ from .cluster import (
     _hom_rule,
     _labels,
     generation_certificate,
-    nakayama_pow,
+    nakayama,
     nu_orbit_decomposition,
     rigidity_check,
     serre_symmetry_check,
@@ -286,8 +287,6 @@ def claim_generation(model: ModelData):
 
 
 def claim_nu_orbit_blocks(model: ModelData):
-    from collections import Counter
-
     d, n = model.d, model.n
     # slice i of the i-major summand list is the i-th twist of the base
     summands, k = tilting_summands(d, n), len(model.dyck())
@@ -311,7 +310,9 @@ def claim_fcy_combinatorial(model: ModelData):
     d, n = model.d, model.n
     for p in enumerate_all(d + 1, n):
         u = ShiftedModule(p, 0)
-        if nakayama_pow(u, n + d + 1) != ShiftedModule(p, n):
+        for _ in range(n + d + 1):
+            u = nakayama(u)
+        if u != ShiftedModule(p, n):
             return False, {"path": p.steps}
     return True, {"objects": math.comb(d + n + 1, d + 1)}
 

@@ -16,10 +16,12 @@ constants, and the radical filtration reduced on dense vectors of the full
 algebra rather than block by block, with the Gabriel quiver read off its
 rad^2 in those coordinates.  It also holds
 the lattice-path definitions and lemmas of the paper that the
-combinatorial tests check (skew shapes, Dyck orbit representatives, the
+combinatorial tests check (columnwise below-ness, skew shapes, Dyck orbit
+representatives, the
 widening by a final horizontal step, the dual slices, the S-regions and
-the membership of one path in a region, degree-zero composition and the
-projective and injective labels at shift zero), the anchor data,
+the membership of one path in a region, degree-zero composition, the
+k-th Serre twist of an object for k >= 0 and the projective and injective
+labels at shift zero), the anchor data,
 bent-curve test, regions and slices computed with ``Fraction`` slopes,
 against which the integer-scaled ``hatilt.pathcomb`` versions are
 compared, the lookup of a path's generation-certificate
@@ -91,7 +93,6 @@ from hatilt.pathcomb import (
     LatticePath,
     anchor_data,
     base_path,
-    below,
     coords,
     enumerate_all,
     enumerate_dyck,
@@ -554,6 +555,13 @@ def gabriel_quiver_dense(fd):
     return arrows, [fd.basis_elem(units[k][2]) for k in kept]
 
 
+def below(p1: LatticePath, p2: LatticePath) -> bool:
+    """True iff p1 lies weakly below p2 (columnwise)."""
+    if (p1.d, p1.n) != (p2.d, p2.n):
+        raise ValueError("paths live in different grids")
+    return all(a <= b for a, b in zip(p1.column_heights(), p2.column_heights()))
+
+
 def skew_cells(p1: LatticePath, p2: LatticePath) -> set[tuple[int, int]]:
     """Unit cells between p1 and p2 (p1 below p2), as bottom-left corners."""
     h1 = p1.column_heights()
@@ -714,6 +722,15 @@ def entry_for(cert: GenerationCertificate, path: LatticePath) -> CertificateEntr
         if e.path == path:
             return e
     raise KeyError(path)
+
+
+def nakayama_pow(u: ShiftedModule, k: int) -> ShiftedModule:
+    """The k-th Serre twist of u, k >= 0, one ``nakayama`` step at a time."""
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    for _ in range(k):
+        u = nakayama(u)
+    return u
 
 
 def is_projective_at_zero(u: ShiftedModule) -> bool:

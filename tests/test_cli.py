@@ -117,13 +117,15 @@ class TestQuiver:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.EXPORT_SHA256[algebra]
 
-    # SHA-256 of the JSON exports of B0 and B at (d, n) = (4, 3) and (3, 4),
-    # where the structure constants of the corner e A e differ from those of
-    # End(P) built through chain maps, but the presentations do not; the
-    # two models export the same bytes
+    # SHA-256 of the JSON exports of B0, B, Lambda and Pi at (d, n) = (4, 3)
+    # and (3, 4), where the structure constants of the corner e A e differ
+    # from those of End(P) built through chain maps, but the presentations
+    # do not; the two models export the same bytes
     LARGER_EXPORT_SHA256 = {
         "B0": "f4de1fe3fbe308621ff98f0afad8af3ef2e15090e0a5dfb1b7054175a15e6423",
         "B": "3e9c300f43cf6850868e67f453165cd4b3264f390731b0858ed8199445ccf174",
+        "Lambda": "bcec9298395f307643ebbff4be78f1d83f4b47cebdbe03c2e015775dd5509f8a",
+        "Pi": "9f5e88725401fcf2c6a4000161b24a412c49db424787706e13d16bd72631eaf4",
     }
 
     @pytest.mark.parametrize("algebra", sorted(LARGER_EXPORT_SHA256))

@@ -17,6 +17,7 @@ from oracles import (
     hom_complex_dim_per_shift,
     hom_space,
     label_signature,
+    nakayama_pow,
     nu_orbit_complexes,
     opposite,
     projective,
@@ -30,7 +31,6 @@ from hatilt.cluster import (
     ShiftedModule,
     generation_certificate,
     hom_dim,
-    nakayama_pow,
     projective_summands,
     tilting_summands,
 )
@@ -627,7 +627,7 @@ class TestHomComplex:
     def test_stalk_end_dim(self):
         alg = build_auslander_algebra(3, 2)
         for v in alg.vertex_ids():
-            X = stalk_complex(alg, v, 0)
+            X = stalk_complex(alg, v)
             assert hom_complex_dim(X, X, 0) == 1
             assert hom_complex_dim(X, X, 1) == 0
 
@@ -643,7 +643,7 @@ class TestHomComplex:
 
     def test_linear_A4_example_rigidity(self):
         alg = linear_bqa(4)
-        T = nu_orbit_complexes(alg, stalk_complex(alg, 0, 0), 4)
+        T = nu_orbit_complexes(alg, stalk_complex(alg, 0), 4)
         for k in range(-4, 5):
             total = sum(hom_complex_dim(a, b, k) for a in T for b in T)
             if k == 0:
@@ -653,7 +653,7 @@ class TestHomComplex:
 
     def test_minimization_preserves_hom_dims(self):
         alg = linear_bqa(4)
-        X = nu_orbit_complexes(alg, stalk_complex(alg, 0, 0), 3)[2]
+        X = nu_orbit_complexes(alg, stalk_complex(alg, 0), 3)[2]
         # build a padded, non-minimal version: X + cone(id P_2)
         pad = ProjComplex(
             alg,
@@ -679,7 +679,7 @@ class TestHomComplex:
 
     def test_minimization_idempotent(self):
         alg = linear_bqa(4)
-        X = nu_orbit_complexes(alg, stalk_complex(alg, 0, 0), 3)[2]
+        X = nu_orbit_complexes(alg, stalk_complex(alg, 0), 3)[2]
         assert label_signature(minimize_complex(X)) == label_signature(X)
 
 
@@ -822,7 +822,7 @@ class TestDerivedNakayama:
         alg = build_auslander_algebra(n + 1, d)
         for p in enumerate_dyck(d, n):
             v = vertex_of_entries(alg, coords(p).entries)
-            X = stalk_complex(alg, v, 0)
+            X = stalk_complex(alg, v)
             nX = derived_nakayama(X)
             I = alg.injective(v)
             R = shifted_module_complex(alg, I, 0)
@@ -831,7 +831,7 @@ class TestDerivedNakayama:
     def test_inverse_round_trip(self):
         alg = build_auslander_algebra(3, 2)
         for v in list(alg.vertex_ids())[:4]:
-            X = stalk_complex(alg, v, 0)
+            X = stalk_complex(alg, v)
             Y = derived_nakayama(X)
             assert complexes_isomorphic(derived_nakayama_inverse(Y), X)
             Z = derived_nakayama_inverse(X)
@@ -839,7 +839,7 @@ class TestDerivedNakayama:
 
     def test_serre_duality_dimensions(self):
         alg = build_auslander_algebra(3, 2)
-        objs = [stalk_complex(alg, v, 0) for v in list(alg.vertex_ids())[:4]]
+        objs = [stalk_complex(alg, v) for v in list(alg.vertex_ids())[:4]]
         objs.append(derived_nakayama(objs[0]))
         for X in objs:
             for Y in objs:
@@ -848,8 +848,8 @@ class TestDerivedNakayama:
 
     def test_twist_preserves_hom_dims(self):
         alg = build_auslander_algebra(3, 2)
-        X = stalk_complex(alg, 0, 0)
-        Y = stalk_complex(alg, 3, 0)
+        X = stalk_complex(alg, 0)
+        Y = stalk_complex(alg, 3)
         nX, nY = derived_nakayama(X), derived_nakayama(Y)
         for k in range(-2, 3):
             assert hom_complex_dim(X, Y, k) == hom_complex_dim(nX, nY, k)
@@ -1189,13 +1189,13 @@ class TestFCY:
 class TestTiltingFromOrbit:
     def test_a_equals_one(self):
         alg = linear_bqa(4)
-        X = stalk_complex(alg, 0, 0)
+        X = stalk_complex(alg, 0)
         T = direct_sum_complexes(nu_orbit_complexes(alg, X, 1))
         assert label_signature(T) == label_signature(X)
 
     def test_linear_A4_summands(self):
         alg = linear_bqa(4)
-        orbit = nu_orbit_complexes(alg, stalk_complex(alg, 0, 0), 4)
+        orbit = nu_orbit_complexes(alg, stalk_complex(alg, 0), 4)
         assert dict(orbit[0].terms) == {0: (0,)}
         assert dict(orbit[1].terms) == {0: (3,)}
         assert dict(orbit[2].terms) == {-1: (2,), 0: (3,)}
@@ -1321,7 +1321,7 @@ class TestPreprojective:
 class TestEndoOfComplexes:
     def test_end_of_single_stalk(self):
         alg = build_auslander_algebra(3, 2)
-        fd = endo_algebra_of_complexes([stalk_complex(alg, 0, 0)])
+        fd = endo_algebra_of_complexes([stalk_complex(alg, 0)])
         assert fd.dim == 1
 
     def test_end_T_dimension_3_2(self):
@@ -1355,7 +1355,7 @@ class TestEndoOfComplexes:
         d, n = 3, 2
         alg = build_auslander_algebra(n + 1, d)
         B = replicate(dyck_end_p(alg, d, n), n + d)
-        proj_stalks = [stalk_complex(B, v, 0) for v in B.vertex_ids()]
+        proj_stalks = [stalk_complex(B, v) for v in B.vertex_ids()]
         inj_complexes = [
             shifted_module_complex(B, B.injective(v), 0, max_len=10)
             for v in B.vertex_ids()
@@ -1378,7 +1378,7 @@ class TestEndoOfComplexes:
 class TestTranslateConsistency:
     def test_shifted_hom_invariance(self):
         alg = build_auslander_algebra(3, 2)
-        X = stalk_complex(alg, 0, 0)
+        X = stalk_complex(alg, 0)
         Y = derived_nakayama(X)
         for j in (-2, 1, 3):
             for k in range(-2, 3):

@@ -14,6 +14,9 @@ from oracles import (
 )
 
 from hatilt.fdalg import (
+    _arrow_count_matrix,
+    _candidates,
+    _vertex_profile,
     degree_zero_part,
     gabriel_quiver,
     idempotent_subalgebra,
@@ -412,7 +415,26 @@ def square(rels):
     return BoundQuiverAlgebra.from_quiver_data(q, rels)
 
 
+def profiles(fd):
+    """The vertex profiles ``iso_test`` reads off Cartan data and arrows."""
+    arrows = _arrow_count_matrix(fd.quiver, fd.nidem)
+    return [_vertex_profile(fd.cartan(), arrows, v) for v in range(fd.nidem)]
+
+
 class TestIsoTest:
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
+    def test_candidates_are_the_pairwise_profile_matches(self, d, n):
+        model = ModelData(d, n, VerifyConfig())
+        semisimple = BoundQuiverAlgebra.from_quiver_data(
+            Quiver([Vertex(i, str(i)) for i in range(40)], []), []
+        )
+        for fd in [*(model.named(name) for name in ("B0", "B", "Lambda", "Pi")), semisimple]:
+            p1 = profiles(fd)
+            # reversing the vertices moves every candidate list
+            p2 = profiles(relabel(fd, list(range(fd.nidem))[::-1]))
+            expected = {v: [w for w in range(fd.nidem) if p2[w] == p1[v]] for v in range(fd.nidem)}
+            assert _candidates(p1, p2) == expected
+
     def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
         # a semisimple algebra: the search places every vertex before it
         # finds a bijection, 300 deep, with 100 frames to spare above here

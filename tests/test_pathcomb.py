@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     anchor_data_by_fractions,
     append_horizontal,
+    below,
     delta_prime_set,
     delta_set_by_fractions,
     dyck_orbit_representative,
@@ -22,7 +23,6 @@ from hatilt.pathcomb import (
     OrderedSeq,
     anchor_data,
     base_path,
-    below,
     coords,
     delta_pair,
     delta_set,

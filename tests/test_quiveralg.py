@@ -158,7 +158,7 @@ class TestBudgets:
 
         q = Quiver([Vertex(0, "1")], [Arrow(0, 0, 0, "loop")])
         with pytest.raises(BudgetError):
-            BoundQuiverAlgebra.from_quiver_data(q, [], max_degree=12)
+            BoundQuiverAlgebra.from_quiver_data(q, [])
 
 
 def algebra_digest(alg):
