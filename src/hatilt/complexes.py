@@ -94,13 +94,7 @@ class ProjComplex:
 
     def shift(self, k):
         """The complex X[k]: degree m holds what X held in degree m+k."""
-        sign = -1 if k % 2 else 1
-        terms = {m - k: v for m, v in self.terms.items()}
-        diffs = {
-            m - k: [[self.algebra.elem_scale(sign, e) for e in row] for row in rows]
-            for m, rows in self.diffs.items()
-        }
-        return ProjComplex(self.algebra, terms, diffs, check=False)
+        return _shifted(self.algebra, self.terms, self.diffs, k)
 
     def is_minimal(self):
         alg = self.algebra
@@ -110,6 +104,14 @@ class ProjComplex:
                     if not alg.is_radical(elem):
                         return False
         return True
+
+
+def _shifted(alg, terms, diffs, k):
+    """X[k] of the complex X with ``terms`` and ``diffs``, in one pass: each
+    entry is a fresh dict, negated for odd k; X shares only its term tuples."""
+    entry = (lambda e: {b: -c for b, c in e.items()}) if k % 2 else dict
+    diffs = {m - k: [[entry(e) for e in row] for row in rows] for m, rows in diffs.items()}
+    return ProjComplex(alg, {m - k: v for m, v in terms.items()}, diffs, check=False)
 
 
 def _entry_matmul(alg, rows_a, rows_b):
@@ -683,28 +685,25 @@ def shifted_module_complex(alg, module: QuiverRep, shift_by=0, max_len=64):
     """Minimal projective complex of a module placed in degree -shift_by.
 
     The unshifted resolution's terms and diffs are memoised per algebra in
-    ``alg._resolution_memo``, keyed on ``max_len`` and the module's content:
-    its nonzero fibers (v, dim) and its arrow maps (id, entries) as stored,
-    every missing one being zero.  So the key fixes the module,
-    its minimal resolution and the outcome of that resolution's ``_check``
-    and ``is_minimal``, which the first build ran; a hit builds the complex
-    unchecked.  A resolution longer than ``max_len`` raises BudgetError and is
-    not stored.  Every result is a fresh complex with its own entries; it
-    shares only the immutable term tuples with the memo.  ``module`` must be
-    a module over ``alg``: the key does not name the algebra.
+    ``alg._resolution_memo``, keyed on the module's ``cache_key`` and
+    ``max_len``.  A cache key fixes the module's read-only tables, so it fixes
+    the resolution and the outcome of the first build's ``_check`` and
+    ``is_minimal``; a hit reads nothing of the module.  A module whose key is
+    None (``alg.simple``, one built by hand, a direct sum of several) is
+    resolved on every call and not stored, nor is a resolution longer than
+    ``max_len``, which raises BudgetError.  Every result is a fresh complex
+    with its own entries; it shares only the immutable term tuples with the
+    memo.  ``module`` must be a module over ``alg``.
     """
     _check_module(alg, module)
-    key = (
-        max_len,
-        tuple((v, k) for v, k in module.dims.items() if k),
-        tuple((aid, tuple(map(tuple, m.data))) for aid, m in module.maps.items()),
-    )
+    if module.cache_key is None:
+        return minimal_proj_resolution(alg, module, max_len).shift(shift_by)
+    key = module.cache_key, max_len
     memo = alg._resolution_memo.get(key)
     if memo is None:
         R = minimal_proj_resolution(alg, module, max_len)
-        alg._resolution_memo[key] = R.terms, R.diffs
-        return R.shift(shift_by)
-    return ProjComplex(alg, *memo, check=False).shift(shift_by)
+        memo = alg._resolution_memo[key] = R.terms, R.diffs
+    return _shifted(alg, *memo, shift_by)
 
 
 # -- homological dimensions ---------------------------------------------------

@@ -172,8 +172,8 @@ class BoundQuiverAlgebra:
             self._blocks_into.setdefault(tgt, []).append((src, ids))
         # ("I", v) and ("M", label entries) -> (dims, maps) of the
         # modules built so far; holding no module, they make no reference
-        # cycle through the algebra.  complexes.shifted_module_complex: module
-        # content -> (terms, diffs) of its minimal resolution, plain data too.
+        # cycle through the algebra.  complexes.shifted_module_complex: (module
+        # cache_key, max_len) -> (terms, diffs) of its resolution, plain data.
         self._modules: dict[tuple, tuple[dict, dict]] = {}
         self._resolution_memo: dict[tuple, tuple[dict, dict]] = {}
 
@@ -353,12 +353,12 @@ class BoundQuiverAlgebra:
 
     def _module(self, key, build) -> "QuiverRep":
         """A new module sharing the read-only tables cached under ``key``,
-        which ``build()`` makes on first use."""
+        which ``build()`` makes on first use; its ``cache_key`` is ``key``."""
         tables = self._modules.get(key)
         if tables is None:
             M = build()
             tables = self._modules[key] = M.dims, M.maps
-        return QuiverRep._adopt(self, *tables)
+        return QuiverRep._adopt(self, *tables, key)
 
     def injective(self, v: int) -> "QuiverRep":
         """Dual of the opposite projective: fiber at y is the dual of paths v -> y."""
@@ -501,11 +501,12 @@ class QuiverRep:
     """Right module: fibers per vertex, right arrow action target -> source.
 
     ``maps`` holds arrow maps only between two nonzero fibers, and a missing
-    one is zero.  Cached modules share their tables, so treat them as
-    read-only."""
+    one is zero.  A module from ``BoundQuiverAlgebra._module`` shares the cached
+    tables named by its ``cache_key``, ``("M", entries)`` or ``("I", v)``, and the
+    resolution memo trusts them to be read-only; every other module's key is None."""
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims: dict, maps: dict, check=True):
-        self.algebra = algebra
+        self.algebra, self.cache_key = algebra, None
         if unknown := dims.keys() - algebra.idempotent_of.keys():
             raise ValueError(f"no vertex with id {next(iter(unknown))!r}")
         self.dims = dims = {v: dims.get(v, 0) for v in algebra.vertex_ids()}
@@ -526,12 +527,12 @@ class QuiverRep:
             self.check_relations()
 
     @staticmethod
-    def _adopt(algebra: BoundQuiverAlgebra, dims: dict, maps: dict) -> "QuiverRep":
+    def _adopt(algebra: BoundQuiverAlgebra, dims: dict, maps: dict, cache_key) -> "QuiverRep":
         """The module over ``algebra`` that shares ``dims`` and ``maps``, the
-        fiber and arrow-map tables of a module built in this package; neither
-        copied nor checked."""
+        fiber and arrow-map tables cached under ``cache_key``; neither copied
+        nor checked."""
         rep = object.__new__(QuiverRep)
-        rep.algebra, rep.dims, rep.maps = algebra, dims, maps
+        rep.algebra, rep.dims, rep.maps, rep.cache_key = algebra, dims, maps, cache_key
         return rep
 
     @property

@@ -75,6 +75,7 @@ from hatilt.quiveralg import (
     QuiverRep,
     Vertex,
     build_auslander_algebra,
+    direct_sum,
     module_M,
     relation,
     vertex_of_entries,
@@ -358,7 +359,7 @@ class TestResolutionMemo:
 
     def test_module_over_another_algebra_raises(self):
         # A's simple at 3 and A3's have equal nonzero fibers and no arrow
-        # maps, so they share a memo key over A
+        # maps, but A3's has A3's resolution and is refused over A
         A, A3 = build_auslander_algebra(4, 2), build_auslander_algebra(3, 2)
         assert shifted_module_complex(A, A.simple(3)).terms == {0: (3,), -1: (2,)}
         with pytest.raises(ValueError, match="different algebra"):
@@ -382,29 +383,110 @@ class TestResolutionMemo:
                     row.append({})
             X.diffs.clear()
 
-    def test_a_hit_builds_each_entry_once(self, monkeypatch):
-        # the shifted entries are the only copies: a complex keeps the rows it
-        # is given, so wrapping the memo copies nothing
+    def test_a_hit_builds_each_entry_once(self):
+        # each entry of a result is a fresh dict, shared neither with the
+        # memo nor with an earlier result, and equal to the stored one
+        # negated for an odd shift
         alg = build_auslander_algebra(5, 3)
         M = module_M(alg, OrderedSeq(5, 4, (2, 3, 5, 7)))
-        shifted_module_complex(alg, M, 1)
-        scaled, scale = [], alg.elem_scale
+        results = [(s, shifted_module_complex(alg, M, s)) for s in (1, 0, 1, 2, -1)]
+        ((_, diffs),) = alg._resolution_memo.values()
+        stored = [e for rows in diffs.values() for row in rows for e in row]
+        seen = {id(e) for e in stored}
+        for shift, X in results:
+            sign = -1 if shift % 2 else 1
+            entries = [e for rows in X.diffs.values() for row in rows for e in row]
+            assert len(entries) == len(stored) > 0
+            assert all(type(e) is dict for e in entries)
+            assert not seen & {id(e) for e in entries}
+            seen |= {id(e) for e in entries}
+            assert entries == [{b: sign * c for b, c in e.items()} for e in stored]
 
-        def counting_scale(c, x):
-            scaled.append(x)
-            return scale(c, x)
+    def test_a_hit_reads_no_module_and_builds_one_complex(self, monkeypatch):
+        alg = build_auslander_algebra(5, 3)
+        x = OrderedSeq(5, 4, (2, 3, 5, 7))
+        expected = self.content(shifted_module_complex(alg, module_M(alg, x), 1))
+        M = module_M(alg, x)
+        # the shared tables stay; only this module loses its names for them
+        del M.dims, M.maps
+        built, init = [], ProjComplex.__init__
 
-        monkeypatch.setattr(alg, "elem_scale", counting_scale)
-        X = shifted_module_complex(alg, M, 1)
-        entries = [e for rows in X.diffs.values() for row in rows for e in row]
-        _, diffs = alg._resolution_memo.popitem()[1]
-        stored = {id(e) for rows in diffs.values() for row in rows for e in row}
-        assert len(scaled) == len(entries) > 0
-        assert {id(e) for e in scaled} == stored and not stored & {id(e) for e in entries}
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProjComplex, "__init__", counted)
+        assert self.content(shifted_module_complex(alg, M, 1)) == expected
+        assert len(built) == 1
+
+    def test_the_memo_holds_one_entry_per_label_and_budget(self):
+        # a repeated stream of queries at (3, 4)
+        alg = build_auslander_algebra(5, 3)
+        labels = list(enumerate_os(5, 4))
+        stream = [(x, s, L) for L in (64, 32) for x in labels for s in self.SHIFTS]
+        for x, s, L in stream * 2:
+            shifted_module_complex(alg, module_M(alg, x), s, max_len=L)
+        assert len(alg._resolution_memo) == 2 * len(labels)
+        assert alg._resolution_memo.keys() == {(("M", x.entries), L) for x, _, L in stream}
+
+    def test_uncached_modules_are_resolved_and_not_stored(self):
+        alg, fresh = build_auslander_algebra(5, 3), build_auslander_algebra(5, 3)
+        x = OrderedSeq(5, 4, (2, 3, 5, 7))
+        M, M0 = module_M(alg, x), module_M(fresh, x)
+        pairs = [
+            (alg.simple(v), fresh.simple(v)) for v in (0, 7, len(alg.vertex_ids()) - 1)
+        ] + [
+            # the semisimple module on the interval's support
+            (QuiverRep(alg, M.dims, {}, check=False), QuiverRep(fresh, M0.dims, {}, check=False)),
+            (direct_sum([M, alg.simple(7)]), direct_sum([M0, fresh.simple(7)])),
+        ]
+        for N, N0 in pairs:
+            for s in (0, 1):
+                expected = self.content(minimal_proj_resolution(fresh, N0).shift(s))
+                for _ in range(2):
+                    assert self.content(shifted_module_complex(alg, N, s)) == expected
+        assert alg._resolution_memo == {}
+
+    @staticmethod
+    def typed(X):
+        """terms and diffs with the type of every entry value, which == on
+        int and Fraction does not compare"""
+        return X.terms, {
+            m: [[[(b, type(c), c) for b, c in e.items()] for e in row] for row in rows]
+            for m, rows in X.diffs.items()
+        }
+
+    @staticmethod
+    def shift_by_scaling(X, k):
+        """X[k] with every entry scaled by (-1)^k through elem_scale."""
+        sign = -1 if k % 2 else 1
+        return ProjComplex(
+            X.algebra,
+            {m - k: v for m, v in X.terms.items()},
+            {
+                m - k: [[X.algebra.elem_scale(sign, e) for e in row] for row in rows]
+                for m, rows in X.diffs.items()
+            },
+            check=False,
+        )
+
+    @pytest.mark.parametrize("d, n", [(3, 4), (4, 3)])
+    def test_shift_oracle(self, d, n):
+        alg = build_auslander_algebra(n + 1, d)
+        shifts = range(-3, 4)
+        for x in enumerate_os(n + 1, d + 1):
+            R = minimal_proj_resolution(alg, module_M(alg, x))
+            shifted_module_complex(alg, module_M(alg, x))
+            for s in shifts:
+                expected = self.typed(R.shift(s))
+                assert expected == self.typed(self.shift_by_scaling(R, s))
+                assert self.typed(shifted_module_complex(alg, module_M(alg, x), s)) == expected
+                for t in shifts:
+                    assert self.typed(R.shift(s).shift(t)) == self.typed(R.shift(s + t))
 
     def test_modules_with_equal_fibers_and_other_maps_are_told_apart(self):
         # the interval module and the semisimple module on its support have
-        # the same fibers; only the arrow maps in the key tell them apart
+        # the same fibers; only the interval module has a cache key
         alg = build_auslander_algebra(5, 3)
         M = module_M(alg, OrderedSeq(5, 4, (2, 3, 5, 7)))
         S = QuiverRep(alg, M.dims, {}, check=False)

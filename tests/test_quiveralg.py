@@ -376,6 +376,22 @@ class TestModuleM:
             assert all(w.dims is c.dims and w.maps is c.maps for w, c in zip(warm, cold))
         assert len(calls) == len(labels)
 
+    def test_cache_key_names_cached_tables_only(self):
+        alg = build_auslander_algebra(5, 3)
+        x, y = OrderedSeq(5, 4, (2, 3, 5, 7)), OrderedSeq(5, 4, (1, 2, 4, 6))
+        M, N = module_M(alg, x), module_M(alg, y)
+        assert (M.cache_key, N.cache_key) == (("M", x.entries), ("M", y.entries))
+        assert module_M(alg, x).cache_key == ("M", x.entries)
+        for v in (0, 7):
+            assert alg.injective(v).cache_key == ("I", v)
+            assert alg.simple(v).cache_key is None
+        assert QuiverRep(alg, M.dims, M.maps).cache_key is None
+        assert QuiverRep(alg, M.dims, {}, check=False).cache_key is None
+        assert direct_sum([M]).cache_key == ("M", x.entries)
+        assert direct_sum([M, N]).cache_key is None
+        assert direct_sum([M, M]).cache_key is None
+        assert direct_sum([alg.injective(0), alg.simple(3)]).cache_key is None
+
     def test_label_checks_survive_warm_memo(self):
         alg = build_auslander_algebra(5, 3)
         for x in enumerate_os(5, 4):
