@@ -278,10 +278,10 @@ def generation_certificate(d: int, n: int) -> GenerationCertificate:
     """
     _require_coprime(d, n)
     keyed = []
-    for p in enumerate_all(d + 1, n):
+    for rank, p in enumerate(enumerate_all(d + 1, n)):  # rank orders coordinates
         data = anchor_data(p)
         if data.h >= 1:
-            keyed.append((-data.h, data.mu, coords(p).entries, p, data))
+            keyed.append((-data.h, data.mu, rank, p, data))
 
     entries = []
     for _, mu, _, p, data in sorted(keyed):

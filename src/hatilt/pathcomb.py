@@ -160,11 +160,6 @@ def from_coords(x: OrderedSeq) -> LatticePath:
     return LatticePath(x.d, x.n - 1, "".join(steps))
 
 
-def path_from_entries(d: int, n: int, entries) -> LatticePath:
-    """Path in L_{d,n} with horizontal steps at the given labels."""
-    return from_coords(OrderedSeq(n + 1, d, tuple(entries)))
-
-
 def relation_R(p1: LatticePath, p2: LatticePath) -> bool:
     """p1 below p2 with no 2-wide, 1-tall rectangle in the skew shape.
 
@@ -224,13 +219,12 @@ def heights_up_box(h: tuple[int, ...], n: int):
 
 def rotate(path: LatticePath) -> LatticePath:
     """Move the first step to the end."""
-    return LatticePath(path.d, path.n, path.steps[1:] + path.steps[0])
+    return LatticePath(path.d, path.n, path.steps[1:] + path.steps[:1])
 
 
 def rotate_pow(path: LatticePath, k: int) -> LatticePath:
     """k-fold rotation; negative k rotates backwards."""
-    size = path.d + path.n
-    k %= size
+    k %= max(path.d + path.n, 1)  # the empty path of L_{0,0} is its own rotation
     return LatticePath(path.d, path.n, path.steps[k:] + path.steps[:k])
 
 
@@ -261,20 +255,22 @@ def dyck_rotations(path: LatticePath) -> list[int]:
 
 
 def enumerate_all(d: int, n: int) -> list[LatticePath]:
-    """All C(d+n, d) paths of L_{d,n}, sorted by coordinates, in a new list."""
+    """All C(d+n, d) paths of L_{d,n}, sorted by coordinates, in a new list;
+    the objects are those of the grid's one path table, as strip terms are."""
     if d < 0 or n < 0:
         raise ValueError("negative rectangle dimensions")
-    return list(_all_paths(d, n))
+    return list(_all_paths(d, n).values())
 
 
 @functools.lru_cache(maxsize=256)
-def _all_paths(d: int, n: int) -> tuple[LatticePath, ...]:
-    paths = []
+def _all_paths(d: int, n: int) -> dict[tuple[int, ...], LatticePath]:
+    """The paths of L_{d,n} keyed by coordinates, in combinations order."""
+    paths = {}
     for combo in itertools.combinations(range(1, n + d + 1), d):
         positions = set(combo)
         steps = "".join("H" if i in positions else "V" for i in range(1, n + d + 1))
-        paths.append(LatticePath(d, n, steps))
-    return tuple(paths)
+        paths[combo] = LatticePath(d, n, steps)
+    return paths
 
 
 def enumerate_dyck(d: int, n: int) -> list[LatticePath]:
@@ -429,9 +425,10 @@ def strip_sequence(window, d: int, n: int) -> list[LatticePath]:
 
 
 def _strip_term(window: tuple, j: int, d: int, n: int) -> LatticePath:
-    """Entry j of ``strip_sequence(window, d, n)``, for a window it accepts."""
+    """Entry j of ``strip_sequence(window, d, n)``, for a window it accepts,
+    looked up by its d+1 labels in the path table of L_{d+1,n}."""
     omit = d + 1 - j  # 0-based index of the omitted entry
-    return path_from_entries(d + 1, n, window[:omit] + window[omit + 1 :])
+    return _all_paths(d + 1, n)[window[:omit] + window[omit + 1 :]]
 
 
 def resolving_sequence(path: LatticePath) -> tuple[tuple[int, ...], int]:
@@ -449,7 +446,7 @@ def resolving_sequence(path: LatticePath) -> tuple[tuple[int, ...], int]:
         raise ValueError(
             f"precondition violated: need h >= 1 and mu > 0, got h={data.h}, mu={data.mu}"
         )
-    own = set(coords(path).entries)
+    own = {i for i, s in enumerate(path.steps, 1) if s == "H"}  # coords, no OrderedSeq
     for v in range(1, n + d + 2):
         if v in own:
             continue
@@ -464,8 +461,8 @@ def _window_resolves(window, position, d, n, data: AnchorData) -> bool:
     """Whether every strip term but the resolved path has a smaller key.
 
     ``window`` is the d+1 labels of a path with one more label inserted, so
-    ``strip_sequence`` accepts it; each term is built only when it is read,
-    and the first term that fails ends the test.
+    ``strip_sequence`` accepts it; each term is looked up in the path table
+    only when it is read, and the first term that fails ends the test.
     """
     for j in range(d + 2):
         if d + 2 - j == position:

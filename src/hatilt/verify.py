@@ -307,12 +307,25 @@ def claim_serre_symmetry(model: ModelData):
 
 
 def claim_fcy_combinatorial(model: ModelData):
+    """(p, 0) twisted n+d+1 times is (p, n), for every p in L_{d+1,n}.
+
+    The shift bump of ``nakayama`` depends only on the path, so along a walk
+    u_0, u_1, ... the (n+d+1)-fold twist of (u_j's path, 0) is u_{j+n+d+1}
+    less u_j's shift.  Each rotation orbit (short when gcd(d+1, n) > 1) is
+    walked once, until u_{j+n+d+1} is read for every j before p recurs."""
     d, n = model.d, model.n
-    for p in enumerate_all(d + 1, n):
-        u = ShiftedModule(p, 0)
-        for _ in range(n + d + 1):
-            u = nakayama(u)
-        if u != ShiftedModule(p, n):
+    size = n + d + 1
+    paths = enumerate_all(d + 1, n)
+    twisted = {}
+    for p in paths:
+        if p not in twisted:
+            walk = [ShiftedModule(p, 0)]
+            while len(walk) <= size or walk[len(walk) - size].path != p:
+                walk.append(nakayama(walk[-1]))
+            for u, v in zip(walk, walk[size:]):
+                twisted[u.path] = ShiftedModule(v.path, v.shift - u.shift)
+    for p in paths:  # in enumeration order, so a fail names the first path
+        if twisted[p] != ShiftedModule(p, n):
             return False, {"path": p.steps}
     return True, {"objects": math.comb(d + n + 1, d + 1)}
 

@@ -24,7 +24,9 @@ k-th Serre twist of an object for k >= 0 and the projective and injective
 labels at shift zero), the anchor data,
 bent-curve test, regions and slices computed with ``Fraction`` slopes,
 against which the integer-scaled ``hatilt.pathcomb`` versions are
-compared, the lookup of a path's generation-certificate
+compared, the path with given labels built through its ordered sequence
+(``path_from_entries``), against which the strip terms read from the path
+table are compared, the lookup of a path's generation-certificate
 entry, and the rigidity and Serre-symmetry checks asked one ``hom_dim``
 query at a time, against which the box checks of ``hatilt.cluster`` are
 compared, also under a planted Hom rule that forgets shifts, and the
@@ -91,11 +93,13 @@ from hatilt.pathcomb import (
     AnchorData,
     GridPoint,
     LatticePath,
+    OrderedSeq,
     anchor_data,
     base_path,
     coords,
     enumerate_all,
     enumerate_dyck,
+    from_coords,
     heights_related,
     interleaves,
     interleaving_down_box,
@@ -553,6 +557,12 @@ def gabriel_quiver_dense(fd):
     kept = extend_basis(rad2, [_dense(fd, fd.basis_elem(bid)) for _, _, bid in units])
     arrows = [(aid, units[k][1], units[k][0], f"x{aid}") for aid, k in enumerate(kept)]
     return arrows, [fd.basis_elem(units[k][2]) for k in kept]
+
+
+def path_from_entries(d: int, n: int, entries) -> LatticePath:
+    """Path in L_{d,n} with horizontal steps at the given labels, built
+    through its ordered sequence rather than read from the path table."""
+    return from_coords(OrderedSeq(n + 1, d, tuple(entries)))
 
 
 def below(p1: LatticePath, p2: LatticePath) -> bool:

@@ -11,6 +11,7 @@ from oracles import (
     is_injective_at_zero,
     is_projective_at_zero,
     nakayama_pow,
+    path_from_entries,
     plant_shift_blind_rule,
     rigidity_check_by_hom_dim,
     serre_symmetry_by_hom_dim,
@@ -37,7 +38,6 @@ from hatilt.pathcomb import (
     coords,
     enumerate_all,
     enumerate_dyck,
-    path_from_entries,
     prepend_horizontal,
 )
 
@@ -400,6 +400,27 @@ class TestGenerationCertificate:
                     assert len(e.dependencies) == d + 1
                     for dep in e.dependencies:
                         assert key[dep] < key[e.path]
+
+    def test_builds_no_path_or_sequence_beyond_the_path_table(self, monkeypatch):
+        # strip terms are read from the path table of L_{d+1,n}, built once
+        # here; entries are ordered by enumeration rank and windows are made
+        # from step labels, so no OrderedSeq is built either
+        import hatilt.pathcomb
+
+        d, n = 4, 3
+        hatilt.pathcomb._all_paths.cache_clear()
+        hatilt.pathcomb.coords.cache_clear()
+        built = Counter()
+        for cls in (LatticePath, OrderedSeq):
+
+            def counting_init(self, *fields, init=cls.__init__, name=cls.__name__):
+                built[name] += 1
+                init(self, *fields)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        cert = generation_certificate(d, n)
+        assert sum(e.status == "resolved" for e in cert.entries) > 0
+        assert built == {"LatticePath": math.comb(d + n + 1, d + 1)}
 
     def test_projectivity_transport(self):
         for u in projective_summands(3, 4):

@@ -20,6 +20,7 @@ from oracles import (
     nakayama_pow,
     nu_orbit_complexes,
     opposite,
+    path_from_entries,
     projective,
     realize_complex_by_entries,
     realize_projectives,
@@ -63,7 +64,6 @@ from hatilt.pathcomb import (
     coords,
     enumerate_dyck,
     enumerate_os,
-    path_from_entries,
     preceq,
     strip_sequence,
 )

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from oracles import (
     delta_prime_set,
     delta_set_by_fractions,
     dyck_orbit_representative,
+    path_from_entries,
     region_contains,
     region_paths_by_fractions,
     resolving_sequence_eager,
@@ -37,7 +39,6 @@ from hatilt.pathcomb import (
     interleaving_down_box,
     interleaving_up_box,
     is_dyck,
-    path_from_entries,
     preceq,
     prepend_horizontal,
     region_paths,
@@ -218,12 +219,14 @@ class TestBoxes:
 class TestEnumerateAll:
     def test_returned_list_is_the_callers_own(self):
         # the grid is enumerated once and cached; a caller editing its list
-        # must not edit the cache
+        # must not edit the cache, and a later call hands out the same paths
         paths = enumerate_all(3, 2)
         expected = list(paths)
         paths.reverse()
         paths.append(paths[0])
-        assert enumerate_all(3, 2) == expected
+        again = enumerate_all(3, 2)
+        assert again == expected
+        assert all(a is b for a, b in zip(again, expected))
 
 
 class TestRotation:
@@ -250,6 +253,14 @@ class TestRotation:
             q = rotate(q)
             assert rotate_pow(p, k) == q
             assert rotate_pow(q, -k) == p
+
+    def test_the_empty_path_is_its_own_rotation(self):
+        # L_{0,0} holds one path, with no steps
+        (p,) = enumerate_all(0, 0)
+        assert p == LatticePath(0, 0, "")
+        assert rotate(p) == p
+        for k in (-3, -1, 0, 1, 2):
+            assert rotate_pow(p, k) == p
 
     def test_free_action_on_coprime_grids(self):
         for d, n in coprime_grids(150):
@@ -574,6 +585,21 @@ class TestStripSequence:
             middle = terms[d + 1 - i]  # omits window entry i + 1
             assert coords(middle).entries[:i] == coords(top).entries[:i]
             assert coords(middle).entries[i:] == coords(bottom).entries[i:]
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3), (3, 4), (5, 3)])
+    def test_terms_are_the_enumerated_paths(self, d, n):
+        # every window the strip accepts: each term is the path its labels
+        # give when built through an ordered sequence, and is the very object
+        # that enumerate_all hands out
+        enumerated = {coords(p).entries: p for p in enumerate_all(d + 1, n)}
+        windows = 0
+        for window in itertools.combinations(range(1, n + d + 2), d + 2):
+            for j, term in enumerate(strip_sequence(window, d, n)):
+                labels = window[: d + 1 - j] + window[d + 2 - j :]  # omits entry d+2-j
+                assert term == path_from_entries(d + 1, n, labels)
+                assert term is enumerated[labels]
+            windows += 1
+        assert windows == math.comb(n + d + 1, d + 2)
 
     def test_bad_windows_rejected(self):
         with pytest.raises(ValueError):

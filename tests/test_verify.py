@@ -17,14 +17,16 @@ from oracles import (
 )
 
 import hatilt.verify
+from hatilt.cluster import ShiftedModule, nakayama
 from hatilt.fdalg import iso_test
-from hatilt.pathcomb import enumerate_all, heights_related
+from hatilt.pathcomb import enumerate_all, heights_related, rotate, rotate_pow
 from hatilt.quiveralg import BudgetError
 from hatilt.verify import (
     CLAIM_NAMES,
     COMBINATORIAL_CLAIMS,
     ModelData,
     VerifyConfig,
+    claim_fcy_combinatorial,
     claim_interleaving_agreement,
     run_claims,
 )
@@ -401,6 +403,81 @@ class TestOrbitNormalFormWitness:
         assert failed
         assert claims[0]["status"] == "fail"
         assert claims[0]["value"] == {"path": "HHHVV", "dyck_rotations": 2}
+
+
+def _first_direct_failure(d, n, twist):
+    """The first path p of L_{d+1,n} whose n+d+1 direct ``twist`` steps from
+    (p, 0) miss (p, n), as the claim reports it; None when there is none."""
+    for p in enumerate_all(d + 1, n):
+        u = ShiftedModule(p, 0)
+        for _ in range(n + d + 1):
+            u = twist(u)
+        if u != ShiftedModule(p, n):
+            return {"path": p.steps}
+    return None
+
+
+class TestFcyCombinatorialWalk:
+    # the claim walks each rotation orbit once; an orbit is shorter than
+    # n+d+1 when gcd(d+1, n) > 1, as at (3, 2), (5, 3) and (3, 4)
+    GRIDS = [(3, 2), (5, 3), (3, 4), (4, 3)]
+
+    @pytest.mark.parametrize("d, n", GRIDS)
+    def test_walked_twists_are_the_iterated_twists(self, d, n):
+        # the claim passes only if each path's walked twist is (p, n), and
+        # n+d+1 direct nakayama calls give (p, n): they agree path by path
+        assert _first_direct_failure(d, n, nakayama) is None
+        ok, value = claim_fcy_combinatorial(ModelData(d, n, VerifyConfig()))
+        assert ok and value == {"objects": math.comb(d + n + 1, d + 1)}
+
+    @pytest.mark.parametrize("d, n", GRIDS)
+    def test_a_planted_bump_on_one_path_is_seen_in_its_orbit(self, d, n, monkeypatch):
+        # one extra bump on one path moves the twists of its whole orbit by
+        # (n+d+1)/orbit length; the claim must name the path that direct
+        # iteration names, for a planted path in every orbit
+        model = ModelData(d, n, VerifyConfig())
+        for target in enumerate_all(d + 1, n):
+
+            def planted(u, target=target):
+                v = nakayama(u)
+                return ShiftedModule(v.path, v.shift + (u.path == target))
+
+            monkeypatch.setattr(hatilt.verify, "nakayama", planted)
+            expected = _first_direct_failure(d, n, planted)
+            assert expected is not None
+            assert claim_fcy_combinatorial(model) == (False, expected)
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (5, 3), (4, 3)])
+    def test_a_bump_on_horizontal_steps_fails_where_iteration_fails(self, d, n, monkeypatch):
+        # bumping on an H first step instead twists by [d+1], not [n]
+        def on_horizontal(u):
+            return ShiftedModule(rotate(u.path), u.shift + (u.path.steps[0] == "H"))
+
+        monkeypatch.setattr(hatilt.verify, "nakayama", on_horizontal)
+        expected = _first_direct_failure(d, n, on_horizontal)
+        assert expected is not None
+        model = ModelData(d, n, VerifyConfig())
+        assert claim_fcy_combinatorial(model) == (False, expected)
+        claims, failed, _ = run_claims(d, n, ["fcy_combinatorial"])
+        assert failed and claims[0]["value"] == expected
+
+    @pytest.mark.parametrize("d, n", GRIDS)
+    def test_each_orbit_is_walked_once(self, d, n, monkeypatch):
+        calls = 0
+
+        def counting(u):
+            nonlocal calls
+            calls += 1
+            return nakayama(u)
+
+        monkeypatch.setattr(hatilt.verify, "nakayama", counting)
+        assert claim_fcy_combinatorial(ModelData(d, n, VerifyConfig()))[0]
+        size = n + d + 1
+        paths = enumerate_all(d + 1, n)
+        orbits = len({min(rotate_pow(p, k).steps for k in range(size)) for p in paths})
+        # some orbit is short exactly when gcd(d+1, n) > 1
+        assert (orbits * size > len(paths)) == (math.gcd(d + 1, n) > 1)
+        assert calls <= len(paths) + orbits * size
 
 
 class TestInterleavingAgreement:
