@@ -39,8 +39,8 @@ from .quiveralg import (
     BasisElement,
     BoundQuiverAlgebra,
     BudgetError,
+    InjectiveSum,
     QuiverRep,
-    direct_sum,
 )
 
 
@@ -427,8 +427,7 @@ def realize_complex(X: ProjComplex) -> ModuleComplex:
     """
     alg = X.algebra
     mult, blocks, block_index = alg.mult, alg.blocks, alg._block_index
-    # ProjComplex keeps no empty terms, so every sum has a summand
-    terms = {m: direct_sum([alg.injective(v) for v in vs]) for m, vs in X.terms.items()}
+    terms = {m: InjectiveSum(alg, vs) for m, vs in X.terms.items()}
     maps = {}
     for m, rows in X.diffs.items():
         src_vs, tgt_vs = X.terms[m], X.terms[m + 1]

@@ -3,8 +3,8 @@
 Every algebra here is a ``quiveralg.BoundQuiverAlgebra`` with vertices
 0, ..., n-1, its complete set of orthogonal idempotents; every basis element
 is sandwiched between a single pair of them, so Cartan data, rad^2 and
-idempotent surgery (corner subalgebras, degree-zero parts, replicated and
-r-fold trivial extension algebras) are all blockwise linear algebra.  The
+idempotent surgery (corner subalgebras, replicated and r-fold trivial
+extension algebras) are all blockwise linear algebra.  The
 results of surgery are built from structure constants alone; they carry no
 relations, and their quiver is their Gabriel quiver, which
 ``quiveralg.gabriel_quiver`` computes on first use.
@@ -134,7 +134,7 @@ def presentation_data(fd: BoundQuiverAlgebra) -> PresentationData:
     if algebra.dim != fd.dim:
         raise ValueError(
             f"presentation mismatch: rebuilt dimension {algebra.dim} != {fd.dim}; "
-            "the algebra does not admit a length grading for the chosen arrows"
+            "the algebra is not graded by path length in the chosen arrows"
         )
     return PresentationData(quiver, relations, algebra)
 
@@ -153,7 +153,6 @@ def trivial_ext_r(fd: BoundQuiverAlgebra, r: int) -> BoundQuiverAlgebra:
     ends = [(t * k + b.src, t * k + b.tgt) for t in range(r) for b in fd.basis]
     # the dual of e_tgt A e_src sits in e_src (DA) e_tgt
     ends += [((t + 1) % r * k + b.tgt, t * k + b.src) for t in range(r) for b in fd.basis]
-    grading = [0] * ((2 * r - 1) * m) + [1] * m
 
     mult: dict[tuple[int, int], dict[int, Fraction]] = {}
     for t in range(r):
@@ -167,27 +166,21 @@ def trivial_ext_r(fd: BoundQuiverAlgebra, r: int) -> BoundQuiverAlgebra:
                 mult.setdefault((bbase + z, rbase + x), {})[bbase + y] = coeff
 
     idempotent_of = {t * k + v: t * m + fd.idempotent_of[v] for t in range(r) for v in range(k)}
-    return _algebra(ends, mult, idempotent_of, grading)
+    return _algebra(ends, mult, idempotent_of)
 
 
-def _algebra(ends, mult, idempotent_of, grading=None) -> BoundQuiverAlgebra:
+def _algebra(ends, mult, idempotent_of) -> BoundQuiverAlgebra:
     """The algebra whose basis element b lies in the block ``ends[b]``."""
     basis = [BasisElement(bid, src, tgt) for bid, (src, tgt) in enumerate(ends)]
-    return BoundQuiverAlgebra(basis, mult, idempotent_of, grading=grading)
+    return BoundQuiverAlgebra(basis, mult, idempotent_of)
 
 
 def replicate(fd: BoundQuiverAlgebra, r: int) -> BoundQuiverAlgebra:
     """Upper-bidiagonal replicated algebra: r diagonal copies, r-1 dual bonds,
-    the degree-zero part of the r-fold trivial extension."""
-    return degree_zero_part(trivial_ext_r(fd, r))
-
-
-def degree_zero_part(fd: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
-    """Subalgebra on the degree-zero basis elements of a graded algebra."""
-    if fd.grading is None:
-        raise ValueError("algebra carries no grading")
-    keep = [bid for bid in range(fd.dim) if fd.grading[bid] == 0]
-    return _sub_on_basis(fd, keep, list(range(fd.nidem)))
+    the degree-zero part of the r-fold trivial extension, all of it but the
+    corner bond, its last ``fd.dim`` basis ids."""
+    t = trivial_ext_r(fd, r)
+    return _sub_on_basis(t, list(range((2 * r - 1) * fd.dim)), list(range(t.nidem)))
 
 
 def _sub_on_basis(fd, keep, idem_order):

@@ -13,9 +13,10 @@ Gabriel quiver.
 
 Modules are right modules, stored as one fiber per vertex with a matrix
 for each arrow between two nonzero fibers, mapping the target fiber to the
-source fiber (the right action); a missing arrow map is zero.
-Injectives and the interval modules M(x) of the type-A model are produced
-here, each built once per algebra and then shared read-only.
+source fiber (the right action); a missing arrow map is zero.  The interval
+modules M(x) of the type-A model are produced here, each built once per
+algebra and then shared read-only.  Sums of injectives store nothing: every
+basis element acts on them through the structure constants.
 
 Paths compose diagrammatically: ``path = (a1, a2, ...)`` traverses a1
 first, and ``mul(p, q)`` is "p after q".
@@ -137,11 +138,12 @@ class BoundQuiverAlgebra:
     relations and a path basis (``basis[b].path``, of length ``.degree``).
     Without it, ``relations`` is None, ``quiver`` and ``arrow_elem`` are the
     Gabriel quiver, computed on first use, and ``nilpotency`` is the number
-    of vertices, a Loewy bound that ``gabriel_quiver`` proves.
+    of vertices, a Loewy bound that ``gabriel_quiver`` proves.  Only the
+    interval modules of ``module_M`` are cached on the algebra.
     """
 
     def __init__(self, basis, mult, idempotent_of, *, quiver=None, relations=None,
-                 nilpotency=None, vertex_data=None, grading=None):
+                 nilpotency=None, vertex_data=None):
         if list(idempotent_of) != list(range(len(idempotent_of))):
             raise ValueError("vertex ids must be 0, ..., n-1 in order")
         self.basis = basis
@@ -151,7 +153,6 @@ class BoundQuiverAlgebra:
         self.nilpotency = self.nidem if nilpotency is None else nilpotency
         self.relations = relations
         self.vertex_data = vertex_data or {}
-        self.grading = grading
         if quiver is not None:
             self.quiver = quiver
             self.arrow_elem = {b.path[0]: b.id for b in basis if b.degree == 1}
@@ -166,11 +167,14 @@ class BoundQuiverAlgebra:
             (src, tgt): {bid: k for k, bid in enumerate(ids)}
             for (src, tgt), ids in self.blocks.items()
         }
-        # the nonempty blocks e_y A e_v into each vertex v, as (y, ids)
+        # the nonempty blocks (y, v) into each vertex v and (v, y) out of
+        # it, as (y, ids)
         self._blocks_into: dict[int, list[tuple[int, list[int]]]] = {}
+        self._blocks_from: dict[int, list[tuple[int, list[int]]]] = {}
         for (src, tgt), ids in self.blocks.items():
             self._blocks_into.setdefault(tgt, []).append((src, ids))
-        # ("I", v) and ("M", label entries) -> (dims, maps) of the
+            self._blocks_from.setdefault(src, []).append((tgt, ids))
+        # module_M: ("M", label entries) -> (dims, maps) of the interval
         # modules built so far; holding no module, they make no reference
         # cycle through the algebra.  complexes.shifted_module_complex: (module
         # cache_key, max_len) -> (terms, diffs) of its resolution, plain data.
@@ -226,46 +230,6 @@ class BoundQuiverAlgebra:
     def arrow_elem(self) -> dict[int, int]:
         """Arrow id -> id of the basis element the arrow stands for."""
         return self._gabriel[1]
-
-    @cached_property
-    def path_combinations(self) -> dict:
-        """Each basis element off the idempotents, for an algebra without a
-        path basis, as a combination of arrow paths: id -> [(path, coeff)].
-
-        Out of each source, paths are walked degree by degree, and each block
-        keeps, by ``extend_basis``, the paths whose values are new.  Only kept
-        paths are extended: the value of a path a.p is a times that of p, so
-        the kept paths span the values of all paths.  The arrows generate the
-        radical, so those values span every block off the diagonal, and one
-        elimination per block writes its basis in the kept values.
-        """
-        out = {}
-        for s in self._vertex_ids:
-            kept: dict[int, tuple[list, list]] = {}  # tgt -> (paths, value coordinates)
-            frontier = [((), s, self.basis_elem(self.idempotent_of[s]))]
-            while frontier:
-                found: dict[int, list] = {}
-                for path, u, value in frontier:
-                    for a in self.quiver.arrows_out[u]:
-                        if prod := self.elem_mul(self.basis_elem(self.arrow_elem[a.id]), value):
-                            found.setdefault(a.tgt, []).append((path + (a.id,), prod))
-                frontier = []
-                for t, cands in found.items():
-                    paths, rows = kept.setdefault(t, ([], []))
-                    coords = [[value.get(b, ZERO) for b in self.blocks[(s, t)]] for _, value in cands]
-                    for k in extend_basis(rows, coords):
-                        paths.append(cands[k][0])
-                        rows.append(coords[k])
-                        frontier.append((cands[k][0], t, cands[k][1]))
-            for t, (paths, rows) in kept.items():
-                # [R | 1] reduces to [1 | R^-1]: row j of R^-1 writes basis
-                # element j of the block in the kept values, the rows of R
-                k = len(rows)
-                aug = [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
-                inverse = ExactMatrix.from_rows(aug).rref()[0].data
-                for j, bid in enumerate(self.blocks[(s, t)]):
-                    out[bid] = [(p, c) for p, c in zip(paths, inverse[j][k:]) if c]
-        return out
 
     # -- construction ------------------------------------------------------
 
@@ -336,47 +300,13 @@ class BoundQuiverAlgebra:
         """``cartan()[i][j]`` is the dimension of e_i A e_j."""
         return [[len(self.blocks.get((j, i), [])) for j in self._vertex_ids] for i in self._vertex_ids]
 
-    def mult_matrix(self, src, tgt, left) -> ExactMatrix:
-        """Matrix of b -> left . b from block ``src`` to block ``tgt``; blocks
-        are (source, target) vertex pairs."""
-        src_ids = self.blocks.get(src, [])
-        index = self._block_index.get(tgt, {})
-        out = ExactMatrix(len(index), len(src_ids))
-        for j, bid in enumerate(src_ids):
-            for k, v in self.elem_mul(left, self.basis_elem(bid)).items():
-                if k not in index:
-                    raise ValueError(f"element not supported on block {tgt}")
-                out.data[index[k]][j] = v
-        return out
-
     # -- distinguished modules ---------------------------------------------
 
-    def _module(self, key, build) -> "QuiverRep":
-        """A new module sharing the read-only tables cached under ``key``,
-        which ``build()`` makes on first use; its ``cache_key`` is ``key``."""
-        tables = self._modules.get(key)
-        if tables is None:
-            M = build()
-            tables = self._modules[key] = M.dims, M.maps
-        return QuiverRep._adopt(self, *tables, key)
-
-    def injective(self, v: int) -> "QuiverRep":
-        """Dual of the opposite projective: fiber at y is the dual of paths v -> y."""
-
-        def build():
-            dims = {u: len(self.blocks.get((v, u), [])) for u in self.vertex_ids()}
-            # the right action sends the fiber at tgt to the fiber at src by
-            # precomposing with left multiplication by the arrow
-            maps = {
-                a.id: self.mult_matrix(
-                    (v, a.src), (v, a.tgt), self.basis_elem(self.arrow_elem[a.id])
-                ).transpose()
-                for a in self.quiver.arrows
-                if dims[a.src] and dims[a.tgt]
-            }
-            return QuiverRep(self, dims, maps, check=False)
-
-        return self._module(("I", v), build)
+    def injective(self, v: int) -> "InjectiveSum":
+        """I_v = D(A e_v), acting through ``mult``; nothing is cached for it."""
+        I = InjectiveSum(self, (v,))
+        I.cache_key = ("I", v)
+        return I
 
     def simple(self, v: int) -> "QuiverRep":
         # every arrow map is zero, so none is stored
@@ -501,9 +431,10 @@ class QuiverRep:
     """Right module: fibers per vertex, right arrow action target -> source.
 
     ``maps`` holds arrow maps only between two nonzero fibers, and a missing
-    one is zero.  A module from ``BoundQuiverAlgebra._module`` shares the cached
-    tables named by its ``cache_key``, ``("M", entries)`` or ``("I", v)``, and the
-    resolution memo trusts them to be read-only; every other module's key is None."""
+    one is zero.  A module from ``module_M`` shares the cached tables named by
+    its ``cache_key``, ``("M", entries)``, and the resolution memo trusts them
+    to be read-only.  ``alg.injective(v)``, whose action ``mult`` fixes, has
+    the key ``("I", v)``; every other module's key is None."""
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims: dict, maps: dict, check=True):
         self.algebra, self.cache_key = algebra, None
@@ -554,18 +485,22 @@ class QuiverRep:
 
     def basis_action(self, bid: int) -> ExactMatrix:
         """Right action of the basis element ``bid`` of e_tgt A e_src, from the
-        fiber at its tgt to the fiber at its src: that of its path in a path
-        basis, else that of its ``path_combinations``."""
+        fiber at its tgt to the fiber at its src: the identity for an
+        idempotent, else that of its path.
+
+        Over an algebra without a path basis only idempotents act here, and
+        any other basis element raises ValueError.  The library acts there
+        only on simples (``gldim``), between whose nonzero fibers only
+        idempotents act, and on an ``InjectiveSum``, which reads every action
+        off ``mult`` (``domdim``, ``two_subhomogeneous_check``,
+        ``realize_complex``, ``projective_injective_vertices``)."""
         alg = self.algebra
         b = alg.basis[bid]
         if bid == alg.idempotent_of[b.src]:
             return ExactMatrix.identity(self.dims[b.src])
-        if b.path is not None:
-            return self.path_action(b.path)
-        out = ExactMatrix(self.dims[b.src], self.dims[b.tgt])
-        for path, c in alg.path_combinations[bid]:
-            out = out.add(self.path_action(path).scale(c))
-        return out
+        if b.path is None:
+            raise ValueError(f"basis element {bid} has no path to act through")
+        return self.path_action(b.path)
 
     def element_action(self, elem: dict, src: int, tgt: int) -> ExactMatrix:
         """Right action of an algebra element supported on e_tgt A e_src.
@@ -606,6 +541,51 @@ class QuiverRep:
                 if any(x != 0 for x in col):
                     rad[arrow_by_id[aid].src].append(col)
         return {v: span_basis(vs) for v, vs in rad.items()}
+
+
+class InjectiveSum(QuiverRep):
+    """The sum of the injectives I_v = D(A e_v), v in ``vertices``, stacked in
+    the given order at every vertex; a vertex may repeat.
+
+    The fiber of I_v at y is the dual of e_y A e_v, the block (v, y).  A basis
+    element b of e_tgt A e_src acts on I_v as the transpose of c -> b.c from
+    the block (v, src) to the block (v, tgt) (Assem-Simson-Skowronski,
+    Elements 1, III.2), read off ``mult``; on the sum it acts block by block.
+    The arrow maps are the arrows' actions, built on first use.
+    """
+
+    def __init__(self, algebra: BoundQuiverAlgebra, vertices):
+        if unknown := [v for v in vertices if v not in algebra.idempotent_of]:
+            raise ValueError(f"no vertex with id {unknown[0]!r}")
+        self.algebra, self.cache_key, self.vertices = algebra, None, tuple(vertices)
+        self.dims = dict.fromkeys(algebra.vertex_ids(), 0)
+        for v in self.vertices:
+            for y, ids in algebra._blocks_from[v]:
+                self.dims[y] += len(ids)
+
+    @cached_property
+    def maps(self) -> dict:
+        alg = self.algebra
+        return {
+            a.id: self.basis_action(alg.arrow_elem[a.id])
+            for a in alg.quiver.arrows
+            if self.dims[a.src] and self.dims[a.tgt]
+        }
+
+    def basis_action(self, bid: int) -> ExactMatrix:
+        alg = self.algebra
+        b = alg.basis[bid]
+        rows, cols = self.dims[b.src], self.dims[b.tgt]
+        out = [[ZERO] * cols for _ in range(rows)]
+        r0 = c0 = 0
+        for v in self.vertices:
+            ids, index = alg.blocks.get((v, b.src), ()), alg._block_index.get((v, b.tgt), {})
+            for j, c in enumerate(ids):
+                for k, ck in alg.mult.get((bid, c), {}).items():
+                    out[r0 + j][c0 + index[k]] = ck
+            r0 += len(ids)
+            c0 += len(index)
+        return ExactMatrix._adopt(rows, cols, out)
 
 
 def build_auslander_algebra(
@@ -690,7 +670,9 @@ def module_M(alg: BoundQuiverAlgebra, x: OrderedSeq) -> QuiverRep:
     if (x.n, x.d) != (n, d + 1):
         raise ValueError(f"label must lie in os_{n}^{d + 1}, got os_{x.n}^{x.d}")
 
-    def build():
+    key = ("M", x.entries)
+    tables = alg._modules.get(key)
+    if tables is None:
         lo = OrderedSeq(n, d, x.entries[:d]).entries
         hi = OrderedSeq(n, d, tuple(e - 1 for e in x.entries[1:])).entries
         dims = {
@@ -701,32 +683,7 @@ def module_M(alg: BoundQuiverAlgebra, x: OrderedSeq) -> QuiverRep:
             for a in alg.quiver.arrows
             if a.src in dims and a.tgt in dims
         }
-        return QuiverRep(alg, dims, maps)
+        M = QuiverRep(alg, dims, maps)
+        tables = alg._modules[key] = M.dims, M.maps
+    return QuiverRep._adopt(alg, *tables, key)
 
-    return alg._module(("M", x.entries), build)
-
-
-def direct_sum(reps: list[QuiverRep]) -> QuiverRep:
-    """Direct sum, the summands stacked in the given order at every vertex;
-    one summand is returned itself, its tables shared and read-only."""
-    if not reps:
-        raise ValueError("empty direct sum")
-    if len(reps) == 1:
-        return reps[0]
-    alg = reps[0].algebra
-    dims = {v: sum(r.dims[v] for r in reps) for v in alg.vertex_ids()}
-    maps = {}
-    for a in alg.quiver.arrows:
-        if not any(a.id in r.maps for r in reps):
-            continue  # zero, so not stored
-        m = maps[a.id] = ExactMatrix(dims[a.src], dims[a.tgt])
-        ro = co = 0
-        for r in reps:
-            block = r.maps.get(a.id)
-            if block is not None:
-                for i in range(block.rows):
-                    for j in range(block.cols):
-                        m.data[ro + i][co + j] = block.data[i][j]
-            ro += r.dims[a.src]
-            co += r.dims[a.tgt]
-    return QuiverRep(alg, dims, maps, check=False)

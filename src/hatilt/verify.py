@@ -114,11 +114,10 @@ class ModelData:
     ``b0_presentation`` asks ``presentation`` for.  The claims resolve over
     the algebras built here, not over presentations of them: B0 feeds
     ``gldim_B0``, and B feeds ``gldim_B`` and ``two_subhomogeneous``, so B
-    stays alive for the rest of the run with the injective modules it
-    caches.  Lambda and Pi are built afresh on each call: each
-    has one consumer per run, and keeping them would only raise the peak
-    memory.  The isomorphism End(T) = B is searched once and feeds
-    ``endo_replicate`` and ``preprojective``.
+    stays alive for the rest of the run.  Lambda and Pi are built afresh on
+    each call: each has one consumer per run, and keeping them would only
+    raise the peak memory.  The isomorphism End(T) = B is searched once and
+    feeds ``endo_replicate`` and ``preprojective``.
 
     Every algebra built here counts against ``max_algebra_dim``, and so does
     every presentation: it rebuilds the dimension it presents or fails.  A
@@ -426,7 +425,7 @@ def claim_preprojective(model: ModelData):
     A, vertices = model.algebra(), model.dyck_vertices()
     b0, pi = model.b0(), model.pi()
     # Hom(P_p, I_i) is the fiber of I_i at p (Yoneda)
-    hom = sum(A.injective(i).dims[p] for p in vertices for i in vertices)
+    hom = sum(I.dims[p] for I in map(A.injective, vertices) for p in vertices)
     # a basic algebra is self-injective iff every indecomposable injective
     # I_z is projective: such an I_z is a single P_w, so its top is one
     # vertex, and distinct socles give distinct w, so z -> w is the Nakayama

@@ -3,7 +3,8 @@
 None of these is reached from a verification claim or a CLI command, so
 they live here rather than in ``hatilt``: the inverse Serre twist (through
 duality over the opposite algebra, an independent route to the one
-``derived_nakayama`` takes), direct sums and cones of complexes, a search
+``derived_nakayama`` takes), direct sums of modules, direct sums and cones
+of complexes, a search
 for an isomorphism between complexes, the Serre-twist orbit of a complex
 and its label signature, the opposite algebra and the dual module over
 it, the dominant dimension read off the injective coresolution of the
@@ -39,11 +40,11 @@ in each degree, against which the support-restricted
 the block-coordinate kernels: block coordinates of an element, the action of
 a basis element on a fiber of a sum of projectives and the multiplication
 matrices, each through algebra elements, and the action of a path as the
-identity times each arrow matrix, against which ``_act``, ``mult_matrix``
-and ``path_action`` are compared.  The entry-wise builder of module
-complexes, one multiplication matrix per entry and vertex assembled into
-blocks, is what the support-restricted ``realize_complex`` is compared
-against on injectives; on projectives it realises a complex of projectives
+identity times each arrow matrix, against which ``_act``,
+``InjectiveSum.basis_action`` and ``path_action`` are compared.  The
+entry-wise builder of module complexes, one multiplication matrix per
+entry and vertex assembled into blocks, is what the support-restricted
+``realize_complex`` is compared against on injectives; on projectives it realises a complex of projectives
 as modules, which the library never needs.  The resolving-window search
 that builds every strip term before reading one is what the lazy
 ``resolving_sequence`` is compared against.  The projective modules e_v A
@@ -118,7 +119,6 @@ from hatilt.quiveralg import (
     Quiver,
     QuiverRep,
     Relation,
-    direct_sum,
     vertex_of_entries,
 )
 
@@ -192,6 +192,32 @@ def arrow_map(M: QuiverRep, a) -> ExactMatrix:
     """The matrix of arrow ``a`` on M, zero where M stores none."""
     m = M.maps.get(a.id)
     return m if m is not None else ExactMatrix(M.dims[a.src], M.dims[a.tgt])
+
+
+def direct_sum(reps: list[QuiverRep]) -> QuiverRep:
+    """Direct sum, the summands stacked in the given order at every vertex;
+    one summand is returned itself, its tables shared and read-only."""
+    if not reps:
+        raise ValueError("empty direct sum")
+    if len(reps) == 1:
+        return reps[0]
+    alg = reps[0].algebra
+    dims = {v: sum(r.dims[v] for r in reps) for v in alg.vertex_ids()}
+    maps = {}
+    for a in alg.quiver.arrows:
+        if not any(a.id in r.maps for r in reps):
+            continue  # zero, so not stored
+        m = maps[a.id] = ExactMatrix(dims[a.src], dims[a.tgt])
+        ro = co = 0
+        for r in reps:
+            block = r.maps.get(a.id)
+            if block is not None:
+                for i in range(block.rows):
+                    for j in range(block.cols):
+                        m.data[ro + i][co + j] = block.data[i][j]
+            ro += r.dims[a.src]
+            co += r.dims[a.tgt]
+    return QuiverRep(alg, dims, maps, check=False)
 
 
 def dual_module(M: QuiverRep) -> QuiverRep:
@@ -949,7 +975,7 @@ def mult_matrix_by_elements(alg, src, tgt, left=None, right=None) -> ExactMatrix
     """Matrix of b -> left . b . right from block ``src`` to block ``tgt``, a
     factor left as None being the unit, one product element at a time, each
     column read back through ``block_coords``; with a left factor only, this
-    is ``BoundQuiverAlgebra.mult_matrix``."""
+    is the action of b on a fiber of an injective, transposed."""
     src_ids = alg.blocks.get(src, [])
     rows = len(alg.blocks.get(tgt, []))
     out = ExactMatrix(rows, len(src_ids))
@@ -979,7 +1005,7 @@ def path_action_by_identity(M: QuiverRep, path) -> ExactMatrix:
 def projective_entry_maps(alg, elem, u, v):
     """Per-vertex matrices of the morphism P_u -> P_v at elem: left
     multiplication e_y A e_u -> e_y A e_v."""
-    return {y: alg.mult_matrix((y, u), (y, v), left=elem) for y in alg.vertex_ids()}
+    return {y: mult_matrix_by_elements(alg, (y, u), (y, v), left=elem) for y in alg.vertex_ids()}
 
 
 def injective_entry_maps(alg, elem, u, v):
@@ -989,6 +1015,23 @@ def injective_entry_maps(alg, elem, u, v):
         y: mult_matrix_by_elements(alg, (v, y), (u, y), right=elem).transpose()
         for y in alg.vertex_ids()
     }
+
+
+def injective_sum_action_by_elements(alg, vertices, bid) -> ExactMatrix:
+    """``InjectiveSum.basis_action``: on each summand I_v, the transpose of
+    left multiplication by the basis element from e_src A e_v to e_tgt A e_v,
+    one product element at a time, with zero blocks between summands."""
+    b = alg.basis[bid]
+    diagonal = [
+        mult_matrix_by_elements(alg, (v, b.src), (v, b.tgt), left=alg.basis_elem(bid)).transpose()
+        for v in vertices
+    ]
+    return _assemble_blocks(
+        [
+            [m if s == t else ExactMatrix(m.rows, other.cols) for s, other in enumerate(diagonal)]
+            for t, m in enumerate(diagonal)
+        ]
+    )
 
 
 def _assemble_blocks(blocks):

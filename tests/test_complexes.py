@@ -9,6 +9,7 @@ from oracles import (
     check_associative,
     complexes_isomorphic,
     derived_nakayama_inverse,
+    direct_sum,
     direct_sum_complexes,
     domdim_by_coresolution,
     dual_module,
@@ -71,11 +72,11 @@ from hatilt.quiveralg import (
     Arrow,
     BoundQuiverAlgebra,
     BudgetError,
+    InjectiveSum,
     Quiver,
     QuiverRep,
     Vertex,
     build_auslander_algebra,
-    direct_sum,
     module_M,
     relation,
     vertex_of_entries,
@@ -532,26 +533,27 @@ class TestRealizeOnSupport:
         assert differing == []
         assert seen
 
-    def test_a_stalk_shares_its_injective(self):
+    def test_a_stalk_realises_as_its_injective(self):
         alg = build_auslander_algebra(4, 2)
         for v in alg.vertex_ids():
             term = realize_complex(stalk_complex(alg, v)).terms[0]
-            I = alg.injective(v)
-            assert term.dims is I.dims and term.maps is I.maps
+            assert type(term) is InjectiveSum and term.vertices == (v,)
+            assert term.dims == alg.injective(v).dims
 
 
 class TestSparseTables:
     """A module stores arrow maps only between two nonzero fibers, and a
     module complex a differential matrix exactly at the vertices where both
     fibers are nonzero.  Checked on every module a claim run makes (each is
-    built by ``QuiverRep.__init__`` or shares a cached table through
-    ``QuiverRep._adopt``) and on every complex it realises."""
+    built by ``QuiverRep.__init__``, shares a cached table through
+    ``QuiverRep._adopt`` or is an ``InjectiveSum``, whose arrow maps are
+    built here) and on every complex it realises."""
 
     @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
     def test_every_table_a_claim_run_builds(self, d, n, monkeypatch):
         import hatilt.complexes
 
-        init, adopt = QuiverRep.__init__, QuiverRep._adopt
+        init, adopt, init_sum = QuiverRep.__init__, QuiverRep._adopt, InjectiveSum.__init__
         realize = hatilt.complexes.realize_complex
         seen, bad = Counter(), []
 
@@ -573,6 +575,11 @@ class TestSparseTables:
             check_module(M)
             return M
 
+        def summed(self, *args):
+            init_sum(self, *args)
+            seen["injective sum"] += 1
+            check_module(self)
+
         def realized(X):
             C = realize(X)
             seen["complex"] += 1
@@ -584,11 +591,12 @@ class TestSparseTables:
 
         monkeypatch.setattr(QuiverRep, "__init__", built)
         monkeypatch.setattr(QuiverRep, "_adopt", staticmethod(adopted))
+        monkeypatch.setattr(InjectiveSum, "__init__", summed)
         monkeypatch.setattr(hatilt.complexes, "realize_complex", realized)
         claims, _, _ = run_claims(d, n, CLAIM_NAMES)
         assert all(c["status"] == "pass" for c in claims)
         assert bad == []
-        assert seen["module"] > 100 and seen["complex"] > 0
+        assert seen["module"] > 100 and seen["injective sum"] > 0 and seen["complex"] > 0
 
     @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
     def test_no_algebra_a_claim_run_builds_stores_an_empty_table(self, d, n, monkeypatch):

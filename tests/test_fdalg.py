@@ -17,7 +17,6 @@ from hatilt.fdalg import (
     _arrow_count_matrix,
     _candidates,
     _vertex_profile,
-    degree_zero_part,
     gabriel_quiver,
     idempotent_subalgebra,
     iso_test,
@@ -318,22 +317,27 @@ class TestTrivialExtension:
         check_associative(t)
 
     def test_degree_one_part_squares_to_zero(self):
+        # the corner bond, of degree one, is the last fd.dim basis ids
         fd = linear_algebra_fd(2)
         for r in (1, 2, 4):
             t = trivial_ext_r(fd, r)
-            deg1 = [bid for bid in range(t.dim) if t.grading[bid] == 1]
+            deg1 = range((2 * r - 1) * fd.dim, t.dim)
+            assert len(deg1) == fd.dim
             for a in deg1:
                 for b in deg1:
                     assert t.mult.get((a, b)) is None
 
-    def test_degree_zero_part_is_replicate(self):
-        fd = linear_algebra_fd(2)
-        t = trivial_ext_r(fd, 3)
-        zero_part = degree_zero_part(t)
-        rep = replicate(fd, 3)
-        assert zero_part.dim == rep.dim
-        assert zero_part.cartan() == rep.cartan()
-        assert iso_test(zero_part, rep) is not None
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_replicate_is_trivial_ext_r_without_its_corner_bond(self, r):
+        for fd in (linear_algebra_fd(2), linear_algebra_fd(3)):
+            t, rep = trivial_ext_r(fd, r), replicate(fd, r)
+            keep = (2 * r - 1) * fd.dim
+            assert rep.dim == keep and rep.idempotent_of == t.idempotent_of
+            assert [(b.src, b.tgt) for b in rep.basis] == [(b.src, b.tgt) for b in t.basis[:keep]]
+            restricted = {pair: table for pair, table in t.mult.items() if max(pair) < keep}
+            # no product of two kept ids reaches the corner bond
+            assert all(max(table) < keep for table in restricted.values())
+            assert rep.mult == restricted
 
     def test_dimension(self):
         fd = linear_algebra_fd(2)

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from oracles import (
     arrow_map,
+    direct_sum,
     dual_module,
     hom_space,
+    injective_sum_action_by_elements,
     mult_matrix_by_elements,
     opposite,
     path_action_by_identity,
@@ -20,11 +22,11 @@ from hatilt.pathcomb import OrderedSeq, enumerate_os, preceq
 from hatilt.quiveralg import (
     Arrow,
     BoundQuiverAlgebra,
+    InjectiveSum,
     Quiver,
     QuiverRep,
     Vertex,
     build_auslander_algebra,
-    direct_sum,
     module_M,
     relation,
     vertex_of_entries,
@@ -490,6 +492,65 @@ class TestProjectivesInjectives:
             assert alg.elem_from_block_coords(col, u, v) == elem
 
 
+class TestInjectiveSum:
+    @staticmethod
+    def sums_with_a_repeat(alg):
+        """The sum of the two largest injectives, the larger one twice, and
+        three copies of a middle one."""
+        vs = alg.vertex_ids()
+        v, w = sorted(vs, key=lambda u: -alg.injective(u).total_dim)[:2]
+        return (v, w, v), (vs[len(vs) // 2],) * 3
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
+    def test_action_is_the_block_diagonal_element_route(self, d, n):
+        model = ModelData(d, n, VerifyConfig())
+        for alg in [model.algebra()] + [model.named(x) for x in ("B0", "B", "Lambda", "Pi")]:
+            cartan = alg.cartan()
+            radical_acts = False
+            for vertices in self.sums_with_a_repeat(alg):
+                I = InjectiveSum(alg, vertices)
+                assert I.dims == {y: sum(cartan[y][v] for v in vertices) for y in alg.vertex_ids()}
+                for b in alg.basis:
+                    action = I.basis_action(b.id)
+                    assert typed(action) == typed(injective_sum_action_by_elements(alg, vertices, b.id))
+                    radical_acts |= b.src != b.tgt and not action.is_zero()
+                assert I.maps == direct_sum([InjectiveSum(alg, (v,)) for v in vertices]).maps
+            assert radical_acts
+
+    def test_on_a_path_basis_every_element_acts_by_its_path(self):
+        for alg in (build_linear(4), build_linear(4, rad_power=2), build_auslander_algebra(4, 2)):
+            vs = alg.vertex_ids()
+            for vertices in [(v,) for v in vs] + [(vs[0], vs[-1], vs[0])]:
+                I = InjectiveSum(alg, vertices)
+                for b in alg.basis:
+                    expected = I.path_action(b.path) if b.degree else ExactMatrix.identity(I.dims[b.src])
+                    assert typed(I.basis_action(b.id)) == typed(expected)
+
+    def test_relations_hold_on_every_injective_sum_over_A(self):
+        for n, d in ((3, 2), (4, 2), (3, 3)):
+            alg = build_auslander_algebra(n, d)
+            vs = alg.vertex_ids()
+            for vertices in [(v,) for v in vs] + [vs, vs[::2] * 2]:
+                InjectiveSum(alg, vertices).check_relations()
+
+    def test_unknown_vertices_are_refused(self):
+        alg = build_auslander_algebra(3, 2)
+        for v in (10**6, -5, "0"):
+            with pytest.raises(ValueError, match=f"no vertex with id {v!r}"):
+                alg.injective(v)
+            with pytest.raises(ValueError, match=f"no vertex with id {v!r}"):
+                InjectiveSum(alg, (0, v, 1))
+
+    def test_an_injective_is_fresh_keyed_and_caches_nothing(self):
+        alg = build_auslander_algebra(4, 2)
+        for v in alg.vertex_ids():
+            I = alg.injective(v)
+            assert type(I) is InjectiveSum and I.vertices == (v,)
+            assert I.cache_key == ("I", v) and InjectiveSum(alg, (v,)).cache_key is None
+            assert I is not alg.injective(v) and I.maps is not alg.injective(v).maps
+        assert alg._modules == {}
+
+
 class TestKernelAndSums:
     def test_direct_sum_dims(self):
         alg = build_linear(3)
@@ -601,45 +662,43 @@ class TestActionKernels:
         assert checked > 1000
 
     @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
-    def test_mult_matrix_matches_the_element_route(self, d, n):
+    def test_injective_action_matches_the_element_route(self, d, n):
         model = ModelData(d, n, VerifyConfig())
         for name in ("B0", "B", "Lambda"):
             alg = model.presentation(name).algebra
-            for b in alg.basis:
-                elem = alg.basis_elem(b.id)
-                for y in alg.vertex_ids():
-                    # b . (e_y A e_src)
+            for y in alg.vertex_ids():
+                I = InjectiveSum(alg, (y,))
+                for b in alg.basis:
+                    # the transpose of b . (e_y A e_src)
                     src, tgt = (y, b.src), (y, b.tgt)
-                    new = alg.mult_matrix(src, tgt, left=elem)
-                    assert typed(new) == typed(mult_matrix_by_elements(alg, src, tgt, left=elem))
+                    left = mult_matrix_by_elements(alg, src, tgt, left=alg.basis_elem(b.id))
+                    assert typed(I.basis_action(b.id)) == typed(left.transpose())
 
     def test_basis_action_without_a_path_basis_matches_the_element_route(self):
-        # B is built from structure constants: its basis elements act through
-        # their combinations of Gabriel arrow paths
+        # B is built from structure constants: its basis elements act on an
+        # injective through mult
         B = ModelData(3, 2, VerifyConfig()).b_replicated()
         checked = 0
         for v in B.vertex_ids():
-            P, I = projective(B, v), B.injective(v)
+            I = B.injective(v)
             for b in B.basis:
-                elem = B.basis_elem(b.id)
-                right = mult_matrix_by_elements(B, (b.tgt, v), (b.src, v), right=elem)
-                left = mult_matrix_by_elements(B, (v, b.src), (v, b.tgt), left=elem)
-                assert typed(P.basis_action(b.id)) == typed(right)
+                left = mult_matrix_by_elements(B, (v, b.src), (v, b.tgt), left=B.basis_elem(b.id))
                 assert typed(I.basis_action(b.id)) == typed(left.transpose())
                 checked += 1
         assert checked == B.dim * B.nidem
 
-    def test_mult_matrix_refuses_a_product_outside_the_target_block(self):
-        alg = build_linear(3)
-        arrow = alg.basis_elem(alg.arrow_elem[0])  # 0 -> 1
-        assert alg.mult_matrix((0, 0), (0, 1), left=arrow) == ExactMatrix(1, 1, [[1]])
-        with pytest.raises(ValueError, match=r"not supported on block \(0, 2\)"):
-            alg.mult_matrix((0, 0), (0, 2), left=arrow)
-        # also when the target block is empty: a0 a1 = 0 here
-        alg = build_linear(3, rad_power=2)
-        assert alg.blocks.get((0, 2)) is None
-        with pytest.raises(ValueError, match=r"not supported on block \(0, 2\)"):
-            alg.mult_matrix((0, 0), (0, 2), left=alg.basis_elem(alg.arrow_elem[0]))
+    def test_without_a_path_basis_only_idempotents_act_on_a_plain_module(self):
+        B = ModelData(3, 2, VerifyConfig()).b_replicated()
+        for v in B.vertex_ids():
+            P = projective(B, v)
+            for b in B.basis:
+                if b.id == B.idempotent_of[b.src]:
+                    assert P.basis_action(b.id) == ExactMatrix.identity(P.dims[b.src])
+                    continue
+                with pytest.raises(ValueError, match=f"basis element {b.id} has no path"):
+                    P.basis_action(b.id)
+                with pytest.raises(ValueError, match=f"basis element {b.id} has no path"):
+                    P.element_action(B.basis_elem(b.id), b.src, b.tgt)
 
     def test_results_are_fresh(self):
         alg = build_auslander_algebra(3, 2)

@@ -602,6 +602,7 @@ class TestTracerTargets:
         "complexes.complexes_isomorphic",
         "fdalg.endo_algebra",
         "fdalg.radical_powers",
+        "quiveralg.direct_sum",
         "quiveralg.kernel_of_morphism",
         "quiveralg.hom_space",
     }
