@@ -11,16 +11,18 @@ The derived Nakayama functor reads the same entries on injectives:
 nu(P_v) = I_v, and e in e_v A e_u gives the map I_u -> I_v dual to right
 multiplication by e.  ``realize_complex`` builds that complex of modules,
 and the replacement engine trades it back for a quasi-isomorphic complex
-of projectives.  A complex of modules keeps a differential matrix exactly
-at the vertices where both its fibers are nonzero, as a module keeps its
-arrow maps; every other one is zero.  The same engine also computes
-minimal projective resolutions (the one-term case): going down from the
-top degree, each term is the projective cover of the cycles of the cone of
-the map built so far, read off as a nullspace in block coordinates at the
-vertices where the cone lives, since its cycles vanish elsewhere.  Where
-that nullspace is forced, the standard basis or zero, it is written down
-without elimination.  Minimisation strips contractible two-term blocks by
-Gaussian elimination with entries inverted through the radical filtration.
+of projectives, minimal as built.  A complex of modules keeps a
+differential matrix exactly at the vertices where both its fibers are
+nonzero, as a module keeps its arrow maps; every other one is zero.  The
+same engine also computes minimal projective resolutions (the one-term
+case): going down from the top degree, each term is the projective cover
+of the cycles of the cone of the map built so far, modulo the boundaries
+of the complex replaced, read off as a nullspace in block coordinates at
+the vertices where the cone lives, since its cycles vanish elsewhere.
+Where that nullspace is forced, the standard basis or zero, it is written
+down without elimination.  Minimisation strips contractible two-term
+blocks by Gaussian elimination with entries inverted through the radical
+filtration.
 
 On top of this live the routines that know nothing of a particular
 model: global and dominant dimension, projective-injective vertices, the
@@ -237,11 +239,14 @@ def chain_maps_mod_homotopy(X, Y, k=0):
     """Basis of Hom_{K}(X, Y[k]) as entry matrices, plus boundary vectors.
 
     The boundaries are the nonzero images of delta^{k-1}, the rows of its
-    transpose."""
+    transpose.  Where Hom^k is zero there are neither cycles nor boundary
+    rows, and no delta is built."""
     _check_hom_pair(X, Y)
-    below, here, above = (_hom_slots(X, Y, j) for j in (k - 1, k, k + 1))
-    slots, dim_k = here
-    cycles = _delta_matrix(X, Y, k, here, above).nullspace() if dim_k else []
+    slots, dim_k = here = _hom_slots(X, Y, k)
+    if not dim_k:
+        return [], [], [], slots, 0
+    below, above = _hom_slots(X, Y, k - 1), _hom_slots(X, Y, k + 1)
+    cycles = _delta_matrix(X, Y, k, here, above).nullspace()
     boundaries = [
         row for row in _delta_matrix(X, Y, k - 1, below, here).transpose().data if any(row)
     ]
@@ -457,7 +462,8 @@ def realize_complex(X: ProjComplex) -> ModuleComplex:
 
 
 def _replace(C: ModuleComplex, max_len, label):
-    """A complex Q of projectives and a chain map psi: Q -> C with acyclic cone.
+    """A minimal complex Q of projectives and a chain map psi: Q -> C with
+    acyclic cone.
 
     Returns (terms, diffs, psi) with psi[m] listing, per degree-m summand,
     the image of its generator in C^m.  Works down from the top degree of C.
@@ -468,25 +474,39 @@ def _replace(C: ModuleComplex, max_len, label):
     are, per vertex, the nullspace of [cover | -d_C], where cover is the map
     Q^{m+1} -> Z^{m+1} and (0, d_C c), which lies in Z^{m+1}, is written
     there too.  A vector of Z^{m+1} is its entries at the free columns of
-    that nullspace.  The top generators of Z^m span Q^m, and their two
-    components are the columns of d_Q^m and of psi^m.  Below the lowest
-    degree of C each Z^m is a syzygy; the loop stops when it vanishes and
-    raises BudgetError if Q has a term more than max_len degrees below C.
+    that nullspace.  The top generators of Z^m / D^m, for D^m the cycles
+    (0, d_C c') with c' in C^{m-1}, span Q^m, and their two components are
+    the columns of d_Q^m and of psi^m.  Below the lowest degree of C each Z^m
+    is a syzygy; the loop stops when it vanishes and raises BudgetError if Q
+    has a term more than max_len degrees below C.
+
+    Q is minimal as built.  The generators lift a basis of the top
+    Z^m / (rad Z^m + D^m) of Z^m / D^m, so Q^m -> Z^m / D^m is a projective
+    cover.  A generator (q, c) of Q^m has d_Q q = 0 and psi q = d_C c, so
+    cover(q) = (0, d_C c) lies in D^{m+1}: q is in the kernel of the
+    projective cover Q^{m+1} -> Z^{m+1} / D^{m+1}, hence in rad Q^{m+1}, and
+    every entry of d_Q is radical.  The cone stays acyclic: D^m is the image
+    of C^{m-1} under the cone differential, so the cone's boundaries in
+    degree m, cover(Q^m) + D^m, are all of Z^m.  For a one-term C every D^m
+    is zero, and Q is the minimal resolution the plain cover gives.
 
     Only the support is visited; skipping the rest is exact.  Where C^m_y = 0
-    and e_y A e_w = 0 for every summand P_w of Q^{m+1}, [cover | -d_C] has no
+    and e_w A e_y = 0 for every summand P_w of Q^{m+1}, [cover | -d_C] has no
     columns, so Z^m_y = 0.  Radical rows come from the arrows between vertices
     where Z^m is nonzero, and _top's pivots depend only on their row space.
     Cover columns are built wherever Q^m is nonzero, of length zero where
     Z^m_y = 0: their number sizes Q^m in the next degree.  Each generator
-    P_v reaches only the vertices y with e_y A e_v != 0 (``_blocks_into``).
+    P_v reaches only the vertices y with e_v A e_y != 0, the fibers of
+    P_v = e_v A: ``_blocks_into[v]`` lists the blocks (y, v), which are
+    e_v A e_y.
 
     Two kernels are forced and need no elimination.  Where Z^{m+1}_y = 0,
     [cover | -d_C] has no rows, so every column is a cycle and the kernel is
     the standard basis, the basis nullspace returns.  Where C^m_y = 0 and
     the cover has as many columns as Z^{m+1}_y has dimensions, the kernel is
-    0: the top generators generate Z^{m+1} (Nakayama's lemma), so the cover
-    Q^{m+1}_y -> Z^{m+1}_y is onto, and a square onto map is injective.
+    0: then D^{m+1}_y = 0, and the top generators generate Z^{m+1} / D^{m+1}
+    (Nakayama's lemma), so the cover Q^{m+1}_y -> Z^{m+1}_y is onto, and a
+    square onto map is injective.
     """
     alg = C.algebra
     degs = [m for m in C.degrees() if C.terms[m].total_dim > 0]
@@ -539,6 +559,13 @@ def _replace(C: ModuleComplex, max_len, label):
                         img = image(k, alg.arrow_elem[a.id], a.src)
                         if any(coords := [img[i] for i in free[a.src]]):
                             rad[a.src].append(coords)
+        # D^m: the columns of d_C^{m-1}, as cycles (0, d_C c')
+        for y, d in C.maps.get(m - 1, {}).items():
+            if y in kernel:
+                for j in range(d.cols):
+                    coords = [d.data[i - nq[y]][j] if i >= nq[y] else ZERO for i in free[y]]
+                    if any(coords):
+                        rad[y].append(coords)
         top = _top(list(kernel), {y: len(ks) for y, ks in kernel.items()}, rad)
         if top and m < low - max_len:
             raise BudgetError(f"resolution of {label} exceeds max length {max_len}")
@@ -635,7 +662,12 @@ def _act(alg, vec, x, bid, y, labels):
 
 
 def proj_replace(C: ModuleComplex, max_len=64):
-    """A minimal complex of projectives quasi-isomorphic to C."""
+    """A minimal complex of projectives quasi-isomorphic to C.
+
+    ``_replace`` builds it minimal, so ``max_len`` bounds the minimal
+    complex: BudgetError if it has a term more than max_len degrees below
+    C.  The chain-map check and ``minimize_complex``, which then strips
+    nothing, stay as checks."""
     terms, diffs, psi = _replace(C, max_len, "complex")
     Q = ProjComplex(C.algebra, terms, diffs, check=True)
     _assert_qis_chain_map(Q, C, psi)
@@ -708,10 +740,11 @@ def shifted_module_complex(alg, module: QuiverRep, shift_by=0, max_len=64):
 # -- homological dimensions ---------------------------------------------------
 
 
-def gldim(alg, max_len=64) -> int:
-    """Global dimension: the longest minimal resolution of a simple."""
+def gldim(alg, max_len=64, vertices=None) -> int:
+    """Global dimension: the longest minimal resolution of a simple; with
+    ``vertices``, the largest projective dimension of their simples."""
     best = 0
-    for v in alg.vertex_ids():
+    for v in alg.vertex_ids() if vertices is None else vertices:
         R = minimal_proj_resolution(alg, alg.simple(v), max_len, label=f"S{v}")
         best = max(best, len(R.terms) - 1)
     return best
@@ -746,11 +779,16 @@ def domdim(alg, max_len=64):
     projective D(I_z), whose term D(P_w) is projective exactly when P_w is
     injective.  So the value is the least number, over z, of leading terms
     of the resolution of I_z whose vertices are all tops w of
-    projective-injectives I_v = P_w; math.inf when every term is.
+    projective-injectives I_v = P_w; math.inf when every term is.  An I_z
+    that is some P_w is skipped: its resolution is the stalk P_w, and w is
+    one of those tops.
     """
-    tops = set(projective_injective_vertices(alg).values())
+    proj_inj = projective_injective_vertices(alg)
+    tops = set(proj_inj.values())
     best = math.inf
     for z in alg.vertex_ids():
+        if z in proj_inj:
+            continue
         R = minimal_proj_resolution(alg, alg.injective(z), max_len, label=f"I{z}")
         for j in range(len(R.terms)):
             if not all(w in tops for w in R.terms.get(-j, ())):

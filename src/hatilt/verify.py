@@ -113,11 +113,12 @@ class ModelData:
     the global dimensions of A, B0 and B and the presentation of B0, which
     ``b0_presentation`` asks ``presentation`` for.  The claims resolve over
     the algebras built here, not over presentations of them: B0 feeds
-    ``gldim_B0``, and B feeds ``gldim_B`` and ``two_subhomogeneous``, so B
-    stays alive for the rest of the run.  Lambda and Pi are built afresh on
-    each call: each has one consumer per run, and keeping them would only
-    raise the peak memory.  The isomorphism End(T) = B is searched once and
-    feeds ``endo_replicate`` and ``preprojective``.
+    ``gldim_B0``, and B feeds ``gldim_B``, ``two_subhomogeneous`` and, through
+    ``gldim_lambda``, ``higher_auslander``, so B stays alive for the rest of
+    the run.  Lambda and Pi are built afresh on each call: each has one
+    consumer per run, and keeping them would only raise the peak memory.
+    The isomorphism End(T) = B is searched once and feeds ``endo_replicate``
+    and ``preprojective``.
 
     Every algebra built here counts against ``max_algebra_dim``, and so does
     every presentation: it rebuilds the dimension it presents or fails.  A
@@ -205,6 +206,28 @@ class ModelData:
             return gldim(alg, max_len=self.max_len)
 
         return self._memo(("gldim", name), build)
+
+    def gldim_lambda(self, lam):
+        """gldim of ``lam``, this model's Lambda, from gldim B and the
+        simples of Lambda's layer 0.
+
+        Lambda = replicate(B0, n+d+1) has n+d+1 layers of k = #Dyck paths
+        vertices, layer t on the vertices t k, ..., t k + k - 1, and its
+        bond t lies in e_x Lambda e_y for x in layer t and y in layer t+1.
+        So P_v = e_v Lambda of a vertex v in layer t >= 1 lives on layers t
+        and t+1: the layers U >= 1 hold the support of their projectives,
+        e_U Lambda (1 - e_U) = 0.  Then the ideal generated by 1 - e_U meets
+        the corner e_U Lambda e_U in zero, every P_v with v in U is a
+        projective over the quotient e_U Lambda e_U, and the minimal
+        resolution of a simple S_v, v in U, is its resolution over that
+        corner.  The corner is layers 1 to n+d with bonds 1 to n+d-1, B =
+        replicate(B0, n+d) translated by k, so pd S_v = pd_B S_{v-k} and
+        gldim Lambda = max(pd of the k layer-0 simples, gldim B).  Layer 0
+        is resolved first, as ``gldim`` would: a resolution over the budget
+        there names the same simple.
+        """
+        k = len(self.dyck())
+        return max(gldim(lam, max_len=self.max_len, vertices=range(k)), self.gldim("B"))
 
     def tilting_complexes(self):
         def build():
@@ -403,7 +426,7 @@ def claim_gldim_b0(model: ModelData):
 def claim_higher_auslander(model: ModelData):
     d, n = model.d, model.n
     lam = model.lam()
-    g = gldim(lam, max_len=model.max_len)
+    g = model.gldim_lambda(lam)
     dd = domdim(lam, max_len=model.max_len)
     ok = g <= n * d + 1 and (dd == math.inf or n * d + 1 <= dd)
     return ok, {"gldim": g, "domdim": "inf" if dd == math.inf else dd, "bound": n * d + 1}

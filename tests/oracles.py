@@ -861,7 +861,7 @@ def hom_complex_dim_per_shift(X, Y, k=0):
     return here[1] - delta_k.rank() - delta_km1.rank()
 
 
-def replace_all_vertices(C: ModuleComplex, max_len, label):
+def replace_all_vertices(C: ModuleComplex, max_len, label, quotient=True):
     """A complex Q of projectives and a chain map psi: Q -> C with acyclic cone.
 
     Returns (terms, diffs, psi) with psi[m] listing, per degree-m summand,
@@ -873,10 +873,15 @@ def replace_all_vertices(C: ModuleComplex, max_len, label):
     are, per vertex, the nullspace of [cover | -d_C], where cover is the map
     Q^{m+1} -> Z^{m+1} and (0, d_C c), which lies in Z^{m+1}, is written
     there too.  A vector of Z^{m+1} is its entries at the free columns of
-    that nullspace.  The top generators of Z^m span Q^m, and their two
-    components are the columns of d_Q^m and of psi^m.  Below the lowest
-    degree of C each Z^m is a syzygy; the loop stops when it vanishes and
-    raises BudgetError if Q has a term more than max_len degrees below C.
+    that nullspace.  The top generators of Z^m / D^m, for D^m the cycles
+    (0, d_C c') with c' in C^{m-1}, span Q^m, and their two components are
+    the columns of d_Q^m and of psi^m.  Below the lowest degree of C each Z^m
+    is a syzygy; the loop stops when it vanishes and raises BudgetError if Q
+    has a term more than max_len degrees below C.
+
+    With ``quotient=False`` the generators span all of Z^m: Q is then
+    quasi-isomorphic to C but in general not minimal, and
+    ``minimize_complex`` strips it to the complex the quotient builds.
     """
     alg = C.algebra
     vertices = alg.vertex_ids()
@@ -921,6 +926,12 @@ def replace_all_vertices(C: ModuleComplex, max_len, label):
                 coords = [img[i] for i in free[a.src]]
                 if any(x != 0 for x in coords):
                     rad[a.src].append(coords)
+        for y, d in C.maps.get(m - 1, {}).items() if quotient else ():
+            for j in range(d.cols):
+                vec = [ZERO] * nq[y] + [row[j] for row in d.data]
+                coords = [vec[i] for i in free[y]]
+                if any(x != 0 for x in coords):
+                    rad[y].append(coords)
         top = _top(vertices, {y: len(kernel[y]) for y in vertices}, rad)
         if top and m < low - max_len:
             raise BudgetError(f"resolution of {label} exceeds max length {max_len}")

@@ -240,14 +240,15 @@ class TestReplaceSupport:
             for M in (alg.simple(v), alg.injective(v)):
                 self.assert_same(ModuleComplex(alg, {0: M}, {}))
 
-    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
     @pytest.mark.parametrize("name", ["B", "Lambda"])
     def test_twisted_simples_and_injectives_of_presented_algebras(
         self, d, n, name, monkeypatch
     ):
         # the kernels of these resolutions are all forced; their twists live
-        # in several degrees, so some kernels, with fibers Z^{m+1}_y above
-        # dimension 1, are eliminated
+        # in several degrees, so some kernels are eliminated, and at (4,3)
+        # some with fibers Z^{m+1}_y above dimension 1 (the boundaries D^m
+        # keep every such fiber at dimension 1 at (3,2) and (2,3))
         import hatilt.complexes
 
         alg = model_presentation(d, n, name)
@@ -266,7 +267,7 @@ class TestReplaceSupport:
         monkeypatch.setattr(hatilt.complexes, "_from_columns", recorded)
         for R in resolutions:
             self.assert_same(realize_complex(R))
-        assert max(eliminated) > 1
+        assert max(eliminated) == (2 if (d, n) == (4, 3) else 1)
 
     @pytest.mark.parametrize("d, n", [(3, 2), (4, 3)])
     def test_twisted_tilting_summands(self, d, n):
@@ -313,6 +314,41 @@ class TestReplaceSupport:
             "__init__": 70,
             "_adopt": 1625,
         }
+
+
+class TestMinimalAsBuilt:
+    """``_replace`` covers Z^m only modulo the boundaries D^m of C, so the
+    complex it builds is minimal before ``minimize_complex`` runs; the sweep
+    that covered all of Z^m must minimise to the same terms."""
+
+    @pytest.mark.parametrize(
+        "d, n, built, kept", [(3, 2, 86, 32), (2, 3, 106, 42), (4, 3, 443, 145)]
+    )
+    def test_every_complex_the_claims_twist(self, d, n, built, kept, monkeypatch):
+        import hatilt.complexes
+
+        replace = hatilt.complexes.proj_replace
+        twisted = []
+
+        def recorded(C, max_len=64):
+            twisted.append(C)
+            return replace(C, max_len)
+
+        monkeypatch.setattr(hatilt.complexes, "proj_replace", recorded)
+        claims, _, _ = run_claims(d, n, CLAIM_NAMES)
+        assert all(c["status"] == "pass" for c in claims)
+        sizes = Counter()
+        for C in twisted:
+            terms, diffs, _ = _replace(C, 64, "C")
+            Q = ProjComplex(C.algebra, terms, diffs)
+            assert Q.is_minimal()
+            old_terms, old_diffs, _ = replace_all_vertices(C, 64, "C", quotient=False)
+            old = ProjComplex(C.algebra, old_terms, old_diffs)
+            assert minimize_complex(old).terms == Q.terms
+            sizes["built"] += sum(map(len, old.terms.values()))
+            sizes["kept"] += sum(map(len, Q.terms.values()))
+        # the summands the old sweep built and minimisation stripped
+        assert sizes == {"built": built, "kept": kept}
 
 
 def realized(C):
@@ -862,6 +898,39 @@ class TestHomWindows:
         assert (sum(slot_calls.values()), sum(delta_calls.values())) == (5069, 393)
 
 
+    def test_an_empty_hom_builds_no_delta(self, monkeypatch):
+        # of the 1225 ordered tilting pairs End(T) asks about at (4,3), 966
+        # have Hom^0 = 0, so no cycle and no boundary row; no delta is built
+        # for them, though for some of them Hom^-1 or Hom^1 is not zero
+        import hatilt.complexes
+        from hatilt.complexes import _hom_slots
+
+        complexes = ModelData(4, 3, VerifyConfig()).tilting_complexes()
+        empty = [
+            (X, Y) for X in complexes for Y in complexes if not _hom_slots(X, Y, 0)[1]
+        ]
+        assert (len(complexes) ** 2, len(empty)) == (1225, 966)
+        assert any(_hom_slots(X, Y, j)[1] for X, Y in empty for j in (-1, 1))
+        real_delta = hatilt.complexes._delta_matrix
+        calls = 0
+
+        def forbidden(*args):
+            raise AssertionError("delta built for an empty Hom^k")
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real_delta(*args)
+
+        monkeypatch.setattr(hatilt.complexes, "_delta_matrix", forbidden)
+        for X, Y in empty:
+            assert chain_maps_mod_homotopy(X, Y, 0) == ([], [], [], [], 0)
+        monkeypatch.setattr(hatilt.complexes, "_delta_matrix", counting)
+        endo_algebra_of_complexes(complexes)
+        # delta^0 and delta^-1 once for each pair with Hom^0 != 0
+        assert calls == 2 * (1225 - 966)
+
+
 @cache
 def model_algebra(d, n):
     return build_auslander_algebra(n + 1, d)
@@ -1074,6 +1143,25 @@ class TestDominantDimension:
         # the oracle coresolves the algebra through the opposite algebra
         alg = build()
         assert domdim(alg) == domdim_by_coresolution(alg)
+
+    def test_resolves_only_the_injectives_that_are_not_projective(self, monkeypatch):
+        # at (4,3) 35 of Lambda's 40 injectives are projective, and each
+        # resolves to the stalk at a top; domdim resolves the other 5
+        import hatilt.complexes
+
+        lam = ModelData(4, 3, VerifyConfig()).lam()
+        proj_inj = projective_injective_vertices(lam)
+        resolved = []
+        real = hatilt.complexes.minimal_proj_resolution
+
+        def counting(alg, M, *args, **kwargs):
+            resolved.append(M.vertices)
+            return real(alg, M, *args, **kwargs)
+
+        monkeypatch.setattr(hatilt.complexes, "minimal_proj_resolution", counting)
+        assert domdim(lam) == 13
+        assert (lam.nidem, len(proj_inj)) == (40, 35)
+        assert resolved == [(z,) for z in lam.vertex_ids() if z not in proj_inj]
 
     def test_projective_injective_vertices_map_to_tops(self):
         # right modules over kA3/rad2 (arrows 1 -> 2 -> 3, vertex ids from

@@ -142,7 +142,9 @@ class TestModelData:
 
         presented = []  # (algebra, its presentation), kept alive so ids stay unique
         source = {}  # id of a presented algebra -> id of the algebra it presents
-        resolved = []  # per gldim call, the id of the algebra it stands for
+        # per gldim call, the id of the algebra it stands for and the vertices
+        # whose simples it resolves, None for all of them
+        resolved = []
 
         def counting_presentation(fd, *args, **kwargs):
             data = presentation_data(fd, *args, **kwargs)
@@ -150,9 +152,9 @@ class TestModelData:
             source[id(data.algebra)] = id(fd)
             return data
 
-        def counting_gldim(alg, *args, **kwargs):
-            resolved.append(source.get(id(alg), id(alg)))
-            return gldim(alg, *args, **kwargs)
+        def counting_gldim(alg, *args, vertices=None, **kwargs):
+            resolved.append((source.get(id(alg), id(alg)), vertices and list(vertices)))
+            return gldim(alg, *args, vertices=vertices, **kwargs)
 
         for module in (hatilt.verify, hatilt.fdalg, hatilt.complexes):
             for name, wrapper in [
@@ -167,8 +169,10 @@ class TestModelData:
         # B0, the presented B0 inside b0_presentation's iso_test, End(T) and
         # the corner of idempotent_corner; B, Lambda and Pi are resolved as built
         assert len(presented_ids) == len(set(presented_ids)) == 4
-        # gldim of A, B0, B and Lambda
-        assert len(resolved) == len(set(resolved)) == 4
+        # gldim of A, B0 and B, and of Lambda's layer 0, its two Dyck
+        # vertices: its upper layers are B's
+        assert len({alg for alg, _ in resolved}) == 4
+        assert [vertices for _, vertices in resolved] == [None, None, None, [0, 1]]
 
     def test_one_isomorphism_search_feeds_both_end_t_claims(self, monkeypatch):
         import hatilt.verify
@@ -237,8 +241,31 @@ class TestModelData:
         ok, value = claim_higher_auslander(model)
         assert ok and value["domdim"] == 7
         # Lambda is resolved as built: the (n+d+1)-fold trivial extension of
-        # B0 and its degree-zero part Lambda are the only algebras built
-        assert [alg.dim for alg in built] == [2 * 6 * model.b0().dim, lam_dim]
+        # B0 and its degree-zero part Lambda, then the (n+d)-fold one and B,
+        # whose gldim gives that of Lambda's upper layers, are the only
+        # algebras built
+        b0_dim, b_dim = model.b0().dim, model.b_replicated().dim
+        assert [alg.dim for alg in built] == [2 * 6 * b0_dim, lam_dim, 2 * 5 * b0_dim, b_dim]
+        # B and its gldim are kept, so a second call builds Lambda alone
+        built.clear()
+        assert claim_higher_auslander(model) == (ok, value)
+        assert [alg.dim for alg in built] == [2 * 6 * b0_dim, lam_dim]
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (5, 2), (2, 5), (4, 3), (3, 4)])
+    def test_gldim_lambda_reads_its_upper_layers_off_b(self, d, n):
+        from hatilt.complexes import gldim
+        from hatilt.fdalg import corner_vanishes, idempotent_subalgebra
+
+        model = ModelData(d, n, VerifyConfig())
+        lam, B, k = model.lam(), model.b_replicated(), len(model.dyck())
+        upper = range(k, lam.nidem)
+        # the upper layers hold the support of their projectives, and their
+        # corner is B with vertices translated by k
+        assert corner_vanishes(lam, upper)
+        assert idempotent_subalgebra(lam, upper).cartan() == B.cartan()
+        direct = [gldim(lam, vertices=[v]) for v in lam.vertex_ids()]
+        assert direct[k:] == [gldim(B, vertices=[v]) for v in B.vertex_ids()]
+        assert model.gldim_lambda(lam) == max(direct) == gldim(lam)
 
 
 class TestRunClaims:
