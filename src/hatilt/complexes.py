@@ -142,18 +142,32 @@ def stalk_complex(alg, vertex):
 # -- chain maps up to homotopy ----------------------------------------------
 
 
+def _hom_dims(X, Y):
+    """{j: dim Hom^j(X, Y)} for the j where it is nonzero, the lengths
+    ``_hom_slots`` gives, counted: by Yoneda, Hom(P_u, P_v) = e_v A e_u is
+    the block (u, v).  Both complexes must lie over one algebra."""
+    if X.algebra is not Y.algebra:
+        raise ValueError("the two complexes lie over different algebras")
+    get, dims = X.algebra.blocks.get, {}
+    for m, us in X.terms.items():
+        for m2, vs in Y.terms.items():
+            size = 0
+            for u in us:
+                for v in vs:
+                    if ids := get((u, v)):
+                        size += len(ids)
+            if size:
+                dims[m2 - m] = dims.get(m2 - m, 0) + size
+    return dims
+
+
 def _hom_slots(X, Y, j):
     """Coordinates of Hom^j(X, Y): one block per summand pair (m, t, s)."""
-    alg = X.algebra
-    slots = []
-    offset = 0
-    for m in X.degrees():
-        if (m + j) not in Y.terms:
-            continue
-        for t, v in enumerate(Y.terms[m + j]):
-            for s, u in enumerate(X.terms[m]):
-                ids = alg.blocks.get((u, v), [])
-                if ids:
+    slots, offset = [], 0
+    for m, us in sorted(X.terms.items()):
+        for t, v in enumerate(Y.terms.get(m + j, ())):
+            for s, u in enumerate(us):
+                if ids := X.algebra.blocks.get((u, v)):
                     slots.append((m, t, s, ids, offset))
                     offset += len(ids)
     return slots, offset
@@ -161,8 +175,9 @@ def _hom_slots(X, Y, j):
 
 def _delta_matrix(X, Y, j, source, target):
     """Matrix of f -> d_Y f - (-1)^j f d_X from Hom^j to Hom^{j+1}, whose
-    ``_hom_slots`` are ``source`` and ``target``."""
-    alg = X.algebra
+    ``_hom_slots`` are ``source`` and ``target``; products are read off
+    ``mult``, and a nonzero one lies in a nonempty block of the target."""
+    mult = X.algebra.mult
     slots_j, dim_j = source
     slots_j1, dim_j1 = target
     out_index = {}
@@ -172,33 +187,19 @@ def _delta_matrix(X, Y, j, source, target):
     rows = [[ZERO] * dim_j for _ in range(dim_j1)]
     sign = -1 if j % 2 else 1
     for m, t, s, ids, off in slots_j:
-        for k, bid in enumerate(ids):
-            col = off + k
-            basis_elem = alg.basis_elem(bid)
-            # d_Y component: post-compose with dY^{m+j}
-            dY = Y.diffs.get(m + j)
-            if dY is not None and m in X.terms:
-                for t2 in range(len(Y.terms[m + j + 1])):
-                    prod = alg.elem_mul(dY[t2][t], basis_elem)
-                    for bid2, c in prod.items():
-                        r = out_index.get((m, t2, s, bid2))
-                        if r is not None:
-                            rows[r][col] += c
-            # f d_X component: pre-compose with dX^{m-1}
-            dX = X.diffs.get(m - 1)
-            if dX is not None:
-                for s2 in range(len(X.terms[m - 1])):
-                    prod = alg.elem_mul(basis_elem, dX[s][s2])
-                    for bid2, c in prod.items():
-                        r = out_index.get((m - 1, t, s2, bid2))
-                        if r is not None:
-                            rows[r][col] -= sign * c
+        # d_Y component: post-compose with dY^{m+j}; f d_X component:
+        # pre-compose with dX^{m-1}
+        dY, dX = Y.diffs.get(m + j), X.diffs.get(m - 1)
+        for col, bid in enumerate(ids, off):
+            for t2, row in enumerate(dY or ()):
+                for b, c in row[t].items():
+                    for bid2, c2 in mult.get((b, bid), {}).items():
+                        rows[out_index[m, t2, s, bid2]][col] += c * c2
+            for s2, e in enumerate(dX[s] if dX else ()):
+                for b, c in e.items():
+                    for bid2, c2 in mult.get((bid, b), {}).items():
+                        rows[out_index[m - 1, t, s2, bid2]][col] -= sign * c * c2
     return ExactMatrix._adopt(dim_j1, dim_j, rows)
-
-
-def _check_hom_pair(X, Y):
-    if X.algebra is not Y.algebra:
-        raise ValueError("the two complexes lie over different algebras")
 
 
 def hom_complex_dim(X, Y, k=0):
@@ -207,44 +208,42 @@ def hom_complex_dim(X, Y, k=0):
 
 
 def hom_complex_dims(X, Y, ks):
-    """[dim Hom_K(X, Y[k]) for k in ks]; each Hom^j and each rank of delta^j
-    is built at most once.
+    """[dim Hom_K(X, Y[k]) for k in ks]; each Hom^j is counted, and each slot
+    list and each rank of delta^j is built, at most once.
 
-    The skips are exact.  Hom^j(X, Y) = sum_m Hom(X^m, Y^{m+j}) is zero
-    outside [min deg Y - max deg X, max deg Y - min deg X], and H^k is a
-    subquotient of Hom^k.  A rank with a zero-dimensional source or target
-    is 0, so delta^j is built only when Hom^j and Hom^{j+1} are nonzero.
+    The skips are exact.  H^k of the Hom complex is ker delta^k / im
+    delta^{k-1}, of dimension dim Hom^k - rank delta^k - rank delta^{k-1},
+    and ``_hom_dims`` counts every dim Hom^j without building a slot list.
+    Where Hom^k = 0 the answer is 0 and no rank is asked.  A linear map out
+    of or into a zero space has rank 0, so delta^j is built, and with it the
+    slot lists of Hom^j and Hom^{j+1}, only when both counts are nonzero.  A
+    pair with no nonzero Hom^k builds nothing.
     """
-    _check_hom_pair(X, Y)
-    if X.is_zero() or Y.is_zero():
-        return [0 for _ in ks]
-    lo, hi = min(Y.terms) - max(X.terms), max(Y.terms) - min(X.terms)
-    slots, ranks = {}, {}
+    dims, slots, ranks = _hom_dims(X, Y), {}, {}
 
     def hom(j):
         if j not in slots:
-            slots[j] = _hom_slots(X, Y, j) if lo <= j <= hi else ([], 0)
+            slots[j] = _hom_slots(X, Y, j)
         return slots[j]
 
     def rank(j):
         if j not in ranks:
-            source, target = hom(j), hom(j + 1)
-            ranks[j] = source[1] and target[1] and _delta_matrix(X, Y, j, source, target).rank()
+            built = j in dims and j + 1 in dims
+            ranks[j] = built and _delta_matrix(X, Y, j, hom(j), hom(j + 1)).rank()
         return ranks[j]
 
-    return [(dim := hom(k)[1]) and dim - rank(k) - rank(k - 1) for k in ks]
+    return [(dim := dims.get(k, 0)) and dim - rank(k) - rank(k - 1) for k in ks]
 
 
 def chain_maps_mod_homotopy(X, Y, k=0):
     """Basis of Hom_{K}(X, Y[k]) as entry matrices, plus boundary vectors.
 
     The boundaries are the nonzero images of delta^{k-1}, the rows of its
-    transpose.  Where Hom^k is zero there are neither cycles nor boundary
-    rows, and no delta is built."""
-    _check_hom_pair(X, Y)
+    transpose.  Where Hom^k is zero, as ``_hom_dims`` counts it, there are
+    neither cycles nor boundary rows, and no slot list or delta is built."""
+    if k not in _hom_dims(X, Y):
+        return [], [], [], [], 0
     slots, dim_k = here = _hom_slots(X, Y, k)
-    if not dim_k:
-        return [], [], [], slots, 0
     below, above = _hom_slots(X, Y, k - 1), _hom_slots(X, Y, k + 1)
     cycles = _delta_matrix(X, Y, k, here, above).nullspace()
     boundaries = [
@@ -751,21 +750,35 @@ def gldim(alg, max_len=64, vertices=None) -> int:
 
 
 def projective_injective_vertices(alg) -> dict:
-    """{v: w} for each vertex v whose injective I_v is projective, I_v = P_w:
-    an indecomposable projective is the cover of its top, the one vertex w."""
+    """{v: w} for each vertex v whose injective I_v is projective, I_v = P_w,
+    read off the socle of A e_v; no module is built.
+
+    The top of I_v = D(A e_v) is D soc(A e_v).  The arrows generate the
+    radical, so x in e_y A e_v, the block (v, y), lies in the left socle iff
+    a x = 0 for every arrow a leaving y: one small matrix per block, read
+    from ``mult``.  Then I_v = P_w iff that socle is one-dimensional and sits
+    at w, and dim I_v = sum_y |(v, y)| equals dim P_w = sum_y |(y, w)|.
+    If: the top of I_v is the simple S_w, so the projective cover P_w -> I_v
+    is onto, and an onto map between spaces of equal dimension is an
+    isomorphism.  Only if: I_v is the injective envelope of S_v, with simple
+    socle, so it is indecomposable; an indecomposable projective is the P_w
+    of its top S_w, and isomorphic modules have equal dimensions.
+    """
     out = {}
     for v in alg.vertex_ids():
-        I = alg.injective(v)
-        top = _top(alg.vertex_ids(), I.dims, I.radical_fibers())
-        if _is_projective_cover(alg, I, top):
-            out[v] = top[0][0]
+        socle = []
+        for y, ids in alg._blocks_from[v]:
+            rows = []
+            for a in alg.quiver.arrows_out[y]:
+                products = [alg.mult.get((alg.arrow_elem[a.id], x), {}) for x in ids]
+                targets = alg.blocks.get((v, a.tgt), ())
+                rows += [[p.get(k, ZERO) for p in products] for k in targets]
+            rank = ExactMatrix._adopt(len(rows), len(ids), rows).rank() if rows else 0
+            socle += [y] * (len(ids) - rank)
+        dim = sum(len(ids) for _, ids in alg._blocks_from[v])
+        if len(socle) == 1 and dim == sum(len(ids) for _, ids in alg._blocks_into[socle[0]]):
+            out[v] = socle[0]
     return out
-
-
-def _is_projective_cover(alg, M: QuiverRep, top) -> bool:
-    # the projective cover on ``top`` surjects; it is an isomorphism iff dims
-    # agree; dim P_w sums the blocks into w, so no projective is built
-    return sum(len(ids) for w, _ in top for _, ids in alg._blocks_into[w]) == M.total_dim
 
 
 def domdim(alg, max_len=64):
@@ -872,26 +885,45 @@ def _nu_power_terms(alg, power: int, max_len=64) -> dict:
 
 
 def endo_algebra_of_complexes(complexes) -> BoundQuiverAlgebra:
-    """End of a list of complexes, composed modulo homotopy."""
+    """End of a list of complexes, composed modulo homotopy.
+
+    Only the diagonal and the pairs with Hom^0(X_j, X_i) != 0 are asked for
+    chain maps: by Yoneda, those with a nonempty block (u, v) for summands
+    P_u of X_j^m and P_v of X_i^m, read off the block table.  Products g f
+    of basis maps f: X_j -> X_i and g: X_k -> X_j follow adjacency lists, in
+    the order of i, then k, then j."""
     if not complexes:
         raise ValueError("need at least one complex")
+    at = {}  # (m, v): the complexes with a summand P_v in degree m
+    for i, X in enumerate(complexes):
+        for m, vs in X.terms.items():
+            for v in vs:
+                at.setdefault((m, v), []).append(i)
+    pairs = {(i, i) for i in range(len(complexes))}
+    for (m, u), js in at.items():
+        for v, _ in complexes[0].algebra._blocks_from[u]:
+            pairs.update((i, j) for i in at.get((m, v), ()) for j in js)
     data = {}
-    for i, Xi in enumerate(complexes):
-        for j, Xj in enumerate(complexes):
-            reps, vectors, boundaries, slots, dim = chain_maps_mod_homotopy(Xj, Xi, 0)
-            if i == j:
-                # rebuild the basis so the identity comes first
-                ident = identity_chain_map(Xi)
-                vectors = [_chain_map_to_vector(ident, slots, dim)] + vectors
-                reps = [ident] + reps
-                picked = extend_basis(boundaries, vectors)
-                reps, vectors = [reps[k] for k in picked], [vectors[k] for k in picked]
-            data[(i, j)] = (reps, vectors, boundaries, slots, dim)
+    for i, j in sorted(pairs):
+        Xi, Xj = complexes[i], complexes[j]
+        reps, vectors, boundaries, slots, dim = chain_maps_mod_homotopy(Xj, Xi, 0)
+        if i == j:
+            # rebuild the basis so the identity comes first
+            ident = identity_chain_map(Xi)
+            vectors = [_chain_map_to_vector(ident, slots, dim)] + vectors
+            reps = [ident] + reps
+            picked = extend_basis(boundaries, vectors)
+            reps, vectors = [reps[k] for k in picked], [vectors[k] for k in picked]
+        data[(i, j)] = (reps, vectors, boundaries, slots, dim)
 
     basis = []
     index = {}
     idempotent_of = {}
+    # maps_from[j]: the k, ascending, with a basis map X_k -> X_j
+    maps_from = {}
     for (i, j), (reps, _, _, _, _) in sorted(data.items()):
+        if reps:
+            maps_from.setdefault(i, []).append(j)
         for k in range(len(reps)):
             index[(i, j, k)] = len(basis)
             # a map from X_j to X_i lies in e_i End e_j
@@ -900,14 +932,18 @@ def endo_algebra_of_complexes(complexes) -> BoundQuiverAlgebra:
             idempotent_of[i] = index[(i, i, 0)]
 
     mult = {}
-    n = len(complexes)
-    for i in range(n):
-        for k in range(n):
-            t_reps, t_vecs, t_bound, t_slots, t_dim = data[(i, k)]
+    for i in range(len(complexes)):
+        # through[k]: the j, ascending, with basis maps X_k -> X_j -> X_i
+        through = {}
+        for j in maps_from.get(i, ()):
+            for k in maps_from.get(j, ()):
+                through.setdefault(k, []).append(j)
+        for k in sorted(through):
+            t_reps, t_vecs, t_bound, t_slots, t_dim = data.get((i, k), ([], [], [], [], 0))
             if not t_reps and not t_bound:
                 continue
             solver = ExactMatrix.from_rows(t_vecs + t_bound).transpose()
-            for j in range(n):
+            for j in through[k]:
                 for a, f in enumerate(data[(i, j)][0]):
                     for b, g in enumerate(data[(j, k)][0]):
                         comp = compose_chain_maps(

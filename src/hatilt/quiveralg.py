@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exactmat import ExactMatrix, ZERO, ONE, exact, extend_basis, span_basis
+from .exactmat import ExactMatrix, ZERO, ONE, exact, extend_basis
 from .pathcomb import OrderedSeq, enumerate_os, interleaves
 
 DEFAULT_MAX_DIM = 40_000
@@ -493,7 +493,7 @@ class QuiverRep:
         only on simples (``gldim``), between whose nonzero fibers only
         idempotents act, and on an ``InjectiveSum``, which reads every action
         off ``mult`` (``domdim``, ``two_subhomogeneous_check``,
-        ``realize_complex``, ``projective_injective_vertices``)."""
+        ``realize_complex``)."""
         alg = self.algebra
         b = alg.basis[bid]
         if bid == alg.idempotent_of[b.src]:
@@ -530,17 +530,6 @@ class QuiverRep:
                 acc = acc.add(self.path_action(path).scale(coeff))
             if not acc.is_zero():
                 raise ValueError(f"relation {r} does not vanish on the representation")
-
-    def radical_fibers(self) -> dict[int, list[list]]:
-        """Spanning vectors of (M rad)_v = sum of images of outgoing arrows."""
-        rad = {v: [] for v in self.dims}
-        arrow_by_id = self.algebra.quiver.arrow_by_id
-        for aid, mat in self.maps.items():
-            for j in range(mat.cols):
-                col = [mat.data[i][j] for i in range(mat.rows)]
-                if any(x != 0 for x in col):
-                    rad[arrow_by_id[aid].src].append(col)
-        return {v: span_basis(vs) for v, vs in rad.items()}
 
 
 class InjectiveSum(QuiverRep):

@@ -12,8 +12,11 @@ algebra through those duals (against which ``domdim`` is compared), Ext
 dimensions from a minimal resolution through their own coboundary
 matrices, the intertwiner solver for Hom between
 modules, self-injectivity read off the tops of the injectives and the
-Nakayama permutation, an exhaustive associativity check of structure
-constants, and the radical filtration reduced on dense vectors of the full
+Nakayama permutation, the projective-injective vertices read off the same
+tops, built from each injective's radical fibers (against which the socle
+route of ``projective_injective_vertices`` is compared), an exhaustive
+associativity check of structure constants, and the radical filtration
+reduced on dense vectors of the full
 algebra rather than block by block, with the Gabriel quiver read off its
 rad^2 in those coordinates.  It also holds
 the lattice-path definitions and lemmas of the paper that the
@@ -75,7 +78,6 @@ from hatilt.complexes import (
     _delta_matrix,
     _from_columns,
     _hom_slots,
-    _is_projective_cover,
     _scalar_part,
     _split,
     _top,
@@ -331,13 +333,45 @@ def nu_orbit_complexes(alg, X: ProjComplex, a: int, max_len=64):
     return out
 
 
+def radical_fibers(M: QuiverRep) -> dict[int, list[list]]:
+    """Spanning vectors of (M rad)_v = sum of images of outgoing arrows."""
+    rad = {v: [] for v in M.dims}
+    arrow_by_id = M.algebra.quiver.arrow_by_id
+    for aid, mat in M.maps.items():
+        for j in range(mat.cols):
+            col = [mat.data[i][j] for i in range(mat.rows)]
+            if any(x != 0 for x in col):
+                rad[arrow_by_id[aid].src].append(col)
+    return {v: span_basis(vs) for v, vs in rad.items()}
+
+
+def _is_projective_cover(alg, M: QuiverRep, top) -> bool:
+    # the projective cover on ``top`` surjects; it is an isomorphism iff dims
+    # agree; dim P_w sums the blocks into w, so no projective is built
+    return sum(len(ids) for w, _ in top for _, ids in alg._blocks_into[w]) == M.total_dim
+
+
+def projective_injective_vertices_by_tops(alg) -> dict:
+    """{v: w} for each vertex v whose injective I_v is projective, I_v = P_w:
+    an indecomposable projective is the cover of its top, the one vertex w.
+    The injectives are built as modules and their tops read off the radical
+    fibers."""
+    out = {}
+    for v in alg.vertex_ids():
+        I = alg.injective(v)
+        top = _top(alg.vertex_ids(), I.dims, radical_fibers(I))
+        if _is_projective_cover(alg, I, top):
+            out[v] = top[0][0]
+    return out
+
+
 def self_injective_by_tops(alg) -> bool:
     """Every injective I_z is the projective P_w at the one vertex w of its
     top, and z -> w is a permutation of the vertices."""
     perm = {}
     for z in alg.vertex_ids():
         I = alg.injective(z)
-        top = _top(alg.vertex_ids(), I.dims, I.radical_fibers())
+        top = _top(alg.vertex_ids(), I.dims, radical_fibers(I))
         if len(top) != 1 or not _is_projective_cover(alg, I, top):
             return False
         perm[z] = top[0][0]

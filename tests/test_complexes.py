@@ -23,6 +23,8 @@ from oracles import (
     opposite,
     path_from_entries,
     projective,
+    projective_injective_vertices_by_tops,
+    radical_fibers,
     realize_complex_by_entries,
     realize_projectives,
     replace_all_vertices,
@@ -583,7 +585,8 @@ class TestSparseTables:
     fibers are nonzero.  Checked on every module a claim run makes (each is
     built by ``QuiverRep.__init__``, shares a cached table through
     ``QuiverRep._adopt`` or is an ``InjectiveSum``, whose arrow maps are
-    built here) and on every complex it realises."""
+    built here), on every injective of A and B and on every complex it
+    realises."""
 
     @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
     def test_every_table_a_claim_run_builds(self, d, n, monkeypatch):
@@ -631,6 +634,12 @@ class TestSparseTables:
         monkeypatch.setattr(hatilt.complexes, "realize_complex", realized)
         claims, _, _ = run_claims(d, n, CLAIM_NAMES)
         assert all(c["status"] == "pass" for c in claims)
+        # projective_injective_vertices reads socles and builds no injective,
+        # so the arrow maps of every injective of A and B are built here too
+        model = ModelData(d, n, VerifyConfig())
+        for alg in (model.algebra(), model.b_replicated()):
+            for v in alg.vertex_ids():
+                alg.injective(v)
         assert bad == []
         assert seen["module"] > 100 and seen["injective sum"] > 0 and seen["complex"] > 0
 
@@ -872,11 +881,28 @@ class TestHomWindows:
 
     def test_hom_agreement_builds_delta_only_between_nonzero_homs(self, monkeypatch):
         # at (4, 3) 96.8% of the 25,725 queries have Hom^k = 0; one query per
-        # shift built 77,175 slot lists and 51,450 delta matrices
+        # shift built 77,175 slot lists and 51,450 delta matrices, and one
+        # slot list per shift in the degree span 5069; counting Hom^j first
+        # builds only the slot lists of the 393 delta matrices
         import hatilt.complexes
 
         model = ModelData(4, 3, VerifyConfig())
-        model.tilting_complexes()
+        complexes = model.tilting_complexes()
+        blocks = model.algebra().blocks
+        # no summand of X maps to one of Y, so Hom^j(X, Y) = 0 for every j
+        unrelated = {
+            (id(X), id(Y))
+            for X in complexes
+            for Y in complexes
+            if not any(
+                (u, v) in blocks
+                for us in X.terms.values()
+                for u in us
+                for vs in Y.terms.values()
+                for v in vs
+            )
+        }
+        assert len(unrelated) == 782
         real_slots, real_delta = hatilt.complexes._hom_slots, hatilt.complexes._delta_matrix
         slot_calls, delta_calls = Counter(), Counter()
 
@@ -895,13 +921,14 @@ class TestHomWindows:
         assert ok and value == {"checked": 25725}
         # each pair is asked once, so no slot list or rank is built twice
         assert set(slot_calls.values()) == {1} and set(delta_calls.values()) == {1}
-        assert (sum(slot_calls.values()), sum(delta_calls.values())) == (5069, 393)
-
+        assert (sum(slot_calls.values()), sum(delta_calls.values())) == (709, 393)
+        assert not unrelated & {(x, y) for x, y, _ in slot_calls}
 
     def test_an_empty_hom_builds_no_delta(self, monkeypatch):
-        # of the 1225 ordered tilting pairs End(T) asks about at (4,3), 966
-        # have Hom^0 = 0, so no cycle and no boundary row; no delta is built
-        # for them, though for some of them Hom^-1 or Hom^1 is not zero
+        # of the 1225 ordered tilting pairs at (4,3), 966 have Hom^0 = 0, so
+        # no cycle and no boundary row; no slot list or delta is built for
+        # them, though for some of them Hom^-1 or Hom^1 is not zero, and
+        # End(T) does not ask about them
         import hatilt.complexes
         from hatilt.complexes import _hom_slots
 
@@ -911,24 +938,30 @@ class TestHomWindows:
         ]
         assert (len(complexes) ** 2, len(empty)) == (1225, 966)
         assert any(_hom_slots(X, Y, j)[1] for X, Y in empty for j in (-1, 1))
-        real_delta = hatilt.complexes._delta_matrix
-        calls = 0
+        real_slots, real_delta = hatilt.complexes._hom_slots, hatilt.complexes._delta_matrix
+        calls = Counter()
 
         def forbidden(*args):
-            raise AssertionError("delta built for an empty Hom^k")
+            raise AssertionError("slot list or delta built for an empty Hom^k")
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return real_delta(*args)
+        def counting(name, real):
+            def count(*args):
+                calls[name] += 1
+                return real(*args)
 
+            return count
+
+        monkeypatch.setattr(hatilt.complexes, "_hom_slots", forbidden)
         monkeypatch.setattr(hatilt.complexes, "_delta_matrix", forbidden)
         for X, Y in empty:
             assert chain_maps_mod_homotopy(X, Y, 0) == ([], [], [], [], 0)
-        monkeypatch.setattr(hatilt.complexes, "_delta_matrix", counting)
+        monkeypatch.setattr(hatilt.complexes, "_hom_slots", counting("slots", real_slots))
+        monkeypatch.setattr(hatilt.complexes, "_delta_matrix", counting("delta", real_delta))
         endo_algebra_of_complexes(complexes)
-        # delta^0 and delta^-1 once for each pair with Hom^0 != 0
-        assert calls == 2 * (1225 - 966)
+        # Hom^-1, Hom^0 and Hom^1, and delta^0 and delta^-1, once for each
+        # pair with Hom^0 != 0; asking every pair built 1743 slot lists
+        assert calls == {"slots": 3 * (1225 - 966), "delta": 2 * (1225 - 966)}
+        assert calls["slots"] == 777
 
 
 @cache
@@ -1170,6 +1203,62 @@ class TestDominantDimension:
         alg = linear_bqa(3, 2)
         assert projective_injective_vertices(alg) == {0: 1, 1: 2}
 
+    @pytest.mark.parametrize(
+        "d, n",
+        [(3, 2), (2, 3), (5, 2), (2, 5), (4, 3), (3, 4), (7, 2), (2, 7), (5, 3), (3, 5), (7, 3),
+         (5, 4)],
+    )
+    def test_projective_injective_vertices_match_the_tops_oracle(self, d, n, monkeypatch):
+        # every rung of the ladder up to (5, 4); the oracle builds each
+        # injective and reads its top off the radical fibers
+        model = ModelData(d, n, VerifyConfig())
+        algebras = [model.algebra()] + [model.named(name) for name in ("B0", "B", "Lambda", "Pi")]
+        expected = [projective_injective_vertices_by_tops(alg) for alg in algebras]
+
+        def forbidden(*args):
+            raise AssertionError("an injective was built")
+
+        monkeypatch.setattr(InjectiveSum, "__init__", forbidden)
+        assert [projective_injective_vertices(alg) for alg in algebras] == expected
+        # Pi is self-injective, and Lambda has projective-injectives
+        assert expected[4].keys() == set(algebras[4].vertex_ids()) and expected[3]
+
+    @pytest.mark.parametrize(
+        "arrows, relations, expected",
+        [
+            # the Kronecker algebra 0 => 1: A e_0 has a two-dimensional socle
+            # at 1, and at 0 the two arrows give a rank-one matrix
+            ([(0, 1), (0, 1)], [], {}),
+            # 0 => 1 -> 2 with c a = c b: the socle of A e_0 is spanned by
+            # c a at 2 and a - b at 1, the kernel of a rank-one matrix on the
+            # two-dimensional block (0, 1)
+            ([(0, 1), (0, 1), (1, 2)], [[(1, (0, 2)), (-1, (1, 2))]], {}),
+            # the dual numbers k[x]/(x^2) are self-injective: the socle x of
+            # the two-dimensional block (0, 0) is the kernel of x acting
+            ([(0, 0)], [[(1, (0, 0))]], {0: 0}),
+            # a loop through the Kronecker pair, killed by every arrow:
+            # I_1 = P_0, of dimension 3
+            (
+                [(0, 1), (0, 1), (1, 0)],
+                [[(1, (0, 2))], [(1, (1, 2))], [(1, (2, 0))], [(1, (2, 1))]],
+                {1: 0},
+            ),
+        ],
+        ids=["kronecker", "kronecker_then_arrow", "dual_numbers", "kronecker_loop"],
+    )
+    def test_projective_injective_vertices_over_a_two_dimensional_block(
+        self, arrows, relations, expected
+    ):
+        vertices = sorted({v for arrow in arrows for v in arrow})
+        q = Quiver(
+            [Vertex(v, str(v)) for v in vertices],
+            [Arrow(i, s, t, f"a{i}") for i, (s, t) in enumerate(arrows)],
+        )
+        alg = BoundQuiverAlgebra.from_quiver_data(q, [relation(*r) for r in relations])
+        assert any(len(ids) == 2 for ids in alg.blocks.values())
+        assert projective_injective_vertices(alg) == expected
+        assert projective_injective_vertices_by_tops(alg) == expected
+
     def test_projective_injective_vertices_build_no_projective(self):
         # dim P_w is read off the blocks, as the library builds no projective
         # module; the modules agree with it
@@ -1178,7 +1267,7 @@ class TestDominantDimension:
         expected = {}
         for v in B.vertex_ids():
             I = B.injective(v)
-            rad = I.radical_fibers()
+            rad = radical_fibers(I)
             top = [(w, k) for w in B.vertex_ids() for k in range(I.dims[w] - len(rad[w]))]
             if len(top) == 1 and projective(B, top[0][0]).total_dim == I.total_dim:
                 expected[v] = top[0][0]

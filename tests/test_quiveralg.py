@@ -15,6 +15,7 @@ from oracles import (
     path_action_by_identity,
     projective,
     projective_entry_maps,
+    radical_fibers,
 )
 
 from hatilt.exactmat import ExactMatrix
@@ -341,7 +342,7 @@ class TestModuleM:
         alg = build_auslander_algebra(4, 2)
         x = OrderedSeq(4, 3, (2, 3, 5))
         m = module_M(alg, x)
-        rad = m.radical_fibers()
+        rad = radical_fibers(m)
         top_vertices = {v for v in alg.vertex_ids() if m.dims[v] > len(rad[v])}
         assert top_vertices == {vertex_of_entries(alg, (2, 4))}
         # socle: fibers killed by every incoming arrow action
