@@ -37,6 +37,7 @@ from .pathcomb import (
     GridPoint,
     LatticePath,
     OrderedSeq,
+    _all_paths,
     anchor_data,
     coords,
     delta_pair,
@@ -49,7 +50,6 @@ from .pathcomb import (
     prepend_horizontal,
     region_paths,
     resolving_sequence,
-    rotate,
     strip_sequence,
 )
 
@@ -97,9 +97,15 @@ def _hom_rule(a, b) -> int:
 
 
 def nakayama(u: ShiftedModule) -> ShiftedModule:
-    """Serre twist: rotate the path, bump the shift on a vertical first step."""
-    bump = 0 if u.path.steps[0] == "H" else 1
-    return ShiftedModule(rotate(u.path), u.shift + bump)
+    """Serre twist: rotate the path, bump the shift on a vertical first step.
+
+    The rotated path is read from the grid's path table by the labels of
+    its horizontal steps, so no new path is built."""
+    p = u.path
+    steps = p.steps[1:] + p.steps[:1]
+    key = tuple(i for i, s in enumerate(steps, 1) if s == "H")
+    bump = 0 if p.steps[0] == "H" else 1
+    return ShiftedModule(_all_paths(p.d, p.n)[key], u.shift + bump)
 
 
 def _require_coprime(d: int, n: int):
@@ -272,7 +278,8 @@ def generation_certificate(d: int, n: int) -> GenerationCertificate:
     """Cover every path with h >= 1 by base cases or resolving windows.
 
     Entries are processed by h descending, then mu ascending, then
-    coordinates, so dependency edges always point to earlier entries.  The
+    coordinates, so dependency edges always point to earlier entries.  Every
+    mu of the grid is an overshoot over d^2, so the overshoots order them.  The
     certificate also records that every injective label (last step
     horizontal) has h >= 1, and is checked for acyclicity before returning.
     """
@@ -281,17 +288,17 @@ def generation_certificate(d: int, n: int) -> GenerationCertificate:
     for rank, p in enumerate(enumerate_all(d + 1, n)):  # rank orders coordinates
         data = anchor_data(p)
         if data.h >= 1:
-            keyed.append((-data.h, data.mu, rank, p, data))
+            keyed.append((-data.h, data.overshoot, rank, p, data))
 
     entries = []
-    for _, mu, _, p, data in sorted(keyed):
-        if mu == 0:
-            entries.append(CertificateEntry(p, data.h, mu, "in-T"))
+    for _, overshoot, _, p, data in sorted(keyed):
+        if overshoot == 0:
+            entries.append(CertificateEntry(p, data.h, data.mu, "in-T"))
             continue
         window, position = resolving_sequence(p)
         terms = strip_sequence(window, d, n)
         deps = tuple(t for j, t in enumerate(terms) if d + 2 - j != position)
-        entries.append(CertificateEntry(p, data.h, mu, "resolved", window, position, deps))
+        entries.append(CertificateEntry(p, data.h, data.mu, "resolved", window, position, deps))
 
     injective_labels = tuple(p for p in enumerate_all(d + 1, n) if p.steps[-1] == "H")
     cert = GenerationCertificate(d, n, tuple(entries), injective_labels)
@@ -301,7 +308,7 @@ def generation_certificate(d: int, n: int) -> GenerationCertificate:
 
 def _validate_certificate(cert: GenerationCertificate):
     order = {e.path: i for i, e in enumerate(cert.entries)}
-    key = {e.path: (-e.h, e.mu) for e in cert.entries}
+    key = {e.path: (-e.h, anchor_data(e.path).overshoot) for e in cert.entries}
     for e in cert.entries:
         for dep in e.dependencies:
             if dep not in order:

@@ -240,16 +240,25 @@ def chain_maps_mod_homotopy(X, Y, k=0):
 
     The boundaries are the nonzero images of delta^{k-1}, the rows of its
     transpose.  Where Hom^k is zero, as ``_hom_dims`` counts it, there are
-    neither cycles nor boundary rows, and no slot list or delta is built."""
-    if k not in _hom_dims(X, Y):
+    neither cycles nor boundary rows, and no slot list or delta is built.
+    Where Hom^{k+1} is zero every vector is a cycle, and the cycles are the
+    standard basis, as the nullspace of delta^k would give them; where
+    Hom^{k-1} is zero there is no boundary.  Neither builds that slot list
+    or delta."""
+    dims = _hom_dims(X, Y)
+    if k not in dims:
         return [], [], [], [], 0
     slots, dim_k = here = _hom_slots(X, Y, k)
-    below, above = _hom_slots(X, Y, k - 1), _hom_slots(X, Y, k + 1)
-    cycles = _delta_matrix(X, Y, k, here, above).nullspace()
-    boundaries = [
-        row for row in _delta_matrix(X, Y, k - 1, below, here).transpose().data if any(row)
-    ]
-    chosen = [cycles[k] for k in extend_basis(boundaries, cycles)]
+    if k + 1 in dims:
+        cycles = _delta_matrix(X, Y, k, here, _hom_slots(X, Y, k + 1)).nullspace()
+    else:
+        cycles = [[ONE if c == r else ZERO for c in range(dim_k)] for r in range(dim_k)]
+    boundaries = []
+    if k - 1 in dims:
+        delta = _delta_matrix(X, Y, k - 1, _hom_slots(X, Y, k - 1), here)
+        boundaries = [row for row in delta.transpose().data if any(row)]
+    # the cycles are independent, so with no boundary every one is chosen
+    chosen = [cycles[c] for c in extend_basis(boundaries, cycles)] if boundaries else cycles
     reps = [_vector_to_chain_map(vec, slots) for vec in chosen]
     return reps, chosen, boundaries, slots, dim_k
 

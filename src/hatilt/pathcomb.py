@@ -113,11 +113,13 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class AnchorData:
-    """Anchor point of a path plus its height h and overshoot weight mu."""
+    """Anchor point of a path plus its height h and overshoot weight mu, and
+    ``overshoot`` = d^2 mu, the integer that orders the mu of one grid."""
 
     anchor: GridPoint
     h: int
     mu: Fraction
+    overshoot: int
 
 
 def enumerate_os(n: int, d: int) -> list[OrderedSeq]:
@@ -324,7 +326,7 @@ def anchor_data(path: LatticePath) -> AnchorData:
                 raise AssertionError(f"anchor minimality violated at {pts[k]} on {path}")
             if t < n:
                 overshoot += (n - t) ** 2
-    return AnchorData(anchor, anchor.y, Fraction(overshoot, d * d))
+    return AnchorData(anchor, anchor.y, Fraction(overshoot, d * d), overshoot)
 
 
 def _require_slope(d: int):
@@ -442,7 +444,7 @@ def resolving_sequence(path: LatticePath) -> tuple[tuple[int, ...], int]:
     d = path.d - 1
     n = path.n
     data = anchor_data(path)
-    if data.h < 1 or data.mu == 0:
+    if data.h < 1 or data.overshoot == 0:
         raise ValueError(
             f"precondition violated: need h >= 1 and mu > 0, got h={data.h}, mu={data.mu}"
         )
@@ -470,7 +472,7 @@ def _window_resolves(window, position, d, n, data: AnchorData) -> bool:
         term_data = anchor_data(_strip_term(window, j, d, n))
         if term_data.h > data.h:
             continue
-        if term_data.h == data.h and term_data.mu < data.mu:
+        if term_data.h == data.h and term_data.overshoot < data.overshoot:
             continue
         return False
     return True

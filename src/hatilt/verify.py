@@ -1,10 +1,11 @@
 """Named verification claims and the orchestration pipeline.
 
 Each claim is a pure function of (d, n) and a budget configuration; it
-returns a measured value and a pass verdict.  The pipeline runs claims in
-declared order, times them, and assembles a deterministic report (apart
-from the wall-clock ``ms`` fields).  Budget exhaustion marks a claim as
-skipped rather than failed, and so do an isomorphism search that can
+returns a measured value and a pass verdict.  The pipeline runs the claims,
+the resolution claims in a forked worker beside the others where it can
+(see ``run_claims``), times them, and assembles a deterministic report in
+declared order (apart from the wall-clock ``ms`` fields).  Budget
+exhaustion marks a claim as skipped rather than failed, and so do an isomorphism search that can
 neither find nor rule out an isomorphism and a claim that degenerates on
 the model.  Any other exception a claim raises marks it ``error`` with the
 exception type and message as its reason, and the remaining claims still
@@ -14,7 +15,11 @@ run.
 from __future__ import annotations
 
 import copy
+import marshal
 import math
+import os
+import signal
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -124,6 +129,12 @@ class ModelData:
     every presentation: it rebuilds the dimension it presents or fails.  A
     build that raised is not repeated: later calls raise a copy of its
     exception.
+
+    What is built once is built once per process.  When ``run_claims`` runs
+    ``RESOLUTION_CLAIMS`` in a forked worker, the worker's copy of the model
+    builds A, B0, B and Lambda for them, and the model in the calling
+    process builds A, B0, B, the tilting complexes, End(T) and Pi for the
+    other claims and resolves over A; neither sees what the other built.
     """
 
     def __init__(self, d, n, config: VerifyConfig):
@@ -504,21 +515,39 @@ COMBINATORIAL_CLAIMS = [
     "fcy_combinatorial",
 ]
 
+# the claims that resolve over B0, B and Lambda; ``run_claims`` runs them in
+# a forked worker beside the others.  The two claims on A alone, ``gldim_A``
+# and ``fcy_A``, stay in the calling process, so that the worker holds about
+# a third of the work at (4,3) and ends first even on a CPU nearly twice as
+# slow: the run then lasts as long as the calling process's share, whatever
+# the other CPU does.  Split evenly, the run lasts as long as the slower
+# CPU's half, and its wall time follows the other CPU's load from one run to
+# the next.
+RESOLUTION_CLAIMS = [
+    "gldim_B",
+    "gldim_B0",
+    "higher_auslander",
+    "two_subhomogeneous",
+]
 
-def run_claims(d, n, names, config: VerifyConfig | None = None):
-    """Run the selected claims in declared order; returns (claims, any_failed,
-    any_skipped).  A claim with status ``error`` counts as neither.  An
-    unknown claim name raises ``ValueError`` before any claim runs."""
-    unknown = [name for name in names if name not in CLAIM_NAMES]
-    if unknown:
-        raise ValueError(f"unknown claims: {', '.join(unknown)}")
-    config = config or VerifyConfig()
-    model = ModelData(d, n, config)
+
+def _can_fork_worker():
+    """Whether a forked worker can run beside this process: ``os.fork``
+    exists, no other thread runs (a lock it held at the fork would stay held
+    in the child) and at least two CPUs are usable."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _run_group(model: ModelData, names):
+    """Run the claims in ``names`` on ``model``, in declared order; one result
+    per claim, with its status, value and wall time in ``ms``."""
     results = []
-    failed = skipped = False
-    selected = set(names)
     for name, fn in CLAIMS:
-        if name not in selected:
+        if name not in names:
             continue
         start = time.monotonic()
         try:
@@ -532,6 +561,98 @@ def run_claims(d, n, names, config: VerifyConfig | None = None):
             value = {"reason": f"{type(exc).__name__}: {exc}"}
         ms = int((time.monotonic() - start) * 1000)
         results.append({"name": name, "status": status, "value": value, "ms": ms})
-        failed = failed or status == "fail"
-        skipped = skipped or status == "skipped"
+    return results
+
+
+def _run_beside_worker(model: ModelData, names, worker_names):
+    """Run ``worker_names`` in a forked child and ``names`` here, at once.
+
+    The child runs its group on its copy of ``model`` (nothing is built
+    before the fork), writes its results, marshalled, to a pipe and leaves by
+    ``os._exit``.  If it dies, exits nonzero or writes what does not decode
+    to its claims, each of them is reported ``error`` with a reason naming
+    the exit status or signal.  The child is reaped before this returns or
+    raises; if this process raises first, it kills the child.  If no child
+    can be forked, both groups run here.
+
+    Claim values are plain data (what a JSON report holds), which ``marshal``
+    carries exactly, tuples as tuples; unlike ``pickle`` it is built into
+    the interpreter and costs no import."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: run both groups here
+        os.close(read_fd)
+        os.close(write_fd)
+        return _run_group(model, names) + _run_group(model, worker_names)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as out:
+                out.write(marshal.dumps(_run_group(model, worker_names)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    reaped = False
+    try:
+        with os.fdopen(read_fd, "rb") as reader:
+            results = _run_group(model, names)
+            payload = reader.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    expected = [name for name in CLAIM_NAMES if name in worker_names]
+    if code < 0:
+        reason = f"the claim worker was killed by signal {-code} ({signal.strsignal(-code)})"
+    elif code:
+        reason = f"the claim worker exited with status {code}"
+    else:
+        try:
+            worker = marshal.loads(payload)
+            if [r["name"] for r in worker] == expected:
+                return results + worker
+            reason = "the claim worker reported other claims than it ran"
+        except (EOFError, ValueError, TypeError, KeyError) as exc:
+            reason = f"the claim worker wrote an unreadable report: {type(exc).__name__}: {exc}"
+    return results + [
+        {"name": name, "status": "error", "value": {"reason": reason}, "ms": 0} for name in expected
+    ]
+
+
+def run_claims(d, n, names, config: VerifyConfig | None = None):
+    """Run the selected claims; returns (claims, any_failed, any_skipped),
+    the claims in declared order.  A claim with status ``error`` counts as
+    neither.  An unknown claim name, or a model with gcd(n, d) != 1, raises
+    ``ValueError`` before any claim runs.
+
+    The claims fall into two groups that share little but A, B0 and B:
+    ``RESOLUTION_CLAIMS``, which build Lambda and resolve over B0, B and
+    Lambda, and the rest, which build the tilting complexes, End(T) and Pi
+    and resolve over A.
+    When claims of both groups are selected, ``os.fork`` exists, no other
+    thread runs and at least two CPUs are usable, the resolution group runs
+    in a forked worker process while this process runs the other group;
+    each process builds what its group needs, and peak memory is counted per
+    process.  Otherwise both groups run here, one after the other, on one
+    model.  The reports are the same either way, apart from the ``ms``
+    fields, and no worker process outlives the call."""
+    unknown = [name for name in names if name not in CLAIM_NAMES]
+    if unknown:
+        raise ValueError(f"unknown claims: {', '.join(unknown)}")
+    model = ModelData(d, n, config or VerifyConfig())
+    selected = set(names)
+    here, worker = selected.difference(RESOLUTION_CLAIMS), selected.intersection(RESOLUTION_CLAIMS)
+    if here and worker and _can_fork_worker():
+        results = _run_beside_worker(model, here, worker)
+    else:
+        results = _run_group(model, here) + _run_group(model, worker)
+    rank = {name: i for i, name in enumerate(CLAIM_NAMES)}
+    results.sort(key=lambda r: rank[r["name"]])
+    failed = any(r["status"] == "fail" for r in results)
+    skipped = any(r["status"] == "skipped" for r in results)
     return results, failed, skipped

@@ -33,7 +33,9 @@ compared, the path with given labels built through its ordered sequence
 table are compared, the lookup of a path's generation-certificate
 entry, and the rigidity and Serre-symmetry checks asked one ``hom_dim``
 query at a time, against which the box checks of ``hatilt.cluster`` are
-compared, also under a planted Hom rule that forgets shifts, and the
+compared, also under a planted Hom rule that forgets shifts, a run of
+every claim as one ``run_claims`` call per claim group, which the tests
+that count calls through a monkeypatch observe in one process, and the
 interleaving-agreement claim as a test of every pair, against which the
 box comparison of ``hatilt.verify`` is compared, the Hom dimension of
 complexes asked one shift at a time, against which ``hom_complex_dims`` is
@@ -123,6 +125,7 @@ from hatilt.quiveralg import (
     Relation,
     vertex_of_entries,
 )
+from hatilt.verify import CLAIM_NAMES, RESOLUTION_CLAIMS, run_claims
 
 
 def projective(alg, v) -> QuiverRep:
@@ -707,7 +710,8 @@ def anchor_data_by_fractions(path: LatticePath) -> AnchorData:
             if t < 1:
                 w = Fraction(n, d) * (1 - t)
                 mu += w * w
-    return AnchorData(anchor, anchor.y, mu)
+    # equal to the integer overshoot only if d^2 mu is a whole number
+    return AnchorData(anchor, anchor.y, mu, mu * d * d)
 
 
 def lies_below_bent_curve_by_fractions(point: GridPoint, path: LatticePath) -> bool:
@@ -847,6 +851,20 @@ def serre_symmetry_by_hom_dim(d: int, n: int):
             if hom_dim(u, v) != hom_dim(v, twisted):
                 return u, v
     return None
+
+
+def run_claims_group_by_group(d: int, n: int, config=None):
+    """``run_claims`` over every claim as two calls, the claims outside
+    ``RESOLUTION_CLAIMS`` and then those.  Each call selects one group, so
+    neither forks: a monkeypatch in this process sees every call that one
+    forked run makes in its two processes, each on its own model."""
+    first, failed, skipped = run_claims(
+        d, n, [name for name in CLAIM_NAMES if name not in RESOLUTION_CLAIMS], config
+    )
+    second, failed2, skipped2 = run_claims(d, n, RESOLUTION_CLAIMS, config)
+    rank = {name: i for i, name in enumerate(CLAIM_NAMES)}
+    claims = sorted(first + second, key=lambda c: rank[c["name"]])
+    return claims, failed or failed2, skipped or skipped2
 
 
 def plant_shift_blind_rule(monkeypatch):

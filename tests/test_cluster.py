@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -262,6 +263,24 @@ class TestNakayama:
                 u = ShiftedModule(p, 0)
                 assert nakayama_pow(u, n + d + 1) == ShiftedModule(p, n)
 
+    @pytest.mark.parametrize("d, n", [(3, 2), (4, 3), (2, 5)])
+    def test_the_twist_reads_its_path_from_the_path_table(self, d, n, monkeypatch):
+        # the rotated path is the enumerated object itself, found without
+        # building a LatticePath, also for a path built afresh
+        paths = enumerate_all(d + 1, n)
+        fresh = [LatticePath(p.d, p.n, p.steps) for p in paths]
+        rotated = [rotate_pow(p, 1) for p in paths]
+
+        def forbidden(self, *fields):
+            raise AssertionError("the twist built a LatticePath")
+
+        monkeypatch.setattr(LatticePath, "__init__", forbidden)
+        for p, q, r in zip(paths, fresh, rotated):
+            for u in (ShiftedModule(p, 2), ShiftedModule(q, 2)):
+                v = nakayama(u)
+                assert v.path is paths[paths.index(r)]
+                assert v == ShiftedModule(r, 2 + (p.steps[0] == "V"))
+
 
 class TestTiltingSummands:
     def test_sizes_3_4(self):
@@ -389,6 +408,23 @@ class TestGenerationCertificate:
             data = anchor_data(e.path)
             assert e.status == ("in-T" if data.mu == 0 else "resolved")
         assert any(e.status == "resolved" for e in cert.entries)
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (4, 3), (5, 3), (3, 5), (6, 5)])
+    def test_integer_overshoots_order_the_keys_as_mu_does(self, d, n):
+        # every mu of the grid is an overshoot over d^2, so the keys
+        # (-h, overshoot) that the certificate sorts and validates on are
+        # ordered as the keys (-h, mu) are, and its entries come in the
+        # order that sorting on mu gives
+        from hatilt.pathcomb import anchor_data
+
+        paths = enumerate_all(d + 1, n)
+        data = [anchor_data(p) for p in paths]
+        assert all(x.mu == Fraction(x.overshoot, d * d) for x in data)
+        pairs = sorted({((-x.h, x.overshoot), (-x.h, x.mu)) for x in data})
+        assert all(a[1] < b[1] for a, b in zip(pairs, pairs[1:]))
+        by_mu = sorted((-x.h, x.mu, rank) for rank, x in enumerate(data) if x.h >= 1)
+        cert = generation_certificate(d, n)
+        assert [e.path for e in cert.entries] == [paths[rank] for _, _, rank in by_mu]
 
     def test_resolved_entries_have_decreasing_keys(self):
         for d, n in [(3, 4), (4, 3), (3, 2), (2, 5)]:

@@ -28,6 +28,7 @@ from oracles import (
     realize_complex_by_entries,
     realize_projectives,
     replace_all_vertices,
+    run_claims_group_by_group,
     self_injective_by_tops,
 )
 
@@ -84,12 +85,10 @@ from hatilt.quiveralg import (
     vertex_of_entries,
 )
 from hatilt.verify import (
-    CLAIM_NAMES,
     ModelData,
     VerifyConfig,
     claim_hom_agreement,
     claim_preprojective,
-    run_claims,
 )
 
 
@@ -337,7 +336,7 @@ class TestMinimalAsBuilt:
             return replace(C, max_len)
 
         monkeypatch.setattr(hatilt.complexes, "proj_replace", recorded)
-        claims, _, _ = run_claims(d, n, CLAIM_NAMES)
+        claims, _, _ = run_claims_group_by_group(d, n)
         assert all(c["status"] == "pass" for c in claims)
         sizes = Counter()
         for C in twisted:
@@ -566,7 +565,7 @@ class TestRealizeOnSupport:
             return out
 
         monkeypatch.setattr(hatilt.complexes, "realize_complex", checked)
-        claims, _, _ = run_claims(d, n, CLAIM_NAMES)
+        claims, _, _ = run_claims_group_by_group(d, n)
         assert all(c["status"] == "pass" for c in claims)
         assert differing == []
         assert seen
@@ -632,7 +631,7 @@ class TestSparseTables:
         monkeypatch.setattr(QuiverRep, "_adopt", staticmethod(adopted))
         monkeypatch.setattr(InjectiveSum, "__init__", summed)
         monkeypatch.setattr(hatilt.complexes, "realize_complex", realized)
-        claims, _, _ = run_claims(d, n, CLAIM_NAMES)
+        claims, _, _ = run_claims_group_by_group(d, n)
         assert all(c["status"] == "pass" for c in claims)
         # projective_injective_vertices reads socles and builds no injective,
         # so the arrow maps of every injective of A and B are built here too
@@ -654,7 +653,7 @@ class TestSparseTables:
             built.append(self)
 
         monkeypatch.setattr(BoundQuiverAlgebra, "__init__", recording)
-        claims, _, _ = run_claims(d, n, CLAIM_NAMES)
+        claims, _, _ = run_claims_group_by_group(d, n)
         assert all(c["status"] == "pass" for c in claims)
         assert len(built) >= 8
         for alg in built:
@@ -958,10 +957,18 @@ class TestHomWindows:
         monkeypatch.setattr(hatilt.complexes, "_hom_slots", counting("slots", real_slots))
         monkeypatch.setattr(hatilt.complexes, "_delta_matrix", counting("delta", real_delta))
         endo_algebra_of_complexes(complexes)
-        # Hom^-1, Hom^0 and Hom^1, and delta^0 and delta^-1, once for each
-        # pair with Hom^0 != 0; asking every pair built 1743 slot lists
-        assert calls == {"slots": 3 * (1225 - 966), "delta": 2 * (1225 - 966)}
-        assert calls["slots"] == 777
+        # Hom^0 for each pair with Hom^0 != 0, and Hom^-1, Hom^1, delta^-1
+        # and delta^0 only where their Hom is not zero as well: of the 259
+        # pairs, 49 have Hom^-1 != 0 and 97 have Hom^1 != 0.  Asking every
+        # pair built 1743 slot lists, and building all three for each of the
+        # 259 built 777 and 518 delta.
+        nonzero = [(X, Y) for X in complexes for Y in complexes if _hom_slots(X, Y, 0)[1]]
+        below, above = (
+            sum(1 for X, Y in nonzero if _hom_slots(X, Y, j)[1]) for j in (-1, 1)
+        )
+        assert (len(nonzero), below, above) == (1225 - 966, 49, 97)
+        assert calls == {"slots": len(nonzero) + below + above, "delta": below + above}
+        assert calls == {"slots": 405, "delta": 146}
 
 
 @cache

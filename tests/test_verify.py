@@ -1,8 +1,14 @@
+import errno
 import gc
 import importlib
 import importlib.util
 import json
+import marshal
 import math
+import os
+import signal
+import threading
+import time
 from pathlib import Path
 
 import oracles
@@ -13,6 +19,7 @@ from oracles import (
     interleaving_agreement_by_pairs,
     plant_shift_blind_rule,
     rigidity_check_by_hom_dim,
+    run_claims_group_by_group,
     serre_symmetry_by_hom_dim,
 )
 
@@ -24,6 +31,7 @@ from hatilt.quiveralg import BudgetError
 from hatilt.verify import (
     CLAIM_NAMES,
     COMBINATORIAL_CLAIMS,
+    RESOLUTION_CLAIMS,
     ModelData,
     VerifyConfig,
     claim_fcy_combinatorial,
@@ -112,9 +120,16 @@ class TestModelData:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(hatilt.verify, "build_auslander_algebra", counting_build)
-        claims, failed, skipped = run_claims(3, 2, CLAIM_NAMES, VerifyConfig(max_algebra_dim=5))
+        config = VerifyConfig(max_algebra_dim=5)
+        here = [name for name in CLAIM_NAMES if name not in RESOLUTION_CLAIMS]
+        claims, failed, skipped = run_claims(3, 2, here, config)
         # A once, and the smaller A' of idempotent_corner once
         assert builds == [(3, 3), (3, 1)]
+        worker, failed2, skipped2 = run_claims(3, 2, RESOLUTION_CLAIMS, config)
+        # and A once more for the resolution claims, on their own model
+        assert builds == [(3, 3), (3, 1), (3, 3)]
+        claims = sorted(claims + worker, key=lambda c: CLAIM_NAMES.index(c["name"]))
+        failed, skipped = failed or failed2, skipped or skipped2
         assert not failed and skipped
         reason = {"reason": "algebra dimension exceeds budget 5"}
         assert [(c["name"], c["status"], c["value"]) for c in claims[8:]] == [
@@ -163,7 +178,7 @@ class TestModelData:
             ]:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapper)
-        claims, _, _ = run_claims(3, 2, CLAIM_NAMES)
+        claims, _, _ = run_claims_group_by_group(3, 2)
         assert all(c["status"] == "pass" for c in claims)
         presented_ids = [id(fd) for fd, _ in presented]
         # B0, the presented B0 inside b0_presentation's iso_test, End(T) and
@@ -213,13 +228,13 @@ class TestModelData:
         assert ok
         dyck = math.comb(d + n, d) // (d + n)
         blocks = sum(len(delta_set(d, n, i)) for i in range(1, n + d + 1))
-        # L_{d,n} once, for the Dyck paths, and L_{d+1,n} never; the widened
-        # Dyck paths and one rotation per twist step, n+d per orbit; one base
-        # path per block, and the paths of the regions, one per summand
+        # L_{d,n} once, for the Dyck paths, and L_{d+1,n} once, the table
+        # the twist reads its rotations from; the widened Dyck paths; one
+        # base path per block, and the paths of the regions, one per summand
         assert built == (
             math.comb(d + n, d)
+            + math.comb(d + 1 + n, d + 1)
             + dyck
-            + dyck * (n + d)
             + blocks
             + dyck * (n + d)
         )
@@ -328,6 +343,222 @@ class TestRunClaims:
         assert not failed and not skipped
         assert claims[0]["value"]["gldim"] == 3
         assert [p.name for p in tmp_path.iterdir()] == [poisoned.name]
+
+
+def without_ms(claims):
+    return [{k: v for k, v in c.items() if k != "ms"} for c in claims]
+
+
+class TestClaimWorker:
+    """``run_claims`` runs ``RESOLUTION_CLAIMS`` in a forked worker when both
+    groups are selected and two CPUs are usable.  Each test pins the CPU
+    count, so that it takes the same path on any host, and checks that no
+    child process is left behind."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Two usable CPUs; yields the pids of the workers forked."""
+        real_fork, pids = os.fork, []
+
+        def fork():
+            pid = real_fork()
+            pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", fork)
+        yield pids
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def plant(monkeypatch, name, claim):
+        claims = [(n, claim if n == name else fn) for n, fn in hatilt.verify.CLAIMS]
+        monkeypatch.setattr(hatilt.verify, "CLAIMS", claims)
+
+    @staticmethod
+    def in_worker(parent_pid, action):
+        """A claim that runs ``action`` in the worker, and fails the test if
+        it runs in the parent."""
+
+        def claim(model):
+            if os.getpid() == parent_pid:
+                raise AssertionError("a resolution claim ran in the parent")
+            action()
+
+        return claim
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (4, 3)])
+    def test_forked_reports_match_the_groups_run_one_at_a_time(self, d, n, forks):
+        claims, failed, skipped = run_claims(d, n, CLAIM_NAMES)
+        assert len(forks) == 1
+        alone, failed_alone, skipped_alone = run_claims_group_by_group(d, n)
+        assert len(forks) == 1
+        assert json.dumps(without_ms(claims)) == json.dumps(without_ms(alone))
+        assert (failed, skipped) == (failed_alone, skipped_alone) == (False, False)
+
+    def test_one_usable_cpu_runs_both_groups_here(self, monkeypatch):
+        def forbidden():
+            raise AssertionError("forked with one usable CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", forbidden)
+        claims, _, _ = run_claims(3, 2, CLAIM_NAMES)
+        assert without_ms(claims) == without_ms(run_claims_group_by_group(3, 2)[0])
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert without_ms(run_claims(3, 2, CLAIM_NAMES)[0]) == without_ms(claims)
+
+    def test_a_failed_fork_runs_both_groups_here(self, monkeypatch):
+        def refused():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", refused)
+        open_fds = sorted(os.listdir("/proc/self/fd"))
+        claims, _, _ = run_claims(3, 2, CLAIM_NAMES)
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds
+        assert without_ms(claims) == without_ms(run_claims_group_by_group(3, 2)[0])
+
+    def test_another_thread_keeps_both_groups_here(self, monkeypatch):
+        def forbidden():
+            raise AssertionError("forked beside another thread")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", forbidden)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            claims, _, _ = run_claims(3, 2, CLAIM_NAMES)
+        finally:
+            release.set()
+            other.join(60)
+        assert not other.is_alive()
+        assert without_ms(claims) == without_ms(run_claims_group_by_group(3, 2)[0])
+
+    @pytest.mark.parametrize(
+        "names",
+        [
+            COMBINATORIAL_CLAIMS,
+            RESOLUTION_CLAIMS,
+            [name for name in CLAIM_NAMES if name not in RESOLUTION_CLAIMS],
+            ["gldim_B", "higher_auslander"],
+        ],
+    )
+    def test_one_group_never_forks(self, names, monkeypatch):
+        def forbidden():
+            raise AssertionError("forked for one claim group")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", forbidden)
+        claims, failed, skipped = run_claims(3, 2, names)
+        assert [c["name"] for c in claims] == [name for name in CLAIM_NAMES if name in names]
+        assert all(c["status"] == "pass" for c in claims) and not failed and not skipped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def assert_worker_errors(self, claims, reason):
+        """The resolution claims say ``error`` with a reason that starts with
+        ``reason``, the others pass."""
+        for c in claims:
+            if c["name"] in RESOLUTION_CLAIMS:
+                assert (c["status"], list(c["value"]), c["ms"]) == ("error", ["reason"], 0)
+                assert c["value"]["reason"].startswith(reason)
+            else:
+                assert c["status"] == "pass"
+
+    def test_the_claims_on_a_alone_run_here(self, forks, monkeypatch):
+        # the worker's share stays well below this process's, so that the
+        # run ends with this process's group
+        parent, ran = os.getpid(), []
+        for name in ("gldim_A", "fcy_A"):
+            real = dict(hatilt.verify.CLAIMS)[name]
+
+            def here(model, real=real, name=name):
+                assert os.getpid() == parent, f"{name} ran in the worker"
+                ran.append(name)
+                return real(model)
+
+            self.plant(monkeypatch, name, here)
+        claims, failed, skipped = run_claims(3, 2, CLAIM_NAMES)
+        assert len(forks) == 1 and ran == ["gldim_A", "fcy_A"]
+        assert all(c["status"] == "pass" for c in claims) and not failed and not skipped
+
+    def test_a_worker_that_exits_errors_its_group_only(self, forks, monkeypatch):
+        self.plant(monkeypatch, "gldim_B", self.in_worker(os.getpid(), lambda: os._exit(3)))
+        claims, failed, skipped = run_claims(3, 2, CLAIM_NAMES)
+        assert [c["name"] for c in claims] == CLAIM_NAMES and not failed and not skipped
+        self.assert_worker_errors(claims, "the claim worker exited with status 3")
+
+    def test_a_killed_worker_errors_its_group_only(self, forks, monkeypatch):
+        kill = self.in_worker(os.getpid(), lambda: os.kill(os.getpid(), signal.SIGKILL))
+        self.plant(monkeypatch, "two_subhomogeneous", kill)
+        claims, _, _ = run_claims(3, 2, CLAIM_NAMES)
+        self.assert_worker_errors(claims, "the claim worker was killed by signal 9 (Killed)")
+
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            (b"", "wrote an unreadable report: EOFError: "),
+            (b"\x00", "wrote an unreadable report: ValueError: "),
+            ([], "reported other claims than it ran"),
+            ([{"status": "pass"}], "wrote an unreadable report: KeyError: 'name'"),
+        ],
+    )
+    def test_an_unreadable_report_errors_the_worker_group(
+        self, payload, reason, forks, monkeypatch
+    ):
+        class Stub:
+            loads = staticmethod(marshal.loads)
+
+            @staticmethod
+            def dumps(results):
+                return payload if isinstance(payload, bytes) else marshal.dumps(payload)
+
+        monkeypatch.setattr(hatilt.verify, "marshal", Stub)
+        claims, _, _ = run_claims(3, 2, CLAIM_NAMES)
+        self.assert_worker_errors(claims, f"the claim worker {reason}")
+
+    def test_a_budget_error_in_the_worker_is_skipped(self, forks, monkeypatch):
+        def over_budget():
+            raise BudgetError("planted in the worker")
+
+        self.plant(monkeypatch, "gldim_B0", self.in_worker(os.getpid(), over_budget))
+        claims, failed, skipped = run_claims(3, 2, CLAIM_NAMES)
+        assert skipped and not failed
+        not_passed = [(c["name"], c["status"], c["value"]) for c in claims if c["status"] != "pass"]
+        assert not_passed == [("gldim_B0", "skipped", {"reason": "planted in the worker"})]
+
+    @pytest.mark.parametrize("raised", [KeyboardInterrupt, RuntimeError])
+    def test_the_parent_raising_kills_and_reaps_the_worker(self, raised, forks, monkeypatch):
+        def interrupted(model):
+            raise raised("planted in the parent")
+
+        # the worker would outlive the test by a minute if it were not killed
+        self.plant(monkeypatch, "gldim_B", self.in_worker(os.getpid(), lambda: time.sleep(60)))
+        monkeypatch.setattr(hatilt.verify, "_run_group", self.raising_after(interrupted))
+        start = time.monotonic()
+        with pytest.raises(raised, match="planted in the parent"):
+            run_claims(3, 2, CLAIM_NAMES)
+        assert time.monotonic() - start < 30
+        (pid,) = forks
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    @staticmethod
+    def raising_after(interrupted):
+        """``_run_group`` that raises from ``interrupted`` in the parent, out
+        of the per-claim handling, once the worker has forked."""
+
+        real, parent = hatilt.verify._run_group, os.getpid()
+
+        def run_group(model, names):
+            if os.getpid() == parent:
+                interrupted(model)
+            return real(model, names)
+
+        return run_group
 
 
 def assert_only_corner_skipped(claims):
@@ -563,7 +794,7 @@ class TestReferenceCycles:
         flags = gc.get_debug()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            claims, _, _ = run_claims(3, 2, CLAIM_NAMES)
+            claims, _, _ = run_claims_group_by_group(3, 2)
             gc.collect()
             kinds = {type(o) for o in gc.garbage}
         finally:
