@@ -130,11 +130,13 @@ class ModelData:
     build that raised is not repeated: later calls raise a copy of its
     exception.
 
-    What is built once is built once per process.  When ``run_claims`` runs
-    ``RESOLUTION_CLAIMS`` in a forked worker, the worker's copy of the model
-    builds A, B0, B and Lambda for them, and the model in the calling
-    process builds A, B0, B, the tilting complexes, End(T) and Pi for the
-    other claims and resolves over A; neither sees what the other built.
+    When ``run_claims`` forks a claim worker, it first builds A, the Dyck
+    vertices and B0 here, and B with its Gabriel quiver when the worker
+    reads B; the worker's copy of the model inherits them.  What either
+    process builds after the fork, the other does not see: the worker builds
+    Lambda, resolves over B0 and B and walks fcy_A's twist over A, and the
+    calling process builds the tilting complexes, End(T) and Pi and resolves
+    over A for gldim_A.
     """
 
     def __init__(self, d, n, config: VerifyConfig):
@@ -515,19 +517,19 @@ COMBINATORIAL_CLAIMS = [
     "fcy_combinatorial",
 ]
 
-# the claims that resolve over B0, B and Lambda; ``run_claims`` runs them in
-# a forked worker beside the others.  The two claims on A alone, ``gldim_A``
-# and ``fcy_A``, stay in the calling process, so that the worker holds about
-# a third of the work at (4,3) and ends first even on a CPU nearly twice as
-# slow: the run then lasts as long as the calling process's share, whatever
-# the other CPU does.  Split evenly, the run lasts as long as the slower
-# CPU's half, and its wall time follows the other CPU's load from one run to
-# the next.
+# the claims that resolve over B0, B and Lambda, and ``fcy_A``; ``run_claims``
+# runs them in a forked worker beside the others, which build the tilting
+# complexes, End(T) and Pi.  With A, B0 and B built before the fork (see
+# ``_build_before_fork``), the two groups take about as long as each other
+# at (4,3).  ``gldim_A`` stays here: with it the worker's group is the longer
+# one, and the run's wall time follows the other CPU's load.  The split is
+# fixed by name, so that each process runs the same claims in every run.
 RESOLUTION_CLAIMS = [
     "gldim_B",
     "gldim_B0",
     "higher_auslander",
     "two_subhomogeneous",
+    "fcy_A",
 ]
 
 
@@ -564,27 +566,43 @@ def _run_group(model: ModelData, names):
     return results
 
 
+def _build_before_fork(model: ModelData, worker_names):
+    """Build what the worker reads, so that it inherits it: A, the Dyck
+    vertices and B0 always, and B with its Gabriel quiver when a claim of
+    ``worker_names`` reads B."""
+    try:
+        model.b0()
+        if worker_names & {"gldim_B", "higher_auslander", "two_subhomogeneous"}:
+            model.b_replicated().quiver
+    except Exception:  # kept by the model, and reported by each claim that reads it
+        pass
+
+
 def _run_beside_worker(model: ModelData, names, worker_names):
     """Run ``worker_names`` in a forked child and ``names`` here, at once.
 
-    The child runs its group on its copy of ``model`` (nothing is built
-    before the fork), writes its results, marshalled, to a pipe and leaves by
+    A, B0 and, when the worker reads it, B are built before the fork (see
+    ``_build_before_fork``).  The child runs its group on its copy of
+    ``model``, writes its results, marshalled, to a pipe and leaves by
     ``os._exit``.  If it dies, exits nonzero or writes what does not decode
     to its claims, each of them is reported ``error`` with a reason naming
     the exit status or signal.  The child is reaped before this returns or
-    raises; if this process raises first, it kills the child.  If no child
-    can be forked, both groups run here.
+    raises; if this process raises first, it kills the child.  If no pipe
+    can be opened or no child forked, both groups run here.
 
     Claim values are plain data (what a JSON report holds), which ``marshal``
     carries exactly, tuples as tuples; unlike ``pickle`` it is built into
     the interpreter and costs no import."""
-    read_fd, write_fd = os.pipe()
+    _build_before_fork(model, worker_names)
+    fds = []
     try:
+        fds += os.pipe()
         pid = os.fork()
-    except OSError:  # no process to spare: run both groups here
-        os.close(read_fd)
-        os.close(write_fd)
+    except OSError:  # no descriptor or process to spare: run both groups here
+        for fd in fds:
+            os.close(fd)
         return _run_group(model, names) + _run_group(model, worker_names)
+    read_fd, write_fd = fds
     if pid == 0:
         code = 1
         try:
@@ -632,15 +650,16 @@ def run_claims(d, n, names, config: VerifyConfig | None = None):
 
     The claims fall into two groups that share little but A, B0 and B:
     ``RESOLUTION_CLAIMS``, which build Lambda and resolve over B0, B and
-    Lambda, and the rest, which build the tilting complexes, End(T) and Pi
-    and resolve over A.
+    Lambda, and ``fcy_A``, and the rest, which build the tilting complexes,
+    End(T) and Pi and resolve over A.
     When claims of both groups are selected, ``os.fork`` exists, no other
-    thread runs and at least two CPUs are usable, the resolution group runs
-    in a forked worker process while this process runs the other group;
-    each process builds what its group needs, and peak memory is counted per
-    process.  Otherwise both groups run here, one after the other, on one
-    model.  The reports are the same either way, apart from the ``ms``
-    fields, and no worker process outlives the call."""
+    thread runs and at least two CPUs are usable, this process builds A, B0
+    and, when the worker reads it, B, then forks a worker that runs the
+    resolution group while this process runs the other group; what either
+    builds after the fork, the other does not see, and peak memory is
+    counted per process.  Otherwise both groups run here, one after the
+    other, on one model.  The reports are the same either way, apart from
+    the ``ms`` fields, and no worker process outlives the call."""
     unknown = [name for name in names if name not in CLAIM_NAMES]
     if unknown:
         raise ValueError(f"unknown claims: {', '.join(unknown)}")

@@ -458,6 +458,36 @@ class TestClaimWorker:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @staticmethod
+    def record(path, *fields):
+        """Append ``fields`` and this process's pid to ``path`` as one line, in
+        one ``O_APPEND`` write, so that the lines of two processes never mix."""
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, " ".join(map(str, (*fields, os.getpid()))).encode() + b"\n")
+        finally:
+            os.close(fd)
+
+    @classmethod
+    def record_claims(cls, monkeypatch, path):
+        """Make every claim record its name and pid to ``path`` when it
+        starts; returns a function that reads the records as (name, pid)."""
+
+        def recording(name, fn):
+            def claim(model):
+                cls.record(path, name)
+                return fn(model)
+
+            return claim
+
+        claims = [(name, recording(name, fn)) for name, fn in hatilt.verify.CLAIMS]
+        monkeypatch.setattr(hatilt.verify, "CLAIMS", claims)
+
+        def runs():
+            return [(name, int(pid)) for name, pid in map(str.split, path.read_text().splitlines())]
+
+        return runs
+
     def assert_worker_errors(self, claims, reason):
         """The resolution claims say ``error`` with a reason that starts with
         ``reason``, the others pass."""
@@ -468,22 +498,90 @@ class TestClaimWorker:
             else:
                 assert c["status"] == "pass"
 
-    def test_the_claims_on_a_alone_run_here(self, forks, monkeypatch):
-        # the worker's share stays well below this process's, so that the
-        # run ends with this process's group
-        parent, ran = os.getpid(), []
-        for name in ("gldim_A", "fcy_A"):
-            real = dict(hatilt.verify.CLAIMS)[name]
-
-            def here(model, real=real, name=name):
-                assert os.getpid() == parent, f"{name} ran in the worker"
-                ran.append(name)
-                return real(model)
-
-            self.plant(monkeypatch, name, here)
-        claims, failed, skipped = run_claims(3, 2, CLAIM_NAMES)
-        assert len(forks) == 1 and ran == ["gldim_A", "fcy_A"]
+    @pytest.mark.parametrize(
+        "names",
+        [
+            CLAIM_NAMES,
+            ["gldim_B", "hom_agreement", "gldim_A", "dyck_count"],
+            ["gldim_B0", "fcy_A", "b0_presentation"],
+            ["two_subhomogeneous", "preprojective"],
+        ],
+    )
+    def test_each_claim_runs_once_in_its_groups_process(self, names, forks, monkeypatch, tmp_path):
+        runs = self.record_claims(monkeypatch, tmp_path / "runs")
+        claims, failed, skipped = run_claims(3, 2, names)
         assert all(c["status"] == "pass" for c in claims) and not failed and not skipped
+        assert [c["name"] for c in claims] == [name for name in CLAIM_NAMES if name in names]
+        (worker,) = forks
+        ran = runs()
+        assert sorted(name for name, _ in ran) == sorted(names)
+        for name, pid in ran:
+            if name in RESOLUTION_CLAIMS:
+                assert pid == worker, f"{name} ran in the calling process"
+            else:
+                assert pid == os.getpid(), f"{name} ran in the worker"
+
+    @pytest.mark.parametrize(
+        "names, b_built",
+        [
+            (CLAIM_NAMES, "before the fork"),
+            (["gldim_B", "preprojective"], "before the fork"),
+            (["higher_auslander", "hom_agreement", "gldim_A"], "before the fork"),
+            (["gldim_B0", "endo_replicate"], "here after the fork"),
+        ],
+    )
+    def test_shared_algebras_are_built_once_before_the_fork(
+        self, names, b_built, forks, monkeypatch, tmp_path
+    ):
+        import hatilt.quiveralg
+
+        log = tmp_path / "builds"
+        real_build, real_replicate = hatilt.verify.build_auslander_algebra, hatilt.verify.replicate
+        real_quiver, real_fork = hatilt.quiveralg.gabriel_quiver, os.fork
+
+        def build(*args, **kwargs):
+            self.record(log, "build", *args)
+            return real_build(*args, **kwargs)
+
+        def replicate(fd, r):
+            out = real_replicate(fd, r)
+            self.record(log, "replicate", r, id(out))
+            return out
+
+        def gabriel_quiver(fd):
+            self.record(log, "quiver", id(fd))
+            return real_quiver(fd)
+
+        def fork():
+            self.record(log, "fork")
+            return real_fork()
+
+        monkeypatch.setattr(hatilt.verify, "build_auslander_algebra", build)
+        monkeypatch.setattr(hatilt.verify, "replicate", replicate)
+        monkeypatch.setattr(hatilt.quiveralg, "gabriel_quiver", gabriel_quiver)
+        monkeypatch.setattr(os, "fork", fork)
+        d, n = 3, 2
+        claims, _, _ = run_claims(d, n, names)
+        assert all(c["status"] == "pass" for c in claims)
+        (worker,) = forks
+        rows = [line.split() for line in log.read_text().splitlines()]
+        (forked_at,) = [i for i, r in enumerate(rows) if r[0] == "fork"]
+
+        def where(event, *fields):
+            return [
+                "in the worker"
+                if int(r[-1]) == worker
+                else "before the fork" if i < forked_at else "here after the fork"
+                for i, r in enumerate(rows)
+                if r[:-1] == [event, *map(str, fields)]
+            ]
+
+        # A once, before the fork (idempotent_corner builds a smaller A')
+        assert where("build", n + 1, d) == ["before the fork"]
+        # B and its Gabriel quiver once each: before the fork when the
+        # worker reads B, else where the claims that read it run
+        (b,) = [r[2] for r in rows if r[:2] == ["replicate", str(n + d)]]
+        assert where("replicate", n + d, b) == where("quiver", b) == [b_built]
 
     def test_a_worker_that_exits_errors_its_group_only(self, forks, monkeypatch):
         self.plant(monkeypatch, "gldim_B", self.in_worker(os.getpid(), lambda: os._exit(3)))
@@ -520,6 +618,40 @@ class TestClaimWorker:
         claims, _, _ = run_claims(3, 2, CLAIM_NAMES)
         self.assert_worker_errors(claims, f"the claim worker {reason}")
 
+    def test_a_failed_pipe_runs_both_groups_here(self, monkeypatch):
+        calls = []
+
+        def pipe():
+            calls.append(None)
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        def forbidden():
+            raise AssertionError("forked without a pipe")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(os, "fork", forbidden)
+        open_fds = sorted(os.listdir("/proc/self/fd"))
+        claims, _, _ = run_claims(3, 2, CLAIM_NAMES)
+        assert len(calls) == 1
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds
+        monkeypatch.undo()
+        assert without_ms(claims) == without_ms(run_claims_group_by_group(3, 2)[0])
+
+    def test_a_model_over_budget_before_the_fork_skips_what_reads_it(self, forks):
+        # A has dimension 165 at (4,3): its build, before the fork, raises
+        config = VerifyConfig(max_algebra_dim=160)
+        claims, failed, skipped = run_claims(4, 3, CLAIM_NAMES, config)
+        assert len(forks) == 1 and skipped and not failed
+        alone = run_claims_group_by_group(4, 3, config)
+        assert json.dumps(without_ms(claims)) == json.dumps(without_ms(alone[0]))
+        assert (failed, skipped) == alone[1:]
+        reason = {"reason": "algebra dimension exceeds budget 160"}
+        assert [(c["name"], c["status"], c["value"]) for c in claims[8:]] == [
+            (name, "skipped", reason) for name in CLAIM_NAMES[8:]
+        ]
+        assert [c["status"] for c in claims[:8]] == ["pass"] * 8
+
     def test_a_budget_error_in_the_worker_is_skipped(self, forks, monkeypatch):
         def over_budget():
             raise BudgetError("planted in the worker")
@@ -538,10 +670,13 @@ class TestClaimWorker:
         # the worker would outlive the test by a minute if it were not killed
         self.plant(monkeypatch, "gldim_B", self.in_worker(os.getpid(), lambda: time.sleep(60)))
         monkeypatch.setattr(hatilt.verify, "_run_group", self.raising_after(interrupted))
+        open_fds = sorted(os.listdir("/proc/self/fd"))
         start = time.monotonic()
         with pytest.raises(raised, match="planted in the parent"):
             run_claims(3, 2, CLAIM_NAMES)
         assert time.monotonic() - start < 30
+        # the pipe's read end is closed on the way out
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds
         (pid,) = forks
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
