@@ -312,11 +312,15 @@ def cmd_homdim(args) -> int:
     )
     if args.linear_algebra:
         from .complexes import hom_complex_dim, shifted_module_complex
-        from .quiveralg import build_auslander_algebra, module_M
+        from .quiveralg import BudgetError, build_auslander_algebra, module_M
 
-        alg = build_auslander_algebra(n + 1, d)
-        X = shifted_module_complex(alg, module_M(alg, seq_s), d * shift_s)
-        Y = shifted_module_complex(alg, module_M(alg, seq_t), d * shift_t)
+        try:
+            alg = build_auslander_algebra(n + 1, d)
+            X = shifted_module_complex(alg, module_M(alg, seq_s), d * shift_s)
+            Y = shifted_module_complex(alg, module_M(alg, seq_t), d * shift_t)
+        except BudgetError as exc:
+            print(f"budget exhausted: {exc}", file=sys.stderr)
+            return BUDGET_EXHAUSTED
         linear = hom_complex_dim(X, Y, 0)
         if linear != combinatorial:
             print(

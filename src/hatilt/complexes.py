@@ -20,9 +20,9 @@ of the cycles of the cone of the map built so far, modulo the boundaries
 of the complex replaced, read off as a nullspace in block coordinates at
 the vertices where the cone lives, since its cycles vanish elsewhere.
 Where that nullspace is forced, the standard basis or zero, it is written
-down without elimination.  Minimisation strips contractible two-term
-blocks by Gaussian elimination with entries inverted through the radical
-filtration.
+down without elimination.  Every complex leaves the engine through one
+exit, which checks its blocks, d^2 = 0 and that every entry is radical:
+nothing is minimised after the fact.
 
 On top of this live the routines that know nothing of a particular
 model: global and dominant dimension, projective-injective vertices, the
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactmat import ExactMatrix, ONE, ZERO, exact_div, extend_basis
+from .exactmat import ExactMatrix, ONE, ZERO, extend_basis
 from .quiveralg import (
     BasisElement,
     BoundQuiverAlgebra,
@@ -313,91 +313,6 @@ def identity_chain_map(X):
     return comps
 
 
-# -- minimisation ------------------------------------------------------------
-
-
-def _scalar_part(alg, elem, u):
-    return elem.get(alg.idempotent_of[u], ZERO)
-
-
-def _invert_local(alg, elem, u):
-    """Inverse of an element of e_u A e_u with nonzero scalar part."""
-    lam = _scalar_part(alg, elem, u)
-    if lam == 0:
-        raise ValueError("element not invertible")
-    e = alg.basis_elem(alg.idempotent_of[u])
-    r = alg.elem_sub(elem, alg.elem_scale(lam, e))  # radical part
-    inv = alg.elem_scale(exact_div(1, lam), e)
-    power = e
-    for _ in range(alg.nilpotency):
-        power = alg.elem_scale(exact_div(-1, lam), alg.elem_mul(r, power))
-        if not power:
-            break
-        inv = alg.elem_add(inv, alg.elem_scale(exact_div(1, lam), power))
-    return inv
-
-
-def _find_pivot(alg, terms, diffs):
-    """First entry between equal vertices with a nonzero scalar part."""
-    for m in sorted(diffs):
-        for t, row in enumerate(diffs[m]):
-            for s, elem in enumerate(row):
-                u = terms[m][s]
-                if u == terms[m + 1][t] and _scalar_part(alg, elem, u) != 0:
-                    return m, t, s
-    return None
-
-
-def minimize_complex(X):
-    """Strip contractible two-term blocks of X until it is minimal.
-
-    Each step removes a pivot a between two copies of P_u and replaces every
-    other entry d of that differential by its Schur complement
-    d - c a^{-1} b.
-    """
-    alg = X.algebra
-    terms = {m: list(v) for m, v in X.terms.items()}
-    diffs = {m: [[dict(e) for e in row] for row in rows] for m, rows in X.diffs.items()}
-    while True:
-        pivot = _find_pivot(alg, terms, diffs)
-        if pivot is None:
-            break
-        m, t, s = pivot
-        u = terms[m][s]
-        rows = diffs[m]
-        ainv = _invert_local(alg, rows[t][s], u)
-        ainv_b = [alg.elem_mul(ainv, b) for b in rows[t]]
-        diffs[m] = [
-            [
-                alg.elem_sub(e, alg.elem_mul(row[s], ainv_b[s2]))
-                for s2, e in enumerate(row)
-                if s2 != s
-            ]
-            for t2, row in enumerate(rows)
-            if t2 != t
-        ]
-        # entries into degree m lose the s-row; entries out of m+1 lose t
-        if (m - 1) in diffs:
-            diffs[m - 1] = [row for r_idx, row in enumerate(diffs[m - 1]) if r_idx != s]
-        if (m + 1) in diffs:
-            diffs[m + 1] = [
-                [e for c_idx, e in enumerate(row) if c_idx != t] for row in diffs[m + 1]
-            ]
-        terms[m].pop(s)
-        terms[m + 1].pop(t)
-        for key in (m - 1, m, m + 1):
-            if key in diffs and (not terms.get(key) or not terms.get(key + 1)):
-                diffs.pop(key)
-        for key in (m, m + 1):
-            if key in terms and not terms[key]:
-                terms.pop(key)
-
-    out = ProjComplex(alg, {m: tuple(v) for m, v in terms.items()}, diffs, check=True)
-    if not out.is_minimal():
-        raise AssertionError("minimisation left a non-radical entry")
-    return out
-
-
 # -- module complexes and projective replacement ----------------------------
 
 
@@ -604,15 +519,26 @@ def minimal_proj_resolution(alg, M: QuiverRep, max_len=64, label="M") -> ProjCom
 
     The projective dimension of M is ``len(R.terms) - 1``.  This is the
     replacement engine run on M alone in degree zero: every Z^m below is a
-    syzygy, the kernel of a projective cover, so the result is minimal.
-    ``M`` must be a module over ``alg``.
+    syzygy, the kernel of a projective cover, so the result is minimal, as
+    the engine's exit checks.  ``M`` must be a module over ``alg``.
     """
     _check_module(alg, M)
-    terms, diffs, _ = _replace(ModuleComplex(alg, {0: M}, {}), max_len, label)
-    cplx = ProjComplex(alg, terms, diffs)
-    if not cplx.is_minimal():
-        raise AssertionError("resolution differential has a non-radical entry")
-    return cplx
+    return _checked_replace(ModuleComplex(alg, {0: M}, {}), max_len, label)[0]
+
+
+def _checked_replace(C: ModuleComplex, max_len, label):
+    """(Q, psi) for the complex Q of projectives that ``_replace`` builds
+    from C, and the one exit of the engine: Q is built once, its blocks and
+    d^2 = 0 checked, and AssertionError is raised unless every entry is
+    radical.  An entry between distinct vertices lies in a block with no
+    idempotent, so ``is_minimal`` fails exactly where some entry between
+    equal vertices has a nonzero scalar part: a contractible two-term
+    block."""
+    terms, diffs, psi = _replace(C, max_len, label)
+    Q = ProjComplex(C.algebra, terms, diffs)
+    if not Q.is_minimal():
+        raise AssertionError(f"replacement of {label} has a non-radical entry")
+    return Q, psi
 
 
 def _check_module(alg, M: QuiverRep):
@@ -674,12 +600,11 @@ def proj_replace(C: ModuleComplex, max_len=64):
 
     ``_replace`` builds it minimal, so ``max_len`` bounds the minimal
     complex: BudgetError if it has a term more than max_len degrees below
-    C.  The chain-map check and ``minimize_complex``, which then strips
-    nothing, stay as checks."""
-    terms, diffs, psi = _replace(C, max_len, "complex")
-    Q = ProjComplex(C.algebra, terms, diffs, check=True)
+    C.  It leaves through ``_checked_replace``, which checks it once, and the
+    chain map psi to C is checked as well."""
+    Q, psi = _checked_replace(C, max_len, "complex")
     _assert_qis_chain_map(Q, C, psi)
-    return minimize_complex(Q)
+    return Q
 
 
 def _assert_qis_chain_map(Q: ProjComplex, C: ModuleComplex, psi):
@@ -713,8 +638,8 @@ def _assert_qis_chain_map(Q: ProjComplex, C: ModuleComplex, psi):
 
 
 def derived_nakayama(X: ProjComplex, max_len=64) -> ProjComplex:
-    """nu(X): realise X on injectives, re-express it by projectives and
-    minimise."""
+    """nu(X): realise X on injectives and re-express it by projectives,
+    minimal as the replacement engine builds it."""
     if X.is_zero():
         return X
     return proj_replace(realize_complex(X), max_len)
@@ -728,11 +653,12 @@ def shifted_module_complex(alg, module: QuiverRep, shift_by=0, max_len=64):
     ``max_len``.  A cache key fixes the module's read-only tables, so it fixes
     the resolution and the outcome of the first build's ``_check`` and
     ``is_minimal``; a hit reads nothing of the module.  A module whose key is
-    None (``alg.simple``, one built by hand, a direct sum of several) is
-    resolved on every call and not stored, nor is a resolution longer than
-    ``max_len``, which raises BudgetError.  Every result is a fresh complex
-    with its own entries; it shares only the immutable term tuples with the
-    memo.  ``module`` must be a module over ``alg``.
+    None (``alg.simple``, ``alg.injective``, one built by hand, a direct sum
+    of several) is resolved on every call and not stored, nor is a
+    resolution longer than ``max_len``, which raises BudgetError.  Every
+    result is a fresh complex with its own entries; it shares only the
+    immutable term tuples with the memo.  ``module`` must be a module over
+    ``alg``.
     """
     _check_module(alg, module)
     if module.cache_key is None:
@@ -833,8 +759,8 @@ def two_subhomogeneous_check(alg, d_check: int, global_dim: int, max_len=64) -> 
 
     The global dimension ``global_dim`` of ``alg``, as ``gldim`` returns it,
     must be at most d_check.  For each indecomposable injective
-    non-projective I, the shifted twist nu(I)[-d] must minimise to a stalk of
-    projectives in degree zero, and Ext^i(I, P_w) must vanish for
+    non-projective I, the shifted twist nu(I)[-d], minimal as built, must be
+    a stalk of projectives in degree zero, and Ext^i(I, P_w) must vanish for
     0 < i < d_check and every vertex w.  One resolution R of I feeds both
     checks: Ext^i(I, P_w) is Hom(R, P_w[i]).  Ext^i(I, I_w) needs no check,
     since it vanishes for i >= 1 because I_w is injective.

@@ -209,9 +209,6 @@ class BoundQuiverAlgebra:
             return {}
         return {k: c * v for k, v in x.items()}
 
-    def elem_sub(self, x: dict, y: dict) -> dict:
-        return self.elem_add(x, self.elem_scale(-1, y))
-
     def basis_elem(self, bid: int) -> dict:
         return {bid: ONE}
 
@@ -303,10 +300,9 @@ class BoundQuiverAlgebra:
     # -- distinguished modules ---------------------------------------------
 
     def injective(self, v: int) -> "InjectiveSum":
-        """I_v = D(A e_v), acting through ``mult``; nothing is cached for it."""
-        I = InjectiveSum(self, (v,))
-        I.cache_key = ("I", v)
-        return I
+        """I_v = D(A e_v), acting through ``mult``; nothing is cached for it,
+        and its ``cache_key`` is None."""
+        return InjectiveSum(self, (v,))
 
     def simple(self, v: int) -> "QuiverRep":
         # every arrow map is zero, so none is stored
@@ -433,8 +429,7 @@ class QuiverRep:
     ``maps`` holds arrow maps only between two nonzero fibers, and a missing
     one is zero.  A module from ``module_M`` shares the cached tables named by
     its ``cache_key``, ``("M", entries)``, and the resolution memo trusts them
-    to be read-only.  ``alg.injective(v)``, whose action ``mult`` fixes, has
-    the key ``("I", v)``; every other module's key is None."""
+    to be read-only; every other module's key is None."""
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims: dict, maps: dict, check=True):
         self.algebra, self.cache_key = algebra, None

@@ -4,7 +4,10 @@ None of these is reached from a verification claim or a CLI command, so
 they live here rather than in ``hatilt``: the inverse Serre twist (through
 duality over the opposite algebra, an independent route to the one
 ``derived_nakayama`` takes), direct sums of modules, direct sums and cones
-of complexes, a search
+of complexes, the minimisation of a complex by Gaussian elimination, which
+strips contractible two-term blocks with entries inverted through the
+radical filtration (the replacement engine of ``hatilt.complexes`` builds
+its complexes minimal and only checks that they are), a search
 for an isomorphism between complexes, the Serre-twist orbit of a complex
 and its label signature, the opposite algebra and the dual module over
 it, the dominant dimension read off the injective coresolution of the
@@ -80,20 +83,18 @@ from hatilt.complexes import (
     _delta_matrix,
     _from_columns,
     _hom_slots,
-    _scalar_part,
     _split,
     _top,
     _vector_to_chain_map,
     derived_nakayama,
     endo_algebra_of_complexes,
     minimal_proj_resolution,
-    minimize_complex,
     proj_replace,
     projective_injective_vertices,
     realize_complex,
     stalk_complex,
 )
-from hatilt.exactmat import ZERO, ExactMatrix, extend_basis, span_basis
+from hatilt.exactmat import ZERO, ExactMatrix, exact_div, extend_basis, span_basis
 from hatilt.pathcomb import (
     AnchorData,
     GridPoint,
@@ -257,6 +258,93 @@ def domdim_by_coresolution(alg, max_len=64):
         value = math.inf if exhausted else count
         best = value if best is None else min(best, value)
     return best if best is not None else math.inf
+
+
+def elem_sub(alg, x: dict, y: dict) -> dict:
+    """x - y for elements of ``alg``."""
+    return alg.elem_add(x, alg.elem_scale(-1, y))
+
+
+def _scalar_part(alg, elem, u):
+    return elem.get(alg.idempotent_of[u], ZERO)
+
+
+def _invert_local(alg, elem, u):
+    """Inverse of an element of e_u A e_u with nonzero scalar part."""
+    lam = _scalar_part(alg, elem, u)
+    if lam == 0:
+        raise ValueError("element not invertible")
+    e = alg.basis_elem(alg.idempotent_of[u])
+    r = elem_sub(alg, elem, alg.elem_scale(lam, e))  # radical part
+    inv = alg.elem_scale(exact_div(1, lam), e)
+    power = e
+    for _ in range(alg.nilpotency):
+        power = alg.elem_scale(exact_div(-1, lam), alg.elem_mul(r, power))
+        if not power:
+            break
+        inv = alg.elem_add(inv, alg.elem_scale(exact_div(1, lam), power))
+    return inv
+
+
+def _find_pivot(alg, terms, diffs):
+    """First entry between equal vertices with a nonzero scalar part."""
+    for m in sorted(diffs):
+        for t, row in enumerate(diffs[m]):
+            for s, elem in enumerate(row):
+                u = terms[m][s]
+                if u == terms[m + 1][t] and _scalar_part(alg, elem, u) != 0:
+                    return m, t, s
+    return None
+
+
+def minimize_complex(X):
+    """Strip contractible two-term blocks of X until it is minimal.
+
+    Each step removes a pivot a between two copies of P_u and replaces every
+    other entry d of that differential by its Schur complement
+    d - c a^{-1} b.
+    """
+    alg = X.algebra
+    terms = {m: list(v) for m, v in X.terms.items()}
+    diffs = {m: [[dict(e) for e in row] for row in rows] for m, rows in X.diffs.items()}
+    while True:
+        pivot = _find_pivot(alg, terms, diffs)
+        if pivot is None:
+            break
+        m, t, s = pivot
+        u = terms[m][s]
+        rows = diffs[m]
+        ainv = _invert_local(alg, rows[t][s], u)
+        ainv_b = [alg.elem_mul(ainv, b) for b in rows[t]]
+        diffs[m] = [
+            [
+                elem_sub(alg, e, alg.elem_mul(row[s], ainv_b[s2]))
+                for s2, e in enumerate(row)
+                if s2 != s
+            ]
+            for t2, row in enumerate(rows)
+            if t2 != t
+        ]
+        # entries into degree m lose the s-row; entries out of m+1 lose t
+        if (m - 1) in diffs:
+            diffs[m - 1] = [row for r_idx, row in enumerate(diffs[m - 1]) if r_idx != s]
+        if (m + 1) in diffs:
+            diffs[m + 1] = [
+                [e for c_idx, e in enumerate(row) if c_idx != t] for row in diffs[m + 1]
+            ]
+        terms[m].pop(s)
+        terms[m + 1].pop(t)
+        for key in (m - 1, m, m + 1):
+            if key in diffs and (not terms.get(key) or not terms.get(key + 1)):
+                diffs.pop(key)
+        for key in (m, m + 1):
+            if key in terms and not terms[key]:
+                terms.pop(key)
+
+    out = ProjComplex(alg, {m: tuple(v) for m, v in terms.items()}, diffs, check=True)
+    if not out.is_minimal():
+        raise AssertionError("minimisation left a non-radical entry")
+    return out
 
 
 def direct_sum_complexes(complexes):

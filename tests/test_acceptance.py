@@ -14,6 +14,7 @@ from oracles import (
     cone_of_chain_map,
     dyck_end_p,
     entry_for,
+    minimize_complex,
     nakayama_pow,
     nu_orbit_complexes,
 )
@@ -32,7 +33,6 @@ from hatilt.complexes import (
     fcy_object_check,
     gldim,
     hom_complex_dim,
-    minimize_complex,
     shifted_module_complex,
     stalk_complex,
     two_subhomogeneous_check,

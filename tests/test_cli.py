@@ -371,6 +371,23 @@ class TestHomdim:
         assert code == 0
         assert out.startswith("1 ")
 
+    def test_algebra_over_budget_exits_three_without_traceback(self, capsys, monkeypatch):
+        # at (7, 6) the algebra exceeds its dimension budget; the build is
+        # planted here so the test does not spend seconds reaching it
+        import hatilt.quiveralg
+
+        def over_budget(*args, **kwargs):
+            raise hatilt.quiveralg.BudgetError("algebra dimension exceeds budget 40000")
+
+        monkeypatch.setattr(hatilt.quiveralg, "build_auslander_algebra", over_budget)
+        code, out, err = run(
+            capsys,
+            "homdim", "--n", "7", "--d", "6", "--from", "1,2,3,4,5,6,7@0",
+            "--to", "1,2,3,4,5,6,7@0", "--linear-algebra",
+        )
+        assert (code, out) == (3, "")
+        assert err == "budget exhausted: algebra dimension exceeds budget 40000\n"
+
     def test_malformed_coordinates(self, capsys):
         code, _, _ = run(
             capsys, "homdim", "--n", "4", "--d", "3", "--from", "huh", "--to", "1,2,4,6@0"

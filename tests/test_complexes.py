@@ -18,6 +18,7 @@ from oracles import (
     hom_complex_dim_per_shift,
     hom_space,
     label_signature,
+    minimize_complex,
     nakayama_pow,
     nu_orbit_complexes,
     opposite,
@@ -52,7 +53,6 @@ from hatilt.complexes import (
     hom_complex_dim,
     hom_complex_dims,
     minimal_proj_resolution,
-    minimize_complex,
     projective_injective_vertices,
     proj_replace,
     realize_complex,
@@ -319,8 +319,52 @@ class TestReplaceSupport:
 
 class TestMinimalAsBuilt:
     """``_replace`` covers Z^m only modulo the boundaries D^m of C, so the
-    complex it builds is minimal before ``minimize_complex`` runs; the sweep
-    that covered all of Z^m must minimise to the same terms."""
+    complex it builds is minimal; the sweep that covered all of Z^m must
+    minimise, by the elimination of the ``minimize_complex`` oracle, to the
+    same terms.  Resolutions and replacements leave the engine through one
+    exit that checks each complex once and rejects a non-radical entry."""
+
+    @staticmethod
+    def plant_contractible_block(monkeypatch, alg, v=0):
+        """Make ``_replace`` return P_v -> P_v by the idempotent, a
+        contractible two-term complex, whatever it is asked to replace."""
+        import hatilt.complexes
+
+        unit = alg.basis_elem(alg.idempotent_of[v])
+        planted = {-1: (v,), 0: (v,)}, {-1: [[unit]]}, {-1: [[]], 0: [[]]}
+        monkeypatch.setattr(hatilt.complexes, "_replace", lambda C, max_len, label: planted)
+
+    def test_a_resolution_with_an_idempotent_entry_is_rejected(self, monkeypatch):
+        alg = linear_bqa(3)
+        self.plant_contractible_block(monkeypatch, alg)
+        with pytest.raises(AssertionError, match="non-radical"):
+            minimal_proj_resolution(alg, alg.simple(0))
+
+    def test_a_replacement_with_an_idempotent_entry_is_rejected(self, monkeypatch):
+        # a non-minimal complex is an error, not stripped: the chain-map
+        # check, which this planted complex does not meet, is stubbed
+        import hatilt.complexes
+
+        alg = linear_bqa(3)
+        C = realize_complex(stalk_complex(alg, 0))
+        self.plant_contractible_block(monkeypatch, alg)
+        monkeypatch.setattr(hatilt.complexes, "_assert_qis_chain_map", lambda Q, C, psi: None)
+        with pytest.raises(AssertionError, match="non-radical"):
+            proj_replace(C)
+
+    def test_one_twist_checks_its_complex_once(self, monkeypatch):
+        # blocks and d^2 = 0 of nu(X) are checked at the exit, and nothing
+        # builds a checked copy of it afterwards
+        alg = build_auslander_algebra(4, 2)
+        check, checked = ProjComplex._check, []
+
+        def counted(self):
+            checked.append(self)
+            return check(self)
+
+        monkeypatch.setattr(ProjComplex, "_check", counted)
+        twisted = derived_nakayama(stalk_complex(alg, 4))
+        assert checked == [twisted] and twisted.terms == {-2: (0,), -1: (3,), 0: (6,)}
 
     @pytest.mark.parametrize(
         "d, n, built, kept", [(3, 2, 86, 32), (2, 3, 106, 42), (4, 3, 443, 145)]

@@ -902,21 +902,25 @@ class TestReferenceReports:
     # claim value fails here as well
     REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference"
 
+    def assert_matches_the_reference(self, d, n, names, stem):
+        claims, _, _ = run_claims(d, n, names)
+        report = [{k: v for k, v in c.items() if k != "ms"} for c in claims]
+        expected = json.loads((self.REFERENCE / f"{stem}_d{d}_n{n}.json").read_text())
+        assert json.loads(json.dumps(report)) == expected
+
     @pytest.mark.parametrize(
         "names, stem", [(COMBINATORIAL_CLAIMS, "combinatorial"), (CLAIM_NAMES, "all")]
     )
     def test_reports_at_3_2_match_the_reference(self, names, stem):
-        claims, _, _ = run_claims(3, 2, names)
-        report = [{k: v for k, v in c.items() if k != "ms"} for c in claims]
-        expected = json.loads((self.REFERENCE / f"{stem}_d3_n2.json").read_text())
-        assert json.loads(json.dumps(report)) == expected
+        self.assert_matches_the_reference(3, 2, names, stem)
 
     def test_reports_at_the_verify_model_match_the_reference(self):
         # (4, 3) is the model of the benchmark's verify workload
-        claims, _, _ = run_claims(4, 3, CLAIM_NAMES)
-        report = [{k: v for k, v in c.items() if k != "ms"} for c in claims]
-        expected = json.loads((self.REFERENCE / "all_d4_n3.json").read_text())
-        assert json.loads(json.dumps(report)) == expected
+        self.assert_matches_the_reference(4, 3, CLAIM_NAMES, "all")
+
+    def test_report_at_the_combinatorial_model_matches_the_reference(self):
+        # (6, 5) is the model of the benchmark's combinatorial workload
+        self.assert_matches_the_reference(6, 5, COMBINATORIAL_CLAIMS, "combinatorial")
 
 
 class TestReferenceCycles:
@@ -993,6 +997,7 @@ class TestTracerTargets:
     # names the tracer lists that no longer exist in the package
     STALE = {
         "complexes.complexes_isomorphic",
+        "complexes.minimize_complex",
         "fdalg.endo_algebra",
         "fdalg.radical_powers",
         "quiveralg.direct_sum",
