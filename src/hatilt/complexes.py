@@ -236,7 +236,8 @@ def hom_complex_dims(X, Y, ks):
 
 
 def chain_maps_mod_homotopy(X, Y, k=0):
-    """Basis of Hom_{K}(X, Y[k]) as entry matrices, plus boundary vectors.
+    """(basis, boundaries, slots, dim): a basis of Hom_K(X, Y[k]) as vectors
+    on the ``_hom_slots`` of Hom^k, plus boundary vectors on the same slots.
 
     The boundaries are the nonzero images of delta^{k-1}, the rows of its
     transpose.  Where Hom^k is zero, as ``_hom_dims`` counts it, there are
@@ -247,7 +248,7 @@ def chain_maps_mod_homotopy(X, Y, k=0):
     or delta."""
     dims = _hom_dims(X, Y)
     if k not in dims:
-        return [], [], [], [], 0
+        return [], [], [], 0
     slots, dim_k = here = _hom_slots(X, Y, k)
     if k + 1 in dims:
         cycles = _delta_matrix(X, Y, k, here, _hom_slots(X, Y, k + 1)).nullspace()
@@ -259,58 +260,7 @@ def chain_maps_mod_homotopy(X, Y, k=0):
         boundaries = [row for row in delta.transpose().data if any(row)]
     # the cycles are independent, so with no boundary every one is chosen
     chosen = [cycles[c] for c in extend_basis(boundaries, cycles)] if boundaries else cycles
-    reps = [_vector_to_chain_map(vec, slots) for vec in chosen]
-    return reps, chosen, boundaries, slots, dim_k
-
-
-def _vector_to_chain_map(vec, slots):
-    comps = {}
-    for m, t, s, ids, off in slots:
-        elem = {bid: vec[off + idx] for idx, bid in enumerate(ids) if vec[off + idx] != 0}
-        if elem:
-            comps.setdefault(m, {})[(t, s)] = elem
-    return comps
-
-
-def _chain_map_to_vector(comps, slots, dim):
-    vec = [ZERO] * dim
-    for m, t, s, ids, off in slots:
-        elem = comps.get(m, {}).get((t, s))
-        if elem:
-            for idx, bid in enumerate(ids):
-                if bid in elem:
-                    vec[off + idx] = elem[bid]
-    return vec
-
-
-def compose_chain_maps(X, Y, Z, f, g):
-    """g after f for chain maps f: X -> Y, g: Y -> Z (degree zero)."""
-    alg = X.algebra
-    comps = {}
-    for m in X.degrees():
-        if m not in Y.terms or m not in Z.terms:
-            continue
-        fm = f.get(m, {})
-        gm = g.get(m, {})
-        for (t1, s), e1 in fm.items():
-            for (t2, s2), e2 in gm.items():
-                if s2 != t1:
-                    continue
-                prod = alg.elem_mul(e2, e1)
-                if prod:
-                    cur = comps.setdefault(m, {}).get((t2, s), {})
-                    comps[m][(t2, s)] = alg.elem_add(cur, prod)
-    return comps
-
-
-def identity_chain_map(X):
-    comps = {}
-    for m, vs in X.terms.items():
-        for s, u in enumerate(vs):
-            comps.setdefault(m, {})[(s, s)] = X.algebra.basis_elem(
-                X.algebra.idempotent_of[u]
-            )
-    return comps
+    return chosen, boundaries, slots, dim_k
 
 
 # -- module complexes and projective replacement ----------------------------
@@ -608,28 +558,23 @@ def proj_replace(C: ModuleComplex, max_len=64):
 
 
 def _assert_qis_chain_map(Q: ProjComplex, C: ModuleComplex, psi):
-    for m in Q.degrees():
-        dQ = Q.diffs.get(m)
-        psi_m = psi.get(m, [])
-        # d_C psi = psi d_Q degreewise
-        for s, u in enumerate(Q.terms[m]):
-            lhs = None
-            if (phi := C.maps.get(m, {}).get(u)) is not None:
-                lhs = phi.apply(psi_m[s])
-            rhs = None
-            if dQ is not None and (m + 1) in psi:
-                acc = [ZERO] * (C.terms[m + 1].dims[u] if (m + 1) in C.terms else 0)
-                for t, v in enumerate(Q.terms[m + 1]):
-                    elem = dQ[t][s]
-                    if elem and any(x != 0 for x in psi[m + 1][t]):
-                        act = C.terms[m + 1].element_action(elem, u, v)
-                        acc = [a + b for a, b in zip(acc, act.apply(psi[m + 1][t]))]
-                rhs = acc
-            lhs = lhs or []
-            rhs = rhs or []
-            width = max(len(lhs), len(rhs))
-            lhs = lhs + [ZERO] * (width - len(lhs))
-            rhs = rhs + [ZERO] * (width - len(rhs))
+    """d_C psi = psi d_Q on the generator of every summand of Q, psi[m]
+    listing the image in C^m of each degree-m generator.  An entry of d_Q
+    acts on C^{m+1} through the ``basis_action`` of each of its basis
+    elements.  A degree whose C^{m+1} is absent is skipped: both sides are
+    empty there."""
+    for m, us in Q.terms.items():
+        if (target := C.terms.get(m + 1)) is None:
+            continue
+        dQ, phi = Q.diffs.get(m), C.maps.get(m, {})
+        for s, u in enumerate(us):
+            width = target.dims[u]
+            lhs = phi[u].apply(psi[m][s]) if u in phi else [ZERO] * width
+            rhs = [ZERO] * width
+            for t, gen in enumerate(psi[m + 1] if dQ else ()):
+                if any(gen):
+                    for bid, c in dQ[t][s].items():
+                        rhs = [a + c * b for a, b in zip(rhs, target.basis_action(bid).apply(gen))]
             if lhs != rhs:
                 raise AssertionError("quasi-isomorphism witness is not a chain map")
 
@@ -822,13 +767,17 @@ def _nu_power_terms(alg, power: int, max_len=64) -> dict:
 def endo_algebra_of_complexes(complexes) -> BoundQuiverAlgebra:
     """End of a list of complexes, composed modulo homotopy.
 
-    Only the diagonal and the pairs with Hom^0(X_j, X_i) != 0 are asked for
-    chain maps: by Yoneda, those with a nonempty block (u, v) for summands
-    P_u of X_j^m and P_v of X_i^m, read off the block table.  Products g f
-    of basis maps f: X_j -> X_i and g: X_k -> X_j follow adjacency lists, in
-    the order of i, then k, then j."""
+    A map X_j -> X_i is a vector on the slots of Hom^0(X_j, X_i), as
+    ``chain_maps_mod_homotopy`` returns it; the identity of X_i is 1 at the
+    idempotent of each diagonal slot.  Only the diagonal and the pairs with
+    Hom^0(X_j, X_i) != 0 are asked for chain maps: by Yoneda, those with a
+    nonempty block (u, v) for summands P_u of X_j^m and P_v of X_i^m, read
+    off the block table.  Products g f of basis maps f: X_j -> X_i and
+    g: X_k -> X_j follow adjacency lists, in the order of i, then k, then j,
+    and are composed on slot vectors by ``_compose``."""
     if not complexes:
         raise ValueError("need at least one complex")
+    alg = complexes[0].algebra
     at = {}  # (m, v): the complexes with a summand P_v in degree m
     for i, X in enumerate(complexes):
         for m, vs in X.terms.items():
@@ -836,30 +785,30 @@ def endo_algebra_of_complexes(complexes) -> BoundQuiverAlgebra:
                 at.setdefault((m, v), []).append(i)
     pairs = {(i, i) for i in range(len(complexes))}
     for (m, u), js in at.items():
-        for v, _ in complexes[0].algebra._blocks_from[u]:
+        for v, _ in alg._blocks_from[u]:
             pairs.update((i, j) for i in at.get((m, v), ()) for j in js)
     data = {}
     for i, j in sorted(pairs):
-        Xi, Xj = complexes[i], complexes[j]
-        reps, vectors, boundaries, slots, dim = chain_maps_mod_homotopy(Xj, Xi, 0)
+        vectors, boundaries, slots, dim = chain_maps_mod_homotopy(complexes[j], complexes[i], 0)
         if i == j:
             # rebuild the basis so the identity comes first
-            ident = identity_chain_map(Xi)
-            vectors = [_chain_map_to_vector(ident, slots, dim)] + vectors
-            reps = [ident] + reps
-            picked = extend_basis(boundaries, vectors)
-            reps, vectors = [reps[k] for k in picked], [vectors[k] for k in picked]
-        data[(i, j)] = (reps, vectors, boundaries, slots, dim)
+            ident = [ZERO] * dim
+            for m, t, s, ids, off in slots:
+                if t == s:
+                    ident[off + ids.index(alg.idempotent_of[complexes[i].terms[m][s]])] = ONE
+            vectors = [ident] + vectors
+            vectors = [vectors[k] for k in extend_basis(boundaries, vectors)]
+        data[(i, j)] = vectors, boundaries, slots, dim
 
     basis = []
     index = {}
     idempotent_of = {}
     # maps_from[j]: the k, ascending, with a basis map X_k -> X_j
     maps_from = {}
-    for (i, j), (reps, _, _, _, _) in sorted(data.items()):
-        if reps:
+    for (i, j), (vectors, _, _, _) in sorted(data.items()):
+        if vectors:
             maps_from.setdefault(i, []).append(j)
-        for k in range(len(reps)):
+        for k in range(len(vectors)):
             index[(i, j, k)] = len(basis)
             # a map from X_j to X_i lies in e_i End e_j
             basis.append(BasisElement(len(basis), j, i))
@@ -874,24 +823,52 @@ def endo_algebra_of_complexes(complexes) -> BoundQuiverAlgebra:
             for k in maps_from.get(j, ()):
                 through.setdefault(k, []).append(j)
         for k in sorted(through):
-            t_reps, t_vecs, t_bound, t_slots, t_dim = data.get((i, k), ([], [], [], [], 0))
-            if not t_reps and not t_bound:
+            t_vecs, t_bound, t_slots, t_dim = data.get((i, k), ([], [], [], 0))
+            if not t_vecs and not t_bound:
                 continue
             solver = ExactMatrix.from_rows(t_vecs + t_bound).transpose()
+            # the coordinate of each (m, t, s, basis id) of Hom^0(X_k, X_i)
+            target = {(m, t, s, bid): off + c for m, t, s, ids, off in t_slots
+                      for c, bid in enumerate(ids)}
             for j in through[k]:
-                for a, f in enumerate(data[(i, j)][0]):
-                    for b, g in enumerate(data[(j, k)][0]):
-                        comp = compose_chain_maps(
-                            complexes[k], complexes[j], complexes[i], g, f
-                        )
-                        sol = solver.solve(_chain_map_to_vector(comp, t_slots, t_dim))
+                f_vecs, _, f_slots, _ = data[(i, j)]
+                g_vecs, _, g_slots, _ = data[(j, k)]
+                # f's slots (m, t2, t, ...) by their source (m, t)
+                f_from = {}
+                for m, t2, t, ids, off in f_slots:
+                    f_from.setdefault((m, t), []).append((t2, ids, off))
+                for a, f in enumerate(f_vecs):
+                    for b, g in enumerate(g_vecs):
+                        sol = solver.solve(_compose(alg.mult, f, f_from, g, g_slots, target, t_dim))
                         if sol is None:
                             raise AssertionError("composite not a cycle")
                         entry = {
                             index[(i, k, t)]: c
-                            for t, c in enumerate(sol[: len(t_reps)])
+                            for t, c in enumerate(sol[: len(t_vecs)])
                             if c != 0
                         }
                         if entry:
                             mult[(index[(i, j, a)], index[(j, k, b)])] = entry
     return BoundQuiverAlgebra(basis, mult, idempotent_of)
+
+
+def _compose(mult, f, f_from, g, g_slots, target, dim):
+    """f after g on Hom^0 slot vectors, for g: X_k -> X_j on ``g_slots`` and
+    f: X_j -> X_i with its slots grouped by source in ``f_from``, into the
+    ``dim`` coordinates ``target`` gives the slots of X_k -> X_i.
+
+    The (t2, s) component in degree m sums f's (t2, t) after g's (t, s) over
+    t, read off ``mult``; a nonzero product lies in a nonempty block, so its
+    target slot exists."""
+    out = [ZERO] * dim
+    for m, t, s, g_ids, g_off in g_slots:
+        g_part = [(b, c) for b, c in zip(g_ids, g[g_off : g_off + len(g_ids)]) if c]
+        if not g_part:
+            continue
+        for t2, f_ids, f_off in f_from.get((m, t), ()):
+            for a, cf in zip(f_ids, f[f_off : f_off + len(f_ids)]):
+                if cf:
+                    for b, cg in g_part:
+                        for bid, c in mult.get((a, b), {}).items():
+                            out[target[m, t2, s, bid]] += cf * cg * c
+    return out

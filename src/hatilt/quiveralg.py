@@ -136,21 +136,19 @@ class BoundQuiverAlgebra:
 
     The path data is optional: ``from_quiver_data`` keeps the quiver, its
     relations and a path basis (``basis[b].path``, of length ``.degree``).
-    Without it, ``relations`` is None, ``quiver`` and ``arrow_elem`` are the
-    Gabriel quiver, computed on first use, and ``nilpotency`` is the number
-    of vertices, a Loewy bound that ``gabriel_quiver`` proves.  Only the
-    interval modules of ``module_M`` are cached on the algebra.
+    Without it, ``relations`` is None, and ``quiver`` and ``arrow_elem`` are
+    the Gabriel quiver, computed on first use.  Only the interval modules of
+    ``module_M`` are cached on the algebra.
     """
 
     def __init__(self, basis, mult, idempotent_of, *, quiver=None, relations=None,
-                 nilpotency=None, vertex_data=None):
+                 vertex_data=None):
         if list(idempotent_of) != list(range(len(idempotent_of))):
             raise ValueError("vertex ids must be 0, ..., n-1 in order")
         self.basis = basis
         self.mult: dict[tuple[int, int], dict[int, Fraction]] = mult
         self.idempotent_of = idempotent_of
         self.nidem = len(idempotent_of)
-        self.nilpotency = self.nidem if nilpotency is None else nilpotency
         self.relations = relations
         self.vertex_data = vertex_data or {}
         if quiver is not None:
@@ -275,9 +273,8 @@ class BoundQuiverAlgebra:
                     base = offset[b2.src, b2.degree + b1.degree, b1.tgt]
                     mult[(b1.id, b2.id)] = {base + i: c for i, c in vec.items()}
         idempotent_of = {b.src: b.id for b in basis if b.degree == 0}
-        nilpotency = max((b.degree for b in basis), default=0) + 1
         return BoundQuiverAlgebra(basis, mult, idempotent_of, quiver=quiver, relations=relations,
-                                  nilpotency=nilpotency, vertex_data=vertex_data)
+                                  vertex_data=vertex_data)
 
     @property
     def dim(self) -> int:
@@ -481,7 +478,9 @@ class QuiverRep:
     def basis_action(self, bid: int) -> ExactMatrix:
         """Right action of the basis element ``bid`` of e_tgt A e_src, from the
         fiber at its tgt to the fiber at its src: the identity for an
-        idempotent, else that of its path.
+        idempotent, else that of its path.  This is the one way an element
+        acts on a module: an element acts as the sum of the actions of its
+        basis elements, scaled by its coefficients.
 
         Over an algebra without a path basis only idempotents act here, and
         any other basis element raises ValueError.  The library acts there
@@ -496,21 +495,6 @@ class QuiverRep:
         if b.path is None:
             raise ValueError(f"basis element {bid} has no path to act through")
         return self.path_action(b.path)
-
-    def element_action(self, elem: dict, src: int, tgt: int) -> ExactMatrix:
-        """Right action of an algebra element supported on e_tgt A e_src.
-
-        Maps the fiber at tgt to the fiber at src.
-        """
-        out = ExactMatrix(self.dims[src], self.dims[tgt])
-        for bid, c in elem.items():
-            if c == 0:
-                continue
-            b = self.algebra.basis[bid]
-            if (b.src, b.tgt) != (src, tgt):
-                raise ValueError("element not supported on the requested block")
-            out = out.add(self.basis_action(bid).scale(c))
-        return out
 
     def check_relations(self):
         if self.algebra.relations is None:

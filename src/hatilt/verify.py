@@ -410,12 +410,15 @@ def claim_idempotent_corner(model: ModelData):
     s = -(-d // n)
     if d == s:
         raise SkipClaim(f"the smaller Auslander algebra degenerates: d = ceil(d/n) = {s}")
+    # B0 first: A' is no larger than A, so a budget that A, and with it B0,
+    # exceeds is reported without building A'
+    b0 = model.b0()
     aprime = build_auslander_algebra(n + 1, d - s, max_dim=model.config.max_algebra_dim)
     beta = [tuple(e - s for e in coords(p).entries[s:]) for p in model.dyck()]
     e_indices = [vertex_of_entries(aprime, b) for b in beta]
     corner_ok = corner_vanishes(aprime, e_indices)
     sub = idempotent_subalgebra(aprime, e_indices)
-    iso = iso_test(sub, model.b0(), budget=model.config.iso_budget) is not None
+    iso = iso_test(sub, b0, budget=model.config.iso_budget) is not None
     return corner_ok and iso, {"corner_vanishes": corner_ok, "iso": iso, "s": s}
 
 

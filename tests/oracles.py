@@ -13,7 +13,9 @@ and its label signature, the opposite algebra and the dual module over
 it, the dominant dimension read off the injective coresolution of the
 algebra through those duals (against which ``domdim`` is compared), Ext
 dimensions from a minimal resolution through their own coboundary
-matrices, the intertwiner solver for Hom between
+matrices, which act by an element as the sum of its scaled basis actions,
+the entry-dict form of a chain map, which the cone and isomorphism
+oracles read off a slot vector, the intertwiner solver for Hom between
 modules, self-injectivity read off the tops of the injectives and the
 Nakayama permutation, the projective-injective vertices read off the same
 tops, built from each injective's radical fibers (against which the socle
@@ -85,7 +87,6 @@ from hatilt.complexes import (
     _hom_slots,
     _split,
     _top,
-    _vector_to_chain_map,
     derived_nakayama,
     endo_algebra_of_complexes,
     minimal_proj_resolution,
@@ -186,7 +187,6 @@ def opposite(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
             dict(alg.idempotent_of),
             quiver=op_quiver,
             relations=op_relations,
-            nilpotency=alg.nilpotency,
             vertex_data=alg.vertex_data,
         )
         op._op = alg
@@ -278,7 +278,7 @@ def _invert_local(alg, elem, u):
     r = elem_sub(alg, elem, alg.elem_scale(lam, e))  # radical part
     inv = alg.elem_scale(exact_div(1, lam), e)
     power = e
-    for _ in range(alg.nilpotency):
+    for _ in range(alg.dim):  # rad^dim = 0
         power = alg.elem_scale(exact_div(-1, lam), alg.elem_mul(r, power))
         if not power:
             break
@@ -469,6 +469,15 @@ def self_injective_by_tops(alg) -> bool:
     return sorted(perm.values()) == sorted(alg.vertex_ids())
 
 
+def _vector_to_chain_map(vec, slots):
+    comps = {}
+    for m, t, s, ids, off in slots:
+        elem = {bid: vec[off + idx] for idx, bid in enumerate(ids) if vec[off + idx] != 0}
+        if elem:
+            comps.setdefault(m, {})[(t, s)] = elem
+    return comps
+
+
 def complexes_isomorphic(X, Y, tries=60):
     """Isomorphism test for complexes: minimise, match labels, solve.
 
@@ -523,6 +532,15 @@ def complexes_isomorphic(X, Y, tries=60):
     return False
 
 
+def element_action(M: QuiverRep, elem, src, tgt) -> ExactMatrix:
+    """Right action on M of an element of e_tgt A e_src, from the fiber at
+    tgt to the fiber at src: the sum of its scaled basis actions."""
+    out = ExactMatrix(M.dims[src], M.dims[tgt])
+    for bid, c in elem.items():
+        out = out.add(M.basis_action(bid).scale(c))
+    return out
+
+
 def _ext_from_resolution(alg, R: ProjComplex, N: QuiverRep, i: int) -> int:
     def hom_dim_at(j):
         return sum(N.dims[u] for u in R.terms.get(-j, ()))
@@ -547,7 +565,7 @@ def _ext_from_resolution(alg, R: ProjComplex, N: QuiverRep, i: int) -> int:
             for t, u in enumerate(src_labels):
                 elem = d[t][s2]
                 if elem:
-                    act = N.element_action(elem, u2, u)
+                    act = element_action(N, elem, u2, u)
                     for a in range(act.rows):
                         for b in range(act.cols):
                             m.data[row_off + a][col_offsets[t] + b] = act.data[a][b]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from functools import cache
@@ -144,7 +145,7 @@ def assert_resolution_exact(alg, M):
     C = realize_projectives(R)
     for y in alg.vertex_ids():
         cols = [
-            M.element_action(alg.basis_elem(bid), y, v).apply(gen)
+            M.basis_action(bid).apply(gen)
             for v, gen in zip(R.terms.get(0, ()), aug)
             for bid in alg.blocks.get((y, v), [])
         ]
@@ -394,6 +395,39 @@ class TestMinimalAsBuilt:
             sizes["kept"] += sum(map(len, Q.terms.values()))
         # the summands the old sweep built and minimisation stripped
         assert sizes == {"built": built, "kept": kept}
+
+
+class TestWitnessCheck:
+    """``proj_replace`` checks that the witness psi: Q -> C it is handed is
+    a chain map, d_C psi = psi d_Q on each summand's generator.  Here nu of
+    the resolution P_0 -> P_1 of a simple replaces to a two-term complex
+    whose witness has one nonzero entry in each degree.  Changing the lower
+    one breaks the d_C side, changing the upper one the d_Q side."""
+
+    @pytest.mark.parametrize("degree", [-1, 0])
+    def test_a_changed_witness_entry_is_rejected(self, degree, monkeypatch):
+        import hatilt.complexes
+
+        alg = build_auslander_algebra(4, 2)
+        X = minimal_proj_resolution(alg, alg.simple(1))
+        C = realize_complex(X)
+        replace = hatilt.complexes._replace
+        _, _, psi = replace(C, 64, "C")
+        changed = [(m, s, i) for m, gens in psi.items() for s, g in enumerate(gens)
+                   for i, c in enumerate(g) if c]
+        assert sorted(m for m, _, _ in changed) == [-1, 0]
+        ((m, s, i),) = [e for e in changed if e[0] == degree]
+
+        def tampered(C, max_len, label):
+            terms, diffs, psi = replace(C, max_len, label)
+            psi[m][s][i] += 1
+            return terms, diffs, psi
+
+        monkeypatch.setattr(hatilt.complexes, "_replace", tampered)
+        with pytest.raises(AssertionError, match="not a chain map"):
+            proj_replace(C)
+        with pytest.raises(AssertionError, match="not a chain map"):
+            derived_nakayama(X)
 
 
 def realized(C):
@@ -997,7 +1031,7 @@ class TestHomWindows:
         monkeypatch.setattr(hatilt.complexes, "_hom_slots", forbidden)
         monkeypatch.setattr(hatilt.complexes, "_delta_matrix", forbidden)
         for X, Y in empty:
-            assert chain_maps_mod_homotopy(X, Y, 0) == ([], [], [], [], 0)
+            assert chain_maps_mod_homotopy(X, Y, 0) == ([], [], [], 0)
         monkeypatch.setattr(hatilt.complexes, "_hom_slots", counting("slots", real_slots))
         monkeypatch.setattr(hatilt.complexes, "_delta_matrix", counting("delta", real_delta))
         endo_algebra_of_complexes(complexes)
@@ -1691,6 +1725,40 @@ class TestEndoOfComplexes:
         alg, T = tilting_complexes(3, 2)
         fd = endo_algebra_of_complexes(T)
         check_associative(fd)
+
+
+def end_digest(alg):
+    """SHA-256 of an End algebra's tables: the ends of each basis element,
+    the products in insertion order with their scalar types, and the
+    idempotents."""
+    h = hashlib.sha256()
+    for b in alg.basis:
+        h.update(repr((b.id, b.src, b.tgt)).encode())
+    for key, table in alg.mult.items():
+        h.update(repr((key, [(k, type(c).__name__, c) for k, c in table.items()])).encode())
+    h.update(repr(list(alg.idempotent_of.items())).encode())
+    return h.hexdigest()
+
+
+class TestEndDigest:
+    """End(T) pinned bit for bit: its basis order, every structure constant
+    in the order ``mult`` is filled, and the identities."""
+
+    @pytest.mark.parametrize("d, n, digest", [
+        (3, 2, "f975b193bc61491c2d332a9c45c646dcd4e55e82f659c52e794b163159817668"),
+        (2, 3, "f975b193bc61491c2d332a9c45c646dcd4e55e82f659c52e794b163159817668"),
+        (4, 3, "0dac7d8a54124c46f655fcd45b634b8772851b11a45049cdfd3fcb883a13239a"),
+        (3, 4, "0dac7d8a54124c46f655fcd45b634b8772851b11a45049cdfd3fcb883a13239a"),
+    ])
+    def test_end_t_of_the_model(self, d, n, digest):
+        assert end_digest(ModelData(d, n, VerifyConfig()).end_t()) == digest
+
+    def test_end_of_the_linear_a4_orbit(self):
+        # the tilting list of acceptance criterion 15
+        alg = linear_bqa(4)
+        T = nu_orbit_complexes(alg, stalk_complex(alg, 0), 4)
+        digest = "61aff15214777dc9cf09a3e99f0162f1c599f8a52019f060537dd1ffe3b50cea"
+        assert end_digest(endo_algebra_of_complexes(T)) == digest
 
 
 class TestTranslateConsistency:

@@ -257,11 +257,12 @@ class TestPresentation:
             paths += sum(len(quiver.arrows_out[t]) for t, _ in live)
             live = [(a.tgt, value) for t, x in live for a in quiver.arrows_out[t]
                     if (value := times(arrow_elems[a.id], x))]
-        # every composable path up to the nilpotency walks more: some are zero
-        for _ in range(2, pres.algebra.nilpotency + 1):
+        # every composable path up to the Loewy length walks more: some are zero
+        loewy = max(b.degree for b in pres.algebra.basis) + 1
+        for _ in range(2, loewy + 1):
             ending = {v: sum(ending[a.src] for a in quiver.arrows_into[v]) for v in ending}
             composable += sum(ending.values())
-        assert pres.algebra.nilpotency >= 3
+        assert loewy >= 3
         assert passes == [1]
         assert products == [paths] and paths < composable
 

@@ -123,11 +123,12 @@ class TestModelData:
         config = VerifyConfig(max_algebra_dim=5)
         here = [name for name in CLAIM_NAMES if name not in RESOLUTION_CLAIMS]
         claims, failed, skipped = run_claims(3, 2, here, config)
-        # A once, and the smaller A' of idempotent_corner once
-        assert builds == [(3, 3), (3, 1)]
+        # A once; idempotent_corner reads B0 first, so the smaller A' is
+        # never built
+        assert builds == [(3, 3)]
         worker, failed2, skipped2 = run_claims(3, 2, RESOLUTION_CLAIMS, config)
         # and A once more for the resolution claims, on their own model
-        assert builds == [(3, 3), (3, 1), (3, 3)]
+        assert builds == [(3, 3), (3, 3)]
         claims = sorted(claims + worker, key=lambda c: CLAIM_NAMES.index(c["name"]))
         failed, skipped = failed or failed2, skipped or skipped2
         assert not failed and skipped
@@ -305,6 +306,24 @@ class TestRunClaims:
         assert skipped and not failed
         assert claims[0]["status"] == "skipped"
         assert "reason" in claims[0]["value"]
+
+    def test_idempotent_corner_reads_b0_before_building_the_smaller_algebra(self, monkeypatch):
+        # A = A^4_4 has dimension 165 at (4,3), over the budget; B0 is read
+        # first, so the smaller A' = A^2_4 is never built
+        built = []
+        build = hatilt.verify.build_auslander_algebra
+
+        def counted(n, d, **kw):
+            built.append((n, d))
+            return build(n, d, **kw)
+
+        monkeypatch.setattr(hatilt.verify, "build_auslander_algebra", counted)
+        config = VerifyConfig(max_algebra_dim=160)
+        claims, failed, skipped = run_claims(4, 3, ["idempotent_corner"], config)
+        assert skipped and not failed
+        reason = {"reason": "algebra dimension exceeds budget 160"}
+        assert [(c["status"], c["value"]) for c in claims] == [("skipped", reason)]
+        assert built == [(4, 4)]
 
     @pytest.mark.parametrize(
         "names, unknown", [(["dyck_count", "gldim_b"], "gldim_b"), (["nope"], "nope")]
